@@ -214,6 +214,16 @@ def _cmd_algebroid(args):
     raise SchemaError(f"unknown algebroid action {args.action!r}")
 
 
+def _int_flag(args, name: str, default: int, least: int) -> int:
+    """An integer flag's value, or `default` when it is absent; below `least` is an input error."""
+    value = getattr(args, name)
+    if value is None:
+        return default
+    if value < least:
+        raise DqkitError(f"--{name} must be >= {least}, got {value}")
+    return value
+
+
 def _cmd_diffop(args):
     doc = _load_document(args.infile)
     if args.action == "apply":
@@ -225,7 +235,7 @@ def _cmd_diffop(args):
     if args.action == "compose":
         outer = _entry(doc, "outer", ("diffop",)).payload
         inner = _entry(doc, "inner", ("diffop",)).payload
-        slot = args.slot or 1
+        slot = _int_flag(args, "slot", 1, 1)
         return True, diffop_to_payload(compose_into_slot(outer, slot, inner)), []
     if args.action == "delta":
         op_doc = doc if doc.kind == "diffop" else _entry(doc, "op", ("diffop",))
@@ -250,7 +260,7 @@ def _cmd_star(args):
     doc = _load_document(args.infile)
     if args.action == "moyal":
         pi_doc = doc if doc.kind == "multivec" else _entry(doc, "pi", ("multivec",))
-        order = args.order or 3  # default truncation
+        order = _int_flag(args, "order", 3, 1)
         S = moyal(pi_doc.payload, order)
         return True, star_to_payload(S), []
     if args.action == "assoc":
@@ -278,7 +288,7 @@ def _cmd_star(args):
         return True, gauge_to_payload(invert_gauge(R)), []
     if args.action == "specialize":
         S = (doc if doc.kind == "star" else _entry(doc, "star", ("star",))).payload
-        R = specialize(S, args.degree if args.degree is not None else 2)
+        R = specialize(S, _int_flag(args, "degree", 2, 0))
         return True, gauge_to_payload(R), []
     if args.action == "sigma1":
         S, R = _star_and_gauge(doc)

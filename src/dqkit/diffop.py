@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, prod
+from operator import add
 
 from .errors import ArityMismatchError, DimensionMismatchError
 from .kernel import Poly
@@ -24,6 +25,12 @@ class PolyDiffOp:
 
     ``terms`` maps k-tuples of multi-indices (each of length dim) to nonzero
     Poly coefficients.
+
+    The public constructor checks and normalizes its input.  Internal code that
+    builds a term map which is already clean (keys are ``arity``-tuples of
+    length-``dim`` tuples of non-negative ints, values are nonzero ``Poly`` of
+    dimension ``dim``) wraps it with :meth:`_make`, which skips those checks and
+    takes ownership of the dict.
     """
 
     __slots__ = ("dim", "arity", "terms")
@@ -52,6 +59,15 @@ class PolyDiffOp:
                     if clean[orders].is_zero():
                         del clean[orders]
         self.terms = clean
+
+    @classmethod
+    def _make(cls, dim: int, arity: int, terms: dict) -> "PolyDiffOp":
+        """Wrap a term map that is clean by construction (see the class docstring)."""
+        op = object.__new__(cls)
+        op.dim = dim
+        op.arity = arity
+        op.terms = terms
+        return op
 
     # ------------------------------------------------------------------
 
@@ -109,16 +125,11 @@ class PolyDiffOp:
         self._check_same(other)
         out = dict(self.terms)
         for orders, c in other.terms.items():
-            acc = out.get(orders)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(orders, None)
-            else:
-                out[orders] = acc
-        return PolyDiffOp(self.dim, self.arity, out)
+            _add_term(out, orders, c)
+        return PolyDiffOp._make(self.dim, self.arity, out)
 
     def __neg__(self):
-        return PolyDiffOp(self.dim, self.arity, {o: -c for o, c in self.terms.items()})
+        return PolyDiffOp._make(self.dim, self.arity, {o: -c for o, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -126,7 +137,10 @@ class PolyDiffOp:
     def scale(self, factor):
         if isinstance(factor, (int, Fraction)):
             factor = Poly.const(self.dim, factor)
-        return PolyDiffOp(
+        if factor.is_zero():
+            return PolyDiffOp(self.dim, self.arity)
+        # Q[x] has no zero divisors, so no product below is zero
+        return PolyDiffOp._make(
             self.dim, self.arity, {o: c * factor for o, c in self.terms.items()}
         )
 
@@ -175,19 +189,13 @@ def _splittings(alpha, parts):
     """Yield (multinomial coefficient, tuple of `parts` multi-indices summing to alpha).
 
     The multinomial coefficient is prod_coords alpha_c! / prod_j gamma_{j,c}!.
+    alpha must be nonempty.
     """
-    per_coord = []
-    for a in alpha:
-        per_coord.append(list(_compositions_with_coeff(a, parts)))
+    per_coord = [list(_compositions_with_coeff(a, parts)) for a in alpha]
     for combo in product(*per_coord):
-        coeff = 1
-        for c, _ in combo:
-            coeff *= c
-        gammas = tuple(
-            tuple(combo[coord][1][j] for coord in range(len(alpha)))
-            for j in range(parts)
-        )
-        yield coeff, gammas
+        coeffs, comps = zip(*combo)
+        # comps[c][j] is the share of coordinate c given to part j
+        yield prod(coeffs), tuple(zip(*comps))
 
 
 def _compositions_with_coeff(total, parts):
@@ -200,6 +208,59 @@ def _compositions_with_coeff(total, parts):
         c0 = comb(total, first)
         for c, rest in _compositions_with_coeff(total - first, parts - 1):
             yield c0 * c, (first,) + rest
+
+
+def _add_term(out: dict, key, coeff: Poly) -> None:
+    """Add a nonzero coefficient into a term map, dropping the key if it cancels."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = coeff
+        return
+    acc = acc + coeff
+    if acc.terms:
+        out[key] = acc
+    else:
+        del out[key]
+
+
+def _derivative_of(alpha, inner: PolyDiffOp) -> dict:
+    """The term map of d^alpha o inner, expanded by the Leibniz rule.
+
+    d^alpha (c * prod_l d^{beta_l} g_l) distributes alpha over the coefficient
+    (part 0) and the arity(inner) argument factors.
+    """
+    if not any(alpha):
+        return inner.terms
+    out = {}
+    for mult, gammas in _splittings(alpha, inner.arity + 1):
+        gamma0, rest = gammas[0], gammas[1:]
+        for i_orders, i_coeff in inner.terms.items():
+            dcoeff = i_coeff.partial_multi(gamma0)
+            if not dcoeff.terms:
+                continue
+            orders = tuple(tuple(map(add, beta, gamma)) for beta, gamma in zip(i_orders, rest))
+            _add_term(out, orders, dcoeff * mult if mult != 1 else dcoeff)
+    return out
+
+
+def _compose_acc(out: dict, outer: PolyDiffOp, slot: int, inner: PolyDiffOp, sign: int) -> None:
+    """Add sign * compose_into_slot(outer, slot, inner) into the term map `out`.
+
+    Callers that sum several compositions share one `out` and build a single
+    operator from it; the arguments must already be checked.
+    """
+    j = slot - 1
+    expanded = {}  # alpha -> d^alpha o inner; the same alpha recurs across outer terms
+    for o_orders, o_coeff in outer.terms.items():
+        alpha = o_orders[j]
+        d_inner = expanded.get(alpha)
+        if d_inner is None:
+            d_inner = expanded[alpha] = _derivative_of(alpha, inner)
+        head, tail = o_orders[:j], o_orders[j + 1 :]
+        if sign < 0:
+            o_coeff = -o_coeff
+        for orders, c in d_inner.items():
+            _add_term(out, head + orders + tail, o_coeff * c)
 
 
 def compose_into_slot(outer: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDiffOp:
@@ -215,41 +276,16 @@ def compose_into_slot(outer: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDi
         raise ArityMismatchError(f"slot {slot} out of range 1..{outer.arity}")
     if outer.dim != inner.dim:
         raise DimensionMismatchError("operator dimensions differ")
-    dim = outer.dim
-    arity = outer.arity + inner.arity - 1
     out = {}
-    j = slot - 1
-    for o_orders, o_coeff in outer.terms.items():
-        alpha = o_orders[j]
-        for i_orders, i_coeff in inner.terms.items():
-            # d^alpha (i_coeff * prod_l d^{beta_l} g_l): distribute alpha over
-            # the coefficient (part 0) and the m argument factors.
-            for mult, gammas in _splittings(alpha, inner.arity + 1):
-                dcoeff = i_coeff.partial_multi(gammas[0])
-                if dcoeff.is_zero():
-                    continue
-                coeff = o_coeff * dcoeff
-                if mult != 1:
-                    coeff = coeff * mult
-                new_inner = tuple(
-                    tuple(b + g for b, g in zip(i_orders[l], gammas[l + 1]))
-                    for l in range(inner.arity)
-                )
-                orders = o_orders[:j] + new_inner + o_orders[j + 1 :]
-                acc = out.get(orders)
-                acc = coeff if acc is None else acc + coeff
-                if acc.is_zero():
-                    out.pop(orders, None)
-                else:
-                    out[orders] = acc
-    return PolyDiffOp(dim, arity, out)
+    _compose_acc(out, outer, slot, inner, 1)
+    return PolyDiffOp._make(outer.dim, outer.arity + inner.arity - 1, out)
 
 
 def transpose(P: PolyDiffOp) -> PolyDiffOp:
     """Swap the two argument slots of an arity-2 operator."""
     if P.arity != 2:
         raise ArityMismatchError("transpose needs arity 2")
-    return PolyDiffOp(P.dim, 2, {(b, a): c for (a, b), c in P.terms.items()})
+    return PolyDiffOp._make(P.dim, 2, {(b, a): c for (a, b), c in P.terms.items()})
 
 
 def transpose_parts(P: PolyDiffOp):
@@ -269,11 +305,11 @@ def hochschild_delta(Q: PolyDiffOp) -> PolyDiffOp:
     if Q.arity != 1:
         raise ArityMismatchError("hochschild_delta needs arity 1")
     mul = PolyDiffOp.multiplication(Q.dim)
-    return (
-        compose_into_slot(Q, 1, mul)
-        - compose_into_slot(mul, 1, Q)
-        - compose_into_slot(mul, 2, Q)
-    )
+    out = {}
+    _compose_acc(out, Q, 1, mul, 1)
+    _compose_acc(out, mul, 1, Q, -1)
+    _compose_acc(out, mul, 2, Q, -1)
+    return PolyDiffOp._make(Q.dim, 2, out)
 
 
 def cocycle_defect(P: PolyDiffOp) -> PolyDiffOp:
@@ -282,12 +318,12 @@ def cocycle_defect(P: PolyDiffOp) -> PolyDiffOp:
     if P.arity != 2:
         raise ArityMismatchError("cocycle_defect needs arity 2")
     mul = PolyDiffOp.multiplication(P.dim)
-    return (
-        compose_into_slot(mul, 2, P)
-        - compose_into_slot(P, 1, mul)
-        + compose_into_slot(P, 2, mul)
-        - compose_into_slot(mul, 1, P)
-    )
+    out = {}
+    _compose_acc(out, mul, 2, P, 1)
+    _compose_acc(out, P, 1, mul, -1)
+    _compose_acc(out, P, 2, mul, 1)
+    _compose_acc(out, mul, 1, P, -1)
+    return PolyDiffOp._make(P.dim, 3, out)
 
 
 def partial_apply(D: PolyDiffOp, slot: int, f: Poly) -> PolyDiffOp:
@@ -304,31 +340,19 @@ def partial_apply(D: PolyDiffOp, slot: int, f: Poly) -> PolyDiffOp:
         df = f.partial_multi(orders[j])
         if df.is_zero():
             continue
-        key = orders[:j] + orders[j + 1 :]
-        c = coeff * df
-        acc = out.get(key)
-        acc = c if acc is None else acc + c
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
-    return PolyDiffOp(D.dim, D.arity - 1, out)
+        _add_term(out, orders[:j] + orders[j + 1 :], coeff * df)
+    return PolyDiffOp._make(D.dim, D.arity - 1, out)
 
 
-def find_nonzero_args(D: PolyDiffOp, max_total=12):
+def find_nonzero_args(D: PolyDiffOp):
     """A tuple of monomials on which a nonzero operator evaluates nonzero.
 
-    Searches monomial tuples of growing total degree; a canonically nonzero
-    operator acts nonzero on some monomial tuple, so the search terminates.
+    Take a term whose order tuple alpha is minimal in the componentwise order
+    (one of least total order is) and pass x^{alpha_j} in slot j.  Every other
+    term has a slot whose derivative kills its argument, so the value is
+    c_alpha * prod_j alpha_j!, which is nonzero.
     """
     if D.is_zero():
         return None
-    for total in range(max_total + 1):
-        exps = [e for e in product(range(total + 1), repeat=D.dim) if sum(e) <= total]
-        for combo in product(exps, repeat=D.arity):
-            if max(sum(e) for e in combo) != total:
-                continue  # tuples dominated by smaller totals were already tried
-            args = [Poly.monomial(D.dim, e) for e in combo]
-            if not apply_op(D, *args).is_zero():
-                return tuple(args)
-    raise AssertionError("no witness found within search bound; operator inconsistent")
+    alpha = min(D.terms, key=lambda orders: (sum(map(sum, orders)), orders))
+    return tuple(Poly.monomial(D.dim, a) for a in alpha)

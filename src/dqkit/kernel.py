@@ -8,6 +8,8 @@ all operations are pure, so concurrent use needs no coordination.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import perm
+from operator import add, sub
 
 from .errors import DimensionMismatchError, IndexRangeError, OrderMismatchError
 
@@ -35,6 +37,11 @@ class Poly:
     ``terms`` maps exponent tuples of length ``dim`` to nonzero Fractions.
     Zero coefficients are never stored, so structural equality of the term
     maps is polynomial equality.
+
+    The public constructor checks and normalizes its input.  Internal code that
+    builds a term map which is already clean (tuple keys of length ``dim``,
+    non-negative exponents, nonzero ``Fraction`` values only) wraps it with
+    :meth:`_make`, which skips those checks and takes ownership of the dict.
     """
 
     __slots__ = ("dim", "terms")
@@ -57,6 +64,14 @@ class Poly:
                     if clean[exps] == 0:
                         del clean[exps]
         self.terms = clean
+
+    @classmethod
+    def _make(cls, dim: int, terms: dict) -> "Poly":
+        """Wrap a term map that is clean by construction (see the class docstring)."""
+        p = object.__new__(cls)
+        p.dim = dim
+        p.terms = terms
+        return p
 
     # ------------------------------------------------------------------
     # constructors
@@ -129,17 +144,21 @@ class Poly:
         self._check_dim(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            acc = out.get(exps, Fraction(0)) + coeff
-            if acc == 0:
-                out.pop(exps, None)
-            else:
+            acc = out.get(exps)
+            if acc is None:
+                out[exps] = coeff
+                continue
+            acc += coeff
+            if acc:
                 out[exps] = acc
-        return Poly(self.dim, out)
+            else:
+                del out[exps]
+        return Poly._make(self.dim, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.dim, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.dim, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -154,18 +173,23 @@ class Poly:
             other = _as_rat(other)
             if other == 0:
                 return Poly(self.dim)
-            return Poly(self.dim, {e: c * other for e, c in self.terms.items()})
+            return Poly._make(self.dim, {e: c * other for e, c in self.terms.items()})
         self._check_dim(other)
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                acc = out.get(exps, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    out.pop(exps, None)
-                else:
+                exps = tuple(map(add, e1, e2))
+                c = c1 * c2
+                acc = out.get(exps)
+                if acc is None:
+                    out[exps] = c
+                    continue
+                acc += c
+                if acc:
                     out[exps] = acc
-        return Poly(self.dim, out)
+                else:
+                    del out[exps]
+        return Poly._make(self.dim, out)
 
     __rmul__ = __mul__
 
@@ -189,21 +213,28 @@ class Poly:
         out = {}
         for exps, coeff in self.terms.items():
             k = exps[i]
-            if k == 0:
-                continue
-            lowered = exps[:i] + (k - 1,) + exps[i + 1 :]
-            out[lowered] = out.get(lowered, Fraction(0)) + coeff * k
-        return Poly(self.dim, out)
+            if k:
+                # lowering one exponent is injective, so no two terms collide
+                out[exps[:i] + (k - 1,) + exps[i + 1 :]] = coeff * k
+        return Poly._make(self.dim, out)
 
     def partial_multi(self, orders) -> "Poly":
         """Iterated partial derivative along a multi-index (length dim)."""
-        p = self
-        for i, k in enumerate(orders, start=1):
-            for _ in range(k):
-                p = p.partial(i)
-                if p.is_zero():
-                    return p
-        return p
+        if len(orders) != self.dim:
+            raise IndexRangeError(f"multi-index {tuple(orders)} has length != dim={self.dim}")
+        if not any(orders):
+            return self
+        out = {}
+        for exps, coeff in self.terms.items():
+            mult = 1
+            for e, k in zip(exps, orders):
+                if e < k:
+                    break
+                mult *= perm(e, k)
+            else:
+                # exps -> exps - orders is injective, so no two terms collide
+                out[tuple(map(sub, exps, orders))] = coeff * mult if mult != 1 else coeff
+        return Poly._make(self.dim, out)
 
     # ------------------------------------------------------------------
 

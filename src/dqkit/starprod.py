@@ -16,6 +16,8 @@ from math import factorial
 from .calculus import MultiVec
 from .diffop import (
     PolyDiffOp,
+    _add_term,
+    _compose_acc,
     apply_op,
     compose_into_slot,
     find_nonzero_args,
@@ -303,13 +305,14 @@ def assoc_defect(S: StarProduct):
     """
     out = []
     for k in range(1, S.order + 1):
-        D = PolyDiffOp.zero(S.dim, 3)
+        terms = {}
         for i in range(k + 1):
             Pi, Pj = S.op(i), S.op(k - i)
             if Pi.is_zero() or Pj.is_zero():
                 continue
-            D = D + compose_into_slot(Pi, 1, Pj) - compose_into_slot(Pi, 2, Pj)
-        out.append(D)
+            _compose_acc(terms, Pi, 1, Pj, 1)
+            _compose_acc(terms, Pi, 2, Pj, -1)
+        out.append(PolyDiffOp._make(S.dim, 3, terms))
     return out
 
 
@@ -369,25 +372,24 @@ def gauge_transform(S: StarProduct, R: GaugeOp) -> StarProduct:
         return new_P[k - 1]
 
     for k in range(1, S.order + 1):
-        acc = PolyDiffOp.zero(S.dim, 2)
+        acc = {}
         for i in range(k + 1):
             Pi = S.op(i)
             if Pi.is_zero():
                 continue
             for j in range(k - i + 1):
                 l = k - i - j
-                term = Pi
-                if j:
-                    Rj = R.op(j)
-                    if Rj.is_zero():
-                        continue
-                    term = compose_into_slot(term, 1, Rj)
+                Rj, Rl = R.op(j), R.op(l)
+                if Rj.is_zero() or Rl.is_zero():
+                    continue
                 if l:
-                    Rl = R.op(l)
-                    if Rl.is_zero():
-                        continue
-                    term = compose_into_slot(term, 2, Rl)
-                acc = acc + term
+                    outer = compose_into_slot(Pi, 1, Rj) if j else Pi
+                    _compose_acc(acc, outer, 2, Rl, 1)
+                elif j:
+                    _compose_acc(acc, Pi, 1, Rj, 1)
+                else:  # j = l = 0: the term is P_k itself
+                    for orders, c in Pi.terms.items():
+                        _add_term(acc, orders, c)
         for i in range(1, k + 1):
             Ri = R.op(i)
             if Ri.is_zero():
@@ -395,8 +397,8 @@ def gauge_transform(S: StarProduct, R: GaugeOp) -> StarProduct:
             prev = p_prime(k - i)
             if prev.is_zero():
                 continue
-            acc = acc - compose_into_slot(Ri, 1, prev)
-        new_P.append(acc)
+            _compose_acc(acc, Ri, 1, prev, -1)
+        new_P.append(PolyDiffOp._make(S.dim, 2, acc))
     return StarProduct(S.dim, S.order, new_P)
 
 
@@ -406,13 +408,13 @@ def gauge_compose(R: GaugeOp, Q: GaugeOp) -> GaugeOp:
         raise OrderMismatchError("gauge operators disagree")
     ops = []
     for k in range(1, R.order + 1):
-        acc = PolyDiffOp.zero(R.dim, 1)
+        acc = {}
         for i in range(k + 1):
             Ri, Qj = R.op(i), Q.op(k - i)
             if Ri.is_zero() or Qj.is_zero():
                 continue
-            acc = acc + compose_into_slot(Ri, 1, Qj)
-        ops.append(acc)
+            _compose_acc(acc, Ri, 1, Qj, 1)
+        ops.append(PolyDiffOp._make(R.dim, 1, acc))
     return GaugeOp(R.dim, R.order, ops)
 
 
@@ -422,11 +424,12 @@ def invert_gauge(R: GaugeOp) -> GaugeOp:
     dim = R.dim
     # pure part A: valuation >= 1 series, composed iteratively
     power = {k: R.op(k) for k in range(1, N + 1) if not R.op(k).is_zero()}
-    total = {k: PolyDiffOp.zero(dim, 1) for k in range(1, N + 1)}
+    total = {k: {} for k in range(1, N + 1)}
     sign = -1
     while power:
         for k, op in power.items():
-            total[k] = total[k] + (op if sign > 0 else -op)
+            for orders, c in op.terms.items():
+                _add_term(total[k], orders, c if sign > 0 else -c)
         # next power: A^{m+1} = A o A^m, truncated
         nxt = {}
         for i in range(1, N + 1):
@@ -434,16 +437,11 @@ def invert_gauge(R: GaugeOp) -> GaugeOp:
             if Ai.is_zero():
                 continue
             for j, Bj in power.items():
-                if i + j > N:
-                    continue
-                term = compose_into_slot(Ai, 1, Bj)
-                if (i + j) in nxt:
-                    nxt[i + j] = nxt[i + j] + term
-                else:
-                    nxt[i + j] = term
-        power = {k: v for k, v in nxt.items() if not v.is_zero()}
+                if i + j <= N:
+                    _compose_acc(nxt.setdefault(i + j, {}), Ai, 1, Bj, 1)
+        power = {k: PolyDiffOp._make(dim, 1, t) for k, t in nxt.items() if t}
         sign = -sign
-    return GaugeOp(dim, N, [total[k] for k in range(1, N + 1)])
+    return GaugeOp(dim, N, [PolyDiffOp._make(dim, 1, total[k]) for k in range(1, N + 1)])
 
 
 def exp_gauge(Q: PolyDiffOp, order: int) -> GaugeOp:

@@ -264,3 +264,54 @@ class TestErrorPaths:
         )
         code, report = run(["poisson", "bracket", "--in", path])
         assert code == 2
+
+
+class TestFlagValues:
+    """A present flag below its range is rejected, never replaced by the default."""
+
+    DX = {
+        "kind": "diffop",
+        "dim": 2,
+        "payload": {"arity": 1, "terms": [{"coeff": "1", "orders": [[1, 0]]}]},
+    }
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["diffop", "compose", "--slot", "0"], "--slot"),
+            (["diffop", "compose", "--slot", "-3"], "--slot"),
+            (["star", "moyal", "--order", "0"], "--order"),
+            (["star", "specialize", "--degree", "-1"], "--degree"),
+        ],
+    )
+    def test_out_of_range_exits_2(self, tmp_path, argv, flag):
+        path = bundle_file(
+            tmp_path,
+            {
+                "outer": self.DX,
+                "inner": self.DX,
+                "pi": doc("pi_std.json"),
+                "star": doc("moyal_plane.json"),
+            },
+        )
+        code, report = run(argv + ["--in", path])
+        assert code == 2 and not report["ok"]
+        assert flag in report["payload"]["error"]
+
+    def test_absent_flags_keep_defaults(self, tmp_path):
+        path = bundle_file(tmp_path, {"outer": self.DX, "inner": self.DX})
+        code, report = run(["diffop", "compose", "--in", path])
+        assert code == 0
+        assert report["payload"]["terms"] == [{"coeff": "1", "orders": [[2, 0]]}]
+        code, report = run(["star", "moyal", "--in", os.path.join(CORPUS, "pi_std.json")])
+        assert code == 0 and len(report["payload"]["P"]) == 3
+
+    def test_lowest_values_accepted(self, tmp_path):
+        code, report = run(
+            ["star", "moyal", "--order", "1", "--in", os.path.join(CORPUS, "pi_std.json")]
+        )
+        assert code == 0 and len(report["payload"]["P"]) == 1
+        code, report = run(
+            ["star", "specialize", "--degree", "0", "--in", os.path.join(CORPUS, "moyal_plane.json")]
+        )
+        assert code == 0

@@ -164,3 +164,20 @@ class TestHelpers:
         args = find_nonzero_args(D)
         assert args is not None and not apply_op(D, *args).is_zero()
         assert find_nonzero_args(PolyDiffOp.zero(2, 2)) is None
+        # order 6 in n=6: the witness needs a degree-6 monomial, far beyond a
+        # search over monomial tuples; every term but the minimal one kills it
+        n = 6
+        x1 = Poly.variable(n, 1)
+        alpha = ((1,) * n, (0,) * n)
+        D = PolyDiffOp(
+            n,
+            2,
+            {
+                alpha: 3 * x1,
+                ((1, 1, 1, 1, 1, 2), (0,) * n): 1,
+                ((0,) * n, (0, 0, 0, 0, 0, 7)): x1 * x1,
+            },
+        )
+        args = find_nonzero_args(D)
+        assert args == tuple(Poly.monomial(n, a) for a in alpha)
+        assert apply_op(D, *args) == 3 * x1

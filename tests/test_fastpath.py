@@ -1,0 +1,262 @@
+"""Pins the fast composition path against slow, independent routes.
+
+The kernel and the operator layer wrap term maps they build themselves
+without re-validating them, and the star-product routines sum Leibniz terms
+straight into one dict.  These tests check the results by evaluation, against
+unfused references built from the public API, and by walking every output for
+the invariants the trusted constructors no longer check.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, strategies as st
+
+from dqkit.calculus import MultiVec
+from dqkit.diffop import (
+    PolyDiffOp,
+    apply_op,
+    cocycle_defect,
+    compose_into_slot,
+    hochschild_delta,
+)
+from dqkit.errors import IndexRangeError
+from dqkit.kernel import Poly
+from dqkit.starprod import (
+    GaugeOp,
+    StarProduct,
+    assoc_defect,
+    gauge_compose,
+    gauge_transform,
+    invert_gauge,
+    moyal,
+)
+
+from conftest import rand_diffop1, rand_gauge
+
+DIM = 2
+
+small_exps = st.tuples(*[st.integers(0, 3)] * DIM)
+polys = st.dictionaries(small_exps, st.integers(-3, 3), max_size=3).map(
+    lambda d: Poly(DIM, d)
+)
+multi_indices = st.tuples(*[st.integers(0, 2)] * DIM)
+
+
+@st.composite
+def ops(draw, arity=None):
+    if arity is None:
+        arity = draw(st.integers(1, 3))
+    terms = draw(
+        st.dictionaries(st.tuples(*[multi_indices] * arity), polys, max_size=3)
+    )
+    return PolyDiffOp(DIM, arity, terms)
+
+
+# ----------------------------------------------------------------------
+# invariant walker
+
+
+def assert_clean_poly(p, dim):
+    assert type(p) is Poly and p.dim == dim
+    assert type(p.terms) is dict
+    for exps, c in p.terms.items():
+        assert type(exps) is tuple and len(exps) == dim
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(c) is Fraction and c != 0
+
+
+def assert_clean(obj):
+    """Every invariant a trusted constructor takes on trust, checked recursively."""
+    if isinstance(obj, Poly):
+        assert_clean_poly(obj, obj.dim)
+    elif isinstance(obj, PolyDiffOp):
+        assert obj.arity >= 1 and type(obj.terms) is dict
+        for orders, c in obj.terms.items():
+            assert type(orders) is tuple and len(orders) == obj.arity
+            for o in orders:
+                assert type(o) is tuple and len(o) == obj.dim
+                assert all(type(e) is int and e >= 0 for e in o)
+            assert_clean_poly(c, obj.dim)
+            assert not c.is_zero()
+    elif isinstance(obj, StarProduct):
+        for op in obj.P:
+            assert_clean(op)
+    elif isinstance(obj, GaugeOp):
+        for op in obj.R:
+            assert_clean(op)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            assert_clean(item)
+    else:
+        raise AssertionError(f"unexpected output type {type(obj).__name__}")
+
+
+# ----------------------------------------------------------------------
+# (a) evaluation oracle for the Leibniz expansion
+
+
+@given(st.data())
+def test_compose_matches_evaluation(data):
+    outer = data.draw(ops())
+    inner = data.draw(ops())
+    slot = data.draw(st.integers(1, outer.arity))
+    arity = outer.arity + inner.arity - 1
+    args = data.draw(st.lists(polys, min_size=arity, max_size=arity))
+    composed = compose_into_slot(outer, slot, inner)
+    assert_clean(composed)
+    j = slot - 1
+    middle = apply_op(inner, *args[j : j + inner.arity])
+    want = apply_op(outer, *args[:j], middle, *args[j + inner.arity :])
+    assert apply_op(composed, *args) == want
+
+
+# ----------------------------------------------------------------------
+# (b) unfused references built from public compose_into_slot and +/-
+
+
+def ref_assoc_defect(S):
+    out = []
+    for k in range(1, S.order + 1):
+        D = PolyDiffOp.zero(S.dim, 3)
+        for i in range(k + 1):
+            Pi, Pj = S.op(i), S.op(k - i)
+            D = D + compose_into_slot(Pi, 1, Pj) - compose_into_slot(Pi, 2, Pj)
+        out.append(D)
+    return out
+
+
+def ref_gauge_transform(S, R):
+    new_P = []
+    for k in range(1, S.order + 1):
+        acc = PolyDiffOp.zero(S.dim, 2)
+        for i in range(k + 1):
+            for j in range(k - i + 1):
+                term = compose_into_slot(S.op(i), 1, R.op(j))
+                acc = acc + compose_into_slot(term, 2, R.op(k - i - j))
+        for i in range(1, k + 1):
+            prev = new_P[k - i - 1] if k - i else PolyDiffOp.multiplication(S.dim)
+            acc = acc - compose_into_slot(R.op(i), 1, prev)
+        new_P.append(acc)
+    return StarProduct(S.dim, S.order, new_P)
+
+
+def ref_invert_gauge(R):
+    # the inverse is the unique Q with R o Q = 1: Q_k = -sum_{i=1..k} R_i o Q_{k-i}
+    Q = []
+    for k in range(1, R.order + 1):
+        acc = PolyDiffOp.zero(R.dim, 1)
+        for i in range(1, k + 1):
+            prev = Q[k - i - 1] if k - i else PolyDiffOp.identity(R.dim)
+            acc = acc - compose_into_slot(R.op(i), 1, prev)
+        Q.append(acc)
+    return GaugeOp(R.dim, R.order, Q)
+
+
+def ref_hochschild_delta(Q):
+    mul = PolyDiffOp.multiplication(Q.dim)
+    return (
+        compose_into_slot(Q, 1, mul)
+        - compose_into_slot(mul, 1, Q)
+        - compose_into_slot(mul, 2, Q)
+    )
+
+
+def ref_cocycle_defect(P):
+    mul = PolyDiffOp.multiplication(P.dim)
+    return (
+        compose_into_slot(mul, 2, P)
+        - compose_into_slot(P, 1, mul)
+        + compose_into_slot(P, 2, mul)
+        - compose_into_slot(mul, 1, P)
+    )
+
+
+def std_moyal(n, order):
+    pi = MultiVec(n, 2, {(i, i + 1): Poly.one(n) for i in range(1, n, 2)})
+    return moyal(pi, order)
+
+
+def gauged_moyals():
+    rng = random.Random(20151)
+    for n, N in [(2, 3), (4, 2), (2, 4)]:
+        S = std_moyal(n, N)
+        R = rand_gauge(rng, n, N)
+        yield S, R, gauge_transform(S, R)
+
+
+def test_fused_routines_match_unfused_references():
+    for S, R, S2 in gauged_moyals():
+        assert_clean(S2)
+        assert S2 == ref_gauge_transform(S, R)
+        defects = assoc_defect(S2)
+        assert_clean(defects)
+        assert defects == ref_assoc_defect(S2)
+        assert all(D.is_zero() for D in defects)
+        Rinv = invert_gauge(R)
+        assert_clean(Rinv)
+        assert Rinv == ref_invert_gauge(R)
+        back = gauge_compose(R, Rinv)
+        assert_clean(back)
+        assert back == GaugeOp.identity_gauge(S.dim, S.order)
+        assert gauge_transform(S2, Rinv) == S
+
+
+def test_fused_hochschild_matches_unfused():
+    rng = random.Random(7)
+    for _ in range(10):
+        Q = rand_diffop1(rng, 3, max_order=3, unital=False)
+        delta = hochschild_delta(Q)
+        assert_clean(delta)
+        assert delta == ref_hochschild_delta(Q)
+    for _, _, S2 in gauged_moyals():
+        for P in S2.P:
+            cocycle = cocycle_defect(P)
+            assert_clean(cocycle)
+            assert cocycle == ref_cocycle_defect(P)
+
+
+def test_cancellation_leaves_no_zero():
+    # terms that cancel exactly must leave no stored zero behind
+    Q = rand_diffop1(random.Random(3), 2, max_order=2)
+    D = PolyDiffOp(2, 1, {}) + Q - Q
+    assert D.terms == {} and compose_into_slot(Q, 1, Q - Q).terms == {}
+    assert Q.scale(0).terms == {} and Q.scale(Poly.zero(2)).terms == {}
+
+
+# ----------------------------------------------------------------------
+# (c) one-pass partial_multi against iterated partial
+
+
+@given(
+    st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), st.integers(-5, 5), max_size=5),
+    st.tuples(*[st.integers(0, 6)] * 3),
+)
+def test_partial_multi_matches_iterated_partial(terms, orders):
+    p = Poly(3, terms)
+    want = p
+    for i, k in enumerate(orders, start=1):
+        for _ in range(k):
+            want = want.partial(i)
+    got = p.partial_multi(orders)
+    assert got == want
+    assert_clean(got)
+
+
+def test_partial_multi_orders_above_exponents():
+    p = Poly(2, {(2, 1): 3, (0, 4): 1})
+    assert p.partial_multi((3, 0)).is_zero()
+    assert p.partial_multi((0, 2)) == Poly(2, {(0, 2): 12})
+    assert p.partial_multi((2, 1)) == Poly.const(2, 6)
+    assert p.partial_multi((0, 0)) == p
+    with pytest.raises(IndexRangeError):
+        p.partial_multi((1,))
+
+
+@given(polys, polys)
+def test_kernel_arithmetic_outputs_are_clean(p, q):
+    for r in (p + q, p - q, -p, p * q, p * 3, p * Fraction(-1, 2), p.partial(1)):
+        assert_clean(r)
+    assert (p - p).terms == {}
+
