@@ -2,7 +2,7 @@
 
 Reports are canonical JSON with deterministic content; the timing field is
 excluded from the canonical hash.  Exit codes: 0 ok, 1 property/defect
-failure, 2 input or schema error.
+failure, 2 input, usage or schema error.
 """
 
 from __future__ import annotations
@@ -75,10 +75,6 @@ from .starprod import (
 EXIT_OK = 0
 EXIT_DEFECT = 1
 EXIT_INPUT = 2
-
-
-def _aform_to_payload(t: AlgebroidForm) -> dict:
-    return tensor_to_payload(t)
 
 
 def _load_document(path: str) -> Document:
@@ -205,12 +201,12 @@ def _cmd_algebroid(args):
     A = _entry(doc, "algebroid", ("algebroid",)).payload
     if args.action == "d":
         omega = _algebroid_form_entry(doc, "omega", A)
-        return True, _aform_to_payload(algebroid_d(A, omega)), []
+        return True, tensor_to_payload(algebroid_d(A, omega)), []
     if args.action == "ext-curv":
         twist = _algebroid_form_entry(doc, "twist", A)
         lam = _algebroid_form_entry(doc, "lam", A)
         E = ExtensionData(A, twist)
-        return True, _aform_to_payload(extension_curvature(E, lam)), []
+        return True, tensor_to_payload(extension_curvature(E, lam)), []
     raise SchemaError(f"unknown algebroid action {args.action!r}")
 
 
@@ -566,8 +562,25 @@ _HANDLERS = {
 }
 
 
+class _UsageError(Exception):
+    """An argparse usage error; ``command`` is the prog of the parser that failed."""
+
+    def __init__(self, command: str, message: str):
+        super().__init__(message)
+        self.command = command
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises _UsageError where argparse would print a message and exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        raise _UsageError(self.prog, message)
+
+
 def _build_argparser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="dqkit", description=__doc__)
+    top = _ArgumentParser(prog="dqkit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -575,7 +588,6 @@ def _build_argparser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="outfile", help="write the report here as well")
         p.add_argument("--human", action="store_true", help="text rendering on stdout")
         p.add_argument("--order", type=int, help="t-truncation order where applicable")
-        p.add_argument("--dim", type=int, help="ambient dimension override (informational)")
         p.add_argument("--degree", type=int, help="coefficient degree bound (specialize)")
         p.add_argument("--slot", type=int, help="slot index (diffop compose)")
 
@@ -617,8 +629,12 @@ def dispatch(argv) -> int:
     parser = _build_argparser()
     try:
         args = parser.parse_args(argv)
+    except _UsageError as exc:
+        report = _build_report(exc.command, False, {"error": str(exc)}, [], 0.0)
+        _emit(report, None)
+        return EXIT_INPUT
     except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize other codes
+        # --help exits 0 after printing; normalize any other code
         return EXIT_INPUT if exc.code else EXIT_OK
     command = args.command
     if getattr(args, "action", None):

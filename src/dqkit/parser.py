@@ -38,6 +38,11 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 _ALIASES = {"x": 1, "y": 2, "z": 3}
 
+# Deepest nesting of parentheses, unary signs and '^' chains the parser
+# accepts.  Each level costs a few Python frames, so this stays well under the
+# interpreter's recursion limit.
+MAX_NESTING = 100
+
 
 def _tokenize(text: str):
     tokens = []
@@ -68,6 +73,7 @@ class _ExprParser:
         self.dim = dim
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -85,10 +91,15 @@ class _ExprParser:
         return value
 
     def expr(self, min_prec: int) -> Poly:
+        # every nested parenthesis, unary sign and '^' exponent enters here
+        if self.depth == MAX_NESTING:
+            raise PolyParseError(f"expression nested deeper than {MAX_NESTING} levels", self.peek()[2])
+        self.depth += 1
         lhs = self.unary()
         while True:
             kind, op, pos = self.peek()
             if kind != "op" or op not in _PREC or _PREC[op] < min_prec:
+                self.depth -= 1
                 return lhs
             self.advance()
             if op == "^":

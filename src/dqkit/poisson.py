@@ -119,11 +119,6 @@ def koszul_bracket(pi: MultiVec, alpha: Form, beta: Form) -> Form:
     )
 
 
-def multivec_eval(A: MultiVec, polys) -> Poly:
-    """Evaluate a p-vector on the differentials of p polynomials."""
-    return pair(A, *[Form.d_of(f) for f in polys])
-
-
 def lichnerowicz_d(pi: MultiVec, A: MultiVec) -> MultiVec:
     """The algebroid differential of the Poisson structure, degree +1.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial, prod
 
 from .calculus import MultiVec
 from .diffop import (
@@ -470,52 +470,94 @@ def _delta_matrix_rows(op: PolyDiffOp):
     return rows
 
 
+def _coboundary_pattern(alpha):
+    """The terms [(orders, coefficient)] of delta(d^alpha), in the key order of
+    hochschild_delta:
+
+        delta(d^alpha) = sum_{0 < beta < alpha} C(alpha, beta) d^beta (x) d^(alpha - beta),
+
+    with C(alpha, beta) = prod_i binom(alpha_i, beta_i) and beta in
+    itertools.product order; delta(1) = -(f (x) g).  Multiplying every term by
+    x^e gives delta(x^e d^alpha).  Empty for |alpha| = 1 (a derivation).
+    """
+    if not any(alpha):
+        return [((alpha, alpha), Fraction(-1))]
+    out = []
+    for beta in product(*(range(a + 1) for a in alpha)):
+        if beta == alpha or not any(beta):
+            continue
+        rest = tuple(a - b for a, b in zip(alpha, beta))
+        out.append(((beta, rest), Fraction(prod(comb(a, b) for a, b in zip(alpha, beta)))))
+    return out
+
+
 def _solve_exact(columns, target_rows, row_index):
     """Solve sum_j u_j col_j = target over Q.  Returns (solution, residual_rows).
 
     columns: list of row-dicts; target_rows: row-dict; row_index: ordered keys.
     On inconsistency the solution solves the consistent subsystem and the
     residual is nonzero.
+
+    Gauss-Jordan elimination on sparse rows: column by column, the pivot is the
+    first row at or below the current position (in current row order) with a
+    nonzero entry, and only rows holding a nonzero in the pivot column are
+    reduced.  Zero entries are never stored, so every exact operation is one a
+    dense elimination with the same pivot rule does on a nonzero entry.
     """
     m = len(row_index)
     n = len(columns)
-    A = [[Fraction(0)] * (n + 1) for _ in range(m)]
     pos = {key: r for r, key in enumerate(row_index)}
-    for j, col in enumerate(columns):
+    rows = [{} for _ in range(m)]  # by original row: {column: nonzero Fraction}
+    where = [set() for _ in range(n + 1)]  # column -> original rows holding a nonzero
+    for j, col in enumerate([*columns, target_rows]):  # the target is column n
         for key, val in col.items():
-            A[pos[key]][j] = val
-    for key, val in target_rows.items():
-        A[pos[key]][n] = val
-    pivots = []
-    perm = list(range(m))  # original row key per current position
+            if val:
+                i = pos[key]
+                rows[i][j] = val
+                where[j].add(i)
+    perm = list(range(m))  # original row per current position
+    place = list(range(m))  # current position per original row
+    pivots = []  # (original row, column)
     r = 0
     for c in range(n):
-        pivot = None
-        for rr in range(r, m):
-            if A[rr][c] != 0:
-                pivot = rr
-                break
-        if pivot is None:
+        below = [place[i] for i in where[c] if place[i] >= r]
+        if not below:
             continue
-        A[r], A[pivot] = A[pivot], A[r]
-        perm[r], perm[pivot] = perm[pivot], perm[r]
-        pv = A[r][c]
-        A[r] = [x / pv for x in A[r]]
-        for rr in range(m):
-            if rr != r and A[rr][c] != 0:
-                f = A[rr][c]
-                A[rr] = [x - f * y for x, y in zip(A[rr], A[r])]
-        pivots.append((r, c))
+        p = min(below)
+        i, k = perm[p], perm[r]
+        perm[r], perm[p] = i, k
+        place[i], place[k] = r, p
+        pv = rows[i][c]
+        rows[i] = row = {j: x / pv for j, x in rows[i].items()}
+        for t in list(where[c]):
+            if t == i:
+                continue
+            other = rows[t]
+            f = other[c]
+            for j, y in row.items():
+                x = other.get(j)
+                if x is None:
+                    other[j] = -(f * y)
+                    where[j].add(t)
+                else:
+                    x -= f * y
+                    if x:
+                        other[j] = x
+                    else:
+                        del other[j]
+                        where[j].discard(t)
+        pivots.append((i, c))
         r += 1
         if r == m:
             break
     solution = [Fraction(0)] * n
-    for rr, cc in pivots:
-        solution[cc] = A[rr][n]
+    for i, c in pivots:
+        solution[c] = rows[i].get(n, Fraction(0))
     residual = {}
     for rr in range(len(pivots), m):
-        if A[rr][n] != 0:
-            residual[row_index[perm[rr]]] = A[rr][n]
+        val = rows[perm[rr]].get(n)
+        if val:
+            residual[row_index[perm[rr]]] = val
     return solution, residual
 
 
@@ -524,7 +566,9 @@ def specialize(S: StarProduct, degree_bound: int) -> GaugeOp:
 
     Q solves the Hochschild coboundary equation delta Q = sym(P_1) by an
     exact linear solve over operators with order <= total order of P_1 and
-    polynomial coefficient degree <= degree_bound.
+    polynomial coefficient degree <= degree_bound.  The solve is sparse and
+    exact: the columns delta(x^e d^alpha) come in closed form and the
+    elimination works over Fraction on nonzero entries only.
     """
     if not is_associative(S):
         raise PreconditionError("specialize requires an associative star product")
@@ -536,37 +580,33 @@ def specialize(S: StarProduct, degree_bound: int) -> GaugeOp:
     # unknown basis: monomial coefficient x^e times d^alpha
     alphas = [a for a in product(range(maxord + 1), repeat=n) if sum(a) <= maxord]
     monos = [e for e in product(range(degree_bound + 1), repeat=n) if sum(e) <= degree_bound]
-    basis = []
+    unknowns = []
     columns = []
     keys = {}
     for alpha in alphas:
+        pattern = _coboundary_pattern(alpha)
+        if not pattern:
+            continue  # |alpha| = 1: x^e d^alpha is a derivation, so delta is zero
         for e in monos:
-            q = PolyDiffOp(n, 1, {(alpha,): Poly.monomial(n, e)})
-            col = _delta_matrix_rows(hochschild_delta(q))
-            if not col:
-                continue  # derivative-free delta (a derivation); no constraint power
-            basis.append(q)
+            col = {(orders, e): c for orders, c in pattern}
+            unknowns.append((alpha, e))
             columns.append(col)
             for key in col:
                 keys.setdefault(key, len(keys))
     target = _delta_matrix_rows(sym)
     for key in target:
         keys.setdefault(key, len(keys))
-    row_index = sorted(keys, key=keys.get)
-    solution, residual = _solve_exact(columns, target, row_index)
+    solution, residual = _solve_exact(columns, target, list(keys))
+    terms = {}
+    for u, (alpha, e) in zip(solution, unknowns):
+        if u:
+            _add_term(terms, (alpha,), Poly._make(n, {e: u}))
+    Q = PolyDiffOp._make(n, 1, terms)
     if residual:
-        Qp = PolyDiffOp.zero(n, 1)
-        for u, q in zip(solution, basis):
-            if u != 0:
-                Qp = Qp + q.scale(u)
         raise SolveError(
             "no Hochschild coboundary solution within bounds",
-            residual=sym - hochschild_delta(Qp),
+            residual=sym - hochschild_delta(Q),
         )
-    Q = PolyDiffOp.zero(n, 1)
-    for u, q in zip(solution, basis):
-        if u != 0:
-            Q = Q + q.scale(u)
     return exp_gauge(Q, S.order)
 
 

@@ -315,3 +315,44 @@ class TestFlagValues:
             ["star", "specialize", "--degree", "0", "--in", os.path.join(CORPUS, "moyal_plane.json")]
         )
         assert code == 0
+
+
+class TestUsageErrors:
+    """argparse usage errors end in a canonical report, not in bare stderr text."""
+
+    @pytest.mark.parametrize(
+        "argv, needle",
+        [
+            (["diffop", "compose", "--slot", "x", "--in", "nope.json"], "--slot"),
+            (["star", "frobnicate", "--in", "nope.json"], "frobnicate"),
+            (["frobnicate"], "frobnicate"),
+            (["star", "assoc"], "--in"),
+            (["parse", "--in", "nope.json", "--dim", "2"], "--dim"),
+        ],
+    )
+    def test_usage_error_report(self, argv, needle, capsys):
+        code = dispatch(argv)
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert code == 2 and not report["ok"]
+        assert needle in report["payload"]["error"]
+        assert report["command"].startswith("dqkit")
+        assert report["payload"]["error"] in err
+
+    def test_help_still_exits_0(self, capsys):
+        assert dispatch(["--help"]) == 0
+        assert dispatch(["star", "--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
+
+
+class TestNestingBound:
+    """Deep nesting in an expression leaf is an input error, not a RecursionError."""
+
+    DEEP = ["(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x", "x" + "^1" * 5000]
+
+    @pytest.mark.parametrize("expr", DEEP, ids=["parens", "signs", "powers"])
+    def test_deep_leaf_exits_2(self, tmp_path, expr):
+        path = bundle_file(tmp_path, {"f": poly_doc(2, expr)})
+        code, report = run(["parse", "--in", path])
+        assert code == 2 and not report["ok"]
+        assert "nested deeper than" in report["payload"]["error"]

@@ -8,6 +8,7 @@ from dqkit.calculus import MultiVec
 from dqkit.errors import PolyParseError, SchemaError
 from dqkit.kernel import Poly, TPoly
 from dqkit.parser import (
+    MAX_NESTING,
     parse_document,
     parse_poly,
     poly_to_text,
@@ -89,6 +90,23 @@ class TestGrammar:
         with pytest.raises(PolyParseError) as info:
             parse_poly("x + q", 2)
         assert info.value.position == 4
+
+    @pytest.mark.parametrize(
+        "deep, pos",
+        [
+            (lambda k: "(" * k + "x" + ")" * k, MAX_NESTING),
+            (lambda k: "-" * k + "x", MAX_NESTING),
+            (lambda k: "x" + "^1" * k, 2 * MAX_NESTING),
+        ],
+        ids=["parens", "signs", "powers"],
+    )
+    def test_nesting_bound(self, deep, pos):
+        # MAX_NESTING - 1 levels sit inside the top-level expression
+        assert parse_poly(deep(MAX_NESTING - 1), 2) in (x, -x)
+        for k in (MAX_NESTING, 5000):
+            with pytest.raises(PolyParseError) as info:
+                parse_poly(deep(k), 2)
+            assert info.value.position == pos
 
     def test_aliases_only_low_dims(self):
         assert parse_poly("z", 3) == Poly.variable(3, 3)
