@@ -8,9 +8,10 @@ coefficients.  Degree 0 uses the empty tuple as its single key.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import DegreeError, DimensionMismatchError
-from .kernel import Poly
+from .kernel import Poly, _add_term
 
 
 def sort_indices(indices):
@@ -33,26 +34,34 @@ def sort_indices(indices):
 
 
 class _AltTensor:
-    """Shared storage for alternating tensors (multivectors and forms)."""
+    """Shared storage for alternating tensors (multivectors and forms).
+
+    Indices run over 1..index_bound.  That is ``dim`` for tensors on R^n; a
+    subclass whose indices name something else (frame elements of a Lie
+    algebroid) overrides ``index_bound``, ``index_name`` and ``_like``.
+    """
 
     __slots__ = ("dim", "degree", "terms")
     kind = "tensor"
+    index_name = "index"
 
     def __init__(self, dim: int, degree: int, terms=None):
-        # degrees above dim are allowed: their term space is empty, so such
-        # tensors are identically zero (needed e.g. for a zero 3-form on R^2)
+        # degrees above the index bound are allowed: their term space is
+        # empty, so such tensors are identically zero (needed e.g. for a zero
+        # 3-form on R^2)
         if degree < 0:
             raise DegreeError(f"degree {degree} is negative")
         self.dim = dim
         self.degree = degree
+        bound = self.index_bound
         clean = {}
         if terms:
             for idx, coeff in terms.items():
                 idx = tuple(idx)
                 if len(idx) != degree:
                     raise DegreeError(f"index tuple {idx} has length != degree={degree}")
-                if any(not 1 <= i <= dim for i in idx):
-                    raise DegreeError(f"index out of range 1..{dim} in {idx}")
+                if any(not 1 <= i <= bound for i in idx):
+                    raise DegreeError(f"{self.index_name} out of range 1..{bound} in {idx}")
                 if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
                     raise DegreeError(f"index tuple {idx} not strictly increasing")
                 if isinstance(coeff, (int, Fraction)):
@@ -62,11 +71,16 @@ class _AltTensor:
                         f"coefficient dim {coeff.dim} != ambient dim {dim}"
                     )
                 if not coeff.is_zero():
-                    acc = clean.get(idx)
-                    clean[idx] = coeff if acc is None else acc + coeff
-                    if clean[idx].is_zero():
-                        del clean[idx]
+                    _add_term(clean, idx, coeff)
         self.terms = clean
+
+    @property
+    def index_bound(self) -> int:
+        return self.dim
+
+    def _like(self, degree: int, terms) -> "_AltTensor":
+        """A tensor of the same kind and index bound, of the given degree."""
+        return type(self)(self.dim, degree, terms)
 
     # ------------------------------------------------------------------
 
@@ -106,6 +120,10 @@ class _AltTensor:
             raise TypeError(f"mixed kinds: {type(self).__name__} vs {type(other).__name__}")
         if self.dim != other.dim:
             raise DimensionMismatchError(f"dimensions differ: {self.dim} vs {other.dim}")
+        if self.index_bound != other.index_bound:
+            raise DimensionMismatchError(
+                f"index bounds differ: {self.index_bound} vs {other.index_bound}"
+            )
 
     def __add__(self, other):
         self._check_same(other)
@@ -113,16 +131,11 @@ class _AltTensor:
             raise DegreeError(f"degrees differ: {self.degree} vs {other.degree}")
         out = dict(self.terms)
         for idx, c in other.terms.items():
-            acc = out.get(idx)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = acc
-        return type(self)(self.dim, self.degree, out)
+            _add_term(out, idx, c)
+        return self._like(self.degree, out)
 
     def __neg__(self):
-        return type(self)(self.dim, self.degree, {i: -c for i, c in self.terms.items()})
+        return self._like(self.degree, {i: -c for i, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -131,21 +144,20 @@ class _AltTensor:
         """Multiply every coefficient by a Poly or rational."""
         if isinstance(factor, (int, Fraction)):
             factor = Poly.const(self.dim, factor)
-        return type(self)(
-            self.dim, self.degree, {i: c * factor for i, c in self.terms.items()}
-        )
+        return self._like(self.degree, {i: c * factor for i, c in self.terms.items()})
 
     def __eq__(self, other):
         if type(self) is not type(other):
             return NotImplemented
         return (
             self.dim == other.dim
+            and self.index_bound == other.index_bound
             and self.degree == other.degree
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((type(self).__name__, self.dim, self.degree,
+        return hash((type(self).__name__, self.dim, self.index_bound, self.degree,
                      frozenset(self.terms.items())))
 
     def __repr__(self):
@@ -215,15 +227,8 @@ def wedge(A, B):
             if sign == 0:
                 continue
             c = c1 * c2
-            if sign < 0:
-                c = -c
-            acc = out.get(key)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
-    return type(A)(A.dim, degree, out)
+            _add_term(out, key, c if sign > 0 else -c)
+    return A._like(degree, out)
 
 
 def exterior_d(omega: Form) -> Form:
@@ -239,14 +244,7 @@ def exterior_d(omega: Form) -> Form:
             sign, key = sort_indices((i,) + idx)
             if sign == 0:
                 continue
-            if sign < 0:
-                p = -p
-            acc = out.get(key)
-            acc = p if acc is None else acc + p
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            _add_term(out, key, p if sign > 0 else -p)
     return Form(omega.dim, omega.degree + 1, out)
 
 
@@ -267,15 +265,7 @@ def interior(X: MultiVec, omega: Form) -> Form:
             if xc is None:
                 continue
             coeff = xc * c
-            if pos % 2 == 1:
-                coeff = -coeff
-            key = idx[:pos] + idx[pos + 1 :]
-            acc = out.get(key)
-            acc = coeff if acc is None else acc + coeff
-            if acc.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            _add_term(out, idx[:pos] + idx[pos + 1 :], -coeff if pos % 2 else coeff)
     return Form(omega.dim, omega.degree - 1, out)
 
 
@@ -374,14 +364,7 @@ def schouten(A: MultiVec, B: MultiVec) -> MultiVec:
         sign, key = sort_indices(seq)
         if sign == 0:
             return
-        if sign < 0:
-            coeff = -coeff
-        acc = out.get(key)
-        acc = coeff if acc is None else acc + coeff
-        if acc.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = acc
+        _add_term(out, key, coeff if sign > 0 else -coeff)
 
     for I, c in A.terms.items():
         a = len(I)
@@ -434,13 +417,7 @@ def anchor(pi: MultiVec, alpha: Form) -> MultiVec:
             pij = pi_matrix_entry(pi, i, j)
             if pij.is_zero():
                 continue
-            c = ai * pij
-            acc = terms.get((j,))
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                terms.pop((j,), None)
-            else:
-                terms[(j,)] = acc
+            _add_term(terms, (j,), ai * pij)
     return MultiVec(pi.dim, 1, terms)
 
 
@@ -465,121 +442,8 @@ def anchor_pullback(pi: MultiVec, omega: Form) -> MultiVec:
     images = {i: anchor(pi, Form.basis(dim, i)) for i in range(1, dim + 1)}
     sign = -1 if p % 2 else 1
     terms = {}
-    for key in _increasing_tuples(dim, p):
+    for key in combinations(range(1, dim + 1), p):
         val = form_eval(omega, [images[i] for i in key])
         if not val.is_zero():
             terms[key] = val if sign == 1 else -val
     return MultiVec(dim, p, terms)
-
-
-def _increasing_tuples(dim: int, p: int):
-    """All strictly increasing p-tuples from 1..dim."""
-    from itertools import combinations
-
-    return combinations(range(1, dim + 1), p)
-
-
-def schouten_by_recursion(A: MultiVec, B: MultiVec) -> MultiVec:
-    """Reference Schouten bracket, reduced term by term through the defining
-    recursion: [X,f] = X(f), [X,Y] = Lie bracket, the graded Leibniz rule in
-    the second slot, and graded antisymmetry.  Exponential-time; kept as the
-    independent oracle for the coordinate implementation.
-    """
-    if A.dim != B.dim:
-        raise DimensionMismatchError("dimension mismatch")
-    dim = A.dim
-    degree = max(A.degree + B.degree - 1, 0)
-    total = MultiVec.zero(dim, degree)
-    for I, c in A.terms.items():
-        for J, e in B.terms.items():
-            u = _factors(dim, I, c)
-            v = _factors(dim, J, e)
-            total = total + _sn_rec(dim, u, v)
-    return total
-
-
-def _factors(dim, idx, coeff):
-    """Decompose c*d_I into vector-field factors; degree 0 stays a scalar."""
-    if not idx:
-        return [("f", coeff)]
-    out = [("v", MultiVec(dim, 1, {(idx[0],): coeff}))]
-    for i in idx[1:]:
-        out.append(("v", MultiVec.basis(dim, i)))
-    return out
-
-
-def _wedge_factors(dim, factors):
-    acc = None
-    scalar = None
-    for kind, val in factors:
-        if kind == "f":
-            scalar = val if scalar is None else scalar * val
-        else:
-            acc = val if acc is None else wedge(acc, val)
-    if acc is None:
-        return MultiVec.from_poly(scalar if scalar is not None else Poly.one(dim))
-    if scalar is not None:
-        acc = acc.scale(scalar)
-    return acc
-
-
-def _sn_rec(dim, u, v):
-    """[u, v] for lists of factors (each ('v', vector) or a single ('f', poly))."""
-    a = sum(1 for k, _ in u if k == "v")
-    b = sum(1 for k, _ in v if k == "v")
-    if a == 0 and b == 0:
-        return MultiVec.zero(dim, 0)
-    if b == 0:
-        # [A, f] = -(-1)^{(a-1)(0-1)} [f, A]
-        res = _sn_rec(dim, v, u)
-        if (a - 1) % 2 == 0:
-            res = -res
-        return res
-    if a == 0:
-        f = u[0][1]
-        if b == 1:
-            # [f, X] = -X(f)
-            return MultiVec.from_poly(-v[0][1].apply_to(f))
-        # [f, Y ^ C] = [f,Y] ^ C + (-1)^{(0-1)*1} Y ^ [f,C]
-        head, tail = v[0][1], v[1:]
-        first = _wedge_factors(dim, tail).scale(_sn_rec(dim, u, [("v", head)]).as_poly())
-        second = wedge(head, _sn_rec(dim, u, tail))
-        return first - second
-    if a == 1 and b == 1:
-        X, Y = u[0][1], v[0][1]
-        terms = {}
-        for (j,), yc in Y.terms.items():
-            c = X.apply_to(yc)
-            if not c.is_zero():
-                acc = terms.get((j,))
-                terms[(j,)] = c if acc is None else acc + c
-        for (i,), xc in X.terms.items():
-            c = Y.apply_to(xc)
-            if not c.is_zero():
-                acc = terms.get((i,))
-                nc = -c
-                terms[(i,)] = nc if acc is None else acc + nc
-        return MultiVec(dim, 1, {k: v2 for k, v2 in terms.items() if not v2.is_zero()})
-    if b > 1:
-        # [A, Y ^ C] = [A,Y] ^ C + (-1)^{(a-1)*1} Y ^ [A,C]
-        head, tail = v[0][1], v[1:]
-        left = _sn_rec(dim, u, [("v", head)])
-        first = _wedge_or_scale(dim, left, tail)
-        second = wedge(head, _sn_rec(dim, u, tail))
-        if (a - 1) % 2 == 1:
-            second = -second
-        return first + second
-    # a > 1, b == 1: swap via graded antisymmetry
-    res = _sn_rec(dim, v, u)
-    if ((a - 1) * (b - 1)) % 2 == 0:
-        res = -res
-    return res
-
-
-def _wedge_or_scale(dim, left, factors):
-    right = _wedge_factors(dim, factors)
-    if left.degree == 0:
-        return right.scale(left.as_poly())
-    if right.degree == 0:
-        return left.scale(right.as_poly())
-    return wedge(left, right)

@@ -12,7 +12,7 @@ import hashlib
 import sys
 import time
 
-from .diffop import PolyDiffOp, apply_op, cocycle_defect, compose_into_slot, hochschild_delta
+from .diffop import apply_op, cocycle_defect, compose_into_slot, hochschild_delta, transpose
 from .errors import (
     DqkitError,
     PolyParseError,
@@ -31,7 +31,6 @@ from .liealgebroid import (
 )
 from .parser import (
     Document,
-    aform_from_payload,
     algebroid_to_payload,
     canonical_json,
     diffop_to_payload,
@@ -59,6 +58,7 @@ from .starprod import (
     ad_exp,
     assoc_defect,
     assoc_poisson,
+    biderivation,
     contravariant_nabla,
     gauge_transform,
     gauge_unitality_defects,
@@ -162,17 +162,23 @@ def _cmd_poisson(args):
 
 
 def _algebroid_form_entry(doc: Document, name: str, A) -> AlgebroidForm:
-    """Re-read a bundle entry as a frame-indexed form over the algebroid A."""
+    """Read a bundle entry as a frame-indexed form over the algebroid A.
+
+    The entry is parsed as a form on R^dim first, so its indices are bounded
+    by min(dim, rank): a frame index above dim is rejected by the bundle parse
+    even when it is within the rank.
+    """
     if doc.kind != "bundle" or name not in doc.payload:
         raise SchemaError(f"bundle is missing the entry {name!r}")
     sub = doc.payload[name]
     if sub.kind != "form":
         raise SchemaError(f"entry {name!r} must be a form document")
-    # rebuild with the rank bound (frame indices may exceed dim in general)
-    from .parser import payload_to_obj
-
-    raw = payload_to_obj(sub)
-    return aform_from_payload(raw, A.dim, A.rank, f"$.payload.{name}.payload")
+    f = sub.payload
+    try:
+        # sorted, so an index above the rank is reported for the least such term
+        return AlgebroidForm(A.dim, A.rank, f.degree, dict(f.sorted_terms()))
+    except DqkitError as exc:
+        raise SchemaError(str(exc), f"$.payload.{name}.payload") from exc
 
 
 def _cmd_algebroid(args):
@@ -393,24 +399,14 @@ def _verify_star(name, S, defects):
                 )
             )
         P2 = S.op(2)
-        from .diffop import transpose
-
         skew2 = P2 - transpose(P2)
-        bider = {}
-        n = S.dim
-        for (i, j), cval in c.terms.items():
-            a = [0] * n
-            b = [0] * n
-            a[i - 1] = 1
-            b[j - 1] = 1
-            bider[(tuple(a), tuple(b))] = cval
-            bider[(tuple(b), tuple(a))] = -cval
+        bider = biderivation(c)
         checks += 1
-        if PolyDiffOp(n, 2, bider) != skew2:
+        if bider != skew2:
             defects.append(
                 _defect(
                     f"{name}: subprincipal curvature is not a biderivation",
-                    diffop_to_payload(skew2 - PolyDiffOp(n, 2, bider)),
+                    diffop_to_payload(skew2 - bider),
                 )
             )
     return checks

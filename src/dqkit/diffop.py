@@ -13,7 +13,7 @@ from math import comb, prod
 from operator import add
 
 from .errors import ArityMismatchError, DimensionMismatchError
-from .kernel import Poly
+from .kernel import Poly, _add_term
 
 
 def _zero_mi(dim):
@@ -54,10 +54,7 @@ class PolyDiffOp:
                 if coeff.dim != dim:
                     raise DimensionMismatchError("coefficient dimension mismatch")
                 if not coeff.is_zero():
-                    acc = clean.get(orders)
-                    clean[orders] = coeff if acc is None else acc + coeff
-                    if clean[orders].is_zero():
-                        del clean[orders]
+                    _add_term(clean, orders, coeff)
         self.terms = clean
 
     @classmethod
@@ -208,19 +205,6 @@ def _compositions_with_coeff(total, parts):
         c0 = comb(total, first)
         for c, rest in _compositions_with_coeff(total - first, parts - 1):
             yield c0 * c, (first,) + rest
-
-
-def _add_term(out: dict, key, coeff: Poly) -> None:
-    """Add a nonzero coefficient into a term map, dropping the key if it cancels."""
-    acc = out.get(key)
-    if acc is None:
-        out[key] = coeff
-        return
-    acc = acc + coeff
-    if acc.terms:
-        out[key] = acc
-    else:
-        del out[key]
 
 
 def _derivative_of(alpha, inner: PolyDiffOp) -> dict:

@@ -262,6 +262,23 @@ class Poly:
         return f"Poly({self.dim}, {' + '.join(bits)})"
 
 
+def _add_term(out: dict, key, coeff: Poly) -> None:
+    """Add a nonzero Poly coefficient into a term map, dropping the key if it cancels.
+
+    The shared normal-form step of every sparse map with Poly values (forms,
+    multivectors, operators).
+    """
+    acc = out.get(key)
+    if acc is None:
+        out[key] = coeff
+        return
+    acc = acc + coeff
+    if acc.terms:
+        out[key] = acc
+    else:
+        del out[key]
+
+
 class TPoly:
     """Truncated series in the deformation parameter t with Poly coefficients.
 

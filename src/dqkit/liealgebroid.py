@@ -13,48 +13,32 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from .calculus import Form, MultiVec, anchor, sort_indices
+from .calculus import Form, MultiVec, _AltTensor, anchor
 from .errors import DegreeError, DimensionMismatchError, PreconditionError
 from .kernel import Poly
-from .poisson import bracket, koszul_bracket
+from .poisson import bracket
 
 
-class AlgebroidForm:
+class AlgebroidForm(_AltTensor):
     """Alternating p-form on the frame of an algebroid, with Poly coefficients.
 
     Same normal form as :class:`~dqkit.calculus.Form`, but indices refer to
     frame elements (1..rank), not coordinates.
     """
 
-    __slots__ = ("dim", "rank", "degree", "terms")
+    __slots__ = ("rank",)
+    index_name = "frame index"
 
     def __init__(self, dim: int, rank: int, degree: int, terms=None):
-        # degrees above the rank are permitted and identically zero
-        if degree < 0:
-            raise DegreeError(f"degree {degree} is negative")
-        self.dim = dim
         self.rank = rank
-        self.degree = degree
-        clean = {}
-        if terms:
-            for idx, coeff in terms.items():
-                idx = tuple(idx)
-                if len(idx) != degree:
-                    raise DegreeError(f"index tuple {idx} has length != {degree}")
-                if any(not 1 <= i <= rank for i in idx):
-                    raise DegreeError(f"frame index out of range 1..{rank} in {idx}")
-                if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
-                    raise DegreeError(f"index tuple {idx} not strictly increasing")
-                if isinstance(coeff, (int, Fraction)):
-                    coeff = Poly.const(dim, coeff)
-                if coeff.dim != dim:
-                    raise DimensionMismatchError("coefficient dimension mismatch")
-                if not coeff.is_zero():
-                    acc = clean.get(idx)
-                    clean[idx] = coeff if acc is None else acc + coeff
-                    if clean[idx].is_zero():
-                        del clean[idx]
-        self.terms = clean
+        super().__init__(dim, degree, terms)
+
+    @property
+    def index_bound(self) -> int:
+        return self.rank
+
+    def _like(self, degree: int, terms) -> "AlgebroidForm":
+        return AlgebroidForm(self.dim, self.rank, degree, terms)
 
     @classmethod
     def zero(cls, dim, rank, degree):
@@ -64,58 +48,8 @@ class AlgebroidForm:
     def from_poly(cls, rank: int, p: Poly):
         return cls(p.dim, rank, 0, {(): p})
 
-    def as_poly(self) -> Poly:
-        if self.degree != 0:
-            raise DegreeError("only degree-0 forms reduce to a polynomial")
-        return self.terms.get((), Poly.zero(self.dim))
-
-    def value(self, idx) -> Poly:
-        """Evaluation on a frame index sequence (antisymmetric in the indices)."""
-        sign, key = sort_indices(idx)
-        if sign == 0:
-            return Poly.zero(self.dim)
-        c = self.terms.get(key)
-        if c is None:
-            return Poly.zero(self.dim)
-        return c if sign == 1 else -c
-
-    def is_zero(self):
-        return not self.terms
-
-    def _check(self, other):
-        if (self.dim, self.rank, self.degree) != (other.dim, other.rank, other.degree):
-            raise DimensionMismatchError("algebroid form shape mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            acc = out.get(idx)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = acc
-        return AlgebroidForm(self.dim, self.rank, self.degree, out)
-
-    def __neg__(self):
-        return AlgebroidForm(
-            self.dim, self.rank, self.degree, {i: -c for i, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __eq__(self, other):
-        if not isinstance(other, AlgebroidForm):
-            return NotImplemented
-        return (
-            (self.dim, self.rank, self.degree) == (other.dim, other.rank, other.degree)
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.rank, self.degree, frozenset(self.terms.items())))
+    # evaluation on a frame index sequence (antisymmetric in the indices)
+    value = _AltTensor.coeff
 
     def __repr__(self):
         return (
@@ -343,12 +277,6 @@ def from_poisson(pi: MultiVec) -> AlgebroidPresentation:
             if any(not c.is_zero() for c in cs):
                 structure[(i, j)] = cs
     return AlgebroidPresentation(n, n, rows, structure)
-
-
-def koszul_frame_bracket(pi: MultiVec, i: int, j: int) -> Form:
-    """[dx_i, dx_j]_pi as a 1-form (used to cross-check from_poisson)."""
-    n = pi.dim
-    return koszul_bracket(pi, Form.basis(n, i), Form.basis(n, j))
 
 
 @dataclass(frozen=True)

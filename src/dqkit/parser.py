@@ -26,7 +26,7 @@ from .calculus import Form, MultiVec
 from .diffop import PolyDiffOp
 from .errors import PolyParseError, SchemaError
 from .kernel import Poly, TPoly, grlex_key
-from .liealgebroid import AlgebroidForm, AlgebroidPresentation
+from .liealgebroid import AlgebroidPresentation
 from .qclimit import QCData
 from .starprod import GaugeOp, StarProduct
 
@@ -38,9 +38,10 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 _ALIASES = {"x": 1, "y": 2, "z": 3}
 
-# Deepest nesting of parentheses, unary signs and '^' chains the parser
-# accepts.  Each level costs a few Python frames, so this stays well under the
-# interpreter's recursion limit.
+# Deepest nesting the parser accepts, both of parentheses, unary signs and '^'
+# chains in an expression and of bundles in a document.  Each level costs a
+# few Python frames, so this stays well under the interpreter's recursion
+# limit.
 MAX_NESTING = 100
 
 
@@ -244,9 +245,9 @@ def _leaf(text, dim, path) -> Poly:
         raise SchemaError(f"leaf parse error: {exc}", path) from exc
 
 
-def tensor_from_payload(cls, payload, dim, path, rank=None):
-    """Build a MultiVec/Form (or AlgebroidForm when rank is given) from either
-    a bare terms array or {"degree": p, "terms": [...]}."""
+def tensor_from_payload(cls, payload, dim, path):
+    """Build a MultiVec/Form from either a bare terms array or
+    {"degree": p, "terms": [...]}."""
     if isinstance(payload, list):
         terms_raw = payload
         degree = None
@@ -278,9 +279,7 @@ def tensor_from_payload(cls, payload, dim, path, rank=None):
     if degree is None:
         degree = 0
     try:
-        if rank is None:
-            return cls(dim, degree, terms)
-        return cls(dim, rank, degree, terms)
+        return cls(dim, degree, terms)
     except Exception as exc:
         raise SchemaError(str(exc), path) from exc
 
@@ -475,12 +474,12 @@ def algebroid_to_payload(A: AlgebroidPresentation) -> dict:
     }
 
 
-def aform_from_payload(payload, dim, rank, path) -> AlgebroidForm:
-    """A frame-indexed form (indices bounded by the algebroid rank)."""
-    return tensor_from_payload(AlgebroidForm, payload, dim, path, rank=rank)
-
-
 def document_from_obj(obj, path="$") -> Document:
+    return _document_from_obj(obj, path, 1)
+
+
+def _document_from_obj(obj, path, depth) -> Document:
+    """document_from_obj for a document inside depth - 1 enclosing bundles."""
     _expect(isinstance(obj, dict), "document must be a JSON object", path)
     allowed = {"kind", "dim", "order", "payload"}
     extra = set(obj) - allowed
@@ -488,12 +487,13 @@ def document_from_obj(obj, path="$") -> Document:
     kind = obj.get("kind")
     _expect(kind in KINDS, f"kind must be one of {KINDS}", f"{path}.kind")
     if kind == "bundle":
+        _expect(depth <= MAX_NESTING, f"bundles nested deeper than {MAX_NESTING} levels", path)
         payload = obj.get("payload")
         _expect(isinstance(payload, dict), "bundle payload must map names to documents", f"{path}.payload")
         entries = {}
         for name in sorted(payload):
             _expect(isinstance(name, str) and name, "bundle entry names must be non-empty strings", f"{path}.payload")
-            entries[name] = document_from_obj(payload[name], f"{path}.payload.{name}")
+            entries[name] = _document_from_obj(payload[name], f"{path}.payload.{name}", depth + 1)
         return Document("bundle", obj.get("dim", 0), obj.get("order"), entries)
     dim = obj.get("dim")
     _expect(isinstance(dim, int) and dim >= 1, "dim must be a positive integer", f"{path}.dim")
@@ -542,6 +542,8 @@ def parse_document(text: str) -> Document:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON: {exc}", "$") from exc
+    except RecursionError:
+        raise SchemaError("invalid JSON: nested too deeply to decode", "$") from None
     return document_from_obj(obj)
 
 

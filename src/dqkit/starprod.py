@@ -16,7 +16,6 @@ from math import comb, factorial, prod
 from .calculus import MultiVec
 from .diffop import (
     PolyDiffOp,
-    _add_term,
     _compose_acc,
     apply_op,
     compose_into_slot,
@@ -33,7 +32,7 @@ from .errors import (
     PreconditionError,
     SolveError,
 )
-from .kernel import Poly, TPoly
+from .kernel import Poly, TPoly, _add_term
 from .poisson import bracket, hamiltonian
 
 
@@ -326,6 +325,19 @@ def is_special(S: StarProduct) -> bool:
     return sym.is_zero()
 
 
+def biderivation(c: MultiVec) -> PolyDiffOp:
+    """The operator (f,g) -> sum_{i<j} c^{ij} (d_i f d_j g - d_j f d_i g) of a bivector."""
+    if c.degree != 2:
+        raise DegreeError("biderivation needs a bivector")
+    n = c.dim
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    terms = {}
+    for (i, j), cij in c.terms.items():
+        terms[(unit[i - 1], unit[j - 1])] = cij
+        terms[(unit[j - 1], unit[i - 1])] = -cij
+    return PolyDiffOp._make(n, 2, terms)
+
+
 def assoc_poisson(S: StarProduct) -> MultiVec:
     """The associated Poisson bivector: value on (dx_i, dx_j) is
     P_1(x_i,x_j) - P_1(x_j,x_i)."""
@@ -340,17 +352,8 @@ def assoc_poisson(S: StarProduct) -> MultiVec:
             if not v.is_zero():
                 terms[(i, j)] = v
     result = MultiVec(n, 2, terms)
-    # the skew part of P_1 must be the biderivation assembled from these values
-    bider = {}
-    for (i, j), c in result.terms.items():
-        a = [0] * n
-        b = [0] * n
-        a[i - 1] = 1
-        b[j - 1] = 1
-        half = c * Fraction(1, 2)
-        bider[(tuple(a), tuple(b))] = half
-        bider[(tuple(b), tuple(a))] = -half
-    if PolyDiffOp(n, 2, bider) != skew2.scale(Fraction(1, 2)):
+    # twice the skew part of P_1 must be the biderivation of these values
+    if biderivation(result) != skew2:
         raise PreconditionError(
             "skew part of P_1 is not a biderivation", witness=skew2
         )

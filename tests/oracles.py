@@ -3,9 +3,11 @@
 from fractions import Fraction
 from itertools import product
 
+from dqkit.calculus import Form, MultiVec, wedge
 from dqkit.diffop import PolyDiffOp, hochschild_delta, transpose_parts
-from dqkit.errors import SolveError
+from dqkit.errors import DimensionMismatchError, SolveError
 from dqkit.kernel import Poly
+from dqkit.poisson import koszul_bracket
 from dqkit.starprod import _delta_matrix_rows, exp_gauge
 
 
@@ -92,3 +94,115 @@ def specialize_by_oracle(S, degree_bound):
             residual=sym - hochschild_delta(Q),
         )
     return exp_gauge(Q, S.order)
+
+
+def schouten_by_recursion(A: MultiVec, B: MultiVec) -> MultiVec:
+    """Reference Schouten bracket, reduced term by term through the defining
+    recursion: [X,f] = X(f), [X,Y] = Lie bracket, the graded Leibniz rule in
+    the second slot, and graded antisymmetry.  Exponential-time; kept as the
+    independent oracle for the coordinate implementation.
+    """
+    if A.dim != B.dim:
+        raise DimensionMismatchError("dimension mismatch")
+    dim = A.dim
+    degree = max(A.degree + B.degree - 1, 0)
+    total = MultiVec.zero(dim, degree)
+    for I, c in A.terms.items():
+        for J, e in B.terms.items():
+            u = _factors(dim, I, c)
+            v = _factors(dim, J, e)
+            total = total + _sn_rec(dim, u, v)
+    return total
+
+
+def _factors(dim, idx, coeff):
+    """Decompose c*d_I into vector-field factors; degree 0 stays a scalar."""
+    if not idx:
+        return [("f", coeff)]
+    out = [("v", MultiVec(dim, 1, {(idx[0],): coeff}))]
+    for i in idx[1:]:
+        out.append(("v", MultiVec.basis(dim, i)))
+    return out
+
+
+def _wedge_factors(dim, factors):
+    acc = None
+    scalar = None
+    for kind, val in factors:
+        if kind == "f":
+            scalar = val if scalar is None else scalar * val
+        else:
+            acc = val if acc is None else wedge(acc, val)
+    if acc is None:
+        return MultiVec.from_poly(scalar if scalar is not None else Poly.one(dim))
+    if scalar is not None:
+        acc = acc.scale(scalar)
+    return acc
+
+
+def _sn_rec(dim, u, v):
+    """[u, v] for lists of factors (each ('v', vector) or a single ('f', poly))."""
+    a = sum(1 for k, _ in u if k == "v")
+    b = sum(1 for k, _ in v if k == "v")
+    if a == 0 and b == 0:
+        return MultiVec.zero(dim, 0)
+    if b == 0:
+        # [A, f] = -(-1)^{(a-1)(0-1)} [f, A]
+        res = _sn_rec(dim, v, u)
+        if (a - 1) % 2 == 0:
+            res = -res
+        return res
+    if a == 0:
+        f = u[0][1]
+        if b == 1:
+            # [f, X] = -X(f)
+            return MultiVec.from_poly(-v[0][1].apply_to(f))
+        # [f, Y ^ C] = [f,Y] ^ C + (-1)^{(0-1)*1} Y ^ [f,C]
+        head, tail = v[0][1], v[1:]
+        first = _wedge_factors(dim, tail).scale(_sn_rec(dim, u, [("v", head)]).as_poly())
+        second = wedge(head, _sn_rec(dim, u, tail))
+        return first - second
+    if a == 1 and b == 1:
+        X, Y = u[0][1], v[0][1]
+        terms = {}
+        for (j,), yc in Y.terms.items():
+            c = X.apply_to(yc)
+            if not c.is_zero():
+                acc = terms.get((j,))
+                terms[(j,)] = c if acc is None else acc + c
+        for (i,), xc in X.terms.items():
+            c = Y.apply_to(xc)
+            if not c.is_zero():
+                acc = terms.get((i,))
+                nc = -c
+                terms[(i,)] = nc if acc is None else acc + nc
+        return MultiVec(dim, 1, {k: v2 for k, v2 in terms.items() if not v2.is_zero()})
+    if b > 1:
+        # [A, Y ^ C] = [A,Y] ^ C + (-1)^{(a-1)*1} Y ^ [A,C]
+        head, tail = v[0][1], v[1:]
+        left = _sn_rec(dim, u, [("v", head)])
+        first = _wedge_or_scale(dim, left, tail)
+        second = wedge(head, _sn_rec(dim, u, tail))
+        if (a - 1) % 2 == 1:
+            second = -second
+        return first + second
+    # a > 1, b == 1: swap via graded antisymmetry
+    res = _sn_rec(dim, v, u)
+    if ((a - 1) * (b - 1)) % 2 == 0:
+        res = -res
+    return res
+
+
+def _wedge_or_scale(dim, left, factors):
+    right = _wedge_factors(dim, factors)
+    if left.degree == 0:
+        return right.scale(left.as_poly())
+    if right.degree == 0:
+        return left.scale(right.as_poly())
+    return wedge(left, right)
+
+
+def koszul_frame_bracket(pi: MultiVec, i: int, j: int) -> Form:
+    """[dx_i, dx_j]_pi as a 1-form (used to cross-check from_poisson)."""
+    n = pi.dim
+    return koszul_bracket(pi, Form.basis(n, i), Form.basis(n, j))

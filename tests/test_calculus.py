@@ -11,7 +11,6 @@ from dqkit.calculus import (
     lie_derivative,
     pair,
     schouten,
-    schouten_by_recursion,
     wedge,
 )
 from dqkit.errors import DegreeError, DimensionMismatchError
@@ -19,6 +18,7 @@ from dqkit.kernel import Poly
 from dqkit.poisson import bracket
 
 from conftest import rand_form, rand_multivec, rand_poly, rand_vector_field
+from oracles import schouten_by_recursion
 
 x = Poly.variable(2, 1)
 y = Poly.variable(2, 2)

@@ -1,5 +1,6 @@
 """One exercise per CLI action, wiring bundles the way the README documents."""
 
+import hashlib
 import io
 import json
 import os
@@ -8,6 +9,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from dqkit.cli import dispatch
+from dqkit.parser import MAX_NESTING, canonical_json
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -119,6 +121,18 @@ class TestAlgebroidActions:
         code, report = run(["algebroid", "ext-curv", "--in", path])
         assert code == 0
         assert report["payload"]["degree"] == 2
+
+    def test_form_dim_must_match_algebroid(self, tmp_path):
+        path = bundle_file(
+            tmp_path,
+            {
+                "algebroid": doc("algebroid_so3.json"),
+                "omega": form_doc(2, [{"indices": [1], "coeff": "x"}]),
+            },
+        )
+        code, report = run(["algebroid", "d", "--in", path])
+        assert code == 2
+        assert report["payload"]["error"].startswith("$.payload.omega.payload: ")
 
 
 class TestDiffopActions:
@@ -356,3 +370,45 @@ class TestNestingBound:
         code, report = run(["parse", "--in", path])
         assert code == 2 and not report["ok"]
         assert "nested deeper than" in report["payload"]["error"]
+
+
+def nested_bundles(depth):
+    """JSON text of `depth` bundles nested through the entry "a" around a poly."""
+    inner = json.dumps(poly_doc(1, "x"))
+    return '{"kind": "bundle", "payload": {"a": ' * depth + inner + "}}" * depth
+
+
+class TestDocumentNesting:
+    """Deeply nested documents are input errors with a canonical report."""
+
+    DEEP = {
+        "bundles_3000": (nested_bundles(3000), "nested too deeply to decode"),
+        "arrays_100000": ("[" * 100000 + "]" * 100000, "nested too deeply to decode"),
+        "bundles_400": (nested_bundles(400), f"bundles nested deeper than {MAX_NESTING} levels"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(DEEP))
+    @pytest.mark.parametrize("command", ["parse", "verify"])
+    def test_deep_document_exits_2(self, tmp_path, name, command):
+        text, needle = self.DEEP[name]
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, report = run([command, "--in", str(path)])
+        assert code == 2 and not report["ok"]
+        assert needle in report["payload"]["error"]
+        body = {k: report[k] for k in ("command", "ok", "payload", "defects")}
+        digest = hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
+        assert report["canonical_sha256"] == digest
+
+    def test_limit_names_the_path(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(nested_bundles(MAX_NESTING + 1))
+        code, report = run(["parse", "--in", str(path)])
+        assert code == 2
+        assert report["payload"]["error"].startswith("$" + ".payload.a" * MAX_NESTING + ": ")
+
+    def test_bundles_at_the_limit_verify(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(nested_bundles(MAX_NESTING))
+        code, report = run(["verify", "--in", str(path)])
+        assert code == 0 and report["payload"]["checks"] == MAX_NESTING

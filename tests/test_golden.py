@@ -1,0 +1,178 @@
+"""Golden report hashes: every listed CLI run keeps its exit code and canonical_sha256.
+
+The table was recorded once and is never regenerated by a refactor: a change
+that alters any report's canonical content (payload, defects, error text and
+paths) fails here.  ``timing_ms`` is outside the hash, so the table does not
+depend on the machine.
+"""
+
+import io
+import json
+import os
+from contextlib import redirect_stdout
+
+import pytest
+
+from dqkit.cli import dispatch
+
+CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+
+
+def _load(name):
+    with open(os.path.join(CORPUS, name)) as fh:
+        return json.load(fh)
+
+
+def _form(dim, terms, degree=None):
+    payload = terms if degree is None else {"degree": degree, "terms": terms}
+    return {"kind": "form", "dim": dim, "payload": payload}
+
+
+def _bundle(**entries):
+    return {"kind": "bundle", "payload": entries}
+
+
+# rank 1 on R^2: frame index 2 is inside dim but above rank
+_RANK1_ON_PLANE = {"kind": "algebroid", "dim": 2, "payload": {"rank": 1, "anchor": [["1", "0"]]}}
+# rank 2 on R^1: frame index 2 is inside rank but above dim
+_RANK2_ON_LINE = {"kind": "algebroid", "dim": 1, "payload": {"rank": 2, "anchor": [["1"], ["0"]]}}
+
+# bundles built in the test (the first two are the ones the CLI action tests use)
+BUNDLES = {
+    "d_so3": _bundle(
+        algebroid=_load("algebroid_so3.json"),
+        omega=_form(3, [{"indices": [1], "coeff": "x"}]),
+    ),
+    "ext_so3": _bundle(
+        algebroid=_load("algebroid_so3.json"),
+        twist=_form(3, [], degree=2),
+        lam=_form(3, [{"indices": [2], "coeff": "x"}]),
+    ),
+    "d_index_above_rank": _bundle(
+        algebroid=_RANK1_ON_PLANE,
+        omega=_form(2, [{"indices": [2], "coeff": "1"}]),
+    ),
+    "d_two_indices_above_rank": _bundle(
+        algebroid={"kind": "algebroid", "dim": 3, "payload": {"rank": 1, "anchor": [["1", "0", "0"]]}},
+        omega=_form(3, [{"indices": [3], "coeff": "1"}, {"indices": [2], "coeff": "x"}]),
+    ),
+    "ext_lam_index_above_rank": _bundle(
+        algebroid=_RANK1_ON_PLANE,
+        twist=_form(2, [], degree=2),
+        lam=_form(2, [{"indices": [2], "coeff": "x"}]),
+    ),
+    "ext_twist_not_closed": _bundle(
+        algebroid=_load("algebroid_so3.json"),
+        twist=_form(3, [{"indices": [1, 2], "coeff": "x"}]),
+        lam=_form(3, [{"indices": [2], "coeff": "x"}]),
+    ),
+    "d_index_above_dim": _bundle(
+        algebroid=_RANK2_ON_LINE,
+        omega=_form(1, [{"indices": [2], "coeff": "1"}]),
+    ),
+}
+
+CORPUS_DOCS = sorted(n for n in os.listdir(CORPUS) if n.endswith(".json"))
+BUNDLE_DOCS = ["bundle.json", "bundle_empty.json", "bundle_tampered_assoc.json",
+               "bundle_tampered_p2.json", "bundle_tampered_qc.json", "kappa_plane.json"]
+MULTIVECS = ["pi_bad.json", "pi_rank4.json", "pi_std.json", "so3.json"]
+STARS = ["badstar.json", "moyal_plane.json", "moyal_r3.json"]
+GAUGES = ["gauge_halfdx2.json", "gauge_xi.json"]
+QCS = ["qc_bad.json", "qc_plane.json", "qc_r3.json"]
+
+CASES = (
+    [("parse", n) for n in CORPUS_DOCS]
+    + [("verify", n) for n in BUNDLE_DOCS]
+    + [("poisson check", n) for n in MULTIVECS]
+    + [("algebroid from-poisson", n) for n in MULTIVECS]
+    + [("algebroid check", "algebroid_so3.json")]
+    + [("star assoc", n) for n in STARS]
+    + [("star poisson", n) for n in STARS]
+    + [("star invert", n) for n in GAUGES]
+    + [("mc", n) for n in QCS]
+    + [("kappa", "kappa_plane.json")]
+    + [("algebroid d", n) for n in ("d_so3", "d_index_above_rank",
+                                              "d_two_indices_above_rank", "d_index_above_dim")]
+    + [("algebroid ext-curv", n)
+       for n in ("ext_so3", "ext_lam_index_above_rank", "ext_twist_not_closed")]
+)
+
+
+def run_case(command, name, tmp_dir):
+    """Run one case through dispatch; returns (exit code, canonical_sha256)."""
+    if name in BUNDLES:
+        path = os.path.join(tmp_dir, f"{name}.json")
+        with open(path, "w") as fh:
+            json.dump(BUNDLES[name], fh)
+    else:
+        path = os.path.join(CORPUS, name)
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = dispatch(command.split() + ["--in", path])
+    return code, json.loads(buf.getvalue())["canonical_sha256"]
+
+
+GOLDEN = {
+    ('parse', 'algebroid_so3.json'): (0, "0ad7c038ab5e9be6a2470cd1f40e75a6fc65276ddfe95a36e37ecb7c8e03772a"),
+    ('parse', 'badstar.json'): (0, "dce8283724d2abc9ba3261ba86e55551aafbb09dc176869cf02246355f2e85fe"),
+    ('parse', 'bundle.json'): (0, "e206abb15b5b0087fa42daba29d7bf305d78ccf6f47669539d79727b1593e98c"),
+    ('parse', 'bundle_empty.json'): (0, "2716615e67dbe4a9b9d2d9e228aaf596bbea991b887e9c70fb422fbcbc6881d9"),
+    ('parse', 'bundle_tampered_assoc.json'): (0, "ae9d15df8fbb7589b68b4961e3fa8d68204b19490085fccb1df452cd160a1e5b"),
+    ('parse', 'bundle_tampered_p2.json'): (0, "a103c1bd030b27e02b483f568298ec3d049423ba2ef07d2ebf6bfcb60c7c2a82"),
+    ('parse', 'bundle_tampered_qc.json'): (0, "50697f401f17f3e61a51862544b1597860b2bb5431b497ed74508ae863fa41ea"),
+    ('parse', 'gauge_halfdx2.json'): (0, "686bde19b94b4108855231105060f9070fad28b7acd51b5d613e4976c2649cf8"),
+    ('parse', 'gauge_xi.json'): (0, "2757da8ae27b1113e05f850d4be909967648b073f05f5f59f2d4da0228b31dbd"),
+    ('parse', 'kappa_plane.json'): (0, "2f50e9bd5a9f834d94e159c775080af36ea59bb26d781fe2df085ed1905dd184"),
+    ('parse', 'moyal_plane.json'): (0, "a8d35c5c6f7859f36d2387a40e9757a48a34de54e6df6d959f54ef9b6cb61b75"),
+    ('parse', 'moyal_r3.json'): (0, "8e6f02d18a40f953edba8ccea9fc5711e51ec8a6c2c0b6db0d61d42556e2c2c6"),
+    ('parse', 'pi_bad.json'): (0, "0ea51f84c74ae88b81f19cf51ce632e5b8a7b278c1203ad9243424592f7a614a"),
+    ('parse', 'pi_rank4.json'): (0, "42f97aa286e3eefdc895d3b90aad03c4fba2229ed0cf9f74973ca606fd7793f3"),
+    ('parse', 'pi_std.json'): (0, "c2744bb63b8ba6c00ee7d4babe7762649c2c8d89fa33718ab00d12a491be61c3"),
+    ('parse', 'qc_bad.json'): (0, "d2a74a8fca6c22d1bb08ad640994058aed980192485f51e391900f6a4f8eaa5a"),
+    ('parse', 'qc_plane.json'): (0, "264cc2335e864d9cfde0a705eae988f4d1d45c65f5865e4e5eaadf35dbcd430a"),
+    ('parse', 'qc_r3.json'): (0, "c6b6f1ef950bdbfc2d34decfcb7e0fcb48ea274060f74c015ae34d0b78182944"),
+    ('parse', 'so3.json'): (0, "e60fc7de5a3a3651c28af0d7802a29fa8c5c22306af287e6933ff6b00cd4c48a"),
+    ('verify', 'bundle.json'): (0, "3fefb15ea44c4cdee6aecc5948e821be334d6aa2a439097c7077817707209075"),
+    ('verify', 'bundle_empty.json'): (0, "1a61ec87e7db6b09f2b621d658991054324d6625493912b8e91a1c7b15b5ac3e"),
+    ('verify', 'bundle_tampered_assoc.json'): (1, "897896d6681905856a629f885b8eea96e99ba47905e850c9c67beefa022e495e"),
+    ('verify', 'bundle_tampered_p2.json'): (1, "6ab4a27f2b9d0755440b9b76f0dc0597c3d51523a42f6e24b6380efeabc72719"),
+    ('verify', 'bundle_tampered_qc.json'): (1, "47f8b03b4c7fda4c2725f3c546c4aaac02db248e01ed357cf8e215af9925cd49"),
+    ('verify', 'kappa_plane.json'): (0, "be8e5eaf33cfd2c923a1f61c9f8e44a5d5a74f9d1f60c807c41fcb7329b0eb67"),
+    ('poisson check', 'pi_bad.json'): (1, "0366f84738b39e15a3d3b70fa07aac82d5617b2fd566a18d831475e291c4752a"),
+    ('poisson check', 'pi_rank4.json'): (0, "cb948d8ae52a4cfa1a939cd00f5449271db1595012a4c720dbdaa2367a078e58"),
+    ('poisson check', 'pi_std.json'): (0, "cb948d8ae52a4cfa1a939cd00f5449271db1595012a4c720dbdaa2367a078e58"),
+    ('poisson check', 'so3.json'): (0, "cb948d8ae52a4cfa1a939cd00f5449271db1595012a4c720dbdaa2367a078e58"),
+    ('algebroid from-poisson', 'pi_bad.json'): (0, "3979f71123dbafa85b666e6105eae05547643231f73947f6f9bb0a7b44f74a9d"),
+    ('algebroid from-poisson', 'pi_rank4.json'): (0, "dacc5b2936a8e0e2f6d29e659aefa9f9f70220431c02e4f1db255b24c4b47ee3"),
+    ('algebroid from-poisson', 'pi_std.json'): (0, "5db1b6bf22e7b4bbacf58aea60e486168e5517ce42d8180766cc09a59ed32cfd"),
+    ('algebroid from-poisson', 'so3.json'): (0, "9cf3bb8f3830b98bda0e545122d987e82a42c79b6e54d173971abe2b6ff6c3d5"),
+    ('algebroid check', 'algebroid_so3.json'): (0, "a554da60212b6002e34f699ade467ee653eb4fe4750ac3c2004044255a6adfae"),
+    ('star assoc', 'badstar.json'): (1, "0f75258cf9c5781ca45a1df7e4ea5f46811f2846fbbd5c5e15170809fbb18bbd"),
+    ('star assoc', 'moyal_plane.json'): (0, "58e52950d326ecc6eadfa465c0d3f23055a9c8f2dba3fb451485ea726cd6ab5e"),
+    ('star assoc', 'moyal_r3.json'): (0, "58e52950d326ecc6eadfa465c0d3f23055a9c8f2dba3fb451485ea726cd6ab5e"),
+    ('star poisson', 'badstar.json'): (0, "6493b35f6bf372ad47986dc3f13e90699926bd68ec89cd3f424fcff8e363778c"),
+    ('star poisson', 'moyal_plane.json'): (0, "4dcf6af93eef1babe8ccb789296d15204db767fe2bc36cd91199ec9a6a2e7b94"),
+    ('star poisson', 'moyal_r3.json'): (0, "4dcf6af93eef1babe8ccb789296d15204db767fe2bc36cd91199ec9a6a2e7b94"),
+    ('star invert', 'gauge_halfdx2.json'): (0, "ad606059db07521e24ebf76bd5969352ab9880a844ea422e0fd745a72e1fb9dc"),
+    ('star invert', 'gauge_xi.json'): (0, "224ae384abfb9412e850ab2b64922f09fb10b760227a8c8a2e7db430762eb5fb"),
+    ('mc', 'qc_bad.json'): (1, "b644781c32fab68d088fdabe1abd487c3341e2e9b81534a382ef5aa57f5ab6d9"),
+    ('mc', 'qc_plane.json'): (0, "a033f06ae951b376319d97119a43f279bd2d1c6b1f7304d91af778c11e539513"),
+    ('mc', 'qc_r3.json'): (0, "a033f06ae951b376319d97119a43f279bd2d1c6b1f7304d91af778c11e539513"),
+    ('kappa', 'kappa_plane.json'): (0, "e176557128ddbdeb3c85751b8381ce122e323594a276ca04aecf69e7fc3fb81d"),
+    ('algebroid d', 'd_so3'): (0, "e44b3907ad6756467d1e1ece82907e0b787f9e4e4f0129faa1ed6546d4099a2e"),
+    ('algebroid d', 'd_index_above_rank'): (2, "3068468947761b0d6bc51c5c7114d9ae7c1d9acd5d36c4f1ca03a20cb1f00543"),
+    ('algebroid d', 'd_two_indices_above_rank'): (2, "3068468947761b0d6bc51c5c7114d9ae7c1d9acd5d36c4f1ca03a20cb1f00543"),
+    ('algebroid d', 'd_index_above_dim'): (2, "09a68ed78041406cd5189d0c84262359ad94d8f6f216eb67df2d804d0cf2a3b8"),
+    ('algebroid ext-curv', 'ext_so3'): (0, "faca80b5ea43f439b054b6bfbe57f3c2cb22abe9928c796286145276dc427016"),
+    ('algebroid ext-curv', 'ext_lam_index_above_rank'): (2, "6ff314b9ff8a10e6ba8acec5abf9a29b057795fc19e015d7a88c8aaf0cdaa61a"),
+    ('algebroid ext-curv', 'ext_twist_not_closed'): (1, "126a9e8b70d314790b74c0823899df6340fcb7578ce2b31230467981e6fe9a4e"),
+}
+
+
+def test_table_covers_every_case():
+    assert sorted(GOLDEN) == sorted(CASES)
+
+
+@pytest.mark.parametrize("command,name", CASES, ids=[f"{c}:{n}" for c, n in CASES])
+def test_report_hash_unchanged(command, name, tmp_path):
+    assert run_case(command, name, str(tmp_path)) == GOLDEN[command, name]

@@ -1,7 +1,7 @@
 import pytest
 
 from dqkit.calculus import MultiVec
-from dqkit.errors import PreconditionError
+from dqkit.errors import DegreeError, DimensionMismatchError, PreconditionError
 from dqkit.kernel import Poly
 from dqkit.liealgebroid import (
     AlgebroidForm,
@@ -11,13 +11,13 @@ from dqkit.liealgebroid import (
     check_algebroid,
     extension_curvature,
     from_poisson,
-    koszul_frame_bracket,
     line_curvature,
     unit_shift,
 )
 from dqkit.poisson import is_poisson, lichnerowicz_d
 
 from conftest import rand_poly
+from oracles import koszul_frame_bracket
 
 x = Poly.variable(2, 1)
 y = Poly.variable(2, 2)
@@ -56,6 +56,30 @@ class TestCheckAlgebroid:
             b = check_algebroid(from_poisson(pi))
             assert a.ok == b.ok
             assert (a.witness is None) == (b.witness is None)
+
+
+class TestAlgebroidForm:
+    def test_indices_bounded_by_rank_not_dim(self):
+        w = AlgebroidForm(2, 3, 1, {(3,): x})
+        assert w.value((3,)) == x
+        with pytest.raises(DegreeError, match=r"frame index out of range 1\.\.1 in \(2,\)"):
+            AlgebroidForm(2, 1, 1, {(2,): x})
+
+    def test_rank_is_part_of_the_shape(self):
+        w2 = AlgebroidForm(2, 2, 1, {(1,): x})
+        w3 = AlgebroidForm(2, 3, 1, {(1,): x})
+        assert w2 != w3
+        assert w2 == AlgebroidForm(2, 2, 1, {(1,): x})
+        assert hash(w2) == hash(AlgebroidForm(2, 2, 1, {(1,): x}))
+        with pytest.raises(DimensionMismatchError):
+            w2 + w3
+
+    def test_arithmetic_keeps_rank(self):
+        w = AlgebroidForm(2, 3, 2, {(1, 3): x, (2, 3): y})
+        for v in (w + w, -w, w - w, w.scale(2)):
+            assert type(v) is AlgebroidForm and (v.dim, v.rank, v.degree) == (2, 3, 2)
+        assert (w - w).is_zero()
+        assert w.value((3, 1)) == -x and w.value((3, 3)).is_zero()
 
 
 class TestAlgebroidD:

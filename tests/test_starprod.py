@@ -16,6 +16,7 @@ from dqkit.starprod import (
     ad_exp,
     assoc_defect,
     assoc_poisson,
+    biderivation,
     contravariant_nabla,
     gauge_compose,
     gauge_transform,
@@ -36,7 +37,7 @@ from dqkit.starprod import (
     vector_field_op,
 )
 
-from conftest import rand_gauge, rand_poly, rand_vector_field
+from conftest import rand_gauge, rand_multivec, rand_poly, rand_vector_field
 from oracles import specialize_by_oracle
 
 x = Poly.variable(2, 1)
@@ -131,6 +132,19 @@ class TestAssocPoisson:
 
     def test_commutative(self):
         assert assoc_poisson(StarProduct.commutative(2, 2)).is_zero()
+
+    def test_biderivation_is_the_bracket(self, rng):
+        for n in (2, 3):
+            for _ in range(10):
+                pi = rand_multivec(rng, n, 2)
+                f, g = rand_poly(rng, n, 3, 3), rand_poly(rng, n, 3, 3)
+                assert apply_op(biderivation(pi), f, g) == bracket(pi, f, g)
+
+    def test_second_order_skew_part_rejected(self):
+        # P_1 = d_x^2 (x) d_y - d_y (x) d_x^2 is skew but not a biderivation
+        P1 = PolyDiffOp(2, 2, {((2, 0), (0, 1)): 1, ((0, 1), (2, 0)): -1})
+        with pytest.raises(PreconditionError, match="not a biderivation"):
+            assoc_poisson(StarProduct(2, 1, [P1]))
 
 
 class TestGauge:
