@@ -219,9 +219,6 @@ def poly_to_text(p: Poly) -> str:
 # ----------------------------------------------------------------------
 # document envelope
 
-KINDS = ("poly", "multivec", "form", "diffop", "star", "gauge", "qc", "algebroid", "bundle")
-
-
 @dataclass
 class Document:
     """A parsed, validated input document."""
@@ -235,6 +232,11 @@ class Document:
 def _expect(cond, message, path):
     if not cond:
         raise SchemaError(message, path)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: true and false are Python ints but not JSON integers."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _leaf(text, dim, path) -> Poly:
@@ -254,7 +256,7 @@ def tensor_from_payload(cls, payload, dim, path):
     elif isinstance(payload, dict):
         _expect(set(payload) <= {"degree", "terms"}, "expected keys degree/terms", path)
         degree = payload.get("degree")
-        _expect(isinstance(degree, int) and degree >= 0, "degree must be a non-negative integer", f"{path}.degree")
+        _expect(_is_int(degree) and degree >= 0, "degree must be a non-negative integer", f"{path}.degree")
         terms_raw = payload.get("terms", [])
         _expect(isinstance(terms_raw, list), "terms must be an array", f"{path}.terms")
     else:
@@ -266,7 +268,7 @@ def tensor_from_payload(cls, payload, dim, path):
         _expect(set(entry) == {"indices", "coeff"}, "expected keys indices/coeff", epath)
         indices = entry["indices"]
         _expect(
-            isinstance(indices, list) and all(isinstance(i, int) for i in indices),
+            isinstance(indices, list) and all(_is_int(i) for i in indices),
             "indices must be an array of integers",
             f"{epath}.indices",
         )
@@ -298,7 +300,7 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
     if isinstance(payload, dict):
         _expect(set(payload) <= {"arity", "terms"}, "expected keys arity/terms", path)
         arity = payload.get("arity", arity)
-        _expect(isinstance(arity, int) and arity >= 1, "arity must be a positive integer", f"{path}.arity")
+        _expect(_is_int(arity) and arity >= 1, "arity must be a positive integer", f"{path}.arity")
         terms_raw = payload.get("terms", [])
         _expect(isinstance(terms_raw, list), "terms must be an array", f"{path}.terms")
     else:
@@ -313,7 +315,7 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
         _expect(
             isinstance(orders, list)
             and all(
-                isinstance(o, list) and all(isinstance(e, int) and e >= 0 for e in o)
+                isinstance(o, list) and all(_is_int(e) and e >= 0 for e in o)
                 for o in orders
             ),
             "orders must be an array of multi-indices",
@@ -345,38 +347,25 @@ def diffop_to_payload(op: PolyDiffOp) -> dict:
     }
 
 
-def star_from_payload(payload, dim, order, path) -> StarProduct:
-    _expect(isinstance(payload, dict) and set(payload) == {"P"}, "expected payload {P: [diffop,...]}", path)
-    P_raw = payload["P"]
-    _expect(isinstance(P_raw, list) and P_raw, "P must be a non-empty array", f"{path}.P")
+def op_series_from_payload(cls, key, arity, payload, dim, order, path):
+    """A star product (key "P", arity 2) or a gauge (key "R", arity 1):
+    {key: [diffop, ...]} listing the operators of orders 1..N."""
+    _expect(isinstance(payload, dict) and set(payload) == {key}, f"expected payload {{{key}: [diffop,...]}}", path)
+    raw = payload[key]
+    _expect(isinstance(raw, list) and raw, f"{key} must be a non-empty array", f"{path}.{key}")
     if order is None:
-        order = len(P_raw)
-    _expect(order == len(P_raw), f"order {order} != number of P entries {len(P_raw)}", f"{path}.P")
+        order = len(raw)
+    _expect(order == len(raw), f"order {order} != number of {key} entries {len(raw)}", f"{path}.{key}")
     ops = [
-        diffop_from_payload(p, dim, f"{path}.P[{i}]", arity=2) for i, p in enumerate(P_raw)
+        diffop_from_payload(p, dim, f"{path}.{key}[{i}]", arity=arity) for i, p in enumerate(raw)
     ]
     for i, op in enumerate(ops):
-        _expect(op.arity == 2, "P_i must have arity 2", f"{path}.P[{i}]")
-    return StarProduct(dim, order, ops)
+        _expect(op.arity == arity, f"{key}_i must have arity {arity}", f"{path}.{key}[{i}]")
+    return cls(dim, order, ops)
 
 
 def star_to_payload(S: StarProduct) -> dict:
     return {"P": [diffop_to_payload(op) for op in S.P]}
-
-
-def gauge_from_payload(payload, dim, order, path) -> GaugeOp:
-    _expect(isinstance(payload, dict) and set(payload) == {"R"}, "expected payload {R: [diffop,...]}", path)
-    R_raw = payload["R"]
-    _expect(isinstance(R_raw, list) and R_raw, "R must be a non-empty array", f"{path}.R")
-    if order is None:
-        order = len(R_raw)
-    _expect(order == len(R_raw), f"order {order} != number of R entries {len(R_raw)}", f"{path}.R")
-    ops = [
-        diffop_from_payload(p, dim, f"{path}.R[{i}]", arity=1) for i, p in enumerate(R_raw)
-    ]
-    for i, op in enumerate(ops):
-        _expect(op.arity == 1, "R_i must have arity 1", f"{path}.R[{i}]")
-    return GaugeOp(dim, order, ops)
 
 
 def gauge_to_payload(R: GaugeOp) -> dict:
@@ -421,7 +410,7 @@ def algebroid_from_payload(payload, dim, path) -> AlgebroidPresentation:
         path,
     )
     rank = payload.get("rank")
-    _expect(isinstance(rank, int) and rank >= 1, "rank must be a positive integer", f"{path}.rank")
+    _expect(_is_int(rank) and rank >= 1, "rank must be a positive integer", f"{path}.rank")
     anchor_raw = payload.get("anchor")
     _expect(
         isinstance(anchor_raw, list) and len(anchor_raw) == rank,
@@ -444,7 +433,7 @@ def algebroid_from_payload(payload, dim, path) -> AlgebroidPresentation:
         _expect(
             isinstance(pair_raw, list)
             and len(pair_raw) == 2
-            and all(isinstance(i, int) for i in pair_raw)
+            and all(_is_int(i) for i in pair_raw)
             and 1 <= pair_raw[0] < pair_raw[1] <= rank,
             "pair must be [a, b] with 1 <= a < b <= rank",
             f"{epath}.pair",
@@ -474,6 +463,36 @@ def algebroid_to_payload(A: AlgebroidPresentation) -> dict:
     }
 
 
+def _poly_from_payload(payload, dim, order, path):
+    if isinstance(payload, list):
+        doc_path = path.removesuffix(".payload")  # the order field sits beside the payload
+        _expect(order is not None, "a t-series poly document needs an order", f"{doc_path}.order")
+        _expect(
+            len(payload) == order + 1,
+            f"series must list order+1 = {order + 1} coefficients",
+            path,
+        )
+        coeffs = [_leaf(s, dim, f"{path}[{i}]") for i, s in enumerate(payload)]
+        return TPoly(order, coeffs)
+    return _leaf(payload, dim, path)
+
+
+# kind -> reader(payload, dim, order, path).  A t-series poly, a star, a
+# gauge and qc data carry their order, which the payload may fix.
+_READERS = {
+    "poly": _poly_from_payload,
+    "multivec": lambda p, dim, order, path: tensor_from_payload(MultiVec, p, dim, path),
+    "form": lambda p, dim, order, path: tensor_from_payload(Form, p, dim, path),
+    "diffop": lambda p, dim, order, path: diffop_from_payload(p, dim, path),
+    "star": lambda p, dim, order, path: op_series_from_payload(StarProduct, "P", 2, p, dim, order, path),
+    "gauge": lambda p, dim, order, path: op_series_from_payload(GaugeOp, "R", 1, p, dim, order, path),
+    "qc": qc_from_payload,
+    "algebroid": lambda p, dim, order, path: algebroid_from_payload(p, dim, path),
+}
+
+KINDS = (*_READERS, "bundle")
+
+
 def document_from_obj(obj, path="$") -> Document:
     return _document_from_obj(obj, path, 1)
 
@@ -496,45 +515,14 @@ def _document_from_obj(obj, path, depth) -> Document:
             entries[name] = _document_from_obj(payload[name], f"{path}.payload.{name}", depth + 1)
         return Document("bundle", obj.get("dim", 0), obj.get("order"), entries)
     dim = obj.get("dim")
-    _expect(isinstance(dim, int) and dim >= 1, "dim must be a positive integer", f"{path}.dim")
+    _expect(_is_int(dim) and dim >= 1, "dim must be a positive integer", f"{path}.dim")
     order = obj.get("order")
     if order is not None:
-        _expect(isinstance(order, int) and order >= 1, "order must be a positive integer", f"{path}.order")
+        _expect(_is_int(order) and order >= 1, "order must be a positive integer", f"{path}.order")
     payload = obj.get("payload")
     _expect(payload is not None, "payload is required", f"{path}.payload")
-    ppath = f"{path}.payload"
-    if kind == "poly":
-        if isinstance(payload, list):
-            _expect(order is not None, "a t-series poly document needs an order", f"{path}.order")
-            _expect(
-                len(payload) == order + 1,
-                f"series must list order+1 = {order + 1} coefficients",
-                ppath,
-            )
-            coeffs = [_leaf(s, dim, f"{ppath}[{i}]") for i, s in enumerate(payload)]
-            return Document(kind, dim, order, TPoly(order, coeffs))
-        return Document(kind, dim, order, _leaf(payload, dim, ppath))
-    if kind == "multivec":
-        return Document(kind, dim, order, tensor_from_payload(MultiVec, payload, dim, ppath))
-    if kind == "form":
-        return Document(kind, dim, order, tensor_from_payload(Form, payload, dim, ppath))
-    if kind == "diffop":
-        return Document(kind, dim, order, diffop_from_payload(payload, dim, ppath))
-    if kind == "star":
-        doc = Document(kind, dim, order, star_from_payload(payload, dim, order, ppath))
-        doc.order = doc.payload.order
-        return doc
-    if kind == "gauge":
-        doc = Document(kind, dim, order, gauge_from_payload(payload, dim, order, ppath))
-        doc.order = doc.payload.order
-        return doc
-    if kind == "qc":
-        doc = Document(kind, dim, order, qc_from_payload(payload, dim, order, ppath))
-        doc.order = doc.payload.order
-        return doc
-    if kind == "algebroid":
-        return Document(kind, dim, order, algebroid_from_payload(payload, dim, ppath))
-    raise SchemaError(f"unhandled kind {kind!r}", path)
+    value = _READERS[kind](payload, dim, order, f"{path}.payload")
+    return Document(kind, dim, getattr(value, "order", order), value)
 
 
 def parse_document(text: str) -> Document:
@@ -547,27 +535,22 @@ def parse_document(text: str) -> Document:
     return document_from_obj(obj)
 
 
+# kind -> writer of its payload, looked up when it runs (see cli._ACTIONS)
+_WRITERS = {
+    "poly": lambda p: [poly_to_text(c) for c in p.coeffs] if isinstance(p, TPoly) else poly_to_text(p),
+    "multivec": lambda p: tensor_to_payload(p),
+    "form": lambda p: tensor_to_payload(p),
+    "diffop": lambda p: diffop_to_payload(p),
+    "star": lambda p: star_to_payload(p),
+    "gauge": lambda p: gauge_to_payload(p),
+    "qc": lambda p: qc_to_payload(p),
+    "algebroid": lambda p: algebroid_to_payload(p),
+    "bundle": lambda p: {name: document_to_obj(sub) for name, sub in p.items()},
+}
+
+
 def payload_to_obj(doc: Document):
-    p = doc.payload
-    if doc.kind == "poly":
-        if isinstance(p, TPoly):
-            return [poly_to_text(c) for c in p.coeffs]
-        return poly_to_text(p)
-    if doc.kind in ("multivec", "form"):
-        return tensor_to_payload(p)
-    if doc.kind == "diffop":
-        return diffop_to_payload(p)
-    if doc.kind == "star":
-        return star_to_payload(p)
-    if doc.kind == "gauge":
-        return gauge_to_payload(p)
-    if doc.kind == "qc":
-        return qc_to_payload(p)
-    if doc.kind == "algebroid":
-        return algebroid_to_payload(p)
-    if doc.kind == "bundle":
-        return {name: document_to_obj(sub) for name, sub in p.items()}
-    raise SchemaError(f"unhandled kind {doc.kind!r}")
+    return _WRITERS[doc.kind](doc.payload)
 
 
 def document_to_obj(doc: Document) -> dict:

@@ -180,6 +180,20 @@ class TestVerify:
         assert code == 1
         assert any(needle in d["location"] for d in report["defects"])
 
+    def test_non_unital_star_located(self, tmp_path):
+        # P_1(1, g) = d_x g: not unital at order 1
+        star = {"kind": "star", "dim": 2, "payload": {"P": [
+            {"arity": 2, "terms": [{"coeff": "1", "orders": [[0, 0], [1, 0]]}]}]}}
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps({"kind": "bundle", "payload": {"s": star}}))
+        code, report, _ = run(["verify", "--in", str(path)])
+        assert code == 1
+        assert "s: unitality order 1" in [d["location"] for d in report["defects"]]
+        path.write_text(json.dumps(star))
+        code, report, _ = run(["star", "assoc", "--in", str(path)])
+        assert code == 1
+        assert "unitality order 1" in [d["location"] for d in report["defects"]]
+
     def test_empty_bundle_warns(self):
         code, report, _ = run(["verify", "--in", corpus("bundle_empty.json")])
         assert code == 0

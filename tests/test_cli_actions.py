@@ -320,6 +320,28 @@ class TestFlagValues:
         code, report = run(["star", "moyal", "--in", os.path.join(CORPUS, "pi_std.json")])
         assert code == 0 and len(report["payload"]["P"]) == 3
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["poisson", "check", "--order", "9", "--slot", "4", "--degree", "7"], "--order"),
+            (["poisson", "check", "--slot", "4"], "--slot"),
+            (["poisson", "check", "--degree", "7"], "--degree"),
+            (["star", "moyal", "--slot", "1"], "--slot"),
+            (["star", "specialize", "--order", "2"], "--order"),
+            (["diffop", "compose", "--degree", "1"], "--degree"),
+            (["mc", "--order", "2"], "--order"),
+            (["verify", "--slot", "1"], "--slot"),
+            (["parse", "--degree", "0"], "--degree"),
+        ],
+    )
+    def test_unread_flag_is_usage_error(self, argv, flag, capsys):
+        # the input is never opened: the flag is rejected first
+        code = dispatch(argv + ["--in", "nope.json"])
+        report = json.loads(capsys.readouterr().out)
+        assert code == 2 and not report["ok"]
+        assert report["command"] == "dqkit"
+        assert report["payload"]["error"].startswith(f"argument {flag}: not read by ")
+
     def test_lowest_values_accepted(self, tmp_path):
         code, report = run(
             ["star", "moyal", "--order", "1", "--in", os.path.join(CORPUS, "pi_std.json")]
@@ -329,6 +351,40 @@ class TestFlagValues:
             ["star", "specialize", "--degree", "0", "--in", os.path.join(CORPUS, "moyal_plane.json")]
         )
         assert code == 0
+
+
+class TestBooleanIntegers:
+    """JSON true/false are not integers, although Python's bool is an int."""
+
+    @pytest.mark.parametrize(
+        "make, path",
+        [
+            (lambda v: {"kind": "poly", "dim": v, "payload": "x"}, "$.dim"),
+            (lambda v: {"kind": "poly", "dim": 1, "order": v, "payload": ["x", "x"]}, "$.order"),
+            (lambda v: form_doc(1, [], degree=v), "$.payload.degree"),
+            (lambda v: {"kind": "diffop", "dim": 1, "payload": {"arity": v, "terms": []}},
+             "$.payload.arity"),
+            (lambda v: {"kind": "algebroid", "dim": 1, "payload": {"rank": v, "anchor": [["1"]]}},
+             "$.payload.rank"),
+            (lambda v: mv_doc(2, [{"indices": [v], "coeff": "x"}]), "$.payload[0].indices"),
+            (lambda v: {"kind": "diffop", "dim": 1,
+                        "payload": {"arity": 1, "terms": [{"coeff": "1", "orders": [[v]]}]}},
+             "$.payload.terms[0].orders"),
+            (lambda v: {"kind": "algebroid", "dim": 1, "payload": {
+                "rank": 2, "anchor": [["1"], ["0"]],
+                "structure": [{"pair": [v, 2], "coeffs": ["0", "0"]}]}},
+             "$.payload.structure[0].pair"),
+        ],
+        ids=["dim", "order", "degree", "arity", "rank", "indices", "orders", "pair"],
+    )
+    def test_true_rejected_where_1_is_read(self, tmp_path, make, path):
+        p = tmp_path / "d.json"
+        p.write_text(json.dumps(make(1)))
+        assert run(["parse", "--in", str(p)])[0] == 0
+        p.write_text(json.dumps(make(True)))
+        code, report = run(["parse", "--in", str(p)])
+        assert code == 2 and not report["ok"]
+        assert report["payload"]["error"].startswith(path + ": ")
 
 
 class TestUsageErrors:
@@ -352,6 +408,21 @@ class TestUsageErrors:
         assert needle in report["payload"]["error"]
         assert report["command"].startswith("dqkit")
         assert report["payload"]["error"] in err
+
+    @pytest.mark.parametrize(
+        "command, choices",
+        [
+            ("poisson", "'check', 'bracket', 'dpi', 'koszul', 'hamiltonian'"),
+            ("algebroid", "'check', 'd', 'from-poisson', 'ext-curv'"),
+            ("diffop", "'apply', 'compose', 'delta', 'cocycle'"),
+            ("star", "'moyal', 'assoc', 'poisson', 'gauge', 'invert', 'specialize', 'sigma1', "
+                     "'subprincipal', 'adexp', 'nabla', 'nabla-curv'"),
+        ],
+    )
+    def test_choices_in_documented_order(self, command, choices, capsys):
+        assert dispatch([command, "frobnicate", "--in", "nope.json"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["payload"]["error"].endswith(f"(choose from {choices})")
 
     def test_help_still_exits_0(self, capsys):
         assert dispatch(["--help"]) == 0

@@ -32,12 +32,26 @@ def _bundle(**entries):
     return {"kind": "bundle", "payload": entries}
 
 
+def _poly(dim, expr):
+    return {"kind": "poly", "dim": dim, "payload": expr}
+
+
+def _mv(dim, terms):
+    return {"kind": "multivec", "dim": dim, "payload": terms}
+
+
+def _diffop(dim, arity, terms):
+    return {"kind": "diffop", "dim": dim, "payload": {"arity": arity, "terms": terms}}
+
+
 # rank 1 on R^2: frame index 2 is inside dim but above rank
 _RANK1_ON_PLANE = {"kind": "algebroid", "dim": 2, "payload": {"rank": 1, "anchor": [["1", "0"]]}}
 # rank 2 on R^1: frame index 2 is inside rank but above dim
 _RANK2_ON_LINE = {"kind": "algebroid", "dim": 1, "payload": {"rank": 2, "anchor": [["1"], ["0"]]}}
+_GAUGE_ID = {"kind": "gauge", "dim": 2, "order": 3,
+             "payload": {"R": [{"arity": 1, "terms": []} for _ in range(3)]}}
 
-# bundles built in the test (the first two are the ones the CLI action tests use)
+# documents built in the test (the first two are the bundles the CLI action tests use)
 BUNDLES = {
     "d_so3": _bundle(
         algebroid=_load("algebroid_so3.json"),
@@ -70,6 +84,52 @@ BUNDLES = {
         algebroid=_RANK2_ON_LINE,
         omega=_form(1, [{"indices": [2], "coeff": "1"}]),
     ),
+    # one run of each remaining action
+    "bracket_so3": _bundle(pi=_load("so3.json"), f=_poly(3, "x*y"), g=_poly(3, "z^2 + x")),
+    "dpi_plane": _bundle(pi=_load("pi_std.json"), a=_mv(2, [{"indices": [1], "coeff": "x^2*y"}])),
+    "koszul_so3": _bundle(
+        pi=_load("so3.json"),
+        alpha=_form(3, [{"indices": [1], "coeff": "y"}]),
+        beta=_form(3, [{"indices": [3], "coeff": "x"}]),
+    ),
+    "hamiltonian_so3": _bundle(pi=_load("so3.json"), f=_poly(3, "x*y + z")),
+    "apply_plane": _bundle(
+        op=_diffop(2, 2, [{"coeff": "x", "orders": [[1, 0], [0, 1]]},
+                          {"coeff": "-1/3", "orders": [[0, 2], [0, 0]]}]),
+        f1=_poly(2, "x^2*y^3"),
+        f2=_poly(2, "x*y"),
+    ),
+    "compose_plane": _bundle(
+        outer=_diffop(2, 2, [{"coeff": "y", "orders": [[1, 0], [0, 1]]}]),
+        inner=_diffop(2, 1, [{"coeff": "x^2", "orders": [[0, 1]]}]),
+    ),
+    "delta_plane": _diffop(2, 1, [{"coeff": "x*y", "orders": [[2, 1]]}]),
+    "cocycle_not_closed": _diffop(2, 2, [{"coeff": "x", "orders": [[1, 0], [0, 0]]}]),
+    # the Moyal plane gauged by R_1 = d_x^2 / 2, truncated at t^2: not special
+    "star_gauged_halfdx2": {"kind": "star", "dim": 2, "order": 2, "payload": {"P": [
+        {"arity": 2, "terms": [{"coeff": c, "orders": o} for c, o in [
+            ("-1/2", [[0, 1], [1, 0]]), ("1/2", [[1, 0], [0, 1]]), ("-1", [[1, 0], [1, 0]])]]},
+        {"arity": 2, "terms": [{"coeff": c, "orders": o} for c, o in [
+            ("1/8", [[0, 2], [2, 0]]), ("1/2", [[1, 0], [3, 0]]), ("-1/4", [[1, 1], [1, 1]]),
+            ("1/2", [[1, 1], [2, 0]]), ("1/8", [[2, 0], [0, 2]]), ("-1/2", [[2, 0], [1, 1]]),
+            ("5/4", [[2, 0], [2, 0]]), ("1/2", [[3, 0], [1, 0]])]]},
+    ]}},
+    "gauge_plane": _bundle(star=_load("moyal_plane.json"), gauge=_load("gauge_xi.json")),
+    "section_identity": _bundle(star=_load("moyal_plane.json"), gauge=_GAUGE_ID),
+    "adexp_plane": _bundle(star=_load("moyal_plane.json"), alpha=_poly(2, "x^2"), b=_poly(2, "y^2")),
+    "nabla_plane": _bundle(
+        star=_load("moyal_plane.json"),
+        gauge=_GAUGE_ID,
+        xi0=_mv(2, {"degree": 1, "terms": []}),
+        xi1=_mv(2, [{"indices": [1], "coeff": "x"}, {"indices": [2], "coeff": "y^2"}]),
+        f=_poly(2, "x*y"),
+        m=_poly(2, "y"),
+    ),
+    # error paths
+    "bracket_missing_g": _bundle(pi=_load("so3.json"), f=_poly(3, "x")),
+    "bracket_g_wrong_kind": _bundle(pi=_load("so3.json"), f=_poly(3, "x"), g=_mv(3, [{"indices": [1], "coeff": "x"}])),
+    "d_missing_omega": _bundle(algebroid=_load("algebroid_so3.json")),
+    "d_omega_wrong_kind": _bundle(algebroid=_load("algebroid_so3.json"), omega=_poly(3, "x")),
 }
 
 CORPUS_DOCS = sorted(n for n in os.listdir(CORPUS) if n.endswith(".json"))
@@ -95,6 +155,20 @@ CASES = (
                                               "d_two_indices_above_rank", "d_index_above_dim")]
     + [("algebroid ext-curv", n)
        for n in ("ext_so3", "ext_lam_index_above_rank", "ext_twist_not_closed")]
+    + [("poisson bracket", "bracket_so3"), ("poisson dpi", "dpi_plane"),
+       ("poisson koszul", "koszul_so3"), ("poisson hamiltonian", "hamiltonian_so3")]
+    + [("diffop apply", "apply_plane"), ("diffop compose --slot 2", "compose_plane"),
+       ("diffop delta", "delta_plane"), ("diffop cocycle", "cocycle_not_closed")]
+    + [("star moyal --order 2", "pi_std.json"), ("star moyal", "so3.json"), ("star gauge", "gauge_plane"),
+       ("star specialize", "star_gauged_halfdx2"), ("star sigma1", "section_identity"),
+       ("star subprincipal", "section_identity"), ("star adexp", "adexp_plane"),
+       ("star nabla", "nabla_plane"), ("star nabla-curv", "nabla_plane")]
+    # error paths: a missing entry, a wrong kind, a bare document where a bundle
+    # is needed, a non-bundle for verify, the frame form entry, a usage error
+    + [("poisson bracket", "bracket_missing_g"), ("poisson bracket", "bracket_g_wrong_kind"),
+       ("star gauge", "moyal_plane.json"), ("star assoc", "so3.json"),
+       ("verify", "so3.json"), ("algebroid d", "d_missing_omega"),
+       ("algebroid d", "d_omega_wrong_kind"), ("star frobnicate", "moyal_plane.json")]
 )
 
 
@@ -166,6 +240,33 @@ GOLDEN = {
     ('algebroid ext-curv', 'ext_so3'): (0, "faca80b5ea43f439b054b6bfbe57f3c2cb22abe9928c796286145276dc427016"),
     ('algebroid ext-curv', 'ext_lam_index_above_rank'): (2, "6ff314b9ff8a10e6ba8acec5abf9a29b057795fc19e015d7a88c8aaf0cdaa61a"),
     ('algebroid ext-curv', 'ext_twist_not_closed'): (1, "126a9e8b70d314790b74c0823899df6340fcb7578ce2b31230467981e6fe9a4e"),
+    ('poisson bracket', 'bracket_so3'): (0, "d0a29d827c588ee43bae3d29fe38994028a4ea06c8fe92cb6f31443dfba97e47"),
+    ('poisson dpi', 'dpi_plane'): (0, "670c24b86691621f7b765e111bcdc413ea8cfb3d441f92f9bbdc87cae97ef2a2"),
+    ('poisson koszul', 'koszul_so3'): (0, "b580360794be2710751db2317def7a35b811f8da9eca4a613973d3c42fefb6af"),
+    ('poisson hamiltonian', 'hamiltonian_so3'): (0, "28b41713f768de88be105464331e6fcc08bddf7b560c76787d1f78773846a7d9"),
+    ('diffop apply', 'apply_plane'): (0, "bcc6d160b63d97ec5f6751a30671bc682a92883acdd716c801696cbf17481cca"),
+    ('diffop compose --slot 2', 'compose_plane'): (0, "5ba6d997b84b11461a680bd227532cf41c009cd392a47220c53d981148b49280"),
+    ('diffop delta', 'delta_plane'): (0, "43dea870631b0256227a4480b411161ca4936dfddfc1b1060d9920523d2e7e33"),
+    ('diffop cocycle', 'cocycle_not_closed'): (1, "d819b6ab0079d93fc133cdb7319699016687633b5c1b4ccfa65259669815058f"),
+    ('star moyal --order 2', 'pi_std.json'): (0, "83f5a72e9f6ce03f30955c50e659034670b6e15093baecc11a64102115c473b1"),
+    ('star moyal', 'so3.json'): (1, "873897ad8a3296e8d155e44edfbb142379611362e2fbaaa9bdc611c35bf536f1"),
+    ('star gauge', 'gauge_plane'): (0, "859803e737a4a061845ade0c65f2889e5165ed19fd986bcd49ee917bacddc7af"),
+    ('star specialize', 'star_gauged_halfdx2'): (0, "c4b81f111b148fff4bf857ded643c07b057c03cdb4454fa4bc0965f68b900b67"),
+    ('star sigma1', 'section_identity'): (0, "1b5a3296b5e85aae90fe68d0e17535ca85f5beb42685f3fa4a1614785d34d819"),
+    ('star subprincipal', 'section_identity'): (0, "c9fbc98900a150288215a5d55e25811463bcc597c5befbba0886352f859d4ac0"),
+    ('star adexp', 'adexp_plane'): (0, "d700173d59ec1b39a4d3f166a39b7e19fefad72219c1d624adf6ca53e43eceb6"),
+    ('star nabla', 'nabla_plane'): (0, "77d956c2695bf98c073e85b6bf5ec0f8e88b340aee3f413cb4e02c6f271eb4a3"),
+    ('star nabla-curv', 'nabla_plane'): (0, "d40dc4351acc186031663b03f6865ff61f52b1e7d85802772aa615d6b579604e"),
+    ('poisson bracket', 'bracket_missing_g'): (2, "bd8f96d9e2c410eb4ea9afa7a9fd4e18a82e2b63e97e5db53b7b15a169c56d12"),
+    ('poisson bracket', 'bracket_g_wrong_kind'): (2, "db4fba319016e3f6733d29a5d779f4601b2f58cfd82a065ddc29f6e298a3e15b"),
+    ('star gauge', 'moyal_plane.json'): (2, "9a1217d5545f77a02d1b5a19bca2a3492ae22f9bb623ef618e750396e545fed6"),
+    ('star assoc', 'so3.json'): (2, "5aa7fb3da4b4ae12984fa315d3850903cd89beb708a287decbe78d934ec39446"),
+    ('verify', 'so3.json'): (2, "42fc81e55808911625a52914db022c79a2436beb0b4882356190e7893864c3e2"),
+    # the frame-form entries are fetched like every other entry: the path and
+    # wording of a missing or wrong-kind entry are those of every action
+    ('algebroid d', 'd_missing_omega'): (2, "8ec057be0244fb9e58460b2b5620f67f41c3b740414645d17a31f03ab456a2f4"),
+    ('algebroid d', 'd_omega_wrong_kind'): (2, "24b897b2dd723b31aa0e8587a196f0737db82651d15130cf192fe5b3f525b80c"),
+    ('star frobnicate', 'moyal_plane.json'): (2, "842fcf5a52ed896733971744bea5c1121ef0b77f0f42851a006c6f5696c2da6e"),
 }
 
 

@@ -146,6 +146,21 @@ class TestDocuments:
         )
         assert doc.payload.order == 1
 
+    @pytest.mark.parametrize(
+        "text, order",
+        [
+            ('{"kind":"star","dim":1,"payload":{"P":[{"arity":2,"terms":[]},{"arity":2,"terms":[]}]}}', 2),
+            ('{"kind":"gauge","dim":1,"payload":{"R":[{"arity":1,"terms":[]}]}}', 1),
+            ('{"kind":"qc","dim":3,"payload":{"pis":[{"degree":2,"terms":[]},{"degree":2,"terms":[]}],'
+             '"H":{"degree":3,"terms":[]}}}', 2),
+        ],
+        ids=["star", "gauge", "qc"],
+    )
+    def test_series_order_from_payload(self, text, order):
+        doc = parse_document(text)
+        assert doc.order == doc.payload.order == order
+        assert f'"order": {order}' in serialize_document(doc)
+
     def test_kind_payload_mismatch(self):
         with pytest.raises(SchemaError):
             parse_document('{"kind":"star","dim":2,"payload":{"R":[]}}')
