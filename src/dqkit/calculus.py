@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DegreeError, DimensionMismatchError
-from .kernel import Poly, _add_term
+from .kernel import Poly, _PolyMap, _add_term
 
 
 def sort_indices(indices):
@@ -33,7 +33,7 @@ def sort_indices(indices):
     return sign, tuple(idx)
 
 
-class _AltTensor:
+class _AltTensor(_PolyMap):
     """Shared storage for alternating tensors (multivectors and forms).
 
     Indices run over 1..index_bound.  That is ``dim`` for tensors on R^n; a
@@ -42,6 +42,11 @@ class _AltTensor:
     """
 
     __slots__ = ("dim", "degree", "terms")
+    _shape = (
+        ("dim", DimensionMismatchError, "dimensions differ: {} vs {}"),
+        ("index_bound", DimensionMismatchError, "index bounds differ: {} vs {}"),
+        ("degree", DegreeError, "degrees differ: {} vs {}"),
+    )
     kind = "tensor"
     index_name = "index"
 
@@ -82,6 +87,9 @@ class _AltTensor:
         """A tensor of the same kind and index bound, of the given degree."""
         return type(self)(self.dim, degree, terms)
 
+    def _with_terms(self, terms):
+        return self._like(self.degree, terms)
+
     # ------------------------------------------------------------------
 
     @classmethod
@@ -92,6 +100,11 @@ class _AltTensor:
     def from_poly(cls, p: Poly):
         """Degree-0 tensor holding a single polynomial."""
         return cls(p.dim, 0, {(): p})
+
+    @classmethod
+    def basis(cls, dim: int, index: int):
+        """The coordinate element of degree 1: d/dx_index or dx_index."""
+        return cls(dim, 1, {(index,): Poly.one(dim)})
 
     def as_poly(self) -> Poly:
         if self.degree != 0:
@@ -107,58 +120,7 @@ class _AltTensor:
             return Poly.zero(self.dim)
         return c if sign == 1 else -c
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
     # ------------------------------------------------------------------
-
-    def _check_same(self, other):
-        if type(self) is not type(other):
-            raise TypeError(f"mixed kinds: {type(self).__name__} vs {type(other).__name__}")
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"dimensions differ: {self.dim} vs {other.dim}")
-        if self.index_bound != other.index_bound:
-            raise DimensionMismatchError(
-                f"index bounds differ: {self.index_bound} vs {other.index_bound}"
-            )
-
-    def __add__(self, other):
-        self._check_same(other)
-        if self.degree != other.degree:
-            raise DegreeError(f"degrees differ: {self.degree} vs {other.degree}")
-        out = dict(self.terms)
-        for idx, c in other.terms.items():
-            _add_term(out, idx, c)
-        return self._like(self.degree, out)
-
-    def __neg__(self):
-        return self._like(self.degree, {i: -c for i, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor):
-        """Multiply every coefficient by a Poly or rational."""
-        if isinstance(factor, (int, Fraction)):
-            factor = Poly.const(self.dim, factor)
-        return self._like(self.degree, {i: c * factor for i, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.index_bound == other.index_bound
-            and self.degree == other.degree
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.dim, self.index_bound, self.degree,
-                     frozenset(self.terms.items())))
 
     def __repr__(self):
         name = type(self).__name__
@@ -172,11 +134,6 @@ class MultiVec(_AltTensor):
     """Polynomial-coefficient p-vector field on R^n."""
 
     kind = "multivec"
-
-    @classmethod
-    def basis(cls, dim: int, index: int) -> "MultiVec":
-        """The coordinate vector field along x_index."""
-        return cls(dim, 1, {(index,): Poly.one(dim)})
 
     def apply_to(self, f: Poly) -> Poly:
         """Apply a vector field (degree 1) to a function as a derivation."""
@@ -194,19 +151,9 @@ class Form(_AltTensor):
     kind = "form"
 
     @classmethod
-    def basis(cls, dim: int, index: int) -> "Form":
-        """The coordinate differential dx_index."""
-        return cls(dim, 1, {(index,): Poly.one(dim)})
-
-    @classmethod
     def d_of(cls, f: Poly) -> "Form":
         """df as a 1-form."""
-        terms = {}
-        for i in range(1, f.dim + 1):
-            p = f.partial(i)
-            if not p.is_zero():
-                terms[(i,)] = p
-        return cls(f.dim, 1, terms)
+        return cls(f.dim, 1, {(i,): f.partial(i) for i in range(1, f.dim + 1)})
 
 
 # ----------------------------------------------------------------------
@@ -444,6 +391,5 @@ def anchor_pullback(pi: MultiVec, omega: Form) -> MultiVec:
     terms = {}
     for key in combinations(range(1, dim + 1), p):
         val = form_eval(omega, [images[i] for i in key])
-        if not val.is_zero():
-            terms[key] = val if sign == 1 else -val
+        terms[key] = val if sign == 1 else -val
     return MultiVec(dim, p, terms)

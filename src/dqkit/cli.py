@@ -111,10 +111,11 @@ def _int_flag(args, name: str, default: int, least: int) -> int:
     return value
 
 
-def _as_tpoly(p, order: int) -> TPoly:
+def _as_tpoly(p, order: int, name: str) -> TPoly:
+    """The poly entry `name` as a t-series of the given order."""
     if isinstance(p, TPoly):
         if p.order != order:
-            raise SchemaError(f"t-series order {p.order} != expected {order}")
+            raise SchemaError(f"t-series order {p.order} != expected {order}", f"$.payload.{name}.order")
         return p
     return TPoly.from_poly(p, order)
 
@@ -195,7 +196,7 @@ def _star_assoc(S):
 
 
 def _star_adexp(S, alpha, b):
-    value = ad_exp(S, _as_tpoly(alpha, S.order), _as_tpoly(b, S.order))
+    value = ad_exp(S, _as_tpoly(alpha, S.order, "alpha"), _as_tpoly(b, S.order, "b"))
     return _ok([poly_to_text(c) for c in value.coeffs])
 
 

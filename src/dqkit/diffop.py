@@ -13,14 +13,14 @@ from math import comb, prod
 from operator import add
 
 from .errors import ArityMismatchError, DimensionMismatchError
-from .kernel import Poly, _add_term
+from .kernel import Poly, _PolyMap, _add_term
 
 
 def _zero_mi(dim):
     return (0,) * dim
 
 
-class PolyDiffOp:
+class PolyDiffOp(_PolyMap):
     """Operator in k arguments: (f_1..f_k) -> sum coeff * d^{a_1}f_1 ... d^{a_k}f_k.
 
     ``terms`` maps k-tuples of multi-indices (each of length dim) to nonzero
@@ -34,6 +34,10 @@ class PolyDiffOp:
     """
 
     __slots__ = ("dim", "arity", "terms")
+    _shape = (
+        ("dim", DimensionMismatchError, "operator dimensions differ"),
+        ("arity", ArityMismatchError, "operator arities differ"),
+    )
 
     def __init__(self, dim: int, arity: int, terms=None):
         if arity < 1:
@@ -89,9 +93,6 @@ class PolyDiffOp:
         o[index - 1] = 1
         return cls(dim, 1, {(tuple(o),): Poly.one(dim)})
 
-    def is_zero(self):
-        return not self.terms
-
     def max_order(self):
         """Largest |alpha| over all slots and terms (0 for the zero operator)."""
         best = 0
@@ -107,51 +108,8 @@ class PolyDiffOp:
             best = max(best, sum(sum(o) for o in orders))
         return best
 
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    # ------------------------------------------------------------------
-
-    def _check_same(self, other):
-        if self.dim != other.dim:
-            raise DimensionMismatchError("operator dimensions differ")
-        if self.arity != other.arity:
-            raise ArityMismatchError("operator arities differ")
-
-    def __add__(self, other):
-        self._check_same(other)
-        out = dict(self.terms)
-        for orders, c in other.terms.items():
-            _add_term(out, orders, c)
-        return PolyDiffOp._make(self.dim, self.arity, out)
-
-    def __neg__(self):
-        return PolyDiffOp._make(self.dim, self.arity, {o: -c for o, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor):
-        if isinstance(factor, (int, Fraction)):
-            factor = Poly.const(self.dim, factor)
-        if factor.is_zero():
-            return PolyDiffOp(self.dim, self.arity)
-        # Q[x] has no zero divisors, so no product below is zero
-        return PolyDiffOp._make(
-            self.dim, self.arity, {o: c * factor for o, c in self.terms.items()}
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyDiffOp):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.arity, frozenset(self.terms.items())))
+    def _with_terms(self, terms):
+        return PolyDiffOp._make(self.dim, self.arity, terms)
 
     def __repr__(self):
         return f"PolyDiffOp(dim={self.dim}, arity={self.arity}, {len(self.terms)} terms)"

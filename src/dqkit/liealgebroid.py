@@ -117,11 +117,7 @@ class AlgebroidPresentation:
 
     def anchor_vec(self, a: int) -> MultiVec:
         """sigma(e_a) as a vector field."""
-        terms = {}
-        for i, p in enumerate(self.anchor[a - 1], start=1):
-            if not p.is_zero():
-                terms[(i,)] = p
-        return MultiVec(self.dim, 1, terms)
+        return MultiVec(self.dim, 1, {(i,): p for i, p in enumerate(self.anchor[a - 1], start=1)})
 
     def anchor_apply(self, a: int, f: Poly) -> Poly:
         """sigma(e_a)(f)."""
@@ -254,8 +250,7 @@ def algebroid_d(A: AlgebroidPresentation, omega: AlgebroidForm) -> AlgebroidForm
                 if (i_pos + j_pos) % 2 == 1:
                     term = -term
                 val = val + term
-        if not val.is_zero():
-            terms[key] = val
+        terms[key] = val
     return AlgebroidForm(A.dim, A.rank, p + 1, terms)
 
 
@@ -324,8 +319,7 @@ def extension_curvature(E: ExtensionData, lam: AlgebroidForm) -> AlgebroidForm:
                 ck = cs[k - 1]
                 if not ck.is_zero():
                     val = val - ck * lam.value((k,))
-            if not val.is_zero():
-                terms[(a, b)] = val
+            terms[(a, b)] = val
     return AlgebroidForm(A.dim, A.rank, 2, terms)
 
 

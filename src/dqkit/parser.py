@@ -347,9 +347,10 @@ def diffop_to_payload(op: PolyDiffOp) -> dict:
     }
 
 
-def op_series_from_payload(cls, key, arity, payload, dim, order, path):
-    """A star product (key "P", arity 2) or a gauge (key "R", arity 1):
+def op_series_from_payload(cls, payload, dim, order, path):
+    """A star product or a gauge, cls with its ``key`` and ``arity``:
     {key: [diffop, ...]} listing the operators of orders 1..N."""
+    key, arity = cls.key, cls.arity
     _expect(isinstance(payload, dict) and set(payload) == {key}, f"expected payload {{{key}: [diffop,...]}}", path)
     raw = payload[key]
     _expect(isinstance(raw, list) and raw, f"{key} must be a non-empty array", f"{path}.{key}")
@@ -484,8 +485,8 @@ _READERS = {
     "multivec": lambda p, dim, order, path: tensor_from_payload(MultiVec, p, dim, path),
     "form": lambda p, dim, order, path: tensor_from_payload(Form, p, dim, path),
     "diffop": lambda p, dim, order, path: diffop_from_payload(p, dim, path),
-    "star": lambda p, dim, order, path: op_series_from_payload(StarProduct, "P", 2, p, dim, order, path),
-    "gauge": lambda p, dim, order, path: op_series_from_payload(GaugeOp, "R", 1, p, dim, order, path),
+    "star": lambda p, dim, order, path: op_series_from_payload(StarProduct, p, dim, order, path),
+    "gauge": lambda p, dim, order, path: op_series_from_payload(GaugeOp, p, dim, order, path),
     "qc": qc_from_payload,
     "algebroid": lambda p, dim, order, path: algebroid_from_payload(p, dim, path),
 }
@@ -505,6 +506,12 @@ def _document_from_obj(obj, path, depth) -> Document:
     _expect(not extra, f"unknown fields {sorted(extra)}", path)
     kind = obj.get("kind")
     _expect(kind in KINDS, f"kind must be one of {KINDS}", f"{path}.kind")
+    dim = obj.get("dim")
+    if kind != "bundle" or dim is not None:  # a bundle's dim is optional
+        _expect(_is_int(dim) and dim >= 1, "dim must be a positive integer", f"{path}.dim")
+    order = obj.get("order")
+    if order is not None:
+        _expect(_is_int(order) and order >= 1, "order must be a positive integer", f"{path}.order")
     if kind == "bundle":
         _expect(depth <= MAX_NESTING, f"bundles nested deeper than {MAX_NESTING} levels", path)
         payload = obj.get("payload")
@@ -513,12 +520,7 @@ def _document_from_obj(obj, path, depth) -> Document:
         for name in sorted(payload):
             _expect(isinstance(name, str) and name, "bundle entry names must be non-empty strings", f"{path}.payload")
             entries[name] = _document_from_obj(payload[name], f"{path}.payload.{name}", depth + 1)
-        return Document("bundle", obj.get("dim", 0), obj.get("order"), entries)
-    dim = obj.get("dim")
-    _expect(_is_int(dim) and dim >= 1, "dim must be a positive integer", f"{path}.dim")
-    order = obj.get("order")
-    if order is not None:
-        _expect(_is_int(order) and order >= 1, "order must be a positive integer", f"{path}.order")
+        return Document("bundle", dim or 0, order, entries)
     payload = obj.get("payload")
     _expect(payload is not None, "payload is required", f"{path}.payload")
     value = _READERS[kind](payload, dim, order, f"{path}.payload")

@@ -161,6 +161,5 @@ def lichnerowicz_d(pi: MultiVec, A: MultiVec) -> MultiVec:
                 if (i_pos + j_pos) % 2 == 1:
                     term = -term
                 val = val + term
-        if not val.is_zero():
-            terms[key] = val
+        terms[key] = val
     return MultiVec(n, p + 1, terms)

@@ -77,8 +77,7 @@ def _triple_contraction(Q: QCData, m: int) -> MultiVec:
                 val = val + form_eval(
                     Q.H, [images[i][key[0]], images[j][key[1]], images[k][key[2]]]
                 )
-        if not val.is_zero():
-            terms[key] = val
+        terms[key] = val
     return MultiVec(n, 3, terms)
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
+from operator import attrgetter
 
 from .calculus import MultiVec
 from .diffop import (
@@ -36,77 +37,76 @@ from .kernel import Poly, TPoly, _add_term
 from .poisson import bracket, hamiltonian
 
 
-class StarProduct:
-    """f * g = fg + sum_{i=1..N} P_i(f,g) t^i, truncated at order N."""
+class _OpSeries:
+    """A truncated t-series X_0 + sum_{k=1..N} X_k t^k of polydifferential
+    operators whose order-0 term X_0 is a fixed unit.
 
-    __slots__ = ("dim", "order", "P")
+    A subclass declares three class attributes: ``key``, the letter naming
+    X_1..X_N in messages and in documents; ``arity``, the arity every X_k
+    must have; and ``unit``, the constructor of X_0 from ``dim``.
+    """
 
-    def __init__(self, dim: int, order: int, P):
+    __slots__ = ("dim", "order", "ops")
+
+    def __init__(self, dim: int, order: int, ops):
+        key = self.key
         if order < 1:
             raise OrderMismatchError("truncation order must be >= 1")
-        P = list(P)
-        if len(P) != order:
-            raise OrderMismatchError(f"need {order} operators P_1..P_{order}, got {len(P)}")
-        for op in P:
+        ops = tuple(ops)
+        if len(ops) != order:
+            raise OrderMismatchError(f"need {order} operators {key}_1..{key}_{order}, got {len(ops)}")
+        for op in ops:
             if op.dim != dim:
-                raise DimensionMismatchError("P_i dimension mismatch")
-            if op.arity != 2:
-                raise DegreeError("P_i must have arity 2")
+                raise DimensionMismatchError(f"{key}_i dimension mismatch")
+            if op.arity != self.arity:
+                raise DegreeError(f"{key}_i must have arity {self.arity}")
         self.dim = dim
         self.order = order
-        self.P = tuple(P)
+        self.ops = ops
 
     def op(self, k: int) -> PolyDiffOp:
-        """P_k, with P_0 the plain multiplication."""
+        """X_k, with X_0 the unit (built afresh on every call)."""
         if k == 0:
-            return PolyDiffOp.multiplication(self.dim)
-        return self.P[k - 1]
+            return self.unit(self.dim)
+        return self.ops[k - 1]
 
     @classmethod
-    def commutative(cls, dim: int, order: int) -> "StarProduct":
-        return cls(dim, order, [PolyDiffOp.zero(dim, 2) for _ in range(order)])
+    def zero(cls, dim: int, order: int):
+        """The series of the unit alone: every X_k with k >= 1 is zero."""
+        return cls(dim, order, [PolyDiffOp.zero(dim, cls.arity) for _ in range(order)])
 
     def __eq__(self, other):
-        if not isinstance(other, StarProduct):
+        if type(self) is not type(other):
             return NotImplemented
-        return (self.dim, self.order, self.P) == (other.dim, other.order, other.P)
+        return (self.dim, self.order, self.ops) == (other.dim, other.order, other.ops)
 
     def __hash__(self):
-        return hash((self.dim, self.order, self.P))
+        return hash((self.dim, self.order, self.ops))
 
     def __repr__(self):
-        return f"StarProduct(dim={self.dim}, order={self.order})"
+        return f"{type(self).__name__}(dim={self.dim}, order={self.order})"
 
 
-class GaugeOp:
+class StarProduct(_OpSeries):
+    """f * g = fg + sum_{i=1..N} P_i(f,g) t^i, truncated at order N."""
+
+    __slots__ = ()
+    key = "P"
+    arity = 2
+    unit = PolyDiffOp.multiplication
+    P = property(attrgetter("ops"))
+    commutative = classmethod(_OpSeries.zero.__func__)
+
+
+class GaugeOp(_OpSeries):
     """R = 1 + sum_{i=1..N} R_i t^i with R_i differential operators (arity 1)."""
 
-    __slots__ = ("dim", "order", "R")
-
-    def __init__(self, dim: int, order: int, R):
-        if order < 1:
-            raise OrderMismatchError("truncation order must be >= 1")
-        R = list(R)
-        if len(R) != order:
-            raise OrderMismatchError(f"need {order} operators R_1..R_{order}, got {len(R)}")
-        for op in R:
-            if op.dim != dim:
-                raise DimensionMismatchError("R_i dimension mismatch")
-            if op.arity != 1:
-                raise DegreeError("R_i must have arity 1")
-        self.dim = dim
-        self.order = order
-        self.R = tuple(R)
-
-    def op(self, k: int) -> PolyDiffOp:
-        """R_k, with R_0 the identity."""
-        if k == 0:
-            return PolyDiffOp.identity(self.dim)
-        return self.R[k - 1]
-
-    @classmethod
-    def identity_gauge(cls, dim: int, order: int) -> "GaugeOp":
-        return cls(dim, order, [PolyDiffOp.zero(dim, 1) for _ in range(order)])
+    __slots__ = ()
+    key = "R"
+    arity = 1
+    unit = PolyDiffOp.identity
+    R = property(attrgetter("ops"))
+    identity_gauge = classmethod(_OpSeries.zero.__func__)
 
     @classmethod
     def from_vector_field(cls, xi: MultiVec, order: int) -> "GaugeOp":
@@ -132,17 +132,6 @@ class GaugeOp:
     def apply_poly(self, f: Poly) -> TPoly:
         """The standard section determined by R: f -> sum R_i(f) t^i."""
         return self.apply(TPoly.from_poly(f, self.order))
-
-    def __eq__(self, other):
-        if not isinstance(other, GaugeOp):
-            return NotImplemented
-        return (self.dim, self.order, self.R) == (other.dim, other.order, other.R)
-
-    def __hash__(self):
-        return hash((self.dim, self.order, self.R))
-
-    def __repr__(self):
-        return f"GaugeOp(dim={self.dim}, order={self.order})"
 
 
 def vector_field_op(xi: MultiVec) -> PolyDiffOp:
@@ -348,9 +337,7 @@ def assoc_poisson(S: StarProduct) -> MultiVec:
     terms = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            v = apply_op(skew2, xs[i - 1], xs[j - 1])
-            if not v.is_zero():
-                terms[(i, j)] = v
+            terms[(i, j)] = apply_op(skew2, xs[i - 1], xs[j - 1])
     result = MultiVec(n, 2, terms)
     # twice the skew part of P_1 must be the biderivation of these values
     if biderivation(result) != skew2:
@@ -672,9 +659,7 @@ def subprincipal(S: StarProduct, sec: Section) -> MultiVec:
             fi = sec.value(xs[i - 1])
             fj = sec.value(xs[j - 1])
             comm = star_commutator(S, fi, fj)
-            val = comm.coeff(2) - apply_op(R1, bracket(pi, xs[i - 1], xs[j - 1]))
-            if not val.is_zero():
-                terms[(i, j)] = val
+            terms[(i, j)] = comm.coeff(2) - apply_op(R1, bracket(pi, xs[i - 1], xs[j - 1]))
     return MultiVec(n, 2, terms)
 
 
@@ -702,11 +687,7 @@ def sigma1_of_ad(S: StarProduct, alpha: TPoly, phi: Sigma1) -> Sigma1:
     sec = phi.section()
     xs = [Poly.variable(n, i) for i in range(1, n + 1)]
     vals = [ad_exp(S, alpha, sec.value(x)).coeff(1) for x in xs]
-    terms = {}
-    for i, v in enumerate(vals, start=1):
-        if not v.is_zero():
-            terms[(i,)] = v
-    extracted = MultiVec(n, 1, terms)
+    extracted = MultiVec(n, 1, {(i,): v for i, v in enumerate(vals, start=1)})
     # derivation sanity on quadratic monomials
     for i in range(1, n + 1):
         for j in range(i, n + 1):

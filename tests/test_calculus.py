@@ -1,3 +1,6 @@
+from fractions import Fraction
+from operator import add, sub
+
 import pytest
 
 from dqkit.calculus import (
@@ -15,6 +18,7 @@ from dqkit.calculus import (
 )
 from dqkit.errors import DegreeError, DimensionMismatchError
 from dqkit.kernel import Poly
+from dqkit.liealgebroid import AlgebroidForm
 from dqkit.poisson import bracket
 
 from conftest import rand_form, rand_multivec, rand_poly, rand_vector_field
@@ -214,3 +218,59 @@ def test_degree_above_dim_is_zero_space():
     assert z.degree == 3 and z.is_zero()
     with pytest.raises(DegreeError):
         Form(2, 3, {(1, 2, 3): 1})
+
+
+class TestShape:
+    """The shape checks of + and -, scale(0) and == on alternating tensors."""
+
+    @pytest.mark.parametrize("combine", [add, sub])
+    @pytest.mark.parametrize(
+        "left, right, error, message",
+        [
+            (MultiVec(2, 1, {(1,): x}), MultiVec(3, 1), DimensionMismatchError, "dimensions differ: 2 vs 3"),
+            (Form(2, 1, {(1,): x}), Form(3, 1), DimensionMismatchError, "dimensions differ: 2 vs 3"),
+            (MultiVec(2, 1, {(1,): x}), MultiVec(2, 2), DegreeError, "degrees differ: 1 vs 2"),
+            (Form(2, 2, {(1, 2): x}), Form(2, 0), DegreeError, "degrees differ: 2 vs 0"),
+            (MultiVec(2, 1), MultiVec(3, 2), DimensionMismatchError, "dimensions differ: 2 vs 3"),
+            (MultiVec(2, 1, {(1,): x}), Form(2, 1, {(1,): x}), TypeError, "mixed kinds: MultiVec vs Form"),
+            (Form(2, 1), MultiVec(3, 2), TypeError, "mixed kinds: Form vs MultiVec"),
+            (Form(2, 1), AlgebroidForm(2, 2, 1), TypeError, "mixed kinds: Form vs AlgebroidForm"),
+            (AlgebroidForm(2, 2, 1, {(2,): x}), AlgebroidForm(2, 3, 1), DimensionMismatchError,
+             "index bounds differ: 2 vs 3"),
+            (AlgebroidForm(2, 2, 1), AlgebroidForm(3, 2, 1), DimensionMismatchError, "dimensions differ: 2 vs 3"),
+            (AlgebroidForm(2, 2, 1), AlgebroidForm(2, 3, 2), DimensionMismatchError,
+             "index bounds differ: 2 vs 3"),
+            (AlgebroidForm(2, 3, 1), AlgebroidForm(2, 3, 2), DegreeError, "degrees differ: 1 vs 2"),
+        ],
+        ids=[
+            "multivec-dim", "form-dim", "multivec-degree", "form-degree", "dim-before-degree",
+            "multivec-form", "kind-before-dim", "form-frame-form", "frame-rank", "frame-dim",
+            "rank-before-degree", "frame-degree",
+        ],
+    )
+    def test_mismatch(self, combine, left, right, error, message):
+        with pytest.raises(Exception) as info:
+            combine(left, right)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("factor", [0, Fraction(0), Poly.zero(2)])
+    @pytest.mark.parametrize(
+        "tensor",
+        [
+            MultiVec(2, 2, {(1, 2): x}),
+            Form(2, 1, {(1,): x, (2,): 3}),
+            AlgebroidForm(2, 3, 2, {(1, 3): y}),
+        ],
+        ids=["multivec", "form", "frame-form"],
+    )
+    def test_scale_zero(self, tensor, factor):
+        out = tensor.scale(factor)
+        assert type(out) is type(tensor) and out.is_zero()
+        assert (out.dim, out.index_bound, out.degree) == (tensor.dim, tensor.index_bound, tensor.degree)
+
+    def test_kinds_never_equal(self):
+        assert MultiVec(2, 1, {(1,): x}) != Form(2, 1, {(1,): x})
+        assert not MultiVec(2, 1, {(1,): x}) == Form(2, 1, {(1,): x})
+        assert MultiVec.zero(2, 0) != Form.zero(2, 0)
+        assert Form(2, 1, {(1,): x}) != AlgebroidForm(2, 2, 1, {(1,): x})

@@ -215,6 +215,14 @@ class TestStarActions:
         assert code == 0
         assert report["payload"] == ["x2", "1", "0", "0"]
 
+    @pytest.mark.parametrize("name", ["alpha", "b"])
+    def test_adexp_series_order_located(self, tmp_path, name):
+        entries = {"star": doc("moyal_plane.json"), "alpha": poly_doc(2, "x"), "b": poly_doc(2, "y")}
+        entries[name] = {"kind": "poly", "dim": 2, "order": 1, "payload": ["x", "y"]}
+        code, report = run(["star", "adexp", "--in", bundle_file(tmp_path, entries)])
+        assert code == 2
+        assert report["payload"]["error"] == f"$.payload.{name}.order: t-series order 1 != expected 3"
+
     def test_nabla_and_curvature(self, tmp_path):
         gauge_id = {
             "kind": "gauge",
@@ -374,8 +382,13 @@ class TestBooleanIntegers:
                 "rank": 2, "anchor": [["1"], ["0"]],
                 "structure": [{"pair": [v, 2], "coeffs": ["0", "0"]}]}},
              "$.payload.structure[0].pair"),
+            (lambda v: {"kind": "bundle", "dim": v, "payload": {}}, "$.dim"),
+            (lambda v: {"kind": "bundle", "order": v, "payload": {}}, "$.order"),
+            (lambda v: {"kind": "bundle", "payload": {"inner": {"kind": "bundle", "order": v, "payload": {}}}},
+             "$.payload.inner.order"),
         ],
-        ids=["dim", "order", "degree", "arity", "rank", "indices", "orders", "pair"],
+        ids=["dim", "order", "degree", "arity", "rank", "indices", "orders", "pair",
+             "bundle-dim", "bundle-order", "nested-bundle-order"],
     )
     def test_true_rejected_where_1_is_read(self, tmp_path, make, path):
         p = tmp_path / "d.json"

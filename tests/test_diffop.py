@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import add, sub
 
 import pytest
 
@@ -12,7 +13,8 @@ from dqkit.diffop import (
     partial_apply,
     transpose_parts,
 )
-from dqkit.errors import ArityMismatchError
+from dqkit.calculus import MultiVec
+from dqkit.errors import ArityMismatchError, DimensionMismatchError
 from dqkit.kernel import Poly
 
 from conftest import rand_diffop1, rand_poly
@@ -181,3 +183,37 @@ class TestHelpers:
         args = find_nonzero_args(D)
         assert args == tuple(Poly.monomial(n, a) for a in alpha)
         assert apply_op(D, *args) == 3 * x1
+
+
+class TestShape:
+    """The shape checks of + and -, scale(0) and == on operators."""
+
+    @pytest.mark.parametrize("combine", [add, sub])
+    @pytest.mark.parametrize(
+        "other, error, message",
+        [
+            (PolyDiffOp(3, 2), DimensionMismatchError, "operator dimensions differ"),
+            (PolyDiffOp(2, 1), ArityMismatchError, "operator arities differ"),
+            (PolyDiffOp(3, 1), DimensionMismatchError, "operator dimensions differ"),
+            (MultiVec(2, 2), TypeError, "mixed kinds: PolyDiffOp vs MultiVec"),
+        ],
+        ids=["dim", "arity", "dim-before-arity", "mixed-kinds"],
+    )
+    def test_mismatch(self, combine, other, error, message):
+        with pytest.raises(Exception) as info:
+            combine(op2({((1, 0), (0, 1)): x}), other)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("factor", [0, Fraction(0), Poly.zero(2)])
+    def test_scale_zero(self, factor):
+        D = op2({((1, 0), (0, 1)): x, ((0, 0), (2, 0)): 3})
+        out = D.scale(factor)
+        assert out == PolyDiffOp.zero(2, 2) and out.is_zero()
+        assert (out.dim, out.arity) == (2, 2)
+
+    def test_equality_needs_the_shape(self):
+        assert PolyDiffOp.zero(2, 1) != PolyDiffOp.zero(2, 2)
+        assert PolyDiffOp.zero(2, 1) != PolyDiffOp.zero(3, 1)
+        assert PolyDiffOp.identity(2) == PolyDiffOp(2, 1, {((0, 0),): 1})
+        assert hash(PolyDiffOp.identity(2)) == hash(PolyDiffOp(2, 1, {((0, 0),): 1}))

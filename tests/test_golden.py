@@ -130,6 +130,16 @@ BUNDLES = {
     "bracket_g_wrong_kind": _bundle(pi=_load("so3.json"), f=_poly(3, "x"), g=_mv(3, [{"indices": [1], "coeff": "x"}])),
     "d_missing_omega": _bundle(algebroid=_load("algebroid_so3.json")),
     "d_omega_wrong_kind": _bundle(algebroid=_load("algebroid_so3.json"), omega=_poly(3, "x")),
+    # a bundle's own dim and order are optional; present, they are checked like any other (dim first)
+    "bundle_dim_and_order": {"kind": "bundle", "dim": 2, "order": 3, "payload": {}},
+    "bundle_bad_dim_and_order": {"kind": "bundle", "order": "x", "dim": True, "payload": {}},
+    "bundle_bad_order": {"kind": "bundle", "order": 0, "payload": {}},
+    # a t-series entry whose order is not the star's
+    "adexp_alpha_order": _bundle(star=_load("moyal_plane.json"),
+                                 alpha={"kind": "poly", "dim": 2, "order": 1, "payload": ["x^2", "y"]},
+                                 b=_poly(2, "y^2")),
+    "adexp_b_order": _bundle(star=_load("moyal_plane.json"), alpha=_poly(2, "x^2"),
+                             b={"kind": "poly", "dim": 2, "order": 2, "payload": ["y^2", "x", "1"]}),
 }
 
 CORPUS_DOCS = sorted(n for n in os.listdir(CORPUS) if n.endswith(".json"))
@@ -169,6 +179,8 @@ CASES = (
        ("star gauge", "moyal_plane.json"), ("star assoc", "so3.json"),
        ("verify", "so3.json"), ("algebroid d", "d_missing_omega"),
        ("algebroid d", "d_omega_wrong_kind"), ("star frobnicate", "moyal_plane.json")]
+    + [("parse", n) for n in ("bundle_dim_and_order", "bundle_bad_dim_and_order", "bundle_bad_order")]
+    + [("star adexp", n) for n in ("adexp_alpha_order", "adexp_b_order")]
 )
 
 
@@ -267,6 +279,11 @@ GOLDEN = {
     ('algebroid d', 'd_missing_omega'): (2, "8ec057be0244fb9e58460b2b5620f67f41c3b740414645d17a31f03ab456a2f4"),
     ('algebroid d', 'd_omega_wrong_kind'): (2, "24b897b2dd723b31aa0e8587a196f0737db82651d15130cf192fe5b3f525b80c"),
     ('star frobnicate', 'moyal_plane.json'): (2, "842fcf5a52ed896733971744bea5c1121ef0b77f0f42851a006c6f5696c2da6e"),
+    ('parse', 'bundle_dim_and_order'): (0, "26e9821b79a656a91fbd16a9a652ffc537cb0713f7e53f767e60b5565647f1ba"),
+    ('parse', 'bundle_bad_dim_and_order'): (2, "e234ded3dbe5137a855b52a8ec26c67f2a31da6f314cc9753fb3f8b61490a378"),
+    ('parse', 'bundle_bad_order'): (2, "42ed8bcca23965254d7087afda88b8a15ef3607f9eb4e26b6ba7d8d6a07958f0"),
+    ('star adexp', 'adexp_alpha_order'): (2, "2bafc32ede9b21cd28be8a75dd61224bcdbdd5d4c574261095cc75cd2dd01860"),
+    ('star adexp', 'adexp_b_order'): (2, "543e70ac5d4ac6f2d8ff55562fd9a78a65edf9c004cd6faabeb829666ad3f6aa"),
 }
 
 

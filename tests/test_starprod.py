@@ -4,7 +4,7 @@ import pytest
 
 from dqkit.calculus import MultiVec
 from dqkit.diffop import PolyDiffOp, apply_op, cocycle_defect, hochschild_delta
-from dqkit.errors import OrderMismatchError, PreconditionError
+from dqkit.errors import DegreeError, DimensionMismatchError, OrderMismatchError, PreconditionError
 from dqkit.kernel import Poly, TPoly
 from dqkit.poisson import bracket, hamiltonian, lichnerowicz_d
 from dqkit.starprod import (
@@ -463,3 +463,55 @@ class TestBimodule:
             f = rand_poly(rng, 2)
             m = rand_poly(rng, 2)
             assert apply_op(nabla_operator(M, f), m) == contravariant_nabla(M, f, m)
+
+
+SERIES = [
+    (StarProduct, "P", 2, PolyDiffOp.multiplication(2), StarProduct.commutative),
+    (GaugeOp, "R", 1, PolyDiffOp.identity(2), GaugeOp.identity_gauge),
+]
+
+
+class TestOpSeries:
+    """What star products and gauges share: the constructor checks, op(0), == and repr."""
+
+    @pytest.mark.parametrize("cls, key, arity, unit, zero", SERIES, ids=["star", "gauge"])
+    @pytest.mark.parametrize(
+        "case", ["order", "count", "dim", "arity"],
+    )
+    def test_constructor_errors(self, cls, key, arity, unit, zero, case):
+        good = PolyDiffOp.zero(2, arity)
+        args, error, message = {
+            "order": ((2, 0, []), OrderMismatchError, "truncation order must be >= 1"),
+            "count": ((2, 2, [good]), OrderMismatchError, f"need 2 operators {key}_1..{key}_2, got 1"),
+            "dim": ((2, 2, [good, PolyDiffOp.zero(3, arity)]), DimensionMismatchError,
+                    f"{key}_i dimension mismatch"),
+            "arity": ((2, 1, [PolyDiffOp.zero(2, 3 - arity)]), DegreeError, f"{key}_i must have arity {arity}"),
+        }[case]
+        with pytest.raises(Exception) as info:
+            cls(*args)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("cls, key, arity, unit, zero", SERIES, ids=["star", "gauge"])
+    def test_unit_and_zero(self, cls, key, arity, unit, zero):
+        series = zero(2, 3)
+        assert type(series) is cls and (series.dim, series.order) == (2, 3)
+        assert series.op(0) == unit
+        # the unit is built afresh on every call, never cached
+        assert series.op(0) is not series.op(0)
+        assert all(series.op(k) == PolyDiffOp.zero(2, arity) for k in range(1, 4))
+        assert getattr(series, key) == tuple(series.op(k) for k in range(1, 4))
+        assert repr(series) == f"{cls.__name__}(dim=2, order=3)"
+
+    @pytest.mark.parametrize("cls, key, arity, unit, zero", SERIES, ids=["star", "gauge"])
+    def test_equality(self, cls, key, arity, unit, zero):
+        op = PolyDiffOp(2, arity, {((1, 0),) * arity: x})
+        assert cls(2, 1, [op]) == cls(2, 1, [op])
+        assert hash(cls(2, 1, [op])) == hash(cls(2, 1, [op]))
+        assert cls(2, 1, [op]) != zero(2, 1)
+        assert zero(2, 1) != zero(2, 2)
+
+    def test_star_never_equals_gauge(self):
+        S, R = StarProduct.commutative(2, 1), GaugeOp.identity_gauge(2, 1)
+        assert S.P[0].terms == R.R[0].terms == {}
+        assert S != R and R != S
