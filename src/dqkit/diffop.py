@@ -140,41 +140,60 @@ def apply_op(D: PolyDiffOp, *args: Poly) -> Poly:
     return out
 
 
-def _splittings(alpha, parts):
-    """Yield (multinomial coefficient, tuple of `parts` multi-indices summing to alpha).
+def _exponent_cap(op: PolyDiffOp):
+    """The largest exponent of each coordinate over all coefficients of `op`.
+
+    A derivative of order gamma with gamma_c > cap_c in some coordinate c kills
+    every coefficient of `op`.
+    """
+    cap = [0] * op.dim
+    for coeff in op.terms.values():
+        for exps in coeff.terms:
+            cap = list(map(max, cap, exps))
+    return cap
+
+
+def _splittings(alpha, parts, cap):
+    """Yield (multinomial coefficient, tuple of `parts` multi-indices summing to alpha),
+    leaving out those whose first part exceeds `cap` in some coordinate.
 
     The multinomial coefficient is prod_coords alpha_c! / prod_j gamma_{j,c}!.
-    alpha must be nonempty.
+    alpha must be nonempty.  The splittings kept come in the same order as
+    without a cap.
     """
-    per_coord = [list(_compositions_with_coeff(a, parts)) for a in alpha]
+    per_coord = [list(_compositions_with_coeff(a, parts, c)) for a, c in zip(alpha, cap)]
     for combo in product(*per_coord):
         coeffs, comps = zip(*combo)
         # comps[c][j] is the share of coordinate c given to part j
         yield prod(coeffs), tuple(zip(*comps))
 
 
-def _compositions_with_coeff(total, parts):
-    """All ordered decompositions of `total` into `parts` non-negative ints,
-    with their multinomial coefficients."""
+def _compositions_with_coeff(total, parts, first_max=None):
+    """All ordered decompositions of `total` into `parts` non-negative ints whose
+    first part is at most `first_max` (no bound when None), with their
+    multinomial coefficients."""
     if parts == 1:
         yield 1, (total,)
         return
-    for first in range(total + 1):
+    top = total if first_max is None else min(total, first_max)
+    for first in range(top + 1):
         c0 = comb(total, first)
         for c, rest in _compositions_with_coeff(total - first, parts - 1):
             yield c0 * c, (first,) + rest
 
 
-def _derivative_of(alpha, inner: PolyDiffOp) -> dict:
+def _derivative_of(alpha, inner: PolyDiffOp, cap) -> dict:
     """The term map of d^alpha o inner, expanded by the Leibniz rule.
 
     d^alpha (c * prod_l d^{beta_l} g_l) distributes alpha over the coefficient
-    (part 0) and the arity(inner) argument factors.
+    (part 0) and the arity(inner) argument factors.  `cap` is
+    _exponent_cap(inner): a coefficient share above it differentiates every
+    coefficient to zero, so those splittings are never formed.
     """
     if not any(alpha):
         return inner.terms
     out = {}
-    for mult, gammas in _splittings(alpha, inner.arity + 1):
+    for mult, gammas in _splittings(alpha, inner.arity + 1, cap):
         gamma0, rest = gammas[0], gammas[1:]
         for i_orders, i_coeff in inner.terms.items():
             dcoeff = i_coeff.partial_multi(gamma0)
@@ -185,19 +204,33 @@ def _derivative_of(alpha, inner: PolyDiffOp) -> dict:
     return out
 
 
-def _compose_acc(out: dict, outer: PolyDiffOp, slot: int, inner: PolyDiffOp, sign: int) -> None:
+def _compose_acc(out: dict, outer: PolyDiffOp, slot: int, inner: PolyDiffOp, sign: int,
+                 expanded: dict | None = None) -> None:
     """Add sign * compose_into_slot(outer, slot, inner) into the term map `out`.
 
     Callers that sum several compositions share one `out` and build a single
     operator from it; the arguments must already be checked.
+
+    `expanded` maps alpha to the term map of d^alpha o inner; entries missing
+    from it are computed and added.  A caller that composes the same inner
+    operator several times (into other outers, other slots, other orders)
+    passes one dict for that inner operator to every such call.  The caller
+    owns it: one dict per inner operator, never shared between two inner
+    operators, and dropped when the caller's own call returns.  Its values are
+    read-only (the alpha = 0 entry is inner.terms itself).  By default the dict
+    is local to this call.
     """
+    if expanded is None:
+        expanded = {}
     j = slot - 1
-    expanded = {}  # alpha -> d^alpha o inner; the same alpha recurs across outer terms
+    cap = None
     for o_orders, o_coeff in outer.terms.items():
         alpha = o_orders[j]
         d_inner = expanded.get(alpha)
         if d_inner is None:
-            d_inner = expanded[alpha] = _derivative_of(alpha, inner)
+            if cap is None:
+                cap = _exponent_cap(inner)
+            d_inner = expanded[alpha] = _derivative_of(alpha, inner, cap)
         head, tail = o_orders[:j], o_orders[j + 1 :]
         if sign < 0:
             o_coeff = -o_coeff

@@ -8,9 +8,10 @@ exact operator identities in normal form.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb, factorial, prod
 from operator import attrgetter
 
@@ -241,18 +242,17 @@ def moyal(pi: MultiVec, order: int) -> StarProduct:
         entries[(j, i)] = -v
     ops = []
     for k in range(1, order + 1):
-        scale = Fraction(1, 2**k * factorial(k))
         terms = {}
-        for pairs in product(entries.items(), repeat=k):
-            coeff = scale
+        # one multiset of k entries stands for its k! / prod m_e! orderings;
+        # keys first appear in the same order as over all k-tuples
+        for pairs in combinations_with_replacement(entries.items(), k):
+            coeff = Fraction(1, 2**k * prod(map(factorial, Counter(pairs).values())))
             alpha = [0] * n
             beta = [0] * n
             for (i, j), v in pairs:
                 coeff *= v
                 alpha[i - 1] += 1
                 beta[j - 1] += 1
-            if coeff == 0:
-                continue
             key = (tuple(alpha), tuple(beta))
             terms[key] = terms.get(key, Fraction(0)) + coeff
         ops.append(
@@ -291,15 +291,17 @@ def assoc_defect(S: StarProduct):
 
     S is associative iff every D_k is structurally zero.
     """
+    ops = [S.op(i) for i in range(S.order + 1)]
+    expanded = [{} for _ in ops]  # d^alpha o P_j, shared by both slots and every order
     out = []
     for k in range(1, S.order + 1):
         terms = {}
         for i in range(k + 1):
-            Pi, Pj = S.op(i), S.op(k - i)
+            Pi, Pj = ops[i], ops[k - i]
             if Pi.is_zero() or Pj.is_zero():
                 continue
-            _compose_acc(terms, Pi, 1, Pj, 1)
-            _compose_acc(terms, Pi, 2, Pj, -1)
+            _compose_acc(terms, Pi, 1, Pj, 1, expanded[k - i])
+            _compose_acc(terms, Pi, 2, Pj, -1, expanded[k - i])
         out.append(PolyDiffOp._make(S.dim, 3, terms))
     return out
 
@@ -354,56 +356,61 @@ def gauge_transform(S: StarProduct, R: GaugeOp) -> StarProduct:
     """
     if (S.dim, S.order) != (R.dim, R.order):
         raise OrderMismatchError("gauge operator must match the star product")
-    new_P = []
-
-    def p_prime(k):
-        if k == 0:
-            return PolyDiffOp.multiplication(S.dim)
-        return new_P[k - 1]
-
+    ops = [S.op(i) for i in range(S.order + 1)]
+    rops = [R.op(j) for j in range(R.order + 1)]
+    r_expanded = [{} for _ in rops]  # d^alpha o R_j, shared by both slots and every order
+    new_P = [ops[0]]  # P'_0 = multiplication
+    p_expanded = [{} for _ in ops]  # d^alpha o P'_m, one dict per P'_m
     for k in range(1, S.order + 1):
         acc = {}
         for i in range(k + 1):
-            Pi = S.op(i)
+            Pi = ops[i]
             if Pi.is_zero():
                 continue
             for j in range(k - i + 1):
                 l = k - i - j
-                Rj, Rl = R.op(j), R.op(l)
+                Rj, Rl = rops[j], rops[l]
                 if Rj.is_zero() or Rl.is_zero():
                     continue
                 if l:
-                    outer = compose_into_slot(Pi, 1, Rj) if j else Pi
-                    _compose_acc(acc, outer, 2, Rl, 1)
+                    outer = Pi
+                    if j:
+                        t = {}
+                        _compose_acc(t, Pi, 1, Rj, 1, r_expanded[j])
+                        outer = PolyDiffOp._make(S.dim, 2, t)
+                    _compose_acc(acc, outer, 2, Rl, 1, r_expanded[l])
                 elif j:
-                    _compose_acc(acc, Pi, 1, Rj, 1)
+                    _compose_acc(acc, Pi, 1, Rj, 1, r_expanded[j])
                 else:  # j = l = 0: the term is P_k itself
                     for orders, c in Pi.terms.items():
                         _add_term(acc, orders, c)
         for i in range(1, k + 1):
-            Ri = R.op(i)
+            Ri = rops[i]
             if Ri.is_zero():
                 continue
-            prev = p_prime(k - i)
+            prev = new_P[k - i]
             if prev.is_zero():
                 continue
-            _compose_acc(acc, Ri, 1, prev, -1)
+            _compose_acc(acc, Ri, 1, prev, -1, p_expanded[k - i])
         new_P.append(PolyDiffOp._make(S.dim, 2, acc))
-    return StarProduct(S.dim, S.order, new_P)
+    return StarProduct(S.dim, S.order, new_P[1:])
 
 
 def gauge_compose(R: GaugeOp, Q: GaugeOp) -> GaugeOp:
     """(R o Q)(f) = R(Q(f)); series composition order by order."""
     if (R.dim, R.order) != (Q.dim, Q.order):
         raise OrderMismatchError("gauge operators disagree")
+    rops = [R.op(i) for i in range(R.order + 1)]
+    qops = [Q.op(j) for j in range(Q.order + 1)]
+    expanded = [{} for _ in qops]  # d^alpha o Q_j, shared by every order
     ops = []
     for k in range(1, R.order + 1):
         acc = {}
         for i in range(k + 1):
-            Ri, Qj = R.op(i), Q.op(k - i)
+            Ri, Qj = rops[i], qops[k - i]
             if Ri.is_zero() or Qj.is_zero():
                 continue
-            _compose_acc(acc, Ri, 1, Qj, 1)
+            _compose_acc(acc, Ri, 1, Qj, 1, expanded[k - i])
         ops.append(PolyDiffOp._make(R.dim, 1, acc))
     return GaugeOp(R.dim, R.order, ops)
 
@@ -422,13 +429,14 @@ def invert_gauge(R: GaugeOp) -> GaugeOp:
                 _add_term(total[k], orders, c if sign > 0 else -c)
         # next power: A^{m+1} = A o A^m, truncated
         nxt = {}
+        expanded = {j: {} for j in power}  # d^alpha o B_j, shared by every A_i of this step
         for i in range(1, N + 1):
             Ai = R.op(i)
             if Ai.is_zero():
                 continue
             for j, Bj in power.items():
                 if i + j <= N:
-                    _compose_acc(nxt.setdefault(i + j, {}), Ai, 1, Bj, 1)
+                    _compose_acc(nxt.setdefault(i + j, {}), Ai, 1, Bj, 1, expanded[j])
         power = {k: PolyDiffOp._make(dim, 1, t) for k, t in nxt.items() if t}
         sign = -sign
     return GaugeOp(dim, N, [PolyDiffOp._make(dim, 1, total[k]) for k in range(1, N + 1)])
@@ -678,8 +686,12 @@ def ad_exp(S: StarProduct, alpha: TPoly, b: TPoly) -> TPoly:
 
 
 def sigma1_of_ad(S: StarProduct, alpha: TPoly, phi: Sigma1) -> Sigma1:
-    """The class of f -> Ad(exp alpha)(phi(f)); asserted to equal
-    phi + X_{sigma(alpha)} (the Hamiltonian field of the classical part)."""
+    """The class of f -> Ad(exp alpha)(phi(f)), checked to equal
+    phi + X_{sigma(alpha)} (the Hamiltonian field of the classical part).
+
+    Raises PreconditionError when the class is not a derivation or the check
+    fails: either means the sign or ordering conventions broke.
+    """
     if phi.base != S:
         raise PreconditionError("class is based on a different star product")
     n = S.dim
@@ -694,13 +706,15 @@ def sigma1_of_ad(S: StarProduct, alpha: TPoly, phi: Sigma1) -> Sigma1:
             got = ad_exp(S, alpha, sec.value(xs[i - 1] * xs[j - 1])).coeff(1)
             want = xs[i - 1] * vals[j - 1] + xs[j - 1] * vals[i - 1]
             if got != want:
-                raise AssertionError(
-                    "inner automorphism class is not a derivation; convention breakage"
+                raise PreconditionError(
+                    "inner automorphism class is not a derivation; convention breakage",
+                    witness=xs[i - 1] * xs[j - 1],
                 )
     expected = sigma1_act(phi, hamiltonian(pi, alpha.sigma))
     if extracted != expected.xi:
-        raise AssertionError(
-            "Sigma1(Ad exp alpha) disagrees with phi + X_{sigma(alpha)}; convention breakage"
+        raise PreconditionError(
+            "Sigma1(Ad exp alpha) disagrees with phi + X_{sigma(alpha)}; convention breakage",
+            witness=extracted,
         )
     return expected
 

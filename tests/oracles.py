@@ -2,13 +2,14 @@
 
 from fractions import Fraction
 from itertools import product
+from math import factorial, prod
 
 from dqkit.calculus import Form, MultiVec, wedge
 from dqkit.diffop import PolyDiffOp, hochschild_delta, transpose_parts
 from dqkit.errors import DimensionMismatchError, SolveError
-from dqkit.kernel import Poly
+from dqkit.kernel import Poly, _add_term
 from dqkit.poisson import koszul_bracket
-from dqkit.starprod import _delta_matrix_rows, exp_gauge
+from dqkit.starprod import StarProduct, _delta_matrix_rows, exp_gauge
 
 
 def dense_solve(columns, target_rows, row_index):
@@ -206,3 +207,58 @@ def koszul_frame_bracket(pi: MultiVec, i: int, j: int) -> Form:
     """[dx_i, dx_j]_pi as a 1-form (used to cross-check from_poisson)."""
     n = pi.dim
     return koszul_bracket(pi, Form.basis(n, i), Form.basis(n, j))
+
+
+def derivative_uncapped(alpha, inner: PolyDiffOp) -> dict:
+    """The term map of d^alpha o inner over every Leibniz splitting, dead ones
+    included, in the order of diffop._derivative_of: the splittings of each
+    coordinate in lexicographic order, combined in itertools.product order."""
+    if not any(alpha):
+        return inner.terms
+    parts = inner.arity + 1
+    per_coord = []
+    for a in alpha:
+        comps = [c for c in product(range(a + 1), repeat=parts) if sum(c) == a]
+        per_coord.append([(factorial(a) // prod(map(factorial, c)), c) for c in comps])
+    out = {}
+    for combo in product(*per_coord):
+        mult = prod(m for m, _ in combo)
+        gamma0, *rest = zip(*(c for _, c in combo))
+        for i_orders, i_coeff in inner.terms.items():
+            dcoeff = i_coeff.partial_multi(gamma0)
+            if dcoeff.is_zero():
+                continue
+            orders = tuple(
+                tuple(b + g for b, g in zip(beta, gamma)) for beta, gamma in zip(i_orders, rest)
+            )
+            _add_term(out, orders, dcoeff * mult)
+    return out
+
+
+def moyal_by_tuples(pi: MultiVec, order: int) -> StarProduct:
+    """moyal(pi, order) summed over all k-tuples of bivector entries, |E|^k per
+    order: the sum as the formula writes it."""
+    n = pi.dim
+    entries = {}
+    for (i, j), c in pi.terms.items():
+        v = c.constant_value()
+        entries[(i, j)] = v
+        entries[(j, i)] = -v
+    ops = []
+    for k in range(1, order + 1):
+        scale = Fraction(1, 2**k * factorial(k))
+        terms = {}
+        for pairs in product(entries.items(), repeat=k):
+            coeff = scale
+            alpha = [0] * n
+            beta = [0] * n
+            for (i, j), v in pairs:
+                coeff *= v
+                alpha[i - 1] += 1
+                beta[j - 1] += 1
+            if coeff == 0:
+                continue
+            key = (tuple(alpha), tuple(beta))
+            terms[key] = terms.get(key, Fraction(0)) + coeff
+        ops.append(PolyDiffOp(n, 2, {k2: v for k2, v in terms.items() if v != 0}))
+    return StarProduct(n, order, ops)

@@ -2,9 +2,11 @@
 
 The kernel and the operator layer wrap term maps they build themselves
 without re-validating them, and the star-product routines sum Leibniz terms
-straight into one dict.  These tests check the results by evaluation, against
-unfused references built from the public API, and by walking every output for
-the invariants the trusted constructors no longer check.
+straight into one dict, sharing one expansion of d^alpha o inner per inner
+operator across a call and forming no splitting that differentiates every
+coefficient to zero.  These tests check the results by evaluation, against
+unfused and uncapped references, and by walking every output for the
+invariants the trusted constructors no longer check.
 """
 
 import random
@@ -16,6 +18,10 @@ from hypothesis import given, strategies as st
 from dqkit.calculus import MultiVec
 from dqkit.diffop import (
     PolyDiffOp,
+    _compose_acc,
+    _derivative_of,
+    _exponent_cap,
+    _splittings,
     apply_op,
     cocycle_defect,
     compose_into_slot,
@@ -34,6 +40,7 @@ from dqkit.starprod import (
 )
 
 from conftest import rand_diffop1, rand_gauge
+from oracles import derivative_uncapped, moyal_by_tuples
 
 DIM = 2
 
@@ -154,6 +161,16 @@ def ref_invert_gauge(R):
     return GaugeOp(R.dim, R.order, Q)
 
 
+def ref_gauge_compose(R, Q):
+    ops = []
+    for k in range(1, R.order + 1):
+        acc = PolyDiffOp.zero(R.dim, 1)
+        for i in range(k + 1):
+            acc = acc + compose_into_slot(R.op(i), 1, Q.op(k - i))
+        ops.append(acc)
+    return GaugeOp(R.dim, R.order, ops)
+
+
 def ref_hochschild_delta(Q):
     mul = PolyDiffOp.multiplication(Q.dim)
     return (
@@ -203,6 +220,28 @@ def test_fused_routines_match_unfused_references():
         assert gauge_transform(S2, Rinv) == S
 
 
+@given(st.data())
+def test_fused_routines_match_references_on_random_stars(data):
+    # random stars are not associative and carry polynomial coefficients, so
+    # no cancellation hides a wrong term and every exponent cap is exercised
+    N = data.draw(st.integers(1, 3))
+    S = StarProduct(DIM, N, [data.draw(ops(arity=2)) for _ in range(N)])
+    R = GaugeOp(DIM, N, [data.draw(ops(arity=1)) for _ in range(N)])
+    Q = GaugeOp(DIM, N, [data.draw(ops(arity=1)) for _ in range(N)])
+    defects = assoc_defect(S)
+    assert_clean(defects)
+    assert defects == ref_assoc_defect(S)
+    S2 = gauge_transform(S, R)
+    assert_clean(S2)
+    assert S2 == ref_gauge_transform(S, R)
+    Rinv = invert_gauge(R)
+    assert_clean(Rinv)
+    assert Rinv == ref_invert_gauge(R)
+    RQ = gauge_compose(R, Q)
+    assert_clean(RQ)
+    assert RQ == ref_gauge_compose(R, Q)
+
+
 def test_fused_hochschild_matches_unfused():
     rng = random.Random(7)
     for _ in range(10):
@@ -226,7 +265,91 @@ def test_cancellation_leaves_no_zero():
 
 
 # ----------------------------------------------------------------------
-# (c) one-pass partial_multi against iterated partial
+# (c) the shared expansion dict and the exponent cap
+
+
+@given(st.data())
+def test_shared_expansion_matches_fresh_compose(data):
+    inner = data.draw(ops())
+    outers = data.draw(st.lists(ops(), min_size=1, max_size=4))
+    inner_terms = list(inner.terms.items())
+    expanded = {}  # one dict for `inner`, shared by every outer and slot
+    for outer in outers:
+        for slot in range(1, outer.arity + 1):
+            sign = data.draw(st.sampled_from((1, -1)))
+            out = {}
+            _compose_acc(out, outer, slot, inner, sign, expanded)
+            want = compose_into_slot(outer, slot, inner)
+            if sign < 0:
+                want = -want
+            assert list(out.items()) == list(want.terms.items())
+    # the cached expansions were only read: each still equals a fresh one
+    cap = _exponent_cap(inner)
+    for alpha, d_inner in expanded.items():
+        assert list(d_inner.items()) == list(_derivative_of(alpha, inner, cap).items())
+    assert list(inner.terms.items()) == inner_terms
+
+
+@given(ops(), st.tuples(*[st.integers(0, 5)] * DIM))
+def test_capped_derivative_matches_uncapped(inner, alpha):
+    got = _derivative_of(alpha, inner, _exponent_cap(inner))
+    assert list(got.items()) == list(derivative_uncapped(alpha, inner).items())
+
+
+def test_capped_derivative_at_the_cap():
+    x1sq = Poly(2, {(2, 0): 3})  # exponent 2 sits at the cap of x1
+    inner = PolyDiffOp(2, 2, {((1, 0), (0, 0)): x1sq, ((0, 0), (0, 1)): Poly(2, {(1, 0): -1})})
+    cap = _exponent_cap(inner)
+    assert cap == [2, 0]  # x2 appears in no coefficient: its cap is 0
+    for alpha in [(1, 0), (2, 0), (3, 0), (0, 1), (0, 3), (2, 2), (4, 1)]:
+        got = _derivative_of(alpha, inner, cap)
+        assert list(got.items()) == list(derivative_uncapped(alpha, inner).items())
+    # the share x1^2 of alpha = (2, 0) falls on the coefficient and leaves 6
+    assert _derivative_of((2, 0), inner, cap)[((1, 0), (0, 0))] == Poly.const(2, 6)
+
+
+def test_multiplication_keeps_only_the_zero_coefficient_share():
+    # P o m: the coefficient of m is 1, so every gamma_0 != 0 is dead
+    m = PolyDiffOp.multiplication(3)
+    cap = _exponent_cap(m)
+    assert cap == [0, 0, 0]
+    alpha = (2, 1, 3)
+    kept = list(_splittings(alpha, 3, cap))
+    assert all(gammas[0] == (0, 0, 0) for _, gammas in kept)
+    assert len(kept) == 3 * 2 * 4  # alpha_c + 1 two-part splittings per coordinate
+    everything = list(_splittings(alpha, 3, alpha))
+    assert kept == [s for s in everything if s[1][0] == (0, 0, 0)]
+    assert list(_derivative_of(alpha, m, cap).items()) == list(derivative_uncapped(alpha, m).items())
+
+
+# ----------------------------------------------------------------------
+# (d) moyal over multisets against the sum over all tuples
+
+
+@st.composite
+def constant_bivectors(draw):
+    n = draw(st.sampled_from((2, 3, 4, 6)))
+    order = draw(st.integers(1, 4))
+    # keep |E|^order, the oracle's tuple count, small: |E| = 2 * (nonzero entries)
+    most = {1: 15, 2: 15, 3: 6, 4: 3}[order]
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=most, unique=True))
+    values = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    return MultiVec(n, 2, {p: Poly.const(n, draw(values)) for p in chosen}), order
+
+
+@given(constant_bivectors())
+def test_moyal_matches_sum_over_tuples(case):
+    pi, order = case
+    got = moyal(pi, order)
+    want = moyal_by_tuples(pi, order)
+    assert got == want
+    assert [list(P.terms.items()) for P in got.P] == [list(P.terms.items()) for P in want.P]
+    assert_clean(got)
+
+
+# ----------------------------------------------------------------------
+# (e) one-pass partial_multi against iterated partial
 
 
 @given(

@@ -169,7 +169,8 @@ CASES = (
        ("poisson koszul", "koszul_so3"), ("poisson hamiltonian", "hamiltonian_so3")]
     + [("diffop apply", "apply_plane"), ("diffop compose --slot 2", "compose_plane"),
        ("diffop delta", "delta_plane"), ("diffop cocycle", "cocycle_not_closed")]
-    + [("star moyal --order 2", "pi_std.json"), ("star moyal", "so3.json"), ("star gauge", "gauge_plane"),
+    + [("star moyal --order 2", "pi_std.json"), ("star moyal --order 12", "pi_std.json"),
+       ("star moyal", "so3.json"), ("star gauge", "gauge_plane"),
        ("star specialize", "star_gauged_halfdx2"), ("star sigma1", "section_identity"),
        ("star subprincipal", "section_identity"), ("star adexp", "adexp_plane"),
        ("star nabla", "nabla_plane"), ("star nabla-curv", "nabla_plane")]
@@ -261,6 +262,7 @@ GOLDEN = {
     ('diffop delta', 'delta_plane'): (0, "43dea870631b0256227a4480b411161ca4936dfddfc1b1060d9920523d2e7e33"),
     ('diffop cocycle', 'cocycle_not_closed'): (1, "d819b6ab0079d93fc133cdb7319699016687633b5c1b4ccfa65259669815058f"),
     ('star moyal --order 2', 'pi_std.json'): (0, "83f5a72e9f6ce03f30955c50e659034670b6e15093baecc11a64102115c473b1"),
+    ('star moyal --order 12', 'pi_std.json'): (0, "15133ff2adad0e868a4cdcd8d6bd575f2d56adfc4bbb636a08fe4c597b1ed8a3"),
     ('star moyal', 'so3.json'): (1, "873897ad8a3296e8d155e44edfbb142379611362e2fbaaa9bdc611c35bf536f1"),
     ('star gauge', 'gauge_plane'): (0, "859803e737a4a061845ade0c65f2889e5165ed19fd986bcd49ee917bacddc7af"),
     ('star specialize', 'star_gauged_halfdx2'): (0, "c4b81f111b148fff4bf857ded643c07b057c03cdb4454fa4bc0965f68b900b67"),

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from dqkit import starprod
 from dqkit.calculus import MultiVec
 from dqkit.diffop import PolyDiffOp, apply_op, cocycle_defect, hochschild_delta
 from dqkit.errors import DegreeError, DimensionMismatchError, OrderMismatchError, PreconditionError
@@ -398,6 +399,23 @@ class TestSigma1OfAd:
             phi = Sigma1(moyal2, rand_vector_field(rng, 2))
             out = sigma1_of_ad(moyal2, alpha, phi)
             assert out == sigma1_act(phi, hamiltonian(pi_std, alpha.sigma))
+
+    # a broken convention is a PreconditionError, which the CLI reports, not an AssertionError
+
+    def test_wrong_hamiltonian_field_raises_precondition(self, moyal2, monkeypatch):
+        monkeypatch.setattr(starprod, "hamiltonian", lambda pi, f: hamiltonian(pi, f).scale(-1))
+        phi = Sigma1(moyal2, MultiVec.zero(2, 1))
+        with pytest.raises(PreconditionError, match="disagrees with phi"):
+            sigma1_of_ad(moyal2, tp(x * x), phi)
+
+    def test_non_derivation_class_raises_precondition(self, moyal2, monkeypatch):
+        real = starprod.ad_exp
+        shift = TPoly(2, [Poly.zero(2), Poly.one(2), Poly.zero(2)])  # adds 1 at order t
+        monkeypatch.setattr(starprod, "ad_exp", lambda S, a, b: real(S, a, b) + shift)
+        phi = Sigma1(moyal2, MultiVec.zero(2, 1))
+        with pytest.raises(PreconditionError, match="not a derivation") as info:
+            sigma1_of_ad(moyal2, tp(x * x), phi)
+        assert info.value.witness == x * x
 
 
 def _diag_model(S):
