@@ -65,7 +65,7 @@ class _AltTensor(_PolyMap):
                 idx = tuple(idx)
                 if len(idx) != degree:
                     raise DegreeError(f"index tuple {idx} has length != degree={degree}")
-                if any(not 1 <= i <= bound for i in idx):
+                if not all(type(i) is int and 1 <= i <= bound for i in idx):
                     raise DegreeError(f"{self.index_name} out of range 1..{bound} in {idx}")
                 if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
                     raise DegreeError(f"index tuple {idx} not strictly increasing")

@@ -51,7 +51,7 @@ class PolyDiffOp(_PolyMap):
                 if len(orders) != arity:
                     raise ArityMismatchError(f"order tuple {orders} has arity != {arity}")
                 for o in orders:
-                    if len(o) != dim or any(e < 0 for e in o):
+                    if len(o) != dim or not all(type(e) is int and e >= 0 for e in o):
                         raise DimensionMismatchError(f"bad multi-index {o} for dim {dim}")
                 if isinstance(coeff, (int, Fraction)):
                     coeff = Poly.const(dim, coeff)
@@ -148,7 +148,7 @@ def _exponent_cap(op: PolyDiffOp):
     """
     cap = [0] * op.dim
     for coeff in op.terms.values():
-        for exps in coeff.terms:
+        for exps in coeff.exponents():
             cap = list(map(max, cap, exps))
     return cap
 
@@ -197,7 +197,7 @@ def _derivative_of(alpha, inner: PolyDiffOp, cap) -> dict:
         gamma0, rest = gammas[0], gammas[1:]
         for i_orders, i_coeff in inner.terms.items():
             dcoeff = i_coeff.partial_multi(gamma0)
-            if not dcoeff.terms:
+            if dcoeff.is_zero():
                 continue
             orders = tuple(tuple(map(add, beta, gamma)) for beta, gamma in zip(i_orders, rest))
             _add_term(out, orders, dcoeff * mult if mult != 1 else dcoeff)

@@ -3,18 +3,28 @@
 Everything downstream (forms, multivectors, operators, star products) stores
 its coefficients as :class:`Poly`.  All values are immutable by convention and
 all operations are pure, so concurrent use needs no coordination.
+
+A ``Poly`` is stored as integer numerators over one common denominator:
+``{exponent tuple: nonzero int}`` and a positive ``int``, normalized so that
+the gcd of the denominator and all numerators is 1 (the zero polynomial has
+denominator 1).  Each result is reduced once, by one ``math.gcd`` over the
+denominator and its numerators, so structural equality and ``hash`` are
+polynomial equality and no ``Fraction`` arithmetic runs inside the kernel.
+``Fraction`` appears only at the API edge: the public constructor, ``items``,
+``sorted_terms``, ``constant_value`` and the read-only ``terms`` view.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm
+from math import gcd, lcm, perm
 from operator import add, sub
+from types import MappingProxyType
 
 from .errors import DimensionMismatchError, IndexRangeError, OrderMismatchError
 
-# Exact rational scalar.  Fraction already maintains the invariants we need:
-# gcd(|p|, q) = 1, q > 0, and zero is 0/1.
+# Exact rational scalar at the API edge.  Fraction maintains the invariants we
+# need: gcd(|p|, q) = 1, q > 0, and zero is 0/1.
 Rat = Fraction
 
 
@@ -26,6 +36,18 @@ def _as_rat(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _ratio(value) -> tuple:
+    """(numerator, positive denominator) in lowest terms of an int or Fraction."""
+    if isinstance(value, int):
+        return int(value), 1
+    if isinstance(value, Fraction):
+        return value.numerator, value.denominator
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+_new = object.__new__
+
+
 def grlex_key(exponents):
     """Sort key for graded-lexicographic term order (ascending)."""
     return (sum(exponents), exponents)
@@ -34,116 +56,170 @@ def grlex_key(exponents):
 class Poly:
     """Sparse multivariate polynomial over the rationals.
 
-    ``terms`` maps exponent tuples of length ``dim`` to nonzero Fractions.
-    Zero coefficients are never stored, so structural equality of the term
-    maps is polynomial equality.
+    Stored form: ``_num`` maps exponent tuples of length ``dim`` to nonzero
+    ``int`` numerators and ``_den`` is one positive ``int`` denominator, so the
+    polynomial is ``sum(n * x^e) / _den``.  Normalization invariant:
+    ``gcd(_den, *_num.values()) == 1``, and ``_den == 1`` when ``_num`` is
+    empty.  Zero numerators are never stored, so structural equality of
+    ``(dim, _den, _num)`` is polynomial equality, and ``hash`` agrees with it.
 
-    The public constructor checks and normalizes its input.  Internal code that
-    builds a term map which is already clean (tuple keys of length ``dim``,
-    non-negative exponents, nonzero ``Fraction`` values only) wraps it with
-    :meth:`_make`, which skips those checks and takes ownership of the dict.
+    Callers read a polynomial through ``items()``, ``exponents()``,
+    ``sorted_terms()``, ``sorted_numerators()`` and the queries below.
+    ``terms`` is a computed, read-only ``{exps: Fraction}`` view built on each
+    access; it is kept for tests and outside tools, and no library path reads it.
+
+    The public constructor checks its input and converts it once.  Internal
+    code that builds a stored form which is already clean (tuple keys of length
+    ``dim``, non-negative ``int`` exponents, nonzero ``int`` numerators, the
+    invariant above) wraps it with :meth:`_make`, which skips those checks and
+    takes ownership of the dict.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "_num", "_den")
 
     def __init__(self, dim: int, terms=None):
         if dim < 0:
             raise ValueError("dim must be non-negative")
-        self.dim = dim
         clean = {}
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
                 if len(exps) != dim:
                     raise ValueError(f"exponent vector {exps} has length != dim={dim}")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
+                for e in exps:
+                    # an int and not a bool (nor any other int subclass)
+                    if type(e) is not int:
+                        raise ValueError(f"exponent {e!r} in {exps} is not an integer")
+                    if e < 0:
+                        raise ValueError(f"negative exponent in {exps}")
                 coeff = _as_rat(coeff)
-                if coeff != 0:
-                    clean[exps] = clean.get(exps, Fraction(0)) + coeff
-                    if clean[exps] == 0:
+                if coeff:
+                    coeff += clean.get(exps, 0)
+                    if coeff:
+                        clean[exps] = coeff
+                    else:
                         del clean[exps]
-        self.terms = clean
+        # over the lcm of reduced denominators the numerators share no factor
+        # with it, so this form is already normalized
+        den = lcm(*(c.denominator for c in clean.values()))
+        self.dim = dim
+        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        self._den = den
 
     @classmethod
-    def _make(cls, dim: int, terms: dict) -> "Poly":
-        """Wrap a term map that is clean by construction (see the class docstring)."""
+    def _make(cls, dim: int, num: dict, den: int) -> "Poly":
+        """Wrap a stored form that is clean by construction (see the class docstring)."""
         p = object.__new__(cls)
         p.dim = dim
-        p.terms = terms
+        p._num = num
+        p._den = den
         return p
+
+    @classmethod
+    def _term(cls, dim: int, exps: tuple, coeff: Fraction) -> "Poly":
+        """The monomial coeff * x^exps from a clean exponent tuple and a nonzero Fraction."""
+        return cls._make(dim, {exps: coeff.numerator}, coeff.denominator)
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zero(cls, dim: int) -> "Poly":
-        return cls(dim)
+        return cls._make(dim, {}, 1)
 
     @classmethod
     def const(cls, dim: int, value) -> "Poly":
-        value = _as_rat(value)
-        if value == 0:
-            return cls(dim)
-        return cls(dim, {(0,) * dim: value})
+        p, d = _ratio(value)
+        return cls._make(dim, {(0,) * dim: p} if p else {}, d)
 
     @classmethod
     def one(cls, dim: int) -> "Poly":
-        return cls.const(dim, 1)
+        return cls._make(dim, {(0,) * dim: 1}, 1)
 
     @classmethod
     def variable(cls, dim: int, index: int) -> "Poly":
         """Coordinate x_index, 1-based."""
-        if not 1 <= index <= dim:
-            raise ValueError(f"coordinate index {index} out of range 1..{dim}")
+        if type(index) is not int or not 1 <= index <= dim:
+            raise ValueError(f"coordinate index {index!r} out of range 1..{dim}")
         exps = [0] * dim
         exps[index - 1] = 1
-        return cls(dim, {tuple(exps): Fraction(1)})
+        return cls._make(dim, {tuple(exps): 1}, 1)
 
     @classmethod
     def monomial(cls, dim: int, exps, coeff=1) -> "Poly":
-        return cls(dim, {tuple(exps): _as_rat(coeff)})
+        return cls(dim, {tuple(exps): coeff})
 
     # ------------------------------------------------------------------
     # queries
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not any(any(e) for e in self._num)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (zero for the zero poly)."""
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.dim, Fraction(0))
+        return Fraction(self._num.get((0,) * self.dim, 0), self._den)
 
     def total_degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(sum(e) for e in self.terms)
+        return max(sum(e) for e in self._num)
+
+    def term_count(self) -> int:
+        return len(self._num)
+
+    def exponents(self):
+        """Iterator over the exponent tuples of the nonzero terms, in storage order."""
+        return iter(self._num)
+
+    def items(self):
+        """Iterator over (exponent tuple, Fraction coefficient), in storage order."""
+        den = self._den
+        return ((e, Fraction(n, den)) for e, n in self._num.items())
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (canonical emission order)."""
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        return sorted(self.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+
+    def sorted_numerators(self):
+        """(den, [(exps, numerator)] in descending graded-lex order); the
+        polynomial is sum(numerator * x^exps) / den."""
+        return self._den, sorted(self._num.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """A read-only {exps: Fraction} view of the nonzero terms, in storage
+        order, computed on each access."""
+        return MappingProxyType(dict(self.items()))
 
     # ------------------------------------------------------------------
     # arithmetic
 
-    def _check_dim(self, other: "Poly"):
-        if self.dim != other.dim:
-            raise DimensionMismatchError(
-                f"polynomial dimensions differ: {self.dim} vs {other.dim}"
-            )
+    def _dim_error(self, other: "Poly") -> DimensionMismatchError:
+        return DimensionMismatchError(f"polynomial dimensions differ: {self.dim} vs {other.dim}")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.const(self.dim, other)
-        self._check_dim(other)
-        out = dict(self.terms)
-        for exps, coeff in other.terms.items():
+        if self.dim != other.dim:
+            raise self._dim_error(other)
+        da, db = self._den, other._den
+        if da == db:
+            out = dict(self._num)
+            fb = 1
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            out = {e: c * fa for e, c in self._num.items()} if fa != 1 else dict(self._num)
+            da *= fa
+        for exps, coeff in other._num.items():
+            if fb != 1:
+                coeff *= fb
             acc = out.get(exps)
             if acc is None:
                 out[exps] = coeff
@@ -153,15 +229,15 @@ class Poly:
                 out[exps] = acc
             else:
                 del out[exps]
-        return Poly._make(self.dim, out)
+        return _reduced(self.dim, out, da)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._make(self.dim, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.dim, {e: -c for e, c in self._num.items()}, self._den)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Poly):
             other = Poly.const(self.dim, other)
         return self + (-other)
 
@@ -169,15 +245,18 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = _as_rat(other)
-            if other == 0:
-                return Poly(self.dim)
-            return Poly._make(self.dim, {e: c * other for e, c in self.terms.items()})
-        self._check_dim(other)
+        if not isinstance(other, Poly):
+            return self._scaled(*_ratio(other))
+        if self.dim != other.dim:
+            raise self._dim_error(other)
+        a, b = self._num, other._num
+        if len(a) == 1 == len(b):
+            # the common case in operator composition: one term times one term
+            ((e1, c1),), ((e2, c2),) = a.items(), b.items()
+            return _reduced(self.dim, {tuple(map(add, e1, e2)): c1 * c2}, self._den * other._den)
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 exps = tuple(map(add, e1, e2))
                 c = c1 * c2
                 acc = out.get(exps)
@@ -189,21 +268,37 @@ class Poly:
                     out[exps] = acc
                 else:
                     del out[exps]
-        return Poly._make(self.dim, out)
+        return _reduced(self.dim, out, self._den * other._den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, p: int, d: int) -> "Poly":
+        """self * (p / d) for a rational p / d in lowest terms, d > 0."""
+        if not p:
+            return Poly._make(self.dim, {}, 1)
+        if d == 1:
+            # gcd(den, nums) = 1, so p * nums share with den exactly gcd(den, p)
+            g = gcd(self._den, p)
+            if g != 1:
+                p //= g
+            return Poly._make(self.dim, {e: c * p for e, c in self._num.items()}, self._den // g)
+        return _reduced(self.dim, {e: c * p for e, c in self._num.items()}, self._den * d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Poly.one(self.dim)
+        if not n:
+            return Poly.one(self.dim)
+        # square-and-multiply with no product by one and no square past the top bit
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def partial(self, index: int) -> "Poly":
         """Formal partial derivative with respect to x_index (1-based)."""
@@ -211,12 +306,12 @@ class Poly:
             raise IndexRangeError(f"coordinate index {index} out of range 1..{self.dim}")
         i = index - 1
         out = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self._num.items():
             k = exps[i]
             if k:
                 # lowering one exponent is injective, so no two terms collide
                 out[exps[:i] + (k - 1,) + exps[i + 1 :]] = coeff * k
-        return Poly._make(self.dim, out)
+        return _reduced(self.dim, out, self._den)
 
     def partial_multi(self, orders) -> "Poly":
         """Iterated partial derivative along a multi-index (length dim)."""
@@ -225,7 +320,7 @@ class Poly:
         if not any(orders):
             return self
         out = {}
-        for exps, coeff in self.terms.items():
+        for exps, coeff in self._num.items():
             mult = 1
             for e, k in zip(exps, orders):
                 if e < k:
@@ -233,23 +328,23 @@ class Poly:
                 mult *= perm(e, k)
             else:
                 # exps -> exps - orders is injective, so no two terms collide
-                out[tuple(map(sub, exps, orders))] = coeff * mult if mult != 1 else coeff
-        return Poly._make(self.dim, out)
+                out[tuple(map(sub, exps, orders))] = coeff * mult
+        return _reduced(self.dim, out, self._den)
 
     # ------------------------------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly.const(self.dim, other)
         if not isinstance(other, Poly):
-            return NotImplemented
-        return self.dim == other.dim and self.terms == other.terms
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(self.dim, other)
+        return self.dim == other.dim and self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash((self.dim, frozenset(self.terms.items())))
+        return hash((self.dim, self._den, frozenset(self._num.items())))
 
     def __repr__(self):
-        if not self.terms:
+        if not self._num:
             return f"Poly({self.dim}, 0)"
         bits = []
         for exps, coeff in self.sorted_terms():
@@ -260,6 +355,23 @@ class Poly:
             )
             bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
         return f"Poly({self.dim}, {' + '.join(bits)})"
+
+
+def _reduced(dim: int, num: dict, den: int) -> Poly:
+    """The Poly sum(num[e] x^e) / den for int numerators and den > 0: the one
+    normalization step, dividing out gcd(den, *numerators) (den becomes 1 if
+    `num` is empty)."""
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            num = {e: c // g for e, c in num.items()}
+    # Poly._make, inlined: this builds nearly every arithmetic result
+    p = _new(Poly)
+    p.dim = dim
+    p._num = num
+    p._den = den
+    return p
 
 
 def _add_term(out: dict, key, coeff: Poly) -> None:
@@ -273,7 +385,7 @@ def _add_term(out: dict, key, coeff: Poly) -> None:
         out[key] = coeff
         return
     acc = acc + coeff
-    if acc.terms:
+    if acc._num:
         out[key] = acc
     else:
         del out[key]

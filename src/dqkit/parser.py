@@ -20,12 +20,13 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, gcd
 from typing import Optional
 
 from .calculus import Form, MultiVec
 from .diffop import PolyDiffOp
 from .errors import PolyParseError, SchemaError
-from .kernel import Poly, TPoly, grlex_key
+from .kernel import Poly, TPoly
 from .liealgebroid import AlgebroidPresentation
 from .qclimit import QCData
 from .starprod import GaugeOp, StarProduct
@@ -37,6 +38,11 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 _ALIASES = {"x": 1, "y": 2, "z": 3}
+
+# Most terms a power may have, bounded before any multiplication.  On a 2-core
+# x86 VM the densest power within it, (1 + x1)^999, takes 0.4 s of CPU.  The
+# bound does not limit coefficient size: (2/3*x1 + 5/7)^999 takes about 3 s.
+MAX_POWER_TERMS = 1000
 
 # Deepest nesting the parser accepts, both of parentheses, unary signs and '^'
 # chains in an expression and of bundles in a document.  Each level costs a
@@ -173,7 +179,17 @@ class _ExprParser:
         v = exponent.constant_value()
         if v.denominator != 1 or v < 0:
             raise PolyParseError("exponent not a non-negative integer", pos)
-        return base ** int(v)
+        k = int(v)
+        t = base.term_count()
+        if t > 1:
+            # base^k is a sum of products of k base terms (a multiset of size k
+            # from t terms), each of degree at most k * deg in dim variables
+            bound = min(comb(k + t - 1, t - 1), comb(k * base.total_degree() + self.dim, self.dim))
+            if bound > MAX_POWER_TERMS:
+                raise PolyParseError(
+                    f"power may have up to {bound} terms, above the budget of {MAX_POWER_TERMS}", pos
+                )
+        return base ** k
 
     def _divide(self, num: Poly, den: Poly, pos: int) -> Poly:
         if not den.is_constant():
@@ -195,24 +211,26 @@ def poly_to_text(p: Poly) -> str:
     """Canonical rendering: descending graded-lex terms, variables x1..xn."""
     if p.is_zero():
         return "0"
+    den, terms = p.sorted_numerators()
     parts = []
-    for exps, coeff in sorted(p.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True):
+    for exps, num in terms:
         mono = "*".join(
             f"x{i}" + (f"^{e}" if e > 1 else "")
             for i, e in enumerate(exps, start=1)
             if e > 0
         )
-        mag = abs(coeff)
-        if mono and mag == 1:
-            body = mono
-        elif mono:
-            body = f"{mag}*{mono}"
+        # the magnitude |num| / den in lowest terms, as str(Fraction) writes it
+        mag = abs(num)
+        if mag == den:
+            body = mono or "1"
         else:
-            body = f"{mag}"
+            g = gcd(mag, den)
+            text = str(mag // g) if den == g else f"{mag // g}/{den // g}"
+            body = f"{text}*{mono}" if mono else text
         if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
+            parts.append(body if num > 0 else f"-{body}")
         else:
-            parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
+            parts.append(f"+ {body}" if num > 0 else f"- {body}")
     return " ".join(parts)
 
 

@@ -463,7 +463,7 @@ def _delta_matrix_rows(op: PolyDiffOp):
     """Flatten an arity-2 operator into {(orders, coeff-exponents): Fraction}."""
     rows = {}
     for orders, coeff in op.terms.items():
-        for exps, val in coeff.terms.items():
+        for exps, val in coeff.items():
             rows[(orders, exps)] = val
     return rows
 
@@ -598,7 +598,7 @@ def specialize(S: StarProduct, degree_bound: int) -> GaugeOp:
     terms = {}
     for u, (alpha, e) in zip(solution, unknowns):
         if u:
-            _add_term(terms, (alpha,), Poly._make(n, {e: u}))
+            _add_term(terms, (alpha,), Poly._term(n, e, u))
     Q = PolyDiffOp._make(n, 1, terms)
     if residual:
         raise SolveError(

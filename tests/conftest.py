@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import settings
@@ -11,6 +12,20 @@ from dqkit.starprod import GaugeOp, moyal
 
 settings.register_profile("dqkit", max_examples=40, deadline=None)
 settings.load_profile("dqkit")
+
+
+def assert_clean_poly(p, dim):
+    """The stored form of a Poly: int numerators over one positive int
+    denominator, normalized, with clean exponent tuples."""
+    assert type(p) is Poly and p.dim == dim
+    assert type(p._num) is dict and type(p._den) is int
+    for exps, c in p._num.items():
+        assert type(exps) is tuple and len(exps) == dim
+        assert all(type(e) is int and e >= 0 for e in exps)
+        assert type(c) is int and c != 0
+    assert p._den > 0
+    assert gcd(p._den, *p._num.values()) == 1
+    assert p._num or p._den == 1
 
 
 def rand_poly(rng, dim, max_degree=2, terms=2, span=3):

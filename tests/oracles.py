@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import factorial, perm, prod
+from operator import add, sub
 
 from dqkit.calculus import Form, MultiVec, wedge
 from dqkit.diffop import PolyDiffOp, hochschild_delta, transpose_parts
-from dqkit.errors import DimensionMismatchError, SolveError
-from dqkit.kernel import Poly, _add_term
+from dqkit.errors import DimensionMismatchError, IndexRangeError, SolveError
+from dqkit.kernel import Poly, _add_term, _as_rat, grlex_key
 from dqkit.poisson import koszul_bracket
 from dqkit.starprod import StarProduct, _delta_matrix_rows, exp_gauge
 
@@ -262,3 +263,236 @@ def moyal_by_tuples(pi: MultiVec, order: int) -> StarProduct:
             terms[key] = terms.get(key, Fraction(0)) + coeff
         ops.append(PolyDiffOp(n, 2, {k2: v for k2, v in terms.items() if v != 0}))
     return StarProduct(n, order, ops)
+
+
+class RefPoly:
+    """Sparse multivariate polynomial over the rationals: the kernel's former
+    {exps: Fraction} implementation, kept unchanged as the reference that the
+    integer stored form of dqkit.kernel.Poly is checked against.
+
+    ``terms`` maps exponent tuples of length ``dim`` to nonzero Fractions.
+    Zero coefficients are never stored, so structural equality of the term
+    maps is polynomial equality.
+
+    The public constructor checks and normalizes its input.  Internal code that
+    builds a term map which is already clean (tuple keys of length ``dim``,
+    non-negative exponents, nonzero ``Fraction`` values only) wraps it with
+    :meth:`_make`, which skips those checks and takes ownership of the dict.
+    """
+
+    __slots__ = ("dim", "terms")
+
+    def __init__(self, dim: int, terms=None):
+        if dim < 0:
+            raise ValueError("dim must be non-negative")
+        self.dim = dim
+        clean = {}
+        if terms:
+            for exps, coeff in terms.items():
+                exps = tuple(exps)
+                if len(exps) != dim:
+                    raise ValueError(f"exponent vector {exps} has length != dim={dim}")
+                if any(e < 0 for e in exps):
+                    raise ValueError(f"negative exponent in {exps}")
+                coeff = _as_rat(coeff)
+                if coeff != 0:
+                    clean[exps] = clean.get(exps, Fraction(0)) + coeff
+                    if clean[exps] == 0:
+                        del clean[exps]
+        self.terms = clean
+
+    @classmethod
+    def _make(cls, dim: int, terms: dict) -> "RefPoly":
+        """Wrap a term map that is clean by construction (see the class docstring)."""
+        p = object.__new__(cls)
+        p.dim = dim
+        p.terms = terms
+        return p
+
+    # ------------------------------------------------------------------
+    # constructors
+
+    @classmethod
+    def zero(cls, dim: int) -> "RefPoly":
+        return cls(dim)
+
+    @classmethod
+    def const(cls, dim: int, value) -> "RefPoly":
+        value = _as_rat(value)
+        if value == 0:
+            return cls(dim)
+        return cls(dim, {(0,) * dim: value})
+
+    @classmethod
+    def one(cls, dim: int) -> "RefPoly":
+        return cls.const(dim, 1)
+
+    @classmethod
+    def variable(cls, dim: int, index: int) -> "RefPoly":
+        """Coordinate x_index, 1-based."""
+        if not 1 <= index <= dim:
+            raise ValueError(f"coordinate index {index} out of range 1..{dim}")
+        exps = [0] * dim
+        exps[index - 1] = 1
+        return cls(dim, {tuple(exps): Fraction(1)})
+
+    @classmethod
+    def monomial(cls, dim: int, exps, coeff=1) -> "RefPoly":
+        return cls(dim, {tuple(exps): _as_rat(coeff)})
+
+    # ------------------------------------------------------------------
+    # queries
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_constant(self) -> bool:
+        return all(sum(e) == 0 for e in self.terms)
+
+    def constant_value(self) -> Fraction:
+        """The value of a constant polynomial (zero for the zero poly)."""
+        if not self.is_constant():
+            raise ValueError("polynomial is not constant")
+        return self.terms.get((0,) * self.dim, Fraction(0))
+
+    def total_degree(self) -> int:
+        """Max total degree; -1 for the zero polynomial."""
+        if not self.terms:
+            return -1
+        return max(sum(e) for e in self.terms)
+
+    def sorted_terms(self):
+        """Terms in descending graded-lex order (canonical emission order)."""
+        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+
+    # ------------------------------------------------------------------
+    # arithmetic
+
+    def _check_dim(self, other: "RefPoly"):
+        if self.dim != other.dim:
+            raise DimensionMismatchError(
+                f"polynomial dimensions differ: {self.dim} vs {other.dim}"
+            )
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefPoly.const(self.dim, other)
+        self._check_dim(other)
+        out = dict(self.terms)
+        for exps, coeff in other.terms.items():
+            acc = out.get(exps)
+            if acc is None:
+                out[exps] = coeff
+                continue
+            acc += coeff
+            if acc:
+                out[exps] = acc
+            else:
+                del out[exps]
+        return RefPoly._make(self.dim, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefPoly._make(self.dim, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefPoly.const(self.dim, other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = _as_rat(other)
+            if other == 0:
+                return RefPoly(self.dim)
+            return RefPoly._make(self.dim, {e: c * other for e, c in self.terms.items()})
+        self._check_dim(other)
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exps = tuple(map(add, e1, e2))
+                c = c1 * c2
+                acc = out.get(exps)
+                if acc is None:
+                    out[exps] = c
+                    continue
+                acc += c
+                if acc:
+                    out[exps] = acc
+                else:
+                    del out[exps]
+        return RefPoly._make(self.dim, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a non-negative integer")
+        result = RefPoly.one(self.dim)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    def partial(self, index: int) -> "RefPoly":
+        """Formal partial derivative with respect to x_index (1-based)."""
+        if not 1 <= index <= self.dim:
+            raise IndexRangeError(f"coordinate index {index} out of range 1..{self.dim}")
+        i = index - 1
+        out = {}
+        for exps, coeff in self.terms.items():
+            k = exps[i]
+            if k:
+                # lowering one exponent is injective, so no two terms collide
+                out[exps[:i] + (k - 1,) + exps[i + 1 :]] = coeff * k
+        return RefPoly._make(self.dim, out)
+
+    def partial_multi(self, orders) -> "RefPoly":
+        """Iterated partial derivative along a multi-index (length dim)."""
+        if len(orders) != self.dim:
+            raise IndexRangeError(f"multi-index {tuple(orders)} has length != dim={self.dim}")
+        if not any(orders):
+            return self
+        out = {}
+        for exps, coeff in self.terms.items():
+            mult = 1
+            for e, k in zip(exps, orders):
+                if e < k:
+                    break
+                mult *= perm(e, k)
+            else:
+                # exps -> exps - orders is injective, so no two terms collide
+                out[tuple(map(sub, exps, orders))] = coeff * mult if mult != 1 else coeff
+        return RefPoly._make(self.dim, out)
+
+    # ------------------------------------------------------------------
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefPoly.const(self.dim, other)
+        if not isinstance(other, RefPoly):
+            return NotImplemented
+        return self.dim == other.dim and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.dim, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        if not self.terms:
+            return f"RefPoly({self.dim}, 0)"
+        bits = []
+        for exps, coeff in self.sorted_terms():
+            mono = "*".join(
+                f"x{i+1}" + (f"^{e}" if e > 1 else "")
+                for i, e in enumerate(exps)
+                if e > 0
+            )
+            bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
+        return f"RefPoly({self.dim}, {' + '.join(bits)})"

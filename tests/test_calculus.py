@@ -28,6 +28,16 @@ x = Poly.variable(2, 1)
 y = Poly.variable(2, 2)
 dx = Form.basis(2, 1)
 dy = Form.basis(2, 2)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, Fraction(1)], ids=repr)
+@pytest.mark.parametrize("kind", [MultiVec, Form])
+def test_non_integer_index_rejected(kind, bad):
+    # MultiVec(2, 1, {(1.0,): 1}) would store the key (1.0,)
+    with pytest.raises(DegreeError):
+        kind(2, 1, {(bad,): 1})
+    with pytest.raises(DegreeError):
+        kind(2, 2, {(bad, 2): 1})
 d_x = MultiVec.basis(2, 1)
 d_y = MultiVec.basis(2, 2)
 

@@ -27,6 +27,14 @@ def op2(terms):
     return PolyDiffOp(2, 2, terms)
 
 
+@pytest.mark.parametrize("bad", [0.5, 1.0, True], ids=repr)
+def test_non_integer_order_rejected(bad):
+    with pytest.raises(DimensionMismatchError):
+        PolyDiffOp(2, 1, {((bad, 0),): 1})
+    with pytest.raises(DimensionMismatchError):
+        PolyDiffOp(2, 2, {((0, 0), (0, bad)): 1})
+
+
 class TestApply:
     def test_tensor_of_partials(self):
         D = op2({((1, 0), (0, 1)): 1})

@@ -39,7 +39,7 @@ from dqkit.starprod import (
     moyal,
 )
 
-from conftest import rand_diffop1, rand_gauge
+from conftest import assert_clean_poly, rand_diffop1, rand_gauge
 from oracles import derivative_uncapped, moyal_by_tuples
 
 DIM = 2
@@ -63,15 +63,6 @@ def ops(draw, arity=None):
 
 # ----------------------------------------------------------------------
 # invariant walker
-
-
-def assert_clean_poly(p, dim):
-    assert type(p) is Poly and p.dim == dim
-    assert type(p.terms) is dict
-    for exps, c in p.terms.items():
-        assert type(exps) is tuple and len(exps) == dim
-        assert all(type(e) is int and e >= 0 for e in exps)
-        assert type(c) is Fraction and c != 0
 
 
 def assert_clean(obj):

@@ -14,6 +14,7 @@ from contextlib import redirect_stdout
 import pytest
 
 from dqkit.cli import dispatch
+from dqkit.kernel import Poly
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -80,6 +81,9 @@ BUNDLES = {
         twist=_form(3, [{"indices": [1, 2], "coeff": "x"}]),
         lam=_form(3, [{"indices": [2], "coeff": "x"}]),
     ),
+    # a power whose term bound (80,601) is above the parser's budget, and one just under it (990)
+    "power_over_budget": _poly(2, "(x1+x2+1)^400"),
+    "power_under_budget": _poly(2, "(x1+x2+1)^43"),
     "d_index_above_dim": _bundle(
         algebroid=_RANK2_ON_LINE,
         omega=_form(1, [{"indices": [2], "coeff": "1"}]),
@@ -182,6 +186,7 @@ CASES = (
        ("algebroid d", "d_omega_wrong_kind"), ("star frobnicate", "moyal_plane.json")]
     + [("parse", n) for n in ("bundle_dim_and_order", "bundle_bad_dim_and_order", "bundle_bad_order")]
     + [("star adexp", n) for n in ("adexp_alpha_order", "adexp_b_order")]
+    + [("parse", n) for n in ("power_over_budget", "power_under_budget")]
 )
 
 
@@ -286,6 +291,8 @@ GOLDEN = {
     ('parse', 'bundle_bad_order'): (2, "42ed8bcca23965254d7087afda88b8a15ef3607f9eb4e26b6ba7d8d6a07958f0"),
     ('star adexp', 'adexp_alpha_order'): (2, "2bafc32ede9b21cd28be8a75dd61224bcdbdd5d4c574261095cc75cd2dd01860"),
     ('star adexp', 'adexp_b_order'): (2, "543e70ac5d4ac6f2d8ff55562fd9a78a65edf9c004cd6faabeb829666ad3f6aa"),
+    ('parse', 'power_over_budget'): (2, "8ca29c8f70331e00636a011dadf3d6103c6e48e2be45831e402e54c5b20c97e2"),
+    ('parse', 'power_under_budget'): (0, "d536719a1fe4991be796b72649851a8c9b16605949c771ae37296e7f4a53a56d"),
 }
 
 
@@ -296,3 +303,15 @@ def test_table_covers_every_case():
 @pytest.mark.parametrize("command,name", CASES, ids=[f"{c}:{n}" for c, n in CASES])
 def test_report_hash_unchanged(command, name, tmp_path):
     assert run_case(command, name, str(tmp_path)) == GOLDEN[command, name]
+
+
+def test_no_library_path_reads_poly_terms(monkeypatch, tmp_path):
+    """Poly.terms is a view for tests and outside tools only: with every read
+    of it failing, each run still gives its recorded report."""
+
+    def forbidden(self):
+        raise AssertionError("Poly.terms read by library code")
+
+    monkeypatch.setattr(Poly, "terms", property(forbidden))
+    for command, name in CASES:
+        assert run_case(command, name, str(tmp_path)) == GOLDEN[command, name], (command, name)

@@ -62,6 +62,21 @@ class TestPolyBasics:
         assert (x() + 1) ** 2 == x() * x() + 2 * x() + 1
 
 
+class TestConstructorChecks:
+    @pytest.mark.parametrize("bad", [1.5, 1.0, True, Fraction(1)], ids=repr)
+    def test_non_integer_exponent_rejected(self, bad):
+        # x1^1.5 would differentiate to 1.5*x1
+        with pytest.raises(ValueError):
+            Poly(2, {(bad, 0): 1})
+        with pytest.raises(ValueError):
+            Poly.monomial(2, (0, bad))
+
+    @pytest.mark.parametrize("bad", [1.0, True], ids=repr)
+    def test_non_integer_variable_index_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Poly.variable(2, bad)
+
+
 class TestPartial:
     def test_power_rule(self):
         assert (x() * x() * y()).partial(1) == 2 * x() * y()

@@ -7,6 +7,7 @@ import pytest
 from dqkit.calculus import MultiVec
 from dqkit.errors import PolyParseError, SchemaError
 from dqkit.kernel import Poly, TPoly
+from dqkit import parser
 from dqkit.parser import (
     MAX_NESTING,
     parse_document,
@@ -107,6 +108,30 @@ class TestGrammar:
             with pytest.raises(PolyParseError) as info:
                 parse_poly(deep(k), 2)
             assert info.value.position == pos
+
+    def test_power_budget(self, monkeypatch):
+        monkeypatch.setattr(parser, "MAX_POWER_TERMS", 10)
+        # (x + 1)^9 has 10 terms: at the budget
+        assert parse_poly("(x + 1)^9", 2).term_count() == 10
+        with pytest.raises(PolyParseError) as info:
+            parse_poly("(x + 1)^10", 2)
+        assert "11 terms" in str(info.value) and "budget of 10" in str(info.value)
+        assert info.value.position == 8
+        # the bound is the smaller of the multiset count and the monomial count:
+        # (1 + x + y + x*y)^10 has C(13, 3) = 286 multisets of 10 terms but
+        # only C(22, 2) = 231 monomials of degree <= 20 in 2 variables
+        monkeypatch.setattr(parser, "MAX_POWER_TERMS", 231)
+        assert parse_poly("(1 + x + y + x*y)^10", 2).term_count() == 121
+        monkeypatch.setattr(parser, "MAX_POWER_TERMS", 230)
+        with pytest.raises(PolyParseError):
+            parse_poly("(1 + x + y + x*y)^10", 2)
+        # monomials and constants have one term at any power
+        assert parse_poly("(2*x*y)^1000", 2).term_count() == 1
+
+    def test_power_budget_checked_before_multiplying(self):
+        with pytest.raises(PolyParseError) as info:
+            parse_poly("(x + y + 1)^1000000000", 2)
+        assert f"budget of {parser.MAX_POWER_TERMS}" in str(info.value)
 
     def test_aliases_only_low_dims(self):
         assert parse_poly("z", 3) == Poly.variable(3, 3)
