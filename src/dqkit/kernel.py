@@ -28,14 +28,6 @@ from .errors import DimensionMismatchError, IndexRangeError, OrderMismatchError
 Rat = Fraction
 
 
-def _as_rat(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
 def _ratio(value) -> tuple:
     """(numerator, positive denominator) in lowest terms of an int or Fraction."""
     if isinstance(value, int):
@@ -43,9 +35,6 @@ def _ratio(value) -> tuple:
     if isinstance(value, Fraction):
         return value.numerator, value.denominator
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
-
-
-_new = object.__new__
 
 
 def grlex_key(exponents):
@@ -92,7 +81,7 @@ class Poly:
                         raise ValueError(f"exponent {e!r} in {exps} is not an integer")
                     if e < 0:
                         raise ValueError(f"negative exponent in {exps}")
-                coeff = _as_rat(coeff)
+                coeff = Fraction(*_ratio(coeff))
                 if coeff:
                     coeff += clean.get(exps, 0)
                     if coeff:
@@ -209,14 +198,9 @@ class Poly:
         if self.dim != other.dim:
             raise self._dim_error(other)
         da, db = self._den, other._den
-        if da == db:
-            out = dict(self._num)
-            fb = 1
-        else:
-            g = gcd(da, db)
-            fa, fb = db // g, da // g
-            out = {e: c * fa for e, c in self._num.items()} if fa != 1 else dict(self._num)
-            da *= fa
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        out = {e: c * fa for e, c in self._num.items()} if fa != 1 else dict(self._num)
         for exps, coeff in other._num.items():
             if fb != 1:
                 coeff *= fb
@@ -229,7 +213,7 @@ class Poly:
                 out[exps] = acc
             else:
                 del out[exps]
-        return _reduced(self.dim, out, da)
+        return _reduced(self.dim, out, da * fa)
 
     __radd__ = __add__
 
@@ -249,14 +233,9 @@ class Poly:
             return self._scaled(*_ratio(other))
         if self.dim != other.dim:
             raise self._dim_error(other)
-        a, b = self._num, other._num
-        if len(a) == 1 == len(b):
-            # the common case in operator composition: one term times one term
-            ((e1, c1),), ((e2, c2),) = a.items(), b.items()
-            return _reduced(self.dim, {tuple(map(add, e1, e2)): c1 * c2}, self._den * other._den)
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
+        for e1, c1 in self._num.items():
+            for e2, c2 in other._num.items():
                 exps = tuple(map(add, e1, e2))
                 c = c1 * c2
                 acc = out.get(exps)
@@ -276,12 +255,6 @@ class Poly:
         """self * (p / d) for a rational p / d in lowest terms, d > 0."""
         if not p:
             return Poly._make(self.dim, {}, 1)
-        if d == 1:
-            # gcd(den, nums) = 1, so p * nums share with den exactly gcd(den, p)
-            g = gcd(self._den, p)
-            if g != 1:
-                p //= g
-            return Poly._make(self.dim, {e: c * p for e, c in self._num.items()}, self._den // g)
         return _reduced(self.dim, {e: c * p for e, c in self._num.items()}, self._den * d)
 
     def __pow__(self, n: int):
@@ -366,12 +339,7 @@ def _reduced(dim: int, num: dict, den: int) -> Poly:
         if g != 1:
             den //= g
             num = {e: c // g for e, c in num.items()}
-    # Poly._make, inlined: this builds nearly every arithmetic result
-    p = _new(Poly)
-    p.dim = dim
-    p._num = num
-    p._den = den
-    return p
+    return Poly._make(dim, num, den)
 
 
 def _add_term(out: dict, key, coeff: Poly) -> None:

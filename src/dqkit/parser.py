@@ -39,10 +39,12 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()]))")
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
 _ALIASES = {"x": 1, "y": 2, "z": 3}
 
-# Most terms a power may have, bounded before any multiplication.  On a 2-core
-# x86 VM the densest power within it, (1 + x1)^999, takes 0.4 s of CPU.  The
-# bound does not limit coefficient size: (2/3*x1 + 5/7)^999 takes about 3 s.
+# Most terms a power may have, and the largest power of two its numerators and
+# denominator may reach, both bounded before any multiplication.  On a 2-core x86 VM
+# (1 + x1)^999 takes 0.5 s of CPU and (15*x1 + 1)^999, near both budgets,
+# 1.4 s; (2/3*x1 + 5/7)^999 (3.1 s) is over the bit budget.
 MAX_POWER_TERMS = 1000
+MAX_POWER_BITS = 4096
 
 # Deepest nesting the parser accepts, both of parentheses, unary signs and '^'
 # chains in an expression and of bundles in a document.  Each level costs a
@@ -189,6 +191,16 @@ class _ExprParser:
                 raise PolyParseError(
                     f"power may have up to {bound} terms, above the budget of {MAX_POWER_TERMS}", pos
                 )
+        # base^k is a sum of numerators of absolute value at most s^k (s the
+        # sum of the base's absolute numerators) over den^k, and both are at
+        # most 2^bits
+        den, terms = base.sorted_numerators()
+        s = sum(abs(n) for _, n in terms)
+        bits = k * max(den - 1, s - 1).bit_length()
+        if bits > MAX_POWER_BITS:
+            raise PolyParseError(
+                f"power may have coefficients up to 2^{bits}, above the budget of 2^{MAX_POWER_BITS}", pos
+            )
         return base ** k
 
     def _divide(self, num: Poly, den: Poly, pos: int) -> Poly:

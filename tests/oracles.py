@@ -8,9 +8,17 @@ from operator import add, sub
 from dqkit.calculus import Form, MultiVec, wedge
 from dqkit.diffop import PolyDiffOp, hochschild_delta, transpose_parts
 from dqkit.errors import DimensionMismatchError, IndexRangeError, SolveError
-from dqkit.kernel import Poly, _add_term, _as_rat, grlex_key
+from dqkit.kernel import Poly, _add_term, grlex_key
 from dqkit.poisson import koszul_bracket
 from dqkit.starprod import StarProduct, _delta_matrix_rows, exp_gauge
+
+
+def _as_rat(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
 def dense_solve(columns, target_rows, row_index):

@@ -84,6 +84,8 @@ BUNDLES = {
     # a power whose term bound (80,601) is above the parser's budget, and one just under it (990)
     "power_over_budget": _poly(2, "(x1+x2+1)^400"),
     "power_under_budget": _poly(2, "(x1+x2+1)^43"),
+    # a one-term power whose coefficient bound 2^100000000 is above the bit budget
+    "power_over_bit_budget": _poly(2, "(2*x1)^100000000"),
     "d_index_above_dim": _bundle(
         algebroid=_RANK2_ON_LINE,
         omega=_form(1, [{"indices": [2], "coeff": "1"}]),
@@ -186,7 +188,7 @@ CASES = (
        ("algebroid d", "d_omega_wrong_kind"), ("star frobnicate", "moyal_plane.json")]
     + [("parse", n) for n in ("bundle_dim_and_order", "bundle_bad_dim_and_order", "bundle_bad_order")]
     + [("star adexp", n) for n in ("adexp_alpha_order", "adexp_b_order")]
-    + [("parse", n) for n in ("power_over_budget", "power_under_budget")]
+    + [("parse", n) for n in ("power_over_budget", "power_under_budget", "power_over_bit_budget")]
 )
 
 
@@ -293,6 +295,7 @@ GOLDEN = {
     ('star adexp', 'adexp_b_order'): (2, "543e70ac5d4ac6f2d8ff55562fd9a78a65edf9c004cd6faabeb829666ad3f6aa"),
     ('parse', 'power_over_budget'): (2, "8ca29c8f70331e00636a011dadf3d6103c6e48e2be45831e402e54c5b20c97e2"),
     ('parse', 'power_under_budget'): (0, "d536719a1fe4991be796b72649851a8c9b16605949c771ae37296e7f4a53a56d"),
+    ('parse', 'power_over_bit_budget'): (2, "fa849349b4d607a94dccc62619c65e9c034b1388a0542620dbd1c1931836ed65"),
 }
 
 

@@ -128,6 +128,28 @@ class TestGrammar:
         # monomials and constants have one term at any power
         assert parse_poly("(2*x*y)^1000", 2).term_count() == 1
 
+    def test_power_bit_budget(self, monkeypatch):
+        monkeypatch.setattr(parser, "MAX_POWER_BITS", 12)
+        # numerators of (2*x + 2)^6 reach 4^6 = 2^12: at the budget
+        assert parse_poly("(2*x + 2)^6", 2) == parse_poly("64*(x + 1)^6", 2)
+        with pytest.raises(PolyParseError) as info:
+            parse_poly("(2*x + 2)^7", 2)
+        assert "up to 2^14" in str(info.value) and "budget of 2^12" in str(info.value)
+        # the denominator is bounded too, and one-term bases as well
+        assert parse_poly("(x/4)^6", 2) == parse_poly("x^6/4096", 2)
+        with pytest.raises(PolyParseError):
+            parse_poly("(x/5)^6", 2)
+        with pytest.raises(PolyParseError):
+            parse_poly("3^7", 2)
+        # 0 and 1 do not grow
+        assert parse_poly("1^1000000000 + 0^1000000000", 2) == Poly.one(2)
+
+    def test_power_bit_budget_checked_before_multiplying(self):
+        for text in ("(2*x1)^100000000", "2^1000000000", "(x1/3)^100000000"):
+            with pytest.raises(PolyParseError) as info:
+                parse_poly(text, 2)
+            assert f"budget of 2^{parser.MAX_POWER_BITS}" in str(info.value)
+
     def test_power_budget_checked_before_multiplying(self):
         with pytest.raises(PolyParseError) as info:
             parse_poly("(x + y + 1)^1000000000", 2)
