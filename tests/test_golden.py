@@ -99,6 +99,23 @@ BUNDLES = {
         beta=_form(3, [{"indices": [3], "coeff": "x"}]),
     ),
     "hamiltonian_so3": _bundle(pi=_load("so3.json"), f=_poly(3, "x*y + z")),
+    # d_Pi in every degree and on a non-Poisson bivector; ext-curv with a nonzero twist
+    "dpi_so3_bivector": _bundle(pi=_load("so3.json"), a=_mv(3, [{"indices": [1, 2], "coeff": "x*z"},
+                                                                 {"indices": [2, 3], "coeff": "y^2 + 1"}])),
+    "dpi_bad_self": _bundle(pi=_load("pi_bad.json"), a=_load("pi_bad.json")),
+    "dpi_degree0": _bundle(pi=_load("so3.json"), a=_mv(3, {"degree": 0, "terms": [{"indices": [], "coeff": "x*y + z"}]})),
+    "dpi_r4_trivector": _bundle(
+        pi=_mv(4, [{"indices": [1, 2], "coeff": "x1*x2"}, {"indices": [1, 3], "coeff": "x4"},
+                   {"indices": [3, 4], "coeff": "x3^2 - x1"}]),
+        a=_mv(4, [{"indices": [1, 2, 3], "coeff": "x4"}, {"indices": [2, 3, 4], "coeff": "x1^2"}]),
+    ),
+    "ext_plane_twist": _bundle(
+        algebroid={"kind": "algebroid", "dim": 2, "payload": {"rank": 2, "anchor": [["1", "0"], ["0", "1"]]}},
+        twist=_form(2, [{"indices": [1, 2], "coeff": "x*y"}]),
+        lam=_form(2, [{"indices": [1], "coeff": "y^2"}, {"indices": [2], "coeff": "x"}]),
+    ),
+    # a degree-1 pi is refused whatever f is
+    "hamiltonian_degree1_const": _bundle(pi=_mv(2, [{"indices": [1], "coeff": "x"}]), f=_poly(2, "5")),
     "apply_plane": _bundle(
         op=_diffop(2, 2, [{"coeff": "x", "orders": [[1, 0], [0, 1]]},
                           {"coeff": "-1/3", "orders": [[0, 2], [0, 0]]}]),
@@ -173,6 +190,8 @@ CASES = (
        for n in ("ext_so3", "ext_lam_index_above_rank", "ext_twist_not_closed")]
     + [("poisson bracket", "bracket_so3"), ("poisson dpi", "dpi_plane"),
        ("poisson koszul", "koszul_so3"), ("poisson hamiltonian", "hamiltonian_so3")]
+    + [("poisson dpi", n) for n in ("dpi_so3_bivector", "dpi_bad_self", "dpi_degree0", "dpi_r4_trivector")]
+    + [("algebroid ext-curv", "ext_plane_twist"), ("poisson hamiltonian", "hamiltonian_degree1_const")]
     + [("diffop apply", "apply_plane"), ("diffop compose --slot 2", "compose_plane"),
        ("diffop delta", "delta_plane"), ("diffop cocycle", "cocycle_not_closed")]
     + [("star moyal --order 2", "pi_std.json"), ("star moyal --order 12", "pi_std.json"),
@@ -264,6 +283,12 @@ GOLDEN = {
     ('poisson dpi', 'dpi_plane'): (0, "670c24b86691621f7b765e111bcdc413ea8cfb3d441f92f9bbdc87cae97ef2a2"),
     ('poisson koszul', 'koszul_so3'): (0, "b580360794be2710751db2317def7a35b811f8da9eca4a613973d3c42fefb6af"),
     ('poisson hamiltonian', 'hamiltonian_so3'): (0, "28b41713f768de88be105464331e6fcc08bddf7b560c76787d1f78773846a7d9"),
+    ('poisson dpi', 'dpi_so3_bivector'): (0, "96ad7b4f6bea0285c2cb4e53548cbc152d662abe3633690c5144b958dd4279be"),
+    ('poisson dpi', 'dpi_bad_self'): (0, "6b61c4fbd5f9273a0e917f7a4c35d62b3451e5ad3c4f56a2810b12a66bfd4260"),
+    ('poisson dpi', 'dpi_degree0'): (0, "60738b8b2635bebebed4c5bda2a4f01e8097904252c5343c9e515c41ff9f0570"),
+    ('poisson dpi', 'dpi_r4_trivector'): (0, "0397803f30477b6639a0f261e68ea61b4b061bf39b769ca5113ed61c4684b2b3"),
+    ('algebroid ext-curv', 'ext_plane_twist'): (0, "f3de6d893b3e6d2594f76562c342fc359175d4016e21e4db177cce9a4086cf5c"),
+    ('poisson hamiltonian', 'hamiltonian_degree1_const'): (0, "06260c56ae1df367829fbae35d2d67d937c83927ea9dd67df4550258a8df28eb"),
     ('diffop apply', 'apply_plane'): (0, "bcc6d160b63d97ec5f6751a30671bc682a92883acdd716c801696cbf17481cca"),
     ('diffop compose --slot 2', 'compose_plane'): (0, "5ba6d997b84b11461a680bd227532cf41c009cd392a47220c53d981148b49280"),
     ('diffop delta', 'delta_plane'): (0, "43dea870631b0256227a4480b411161ca4936dfddfc1b1060d9920523d2e7e33"),
