@@ -239,13 +239,7 @@ def pair(A: MultiVec, *alphas: Form) -> Poly:
             raise DegreeError("pair arguments must be 1-forms")
         if a.dim != A.dim:
             raise DimensionMismatchError("dimension mismatch in pair")
-    if A.degree == 0:
-        return A.as_poly()
-    out = Poly.zero(A.dim)
-    for idx, c in A.terms.items():
-        # determinant of the matrix alpha_col(partial_row) by Leibniz expansion
-        out = out + c * _det([[a.coeff((i,)) for a in alphas] for i in idx])
-    return out
+    return _contract(A, alphas)
 
 
 def form_eval(omega: Form, vectors) -> Poly:
@@ -258,11 +252,16 @@ def form_eval(omega: Form, vectors) -> Poly:
             raise DegreeError("form_eval arguments must be vector fields")
         if v.dim != omega.dim:
             raise DimensionMismatchError("dimension mismatch in form_eval")
-    if omega.degree == 0:
-        return omega.as_poly()
-    out = Poly.zero(omega.dim)
-    for idx, c in omega.terms.items():
-        out = out + c * _det([[v.coeff((i,)) for v in vectors] for i in idx])
+    return _contract(omega, vectors)
+
+
+def _contract(T, vs) -> Poly:
+    """Sum over T's terms of c * det(v_col(index_row)): T contracted with p dual 1-tensors."""
+    if T.degree == 0:
+        return T.as_poly()
+    out = Poly.zero(T.dim)
+    for idx, c in T.terms.items():
+        out = out + c * _det([[v.coeff((i,)) for v in vs] for i in idx])
     return out
 
 
@@ -340,28 +339,18 @@ def schouten(A: MultiVec, B: MultiVec) -> MultiVec:
     return MultiVec(dim, degree, out)
 
 
-def pi_matrix_entry(pi: MultiVec, i: int, j: int) -> Poly:
-    """The antisymmetric matrix entry pi^{ij} of a bivector."""
-    if pi.degree != 2:
-        raise DegreeError("pi must be a bivector")
-    if i == j:
-        return Poly.zero(pi.dim)
-    if i < j:
-        return pi.terms.get((i, j), Poly.zero(pi.dim))
-    c = pi.terms.get((j, i))
-    return Poly.zero(pi.dim) if c is None else -c
-
-
 def anchor(pi: MultiVec, alpha: Form) -> MultiVec:
     """The anchor map: pi~(alpha)^j = sum_i alpha_i pi^{ij}, a vector field."""
     if not (isinstance(alpha, Form) and alpha.degree == 1):
         raise DegreeError("anchor applies to 1-forms")
     if pi.dim != alpha.dim:
         raise DimensionMismatchError("dimension mismatch in anchor")
+    if pi.degree != 2:
+        raise DegreeError("pi must be a bivector")
     terms = {}
     for (i,), ai in alpha.terms.items():
         for j in range(1, pi.dim + 1):
-            pij = pi_matrix_entry(pi, i, j)
+            pij = pi.coeff((i, j))
             if pij.is_zero():
                 continue
             _add_term(terms, (j,), ai * pij)

@@ -16,7 +16,6 @@ from typing import Optional
 from .calculus import Form, MultiVec, _AltTensor, anchor
 from .errors import DegreeError, DimensionMismatchError, PreconditionError
 from .kernel import Poly
-from .poisson import bracket
 
 
 class AlgebroidForm(_AltTensor):
@@ -267,7 +266,7 @@ def from_poisson(pi: MultiVec) -> AlgebroidPresentation:
     structure = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            pij = bracket(pi, Poly.variable(n, i), Poly.variable(n, j))
+            pij = pi.coeff((i, j))
             cs = [pij.partial(k) for k in range(1, n + 1)]
             if any(not c.is_zero() for c in cs):
                 structure[(i, j)] = cs
@@ -301,26 +300,12 @@ def extension_curvature(E: ExtensionData, lam: AlgebroidForm) -> AlgebroidForm:
                - lam([b_1,b_2])
 
     computed from the extension bracket
-    [(f,b),(g,c)] = (sigma(b)g - sigma(c)f + twist(b,c), [b,c]).
+    [(f,b),(g,c)] = (sigma(b)g - sigma(c)f + twist(b,c), [b,c]), i.e. d_B lam + twist.
     """
     A = E.base
     if lam.degree != 1 or (lam.dim, lam.rank) != (A.dim, A.rank):
         raise DegreeError("splitting datum must be a 1-form on the base frame")
-    terms = {}
-    for a in range(1, A.rank + 1):
-        for b in range(a + 1, A.rank + 1):
-            val = (
-                A.anchor_apply(a, lam.value((b,)))
-                - A.anchor_apply(b, lam.value((a,)))
-                + E.twist.value((a, b))
-            )
-            cs = A.frame_bracket(a, b)
-            for k in range(1, A.rank + 1):
-                ck = cs[k - 1]
-                if not ck.is_zero():
-                    val = val - ck * lam.value((k,))
-            terms[(a, b)] = val
-    return AlgebroidForm(A.dim, A.rank, 2, terms)
+    return algebroid_d(A, lam) + E.twist
 
 
 def line_curvature(A: AlgebroidPresentation, lam: AlgebroidForm) -> AlgebroidForm:

@@ -1,5 +1,9 @@
 """Poisson brackets, the Koszul bracket on 1-forms, and the Lichnerowicz differential.
 
+d_Pi is the Cartan differential of the Koszul algebroid from_poisson(pi): its
+p-forms on the frame dx_1..dx_n are the p-vectors, and lichnerowicz_d reads
+:func:`~dqkit.liealgebroid.algebroid_d` back as a multivector.
+
 Sign conventions, pinned by the evaluation formulas below and asserted in the
 test suite against the Schouten bracket of :mod:`dqkit.calculus`:
 
@@ -24,6 +28,7 @@ from .calculus import (
 )
 from .errors import DegreeError, DimensionMismatchError, PreconditionError
 from .kernel import Poly
+from .liealgebroid import AlgebroidForm, algebroid_d, from_poisson
 
 #: Realized sign table relating schouten(pi, .) to lichnerowicz_d(pi, .) per degree.
 EPSILON = {0: -1, 1: 1, 2: 1}
@@ -130,7 +135,9 @@ def lichnerowicz_d(pi: MultiVec, A: MultiVec) -> MultiVec:
       p >= 1: (dA)(df_0..df_p) = sum_i (-1)^i {f_i, A(.. f_i omitted ..)}
               + sum_{i<j} (-1)^{i+j} A(d{f_i,f_j}, .. f_i, f_j omitted ..)
 
-    which reduces to the displayed degree-1 and degree-2 identities.
+    which reduces to the displayed degree-1 and degree-2 identities.  For p >= 1
+    it is the Cartan differential of the Koszul algebroid from_poisson(pi)
+    (anchor dx_i -> {x_i, .}, [dx_i, dx_j] = d{x_i, x_j}) on A as a p-form.
     """
     if pi.degree != 2:
         raise DegreeError("lichnerowicz_d needs a bivector")
@@ -140,26 +147,5 @@ def lichnerowicz_d(pi: MultiVec, A: MultiVec) -> MultiVec:
     p = A.degree
     if p == 0:
         return hamiltonian(pi, A.as_poly())
-    xs = {i: Poly.variable(n, i) for i in range(1, n + 1)}
-    dxs = {i: Form.d_of(xs[i]) for i in range(1, n + 1)}
-    terms = {}
-    for key in combinations(range(1, n + 1), p + 1):
-        val = Poly.zero(n)
-        for i_pos, i in enumerate(key):
-            rest = key[:i_pos] + key[i_pos + 1 :]
-            inner = pair(A, *[dxs[r] for r in rest])
-            term = bracket(pi, xs[i], inner)
-            if i_pos % 2 == 1:
-                term = -term
-            val = val + term
-        for i_pos in range(len(key)):
-            for j_pos in range(i_pos + 1, len(key)):
-                i, j = key[i_pos], key[j_pos]
-                rest = tuple(k for t, k in enumerate(key) if t not in (i_pos, j_pos))
-                fij = bracket(pi, xs[i], xs[j])
-                term = pair(A, Form.d_of(fij), *[dxs[r] for r in rest])
-                if (i_pos + j_pos) % 2 == 1:
-                    term = -term
-                val = val + term
-        terms[key] = val
-    return MultiVec(n, p + 1, terms)
+    dA = algebroid_d(from_poisson(pi), AlgebroidForm(n, n, p, A.terms))
+    return MultiVec(n, p + 1, dA.terms)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .calculus import Form, MultiVec, anchor, exterior_d, form_eval, schouten
+from .calculus import Form, MultiVec, anchor, anchor_pullback, exterior_d, form_eval, schouten
 from .errors import DegreeError, DimensionMismatchError, OrderMismatchError, PreconditionError
 from .kernel import Poly
 from .poisson import lichnerowicz_d
@@ -140,7 +140,6 @@ def kappa(Q: QCData, B: Form) -> KappaResult:
             "order-3 Maurer-Cartan defect is nonzero; kappa closedness not guaranteed",
             witness=defect3,
         )
-    from .calculus import anchor_pullback
 
     k = anchor_pullback(Q.pi(1), B) - Q.pi(2)
     certificate = lichnerowicz_d(Q.pi(1), k)

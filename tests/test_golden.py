@@ -288,7 +288,7 @@ GOLDEN = {
     ('poisson dpi', 'dpi_degree0'): (0, "60738b8b2635bebebed4c5bda2a4f01e8097904252c5343c9e515c41ff9f0570"),
     ('poisson dpi', 'dpi_r4_trivector'): (0, "0397803f30477b6639a0f261e68ea61b4b061bf39b769ca5113ed61c4684b2b3"),
     ('algebroid ext-curv', 'ext_plane_twist'): (0, "f3de6d893b3e6d2594f76562c342fc359175d4016e21e4db177cce9a4086cf5c"),
-    ('poisson hamiltonian', 'hamiltonian_degree1_const'): (0, "06260c56ae1df367829fbae35d2d67d937c83927ea9dd67df4550258a8df28eb"),
+    ('poisson hamiltonian', 'hamiltonian_degree1_const'): (2, "a2ed70e443f779c16a58b6769f952450c0bed22f707ee53d13160072b3ad8a0d"),
     ('diffop apply', 'apply_plane'): (0, "bcc6d160b63d97ec5f6751a30671bc682a92883acdd716c801696cbf17481cca"),
     ('diffop compose --slot 2', 'compose_plane'): (0, "5ba6d997b84b11461a680bd227532cf41c009cd392a47220c53d981148b49280"),
     ('diffop delta', 'delta_plane'): (0, "43dea870631b0256227a4480b411161ca4936dfddfc1b1060d9920523d2e7e33"),
