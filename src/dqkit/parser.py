@@ -111,11 +111,8 @@ class _ExprParser:
                 self.depth -= 1
                 return lhs
             self.advance()
-            if op == "^":
-                exp_pos = self.peek()[2]
-                rhs = self.expr(_PREC["^"])  # right-associative
-                lhs = self._power(lhs, rhs, exp_pos)
-            elif op == "/":
+            # no '^' gets here: power() takes every '^' that follows an atom
+            if op == "/":
                 rhs = self.expr(_PREC["/"] + 1)
                 lhs = self._divide(lhs, rhs, pos)
             elif op == "*":

@@ -131,9 +131,7 @@ def kappa(Q: QCData, B: Form) -> KappaResult:
     diff = dB - Q.H
     if not diff.is_zero():
         raise PreconditionError("dB != H", witness=diff)
-    dH = exterior_d(Q.H)
-    if not dH.is_zero():
-        raise PreconditionError("H is not closed: dH != 0", witness=dH)
+    # H = dB exactly, so dH = d(dB) = 0 needs no check of its own
     defect3 = mc_defect_order(Q, 3)
     if not defect3.is_zero():
         raise PreconditionError(

@@ -296,12 +296,8 @@ def assoc_defect(S: StarProduct):
     out = []
     for k in range(1, S.order + 1):
         terms = {}
-        for i in range(k + 1):
-            Pi, Pj = ops[i], ops[k - i]
-            if Pi.is_zero() or Pj.is_zero():
-                continue
-            _compose_acc(terms, Pi, 1, Pj, 1, expanded[k - i])
-            _compose_acc(terms, Pi, 2, Pj, -1, expanded[k - i])
+        _convolve(terms, k, ops, 1, ops, expanded)
+        _convolve(terms, k, ops, 2, ops, expanded, sign=-1)
         out.append(PolyDiffOp._make(S.dim, 3, terms))
     return out
 
@@ -349,49 +345,43 @@ def assoc_poisson(S: StarProduct) -> MultiVec:
     return result
 
 
+def _convolve(acc: dict, k: int, outer, slot: int, inner, expanded, sign=1, lo=0, hi=None) -> None:
+    """Add sign * sum_{i=lo..hi} outer[i] o_slot inner[k-i] into the term map
+    `acc`: the order-k coefficient of a product of two operator series.
+
+    `outer` and `inner` are indexed by t-order and `hi` defaults to k.
+    `expanded[j]` is the expansion dict of inner[j] in the sense of
+    diffop._compose_acc, which states who owns it and for how long.
+    """
+    for i in range(lo, k + 1 if hi is None else hi + 1):
+        X, Y = outer[i], inner[k - i]
+        if not (X.is_zero() or Y.is_zero()):
+            _compose_acc(acc, X, slot, Y, sign, expanded[k - i])
+
+
 def gauge_transform(S: StarProduct, R: GaugeOp) -> StarProduct:
     """The unique S' with R(f *' g) = R(f) * R(g) as exact operator identities:
 
     P'_k = sum_{i+j+l=k} P_i(R_j ., R_l .) - sum_{i=1..k} R_i o P'_{k-i}.
+
+    Composition is linear in the outer operator, so the triple sum is
+    V_k = sum_{m+l=k} U_m o_2 R_l with U_m = sum_{i+j=m} P_i o_1 R_j.
     """
     if (S.dim, S.order) != (R.dim, R.order):
         raise OrderMismatchError("gauge operator must match the star product")
     ops = [S.op(i) for i in range(S.order + 1)]
     rops = [R.op(j) for j in range(R.order + 1)]
     r_expanded = [{} for _ in rops]  # d^alpha o R_j, shared by both slots and every order
+    us = [ops[0]]  # U_0 = P_0 = multiplication
     new_P = [ops[0]]  # P'_0 = multiplication
     p_expanded = [{} for _ in ops]  # d^alpha o P'_m, one dict per P'_m
     for k in range(1, S.order + 1):
-        acc = {}
-        for i in range(k + 1):
-            Pi = ops[i]
-            if Pi.is_zero():
-                continue
-            for j in range(k - i + 1):
-                l = k - i - j
-                Rj, Rl = rops[j], rops[l]
-                if Rj.is_zero() or Rl.is_zero():
-                    continue
-                if l:
-                    outer = Pi
-                    if j:
-                        t = {}
-                        _compose_acc(t, Pi, 1, Rj, 1, r_expanded[j])
-                        outer = PolyDiffOp._make(S.dim, 2, t)
-                    _compose_acc(acc, outer, 2, Rl, 1, r_expanded[l])
-                elif j:
-                    _compose_acc(acc, Pi, 1, Rj, 1, r_expanded[j])
-                else:  # j = l = 0: the term is P_k itself
-                    for orders, c in Pi.terms.items():
-                        _add_term(acc, orders, c)
-        for i in range(1, k + 1):
-            Ri = rops[i]
-            if Ri.is_zero():
-                continue
-            prev = new_P[k - i]
-            if prev.is_zero():
-                continue
-            _compose_acc(acc, Ri, 1, prev, -1, p_expanded[k - i])
+        u = dict(ops[k].terms)  # P_k o_1 R_0 = P_k
+        _convolve(u, k, ops, 1, rops, r_expanded, hi=k - 1)
+        us.append(PolyDiffOp._make(S.dim, 2, u))
+        acc = dict(u)  # U_k o_2 R_0 = U_k
+        _convolve(acc, k, us, 2, rops, r_expanded, hi=k - 1)
+        _convolve(acc, k, rops, 1, new_P, p_expanded, sign=-1, lo=1)
         new_P.append(PolyDiffOp._make(S.dim, 2, acc))
     return StarProduct(S.dim, S.order, new_P[1:])
 
@@ -405,41 +395,27 @@ def gauge_compose(R: GaugeOp, Q: GaugeOp) -> GaugeOp:
     expanded = [{} for _ in qops]  # d^alpha o Q_j, shared by every order
     ops = []
     for k in range(1, R.order + 1):
-        acc = {}
-        for i in range(k + 1):
-            Ri, Qj = rops[i], qops[k - i]
-            if Ri.is_zero() or Qj.is_zero():
-                continue
-            _compose_acc(acc, Ri, 1, Qj, 1, expanded[k - i])
+        acc = dict(rops[k].terms)  # R_k o Q_0 = R_k
+        _convolve(acc, k, rops, 1, qops, expanded, hi=k - 1)
         ops.append(PolyDiffOp._make(R.dim, 1, acc))
     return GaugeOp(R.dim, R.order, ops)
 
 
 def invert_gauge(R: GaugeOp) -> GaugeOp:
-    """Two-sided inverse mod t^{N+1} by the finite Neumann series."""
-    N = R.order
-    dim = R.dim
-    # pure part A: valuation >= 1 series, composed iteratively
-    power = {k: R.op(k) for k in range(1, N + 1) if not R.op(k).is_zero()}
-    total = {k: {} for k in range(1, N + 1)}
-    sign = -1
-    while power:
-        for k, op in power.items():
-            for orders, c in op.terms.items():
-                _add_term(total[k], orders, c if sign > 0 else -c)
-        # next power: A^{m+1} = A o A^m, truncated
-        nxt = {}
-        expanded = {j: {} for j in power}  # d^alpha o B_j, shared by every A_i of this step
-        for i in range(1, N + 1):
-            Ai = R.op(i)
-            if Ai.is_zero():
-                continue
-            for j, Bj in power.items():
-                if i + j <= N:
-                    _compose_acc(nxt.setdefault(i + j, {}), Ai, 1, Bj, 1, expanded[j])
-        power = {k: PolyDiffOp._make(dim, 1, t) for k, t in nxt.items() if t}
-        sign = -sign
-    return GaugeOp(dim, N, [PolyDiffOp._make(dim, 1, total[k]) for k in range(1, N + 1)])
+    """Two-sided inverse mod t^{N+1}: the unique Q with R o Q = 1, order by order:
+
+    Q_k = -sum_{i=1..k} R_i o Q_{k-i},  Q_0 = 1.
+
+    In the group 1 + tD[[t]] a right inverse is also a left inverse.
+    """
+    rops = [R.op(i) for i in range(R.order + 1)]
+    qops = [rops[0]]  # Q_0 = 1
+    expanded = [{} for _ in rops]  # d^alpha o Q_j, shared by every order
+    for k in range(1, R.order + 1):
+        acc = {orders: -c for orders, c in rops[k].terms.items()}  # -R_k o Q_0 = -R_k
+        _convolve(acc, k, rops, 1, qops, expanded, sign=-1, lo=1, hi=k - 1)
+        qops.append(PolyDiffOp._make(R.dim, 1, acc))
+    return GaugeOp(R.dim, R.order, qops[1:])
 
 
 def exp_gauge(Q: PolyDiffOp, order: int) -> GaugeOp:

@@ -6,11 +6,11 @@ from math import factorial, perm, prod
 from operator import add, sub
 
 from dqkit.calculus import Form, MultiVec, wedge
-from dqkit.diffop import PolyDiffOp, hochschild_delta, transpose_parts
+from dqkit.diffop import PolyDiffOp, compose_into_slot, hochschild_delta, transpose_parts
 from dqkit.errors import DimensionMismatchError, IndexRangeError, SolveError
 from dqkit.kernel import Poly, _add_term, grlex_key
 from dqkit.poisson import koszul_bracket
-from dqkit.starprod import StarProduct, _delta_matrix_rows, exp_gauge
+from dqkit.starprod import GaugeOp, StarProduct, _delta_matrix_rows, exp_gauge
 
 
 def _as_rat(value) -> Fraction:
@@ -242,6 +242,29 @@ def derivative_uncapped(alpha, inner: PolyDiffOp) -> dict:
             )
             _add_term(out, orders, dcoeff * mult)
     return out
+
+
+def invert_gauge_by_neumann(R: GaugeOp) -> GaugeOp:
+    """The inverse of R = 1 + A mod t^{N+1} by the finite Neumann series
+    sum_{m>=0} (-A)^m: the powers A^m of the pure part, which has valuation
+    >= 1, are iterated until truncation kills them."""
+    N, dim = R.order, R.dim
+    power = {k: R.op(k) for k in range(1, N + 1) if not R.op(k).is_zero()}
+    total = [PolyDiffOp.zero(dim, 1) for _ in range(N)]
+    sign = -1
+    while power:
+        for k, op in power.items():
+            total[k - 1] = total[k - 1] + (op if sign > 0 else -op)
+        # next power: A^{m+1} = A o A^m, truncated
+        nxt = {}
+        for i in range(1, N + 1):
+            for j, Bj in power.items():
+                if i + j <= N:
+                    term = compose_into_slot(R.op(i), 1, Bj)
+                    nxt[i + j] = nxt[i + j] + term if i + j in nxt else term
+        power = {k: op for k, op in nxt.items() if not op.is_zero()}
+        sign = -sign
+    return GaugeOp(dim, N, total)
 
 
 def moyal_by_tuples(pi: MultiVec, order: int) -> StarProduct:

@@ -112,7 +112,8 @@ def test_criterion_3_hochschild_laws():
         for R in (rand_gauge(rng, 2, 2) for _ in range(3)):
             corpus_products.append(gauge_transform(moyal(PI_STD, 2), R))
         # every associative star product shipped in the corpus bundle
-        bundle = parse_document(open(os.path.join(CORPUS, "bundle.json")).read())
+        with open(os.path.join(CORPUS, "bundle.json")) as f:
+            bundle = parse_document(f.read())
         for sub in bundle.payload.values():
             if sub.kind == "star":
                 corpus_products.append(sub.payload)
@@ -293,7 +294,8 @@ def test_criterion_11_tooling(tmp_path):
         files = sorted(glob.glob(os.path.join(CORPUS, "*.json")))
         assert files
         for path in files:
-            text = open(path, encoding="utf-8").read()
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
             once = serialize_document(parse_document(text))
             assert serialize_document(parse_document(once)) == once, path
         code, _ = _run_cli(["verify", "--in", os.path.join(CORPUS, "bundle.json")])

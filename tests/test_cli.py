@@ -14,6 +14,11 @@ def corpus(name):
     return os.path.join(CORPUS, name)
 
 
+def load(name):
+    with open(corpus(name)) as f:
+        return json.load(f)
+
+
 def run(argv):
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -94,8 +99,8 @@ class TestDispatch:
         bundle = {
             "kind": "bundle",
             "payload": {
-                "star": json.load(open(corpus("moyal_plane.json"))),
-                "gauge": json.load(open(corpus("gauge_xi.json"))),
+                "star": load("moyal_plane.json"),
+                "gauge": load("gauge_xi.json"),
             },
         }
         p = tmp_path / "b.json"
@@ -109,7 +114,7 @@ class TestDispatch:
         assert code == 0
         assert report["payload"]["terms"] == [{"coeff": "x1", "indices": [1]}]
         # a non-derivation R_1 is refused with exit 1
-        bundle["payload"]["gauge"] = json.load(open(corpus("gauge_halfdx2.json")))
+        bundle["payload"]["gauge"] = load("gauge_halfdx2.json")
         p.write_text(json.dumps(bundle))
         code, report, _ = run(["star", "sigma1", "--in", str(p)])
         assert code == 1
@@ -119,8 +124,8 @@ class TestDispatch:
         bundle = {
             "kind": "bundle",
             "payload": {
-                "star": json.load(open(corpus("moyal_plane.json"))),
-                "gauge": json.load(open(corpus("gauge_halfdx2.json"))),
+                "star": load("moyal_plane.json"),
+                "gauge": load("gauge_halfdx2.json"),
             },
         }
         p = tmp_path / "b.json"

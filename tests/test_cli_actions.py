@@ -15,7 +15,8 @@ CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
 
 def doc(name):
-    return json.load(open(os.path.join(CORPUS, name)))
+    with open(os.path.join(CORPUS, name)) as f:
+        return json.load(f)
 
 
 def run(argv):

@@ -40,7 +40,7 @@ from dqkit.starprod import (
 )
 
 from conftest import assert_clean_poly, rand_diffop1, rand_gauge
-from oracles import derivative_uncapped, moyal_by_tuples
+from oracles import derivative_uncapped, invert_gauge_by_neumann, moyal_by_tuples
 
 DIM = 2
 
@@ -205,9 +205,11 @@ def test_fused_routines_match_unfused_references():
         Rinv = invert_gauge(R)
         assert_clean(Rinv)
         assert Rinv == ref_invert_gauge(R)
+        assert Rinv == invert_gauge_by_neumann(R)
         back = gauge_compose(R, Rinv)
         assert_clean(back)
         assert back == GaugeOp.identity_gauge(S.dim, S.order)
+        assert gauge_compose(Rinv, R) == back
         assert gauge_transform(S2, Rinv) == S
 
 
@@ -228,6 +230,10 @@ def test_fused_routines_match_references_on_random_stars(data):
     Rinv = invert_gauge(R)
     assert_clean(Rinv)
     assert Rinv == ref_invert_gauge(R)
+    assert Rinv == invert_gauge_by_neumann(R)
+    one = GaugeOp.identity_gauge(DIM, N)
+    assert gauge_compose(R, Rinv) == one
+    assert gauge_compose(Rinv, R) == one
     RQ = gauge_compose(R, Q)
     assert_clean(RQ)
     assert RQ == ref_gauge_compose(R, Q)
