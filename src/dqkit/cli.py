@@ -305,18 +305,30 @@ def _run(args):
 # report assembly and dispatch
 
 
-def _build_report(command: str, ok: bool, payload, defects, elapsed_ms: float) -> dict:
+def _build_report(command: str, ok: bool, payload, defects, elapsed_ms: float):
+    """The report as a dict and as its canonical_json text.
+
+    The body is encoded once and its text hashed.  Its keys sort between
+    "canonical_sha256" and "timing_ms", so the report's text is the body's
+    with one line spliced in after the opening brace and one before the
+    closing one.
+    """
     body = {
         "command": command,
         "ok": bool(ok),
         "payload": payload,
         "defects": defects,
     }
-    digest = hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
-    report = dict(body)
-    report["canonical_sha256"] = digest
-    report["timing_ms"] = round(elapsed_ms, 3)
-    return report
+    text = canonical_json(body)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    timing = round(elapsed_ms, 3)
+    report = dict(body, canonical_sha256=digest, timing_ms=timing)
+    # text is '{\n' + the body's key lines + '\n}\n'; keep only the lines,
+    # so no more than two copies of the text are alive at once
+    lines = text[2:-3]
+    del text
+    full = f'{{\n  "canonical_sha256": "{digest}",\n{lines},\n  "timing_ms": {timing!r}\n}}\n'
+    return report, full
 
 
 def _render_human(report: dict) -> str:
@@ -328,8 +340,7 @@ def _render_human(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(report: dict, args) -> None:
-    text = canonical_json(report)
+def _emit(report: dict, text: str, args) -> None:
     if getattr(args, "outfile", None):
         with open(args.outfile, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -406,8 +417,7 @@ def dispatch(argv) -> int:
     try:
         args = _parse_args(argv)
     except _UsageError as exc:
-        report = _build_report(exc.command, False, {"error": str(exc)}, [], 0.0)
-        _emit(report, None)
+        _emit(*_build_report(exc.command, False, {"error": str(exc)}, [], 0.0), None)
         return EXIT_INPUT
     except SystemExit as exc:
         # --help exits 0 after printing; normalize any other code
@@ -424,8 +434,7 @@ def dispatch(argv) -> int:
         # schema, expression and argument errors
         ok, payload, defects = False, {"error": str(exc)}, []
         code = EXIT_INPUT
-    report = _build_report(command, ok, payload, defects, (time.perf_counter() - start) * 1000)
-    _emit(report, args)
+    _emit(*_build_report(command, ok, payload, defects, (time.perf_counter() - start) * 1000), args)
     return code
 
 

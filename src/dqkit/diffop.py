@@ -3,17 +3,24 @@
 Operators are kept in normal form (all derivatives to the right of the
 coefficient), so equality is structural: zero defect means an empty term map.
 Sampling on polynomials appears only as an independent test oracle.
+
+Every composition, and every sum of compositions (Hochschild coboundaries,
+the order-by-order series products of ``starprod``), is summed in one
+:class:`_OpAcc`: integer numerators keyed by order tuple and exponent tuple,
+over one common denominator that is raised to the lcm when a coefficient with
+a new denominator arrives.  No ``Poly`` is built per term pair; the result
+gets one normalized ``Poly`` per order tuple that survives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, gcd, prod
 from operator import add
 
 from .errors import ArityMismatchError, DimensionMismatchError
-from .kernel import Poly, _PolyMap, _add_term
+from .kernel import Poly, _PolyMap, _add_term, _reduced
 
 
 def _zero_mi(dim):
@@ -204,38 +211,93 @@ def _derivative_of(alpha, inner: PolyDiffOp, cap) -> dict:
     return out
 
 
-def _compose_acc(out: dict, outer: PolyDiffOp, slot: int, inner: PolyDiffOp, sign: int,
-                 expanded: dict | None = None) -> None:
-    """Add sign * compose_into_slot(outer, slot, inner) into the term map `out`.
+class _OpAcc:
+    """A running sum of operators of one dimension over one common denominator.
 
-    Callers that sum several compositions share one `out` and build a single
-    operator from it; the arguments must already be checked.
-
-    `expanded` maps alpha to the term map of d^alpha o inner; entries missing
-    from it are computed and added.  A caller that composes the same inner
-    operator several times (into other outers, other slots, other orders)
-    passes one dict for that inner operator to every such call.  The caller
-    owns it: one dict per inner operator, never shared between two inner
-    operators, and dropped when the caller's own call returns.  Its values are
-    read-only (the alpha = 0 entry is inner.terms itself).  By default the dict
-    is local to this call.
+    ``terms`` maps order tuples to ``{exps: int numerator}`` and ``den`` is one
+    positive int, so the sum is sum(n x^exps d^orders) / den.  A product of two
+    coefficients is added monomial pair by monomial pair, each one tuple add
+    and one int multiply-add; a numerator that cancels is dropped.  A
+    coefficient whose denominator does not divide ``den`` first rescales every
+    stored numerator once, raising ``den`` to the lcm; ``den`` at least doubles
+    each time, so that happens at most log2(final den) times.  Coefficients
+    become ``Poly`` objects only in :meth:`op`.
     """
-    if expanded is None:
-        expanded = {}
-    j = slot - 1
-    cap = None
-    for o_orders, o_coeff in outer.terms.items():
-        alpha = o_orders[j]
-        d_inner = expanded.get(alpha)
-        if d_inner is None:
-            if cap is None:
-                cap = _exponent_cap(inner)
-            d_inner = expanded[alpha] = _derivative_of(alpha, inner, cap)
-        head, tail = o_orders[:j], o_orders[j + 1 :]
-        if sign < 0:
-            o_coeff = -o_coeff
-        for orders, c in d_inner.items():
-            _add_term(out, head + orders + tail, o_coeff * c)
+
+    __slots__ = ("dim", "terms", "den")
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.terms = {}
+        self.den = 1
+
+    def _add(self, key, left, right, d: int, sign: int) -> None:
+        """Add sign * sum(n1 * n2 * x^(e1 + e2)) / d at order tuple `key`, the sum
+        over the (exps, numerator) pairs (e1, n1) of `left` and (e2, n2) of `right`."""
+        den = self.den
+        if den % d:
+            f = d // gcd(den, d)
+            for sub in self.terms.values():
+                for e in sub:
+                    sub[e] *= f
+            den = self.den = den * f
+        m = den // d * sign
+        sub = self.terms.get(key)
+        if sub is None:
+            sub = self.terms[key] = {}
+        for e1, n1 in left:
+            n1 *= m
+            for e2, n2 in right:
+                e = tuple(map(add, e1, e2))
+                v = sub.get(e, 0) + n1 * n2
+                if v:
+                    sub[e] = v
+                else:
+                    del sub[e]
+
+    def add_op(self, op: PolyDiffOp, sign: int = 1) -> None:
+        """Add sign * op."""
+        one = (((0,) * self.dim, 1),)
+        for orders, c in op.terms.items():
+            self._add(orders, one, c._num.items(), c._den, sign)
+
+    def add_compose(self, outer: PolyDiffOp, slot: int, inner: PolyDiffOp, sign: int = 1,
+                    expanded: dict | None = None) -> None:
+        """Add sign * compose_into_slot(outer, slot, inner); the arguments must
+        already be checked.
+
+        `expanded` maps alpha to the term map of d^alpha o inner; entries missing
+        from it are computed and added.  A caller that composes the same inner
+        operator several times (into other outers, other slots, other orders)
+        passes one dict for that inner operator to every such call.  The caller
+        owns it: one dict per inner operator, never shared between two inner
+        operators, and dropped when the caller's own call returns.  Its values
+        are read-only (the alpha = 0 entry is inner.terms itself).  By default
+        the dict is local to this call.
+        """
+        if expanded is None:
+            expanded = {}
+        j = slot - 1
+        cap = None
+        for o_orders, o_coeff in outer.terms.items():
+            alpha = o_orders[j]
+            d_inner = expanded.get(alpha)
+            if d_inner is None:
+                if cap is None:
+                    cap = _exponent_cap(inner)
+                d_inner = expanded[alpha] = _derivative_of(alpha, inner, cap)
+            head, tail = o_orders[:j], o_orders[j + 1 :]
+            o_num, o_den = o_coeff._num.items(), o_coeff._den
+            for orders, c in d_inner.items():
+                self._add(head + orders + tail, o_num, c._num.items(), o_den * c._den, sign)
+
+    def op(self, arity: int) -> PolyDiffOp:
+        """The sum as an operator of `arity` arguments, one normalized ``Poly``
+        per order tuple left nonzero; the accumulator is empty afterwards."""
+        dim, den, terms = self.dim, self.den, self.terms
+        self.terms, self.den = {}, 1
+        return PolyDiffOp._make(dim, arity, {orders: _reduced(dim, sub, den)
+                                             for orders, sub in terms.items() if sub})
 
 
 def compose_into_slot(outer: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDiffOp:
@@ -251,9 +313,9 @@ def compose_into_slot(outer: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDi
         raise ArityMismatchError(f"slot {slot} out of range 1..{outer.arity}")
     if outer.dim != inner.dim:
         raise DimensionMismatchError("operator dimensions differ")
-    out = {}
-    _compose_acc(out, outer, slot, inner, 1)
-    return PolyDiffOp._make(outer.dim, outer.arity + inner.arity - 1, out)
+    acc = _OpAcc(outer.dim)
+    acc.add_compose(outer, slot, inner)
+    return acc.op(outer.arity + inner.arity - 1)
 
 
 def transpose(P: PolyDiffOp) -> PolyDiffOp:
@@ -280,11 +342,11 @@ def hochschild_delta(Q: PolyDiffOp) -> PolyDiffOp:
     if Q.arity != 1:
         raise ArityMismatchError("hochschild_delta needs arity 1")
     mul = PolyDiffOp.multiplication(Q.dim)
-    out = {}
-    _compose_acc(out, Q, 1, mul, 1)
-    _compose_acc(out, mul, 1, Q, -1)
-    _compose_acc(out, mul, 2, Q, -1)
-    return PolyDiffOp._make(Q.dim, 2, out)
+    acc = _OpAcc(Q.dim)
+    acc.add_compose(Q, 1, mul)
+    acc.add_compose(mul, 1, Q, -1)
+    acc.add_compose(mul, 2, Q, -1)
+    return acc.op(2)
 
 
 def cocycle_defect(P: PolyDiffOp) -> PolyDiffOp:
@@ -293,12 +355,12 @@ def cocycle_defect(P: PolyDiffOp) -> PolyDiffOp:
     if P.arity != 2:
         raise ArityMismatchError("cocycle_defect needs arity 2")
     mul = PolyDiffOp.multiplication(P.dim)
-    out = {}
-    _compose_acc(out, mul, 2, P, 1)
-    _compose_acc(out, P, 1, mul, -1)
-    _compose_acc(out, P, 2, mul, 1)
-    _compose_acc(out, mul, 1, P, -1)
-    return PolyDiffOp._make(P.dim, 3, out)
+    acc = _OpAcc(P.dim)
+    acc.add_compose(mul, 2, P)
+    acc.add_compose(P, 1, mul, -1)
+    acc.add_compose(P, 2, mul)
+    acc.add_compose(mul, 1, P, -1)
+    return acc.op(3)
 
 
 def partial_apply(D: PolyDiffOp, slot: int, f: Poly) -> PolyDiffOp:

@@ -18,7 +18,7 @@ from operator import attrgetter
 from .calculus import MultiVec
 from .diffop import (
     PolyDiffOp,
-    _compose_acc,
+    _OpAcc,
     apply_op,
     compose_into_slot,
     find_nonzero_args,
@@ -284,6 +284,23 @@ def gauge_unitality_defects(R: GaugeOp):
     return out
 
 
+def _assoc_defects(S: StarProduct):
+    """Yield D_1, D_2, ... (see assoc_defect) one t-order at a time.
+
+    For each i the slot-2 term P_i o_2 P_{k-i} is subtracted right after the
+    slot-1 term P_i o_1 P_{k-i} is added, so terms that cancel leave the sum
+    before the next i adds more.
+    """
+    ops = [S.op(i) for i in range(S.order + 1)]
+    expanded = [{} for _ in ops]  # d^alpha o P_j, shared by both slots and every order
+    for k in range(1, S.order + 1):
+        acc = _OpAcc(S.dim)
+        for i in range(k + 1):
+            acc.add_compose(ops[i], 1, ops[k - i], 1, expanded[k - i])
+            acc.add_compose(ops[i], 2, ops[k - i], -1, expanded[k - i])
+        yield acc.op(3)
+
+
 def assoc_defect(S: StarProduct):
     """Order-by-order associativity defects, one arity-3 operator per t-order:
 
@@ -291,19 +308,12 @@ def assoc_defect(S: StarProduct):
 
     S is associative iff every D_k is structurally zero.
     """
-    ops = [S.op(i) for i in range(S.order + 1)]
-    expanded = [{} for _ in ops]  # d^alpha o P_j, shared by both slots and every order
-    out = []
-    for k in range(1, S.order + 1):
-        terms = {}
-        _convolve(terms, k, ops, 1, ops, expanded)
-        _convolve(terms, k, ops, 2, ops, expanded, sign=-1)
-        out.append(PolyDiffOp._make(S.dim, 3, terms))
-    return out
+    return list(_assoc_defects(S))
 
 
 def is_associative(S: StarProduct) -> bool:
-    return all(D.is_zero() for D in assoc_defect(S))
+    """Whether every D_k is zero; stops at the first order whose defect is not."""
+    return all(D.is_zero() for D in _assoc_defects(S))
 
 
 def is_special(S: StarProduct) -> bool:
@@ -345,18 +355,18 @@ def assoc_poisson(S: StarProduct) -> MultiVec:
     return result
 
 
-def _convolve(acc: dict, k: int, outer, slot: int, inner, expanded, sign=1, lo=0, hi=None) -> None:
-    """Add sign * sum_{i=lo..hi} outer[i] o_slot inner[k-i] into the term map
-    `acc`: the order-k coefficient of a product of two operator series.
+def _convolve(acc: _OpAcc, k: int, outer, slot: int, inner, expanded, sign=1, lo=0, hi=None) -> None:
+    """Add sign * sum_{i=lo..hi} outer[i] o_slot inner[k-i] into the operator
+    sum `acc`: the order-k coefficient of a product of two operator series.
 
     `outer` and `inner` are indexed by t-order and `hi` defaults to k.
     `expanded[j]` is the expansion dict of inner[j] in the sense of
-    diffop._compose_acc, which states who owns it and for how long.
+    diffop._OpAcc.add_compose, which states who owns it and for how long.
     """
     for i in range(lo, k + 1 if hi is None else hi + 1):
         X, Y = outer[i], inner[k - i]
         if not (X.is_zero() or Y.is_zero()):
-            _compose_acc(acc, X, slot, Y, sign, expanded[k - i])
+            acc.add_compose(X, slot, Y, sign, expanded[k - i])
 
 
 def gauge_transform(S: StarProduct, R: GaugeOp) -> StarProduct:
@@ -376,13 +386,14 @@ def gauge_transform(S: StarProduct, R: GaugeOp) -> StarProduct:
     new_P = [ops[0]]  # P'_0 = multiplication
     p_expanded = [{} for _ in ops]  # d^alpha o P'_m, one dict per P'_m
     for k in range(1, S.order + 1):
-        u = dict(ops[k].terms)  # P_k o_1 R_0 = P_k
-        _convolve(u, k, ops, 1, rops, r_expanded, hi=k - 1)
-        us.append(PolyDiffOp._make(S.dim, 2, u))
-        acc = dict(u)  # U_k o_2 R_0 = U_k
+        acc = _OpAcc(S.dim)
+        acc.add_op(ops[k])  # P_k o_1 R_0 = P_k
+        _convolve(acc, k, ops, 1, rops, r_expanded, hi=k - 1)
+        us.append(acc.op(2))
+        acc.add_op(us[k])  # U_k o_2 R_0 = U_k
         _convolve(acc, k, us, 2, rops, r_expanded, hi=k - 1)
         _convolve(acc, k, rops, 1, new_P, p_expanded, sign=-1, lo=1)
-        new_P.append(PolyDiffOp._make(S.dim, 2, acc))
+        new_P.append(acc.op(2))
     return StarProduct(S.dim, S.order, new_P[1:])
 
 
@@ -395,9 +406,10 @@ def gauge_compose(R: GaugeOp, Q: GaugeOp) -> GaugeOp:
     expanded = [{} for _ in qops]  # d^alpha o Q_j, shared by every order
     ops = []
     for k in range(1, R.order + 1):
-        acc = dict(rops[k].terms)  # R_k o Q_0 = R_k
+        acc = _OpAcc(R.dim)
+        acc.add_op(rops[k])  # R_k o Q_0 = R_k
         _convolve(acc, k, rops, 1, qops, expanded, hi=k - 1)
-        ops.append(PolyDiffOp._make(R.dim, 1, acc))
+        ops.append(acc.op(1))
     return GaugeOp(R.dim, R.order, ops)
 
 
@@ -412,9 +424,10 @@ def invert_gauge(R: GaugeOp) -> GaugeOp:
     qops = [rops[0]]  # Q_0 = 1
     expanded = [{} for _ in rops]  # d^alpha o Q_j, shared by every order
     for k in range(1, R.order + 1):
-        acc = {orders: -c for orders, c in rops[k].terms.items()}  # -R_k o Q_0 = -R_k
+        acc = _OpAcc(R.dim)
+        acc.add_op(rops[k], -1)  # -R_k o Q_0 = -R_k
         _convolve(acc, k, rops, 1, qops, expanded, sign=-1, lo=1, hi=k - 1)
-        qops.append(PolyDiffOp._make(R.dim, 1, acc))
+        qops.append(acc.op(1))
     return GaugeOp(R.dim, R.order, qops[1:])
 
 

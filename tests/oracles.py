@@ -6,7 +6,14 @@ from math import factorial, perm, prod
 from operator import add, sub
 
 from dqkit.calculus import Form, MultiVec, wedge
-from dqkit.diffop import PolyDiffOp, compose_into_slot, hochschild_delta, transpose_parts
+from dqkit.diffop import (
+    PolyDiffOp,
+    _derivative_of,
+    _exponent_cap,
+    compose_into_slot,
+    hochschild_delta,
+    transpose_parts,
+)
 from dqkit.errors import DimensionMismatchError, IndexRangeError, SolveError
 from dqkit.kernel import Poly, _add_term, grlex_key
 from dqkit.poisson import koszul_bracket
@@ -242,6 +249,29 @@ def derivative_uncapped(alpha, inner: PolyDiffOp) -> dict:
             )
             _add_term(out, orders, dcoeff * mult)
     return out
+
+
+def compose_acc_by_poly(out: dict, outer: PolyDiffOp, slot: int, inner: PolyDiffOp, sign: int,
+                        expanded: dict | None = None) -> None:
+    """Add sign * compose_into_slot(outer, slot, inner) into the term map `out`
+    through Poly arithmetic: one Poly product per (outer term, Leibniz term)
+    pair, added with _add_term.  The summation route diffop._OpAcc replaced;
+    `expanded` has the meaning of _OpAcc.add_compose."""
+    if expanded is None:
+        expanded = {}
+    j = slot - 1
+    cap = None
+    for o_orders, o_coeff in outer.terms.items():
+        alpha = o_orders[j]
+        d_inner = expanded.get(alpha)
+        if d_inner is None:
+            if cap is None:
+                cap = _exponent_cap(inner)
+            d_inner = expanded[alpha] = _derivative_of(alpha, inner, cap)
+        if sign < 0:
+            o_coeff = -o_coeff
+        for orders, c in d_inner.items():
+            _add_term(out, o_orders[:j] + orders + o_orders[j + 1 :], o_coeff * c)
 
 
 def invert_gauge_by_neumann(R: GaugeOp) -> GaugeOp:

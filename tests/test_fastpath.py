@@ -1,12 +1,17 @@
 """Pins the fast composition path against slow, independent routes.
 
 The kernel and the operator layer wrap term maps they build themselves
-without re-validating them, and the star-product routines sum Leibniz terms
-straight into one dict, sharing one expansion of d^alpha o inner per inner
-operator across a call and forming no splitting that differentiates every
+without re-validating them.  Every composition sums its Leibniz terms into
+one diffop._OpAcc: integer numerators per (order tuple, exponent tuple) over
+one common denominator, rescaled when a coefficient with a new denominator
+arrives, with one Poly built per surviving order tuple at the end.  The
+star-product routines share one expansion of d^alpha o inner per inner
+operator across a call and form no splitting that differentiates every
 coefficient to zero.  These tests check the results by evaluation, against
-unfused and uncapped references, and by walking every output for the
-invariants the trusted constructors no longer check.
+unfused, uncapped and Poly-per-pair references, and by walking every output
+for the invariants the trusted constructors no longer check.  Coefficients
+are drawn with denominators 1, 2, 3, 4 and 6, so the common denominator is
+rescaled in most examples.
 """
 
 import random
@@ -18,7 +23,7 @@ from hypothesis import given, strategies as st
 from dqkit.calculus import MultiVec
 from dqkit.diffop import (
     PolyDiffOp,
-    _compose_acc,
+    _OpAcc,
     _derivative_of,
     _exponent_cap,
     _splittings,
@@ -36,18 +41,18 @@ from dqkit.starprod import (
     gauge_compose,
     gauge_transform,
     invert_gauge,
+    is_associative,
     moyal,
 )
 
 from conftest import assert_clean_poly, rand_diffop1, rand_gauge
-from oracles import derivative_uncapped, invert_gauge_by_neumann, moyal_by_tuples
+from oracles import compose_acc_by_poly, derivative_uncapped, invert_gauge_by_neumann, moyal_by_tuples
 
 DIM = 2
 
 small_exps = st.tuples(*[st.integers(0, 3)] * DIM)
-polys = st.dictionaries(small_exps, st.integers(-3, 3), max_size=3).map(
-    lambda d: Poly(DIM, d)
-)
+rationals = st.builds(Fraction, st.integers(-3, 3), st.sampled_from((1, 2, 3, 4, 6)))
+polys = st.dictionaries(small_exps, rationals, max_size=3).map(lambda d: Poly(DIM, d))
 multi_indices = st.tuples(*[st.integers(0, 2)] * DIM)
 
 
@@ -202,6 +207,7 @@ def test_fused_routines_match_unfused_references():
         assert_clean(defects)
         assert defects == ref_assoc_defect(S2)
         assert all(D.is_zero() for D in defects)
+        assert is_associative(S2)
         Rinv = invert_gauge(R)
         assert_clean(Rinv)
         assert Rinv == ref_invert_gauge(R)
@@ -224,6 +230,8 @@ def test_fused_routines_match_references_on_random_stars(data):
     defects = assoc_defect(S)
     assert_clean(defects)
     assert defects == ref_assoc_defect(S)
+    # is_associative stops at the first nonzero order and must agree
+    assert is_associative(S) == all(D.is_zero() for D in defects)
     S2 = gauge_transform(S, R)
     assert_clean(S2)
     assert S2 == ref_gauge_transform(S, R)
@@ -274,17 +282,77 @@ def test_shared_expansion_matches_fresh_compose(data):
     for outer in outers:
         for slot in range(1, outer.arity + 1):
             sign = data.draw(st.sampled_from((1, -1)))
-            out = {}
-            _compose_acc(out, outer, slot, inner, sign, expanded)
+            acc = _OpAcc(DIM)
+            acc.add_compose(outer, slot, inner, sign, expanded)
+            got = acc.op(outer.arity + inner.arity - 1)
+            assert_clean(got)
             want = compose_into_slot(outer, slot, inner)
             if sign < 0:
                 want = -want
-            assert list(out.items()) == list(want.terms.items())
+            # dicts, not lists: a key that cancels and comes back may move
+            assert got.terms == want.terms
     # the cached expansions were only read: each still equals a fresh one
     cap = _exponent_cap(inner)
     for alpha, d_inner in expanded.items():
         assert list(d_inner.items()) == list(_derivative_of(alpha, inner, cap).items())
     assert list(inner.terms.items()) == inner_terms
+
+
+@given(st.data())
+def test_accumulated_sum_matches_poly_per_pair_route(data):
+    # one accumulator takes operators and compositions of either sign, in any
+    # order, and must equal the same sum formed by one Poly product per pair
+    arity = data.draw(st.integers(1, 3))
+    acc = _OpAcc(DIM)
+    want = {}
+    for _ in range(data.draw(st.integers(1, 5))):
+        sign = data.draw(st.sampled_from((1, -1)))
+        if data.draw(st.booleans()):
+            op = data.draw(ops(arity=arity))
+            acc.add_op(op, sign)
+            compose_acc_by_poly(want, PolyDiffOp.identity(DIM), 1, op, sign)
+        else:
+            inner = data.draw(ops(arity=data.draw(st.integers(1, arity))))
+            outer = data.draw(ops(arity=arity - inner.arity + 1))
+            slot = data.draw(st.integers(1, outer.arity))
+            acc.add_compose(outer, slot, inner, sign)
+            compose_acc_by_poly(want, outer, slot, inner, sign)
+    got = acc.op(arity)
+    assert_clean(got)
+    assert got.terms == want
+    # op() empties the accumulator
+    assert acc.op(arity).is_zero() and acc.den == 1
+
+
+def test_accumulator_rescales_to_new_denominators():
+    # denominators 2, 3 and 4 arrive in turn: den goes 1 -> 2 -> 6 -> 12, and
+    # a term that cancels leaves neither an empty nor a zero entry behind
+    x, y = (1, 0), (0, 1)
+    a, b = ((1, 0),), ((0, 1),)
+
+    def op(terms):
+        return PolyDiffOp(DIM, 1, {orders: Poly(DIM, c) for orders, c in terms.items()})
+
+    steps = [
+        op({a: {x: Fraction(1, 2), y: 1}, b: {y: Fraction(1, 2)}}),
+        op({a: {x: Fraction(1, 3)}, b: {y: Fraction(-1, 2)}}),
+        op({a: {x: Fraction(-5, 6), y: Fraction(1, 4)}}),
+    ]
+    acc = _OpAcc(DIM)
+    want = PolyDiffOp.zero(DIM, 1)
+    dens = []
+    for step in steps:
+        acc.add_op(step)
+        want = want + step
+        dens.append(acc.den)
+    assert dens == [2, 6, 12]
+    assert acc.terms[b] == {}  # cancelled at den 6; op() drops the empty sub-map
+    assert all(n for sub in acc.terms.values() for n in sub.values())
+    got = acc.op(1)
+    assert_clean(got)
+    assert got == want
+    assert got.terms == {a: Poly(DIM, {y: Fraction(5, 4)})}
+    assert got.terms[a]._den == 4
 
 
 @given(ops(), st.tuples(*[st.integers(0, 5)] * DIM))

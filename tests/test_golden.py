@@ -15,6 +15,7 @@ import pytest
 
 from dqkit.cli import dispatch
 from dqkit.kernel import Poly
+from dqkit.parser import canonical_json
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -211,8 +212,8 @@ CASES = (
 )
 
 
-def run_case(command, name, tmp_dir):
-    """Run one case through dispatch; returns (exit code, canonical_sha256)."""
+def run_case_text(command, name, tmp_dir):
+    """Run one case through dispatch; returns (exit code, report text)."""
     if name in BUNDLES:
         path = os.path.join(tmp_dir, f"{name}.json")
         with open(path, "w") as fh:
@@ -222,7 +223,13 @@ def run_case(command, name, tmp_dir):
     buf = io.StringIO()
     with redirect_stdout(buf):
         code = dispatch(command.split() + ["--in", path])
-    return code, json.loads(buf.getvalue())["canonical_sha256"]
+    return code, buf.getvalue()
+
+
+def run_case(command, name, tmp_dir):
+    """Run one case through dispatch; returns (exit code, canonical_sha256)."""
+    code, text = run_case_text(command, name, tmp_dir)
+    return code, json.loads(text)["canonical_sha256"]
 
 
 GOLDEN = {
@@ -331,6 +338,15 @@ def test_table_covers_every_case():
 @pytest.mark.parametrize("command,name", CASES, ids=[f"{c}:{n}" for c, n in CASES])
 def test_report_hash_unchanged(command, name, tmp_path):
     assert run_case(command, name, str(tmp_path)) == GOLDEN[command, name]
+
+
+@pytest.mark.parametrize("command,name", CASES, ids=[f"{c}:{n}" for c, n in CASES])
+def test_report_text_is_canonical_json(command, name, tmp_path):
+    """The CLI encodes a report's body once and splices canonical_sha256 and
+    timing_ms into that text: it must be canonical_json of the whole report,
+    byte for byte."""
+    _, text = run_case_text(command, name, str(tmp_path))
+    assert text == canonical_json(json.loads(text))
 
 
 def test_no_library_path_reads_poly_terms(monkeypatch, tmp_path):
