@@ -5,22 +5,44 @@ coefficient), so equality is structural: zero defect means an empty term map.
 Sampling on polynomials appears only as an independent test oracle.
 
 Every composition, and every sum of compositions (Hochschild coboundaries,
-the order-by-order series products of ``starprod``), is summed in one
-:class:`_OpAcc`: integer numerators keyed by order tuple and exponent tuple,
-over one common denominator that is raised to the lcm when a coefficient with
-a new denominator arrives.  No ``Poly`` is built per term pair; the result
-gets one normalized ``Poly`` per order tuple that survives.
+the order-by-order series products of ``starprod``), works on packed keys:
+
+- **Key layout.**  A term c x^e d^beta_1 ... d^beta_k of an operator on R^n
+  becomes one int per monomial of its coefficient, with 16-bit fields:
+  e_1..e_n first, then slot 1's orders beta_1, then slot 2's, and so on
+  (field i at bit 16 i).  An operator becomes ``{key: int numerator}`` over
+  one denominator, the lcm of its coefficient denominators.
+- **Budget.**  Every exponent and derivative order an operand packs is at
+  most ``MAX_PACKED`` = 2^15 - 1.  Every field of a sum of two keys is then
+  below 2^16 and never carries into the next.  An operand above the budget
+  raises ``BudgetError`` before it is composed: a call packs its inputs
+  before any work, and a sum it composes further (the orders of a gauge
+  transform, say) when the sum is handed over.
+- **Handles.**  A public call packs each operator it composes once, into a
+  :class:`_Packed` handle, and passes that handle to every composition that
+  uses the operator; the handle keeps the Leibniz expansions and moved keys
+  those compositions build.  The call owns its handles: one per operator,
+  never shared with another call, dropped when the call returns.  Nothing is
+  cached across calls.
+- **Sums.**  :class:`_OpAcc` sums compositions as ``{key: int numerator}``
+  over one common denominator: each pair of terms is one int add and one int
+  multiply-add.  The result gets one normalized ``Poly`` per order tuple that
+  survives.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
-from math import comb, gcd, prod
-from operator import add
+from math import comb, gcd, lcm
+from operator import mul
+from struct import Struct, error as StructError
 
-from .errors import ArityMismatchError, DimensionMismatchError
+from .errors import ArityMismatchError, BudgetError, DimensionMismatchError
 from .kernel import Poly, _PolyMap, _add_term, _reduced
+
+_BITS = 16  # width of one packed field
+_FIELD = (1 << _BITS) - 1
+MAX_PACKED = 2**15 - 1  # the largest exponent or derivative order an operand may pack
 
 
 def _zero_mi(dim):
@@ -147,81 +169,221 @@ def apply_op(D: PolyDiffOp, *args: Poly) -> Poly:
     return out
 
 
-def _exponent_cap(op: PolyDiffOp):
-    """The largest exponent of each coordinate over all coefficients of `op`.
+def _over_budget(top: int) -> BudgetError:
+    return BudgetError(
+        f"exponent or derivative order {top} is above the packing budget diffop.MAX_PACKED = {MAX_PACKED}"
+    )
 
-    A derivative of order gamma with gamma_c > cap_c in some coordinate c kills
-    every coefficient of `op`.
+
+def _pack(op: PolyDiffOp) -> "_Packed":
+    """The handle of `op`, each coefficient over the lcm of their denominators;
+    BudgetError if an exponent or order of `op` is above MAX_PACKED."""
+    dim = op.dim
+    pack_orders = Struct(f"<{dim * op.arity}H").pack
+    pack_exps = Struct(f"<{dim}H").pack
+    block = _BITS * dim
+    den = lcm(*(c._den for c in op.terms.values()))
+    terms = {}
+    try:
+        for orders, c in op.terms.items():
+            high = int.from_bytes(pack_orders(*sum(orders, ())), "little") << block
+            f = den // c._den
+            for e, n in c._num.items():
+                terms[int.from_bytes(pack_exps(*e), "little") | high] = n * f
+    except StructError:  # a field of 2^16 or more
+        raise _over_budget(
+            max(max(*sum(orders, ()), *e) for orders, c in op.terms.items() for e in c._num)
+        ) from None
+    return _Packed(dim, op.arity, terms, den)
+
+
+def _unpacked(dim: int, arity: int, terms: dict, den: int) -> PolyDiffOp:
+    """The operator of a packed term map over `den`: one normalized ``Poly``
+    per order tuple, in the order the order tuples first appear."""
+    block = _BITS * dim
+    low = (1 << block) - 1
+    groups = {}
+    for k, n in terms.items():
+        sub = groups.get(k >> block)
+        if sub is None:
+            sub = groups[k >> block] = {}
+        sub[k & low] = n
+    unpack_orders = Struct(f"<{dim * arity}H").unpack
+    unpack_exps = Struct(f"<{dim}H").unpack
+    orders_bytes, exps_bytes = 2 * dim * arity, 2 * dim
+    seen = {}  # packed exponents -> the one tuple for them
+    out = {}
+    for high, sub in groups.items():
+        flat = unpack_orders(high.to_bytes(orders_bytes, "little"))
+        num = {}
+        for e, n in sub.items():
+            exps = seen.get(e)
+            if exps is None:
+                exps = seen[e] = unpack_exps(e.to_bytes(exps_bytes, "little"))
+            num[exps] = n
+        out[tuple(flat[i : i + dim] for i in range(0, dim * arity, dim))] = _reduced(dim, num, den)
+    return PolyDiffOp._make(dim, arity, out)
+
+
+class _Packed:
+    """One operator packed for composition: the handle the caller of
+    :meth:`_OpAcc.add_compose` owns (see the module docstring).
+
+    :func:`_pack` packs an operator and :meth:`_OpAcc.handle` hands over a
+    sum without building its operator; both refuse a field above MAX_PACKED.
+    ``terms`` maps each packed key to its int numerator over the one positive
+    denominator ``den``.  The handle also keeps, filled on first use, the
+    Leibniz expansions d^alpha o op by packed alpha (alpha = 0 is ``terms``
+    itself), those expansions with op's slots moved to start at a given output
+    slot, and op's own terms with one slot taken out and the later slots moved
+    up.  All of it is read-only once built, so any number of compositions in
+    one call can share it.
     """
-    cap = [0] * op.dim
-    for coeff in op.terms.values():
-        for exps in coeff.exponents():
-            cap = list(map(max, cap, exps))
-    return cap
+
+    __slots__ = ("dim", "arity", "terms", "den", "_exp", "_moved", "_outer", "_spread")
+
+    def __init__(self, dim: int, arity: int, terms: dict, den: int):
+        """Take ownership of a packed term map over `den`."""
+        seen = 0  # the or of every key: a field above MAX_PACKED sets its top bit
+        for key in terms:
+            seen |= key
+        width = dim * (arity + 1)
+        high = int.from_bytes(b"\x00\x80" * width, "little")
+        if seen & high:
+            unpack = Struct(f"<{width}H").unpack
+            raise _over_budget(max(max(unpack(k.to_bytes(2 * width, "little"))) for k in terms if k & high))
+        self.dim, self.arity, self.terms, self.den = dim, arity, terms, den
+        self._exp = {0: terms}
+        self._moved = {}
+        self._outer = {}
+        self._spread = {}
+
+    def op(self) -> PolyDiffOp:
+        """The operator this handle holds."""
+        return _unpacked(self.dim, self.arity, self.terms, self.den)
+
+    def outer_rows(self, slot: int, inner_arity: int) -> list:
+        """[(packed alpha, [(key, numerator)])], one row per order tuple: alpha
+        is the order in `slot`, and each key has that slot taken out and the
+        later slots moved up by inner_arity - 1, the layout of a composition
+        with an operator of `inner_arity` arguments."""
+        rows = self._outer.get((slot, inner_arity))
+        if rows is None:
+            block = _BITS * self.dim
+            low = block * slot
+            head = (1 << low) - 1
+            alpha_mask = (1 << block) - 1
+            tail = low + block * inner_arity
+            by_orders = {}
+            for key, n in self.terms.items():
+                items = by_orders.get(key >> block)
+                if items is None:
+                    items = by_orders[key >> block] = []
+                items.append(((key & head) | (key >> low + block << tail), n))
+            rows = self._outer[slot, inner_arity] = [
+                (orders >> low - block & alpha_mask, items) for orders, items in by_orders.items()
+            ]
+        return rows
+
+    def expansion(self, alpha: int, slot: int):
+        """(key, numerator) items of d^alpha o op over ``den``, op's slots moved
+        to start at output slot `slot`."""
+        got = self._moved.get((alpha, slot))
+        if got is None:
+            terms = self._expanded(alpha)
+            if slot == 1:
+                got = terms.items()
+            else:
+                block = _BITS * self.dim
+                low = (1 << block) - 1
+                up = block * slot
+                got = [((k & low) | (k >> block << up), n) for k, n in terms.items()]
+            self._moved[alpha, slot] = got
+        return got
+
+    def _expanded(self, alpha: int) -> dict:
+        """{key: numerator} of d^alpha o op: d^alpha = d_c^{alpha_c} o d^{alpha'},
+        with c the last nonzero coordinate of alpha and alpha' the lower ones."""
+        got = self._exp.get(alpha)
+        if got is None:
+            shift = (alpha.bit_length() - 1) // _BITS * _BITS
+            base = self._expanded(alpha & ((1 << shift) - 1))
+            got = self._exp[alpha] = self._leibniz_block(base, shift, alpha >> shift)
+        return got
+
+    def _leibniz_block(self, base: dict, shift: int, a: int) -> dict:
+        """d_c^a o base, for a packed term map `base` and the coordinate c whose
+        field sits `shift` bits into each block.
+
+        d_c^a (x^e d^beta_1 f_1 ... d^beta_k f_k) shares a out as g_0 on the
+        coefficient and g_s on slot s, with weight a! / (g_0! ... g_k!) times
+        perm(e_c, g_0); a share g_0 > e_c is zero and never formed.  Shares
+        come in lexicographic order of (g_0, ..., g_k), and equal keys merge.
+        """
+        combs = [comb(a, g) for g in range(a + 1)]
+        spread = self._spread
+        out = {}
+        get = out.get
+        for key, n in base.items():
+            e = key >> shift & _FIELD
+            w = n
+            for g0 in range(min(a, e) + 1):
+                if g0:
+                    w *= e - g0 + 1  # n * perm(e, g0)
+                head = key - (g0 << shift)
+                wc = w * combs[g0]
+                shares = spread.get((a - g0, shift))
+                if shares is None:
+                    shares = self._spread_of(a - g0, shift)
+                for mult, add in shares:
+                    k = head + add
+                    v = get(k)
+                    if v is None:
+                        out[k] = wc * mult
+                    else:
+                        v += wc * mult
+                        if v:
+                            out[k] = v
+                        else:
+                            del out[k]
+        return out
+
+    def _spread_of(self, r: int, shift: int) -> list:
+        """[(multinomial, packed shares)] over the ways to share r out over the
+        slots at the coordinate `shift` bits into a block, in lexicographic
+        order of (g_1, ..., g_k)."""
+        block = _BITS * self.dim
+        units = [1 << block * s + shift for s in range(1, self.arity + 1)]
+        got = self._spread[r, shift] = [
+            (m, sum(map(mul, gs, units))) for m, gs in _compositions(r, self.arity)
+        ]
+        return got
 
 
-def _splittings(alpha, parts, cap):
-    """Yield (multinomial coefficient, tuple of `parts` multi-indices summing to alpha),
-    leaving out those whose first part exceeds `cap` in some coordinate.
-
-    The multinomial coefficient is prod_coords alpha_c! / prod_j gamma_{j,c}!.
-    alpha must be nonempty.  The splittings kept come in the same order as
-    without a cap.
-    """
-    per_coord = [list(_compositions_with_coeff(a, parts, c)) for a, c in zip(alpha, cap)]
-    for combo in product(*per_coord):
-        coeffs, comps = zip(*combo)
-        # comps[c][j] is the share of coordinate c given to part j
-        yield prod(coeffs), tuple(zip(*comps))
-
-
-def _compositions_with_coeff(total, parts, first_max=None):
-    """All ordered decompositions of `total` into `parts` non-negative ints whose
-    first part is at most `first_max` (no bound when None), with their
-    multinomial coefficients."""
+def _compositions(total: int, parts: int):
+    """(total! / (g_1! ... g_parts!), (g_1, ..., g_parts)) over the ordered ways
+    to write `total` as `parts` non-negative ints, in lexicographic order."""
     if parts == 1:
         yield 1, (total,)
         return
-    top = total if first_max is None else min(total, first_max)
-    for first in range(top + 1):
-        c0 = comb(total, first)
-        for c, rest in _compositions_with_coeff(total - first, parts - 1):
-            yield c0 * c, (first,) + rest
-
-
-def _derivative_of(alpha, inner: PolyDiffOp, cap) -> dict:
-    """The term map of d^alpha o inner, expanded by the Leibniz rule.
-
-    d^alpha (c * prod_l d^{beta_l} g_l) distributes alpha over the coefficient
-    (part 0) and the arity(inner) argument factors.  `cap` is
-    _exponent_cap(inner): a coefficient share above it differentiates every
-    coefficient to zero, so those splittings are never formed.
-    """
-    if not any(alpha):
-        return inner.terms
-    out = {}
-    for mult, gammas in _splittings(alpha, inner.arity + 1, cap):
-        gamma0, rest = gammas[0], gammas[1:]
-        for i_orders, i_coeff in inner.terms.items():
-            dcoeff = i_coeff.partial_multi(gamma0)
-            if dcoeff.is_zero():
-                continue
-            orders = tuple(tuple(map(add, beta, gamma)) for beta, gamma in zip(i_orders, rest))
-            _add_term(out, orders, dcoeff * mult if mult != 1 else dcoeff)
-    return out
+    for first in range(total + 1):
+        c = comb(total, first)
+        for m, rest in _compositions(total - first, parts - 1):
+            yield c * m, (first, *rest)
 
 
 class _OpAcc:
     """A running sum of operators of one dimension over one common denominator.
 
-    ``terms`` maps order tuples to ``{exps: int numerator}`` and ``den`` is one
-    positive int, so the sum is sum(n x^exps d^orders) / den.  A product of two
-    coefficients is added monomial pair by monomial pair, each one tuple add
-    and one int multiply-add; a numerator that cancels is dropped.  A
-    coefficient whose denominator does not divide ``den`` first rescales every
-    stored numerator once, raising ``den`` to the lcm; ``den`` at least doubles
-    each time, so that happens at most log2(final den) times.  Coefficients
-    become ``Poly`` objects only in :meth:`op`.
+    ``terms`` maps packed keys (see the module docstring) to nonzero int
+    numerators and ``den`` is one positive int, so the sum is
+    sum(n x^exps d^orders) / den.  A composition adds one int key sum and one
+    int multiply-add per pair of packed terms; a numerator that cancels is
+    dropped.  An operand whose denominator does not divide ``den`` first
+    rescales every stored numerator once, raising ``den`` to the lcm; ``den``
+    at least doubles each time, so that happens at most log2(final den) times.
+    Coefficients become ``Poly`` objects only in :meth:`op`, or in the
+    handle's ``op()`` after :meth:`handle`.
     """
 
     __slots__ = ("dim", "terms", "den")
@@ -231,73 +393,74 @@ class _OpAcc:
         self.terms = {}
         self.den = 1
 
-    def _add(self, key, left, right, d: int, sign: int) -> None:
-        """Add sign * sum(n1 * n2 * x^(e1 + e2)) / d at order tuple `key`, the sum
-        over the (exps, numerator) pairs (e1, n1) of `left` and (e2, n2) of `right`."""
+    def _factor(self, d: int, sign: int) -> int:
+        """sign * den / d, after raising ``den`` to a multiple of d."""
         den = self.den
         if den % d:
             f = d // gcd(den, d)
-            for sub in self.terms.values():
-                for e in sub:
-                    sub[e] *= f
+            terms = self.terms
+            for k in terms:
+                terms[k] *= f
             den = self.den = den * f
-        m = den // d * sign
-        sub = self.terms.get(key)
-        if sub is None:
-            sub = self.terms[key] = {}
-        for e1, n1 in left:
-            n1 *= m
-            for e2, n2 in right:
-                e = tuple(map(add, e1, e2))
-                v = sub.get(e, 0) + n1 * n2
-                if v:
-                    sub[e] = v
-                else:
-                    del sub[e]
+        return den // d * sign
 
-    def add_op(self, op: PolyDiffOp, sign: int = 1) -> None:
+    def add_op(self, op: _Packed, sign: int = 1) -> None:
         """Add sign * op."""
-        one = (((0,) * self.dim, 1),)
-        for orders, c in op.terms.items():
-            self._add(orders, one, c._num.items(), c._den, sign)
+        m = self._factor(op.den, sign)
+        terms = self.terms
+        get = terms.get
+        for k, n in op.terms.items():
+            v = get(k)
+            if v is None:
+                terms[k] = n * m
+            else:
+                v += n * m
+                if v:
+                    terms[k] = v
+                else:
+                    del terms[k]
 
-    def add_compose(self, outer: PolyDiffOp, slot: int, inner: PolyDiffOp, sign: int = 1,
-                    expanded: dict | None = None) -> None:
-        """Add sign * compose_into_slot(outer, slot, inner); the arguments must
-        already be checked.
-
-        `expanded` maps alpha to the term map of d^alpha o inner; entries missing
-        from it are computed and added.  A caller that composes the same inner
-        operator several times (into other outers, other slots, other orders)
-        passes one dict for that inner operator to every such call.  The caller
-        owns it: one dict per inner operator, never shared between two inner
-        operators, and dropped when the caller's own call returns.  Its values
-        are read-only (the alpha = 0 entry is inner.terms itself).  By default
-        the dict is local to this call.
-        """
-        if expanded is None:
-            expanded = {}
-        j = slot - 1
-        cap = None
-        for o_orders, o_coeff in outer.terms.items():
-            alpha = o_orders[j]
-            d_inner = expanded.get(alpha)
-            if d_inner is None:
-                if cap is None:
-                    cap = _exponent_cap(inner)
-                d_inner = expanded[alpha] = _derivative_of(alpha, inner, cap)
-            head, tail = o_orders[:j], o_orders[j + 1 :]
-            o_num, o_den = o_coeff._num.items(), o_coeff._den
-            for orders, c in d_inner.items():
-                self._add(head + orders + tail, o_num, c._num.items(), o_den * c._den, sign)
+    def add_compose(self, outer: _Packed, slot: int, inner: _Packed, sign: int = 1) -> None:
+        """Add sign * compose_into_slot(outer, slot, inner) for two handles; the
+        operators must already be checked."""
+        m = self._factor(outer.den * inner.den, sign)
+        terms = self.terms
+        get = terms.get
+        for alpha, row in outer.outer_rows(slot, inner.arity):
+            expansion = inner.expansion(alpha, slot)
+            for k1, n1 in row:
+                n1 *= m
+                for k2, n2 in expansion:
+                    k = k1 + k2
+                    v = get(k)
+                    if v is None:
+                        terms[k] = n1 * n2
+                    else:
+                        v += n1 * n2
+                        if v:
+                            terms[k] = v
+                        else:
+                            del terms[k]
 
     def op(self, arity: int) -> PolyDiffOp:
         """The sum as an operator of `arity` arguments, one normalized ``Poly``
         per order tuple left nonzero; the accumulator is empty afterwards."""
-        dim, den, terms = self.dim, self.den, self.terms
+        terms, den = self.terms, self.den
         self.terms, self.den = {}, 1
-        return PolyDiffOp._make(dim, arity, {orders: _reduced(dim, sub, den)
-                                             for orders, sub in terms.items() if sub})
+        return _unpacked(self.dim, arity, terms, den)
+
+    def handle(self, arity: int) -> _Packed:
+        """The sum as the handle of an operator of `arity` arguments, with no
+        operator built (``handle.op()`` builds it); the accumulator is empty
+        afterwards.  BudgetError if a field of the sum is above MAX_PACKED."""
+        terms, den = self.terms, self.den
+        self.terms, self.den = {}, 1
+        g = gcd(den, *terms.values())
+        if g != 1:
+            den //= g
+            for k in terms:
+                terms[k] //= g
+        return _Packed(self.dim, arity, terms, den)
 
 
 def compose_into_slot(outer: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDiffOp:
@@ -307,14 +470,17 @@ def compose_into_slot(outer: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDi
     Leibniz rule with multinomial coefficients, so the result is again in
     normal form and the identity
     apply(result, args) = apply(outer, ..., apply(inner, middle args), ...)
-    holds for all polynomial arguments.
+    holds for all polynomial arguments.  An exponent or order of either
+    operand above MAX_PACKED raises BudgetError before any work.
     """
     if not 1 <= slot <= outer.arity:
         raise ArityMismatchError(f"slot {slot} out of range 1..{outer.arity}")
     if outer.dim != inner.dim:
         raise DimensionMismatchError("operator dimensions differ")
+    outer_h = _pack(outer)
+    inner_h = outer_h if inner is outer else _pack(inner)
     acc = _OpAcc(outer.dim)
-    acc.add_compose(outer, slot, inner)
+    acc.add_compose(outer_h, slot, inner_h)
     return acc.op(outer.arity + inner.arity - 1)
 
 
@@ -341,11 +507,11 @@ def hochschild_delta(Q: PolyDiffOp) -> PolyDiffOp:
     dQ(f,g) = Q(fg) - Q(f)g - fQ(g), as an exact operator identity."""
     if Q.arity != 1:
         raise ArityMismatchError("hochschild_delta needs arity 1")
-    mul = PolyDiffOp.multiplication(Q.dim)
+    q, m = _pack(Q), _pack(PolyDiffOp.multiplication(Q.dim))
     acc = _OpAcc(Q.dim)
-    acc.add_compose(Q, 1, mul)
-    acc.add_compose(mul, 1, Q, -1)
-    acc.add_compose(mul, 2, Q, -1)
+    acc.add_compose(q, 1, m)
+    acc.add_compose(m, 1, q, -1)
+    acc.add_compose(m, 2, q, -1)
     return acc.op(2)
 
 
@@ -354,12 +520,12 @@ def cocycle_defect(P: PolyDiffOp) -> PolyDiffOp:
     (f,g,h) -> f P(g,h) - P(fg,h) + P(f,gh) - P(f,g) h."""
     if P.arity != 2:
         raise ArityMismatchError("cocycle_defect needs arity 2")
-    mul = PolyDiffOp.multiplication(P.dim)
+    p, m = _pack(P), _pack(PolyDiffOp.multiplication(P.dim))
     acc = _OpAcc(P.dim)
-    acc.add_compose(mul, 2, P)
-    acc.add_compose(P, 1, mul, -1)
-    acc.add_compose(P, 2, mul)
-    acc.add_compose(mul, 1, P, -1)
+    acc.add_compose(m, 2, p)
+    acc.add_compose(p, 1, m, -1)
+    acc.add_compose(p, 2, m)
+    acc.add_compose(m, 1, p, -1)
     return acc.op(3)
 
 

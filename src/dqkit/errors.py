@@ -57,3 +57,7 @@ class SolveError(DqkitError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+class BudgetError(DqkitError):
+    """An input above a declared size budget, refused before any work."""

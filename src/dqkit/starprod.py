@@ -8,17 +8,19 @@ exact operator identities in normal form.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
-from math import comb, factorial, prod
+from itertools import product
+from math import comb, factorial, gcd, lcm, prod
 from operator import attrgetter
+from struct import Struct
 
 from .calculus import MultiVec
 from .diffop import (
+    MAX_PACKED,
     PolyDiffOp,
     _OpAcc,
+    _pack,
     apply_op,
     compose_into_slot,
     find_nonzero_args,
@@ -28,6 +30,7 @@ from .diffop import (
     transpose_parts,
 )
 from .errors import (
+    BudgetError,
     DegreeError,
     DimensionMismatchError,
     OrderMismatchError,
@@ -229,9 +232,13 @@ def moyal(pi: MultiVec, order: int) -> StarProduct:
     P_k(f,g) = 1/(2^k k!) sum pi^{i1 j1}..pi^{ik jk} d_{i..}f d_{j..}g.
 
     Special and associative; the standard witness that star products exist.
+    P_k is built from its symbol (B/2)^k / k!, B = sum pi^{ij} xi_i eta_j, as
+    P_k = P_{k-1} B / (2k): one product per order over the 2n symbols.
     """
     if pi.degree != 2:
         raise DegreeError("moyal needs a bivector")
+    if order > MAX_PACKED:
+        raise BudgetError(f"order {order} is above the packing budget diffop.MAX_PACKED = {MAX_PACKED}")
     n = pi.dim
     entries = {}
     for (i, j), c in pi.terms.items():
@@ -240,24 +247,34 @@ def moyal(pi: MultiVec, order: int) -> StarProduct:
         v = c.constant_value()
         entries[(i, j)] = v
         entries[(j, i)] = -v
+    # B over the common denominator den, packed with 16 bits per symbol:
+    # xi_i is field i - 1 and eta_j is field n + j - 1
+    den = lcm(*(v.denominator for v in entries.values()))
+    symbol = {(1 << 16 * (i - 1)) + (1 << 16 * (n + j - 1)): v.numerator * (den // v.denominator)
+              for (i, j), v in entries.items()}
+    unpack = Struct(f"<{2 * n}H").unpack
+    zero = (0,) * n
+    power = {0: 1}  # B^k over den^k
+    scale = 1  # 2^k k! den^k
     ops = []
     for k in range(1, order + 1):
+        # a sum that cancels keeps its place, so keys first appear in the
+        # same order as over all k-tuples of entries
+        nxt = {}
+        get = nxt.get
+        for k1, n1 in power.items():
+            for k2, n2 in symbol.items():
+                key = k1 + k2
+                nxt[key] = get(key, 0) + n1 * n2
+        power = nxt
+        scale *= 2 * k * den
         terms = {}
-        # one multiset of k entries stands for its k! / prod m_e! orderings;
-        # keys first appear in the same order as over all k-tuples
-        for pairs in combinations_with_replacement(entries.items(), k):
-            coeff = Fraction(1, 2**k * prod(map(factorial, Counter(pairs).values())))
-            alpha = [0] * n
-            beta = [0] * n
-            for (i, j), v in pairs:
-                coeff *= v
-                alpha[i - 1] += 1
-                beta[j - 1] += 1
-            key = (tuple(alpha), tuple(beta))
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        ops.append(
-            PolyDiffOp(n, 2, {k2: v for k2, v in terms.items() if v != 0})
-        )
+        for key, v in power.items():
+            if v:
+                fields = unpack(key.to_bytes(4 * n, "little"))
+                g = gcd(v, scale)
+                terms[fields[:n], fields[n:]] = Poly._make(n, {zero: v // g}, scale // g)
+        ops.append(PolyDiffOp._make(n, 2, terms))
     return StarProduct(n, order, ops)
 
 
@@ -291,13 +308,12 @@ def _assoc_defects(S: StarProduct):
     slot-1 term P_i o_1 P_{k-i} is added, so terms that cancel leave the sum
     before the next i adds more.
     """
-    ops = [S.op(i) for i in range(S.order + 1)]
-    expanded = [{} for _ in ops]  # d^alpha o P_j, shared by both slots and every order
+    ops = [_pack(S.op(i)) for i in range(S.order + 1)]  # shared by both slots and every order
     for k in range(1, S.order + 1):
         acc = _OpAcc(S.dim)
         for i in range(k + 1):
-            acc.add_compose(ops[i], 1, ops[k - i], 1, expanded[k - i])
-            acc.add_compose(ops[i], 2, ops[k - i], -1, expanded[k - i])
+            acc.add_compose(ops[i], 1, ops[k - i])
+            acc.add_compose(ops[i], 2, ops[k - i], -1)
         yield acc.op(3)
 
 
@@ -355,18 +371,17 @@ def assoc_poisson(S: StarProduct) -> MultiVec:
     return result
 
 
-def _convolve(acc: _OpAcc, k: int, outer, slot: int, inner, expanded, sign=1, lo=0, hi=None) -> None:
+def _convolve(acc: _OpAcc, k: int, outer, slot: int, inner, sign=1, lo=0, hi=None) -> None:
     """Add sign * sum_{i=lo..hi} outer[i] o_slot inner[k-i] into the operator
     sum `acc`: the order-k coefficient of a product of two operator series.
 
-    `outer` and `inner` are indexed by t-order and `hi` defaults to k.
-    `expanded[j]` is the expansion dict of inner[j] in the sense of
-    diffop._OpAcc.add_compose, which states who owns it and for how long.
+    `outer` and `inner` are lists of diffop._Packed handles indexed by t-order
+    (the diffop docstring states who owns them) and `hi` defaults to k.
     """
     for i in range(lo, k + 1 if hi is None else hi + 1):
         X, Y = outer[i], inner[k - i]
-        if not (X.is_zero() or Y.is_zero()):
-            acc.add_compose(X, slot, Y, sign, expanded[k - i])
+        if X.terms and Y.terms:
+            acc.add_compose(X, slot, Y, sign)
 
 
 def gauge_transform(S: StarProduct, R: GaugeOp) -> StarProduct:
@@ -379,36 +394,33 @@ def gauge_transform(S: StarProduct, R: GaugeOp) -> StarProduct:
     """
     if (S.dim, S.order) != (R.dim, R.order):
         raise OrderMismatchError("gauge operator must match the star product")
-    ops = [S.op(i) for i in range(S.order + 1)]
-    rops = [R.op(j) for j in range(R.order + 1)]
-    r_expanded = [{} for _ in rops]  # d^alpha o R_j, shared by both slots and every order
+    ops = [_pack(S.op(i)) for i in range(S.order + 1)]
+    rops = [_pack(R.op(j)) for j in range(R.order + 1)]  # shared by both slots and every order
     us = [ops[0]]  # U_0 = P_0 = multiplication
     new_P = [ops[0]]  # P'_0 = multiplication
-    p_expanded = [{} for _ in ops]  # d^alpha o P'_m, one dict per P'_m
     for k in range(1, S.order + 1):
         acc = _OpAcc(S.dim)
         acc.add_op(ops[k])  # P_k o_1 R_0 = P_k
-        _convolve(acc, k, ops, 1, rops, r_expanded, hi=k - 1)
-        us.append(acc.op(2))
+        _convolve(acc, k, ops, 1, rops, hi=k - 1)
+        us.append(acc.handle(2))
         acc.add_op(us[k])  # U_k o_2 R_0 = U_k
-        _convolve(acc, k, us, 2, rops, r_expanded, hi=k - 1)
-        _convolve(acc, k, rops, 1, new_P, p_expanded, sign=-1, lo=1)
-        new_P.append(acc.op(2))
-    return StarProduct(S.dim, S.order, new_P[1:])
+        _convolve(acc, k, us, 2, rops, hi=k - 1)
+        _convolve(acc, k, rops, 1, new_P, sign=-1, lo=1)
+        new_P.append(acc.handle(2))
+    return StarProduct(S.dim, S.order, [h.op() for h in new_P[1:]])
 
 
 def gauge_compose(R: GaugeOp, Q: GaugeOp) -> GaugeOp:
     """(R o Q)(f) = R(Q(f)); series composition order by order."""
     if (R.dim, R.order) != (Q.dim, Q.order):
         raise OrderMismatchError("gauge operators disagree")
-    rops = [R.op(i) for i in range(R.order + 1)]
-    qops = [Q.op(j) for j in range(Q.order + 1)]
-    expanded = [{} for _ in qops]  # d^alpha o Q_j, shared by every order
+    rops = [_pack(R.op(i)) for i in range(R.order + 1)]
+    qops = [_pack(Q.op(j)) for j in range(Q.order + 1)]  # shared by every order
     ops = []
     for k in range(1, R.order + 1):
         acc = _OpAcc(R.dim)
         acc.add_op(rops[k])  # R_k o Q_0 = R_k
-        _convolve(acc, k, rops, 1, qops, expanded, hi=k - 1)
+        _convolve(acc, k, rops, 1, qops, hi=k - 1)
         ops.append(acc.op(1))
     return GaugeOp(R.dim, R.order, ops)
 
@@ -420,27 +432,27 @@ def invert_gauge(R: GaugeOp) -> GaugeOp:
 
     In the group 1 + tD[[t]] a right inverse is also a left inverse.
     """
-    rops = [R.op(i) for i in range(R.order + 1)]
-    qops = [rops[0]]  # Q_0 = 1
-    expanded = [{} for _ in rops]  # d^alpha o Q_j, shared by every order
+    rops = [_pack(R.op(i)) for i in range(R.order + 1)]
+    qops = [rops[0]]  # Q_0 = 1, then each Q_k shared by every later order
     for k in range(1, R.order + 1):
         acc = _OpAcc(R.dim)
         acc.add_op(rops[k], -1)  # -R_k o Q_0 = -R_k
-        _convolve(acc, k, rops, 1, qops, expanded, sign=-1, lo=1, hi=k - 1)
-        qops.append(acc.op(1))
-    return GaugeOp(R.dim, R.order, qops[1:])
+        _convolve(acc, k, rops, 1, qops, sign=-1, lo=1, hi=k - 1)
+        qops.append(acc.handle(1))
+    return GaugeOp(R.dim, R.order, [h.op() for h in qops[1:]])
 
 
 def exp_gauge(Q: PolyDiffOp, order: int) -> GaugeOp:
     """Truncated exp(tQ): R_i = Q^i / i!."""
     if Q.arity != 1:
         raise DegreeError("exp_gauge needs an arity-1 generator")
-    ops = []
-    power = Q
-    for i in range(1, order + 1):
-        ops.append(power.scale(Fraction(1, factorial(i))))
-        if i < order:
-            power = compose_into_slot(Q, 1, power)
+    ops = [Q]
+    q = power = _pack(Q)
+    for i in range(2, order + 1):
+        acc = _OpAcc(Q.dim)
+        acc.add_compose(q, 1, power)
+        power = acc.handle(1)
+        ops.append(power.op().scale(Fraction(1, factorial(i))))
     return GaugeOp(Q.dim, order, ops)
 
 

@@ -8,8 +8,6 @@ from operator import add, sub
 from dqkit.calculus import Form, MultiVec, wedge
 from dqkit.diffop import (
     PolyDiffOp,
-    _derivative_of,
-    _exponent_cap,
     compose_into_slot,
     hochschild_delta,
     transpose_parts,
@@ -227,8 +225,8 @@ def koszul_frame_bracket(pi: MultiVec, i: int, j: int) -> Form:
 
 def derivative_uncapped(alpha, inner: PolyDiffOp) -> dict:
     """The term map of d^alpha o inner over every Leibniz splitting, dead ones
-    included, in the order of diffop._derivative_of: the splittings of each
-    coordinate in lexicographic order, combined in itertools.product order."""
+    included: the splittings of each coordinate in lexicographic order,
+    combined in itertools.product order, each applied to every term of inner."""
     if not any(alpha):
         return inner.terms
     parts = inner.arity + 1
@@ -255,19 +253,17 @@ def compose_acc_by_poly(out: dict, outer: PolyDiffOp, slot: int, inner: PolyDiff
                         expanded: dict | None = None) -> None:
     """Add sign * compose_into_slot(outer, slot, inner) into the term map `out`
     through Poly arithmetic: one Poly product per (outer term, Leibniz term)
-    pair, added with _add_term.  The summation route diffop._OpAcc replaced;
-    `expanded` has the meaning of _OpAcc.add_compose."""
+    pair, added with _add_term, over the Leibniz expansion derivative_uncapped.
+    The summation route diffop._OpAcc replaced; `expanded` maps alpha to
+    derivative_uncapped(alpha, inner), filled on first use."""
     if expanded is None:
         expanded = {}
     j = slot - 1
-    cap = None
     for o_orders, o_coeff in outer.terms.items():
         alpha = o_orders[j]
         d_inner = expanded.get(alpha)
         if d_inner is None:
-            if cap is None:
-                cap = _exponent_cap(inner)
-            d_inner = expanded[alpha] = _derivative_of(alpha, inner, cap)
+            d_inner = expanded[alpha] = derivative_uncapped(alpha, inner)
         if sign < 0:
             o_coeff = -o_coeff
         for orders, c in d_inner.items():

@@ -1,17 +1,17 @@
 """Pins the fast composition path against slow, independent routes.
 
 The kernel and the operator layer wrap term maps they build themselves
-without re-validating them.  Every composition sums its Leibniz terms into
-one diffop._OpAcc: integer numerators per (order tuple, exponent tuple) over
-one common denominator, rescaled when a coefficient with a new denominator
-arrives, with one Poly built per surviving order tuple at the end.  The
-star-product routines share one expansion of d^alpha o inner per inner
-operator across a call and form no splitting that differentiates every
-coefficient to zero.  These tests check the results by evaluation, against
-unfused, uncapped and Poly-per-pair references, and by walking every output
-for the invariants the trusted constructors no longer check.  Coefficients
-are drawn with denominators 1, 2, 3, 4 and 6, so the common denominator is
-rescaled in most examples.
+without re-validating them.  Every composition works on packed keys, one int
+per (order tuple, exponent tuple) with 16-bit fields: each operator is packed
+once per call into a diffop._Packed handle, which expands d^alpha o op by the
+Leibniz rule one coordinate block at a time, and every sum goes into one
+diffop._OpAcc of int numerators over one common denominator, rescaled when an
+operand with a new denominator arrives, with one Poly built per surviving
+order tuple at the end.  These tests check the results by evaluation, against
+unfused, uncapped and Poly-per-pair references, at the edge of the 16-bit
+fields, and by walking every output for the invariants the trusted
+constructors no longer check.  Coefficients are drawn with denominators 1, 2,
+3, 4 and 6, so the common denominator is rescaled in most examples.
 """
 
 import random
@@ -21,18 +21,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dqkit.calculus import MultiVec
+from dqkit import diffop
 from dqkit.diffop import (
+    MAX_PACKED,
     PolyDiffOp,
     _OpAcc,
-    _derivative_of,
-    _exponent_cap,
-    _splittings,
+    _pack,
+    _unpacked,
     apply_op,
     cocycle_defect,
     compose_into_slot,
     hochschild_delta,
+    transpose,
 )
-from dqkit.errors import IndexRangeError
+from dqkit.errors import BudgetError, IndexRangeError
 from dqkit.kernel import Poly
 from dqkit.starprod import (
     GaugeOp,
@@ -270,7 +272,12 @@ def test_cancellation_leaves_no_zero():
 
 
 # ----------------------------------------------------------------------
-# (c) the shared expansion dict and the exponent cap
+# (c) packed handles, the block Leibniz expansion and the 16-bit fields
+
+
+def pack(fields):
+    """The packed int of a field sequence, field i at bit 16 i."""
+    return sum(f << 16 * i for i, f in enumerate(fields))
 
 
 @given(st.data())
@@ -278,55 +285,63 @@ def test_shared_expansion_matches_fresh_compose(data):
     inner = data.draw(ops())
     outers = data.draw(st.lists(ops(), min_size=1, max_size=4))
     inner_terms = list(inner.terms.items())
-    expanded = {}  # one dict for `inner`, shared by every outer and slot
+    handle = _pack(inner)  # one handle for `inner`, shared by every outer and slot
+    packed = dict(handle.terms)
     for outer in outers:
         for slot in range(1, outer.arity + 1):
             sign = data.draw(st.sampled_from((1, -1)))
             acc = _OpAcc(DIM)
-            acc.add_compose(outer, slot, inner, sign, expanded)
+            acc.add_compose(_pack(outer), slot, handle, sign)
             got = acc.op(outer.arity + inner.arity - 1)
             assert_clean(got)
             want = compose_into_slot(outer, slot, inner)
             if sign < 0:
                 want = -want
-            # dicts, not lists: a key that cancels and comes back may move
             assert got.terms == want.terms
-    # the cached expansions were only read: each still equals a fresh one
-    cap = _exponent_cap(inner)
-    for alpha, d_inner in expanded.items():
-        assert list(d_inner.items()) == list(_derivative_of(alpha, inner, cap).items())
+    # the cached expansions were only read: each still equals a fresh one,
+    # key order included, and the packed operator is unchanged
+    fresh = _pack(inner)
+    for alpha, expansion in handle._exp.items():
+        assert list(expansion.items()) == list(fresh._expanded(alpha).items())
+    assert handle.terms == packed and list(handle.terms) == list(packed)
     assert list(inner.terms.items()) == inner_terms
 
 
 @given(st.data())
 def test_accumulated_sum_matches_poly_per_pair_route(data):
     # one accumulator takes operators and compositions of either sign, in any
-    # order, and must equal the same sum formed by one Poly product per pair
+    # order, and must equal the same sum formed by one Poly product per pair;
+    # as in _assoc_defects, one handle per operator serves every slot and
+    # every later sum
     arity = data.draw(st.integers(1, 3))
-    acc = _OpAcc(DIM)
-    want = {}
-    for _ in range(data.draw(st.integers(1, 5))):
-        sign = data.draw(st.sampled_from((1, -1)))
-        if data.draw(st.booleans()):
-            op = data.draw(ops(arity=arity))
-            acc.add_op(op, sign)
-            compose_acc_by_poly(want, PolyDiffOp.identity(DIM), 1, op, sign)
-        else:
-            inner = data.draw(ops(arity=data.draw(st.integers(1, arity))))
-            outer = data.draw(ops(arity=arity - inner.arity + 1))
-            slot = data.draw(st.integers(1, outer.arity))
-            acc.add_compose(outer, slot, inner, sign)
-            compose_acc_by_poly(want, outer, slot, inner, sign)
-    got = acc.op(arity)
-    assert_clean(got)
-    assert got.terms == want
-    # op() empties the accumulator
-    assert acc.op(arity).is_zero() and acc.den == 1
+    inner = data.draw(ops(arity=data.draw(st.integers(1, arity))))
+    inner_h = _pack(inner)
+    outer_arity = arity - inner.arity + 1
+    outers = [(op, _pack(op)) for op in data.draw(st.lists(ops(arity=outer_arity), min_size=1, max_size=2))]
+    for _ in range(2):
+        acc = _OpAcc(DIM)
+        want = {}
+        for _ in range(data.draw(st.integers(1, 4))):
+            sign = data.draw(st.sampled_from((1, -1)))
+            if data.draw(st.booleans()):
+                op = data.draw(ops(arity=arity))
+                acc.add_op(_pack(op), sign)
+                compose_acc_by_poly(want, PolyDiffOp.identity(DIM), 1, op, sign)
+            else:
+                outer, outer_h = data.draw(st.sampled_from(outers))
+                for slot in range(1, outer_arity + 1):
+                    acc.add_compose(outer_h, slot, inner_h, sign)
+                    compose_acc_by_poly(want, outer, slot, inner, sign)
+        got = acc.op(arity)
+        assert_clean(got)
+        assert got.terms == want
+        # op() empties the accumulator
+        assert acc.op(arity).is_zero() and acc.den == 1
 
 
 def test_accumulator_rescales_to_new_denominators():
     # denominators 2, 3 and 4 arrive in turn: den goes 1 -> 2 -> 6 -> 12, and
-    # a term that cancels leaves neither an empty nor a zero entry behind
+    # a term that cancels leaves no zero numerator behind
     x, y = (1, 0), (0, 1)
     a, b = ((1, 0),), ((0, 1),)
 
@@ -342,12 +357,14 @@ def test_accumulator_rescales_to_new_denominators():
     want = PolyDiffOp.zero(DIM, 1)
     dens = []
     for step in steps:
-        acc.add_op(step)
+        acc.add_op(_pack(step))
         want = want + step
         dens.append(acc.den)
     assert dens == [2, 6, 12]
-    assert acc.terms[b] == {}  # cancelled at den 6; op() drops the empty sub-map
-    assert all(n for sub in acc.terms.values() for n in sub.values())
+    # y d_2 cancelled at den 6 and x d_1 at den 12: only y d_1 is stored
+    assert pack((*y, *b[0])) not in acc.terms and pack((*x, *a[0])) not in acc.terms
+    assert acc.terms == {pack((*y, *a[0])): 15}
+    assert all(acc.terms.values())
     got = acc.op(1)
     assert_clean(got)
     assert got == want
@@ -356,39 +373,89 @@ def test_accumulator_rescales_to_new_denominators():
 
 
 @given(ops(), st.tuples(*[st.integers(0, 5)] * DIM))
-def test_capped_derivative_matches_uncapped(inner, alpha):
-    got = _derivative_of(alpha, inner, _exponent_cap(inner))
-    assert list(got.items()) == list(derivative_uncapped(alpha, inner).items())
+def test_block_expansion_matches_uncapped(inner, alpha):
+    handle = _pack(inner)
+    got = _unpacked(DIM, inner.arity, handle._expanded(pack(alpha)), handle.den)
+    assert_clean(got)
+    assert got.terms == derivative_uncapped(alpha, inner)
+    # the same expansion through the public composition d^alpha o inner
+    assert compose_into_slot(PolyDiffOp(DIM, 1, {(alpha,): 1}), 1, inner).terms == got.terms
 
 
-def test_capped_derivative_at_the_cap():
-    x1sq = Poly(2, {(2, 0): 3})  # exponent 2 sits at the cap of x1
+def test_block_expansion_at_the_exponent():
+    x1sq = Poly(2, {(2, 0): 3})  # a share of x1 above 2 kills this coefficient
     inner = PolyDiffOp(2, 2, {((1, 0), (0, 0)): x1sq, ((0, 0), (0, 1)): Poly(2, {(1, 0): -1})})
-    cap = _exponent_cap(inner)
-    assert cap == [2, 0]  # x2 appears in no coefficient: its cap is 0
+    handle = _pack(inner)
     for alpha in [(1, 0), (2, 0), (3, 0), (0, 1), (0, 3), (2, 2), (4, 1)]:
-        got = _derivative_of(alpha, inner, cap)
-        assert list(got.items()) == list(derivative_uncapped(alpha, inner).items())
+        got = _unpacked(2, 2, handle._expanded(pack(alpha)), handle.den)
+        assert got.terms == derivative_uncapped(alpha, inner)
     # the share x1^2 of alpha = (2, 0) falls on the coefficient and leaves 6
-    assert _derivative_of((2, 0), inner, cap)[((1, 0), (0, 0))] == Poly.const(2, 6)
+    d2 = _unpacked(2, 2, handle._expanded(pack((2, 0))), handle.den)
+    assert d2.terms[((1, 0), (0, 0))] == Poly.const(2, 6)
+    # alpha' of (2, 2) is (2, 0), and it is kept in the handle
+    assert pack((2, 0)) in handle._exp
 
 
 def test_multiplication_keeps_only_the_zero_coefficient_share():
-    # P o m: the coefficient of m is 1, so every gamma_0 != 0 is dead
+    # d^alpha o m: the coefficient of m is 1, so only g_0 = 0 is ever formed
     m = PolyDiffOp.multiplication(3)
-    cap = _exponent_cap(m)
-    assert cap == [0, 0, 0]
     alpha = (2, 1, 3)
-    kept = list(_splittings(alpha, 3, cap))
-    assert all(gammas[0] == (0, 0, 0) for _, gammas in kept)
-    assert len(kept) == 3 * 2 * 4  # alpha_c + 1 two-part splittings per coordinate
-    everything = list(_splittings(alpha, 3, alpha))
-    assert kept == [s for s in everything if s[1][0] == (0, 0, 0)]
-    assert list(_derivative_of(alpha, m, cap).items()) == list(derivative_uncapped(alpha, m).items())
+    handle = _pack(m)
+    expansion = handle._expanded(pack(alpha))
+    assert all(key & (1 << 48) - 1 == 0 for key in expansion)  # coefficient fields stay 0
+    assert len(expansion) == 3 * 2 * 4  # alpha_c + 1 two-slot shares per coordinate
+    got = _unpacked(3, 2, expansion, handle.den)
+    assert list(got.terms.items()) == list(derivative_uncapped(alpha, m).items())
+
+
+def test_fields_at_the_budget_compose_exactly():
+    # exponents and orders of exactly MAX_PACKED next to each other: the
+    # coefficient fields of a product reach 2 * MAX_PACKED = 2^16 - 2 and an
+    # order field MAX_PACKED + 2, and nothing carries into the next field
+    top = MAX_PACKED
+    outer = PolyDiffOp(2, 2, {
+        ((2, 0), (top, 1)): Poly(2, {(top, 0): Fraction(1, 3), (0, top): 1}),
+        ((0, 1), (0, top)): Poly(2, {(1, top): -2}),
+    })
+    inner = PolyDiffOp(2, 1, {((top, 0),): Poly(2, {(top, 2): Fraction(1, 2), (top, top): 5})})
+    # the slot that is composed has the small orders; the other keeps its own
+    for slot, op in [(1, outer), (2, transpose(outer))]:
+        want = {}
+        compose_acc_by_poly(want, op, slot, inner, 1)
+        got = compose_into_slot(op, slot, inner)
+        assert_clean(got)
+        assert got.terms == want
+    assert got.terms[((0, top), (top, 1))] == Poly(2, {(top + 1, top + 2): -1, (top + 1, 2 * top): -10})
+
+
+def test_packing_above_the_budget_is_refused_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("composed past the budget")
+
+    monkeypatch.setattr(_OpAcc, "add_compose", no_work)
+    monkeypatch.setattr(_OpAcc, "add_op", no_work)
+    d1 = PolyDiffOp.partial(2, 1)
+    over = MAX_PACKED + 1
+    too_high_exponent = PolyDiffOp(2, 1, {((0, 0),): Poly.monomial(2, (over, 0))})
+    too_high_order = PolyDiffOp(2, 2, {((0, 0), (0, over)): Poly.one(2)})
+    for outer, inner in [(d1, too_high_exponent), (too_high_exponent, d1), (too_high_order, d1)]:
+        with pytest.raises(BudgetError) as info:
+            compose_into_slot(outer, 1, inner)
+        assert f"{over}" in str(info.value) and "MAX_PACKED = 32767" in str(info.value)
+    with pytest.raises(BudgetError):
+        hochschild_delta(too_high_exponent)
+    with pytest.raises(BudgetError):
+        cocycle_defect(too_high_order)
+    S = StarProduct(2, 2, [PolyDiffOp.zero(2, 2), too_high_order])
+    with pytest.raises(BudgetError):
+        is_associative(S)
+    with pytest.raises(BudgetError):
+        gauge_transform(S, GaugeOp.identity_gauge(2, 2))
+    assert diffop.MAX_PACKED == 2**15 - 1
 
 
 # ----------------------------------------------------------------------
-# (d) moyal over multisets against the sum over all tuples
+# (d) moyal from its symbol against the sum over all tuples
 
 
 @st.composite
@@ -411,6 +478,20 @@ def test_moyal_matches_sum_over_tuples(case):
     assert got == want
     assert [list(P.terms.items()) for P in got.P] == [list(P.terms.items()) for P in want.P]
     assert_clean(got)
+
+
+def test_moyal_keeps_the_tuple_order_past_a_cancellation():
+    # pi^13 pi^24 + pi^14 pi^23 = 0: the key xi_1 xi_2 eta_3 eta_4 cancels in
+    # P_2, and the keys of P_3 built on it still come in the oracle's order
+    one = Poly.one(4)
+    pi = MultiVec(4, 2, {(1, 3): one, (2, 4): one, (1, 4): one, (2, 3): -one})
+    got = moyal(pi, 3)
+    assert ((1, 1, 0, 0), (0, 0, 1, 1)) not in got.op(2).terms
+    want = moyal_by_tuples(pi, 3)
+    assert [list(P.terms.items()) for P in got.P] == [list(P.terms.items()) for P in want.P]
+    with pytest.raises(BudgetError) as info:
+        moyal(pi, MAX_PACKED + 1)
+    assert "32768" in str(info.value)
 
 
 # ----------------------------------------------------------------------

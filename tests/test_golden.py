@@ -128,6 +128,11 @@ BUNDLES = {
         inner=_diffop(2, 1, [{"coeff": "x^2", "orders": [[0, 1]]}]),
     ),
     "delta_plane": _diffop(2, 1, [{"coeff": "x*y", "orders": [[2, 1]]}]),
+    # x1^32768 is one above diffop.MAX_PACKED: refused before any composition
+    "compose_over_packed_budget": _bundle(
+        outer=_diffop(1, 1, [{"coeff": "1", "orders": [[1]]}]),
+        inner=_diffop(1, 1, [{"coeff": "x1^32768", "orders": [[0]]}]),
+    ),
     "cocycle_not_closed": _diffop(2, 2, [{"coeff": "x", "orders": [[1, 0], [0, 0]]}]),
     # the Moyal plane gauged by R_1 = d_x^2 / 2, truncated at t^2: not special
     "star_gauged_halfdx2": {"kind": "star", "dim": 2, "order": 2, "payload": {"P": [
@@ -194,7 +199,8 @@ CASES = (
     + [("poisson dpi", n) for n in ("dpi_so3_bivector", "dpi_bad_self", "dpi_degree0", "dpi_r4_trivector")]
     + [("algebroid ext-curv", "ext_plane_twist"), ("poisson hamiltonian", "hamiltonian_degree1_const")]
     + [("diffop apply", "apply_plane"), ("diffop compose --slot 2", "compose_plane"),
-       ("diffop delta", "delta_plane"), ("diffop cocycle", "cocycle_not_closed")]
+       ("diffop delta", "delta_plane"), ("diffop cocycle", "cocycle_not_closed"),
+       ("diffop compose", "compose_over_packed_budget")]
     + [("star moyal --order 2", "pi_std.json"), ("star moyal --order 12", "pi_std.json"),
        ("star moyal", "so3.json"), ("star gauge", "gauge_plane"),
        ("star specialize", "star_gauged_halfdx2"), ("star sigma1", "section_identity"),
@@ -328,6 +334,7 @@ GOLDEN = {
     ('parse', 'power_over_budget'): (2, "8ca29c8f70331e00636a011dadf3d6103c6e48e2be45831e402e54c5b20c97e2"),
     ('parse', 'power_under_budget'): (0, "d536719a1fe4991be796b72649851a8c9b16605949c771ae37296e7f4a53a56d"),
     ('parse', 'power_over_bit_budget'): (2, "fa849349b4d607a94dccc62619c65e9c034b1388a0542620dbd1c1931836ed65"),
+    ('diffop compose', 'compose_over_packed_budget'): (2, "7db06df09fb913ad8722d9a961f477af54a580edc20cdeea71dcef39909f6f56"),
 }
 
 
