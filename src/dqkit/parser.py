@@ -20,12 +20,12 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, log10
 from typing import Optional
 
 from .calculus import Form, MultiVec
 from .diffop import PolyDiffOp
-from .errors import PolyParseError, SchemaError
+from .errors import BudgetError, PolyParseError, SchemaError
 from .kernel import Poly, TPoly
 from .liealgebroid import AlgebroidPresentation
 from .qclimit import QCData
@@ -52,6 +52,12 @@ MAX_POWER_BITS = 4096
 # limit.
 MAX_NESTING = 100
 
+# Most decimal digits of an integer literal read or a numerator or denominator
+# written: Python's default int-to-string limit, fixed here so that the
+# refusal does not depend on the interpreter's setting.
+MAX_INT_DIGITS = 4300
+_INT_TEXT_BOUND = 10**MAX_INT_DIGITS
+
 
 def _tokenize(text: str):
     tokens = []
@@ -66,6 +72,12 @@ def _tokenize(text: str):
             at = len(text) - len(stripped)
             raise PolyParseError(f"unexpected character {stripped[0]!r}", at)
         if m.group(1) is not None:
+            digits = len(m.group(1))
+            if digits > MAX_INT_DIGITS:
+                raise PolyParseError(
+                    f"integer literal of {digits} digits is above parser.MAX_INT_DIGITS = {MAX_INT_DIGITS}",
+                    m.start(1),
+                )
             tokens.append(("num", int(m.group(1)), m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2), m.start(2)))
@@ -216,6 +228,15 @@ def parse_poly(text: str, dim: int) -> Poly:
     return _ExprParser(text, dim).parse()
 
 
+def _over_digit_limit(m: int) -> BudgetError:
+    """The refusal of an integer m above MAX_INT_DIGITS, with its digit count."""
+    # log10 of an int is off by less than one, so one power of ten settles the count
+    t = int(log10(m))
+    p = 10**t
+    digits = t + (m >= p) + (m >= 10 * p)
+    return BudgetError(f"a coefficient of {digits} digits is above parser.MAX_INT_DIGITS = {MAX_INT_DIGITS}")
+
+
 def poly_to_text(p: Poly) -> str:
     """Canonical rendering: descending graded-lex terms, variables x1..xn."""
     if p.is_zero():
@@ -234,7 +255,10 @@ def poly_to_text(p: Poly) -> str:
             body = mono or "1"
         else:
             g = gcd(mag, den)
-            text = str(mag // g) if den == g else f"{mag // g}/{den // g}"
+            top, bottom = mag // g, den // g
+            if max(top, bottom) >= _INT_TEXT_BOUND:
+                raise _over_digit_limit(max(top, bottom))
+            text = str(top) if bottom == 1 else f"{top}/{bottom}"
             body = f"{text}*{mono}" if mono else text
         if not parts:
             parts.append(body if num > 0 else f"-{body}")

@@ -1,7 +1,7 @@
 """Test-only reference implementations that the library's fast paths are checked against."""
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial, perm, prod
 from operator import add, sub
 
@@ -14,6 +14,7 @@ from dqkit.diffop import (
 )
 from dqkit.errors import DimensionMismatchError, IndexRangeError, SolveError
 from dqkit.kernel import Poly, _add_term, grlex_key
+from dqkit.liealgebroid import AlgebroidCheck, AlgebroidPresentation
 from dqkit.poisson import koszul_bracket
 from dqkit.starprod import GaugeOp, StarProduct, _delta_matrix_rows, exp_gauge
 
@@ -221,6 +222,66 @@ def koszul_frame_bracket(pi: MultiVec, i: int, j: int) -> Form:
     """[dx_i, dx_j]_pi as a 1-form (used to cross-check from_poisson)."""
     n = pi.dim
     return koszul_bracket(pi, Form.basis(n, i), Form.basis(n, j))
+
+
+def _section_bracket(A, u, v):
+    """Bracket of sections given as coefficient vectors, via the Leibniz rule:
+    [sum_a u_a e_a, sum_b v_b e_b] = sum_{a,b} (u_a v_b [e_a,e_b]
+        + u_a sigma(e_a)(v_b) e_b - v_b sigma(e_b)(u_a) e_a)."""
+    zero = Poly.zero(A.dim)
+    out = [zero] * A.rank
+    for a in range(1, A.rank + 1):
+        ua = u[a - 1]
+        for b in range(1, A.rank + 1):
+            vb = v[b - 1]
+            if not ua.is_zero() and not vb.is_zero():
+                cs = A.frame_bracket(a, b)
+                for k in range(A.rank):
+                    if not cs[k].is_zero():
+                        out[k] = out[k] + ua * vb * cs[k]
+            if not ua.is_zero():
+                out[b - 1] = out[b - 1] + ua * A.anchor_apply(a, vb)
+            if not vb.is_zero():
+                out[a - 1] = out[a - 1] - vb * A.anchor_apply(b, ua)
+    return tuple(out)
+
+
+def check_algebroid_by_brackets(A: AlgebroidPresentation) -> AlgebroidCheck:
+    """The Lie algebroid axioms on the frame, expanded through brackets: the
+    anchor is a morphism of brackets on each pair, then the Jacobi total of
+    each triple (expanded through Leibniz) vanishes.  Same scan order and
+    result as check_algebroid."""
+    n, r = A.dim, A.rank
+    for a, b in combinations(range(1, r + 1), 2):
+        cs = A.frame_bracket(a, b)
+        lhs = [Poly.zero(n)] * n
+        for k in range(r):
+            if cs[k].is_zero():
+                continue
+            for i in range(n):
+                lhs[i] = lhs[i] + cs[k] * A.anchor[k][i]
+        Xa, Xb = (MultiVec(n, 1, {(i,): p for i, p in enumerate(A.anchor[e - 1], start=1)})
+                  for e in (a, b))
+        for i in range(1, n + 1):
+            rhs_i = Xa.apply_to(Xb.coeff((i,))) - Xb.apply_to(Xa.coeff((i,)))
+            if lhs[i - 1] != rhs_i:
+                return AlgebroidCheck(False, "anchor", (a, b), (i, rhs_i - lhs[i - 1]))
+    zero = Poly.zero(n)
+    basis = []
+    for a in range(r):
+        e = [zero] * r
+        e[a] = Poly.one(n)
+        basis.append(tuple(e))
+    for a, b, c in combinations(range(1, r + 1), 3):
+        total = [zero] * r
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            inner = _section_bracket(A, basis[y - 1], basis[z - 1])
+            outer = _section_bracket(A, basis[x - 1], inner)
+            for k in range(r):
+                total[k] = total[k] + outer[k]
+        if any(not t.is_zero() for t in total):
+            return AlgebroidCheck(False, "jacobi", (a, b, c), tuple(total))
+    return AlgebroidCheck(True)
 
 
 def derivative_uncapped(alpha, inner: PolyDiffOp) -> dict:

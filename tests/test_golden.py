@@ -87,6 +87,8 @@ BUNDLES = {
     "power_under_budget": _poly(2, "(x1+x2+1)^43"),
     # a one-term power whose coefficient bound 2^100000000 is above the bit budget
     "power_over_bit_budget": _poly(2, "(2*x1)^100000000"),
+    # an integer literal of 5,000 digits, above parser.MAX_INT_DIGITS = 4300
+    "literal_over_digit_limit": _poly(1, "x1 + " + "7" * 5000),
     "d_index_above_dim": _bundle(
         algebroid=_RANK2_ON_LINE,
         omega=_form(1, [{"indices": [2], "coeff": "1"}]),
@@ -132,6 +134,18 @@ BUNDLES = {
     "compose_over_packed_budget": _bundle(
         outer=_diffop(1, 1, [{"coeff": "1", "orders": [[1]]}]),
         inner=_diffop(1, 1, [{"coeff": "x1^32768", "orders": [[0]]}]),
+    ),
+    # algebroid checks that fail: sigma(e_2) = x1 d/dx1 with [e_1, e_2] = 0 breaks the anchor
+    # axiom at (1, 2); a zero anchor with [e_1, e_2] = e_3, [e_2, e_3] = e_2 breaks Jacobi
+    "check_anchor_fails": {"kind": "algebroid", "dim": 1, "payload": {"rank": 2, "anchor": [["1"], ["x1"]]}},
+    "check_jacobi_fails": {"kind": "algebroid", "dim": 1, "payload": {
+        "rank": 3, "anchor": [["0"], ["0"], ["0"]],
+        "structure": [{"pair": [1, 2], "coeffs": ["0", "0", "1"]}, {"pair": [2, 3], "coeffs": ["0", "1", "0"]}]}},
+    # d^3000 o x1^3000 is under the packing budget, but its coefficient 3000! has 9,131
+    # digits: refused when it is written, not ended in a traceback
+    "compose_over_digit_limit": _bundle(
+        outer=_diffop(1, 1, [{"coeff": "1", "orders": [[3000]]}]),
+        inner=_diffop(1, 1, [{"coeff": "x1^3000", "orders": [[0]]}]),
     ),
     "cocycle_not_closed": _diffop(2, 2, [{"coeff": "x", "orders": [[1, 0], [0, 0]]}]),
     # the Moyal plane gauged by R_1 = d_x^2 / 2, truncated at t^2: not special
@@ -184,7 +198,7 @@ CASES = (
     + [("verify", n) for n in BUNDLE_DOCS]
     + [("poisson check", n) for n in MULTIVECS]
     + [("algebroid from-poisson", n) for n in MULTIVECS]
-    + [("algebroid check", "algebroid_so3.json")]
+    + [("algebroid check", n) for n in ("algebroid_so3.json", "check_anchor_fails", "check_jacobi_fails")]
     + [("star assoc", n) for n in STARS]
     + [("star poisson", n) for n in STARS]
     + [("star invert", n) for n in GAUGES]
@@ -200,7 +214,7 @@ CASES = (
     + [("algebroid ext-curv", "ext_plane_twist"), ("poisson hamiltonian", "hamiltonian_degree1_const")]
     + [("diffop apply", "apply_plane"), ("diffop compose --slot 2", "compose_plane"),
        ("diffop delta", "delta_plane"), ("diffop cocycle", "cocycle_not_closed"),
-       ("diffop compose", "compose_over_packed_budget")]
+       ("diffop compose", "compose_over_packed_budget"), ("diffop compose", "compose_over_digit_limit")]
     + [("star moyal --order 2", "pi_std.json"), ("star moyal --order 12", "pi_std.json"),
        ("star moyal", "so3.json"), ("star gauge", "gauge_plane"),
        ("star specialize", "star_gauged_halfdx2"), ("star sigma1", "section_identity"),
@@ -214,7 +228,8 @@ CASES = (
        ("algebroid d", "d_omega_wrong_kind"), ("star frobnicate", "moyal_plane.json")]
     + [("parse", n) for n in ("bundle_dim_and_order", "bundle_bad_dim_and_order", "bundle_bad_order")]
     + [("star adexp", n) for n in ("adexp_alpha_order", "adexp_b_order")]
-    + [("parse", n) for n in ("power_over_budget", "power_under_budget", "power_over_bit_budget")]
+    + [("parse", n) for n in ("power_over_budget", "power_under_budget", "power_over_bit_budget",
+                              "literal_over_digit_limit")]
 )
 
 
@@ -273,6 +288,8 @@ GOLDEN = {
     ('algebroid from-poisson', 'pi_std.json'): (0, "5db1b6bf22e7b4bbacf58aea60e486168e5517ce42d8180766cc09a59ed32cfd"),
     ('algebroid from-poisson', 'so3.json'): (0, "9cf3bb8f3830b98bda0e545122d987e82a42c79b6e54d173971abe2b6ff6c3d5"),
     ('algebroid check', 'algebroid_so3.json'): (0, "a554da60212b6002e34f699ade467ee653eb4fe4750ac3c2004044255a6adfae"),
+    ('algebroid check', 'check_anchor_fails'): (1, "c46b4ba56c98307e97267be2d9a89577c25369cb5f4857ef17713298dd2a7425"),
+    ('algebroid check', 'check_jacobi_fails'): (1, "5e63e1477c5829639d4ab169018a44cc1bf86a722f1b0a890f52a08d29afd9dd"),
     ('star assoc', 'badstar.json'): (1, "0f75258cf9c5781ca45a1df7e4ea5f46811f2846fbbd5c5e15170809fbb18bbd"),
     ('star assoc', 'moyal_plane.json'): (0, "58e52950d326ecc6eadfa465c0d3f23055a9c8f2dba3fb451485ea726cd6ab5e"),
     ('star assoc', 'moyal_r3.json'): (0, "58e52950d326ecc6eadfa465c0d3f23055a9c8f2dba3fb451485ea726cd6ab5e"),
@@ -335,6 +352,8 @@ GOLDEN = {
     ('parse', 'power_under_budget'): (0, "d536719a1fe4991be796b72649851a8c9b16605949c771ae37296e7f4a53a56d"),
     ('parse', 'power_over_bit_budget'): (2, "fa849349b4d607a94dccc62619c65e9c034b1388a0542620dbd1c1931836ed65"),
     ('diffop compose', 'compose_over_packed_budget'): (2, "7db06df09fb913ad8722d9a961f477af54a580edc20cdeea71dcef39909f6f56"),
+    ('parse', 'literal_over_digit_limit'): (2, "ff3c3096ba61a90c8db474790a091524271ef966dc7e21ca68293c495a504534"),
+    ('diffop compose', 'compose_over_digit_limit'): (2, "5fff50acb7b1f85536b90f66fd4ab589601982877555d294dd73e14d3202f813"),
 }
 
 

@@ -1,9 +1,13 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqkit.calculus import MultiVec
 from dqkit.errors import DegreeError, DimensionMismatchError, PreconditionError
 from dqkit.kernel import Poly
 from dqkit.liealgebroid import (
+    AlgebroidCheck,
     AlgebroidForm,
     AlgebroidPresentation,
     ExtensionData,
@@ -17,7 +21,7 @@ from dqkit.liealgebroid import (
 from dqkit.poisson import is_poisson, lichnerowicz_d
 
 from conftest import rand_poly
-from oracles import koszul_frame_bracket
+from oracles import check_algebroid_by_brackets, koszul_frame_bracket
 
 x = Poly.variable(2, 1)
 y = Poly.variable(2, 2)
@@ -56,6 +60,71 @@ class TestCheckAlgebroid:
             b = check_algebroid(from_poisson(pi))
             assert a.ok == b.ok
             assert (a.witness is None) == (b.witness is None)
+
+    def test_both_axioms_failing_reports_the_anchor(self):
+        # [e1, e2] = e3, [e2, e3] = e2 breaks Jacobi at (1, 2, 3) whatever the anchor;
+        # with sigma(e2) = x1 d/dx1 the anchor axiom also fails at (1, 2), and is reported
+        structure = {(1, 2): [0, 0, 1], (2, 3): [0, 1, 0]}
+        one = Poly.one(1)
+        jacobi_only = AlgebroidPresentation(1, 3, [[0], [0], [0]], structure)
+        assert check_algebroid(jacobi_only) == AlgebroidCheck(
+            False, "jacobi", (1, 2, 3), (Poly.zero(1), Poly.zero(1), one)
+        )
+        both = AlgebroidPresentation(1, 3, [[1], [Poly.variable(1, 1)], [0]], structure)
+        want = AlgebroidCheck(False, "anchor", (1, 2), (1, one))
+        assert check_algebroid(both) == check_algebroid_by_brackets(both) == want
+
+    def test_matches_bracket_oracle(self):
+        """d_A^2 = 0 on x_i and theta^k against the bracket expansion: same
+        verdict, axiom, witness and defect, on passing and on both kinds of
+        failing presentations."""
+        seen = set()
+
+        @settings(max_examples=200, derandomize=True)
+        @given(st.one_of(_presentations(), _koszul_algebroids()))
+        def run(A):
+            got, want = check_algebroid(A), check_algebroid_by_brackets(A)
+            assert (got.ok, got.kind, got.witness, got.defect) == (
+                want.ok, want.kind, want.witness, want.defect
+            )
+            seen.add(got.kind)
+
+        run()
+        assert seen == {None, "anchor", "jacobi"}
+
+
+def _polys(n):
+    """Polynomials on R^n with at most two terms of degree <= 2 in each
+    variable and small rational coefficients."""
+    monomials = st.tuples(*[st.integers(0, 2)] * n)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.dictionaries(monomials, coeffs, max_size=2).map(
+        lambda terms: Poly(n, {e: c for e, c in terms.items() if c})
+    )
+
+
+@st.composite
+def _presentations(draw):
+    """Ranks 1..4 on R^1..R^3 (so ranks with no pair and with no triple are
+    drawn); half the draws have a zero anchor, which passes the anchor axiom
+    and leaves Jacobi to decide."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    entries = st.one_of(st.just(Poly.zero(n)), _polys(n))
+    anchor_entries = st.just(Poly.zero(n)) if draw(st.booleans()) else entries
+    rows = [[draw(anchor_entries) for _ in range(n)] for _ in range(r)]
+    structure = {
+        pair: [draw(entries) for _ in range(r)]
+        for pair in combinations(range(1, r + 1), 2)
+        if draw(st.booleans())
+    }
+    return AlgebroidPresentation(n, r, rows, structure)
+
+
+@st.composite
+def _koszul_algebroids(draw):
+    n = draw(st.integers(1, 4))
+    terms = {pair: draw(_polys(n)) for pair in combinations(range(1, n + 1), 2)}
+    return from_poisson(MultiVec(n, 2, terms))
 
 
 class TestAlgebroidForm:

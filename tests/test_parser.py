@@ -1,11 +1,12 @@
 import glob
 import os
+import sys
 from fractions import Fraction
 
 import pytest
 
 from dqkit.calculus import MultiVec
-from dqkit.errors import PolyParseError, SchemaError
+from dqkit.errors import BudgetError, PolyParseError, SchemaError
 from dqkit.kernel import Poly, TPoly
 from dqkit import parser
 from dqkit.parser import (
@@ -155,6 +156,14 @@ class TestGrammar:
             parse_poly("(x + y + 1)^1000000000", 2)
         assert f"budget of {parser.MAX_POWER_TERMS}" in str(info.value)
 
+    def test_integer_literal_digit_limit(self):
+        limit = parser.MAX_INT_DIGITS
+        assert parse_poly("9" * limit, 1) == Poly.const(1, 10**limit - 1)
+        with pytest.raises(PolyParseError) as info:
+            parse_poly("x1 + 1" + "0" * limit, 1)
+        assert info.value.position == 5
+        assert info.value.message == f"integer literal of {limit + 1} digits is above parser.MAX_INT_DIGITS = {limit}"
+
     def test_aliases_only_low_dims(self):
         assert parse_poly("z", 3) == Poly.variable(3, 3)
         with pytest.raises(PolyParseError):
@@ -177,6 +186,32 @@ class TestCanonicalText:
     def test_descending_graded_lex(self):
         p = parse_poly("1 + x + y + x^2*y", 2)
         assert poly_to_text(p) == "x1^2*x2 + x1 + x2 + 1"
+
+    def test_coefficient_digit_limit(self):
+        limit = parser.MAX_INT_DIGITS
+        big = 10**limit
+        assert poly_to_text(Poly.const(1, big - 1)) == "9" * limit
+        assert poly_to_text(Poly.const(1, Fraction(1, big - 1))) == "1/" + "9" * limit
+        for p in (Poly.const(1, big), Poly.const(1, Fraction(1, big)), Poly.variable(1, 1) * -big):
+            with pytest.raises(BudgetError) as info:
+                poly_to_text(p)
+            assert str(info.value) == f"a coefficient of {limit + 1} digits is above parser.MAX_INT_DIGITS = {limit}"
+        # digit counts on both sides of a power of ten
+        for value, digits in ((10**5000 - 1, 5000), (10**5000, 5001), (10**5000 + 1, 5001)):
+            with pytest.raises(BudgetError, match=f"of {digits} digits"):
+                poly_to_text(Poly.const(1, value))
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string limit")
+    def test_digit_limit_does_not_follow_the_interpreter(self):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(PolyParseError):
+                parse_poly("1" * (parser.MAX_INT_DIGITS + 1), 1)
+            with pytest.raises(BudgetError):
+                poly_to_text(Poly.const(1, 10**parser.MAX_INT_DIGITS))
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestDocuments:
