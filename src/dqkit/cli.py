@@ -8,6 +8,7 @@ failure, 2 input, usage or schema error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -380,7 +381,9 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def _build_argparser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     top = _ArgumentParser(prog="dqkit", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
     for command, help_text in _COMMANDS:

@@ -12,6 +12,11 @@ Variables are x1..x<dim>; for dim <= 3 the aliases x, y, z are accepted.
 Rational literals p/q come out of '/' binding at '*' precedence with the
 divisor restricted to a nonzero constant.  Canonical output always uses
 x1..xn and descending graded-lex term order.
+
+A leaf in the shape that canonical output has (``[-]c[/d][*]x_i[^e]*...``
+terms joined by `` + `` and `` - ``) is read straight into integer
+numerators over one denominator; the grammar reads every other leaf and
+reports every error.
 """
 
 from __future__ import annotations
@@ -20,13 +25,13 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, log10
+from math import comb, gcd, lcm, log10
 from typing import Optional
 
 from .calculus import Form, MultiVec
 from .diffop import PolyDiffOp
 from .errors import BudgetError, PolyParseError, SchemaError
-from .kernel import Poly, TPoly
+from .kernel import Poly, TPoly, _add_term, _reduced
 from .liealgebroid import AlgebroidPresentation
 from .qclimit import QCData
 from .starprod import GaugeOp, StarProduct
@@ -57,6 +62,15 @@ MAX_NESTING = 100
 # refusal does not depend on the interpreter's setting.
 MAX_INT_DIGITS = 4300
 _INT_TEXT_BOUND = 10**MAX_INT_DIGITS
+
+# One term of a canonical leaf and the separator after it (or the end of the
+# text).  Digit runs stop at MAX_INT_DIGITS, so the reader never converts a
+# longer one: the grammar reads that leaf and refuses it.
+_DIGITS = rf"\d{{1,{MAX_INT_DIGITS}}}"
+_MONO = rf"x[1-9]\d{{0,8}}(?:\^{_DIGITS})?(?:\*x[1-9]\d{{0,8}}(?:\^{_DIGITS})?)*"
+_LEAF_TERM_RE = re.compile(
+    rf"(-)?(?:({_DIGITS})(?:/({_DIGITS}))?(?:\*({_MONO}))?|({_MONO}))(?: ([-+]) |\Z)"
+)
 
 
 def _tokenize(text: str):
@@ -173,7 +187,8 @@ class _ExprParser:
 
     def _resolve(self, name: str, pos: int) -> int:
         m = re.fullmatch(r"x(\d+)", name)
-        if m:
+        # an index too long to convert is no variable either
+        if m and len(m.group(1)) <= MAX_INT_DIGITS:
             idx = int(m.group(1))
             if 1 <= idx <= self.dim:
                 return idx
@@ -210,6 +225,11 @@ class _ExprParser:
             raise PolyParseError(
                 f"power may have coefficients up to 2^{bits}, above the budget of 2^{MAX_POWER_BITS}", pos
             )
+        # an exponent of base^k is at most k times the base's largest, and must stay writable
+        if k * max((e for exps in base.exponents() for e in exps), default=0) >= _INT_TEXT_BOUND:
+            raise PolyParseError(
+                f"power has an exponent of more than parser.MAX_INT_DIGITS = {MAX_INT_DIGITS} digits", pos
+            )
         return base ** k
 
     def _divide(self, num: Poly, den: Poly, pos: int) -> Poly:
@@ -221,11 +241,62 @@ class _ExprParser:
         return num * (Fraction(1) / v)
 
 
+def _read_leaf(text: str, dim: int) -> Optional[Poly]:
+    """The Poly of a leaf in canonical shape, or None for the grammar to read.
+
+    Equal to the grammar's Poly, down to the order of its terms: each term is
+    added in turn and a term that cancels leaves the map, as ``Poly.__add__``
+    does.  None for any text the pattern does not cover in full, a variable
+    above ``dim`` and a zero divisor.
+    """
+    terms = []
+    den = 1
+    negative = False
+    pos = 0
+    match = _LEAF_TERM_RE.match
+    while True:
+        m = match(text, pos)
+        if m is None:
+            return None
+        minus, c, d, mono, bare, sep = m.groups()
+        mono = mono or bare
+        exps = [0] * dim
+        if mono:
+            for factor in mono.split("*"):
+                var, _, e = factor.partition("^")
+                i = int(var[1:])
+                if i > dim:
+                    return None
+                exps[i - 1] += int(e) if e else 1
+        n = int(c) if c else 1
+        if d:
+            d = int(d)
+            if not d:
+                return None
+            den = lcm(den, d)
+        if n:
+            terms.append((tuple(exps), -n if negative != bool(minus) else n, d or 1))
+        if sep is None:
+            break
+        negative = sep == "-"
+        pos = m.end()
+    num = {}
+    for exps, n, d in terms:
+        # n is not zero, so a sum of zero has its key in the map
+        acc = num.get(exps, 0) + (n if d == den else n * (den // d))
+        if acc:
+            num[exps] = acc
+        else:
+            del num[exps]
+    return _reduced(dim, num, den)
+
+
 def parse_poly(text: str, dim: int) -> Poly:
     """Parse an expression into canonical Poly form."""
     if not isinstance(text, str):
         raise PolyParseError("expected an expression string", 0)
-    return _ExprParser(text, dim).parse()
+    p = _read_leaf(text, dim)
+    return _ExprParser(text, dim).parse() if p is None else p
 
 
 def _over_digit_limit(m: int) -> BudgetError:
@@ -362,30 +433,40 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
         epath = f"{path}[{idx}]" if isinstance(payload, list) else f"{path}.terms[{idx}]"
         _expect(isinstance(entry, dict), "expected an object {coeff, orders}", epath)
         _expect(set(entry) == {"coeff", "orders"}, "expected keys coeff/orders", epath)
-        orders = entry["orders"]
-        _expect(
-            isinstance(orders, list)
-            and all(
-                isinstance(o, list) and all(_is_int(e) and e >= 0 for e in o)
-                for o in orders
-            ),
-            "orders must be an array of multi-indices",
-            f"{epath}.orders",
-        )
+        key = _orders_key(entry["orders"])
+        _expect(key is not None, "orders must be an array of multi-indices", f"{epath}.orders")
         if arity is None:
-            arity = len(orders)
-        _expect(len(orders) == arity, f"orders must list {arity} multi-indices", f"{epath}.orders")
-        for o in orders:
-            _expect(len(o) == dim, f"multi-index length must equal dim = {dim}", f"{epath}.orders")
+            arity = len(key)
+        _expect(len(key) == arity, f"orders must list {arity} multi-indices", f"{epath}.orders")
+        _expect(
+            all(len(o) == dim for o in key), f"multi-index length must equal dim = {dim}", f"{epath}.orders"
+        )
         coeff = _leaf(entry["coeff"], dim, f"{epath}.coeff")
-        key = tuple(tuple(o) for o in orders)
-        terms[key] = terms.get(key, Poly.zero(dim)) + coeff
+        if coeff._num:
+            _add_term(terms, key, coeff)
     if arity is None:
         raise SchemaError("empty diffop needs an explicit arity", path)
-    try:
-        return PolyDiffOp(dim, arity, terms)
-    except Exception as exc:
-        raise SchemaError(str(exc), path) from exc
+    # a bare array's arity is the length of its first orders, which may be 0
+    _expect(arity >= 1, "arity must be >= 1", path)
+    # every key and coefficient above is clean: PolyDiffOp's checks would repeat these
+    return PolyDiffOp._make(dim, arity, terms)
+
+
+_INT_TYPES = {int}
+
+
+def _orders_key(orders):
+    """An array of multi-indices (arrays of non-negative JSON integers) as a
+    term key, a tuple of tuples, or None for anything else."""
+    if not isinstance(orders, list):
+        return None
+    key = []
+    for o in orders:
+        # the set of types is exactly {int}: no bool, float or string
+        if not isinstance(o, list) or (o and ({*map(type, o)} != _INT_TYPES or min(o) < 0)):
+            return None
+        key.append(tuple(o))
+    return tuple(key)
 
 
 def diffop_to_payload(op: PolyDiffOp) -> dict:
@@ -585,6 +666,9 @@ def parse_document(text: str) -> Document:
         raise SchemaError(f"invalid JSON: {exc}", "$") from exc
     except RecursionError:
         raise SchemaError("invalid JSON: nested too deeply to decode", "$") from None
+    except ValueError as exc:
+        # an integer above the interpreter's int-to-string limit
+        raise SchemaError(f"invalid JSON: {exc}", "$") from exc
     return document_from_obj(obj)
 
 

@@ -1,6 +1,8 @@
 import io
 import json
 import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from dqkit.cli import dispatch
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 def corpus(name):
@@ -164,6 +167,45 @@ class TestDeterminism:
             outs.append(json.dumps(report, sort_keys=True, indent=2))
         assert outs[0] == outs[1]
         assert hashes[0] == hashes[1]
+
+
+class TestOneProcess:
+    """dispatch builds its argument parser once per process.  After a usage
+    error, a help text and a refused flag it still answers as a fresh process."""
+
+    SEQUENCE = [
+        ["diffop", "compose", "--slot", "x", "--in", corpus("moyal_plane.json")],
+        ["star", "--help"],
+        ["poisson", "check", "--order", "3", "--in", corpus("so3.json")],
+        ["poisson", "check", "--in", corpus("pi_bad.json")],
+        ["star", "moyal", "--order", "2", "--in", corpus("pi_std.json")],
+    ]
+
+    @staticmethod
+    def _comparable(out):
+        """A report without its timing; any other output as it is."""
+        if not out.startswith("{"):
+            return out
+        report = json.loads(out)
+        del report["timing_ms"]
+        return report
+
+    def test_same_output_as_fresh_processes(self, capsys, monkeypatch):
+        # help is wrapped to the terminal width, so both sides get the same one
+        monkeypatch.setenv("COLUMNS", "80")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        fresh = []
+        for argv in self.SEQUENCE:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dqkit.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+            )
+            fresh.append((proc.returncode, self._comparable(proc.stdout), proc.stderr))
+        assert [code for code, _, _ in fresh] == [2, 0, 2, 1, 0]
+        for _ in range(2):
+            for argv, want in zip(self.SEQUENCE, fresh):
+                code = dispatch(argv)
+                out, err = capsys.readouterr()
+                assert (code, self._comparable(out), err) == want, argv
 
 
 class TestVerify:

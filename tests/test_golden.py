@@ -89,6 +89,8 @@ BUNDLES = {
     "power_over_bit_budget": _poly(2, "(2*x1)^100000000"),
     # an integer literal of 5,000 digits, above parser.MAX_INT_DIGITS = 4300
     "literal_over_digit_limit": _poly(1, "x1 + " + "7" * 5000),
+    # each power is inside the term and bit budgets, but x1^(2^16000) has an exponent of 4,817 digits
+    "exponent_over_digit_limit": _poly(1, "(((x1^(2^4000))^(2^4000))^(2^4000))^(2^4000)"),
     "d_index_above_dim": _bundle(
         algebroid=_RANK2_ON_LINE,
         omega=_form(1, [{"indices": [2], "coeff": "1"}]),
@@ -229,7 +231,7 @@ CASES = (
     + [("parse", n) for n in ("bundle_dim_and_order", "bundle_bad_dim_and_order", "bundle_bad_order")]
     + [("star adexp", n) for n in ("adexp_alpha_order", "adexp_b_order")]
     + [("parse", n) for n in ("power_over_budget", "power_under_budget", "power_over_bit_budget",
-                              "literal_over_digit_limit")]
+                              "literal_over_digit_limit", "exponent_over_digit_limit")]
 )
 
 
@@ -354,6 +356,7 @@ GOLDEN = {
     ('diffop compose', 'compose_over_packed_budget'): (2, "7db06df09fb913ad8722d9a961f477af54a580edc20cdeea71dcef39909f6f56"),
     ('parse', 'literal_over_digit_limit'): (2, "ff3c3096ba61a90c8db474790a091524271ef966dc7e21ca68293c495a504534"),
     ('diffop compose', 'compose_over_digit_limit'): (2, "5fff50acb7b1f85536b90f66fd4ab589601982877555d294dd73e14d3202f813"),
+    ('parse', 'exponent_over_digit_limit'): (2, "a78404bcf84e679d5e543394180f6141d9b7b54b5d687dae69698ec9b368c337"),
 }
 
 

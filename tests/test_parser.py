@@ -1,11 +1,14 @@
 import glob
+import json
 import os
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqkit.calculus import MultiVec
+from dqkit.diffop import PolyDiffOp
 from dqkit.errors import BudgetError, PolyParseError, SchemaError
 from dqkit.kernel import Poly, TPoly
 from dqkit import parser
@@ -17,7 +20,7 @@ from dqkit.parser import (
     serialize_document,
 )
 
-from conftest import rand_poly
+from conftest import assert_clean_poly, rand_poly
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -164,6 +167,34 @@ class TestGrammar:
         assert info.value.position == 5
         assert info.value.message == f"integer literal of {limit + 1} digits is above parser.MAX_INT_DIGITS = {limit}"
 
+    def test_power_exponent_digit_limit(self):
+        # 2^16000 has 4,817 digits: every power is inside the term and bit budgets
+        text = "(((x1^(2^4000))^(2^4000))^(2^4000))^(2^4000)"
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(text, 1)
+        assert info.value.position == 36
+        assert info.value.message == (
+            f"power has an exponent of more than parser.MAX_INT_DIGITS = {parser.MAX_INT_DIGITS} digits"
+        )
+        # k times the base's largest exponent is checked: 10^MAX_INT_DIGITS is refused,
+        # one power below it is written
+        limit = parser.MAX_INT_DIGITS
+        k = 10 ** (limit - 1)
+        for text in (f"(x1^10)^{k}", f"(x1*x2^2)^{5 * k}"):
+            with pytest.raises(PolyParseError, match="power has an exponent"):
+                parse_poly(text, 2)
+        below = parse_poly(f"(x1^10)^{k - 1}", 2)
+        assert poly_to_text(below) == f"x1^{10 * k - 10}"
+        # constants have no exponent to grow
+        assert parse_poly(f"1^{'9' * limit}", 1) == Poly.one(1)
+
+    def test_variable_index_digit_limit(self):
+        name = "x" + "1" * (parser.MAX_INT_DIGITS + 1)
+        with pytest.raises(PolyParseError) as info:
+            parse_poly(f"2*{name}", 2)
+        assert info.value.position == 2
+        assert info.value.message.startswith("unknown variable 'x111")
+
     def test_aliases_only_low_dims(self):
         assert parse_poly("z", 3) == Poly.variable(3, 3)
         with pytest.raises(PolyParseError):
@@ -214,6 +245,112 @@ class TestCanonicalText:
             sys.set_int_max_str_digits(saved)
 
 
+def _agrees_with_grammar(text, dim):
+    """The leaf reader on text: None, or exactly the grammar's Poly, stored
+    terms in the same order.  True when the reader read it."""
+    got = parser._read_leaf(text, dim)
+    if got is None:
+        return False
+    want = parser._ExprParser(text, dim).parse()
+    assert (got.dim, got._den, list(got._num.items())) == (want.dim, want._den, list(want._num.items()))
+    assert_clean_poly(got, dim)
+    return True
+
+
+@st.composite
+def _rational_polys(draw):
+    dim = draw(st.integers(1, 6))
+    coeffs = st.fractions(max_denominator=10**6).filter(bool) | st.integers(-(10**30), 10**30).filter(bool)
+    monomials = st.tuples(*[st.integers(0, 12)] * dim)
+    return Poly(dim, draw(st.dictionaries(monomials, coeffs, max_size=6)))
+
+
+def _near_canonical_leaves():
+    """Leaves close to the canonical shape: mostly canonical pieces, and the
+    spellings next to them that the reader must decline or read exactly as
+    the grammar does."""
+
+    def pick(canonical, other):
+        # eight canonical draws to each other one, so that many whole leaves are canonical
+        return st.sampled_from(canonical * 8 + other)
+
+    coeff = pick(["", "", "1", "3", "12", "5/3"], ["0", "007", "2/4", "0/7", "1/0", "-2", "x"])
+    var = pick(["x1", "x2", "x3"], ["x01", "x0", "x", "y", "x12"])
+    power = pick(["", "", "^2", "^11"], ["^0", "^1", "^(2)", "^2^2"])
+    mono = st.lists(st.tuples(var, power).map("".join), max_size=3).map("*".join)
+    term = st.tuples(coeff, mono).map(lambda cm: "*".join(filter(None, cm)))
+    sep = pick([" + ", " - "], ["+", " -", "  + ", " + -", " - -", " * ", " "])
+    lead = pick(["", "-"], ["+", " ", "--"])
+    tail = pick([""], [" ", "\n", " +"])
+    return st.builds(
+        lambda lead, first, rest, tail: lead + first + "".join(s + t for s, t in rest) + tail,
+        lead, term, st.lists(st.tuples(sep, term), max_size=4), tail,
+    )
+
+
+class TestLeafReader:
+    """parser._read_leaf, the direct reader of canonical leaves, against the grammar."""
+
+    @settings(max_examples=300, derandomize=True)
+    @given(_rational_polys())
+    def test_reads_canonical_text(self, p):
+        text = poly_to_text(p)
+        assert _agrees_with_grammar(text, p.dim)
+        assert parser._read_leaf(text, p.dim) == p
+
+    @settings(max_examples=500, derandomize=True)
+    @given(st.integers(1, 4), st.text(alphabet="x0123456789 +-*/^()yz", max_size=30))
+    def test_any_text_over_the_alphabet(self, dim, text):
+        try:
+            _agrees_with_grammar(text, dim)
+        except PolyParseError:
+            pytest.fail(f"the reader read {text!r}, which the grammar refuses")
+
+    def test_near_canonical_text(self):
+        read = []
+
+        @settings(max_examples=500, derandomize=True)
+        @given(st.sampled_from([1, 2, 3, 3, 3]), _near_canonical_leaves())
+        def run(dim, text):
+            try:
+                read.append(_agrees_with_grammar(text, dim))
+            except PolyParseError:
+                pytest.fail(f"the reader read {text!r}, which the grammar refuses")
+
+        run()
+        assert any(read) and not all(read)
+
+    @pytest.mark.parametrize(
+        "text, dim",
+        [
+            ("x1 - x1", 1),
+            ("x1 + x2 - x1 + x1", 2),  # a cancelled term comes back last, as in Poly.__add__
+            ("-0", 1),
+            ("0*x1 + x1^0", 1),
+            ("x1 + -x2", 2),
+            ("x1 - -3/2", 1),
+            ("x2*x1*x2^2", 2),
+            ("3/6*x1 - 1/4 + 1/12*x1", 1),
+            ("-" + "9" * parser.MAX_INT_DIGITS + "/" + "7" * parser.MAX_INT_DIGITS, 1),
+            ("x1^" + "9" * parser.MAX_INT_DIGITS, 1),
+        ],
+    )
+    def test_read(self, text, dim):
+        assert _agrees_with_grammar(text, dim)
+
+    @pytest.mark.parametrize(
+        "text, dim",
+        [
+            ("", 1), ("x1 + ", 1), ("x1\n", 1), (" x1", 1), ("x1  + x1", 1), ("+x1", 1),
+            ("x3", 2), ("x", 2), ("1/0", 1), ("3x1", 1), ("x1^2^2", 1), ("2*3", 1), ("x1/2", 1),
+            ("1" * (parser.MAX_INT_DIGITS + 1), 1), ("x1^1" + "0" * parser.MAX_INT_DIGITS, 1),
+            ("1/1" + "0" * parser.MAX_INT_DIGITS, 1),
+        ],
+    )
+    def test_left_to_the_grammar(self, text, dim):
+        assert parser._read_leaf(text, dim) is None
+
+
 class TestDocuments:
     def test_minimal_bivector(self):
         doc = parse_document(
@@ -261,6 +398,62 @@ class TestDocuments:
     def test_invalid_json(self):
         with pytest.raises(SchemaError):
             parse_document("{nope")
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string limit")
+    def test_json_integer_over_the_interpreter_limit(self):
+        if not sys.get_int_max_str_digits():
+            pytest.skip("the interpreter's int-to-string limit is lifted")
+        digits = sys.get_int_max_str_digits() + 1
+        with pytest.raises(SchemaError) as info:
+            parse_document('{"kind":"poly","dim":' + "1" * digits + ',"payload":"x1"}')
+        assert info.value.path == "$"
+        assert info.value.message.startswith("invalid JSON: ")
+
+    @pytest.mark.parametrize(
+        "payload, error",
+        [
+            ({"arity": 1, "terms": [{"coeff": "1", "orders": 5}]},
+             "$.payload.terms[0].orders: orders must be an array of multi-indices"),
+            ({"arity": 1, "terms": [{"coeff": "1", "orders": [[1, -1]]}]},
+             "$.payload.terms[0].orders: orders must be an array of multi-indices"),
+            ({"arity": 1, "terms": [{"coeff": "1", "orders": [[True, 0]]}]},
+             "$.payload.terms[0].orders: orders must be an array of multi-indices"),
+            ({"arity": 1, "terms": [{"coeff": "1", "orders": [[1.0, 0]]}]},
+             "$.payload.terms[0].orders: orders must be an array of multi-indices"),
+            # every multi-index is checked before the arity, the arity before the lengths
+            ({"arity": 1, "terms": [{"coeff": "1", "orders": [[1], "x"]}]},
+             "$.payload.terms[0].orders: orders must be an array of multi-indices"),
+            ({"arity": 2, "terms": [{"coeff": "1", "orders": [[1]]}]},
+             "$.payload.terms[0].orders: orders must list 2 multi-indices"),
+            ({"arity": 1, "terms": [{"coeff": "1", "orders": [[1]]}]},
+             "$.payload.terms[0].orders: multi-index length must equal dim = 2"),
+            ({"arity": 1, "terms": [{"coeff": "1", "orders": [[0, 1]]}, {"coeff": "q", "orders": [[0, 0]]}]},
+             "$.payload.terms[1].coeff: leaf parse error: unknown variable 'q' (dim = 2) (at position 0)"),
+            # a bare array takes its arity from the first orders, here none
+            ([{"coeff": "1", "orders": []}], "$.payload: arity must be >= 1"),
+            ([{"coeff": "1", "orders": []}, {"coeff": "(", "orders": []}],
+             "$.payload[1].coeff: leaf parse error: unexpected end of input (at position 1)"),
+            ([], "$.payload: empty diffop needs an explicit arity"),
+        ],
+    )
+    def test_diffop_errors(self, payload, error):
+        with pytest.raises(SchemaError) as info:
+            parse_document(json.dumps({"kind": "diffop", "dim": 2, "payload": payload}))
+        assert str(info.value) == error
+
+    def test_diffop_terms_summed(self):
+        terms = [
+            {"coeff": "x1", "orders": [[1, 0]]},
+            {"coeff": "0", "orders": [[0, 1]]},
+            {"coeff": "1/2", "orders": [[0, 0]]},
+            {"coeff": "-x1", "orders": [[1, 0]]},
+            {"coeff": "x2", "orders": [[0, 0]]},
+            {"coeff": "x1^2", "orders": [[1, 0]]},
+        ]
+        op = parse_document(json.dumps({"kind": "diffop", "dim": 2, "payload": terms})).payload
+        half = Poly.const(2, Fraction(1, 2))
+        # no zero coefficient is stored, neither a zero leaf nor a sum that cancels
+        assert op == PolyDiffOp(2, 1, {((0, 0),): half + y, ((1, 0),): x * x})
 
     def test_tseries_poly(self):
         doc = parse_document('{"kind":"poly","dim":2,"order":2,"payload":["x","y","0"]}')

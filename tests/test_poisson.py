@@ -1,9 +1,13 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqkit.calculus import Form, MultiVec, exterior_d, schouten
 from dqkit.kernel import Poly
 from dqkit.poisson import (
     EPSILON,
+    PoissonCheck,
     PoissonStructure,
     bracket,
     hamiltonian,
@@ -59,6 +63,23 @@ class TestIsPoisson:
         assert not chk.ok
         assert chk.witness == (1, 2, 3)
         assert chk.defect == Poly.one(3)
+
+    def test_matches_jacobiator_scan(self):
+        """The coordinate formula against jacobiator on every triple in
+        combinations order: same verdict, witness and defect, on Poisson and
+        non-Poisson bivectors on R^3..R^6."""
+        seen = set()
+
+        @settings(max_examples=100, derandomize=True)
+        @given(st.integers(3, 6).flatmap(lambda n: st.one_of(_poisson_bivectors(n), _bivectors(n))))
+        def run(pi):
+            got, want = is_poisson(pi), _jacobiator_scan(pi)
+            assert (got.ok, got.witness, got.defect) == (want.ok, want.witness, want.defect)
+            seen.add((pi.dim, got.ok))
+
+        run()
+        assert {ok for _, ok in seen} == {True, False}
+        assert {n for n, ok in seen if ok} == {3, 4, 5, 6}
 
     def test_structure_constructor_rejects(self, pi_bad):
         with pytest.raises(PreconditionError):
@@ -175,3 +196,45 @@ class TestEpsilonTable:
                     lhs = schouten(pi, A)
                     rhs = lichnerowicz_d(pi, A).scale(EPSILON.get(p, 1))
                     assert lhs == rhs, (p, pi, A)
+
+
+def _jacobiator_scan(pi):
+    """is_poisson as three nested brackets on each coordinate triple."""
+    xs = [Poly.variable(pi.dim, i) for i in range(1, pi.dim + 1)]
+    for i, j, k in combinations(range(pi.dim), 3):
+        defect = jacobiator(pi, xs[i], xs[j], xs[k])
+        if not defect.is_zero():
+            return PoissonCheck(False, (i + 1, j + 1, k + 1), defect)
+    return PoissonCheck(True)
+
+
+def _polys(n, max_terms=2):
+    """Polynomials on R^n with a few terms of degree <= 2 in each variable
+    and small rational coefficients."""
+    monomials = st.tuples(*[st.integers(0, 2)] * n)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.dictionaries(monomials, coeffs, max_size=max_terms).map(
+        lambda terms: Poly(n, {e: c for e, c in terms.items() if c})
+    )
+
+
+def _bivectors(n):
+    """Bivectors with a few random entries: mostly not Poisson."""
+    pairs = st.sampled_from(list(combinations(range(1, n + 1), 2)))
+    return st.dictionaries(pairs, _polys(n), min_size=1, max_size=4).map(lambda t: MultiVec(n, 2, t))
+
+
+@st.composite
+def _poisson_bivectors(draw, n):
+    """Poisson by construction: a constant bivector, or on three coordinates
+    a < b < c the bivector of the vector field f grad_abc C (Jacobi is
+    V . curl V = 0 there, and f and C may depend on the other coordinates)."""
+    if draw(st.booleans()):
+        pairs = list(combinations(range(1, n + 1), 2))
+        values = draw(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                               min_size=len(pairs), max_size=len(pairs)))
+        return MultiVec(n, 2, dict(zip(pairs, values)))
+    a, b, c = sorted(draw(st.lists(st.integers(1, n), min_size=3, max_size=3, unique=True)))
+    f, C = draw(_polys(n)), draw(_polys(n, max_terms=3))
+    va, vb, vc = (f * C.partial(i) for i in (a, b, c))
+    return MultiVec(n, 2, {(a, b): vc, (b, c): va, (a, c): -vb})
