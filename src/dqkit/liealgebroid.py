@@ -8,14 +8,14 @@ algebraic and fully exercised on free presentations.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .calculus import Form, MultiVec, _AltTensor, anchor
 from .errors import DegreeError, DimensionMismatchError, PreconditionError
-from .kernel import Poly
+from .kernel import Poly, _add_term
 
 
 class AlgebroidForm(_AltTensor):
@@ -63,15 +63,18 @@ class AlgebroidPresentation:
     anchor[a][i] is the d_i-component of sigma(e_{a+1}); structure stores
     c_{ab}^k for a < b as vectors of length rank, with [e_a, e_b] =
     sum_k c_{ab}^k e_k extended to general sections by the Leibniz rule.
+    For algebroid_d the nonzero entries are also kept sparse: (a, [(i,
+    anchor[a-1][i-1])]) per nonzero row, and {k: [(a, b, c_{ab}^k)]}.
     """
 
-    __slots__ = ("dim", "rank", "anchor", "structure")
+    __slots__ = ("dim", "rank", "anchor", "structure", "_anchor_rows", "_brackets")
 
     def __init__(self, dim: int, rank: int, anchor_rows, structure=None):
         self.dim = dim
         self.rank = rank
         rows = []
-        for row in anchor_rows:
+        self._anchor_rows = []
+        for a, row in enumerate(anchor_rows, start=1):
             row = list(row)
             if len(row) != dim:
                 raise DimensionMismatchError("anchor row length != dim")
@@ -82,10 +85,14 @@ class AlgebroidPresentation:
                 if p.dim != dim:
                     raise DimensionMismatchError("anchor entry dimension mismatch")
             rows.append(tuple(row))
+            entries = [(i, p) for i, p in enumerate(row, start=1) if not p.is_zero()]
+            if entries:
+                self._anchor_rows.append((a, entries))
         if len(rows) != rank:
             raise DimensionMismatchError("anchor must have `rank` rows")
         self.anchor = tuple(rows)
         struct = {}
+        self._brackets = {}
         if structure:
             for (a, b), cs in structure.items():
                 if not (1 <= a < b <= rank):
@@ -100,6 +107,9 @@ class AlgebroidPresentation:
                     raise DimensionMismatchError("structure entry dimension mismatch")
                 if any(not p.is_zero() for p in cs):
                     struct[(a, b)] = tuple(cs)
+                    for k, c in enumerate(cs, start=1):
+                        if not c.is_zero():
+                            self._brackets.setdefault(k, []).append((a, b, c))
         self.structure = struct
 
     # ------------------------------------------------------------------
@@ -113,26 +123,6 @@ class AlgebroidPresentation:
             row[a] = Poly.one(dim)
             rows.append(row)
         return cls(dim, dim, rows)
-
-    def anchor_apply(self, a: int, f: Poly) -> Poly:
-        """sigma(e_a)(f)."""
-        out = Poly.zero(self.dim)
-        for i, p in enumerate(self.anchor[a - 1], start=1):
-            if not p.is_zero():
-                out = out + p * f.partial(i)
-        return out
-
-    def frame_bracket(self, a: int, b: int):
-        """[e_a, e_b] as a coefficient vector of length rank."""
-        zero = Poly.zero(self.dim)
-        if a == b:
-            return tuple([zero] * self.rank)
-        if a < b:
-            return self.structure.get((a, b), tuple([zero] * self.rank))
-        cs = self.structure.get((b, a))
-        if cs is None:
-            return tuple([zero] * self.rank)
-        return tuple(-p for p in cs)
 
 
 @dataclass(frozen=True)
@@ -156,7 +146,9 @@ def check_algebroid(A: AlgebroidPresentation) -> AlgebroidCheck:
     1-forms theta^k: (d_A^2 x_i)(e_a, e_b) is the i-th component of
     [sigma(e_a), sigma(e_b)] - sigma([e_a, e_b]), and -(d_A^2 theta^k)(e_a,
     e_b, e_c) is the k-th component of the Jacobi total of (e_a, e_b, e_c).
-    Pairs are scanned first, then triples, each in combinations order.
+    Pairs come first, then triples; the witness is the least failing key (then
+    the least i) among the nonzero terms of the d^2 forms, which is the first
+    failure in combinations order.
     """
     n, r = A.dim, A.rank
 
@@ -166,16 +158,15 @@ def check_algebroid(A: AlgebroidPresentation) -> AlgebroidCheck:
     anchor_defects = [
         d_squared(AlgebroidForm.from_poly(r, Poly.variable(n, i))) for i in range(1, n + 1)
     ]
-    for pair in combinations(range(1, r + 1), 2):
-        for i, form in enumerate(anchor_defects, start=1):
-            value = form.value(pair)
-            if not value.is_zero():
-                return AlgebroidCheck(False, "anchor", pair, (i, value))
+    failures = [(pair, i) for i, form in enumerate(anchor_defects, start=1) for pair in form.terms]
+    if failures:
+        pair, i = min(failures)
+        return AlgebroidCheck(False, "anchor", pair, (i, anchor_defects[i - 1].terms[pair]))
     jacobi_defects = [d_squared(AlgebroidForm(n, r, 1, {(k,): 1})) for k in range(1, r + 1)]
-    for triple in combinations(range(1, r + 1), 3):
-        total = tuple(-form.value(triple) for form in jacobi_defects)
-        if not all(t.is_zero() for t in total):
-            return AlgebroidCheck(False, "jacobi", triple, total)
+    triples = [triple for form in jacobi_defects for triple in form.terms]
+    if triples:
+        triple = min(triples)
+        return AlgebroidCheck(False, "jacobi", triple, tuple(-form.value(triple) for form in jacobi_defects))
     return AlgebroidCheck(True)
 
 
@@ -184,34 +175,42 @@ def algebroid_d(A: AlgebroidPresentation, omega: AlgebroidForm) -> AlgebroidForm
 
     (d omega)(b_0..b_p) = sum_i (-1)^i sigma(b_i) omega(.. b_i ..)
                         + sum_{i<j} (-1)^{i+j} omega([b_i,b_j], .. b_i, b_j ..)
+
+    The sum runs over omega's nonzero terms f theta^K and the nonzero anchor
+    and structure entries only: sigma(e_a) f goes to K + {a} for each a not
+    in K, and c_{ab}^k f to (K - {k}) + {a, b} for each k in K, each with the
+    sign of its positions in the sorted key.  The cost grows with the number
+    of those terms, not with the C(rank, p+1) frame keys.
     """
     if omega.rank != A.rank or omega.dim != A.dim:
         raise DimensionMismatchError("form does not match the algebroid presentation")
-    p = omega.degree
     terms = {}
-    for key in combinations(range(1, A.rank + 1), p + 1):
-        val = Poly.zero(A.dim)
-        for i_pos, a in enumerate(key):
-            rest = key[:i_pos] + key[i_pos + 1 :]
-            term = A.anchor_apply(a, omega.value(rest))
-            if i_pos % 2 == 1:
-                term = -term
-            val = val + term
-        for i_pos in range(len(key)):
-            for j_pos in range(i_pos + 1, len(key)):
-                a, b = key[i_pos], key[j_pos]
-                rest = tuple(k for t, k in enumerate(key) if t not in (i_pos, j_pos))
-                cs = A.frame_bracket(a, b)
-                term = Poly.zero(A.dim)
-                for k in range(1, A.rank + 1):
-                    ck = cs[k - 1]
-                    if not ck.is_zero():
-                        term = term + ck * omega.value((k,) + rest)
-                if (i_pos + j_pos) % 2 == 1:
-                    term = -term
-                val = val + term
-        terms[key] = val
-    return AlgebroidForm(A.dim, A.rank, p + 1, terms)
+    for key, f in omega.terms.items():
+        partials = {}  # d_i f, taken once per term and only where an anchor entry needs it
+        for a, entries in A._anchor_rows:
+            if a in key:
+                continue
+            val = None
+            for i, s in entries:
+                df = partials.get(i)
+                if df is None:
+                    df = partials[i] = f.partial(i)
+                if not df.is_zero():
+                    val = s * df if val is None else val + s * df
+            if val is not None and not val.is_zero():
+                pos = bisect_left(key, a)
+                _add_term(terms, key[:pos] + (a,) + key[pos:], -val if pos % 2 else val)
+        for pos, k in enumerate(key):
+            rest = key[:pos] + key[pos + 1 :]
+            for a, b, c in A._brackets.get(k, ()):
+                if a in rest or b in rest:
+                    continue
+                # a lands at position i and b at j + 1 of the sorted key
+                i, j = bisect_left(rest, a), bisect_left(rest, b)
+                term = c * f
+                _add_term(terms, rest[:i] + (a,) + rest[i:j] + (b,) + rest[j:],
+                          -term if (i + j + 1 + pos) % 2 else term)
+    return AlgebroidForm(A.dim, A.rank, omega.degree + 1, terms)
 
 
 def from_poisson(pi: MultiVec) -> AlgebroidPresentation:

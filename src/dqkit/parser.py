@@ -299,13 +299,13 @@ def parse_poly(text: str, dim: int) -> Poly:
     return _ExprParser(text, dim).parse() if p is None else p
 
 
-def _over_digit_limit(m: int) -> BudgetError:
+def _over_digit_limit(m: int, what: str = "a coefficient") -> BudgetError:
     """The refusal of an integer m above MAX_INT_DIGITS, with its digit count."""
     # log10 of an int is off by less than one, so one power of ten settles the count
     t = int(log10(m))
     p = 10**t
     digits = t + (m >= p) + (m >= 10 * p)
-    return BudgetError(f"a coefficient of {digits} digits is above parser.MAX_INT_DIGITS = {MAX_INT_DIGITS}")
+    return BudgetError(f"{what} of {digits} digits is above parser.MAX_INT_DIGITS = {MAX_INT_DIGITS}")
 
 
 def poly_to_text(p: Poly) -> str:
@@ -315,6 +315,9 @@ def poly_to_text(p: Poly) -> str:
     den, terms = p.sorted_numerators()
     parts = []
     for exps, num in terms:
+        # a product of monomials adds exponents, so one can pass the limit a power is held to
+        if max(exps, default=0) >= _INT_TEXT_BOUND:
+            raise _over_digit_limit(max(exps), "an exponent")
         mono = "*".join(
             f"x{i}" + (f"^{e}" if e > 1 else "")
             for i, e in enumerate(exps, start=1)

@@ -14,7 +14,7 @@ from dqkit.diffop import (
 )
 from dqkit.errors import DimensionMismatchError, IndexRangeError, SolveError
 from dqkit.kernel import Poly, _add_term, grlex_key
-from dqkit.liealgebroid import AlgebroidCheck, AlgebroidPresentation
+from dqkit.liealgebroid import AlgebroidCheck, AlgebroidForm, AlgebroidPresentation
 from dqkit.poisson import koszul_bracket
 from dqkit.starprod import GaugeOp, StarProduct, _delta_matrix_rows, exp_gauge
 
@@ -224,6 +224,64 @@ def koszul_frame_bracket(pi: MultiVec, i: int, j: int) -> Form:
     return koszul_bracket(pi, Form.basis(n, i), Form.basis(n, j))
 
 
+def anchor_apply(A: AlgebroidPresentation, a: int, f: Poly) -> Poly:
+    """sigma(e_a)(f)."""
+    out = Poly.zero(A.dim)
+    for i, p in enumerate(A.anchor[a - 1], start=1):
+        if not p.is_zero():
+            out = out + p * f.partial(i)
+    return out
+
+
+def frame_bracket(A: AlgebroidPresentation, a: int, b: int):
+    """[e_a, e_b] as a coefficient vector of length rank."""
+    zero = Poly.zero(A.dim)
+    if a == b:
+        return tuple([zero] * A.rank)
+    if a < b:
+        return A.structure.get((a, b), tuple([zero] * A.rank))
+    cs = A.structure.get((b, a))
+    if cs is None:
+        return tuple([zero] * A.rank)
+    return tuple(-p for p in cs)
+
+
+def algebroid_d_by_frame(A: AlgebroidPresentation, omega: AlgebroidForm) -> AlgebroidForm:
+    """algebroid_d by the dense Cartan formula: every frame key of degree p+1,
+    every position and every pair of positions in it,
+
+    (d omega)(b_0..b_p) = sum_i (-1)^i sigma(b_i) omega(.. b_i ..)
+                        + sum_{i<j} (-1)^{i+j} omega([b_i,b_j], .. b_i, b_j ..)
+    """
+    if omega.rank != A.rank or omega.dim != A.dim:
+        raise DimensionMismatchError("form does not match the algebroid presentation")
+    p = omega.degree
+    terms = {}
+    for key in combinations(range(1, A.rank + 1), p + 1):
+        val = Poly.zero(A.dim)
+        for i_pos, a in enumerate(key):
+            rest = key[:i_pos] + key[i_pos + 1 :]
+            term = anchor_apply(A, a, omega.value(rest))
+            if i_pos % 2 == 1:
+                term = -term
+            val = val + term
+        for i_pos in range(len(key)):
+            for j_pos in range(i_pos + 1, len(key)):
+                a, b = key[i_pos], key[j_pos]
+                rest = tuple(k for t, k in enumerate(key) if t not in (i_pos, j_pos))
+                cs = frame_bracket(A, a, b)
+                term = Poly.zero(A.dim)
+                for k in range(1, A.rank + 1):
+                    ck = cs[k - 1]
+                    if not ck.is_zero():
+                        term = term + ck * omega.value((k,) + rest)
+                if (i_pos + j_pos) % 2 == 1:
+                    term = -term
+                val = val + term
+        terms[key] = val
+    return AlgebroidForm(A.dim, A.rank, p + 1, terms)
+
+
 def _section_bracket(A, u, v):
     """Bracket of sections given as coefficient vectors, via the Leibniz rule:
     [sum_a u_a e_a, sum_b v_b e_b] = sum_{a,b} (u_a v_b [e_a,e_b]
@@ -235,14 +293,14 @@ def _section_bracket(A, u, v):
         for b in range(1, A.rank + 1):
             vb = v[b - 1]
             if not ua.is_zero() and not vb.is_zero():
-                cs = A.frame_bracket(a, b)
+                cs = frame_bracket(A, a, b)
                 for k in range(A.rank):
                     if not cs[k].is_zero():
                         out[k] = out[k] + ua * vb * cs[k]
             if not ua.is_zero():
-                out[b - 1] = out[b - 1] + ua * A.anchor_apply(a, vb)
+                out[b - 1] = out[b - 1] + ua * anchor_apply(A, a, vb)
             if not vb.is_zero():
-                out[a - 1] = out[a - 1] - vb * A.anchor_apply(b, ua)
+                out[a - 1] = out[a - 1] - vb * anchor_apply(A, b, ua)
     return tuple(out)
 
 
@@ -253,7 +311,7 @@ def check_algebroid_by_brackets(A: AlgebroidPresentation) -> AlgebroidCheck:
     result as check_algebroid."""
     n, r = A.dim, A.rank
     for a, b in combinations(range(1, r + 1), 2):
-        cs = A.frame_bracket(a, b)
+        cs = frame_bracket(A, a, b)
         lhs = [Poly.zero(n)] * n
         for k in range(r):
             if cs[k].is_zero():

@@ -91,6 +91,8 @@ BUNDLES = {
     "literal_over_digit_limit": _poly(1, "x1 + " + "7" * 5000),
     # each power is inside the term and bit budgets, but x1^(2^16000) has an exponent of 4,817 digits
     "exponent_over_digit_limit": _poly(1, "(((x1^(2^4000))^(2^4000))^(2^4000))^(2^4000)"),
+    # a product of monomials adds exponents: x1^(10^4300 - 1) * x1 is read, and refused when written
+    "exponent_product_over_digit_limit": _poly(1, "x1^" + "9" * 4300 + "*x1"),
     "d_index_above_dim": _bundle(
         algebroid=_RANK2_ON_LINE,
         omega=_form(1, [{"indices": [2], "coeff": "1"}]),
@@ -231,7 +233,8 @@ CASES = (
     + [("parse", n) for n in ("bundle_dim_and_order", "bundle_bad_dim_and_order", "bundle_bad_order")]
     + [("star adexp", n) for n in ("adexp_alpha_order", "adexp_b_order")]
     + [("parse", n) for n in ("power_over_budget", "power_under_budget", "power_over_bit_budget",
-                              "literal_over_digit_limit", "exponent_over_digit_limit")]
+                              "literal_over_digit_limit", "exponent_over_digit_limit",
+                              "exponent_product_over_digit_limit")]
 )
 
 
@@ -357,6 +360,7 @@ GOLDEN = {
     ('parse', 'literal_over_digit_limit'): (2, "ff3c3096ba61a90c8db474790a091524271ef966dc7e21ca68293c495a504534"),
     ('diffop compose', 'compose_over_digit_limit'): (2, "5fff50acb7b1f85536b90f66fd4ab589601982877555d294dd73e14d3202f813"),
     ('parse', 'exponent_over_digit_limit'): (2, "a78404bcf84e679d5e543394180f6141d9b7b54b5d687dae69698ec9b368c337"),
+    ('parse', 'exponent_product_over_digit_limit'): (2, "19e1fa1e6f36a123d56d485db384d340bb04407919b083560df876bfbeda59fc"),
 }
 
 

@@ -21,7 +21,7 @@ from dqkit.liealgebroid import (
 from dqkit.poisson import is_poisson, lichnerowicz_d
 
 from conftest import rand_poly
-from oracles import check_algebroid_by_brackets, koszul_frame_bracket
+from oracles import algebroid_d_by_frame, check_algebroid_by_brackets, frame_bracket, koszul_frame_bracket
 
 x = Poly.variable(2, 1)
 y = Poly.variable(2, 2)
@@ -92,6 +92,57 @@ class TestCheckAlgebroid:
         run()
         assert seen == {None, "anchor", "jacobi"}
 
+    def test_anchor_witness_is_the_first_failure(self):
+        """The anchor axiom fails at five pairs, for x_1 and for x_2: the
+        witness is the first failing (pair, i) of the combinations scan,
+        ((1, 3), 2), although x_1 fails first only at (1, 4)."""
+        x1, x2 = (Poly.variable(2, i) for i in (1, 2))
+        A = AlgebroidPresentation(2, 4, [[1, 0], [0, 1], [x2, x1], [x1 * x2, 0]])
+        failures = _scan_d_squared(A)["anchor"]
+        assert [f[:2] for f in failures] == [
+            ((1, 3), 2), ((1, 4), 1), ((2, 3), 1), ((2, 4), 1), ((3, 4), 1), ((3, 4), 2)
+        ]
+        pair, i, value = failures[0]
+        want = AlgebroidCheck(False, "anchor", pair, (i, value))
+        assert check_algebroid(A) == check_algebroid_by_brackets(A) == want
+
+    def test_jacobi_witness_is_the_first_failure(self):
+        """With a zero anchor, Jacobi fails at the triples (1, 2, 4), (2, 3, 4)
+        and (2, 3, 5): the witness is (1, 2, 4), whose defect sits in theta^5,
+        although theta^2 and theta^3 fail at later triples."""
+        e = [[1 if k == j else 0 for k in range(1, 6)] for j in range(1, 6)]
+        structure = {(2, 3): e[1], (2, 4): e[4], (3, 5): e[2], (1, 4): e[3]}
+        A = AlgebroidPresentation(1, 5, [[0]] * 5, structure)
+        failures = _scan_d_squared(A)["jacobi"]
+        assert [triple for triple, _ in failures] == [(1, 2, 4), (2, 3, 4), (2, 3, 5)]
+        triple, total = failures[0]
+        assert [k for k, t in enumerate(total, start=1) if not t.is_zero()] == [5]
+        want = AlgebroidCheck(False, "jacobi", triple, total)
+        assert check_algebroid(A) == check_algebroid_by_brackets(A) == want
+
+
+def _scan_d_squared(A):
+    """Every failure of the dense scan of d^2 x_i and d^2 theta^k through the
+    frame oracle, in combinations order: anchor (pair, i, value), then Jacobi
+    (triple, total)."""
+    n, r = A.dim, A.rank
+
+    def d_squared(form):
+        return algebroid_d_by_frame(A, algebroid_d_by_frame(A, form))
+
+    xs = [d_squared(AlgebroidForm.from_poly(r, Poly.variable(n, i))) for i in range(1, n + 1)]
+    thetas = [d_squared(AlgebroidForm(n, r, 1, {(k,): 1})) for k in range(1, r + 1)]
+    out = {"anchor": [], "jacobi": []}
+    for pair in combinations(range(1, r + 1), 2):
+        for i, form in enumerate(xs, start=1):
+            if not form.value(pair).is_zero():
+                out["anchor"].append((pair, i, form.value(pair)))
+    for triple in combinations(range(1, r + 1), 3):
+        total = tuple(-form.value(triple) for form in thetas)
+        if any(not t.is_zero() for t in total):
+            out["jacobi"].append((triple, total))
+    return out
+
 
 def _polys(n):
     """Polynomials on R^n with at most two terms of degree <= 2 in each
@@ -104,11 +155,11 @@ def _polys(n):
 
 
 @st.composite
-def _presentations(draw):
-    """Ranks 1..4 on R^1..R^3 (so ranks with no pair and with no triple are
-    drawn); half the draws have a zero anchor, which passes the anchor axiom
-    and leaves Jacobi to decide."""
-    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+def _presentations(draw, max_rank=4):
+    """Ranks 1..max_rank on R^1..R^3 (so ranks with no pair and with no
+    triple are drawn); half the draws have a zero anchor, which passes the
+    anchor axiom and leaves Jacobi to decide."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, max_rank))
     entries = st.one_of(st.just(Poly.zero(n)), _polys(n))
     anchor_entries = st.just(Poly.zero(n)) if draw(st.booleans()) else entries
     rows = [[draw(anchor_entries) for _ in range(n)] for _ in range(r)]
@@ -121,8 +172,8 @@ def _presentations(draw):
 
 
 @st.composite
-def _koszul_algebroids(draw):
-    n = draw(st.integers(1, 4))
+def _koszul_algebroids(draw, max_dim=4):
+    n = draw(st.integers(1, max_dim))
     terms = {pair: draw(_polys(n)) for pair in combinations(range(1, n + 1), 2)}
     return from_poisson(MultiVec(n, 2, terms))
 
@@ -152,6 +203,38 @@ class TestAlgebroidForm:
 
 
 class TestAlgebroidD:
+    def test_matches_dense_frame_oracle(self):
+        """algebroid_d against the dense Cartan formula over every frame key,
+        at every degree 0..rank+1, on zero forms too, and again on its own
+        output, where d^2 cancels to zero on the algebroids that pass."""
+        seen = set()
+
+        @st.composite
+        def cases(draw):
+            A = draw(st.one_of(_presentations(max_rank=5), _koszul_algebroids(max_dim=3)))
+            p = draw(st.integers(0, A.rank + 1))
+            keys = list(combinations(range(1, A.rank + 1), p))
+            terms = draw(st.dictionaries(st.sampled_from(keys), _polys(A.dim), max_size=3)) if keys else {}
+            return A, AlgebroidForm(A.dim, A.rank, p, terms)
+
+        @settings(max_examples=200, derandomize=True, deadline=None)
+        @given(cases())
+        def run(case):
+            A, w = case
+            dw = algebroid_d(A, w)
+            assert dw == algebroid_d_by_frame(A, w)
+            ddw = algebroid_d(A, dw)
+            assert ddw == algebroid_d_by_frame(A, dw)
+            p, r = w.degree, A.rank
+            seen.add("degree 0" if p == 0 else "rank" if p == r else "rank + 1" if p > r else "between")
+            seen.add("zero form" if w.is_zero() else "nonzero form")
+            if not dw.is_zero() and ddw.is_zero():
+                seen.add("d^2 cancels")
+
+        run()
+        assert seen == {"degree 0", "between", "rank", "rank + 1", "zero form", "nonzero form",
+                        "d^2 cancels"}
+
     def test_tangent_reduces_to_exterior_d(self, T2):
         lam = AlgebroidForm(2, 2, 1, {(2,): x})  # the x dy analogue
         assert algebroid_d(T2, lam) == AlgebroidForm(2, 2, 2, {(1, 2): 1})
@@ -215,7 +298,7 @@ class TestFromPoisson:
         for i in range(1, 4):
             for j in range(i + 1, 4):
                 kb = koszul_frame_bracket(pi_so3, i, j)
-                cs = P_so3.frame_bracket(i, j)
+                cs = frame_bracket(P_so3, i, j)
                 for k in range(1, 4):
                     assert kb.coeff((k,)) == cs[k - 1]
 

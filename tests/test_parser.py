@@ -232,6 +232,26 @@ class TestCanonicalText:
             with pytest.raises(BudgetError, match=f"of {digits} digits"):
                 poly_to_text(Poly.const(1, value))
 
+    def test_exponent_digit_limit(self):
+        """A product of monomials adds exponents past what any one power may
+        make: x1^(10^4300 - 1) * x1 is read and then refused when it is written."""
+        limit = parser.MAX_INT_DIGITS
+        top = "9" * limit
+        assert poly_to_text(parse_poly(f"x1^{top}", 1)) == f"x1^{top}"
+        for text, dim in ((f"x1^{top}*x1", 1), (f"x2 + 3*x1*x2^{top}*x2", 2)):
+            with pytest.raises(BudgetError) as info:
+                poly_to_text(parse_poly(text, dim))
+            assert str(info.value) == f"an exponent of {limit + 1} digits is above parser.MAX_INT_DIGITS = {limit}"
+        # refused whatever the interpreter's own int-to-string limit
+        if hasattr(sys, "set_int_max_str_digits"):
+            saved = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(0)
+            try:
+                with pytest.raises(BudgetError, match="an exponent of"):
+                    poly_to_text(parse_poly(f"x1^{top}*x1", 1))
+            finally:
+                sys.set_int_max_str_digits(saved)
+
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string limit")
     def test_digit_limit_does_not_follow_the_interpreter(self):
         saved = sys.get_int_max_str_digits()
