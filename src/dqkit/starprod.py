@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import comb, factorial, gcd, lcm, prod
-from operator import attrgetter
+from math import factorial, gcd, lcm
+from operator import add, attrgetter
 from struct import Struct
 
 from .calculus import MultiVec
@@ -37,7 +36,7 @@ from .errors import (
     PreconditionError,
     SolveError,
 )
-from .kernel import Poly, TPoly, _add_term
+from .kernel import Poly, TPoly, _reduced
 from .poisson import bracket, hamiltonian
 
 
@@ -460,114 +459,38 @@ def exp_gauge(Q: PolyDiffOp, order: int) -> GaugeOp:
 # specialization (Hochschild coboundary solve)
 
 
-def _delta_matrix_rows(op: PolyDiffOp):
-    """Flatten an arity-2 operator into {(orders, coeff-exponents): Fraction}."""
-    rows = {}
-    for orders, coeff in op.terms.items():
-        for exps, val in coeff.items():
-            rows[(orders, exps)] = val
-    return rows
+def _pivot_row(alpha):
+    """The row that fixes the unknown x^e d^alpha of specialize's system:
+    (orders, c) with c x^e (d^orders[0] (x) d^orders[1]) a term of
+    delta(x^e d^alpha) and of no other delta(x^e' d^alpha'), or None for a
+    derivation (|alpha| = 1), whose delta is zero.
 
+    delta(x^e) = -x^e (f (x) g), and for |alpha| >= 2 the row is beta = e_i,
+    with i the last index where alpha_i > 0, in
 
-def _coboundary_pattern(alpha):
-    """The terms [(orders, coefficient)] of delta(d^alpha), in the key order of
-    hochschild_delta:
-
-        delta(d^alpha) = sum_{0 < beta < alpha} C(alpha, beta) d^beta (x) d^(alpha - beta),
-
-    with C(alpha, beta) = prod_i binom(alpha_i, beta_i) and beta in
-    itertools.product order; delta(1) = -(f (x) g).  Multiplying every term by
-    x^e gives delta(x^e d^alpha).  Empty for |alpha| = 1 (a derivation).
+        delta(x^e d^alpha) = x^e sum_{0 < beta < alpha} C(alpha, beta) d^beta (x) d^(alpha - beta).
     """
     if not any(alpha):
-        return [((alpha, alpha), Fraction(-1))]
-    out = []
-    for beta in product(*(range(a + 1) for a in alpha)):
-        if beta == alpha or not any(beta):
-            continue
-        rest = tuple(a - b for a, b in zip(alpha, beta))
-        out.append(((beta, rest), Fraction(prod(comb(a, b) for a, b in zip(alpha, beta)))))
-    return out
-
-
-def _solve_exact(columns, target_rows, row_index):
-    """Solve sum_j u_j col_j = target over Q.  Returns (solution, residual_rows).
-
-    columns: list of row-dicts; target_rows: row-dict; row_index: ordered keys.
-    On inconsistency the solution solves the consistent subsystem and the
-    residual is nonzero.
-
-    Gauss-Jordan elimination on sparse rows: column by column, the pivot is the
-    first row at or below the current position (in current row order) with a
-    nonzero entry, and only rows holding a nonzero in the pivot column are
-    reduced.  Zero entries are never stored, so every exact operation is one a
-    dense elimination with the same pivot rule does on a nonzero entry.
-    """
-    m = len(row_index)
-    n = len(columns)
-    pos = {key: r for r, key in enumerate(row_index)}
-    rows = [{} for _ in range(m)]  # by original row: {column: nonzero Fraction}
-    where = [set() for _ in range(n + 1)]  # column -> original rows holding a nonzero
-    for j, col in enumerate([*columns, target_rows]):  # the target is column n
-        for key, val in col.items():
-            if val:
-                i = pos[key]
-                rows[i][j] = val
-                where[j].add(i)
-    perm = list(range(m))  # original row per current position
-    place = list(range(m))  # current position per original row
-    pivots = []  # (original row, column)
-    r = 0
-    for c in range(n):
-        below = [place[i] for i in where[c] if place[i] >= r]
-        if not below:
-            continue
-        p = min(below)
-        i, k = perm[p], perm[r]
-        perm[r], perm[p] = i, k
-        place[i], place[k] = r, p
-        pv = rows[i][c]
-        rows[i] = row = {j: x / pv for j, x in rows[i].items()}
-        for t in list(where[c]):
-            if t == i:
-                continue
-            other = rows[t]
-            f = other[c]
-            for j, y in row.items():
-                x = other.get(j)
-                if x is None:
-                    other[j] = -(f * y)
-                    where[j].add(t)
-                else:
-                    x -= f * y
-                    if x:
-                        other[j] = x
-                    else:
-                        del other[j]
-                        where[j].discard(t)
-        pivots.append((i, c))
-        r += 1
-        if r == m:
-            break
-    solution = [Fraction(0)] * n
-    for i, c in pivots:
-        solution[c] = rows[i].get(n, Fraction(0))
-    residual = {}
-    for rr in range(len(pivots), m):
-        val = rows[perm[rr]].get(n)
-        if val:
-            residual[row_index[perm[rr]]] = val
-    return solution, residual
+        return (alpha, alpha), -1
+    if sum(alpha) < 2:
+        return None
+    i = max(k for k, a in enumerate(alpha) if a)
+    beta = tuple(int(k == i) for k in range(len(alpha)))
+    return (beta, tuple(a - b for a, b in zip(alpha, beta))), alpha[i]
 
 
 def specialize(S: StarProduct, degree_bound: int) -> GaugeOp:
     """A gauge R = exp(tQ) with gauge_transform(S, R) special.
 
-    Q solves the Hochschild coboundary equation delta Q = sym(P_1) by an
-    exact linear solve over operators with order <= total order of P_1 and
-    polynomial coefficient degree <= degree_bound.  The solve is sparse and
-    exact: the columns delta(x^e d^alpha) come in closed form and the
-    elimination works over Fraction on nonzero entries only.
+    Q solves the Hochschild coboundary equation delta Q = sym(P_1) over
+    operators x^e d^alpha with polynomial coefficient degree |e| <= degree_bound.
+    The system is block-diagonal: the rows of x^e d^alpha are the terms
+    ((beta, alpha - beta), e), and beta + (alpha - beta) gives back alpha, so
+    no two unknowns share a row.  Each unknown is read off its _pivot_row: the
+    coefficient of x^e d^alpha in Q is t / c, where t is sym(P_1)'s entry on
+    that row.  One pass over sym(P_1)'s terms finds them, so the work is set
+    by those terms and not by the bound.  Every other row is checked at once:
+    SolveError carries the residual sym(P_1) - delta Q when it is not zero.
     """
     if not is_associative(S):
         raise PreconditionError("specialize requires an associative star product")
@@ -575,37 +498,21 @@ def specialize(S: StarProduct, degree_bound: int) -> GaugeOp:
     n = S.dim
     if sym.is_zero():
         return GaugeOp.identity_gauge(n, S.order)
-    maxord = S.op(1).total_order()
-    # unknown basis: monomial coefficient x^e times d^alpha
-    alphas = [a for a in product(range(maxord + 1), repeat=n) if sum(a) <= maxord]
-    monos = [e for e in product(range(degree_bound + 1), repeat=n) if sum(e) <= degree_bound]
-    unknowns = []
-    columns = []
-    keys = {}
-    for alpha in alphas:
-        pattern = _coboundary_pattern(alpha)
-        if not pattern:
-            continue  # |alpha| = 1: x^e d^alpha is a derivation, so delta is zero
-        for e in monos:
-            col = {(orders, e): c for orders, c in pattern}
-            unknowns.append((alpha, e))
-            columns.append(col)
-            for key in col:
-                keys.setdefault(key, len(keys))
-    target = _delta_matrix_rows(sym)
-    for key in target:
-        keys.setdefault(key, len(keys))
-    solution, residual = _solve_exact(columns, target, list(keys))
     terms = {}
-    for u, (alpha, e) in zip(solution, unknowns):
-        if u:
-            _add_term(terms, (alpha,), Poly._term(n, e, u))
-    Q = PolyDiffOp._make(n, 1, terms)
-    if residual:
-        raise SolveError(
-            "no Hochschild coboundary solution within bounds",
-            residual=sym - hochschild_delta(Q),
-        )
+    for orders, coeff in sym.terms.items():
+        alpha = tuple(map(add, *orders))
+        pivot = _pivot_row(alpha)
+        if pivot is None or pivot[0] != orders:
+            continue  # no unknown is read off this row; the residual checks it
+        c = pivot[1]
+        num = {e: v if c > 0 else -v for e, v in sorted(coeff._num.items()) if sum(e) <= degree_bound}
+        if num:
+            terms[(alpha,)] = _reduced(n, num, coeff._den * abs(c))
+    # alpha and e in sorted order, so Q's storage order does not depend on sym's
+    Q = PolyDiffOp._make(n, 1, dict(sorted(terms.items())))
+    residual = sym - hochschild_delta(Q)
+    if not residual.is_zero():
+        raise SolveError("no Hochschild coboundary solution within bounds", residual=residual)
     return exp_gauge(Q, S.order)
 
 

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
 from operator import add, sub
 
 from dqkit.calculus import Form, MultiVec, wedge
@@ -16,7 +16,7 @@ from dqkit.errors import DimensionMismatchError, IndexRangeError, SolveError
 from dqkit.kernel import Poly, _add_term, grlex_key
 from dqkit.liealgebroid import AlgebroidCheck, AlgebroidForm, AlgebroidPresentation
 from dqkit.poisson import koszul_bracket
-from dqkit.starprod import GaugeOp, StarProduct, _delta_matrix_rows, exp_gauge
+from dqkit.starprod import GaugeOp, StarProduct, exp_gauge
 
 
 def _as_rat(value) -> Fraction:
@@ -28,7 +28,12 @@ def _as_rat(value) -> Fraction:
 
 
 def dense_solve(columns, target_rows, row_index):
-    """Dense Gauss-Jordan over Fraction with the contract of starprod._solve_exact.
+    """Solve sum_j u_j col_j = target over Q by dense Gauss-Jordan elimination.
+
+    columns: list of row-dicts; target_rows: row-dict; row_index: the ordered
+    row keys.  Returns (solution, residual_rows): on an inconsistent system the
+    solution solves the consistent subsystem and the residual, keyed by row in
+    elimination order, is nonzero.
 
     Column by column, the pivot is the first row at or below the current
     position with a nonzero entry; every other row is reduced by it.
@@ -75,6 +80,36 @@ def dense_solve(columns, target_rows, row_index):
     return solution, residual
 
 
+def delta_matrix_rows(op: PolyDiffOp):
+    """Flatten an arity-2 operator into {(orders, coeff-exponents): Fraction}."""
+    rows = {}
+    for orders, coeff in op.terms.items():
+        for exps, val in coeff.items():
+            rows[(orders, exps)] = val
+    return rows
+
+
+def coboundary_pattern(alpha):
+    """The terms [(orders, coefficient)] of delta(d^alpha), in the key order of
+    hochschild_delta:
+
+        delta(d^alpha) = sum_{0 < beta < alpha} C(alpha, beta) d^beta (x) d^(alpha - beta),
+
+    with C(alpha, beta) = prod_i binom(alpha_i, beta_i) and beta in
+    itertools.product order; delta(1) = -(f (x) g).  Multiplying every term by
+    x^e gives delta(x^e d^alpha).  Empty for |alpha| = 1 (a derivation).
+    """
+    if not any(alpha):
+        return [((alpha, alpha), Fraction(-1))]
+    out = []
+    for beta in product(*(range(a + 1) for a in alpha)):
+        if beta == alpha or not any(beta):
+            continue
+        rest = tuple(a - b for a, b in zip(alpha, beta))
+        out.append(((beta, rest), Fraction(prod(comb(a, b) for a, b in zip(alpha, beta)))))
+    return out
+
+
 def specialize_by_oracle(S, degree_bound):
     """specialize(S, degree_bound) without its precondition, built the unfused way:
     one hochschild_delta per unknown x^e d^alpha, solved by dense_solve."""
@@ -89,14 +124,14 @@ def specialize_by_oracle(S, degree_bound):
     for alpha in alphas:
         for e in monos:
             q = PolyDiffOp(n, 1, {(alpha,): Poly.monomial(n, e)})
-            col = _delta_matrix_rows(hochschild_delta(q))
+            col = delta_matrix_rows(hochschild_delta(q))
             if not col:
                 continue
             basis.append(q)
             columns.append(col)
             for key in col:
                 keys.setdefault(key, len(keys))
-    target = _delta_matrix_rows(sym)
+    target = delta_matrix_rows(sym)
     for key in target:
         keys.setdefault(key, len(keys))
     solution, residual = dense_solve(columns, target, list(keys))

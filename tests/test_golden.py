@@ -161,6 +161,13 @@ BUNDLES = {
             ("1/2", [[1, 1], [2, 0]]), ("1/8", [[2, 0], [0, 2]]), ("-1/2", [[2, 0], [1, 1]]),
             ("5/4", [[2, 0], [2, 0]]), ("1/2", [[3, 0], [1, 0]])]]},
     ]}},
+    # the Moyal plane gauged by R_1 = x2 d_x^2 + x1 d_x d_y + d_y^2 / 2, truncated at t^1: sym(P_1)
+    # needs coefficient degree 1, so at degree 0 only its d_y^2 part is solved and the rest is the residual
+    "star_gauged_degree1": {"kind": "star", "dim": 2, "order": 1, "payload": {"P": [
+        {"arity": 2, "terms": [{"coeff": c, "orders": o} for c, o in [
+            ("-1", [[0, 1], [0, 1]]), ("-x1 - 1/2", [[0, 1], [1, 0]]), ("-x1 + 1/2", [[1, 0], [0, 1]]),
+            ("-2*x2", [[1, 0], [1, 0]])]]},
+    ]}},
     "gauge_plane": _bundle(star=_load("moyal_plane.json"), gauge=_load("gauge_xi.json")),
     "section_identity": _bundle(star=_load("moyal_plane.json"), gauge=_GAUGE_ID),
     "adexp_plane": _bundle(star=_load("moyal_plane.json"), alpha=_poly(2, "x^2"), b=_poly(2, "y^2")),
@@ -221,7 +228,8 @@ CASES = (
        ("diffop compose", "compose_over_packed_budget"), ("diffop compose", "compose_over_digit_limit")]
     + [("star moyal --order 2", "pi_std.json"), ("star moyal --order 12", "pi_std.json"),
        ("star moyal", "so3.json"), ("star gauge", "gauge_plane"),
-       ("star specialize", "star_gauged_halfdx2"), ("star sigma1", "section_identity"),
+       ("star specialize", "star_gauged_halfdx2"), ("star specialize --degree 0", "star_gauged_degree1"),
+       ("star sigma1", "section_identity"),
        ("star subprincipal", "section_identity"), ("star adexp", "adexp_plane"),
        ("star nabla", "nabla_plane"), ("star nabla-curv", "nabla_plane")]
     # error paths: a missing entry, a wrong kind, a bare document where a bundle
@@ -361,6 +369,7 @@ GOLDEN = {
     ('diffop compose', 'compose_over_digit_limit'): (2, "5fff50acb7b1f85536b90f66fd4ab589601982877555d294dd73e14d3202f813"),
     ('parse', 'exponent_over_digit_limit'): (2, "a78404bcf84e679d5e543394180f6141d9b7b54b5d687dae69698ec9b368c337"),
     ('parse', 'exponent_product_over_digit_limit'): (2, "19e1fa1e6f36a123d56d485db384d340bb04407919b083560df876bfbeda59fc"),
+    ('star specialize --degree 0', 'star_gauged_degree1'): (1, "cf83aab82f16be5925ead56c1014e317b435da32dd10ae56012923cdf41c682e"),
 }
 
 

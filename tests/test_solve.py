@@ -1,12 +1,11 @@
-"""The sparse Hochschild solve in specialize against the dense, unfused route.
+"""The closed-form Hochschild solve in specialize against the dense, unfused route.
 
-`oracles.dense_solve` is the dense Gauss-Jordan elimination specialize used
-before its solve went sparse; `oracles.specialize_by_oracle` builds every
-column from a hochschild_delta call.  Both routes must agree exactly:
-solution, residual, and the order of the residual's rows.
+`oracles.specialize_by_oracle` builds every column from a hochschild_delta
+call and solves the whole system by `oracles.dense_solve`, a dense Gauss-Jordan
+elimination.  Both routes must agree exactly: the gauge, the residual, and the
+order of their terms.
 """
 
-import random
 from fractions import Fraction
 from itertools import product
 
@@ -14,125 +13,146 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqkit.calculus import MultiVec
-from dqkit.diffop import PolyDiffOp, hochschild_delta
+from dqkit.diffop import PolyDiffOp, hochschild_delta, transpose_parts
 from dqkit.errors import SolveError
 from dqkit.kernel import Poly
 from dqkit.starprod import (
     GaugeOp,
     StarProduct,
-    _coboundary_pattern,
-    _delta_matrix_rows,
-    _solve_exact,
+    _pivot_row,
     gauge_transform,
     moyal,
     specialize,
 )
 
-from conftest import rand_diffop1
-from oracles import dense_solve, specialize_by_oracle
+from oracles import coboundary_pattern, delta_matrix_rows, specialize_by_oracle
 
 VALUES = [Fraction(v) for v in (-3, -2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-2, 3)]
 
 
+def _multi_indices(dim, top):
+    return [a for a in product(range(top + 1), repeat=dim) if sum(a) <= top]
+
+
 @st.composite
-def linear_systems(draw):
-    """Small systems: dense or sparse entries, columns that copy a multiple of an
-    earlier column or are zero, and targets in the column span, perturbed off it
-    or drawn freely (mostly inconsistent)."""
-    m = draw(st.integers(1, 6))
-    n = draw(st.integers(0, 6))
-    pool = VALUES + [None] * draw(st.integers(0, 12))
-    cols = []
-    for j in range(n):
-        kind = draw(st.sampled_from(["free", "copy", "zero"])) if j else "free"
-        if kind == "copy":
-            k = draw(st.integers(0, j - 1))
-            s = draw(st.sampled_from(VALUES))
-            cols.append([None if c is None else c * s for c in cols[k]])
-        elif kind == "zero":
-            cols.append([None] * m)
-        else:
-            cols.append([draw(st.sampled_from(pool)) for _ in range(m)])
-    mode = draw(st.sampled_from(["span", "perturbed", "free"]))
-    if mode == "free":
-        target = [draw(st.sampled_from(pool)) or Fraction(0) for _ in range(m)]
+def gauged_products(draw):
+    """A Moyal product of a constant bivector, or the commutative product, of
+    dimension 2-3 and order 1-2, gauged by operators of order <= 2 whose
+    coefficients have degree <= 3; gauges of the commutative product may have
+    an order-0 part."""
+    dim = draw(st.integers(2, 3))
+    N = draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        pairs = [(i, j) for i in range(1, dim + 1) for j in range(i + 1, dim + 1)]
+        pi = draw(st.dictionaries(st.sampled_from(pairs), st.sampled_from(VALUES), min_size=1))
+        base, lowest = moyal(MultiVec(dim, 2, pi), N), 1
     else:
-        target = [Fraction(0)] * m
-        for col in cols:
-            u = draw(st.sampled_from(VALUES + [Fraction(0)]))
-            target = [t + u * (c or 0) for t, c in zip(target, col)]
-        if mode == "perturbed":
-            r = draw(st.integers(0, m - 1))
-            target[r] += draw(st.sampled_from(VALUES))
-    keys = [("row", r) for r in range(m)]
-    columns = [{keys[r]: c for r, c in enumerate(col) if c is not None} for col in cols]
-    target_rows = {keys[r]: t for r, t in enumerate(target) if t != 0}
-    row_index = draw(st.permutations(keys))
-    return columns, target_rows, row_index
+        base, lowest = StarProduct.commutative(dim, N), 0
+    orders = [a for a in _multi_indices(dim, 2) if sum(a) >= lowest]
+    monos = _multi_indices(dim, 3)
+    ops = []
+    for _ in range(N):
+        terms = draw(st.dictionaries(
+            st.sampled_from(orders),
+            st.builds(lambda e, c: Poly.monomial(dim, e, c), st.sampled_from(monos), st.sampled_from(VALUES)),
+            max_size=3,
+        ))
+        ops.append(PolyDiffOp(dim, 1, {(a,): c for a, c in terms.items()}))
+    return gauge_transform(base, GaugeOp(dim, N, ops))
 
 
-@settings(max_examples=300)
-@given(linear_systems())
-def test_sparse_solve_matches_dense(system):
-    solution, residual = _solve_exact(*system)
-    want_solution, want_residual = dense_solve(*system)
-    assert solution == want_solution
-    assert all(type(u) is Fraction for u in solution)
-    assert list(residual.items()) == list(want_residual.items())
+def _term_list(op):
+    """The terms of an operator in storage order, each coefficient's too."""
+    return [(orders, list(c.items())) for orders, c in op.terms.items()]
 
 
-def test_solve_inconsistent_and_rank_deficient():
-    a, b, c = ("row", 0), ("row", 1), ("row", 2)
-    columns = [{a: Fraction(2), b: Fraction(4)}, {a: Fraction(1), b: Fraction(2)}, {}]
-    target = {a: Fraction(1), c: Fraction(5)}
-    solution, residual = _solve_exact(columns, target, [a, b, c])
-    assert solution == [Fraction(1, 2), 0, 0]
-    assert list(residual.items()) == [(b, Fraction(-2)), (c, Fraction(5))]
-    assert (solution, residual) == dense_solve(columns, target, [a, b, c])
+def _sym_degree(S):
+    """The largest coefficient degree of sym(P_1), -1 when it is zero."""
+    sym, _ = transpose_parts(S.op(1))
+    return max((c.total_degree() for c in sym.terms.values()), default=-1)
+
+
+def test_specialize_matches_oracle_route():
+    seen = set()
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(gauged_products(), st.integers(0, 3))
+    def run(S, degree):
+        try:
+            want = specialize_by_oracle(S, degree)
+        except SolveError as exc:
+            with pytest.raises(SolveError) as info:
+                specialize(S, degree)
+            assert _term_list(info.value.residual) == _term_list(exc.residual)
+            seen.add("residual")
+        else:
+            got = specialize(S, degree)
+            assert got == want
+            assert [_term_list(op) for op in got.R] == [_term_list(op) for op in want.R]
+            seen.add("identity" if got == GaugeOp.identity_gauge(S.dim, S.order) else "solved")
+
+    run()
+    assert seen == {"identity", "solved", "residual"}
+
+
+def test_gauge_storage_order_does_not_follow_sym():
+    """Q is stored by alpha, and each coefficient by e, however sym(P_1) is
+    stored: here its pivot rows and their coefficients come in reverse order."""
+    x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+    R1 = PolyDiffOp(2, 1, {((2, 0),): x1 + x2 * x2, ((1, 1),): x1 * x2 + 1, ((0, 2),): x2})
+    S = gauge_transform(StarProduct.commutative(2, 1), GaugeOp(2, 1, [R1]))
+    P1 = PolyDiffOp(2, 2, {orders: Poly(2, dict(sorted(c.items(), reverse=True)))
+                           for orders, c in sorted(S.op(1).terms.items(), reverse=True)})
+    S = StarProduct(2, 1, [P1])
+    sym, _ = transpose_parts(P1)
+    pivots = []
+    for orders, c in sym.terms.items():
+        alpha = tuple(map(sum, zip(*orders)))
+        if _pivot_row(alpha)[0] == orders:
+            pivots.append((alpha, list(c.exponents())))
+    assert pivots[0] == ((2, 0), [(1, 0), (0, 2)])
+    assert [a for a, _ in pivots] == [(2, 0), (1, 1), (0, 2)]
+    got, want = specialize(S, 2), specialize_by_oracle(S, 2)
+    assert [_term_list(op) for op in got.R] == [_term_list(op) for op in want.R]
+    assert [a for (a,) in got.R[0].terms] == [(0, 2), (1, 1), (2, 0)]
+
+
+def test_work_does_not_depend_on_the_degree_bound():
+    """Once the bound reaches sym(P_1)'s coefficient degree, a larger bound
+    gives the same gauge: an enormous one included."""
+    seen = set()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(gauged_products())
+    def run(S):
+        degree = max(_sym_degree(S), 0)
+        far = specialize(S, 10**9)
+        for bound in (degree, degree + 2):
+            got = specialize(S, bound)
+            assert got == far
+            assert [_term_list(op) for op in got.R] == [_term_list(op) for op in far.R]
+        seen.add(min(degree, 2))
+
+    run()
+    assert seen == {0, 1, 2}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pivot_row_is_the_first_pattern_row(n):
+    """specialize reads each unknown off the row that oracles.dense_solve pivots on:
+    the first term of delta(d^alpha) in hochschild_delta's key order."""
+    for alpha in _multi_indices(n, 5):
+        pattern = coboundary_pattern(alpha)
+        assert _pivot_row(alpha) == (pattern[0] if pattern else None), alpha
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_closed_form_columns_match_hochschild_delta(n):
-    monos = [e for e in product(range(3), repeat=n) if sum(e) <= 2]
-    for alpha in product(range(6), repeat=n):
-        if sum(alpha) > 5:
-            continue
-        pattern = _coboundary_pattern(alpha)
-        for e in monos:
+    for alpha in _multi_indices(n, 5):
+        pattern = coboundary_pattern(alpha)
+        for e in _multi_indices(n, 2):
             q = PolyDiffOp(n, 1, {(alpha,): Poly.monomial(n, e)})
-            want = list(_delta_matrix_rows(hochschild_delta(q)).items())
+            want = list(delta_matrix_rows(hochschild_delta(q)).items())
             got = [((orders, e), c) for orders, c in pattern]
             assert got == want, (alpha, e)
             assert all(type(c) is Fraction for _, c in got)
-
-
-def test_specialize_matches_oracle_route():
-    rng = random.Random(4242)
-    outcomes = set()
-    for _ in range(12):
-        dim = rng.choice([2, 3])
-        N = rng.choice([1, 2])
-        if rng.random() < 0.5:
-            base, unital = moyal(MultiVec(dim, 2, {(1, 2): 1}), N), True
-        else:
-            base, unital = StarProduct.commutative(dim, N), False
-        R = GaugeOp(
-            dim, N, [rand_diffop1(rng, dim, rng.randint(1, 3), rng.randint(0, 3), 2, unital) for _ in range(N)]
-        )
-        S = gauge_transform(base, R)
-        for degree in range(3):
-            try:
-                want = specialize_by_oracle(S, degree)
-            except SolveError as exc:
-                with pytest.raises(SolveError) as info:
-                    specialize(S, degree)
-                assert info.value.residual == exc.residual
-                outcomes.add("residual")
-            else:
-                got = specialize(S, degree)
-                assert got == want
-                assert [list(op.terms.items()) for op in got.R] == [
-                    list(op.terms.items()) for op in want.R
-                ]
-                outcomes.add("solved")
-    assert outcomes == {"residual", "solved"}
