@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import DegreeError, DimensionMismatchError
-from .kernel import Poly, _PolyMap, _add_term
+from .kernel import Poly, _add_term
 
 
 def sort_indices(indices):
@@ -33,12 +33,17 @@ def sort_indices(indices):
     return sign, tuple(idx)
 
 
-class _AltTensor(_PolyMap):
+class _AltTensor:
     """Shared storage for alternating tensors (multivectors and forms).
 
     Indices run over 1..index_bound.  That is ``dim`` for tensors on R^n; a
     subclass whose indices name something else (frame elements of a Lie
     algebroid) overrides ``index_bound``, ``index_name`` and ``_like``.
+
+    ``_shape`` holds ``(field, error, message)`` triples in check order.  ``+``
+    and ``-`` take two tensors of the same type whose fields all agree; the
+    first field that differs raises ``error(message.format(mine, theirs))``.
+    The fields also take part in ``==`` and ``hash``.
     """
 
     __slots__ = ("dim", "degree", "terms")
@@ -87,8 +92,52 @@ class _AltTensor(_PolyMap):
         """A tensor of the same kind and index bound, of the given degree."""
         return type(self)(self.dim, degree, terms)
 
-    def _with_terms(self, terms):
-        return self._like(self.degree, terms)
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def sorted_terms(self):
+        return sorted(self.terms.items())
+
+    def _shape_values(self) -> tuple:
+        return tuple(getattr(self, field) for field, _, _ in self._shape)
+
+    def _check_same(self, other):
+        if type(self) is not type(other):
+            raise TypeError(f"mixed kinds: {type(self).__name__} vs {type(other).__name__}")
+        for field, error, message in self._shape:
+            mine, theirs = getattr(self, field), getattr(other, field)
+            if mine != theirs:
+                raise error(message.format(mine, theirs))
+
+    def __add__(self, other):
+        self._check_same(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            _add_term(out, key, c)
+        return self._like(self.degree, out)
+
+    def __neg__(self):
+        return self._like(self.degree, {key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, factor):
+        """Multiply every coefficient by a Poly or rational."""
+        if isinstance(factor, (int, Fraction)):
+            factor = Poly.const(self.dim, factor)
+        if factor.is_zero():
+            return self._like(self.degree, {})
+        # Q[x] has no zero divisors, so no product below is zero
+        return self._like(self.degree, {key: c * factor for key, c in self.terms.items()})
+
+    def __eq__(self, other):
+        if type(self) is not type(other):
+            return NotImplemented
+        return self._shape_values() == other._shape_values() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((*self._shape_values(), frozenset(self.terms.items())))
 
     # ------------------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Command-line driver: parse documents, dispatch operations, verify bundles.
 
 Reports are canonical JSON with deterministic content; the timing field is
-excluded from the canonical hash.  Exit codes: 0 ok, 1 property/defect
-failure, 2 input, usage or schema error.
+excluded from the canonical hash.  Exit codes: 0 ok, 1 property/defect failure,
+2 input, usage or schema error, 3 internal error (any other exception).
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ from .verify import _defect, _jacobiator, _unitality, verify_bundle
 EXIT_OK = 0
 EXIT_DEFECT = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 def _load_document(path: str) -> Document:
@@ -428,15 +429,23 @@ def dispatch(argv) -> int:
     command = _command(args)
     start = time.perf_counter()
     try:
-        ok, payload, defects = _run(args)
-        code = EXIT_OK if ok else EXIT_DEFECT
-    except (PreconditionError, SolveError) as exc:
-        ok, payload, defects = False, {"error": str(exc)}, [_defect("precondition", str(exc))]
-        code = EXIT_DEFECT
+        try:
+            ok, payload, defects = _run(args)
+            code = EXIT_OK if ok else EXIT_DEFECT
+        except (PreconditionError, SolveError) as exc:
+            ok, payload, defects = False, {"error": str(exc)}, [_defect("precondition", str(exc))]
+            code = EXIT_DEFECT
+            if getattr(exc, "residual", None) is not None:
+                # serialized here, so that a refusal to write it is an input error below
+                payload["residual"] = diffop_to_payload(exc.residual)
     except DqkitError as exc:
         # schema, expression and argument errors
         ok, payload, defects = False, {"error": str(exc)}, []
         code = EXIT_INPUT
+    except Exception as exc:  # a fault of the program, not of the input: its traceback goes to stderr
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        ok, payload, defects = False, {"error": f"internal error: {type(exc).__name__}: {exc}"}, []
+        code = EXIT_INTERNAL
     _emit(*_build_report(command, ok, payload, defects, (time.perf_counter() - start) * 1000), args)
     return code
 

@@ -4,99 +4,167 @@ Operators are kept in normal form (all derivatives to the right of the
 coefficient), so equality is structural: zero defect means an empty term map.
 Sampling on polynomials appears only as an independent test oracle.
 
-Every composition, and every sum of compositions (Hochschild coboundaries,
-the order-by-order series products of ``starprod``), works on packed keys:
+Every operator is stored packed, in the exponent-vector packing of Monagan and
+Pearce (CASC 2007), and every operation on operators works on its keys:
 
 - **Key layout.**  A term c x^e d^beta_1 ... d^beta_k of an operator on R^n
-  becomes one int per monomial of its coefficient, with 16-bit fields:
-  e_1..e_n first, then slot 1's orders beta_1, then slot 2's, and so on
-  (field i at bit 16 i).  An operator becomes ``{key: int numerator}`` over
-  one denominator, the lcm of its coefficient denominators.
-- **Budget.**  Every exponent and derivative order an operand packs is at
-  most ``MAX_PACKED`` = 2^15 - 1.  Every field of a sum of two keys is then
-  below 2^16 and never carries into the next.  An operand above the budget
-  raises ``BudgetError`` before it is composed: a call packs its inputs
-  before any work, and a sum it composes further (the orders of a gauge
-  transform, say) when the sum is handed over.
-- **Handles.**  A public call packs each operator it composes once, into a
-  :class:`_Packed` handle, and passes that handle to every composition that
-  uses the operator; the handle keeps the Leibniz expansions and moved keys
-  those compositions build.  The call owns its handles: one per operator,
-  never shared with another call, dropped when the call returns.  Nothing is
-  cached across calls.
-- **Sums.**  :class:`_OpAcc` sums compositions as ``{key: int numerator}``
-  over one common denominator: each pair of terms is one int add and one int
-  multiply-add.  The result gets one normalized ``Poly`` per order tuple that
-  survives.
+  is one int per monomial of its coefficient, with 16-bit fields: e_1..e_n
+  first, then slot 1's orders beta_1, then slot 2's, and so on (field i at
+  bit 16 i).  The operator owns ``{key: int numerator}`` over one positive
+  denominator, normalized as ``Poly`` is (the gcd of the denominator and all
+  numerators is 1), so equal operators have equal maps.
+- **Budget.**  Every exponent and derivative order of an operator is at most
+  ``MAX_PACKED`` = 2^15 - 1, so every field of a sum of two keys is below
+  2^16 and never carries into the next.  An operator above the budget raises
+  ``BudgetError`` when it is built: by the constructor, the document reader,
+  or the composition or product whose result it would be.
+- **Handles.**  A public call wraps each operator it composes once in a
+  :class:`_Packed` handle, shared by every composition in that call.  The
+  handle reads the operator's keys as they are and owns only the per-call
+  caches (Leibniz expansions and moved keys); it is dropped when the call
+  returns, so nothing is cached across calls.
+- **Sums.**  :class:`_OpAcc` sums compositions over one common denominator;
+  its result is normalized once and becomes the operator's map.
+- **Views.**  ``terms``, ``sorted_terms()`` and ``coeff()`` decode keys into
+  ``{orders tuple: Poly}`` on each access, as do results that are polynomials.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
 from math import comb, gcd, lcm
-from operator import mul
+from operator import mul, or_
 from struct import Struct, error as StructError
+from types import MappingProxyType
 
 from .errors import ArityMismatchError, BudgetError, DimensionMismatchError
-from .kernel import Poly, _PolyMap, _add_term, _reduced
+from .kernel import Poly, _ratio, _reduced
 
 _BITS = 16  # width of one packed field
 _FIELD = (1 << _BITS) - 1
-MAX_PACKED = 2**15 - 1  # the largest exponent or derivative order an operand may pack
+MAX_PACKED = 2**15 - 1  # the largest exponent or derivative order an operator may hold
+
+_struct = cache(lambda fields: Struct(f"<{fields}H"))
 
 
-def _zero_mi(dim):
-    return (0,) * dim
+@cache
+def _packer(fields: int) -> tuple:
+    """(pack, top bits) for keys of `fields` fields: a key within the budget,
+    or the sum of two, has a top bit set exactly where a field is above MAX_PACKED."""
+    return _struct(fields).pack, int.from_bytes(b"\x00\x80" * fields, "little")
 
 
-class PolyDiffOp(_PolyMap):
+def _over_budget(top: int) -> BudgetError:
+    # an int too long to print is named by its bit length
+    shown = top if top.bit_length() < 14000 else f"of {top.bit_length()} bits"
+    return BudgetError(
+        f"exponent or derivative order {shown} is above the packing budget diffop.MAX_PACKED = {MAX_PACKED}"
+    )
+
+
+def _key(fields) -> int:
+    """The packed int of a sequence of non-negative ints, field i at bit 16 i;
+    BudgetError if one is above MAX_PACKED."""
+    pack, top = _packer(len(fields))
+    try:
+        key = int.from_bytes(pack(*fields), "little")
+    except StructError:  # a field of 2^16 or more
+        key = top
+    if key & top:
+        raise _over_budget(max(fields))
+    return key
+
+
+def _fields(key: int, count: int) -> tuple:
+    """The first `count` fields of a packed int (the inverse of _key)."""
+    return _struct(count).unpack(key.to_bytes(2 * count, "little"))
+
+
+def _add_num(out: dict, key: int, n: int) -> None:
+    """Add a nonzero int numerator into a packed map, dropping the key if it cancels."""
+    v = out[key] = out.get(key, 0) + n
+    if not v:
+        del out[key]
+
+
+def _built(dim: int, arity: int, num: dict, den: int) -> "PolyDiffOp":
+    """The normalized operator of nonzero int numerators over den > 0, owning
+    `num`; BudgetError for a field above MAX_PACKED."""
+    if num:
+        width = dim * (arity + 1)
+        top = _packer(width)[1]
+        if reduce(or_, num) & top:
+            raise _over_budget(max(max(_fields(k, width)) for k in num if k & top))
+    if den != 1:
+        g = gcd(den, *num.values())
+        if g != 1:
+            den //= g
+            for k in num:
+                num[k] //= g
+    return PolyDiffOp._make(dim, arity, num, den)
+
+
+def _summed(dim: int, arity: int, parts) -> "PolyDiffOp":
+    """The operator of (packed orders, {packed exponents: numerator}, den)
+    terms, every field already within the budget."""
+    den = lcm(*(d for _, num, d in parts if num))
+    out = {}
+    for high, num, d in parts:
+        f = den // d
+        for k, n in num.items():
+            _add_num(out, k | high, n * f)
+    return _built(dim, arity, out, den)
+
+
+class PolyDiffOp:
     """Operator in k arguments: (f_1..f_k) -> sum coeff * d^{a_1}f_1 ... d^{a_k}f_k.
 
-    ``terms`` maps k-tuples of multi-indices (each of length dim) to nonzero
-    Poly coefficients.
-
-    The public constructor checks and normalizes its input.  Internal code that
-    builds a term map which is already clean (keys are ``arity``-tuples of
-    length-``dim`` tuples of non-negative ints, values are nonzero ``Poly`` of
-    dimension ``dim``) wraps it with :meth:`_make`, which skips those checks and
-    takes ownership of the dict.
+    Stored form: ``_num`` maps packed keys (see the module docstring) to
+    nonzero int numerators over one positive int ``_den``, with gcd(_den,
+    *_num.values()) == 1, _den == 1 when _num is empty and no field above
+    MAX_PACKED; so structural equality of (dim, arity, _den, _num), and hash,
+    is operator equality.  The public constructor checks and packs
+    ``{orders: coefficient}`` (orders a k-tuple of length-dim multi-indices,
+    coefficients Poly, int or Fraction).  Internal code wraps a stored form
+    that is clean by construction with :meth:`_make`, which takes ownership of
+    the dict.  ``terms``, ``sorted_terms()`` and ``coeff()`` are read-only
+    ``{orders: Poly}`` views computed on each access.
     """
 
-    __slots__ = ("dim", "arity", "terms")
-    _shape = (
-        ("dim", DimensionMismatchError, "operator dimensions differ"),
-        ("arity", ArityMismatchError, "operator arities differ"),
-    )
+    __slots__ = ("dim", "arity", "_num", "_den")
 
     def __init__(self, dim: int, arity: int, terms=None):
         if arity < 1:
             raise ArityMismatchError("arity must be >= 1")
+        parts = []
+        for orders, coeff in (terms or {}).items():
+            orders = tuple(tuple(o) for o in orders)
+            if len(orders) != arity:
+                raise ArityMismatchError(f"order tuple {orders} has arity != {arity}")
+            for o in orders:
+                if len(o) != dim or not all(type(e) is int and e >= 0 for e in o):
+                    raise DimensionMismatchError(f"bad multi-index {o} for dim {dim}")
+            if isinstance(coeff, (int, Fraction)):
+                coeff = Poly.const(dim, coeff)
+            if coeff.dim != dim:
+                raise DimensionMismatchError("coefficient dimension mismatch")
+            high = _key(sum(orders, ())) << _BITS * dim
+            parts.append((high, {_key(e): n for e, n in coeff._num.items()}, coeff._den))
+        op = _summed(dim, arity, parts)
         self.dim = dim
         self.arity = arity
-        clean = {}
-        if terms:
-            for orders, coeff in terms.items():
-                orders = tuple(tuple(o) for o in orders)
-                if len(orders) != arity:
-                    raise ArityMismatchError(f"order tuple {orders} has arity != {arity}")
-                for o in orders:
-                    if len(o) != dim or not all(type(e) is int and e >= 0 for e in o):
-                        raise DimensionMismatchError(f"bad multi-index {o} for dim {dim}")
-                if isinstance(coeff, (int, Fraction)):
-                    coeff = Poly.const(dim, coeff)
-                if coeff.dim != dim:
-                    raise DimensionMismatchError("coefficient dimension mismatch")
-                if not coeff.is_zero():
-                    _add_term(clean, orders, coeff)
-        self.terms = clean
+        self._num = op._num
+        self._den = op._den
 
     @classmethod
-    def _make(cls, dim: int, arity: int, terms: dict) -> "PolyDiffOp":
-        """Wrap a term map that is clean by construction (see the class docstring)."""
+    def _make(cls, dim: int, arity: int, num: dict, den: int) -> "PolyDiffOp":
+        """Wrap a stored form that is clean by construction (see the class docstring)."""
         op = object.__new__(cls)
         op.dim = dim
         op.arity = arity
-        op.terms = terms
+        op._num = num
+        op._den = den
         return op
 
     # ------------------------------------------------------------------
@@ -108,40 +176,117 @@ class PolyDiffOp(_PolyMap):
     @classmethod
     def identity(cls, dim):
         """The arity-1 identity operator."""
-        return cls(dim, 1, {(_zero_mi(dim),): Poly.one(dim)})
+        return cls.multiplication(dim, 1)
 
     @classmethod
     def multiplication(cls, dim, arity=2):
         """(f_1..f_k) -> f_1 * ... * f_k."""
-        return cls(dim, arity, {(_zero_mi(dim),) * arity: Poly.one(dim)})
+        return cls(dim, arity, {((0,) * dim,) * arity: 1})
 
     @classmethod
     def partial(cls, dim, index):
         """The arity-1 operator d/dx_index."""
         o = [0] * dim
         o[index - 1] = 1
-        return cls(dim, 1, {(tuple(o),): Poly.one(dim)})
+        return cls(dim, 1, {(tuple(o),): 1})
 
-    def max_order(self):
-        """Largest |alpha| over all slots and terms (0 for the zero operator)."""
-        best = 0
-        for orders in self.terms:
-            for o in orders:
-                best = max(best, sum(o))
-        return best
+    def is_zero(self) -> bool:
+        return not self._num
 
-    def total_order(self):
-        """Largest total order (summed over slots) of any term."""
-        best = 0
-        for orders in self.terms:
-            best = max(best, sum(sum(o) for o in orders))
-        return best
+    # ------------------------------------------------------------------
+    # views
 
-    def _with_terms(self, terms):
-        return PolyDiffOp._make(self.dim, self.arity, terms)
+    def _groups(self) -> dict:
+        """{packed orders: {packed exponents: numerator}}, in order of first appearance."""
+        block = _BITS * self.dim
+        low = (1 << block) - 1
+        groups = {}
+        for k, n in self._num.items():
+            sub = groups.get(k >> block)
+            if sub is None:
+                sub = groups[k >> block] = {}
+            sub[k & low] = n
+        return groups
+
+    def _coeffs(self) -> dict:
+        """{packed orders: Poly}, one normalized Poly per order tuple, as :meth:`_groups` orders them."""
+        dim = self.dim
+        return {high: _reduced(dim, {_fields(e, dim): n for e, n in sub.items()}, self._den)
+                for high, sub in self._groups().items()}
+
+    def _orders(self, high: int) -> tuple:
+        """The order tuple of packed orders: one multi-index per 2 * dim bytes."""
+        return tuple(_struct(self.dim).iter_unpack(high.to_bytes(2 * self.dim * self.arity, "little")))
+
+    @property
+    def terms(self) -> MappingProxyType:
+        """A read-only {orders tuple: Poly} view of the nonzero terms, in the
+        order the order tuples first appear, computed on each access."""
+        return MappingProxyType({self._orders(h): c for h, c in self._coeffs().items()})
+
+    def sorted_terms(self):
+        """(orders tuple, Poly) pairs in ascending order of the order tuples."""
+        return sorted(self.terms.items())
+
+    def coeff(self, orders) -> Poly:
+        """The coefficient of d^orders, an arity-tuple of multi-indices (zero if absent)."""
+        return self._coeffs().get(_key([e for o in orders for e in o]), Poly.zero(self.dim))
+
+    # ------------------------------------------------------------------
+    # the vector space of operators
+
+    def __add__(self, other):
+        if type(self) is not type(other):
+            raise TypeError(f"mixed kinds: {type(self).__name__} vs {type(other).__name__}")
+        if self.dim != other.dim:
+            raise DimensionMismatchError("operator dimensions differ")
+        if self.arity != other.arity:
+            raise ArityMismatchError("operator arities differ")
+        da, db = self._den, other._den
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        out = {k: n * fa for k, n in self._num.items()} if fa != 1 else dict(self._num)
+        for k, n in other._num.items():
+            _add_num(out, k, n * fb)
+        return _built(self.dim, self.arity, out, da * fa)
+
+    def __neg__(self):
+        return PolyDiffOp._make(self.dim, self.arity, {k: -n for k, n in self._num.items()}, self._den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, factor):
+        """Multiply every coefficient by a Poly or rational."""
+        if not isinstance(factor, Poly):
+            p, d = _ratio(factor)
+            num = {k: n * p for k, n in self._num.items()} if p else {}
+            return _built(self.dim, self.arity, num, self._den * d)
+        if factor.dim != self.dim:
+            raise DimensionMismatchError(f"polynomial dimensions differ: {self.dim} vs {factor.dim}")
+        keys = [(_key(e), m) for e, m in factor._num.items()]
+        out = {}
+        for k, n in self._num.items():
+            for e, m in keys:
+                _add_num(out, k + e, n * m)
+        return _built(self.dim, self.arity, out, self._den * factor._den)
+
+    def __eq__(self, other):
+        if type(self) is not type(other):
+            return NotImplemented
+        return (
+            self.dim == other.dim
+            and self.arity == other.arity
+            and self._den == other._den
+            and self._num == other._num
+        )
+
+    def __hash__(self):
+        return hash((self.dim, self.arity, self._den, frozenset(self._num.items())))
 
     def __repr__(self):
-        return f"PolyDiffOp(dim={self.dim}, arity={self.arity}, {len(self.terms)} terms)"
+        block = _BITS * self.dim
+        return f"PolyDiffOp(dim={self.dim}, arity={self.arity}, {len({k >> block for k in self._num})} terms)"
 
 
 # ----------------------------------------------------------------------
@@ -155,112 +300,37 @@ def apply_op(D: PolyDiffOp, *args: Poly) -> Poly:
         if f.dim != D.dim:
             raise DimensionMismatchError("argument dimension mismatch")
     out = Poly.zero(D.dim)
-    for orders, coeff in D.terms.items():
+    for high, coeff in D._coeffs().items():
         term = coeff
-        dead = False
-        for o, f in zip(orders, args):
+        for o, f in zip(D._orders(high), args):
             df = f.partial_multi(o)
             if df.is_zero():
-                dead = True
                 break
             term = term * df
-        if not dead:
+        else:
             out = out + term
     return out
 
 
-def _over_budget(top: int) -> BudgetError:
-    return BudgetError(
-        f"exponent or derivative order {top} is above the packing budget diffop.MAX_PACKED = {MAX_PACKED}"
-    )
-
-
-def _pack(op: PolyDiffOp) -> "_Packed":
-    """The handle of `op`, each coefficient over the lcm of their denominators;
-    BudgetError if an exponent or order of `op` is above MAX_PACKED."""
-    dim = op.dim
-    pack_orders = Struct(f"<{dim * op.arity}H").pack
-    pack_exps = Struct(f"<{dim}H").pack
-    block = _BITS * dim
-    den = lcm(*(c._den for c in op.terms.values()))
-    terms = {}
-    try:
-        for orders, c in op.terms.items():
-            high = int.from_bytes(pack_orders(*sum(orders, ())), "little") << block
-            f = den // c._den
-            for e, n in c._num.items():
-                terms[int.from_bytes(pack_exps(*e), "little") | high] = n * f
-    except StructError:  # a field of 2^16 or more
-        raise _over_budget(
-            max(max(*sum(orders, ()), *e) for orders, c in op.terms.items() for e in c._num)
-        ) from None
-    return _Packed(dim, op.arity, terms, den)
-
-
-def _unpacked(dim: int, arity: int, terms: dict, den: int) -> PolyDiffOp:
-    """The operator of a packed term map over `den`: one normalized ``Poly``
-    per order tuple, in the order the order tuples first appear."""
-    block = _BITS * dim
-    low = (1 << block) - 1
-    groups = {}
-    for k, n in terms.items():
-        sub = groups.get(k >> block)
-        if sub is None:
-            sub = groups[k >> block] = {}
-        sub[k & low] = n
-    unpack_orders = Struct(f"<{dim * arity}H").unpack
-    unpack_exps = Struct(f"<{dim}H").unpack
-    orders_bytes, exps_bytes = 2 * dim * arity, 2 * dim
-    seen = {}  # packed exponents -> the one tuple for them
-    out = {}
-    for high, sub in groups.items():
-        flat = unpack_orders(high.to_bytes(orders_bytes, "little"))
-        num = {}
-        for e, n in sub.items():
-            exps = seen.get(e)
-            if exps is None:
-                exps = seen[e] = unpack_exps(e.to_bytes(exps_bytes, "little"))
-            num[exps] = n
-        out[tuple(flat[i : i + dim] for i in range(0, dim * arity, dim))] = _reduced(dim, num, den)
-    return PolyDiffOp._make(dim, arity, out)
-
-
 class _Packed:
-    """One operator packed for composition: the handle the caller of
-    :meth:`_OpAcc.add_compose` owns (see the module docstring).
+    """One operator as one call composes it (see the module docstring).
 
-    :func:`_pack` packs an operator and :meth:`_OpAcc.handle` hands over a
-    sum without building its operator; both refuse a field above MAX_PACKED.
-    ``terms`` maps each packed key to its int numerator over the one positive
-    denominator ``den``.  The handle also keeps, filled on first use, the
-    Leibniz expansions d^alpha o op by packed alpha (alpha = 0 is ``terms``
-    itself), those expansions with op's slots moved to start at a given output
-    slot, and op's own terms with one slot taken out and the later slots moved
-    up.  All of it is read-only once built, so any number of compositions in
-    one call can share it.
+    ``op`` is the operator, whose packed map and denominator are only read.
+    The handle keeps, filled on first use, the Leibniz expansions d^alpha o op
+    by packed alpha (alpha = 0 is op's own map),
+    those expansions with op's slots moved to start at a given output slot,
+    and op's terms with one slot taken out and the later slots moved up; all
+    read-only once built, so any number of compositions in one call share it.
     """
 
-    __slots__ = ("dim", "arity", "terms", "den", "_exp", "_moved", "_outer", "_spread")
+    __slots__ = ("op", "_exp", "_moved", "_outer", "_spread")
 
-    def __init__(self, dim: int, arity: int, terms: dict, den: int):
-        """Take ownership of a packed term map over `den`."""
-        seen = 0  # the or of every key: a field above MAX_PACKED sets its top bit
-        for key in terms:
-            seen |= key
-        width = dim * (arity + 1)
-        high = int.from_bytes(b"\x00\x80" * width, "little")
-        if seen & high:
-            unpack = Struct(f"<{width}H").unpack
-            raise _over_budget(max(max(unpack(k.to_bytes(2 * width, "little"))) for k in terms if k & high))
-        self.dim, self.arity, self.terms, self.den = dim, arity, terms, den
-        self._exp = {0: terms}
+    def __init__(self, op: PolyDiffOp):
+        self.op = op
+        self._exp = {0: op._num}
         self._moved = {}
         self._outer = {}
         self._spread = {}
-
-    def op(self) -> PolyDiffOp:
-        """The operator this handle holds."""
-        return _unpacked(self.dim, self.arity, self.terms, self.den)
 
     def outer_rows(self, slot: int, inner_arity: int) -> list:
         """[(packed alpha, [(key, numerator)])], one row per order tuple: alpha
@@ -269,13 +339,13 @@ class _Packed:
         with an operator of `inner_arity` arguments."""
         rows = self._outer.get((slot, inner_arity))
         if rows is None:
-            block = _BITS * self.dim
+            block = _BITS * self.op.dim
             low = block * slot
             head = (1 << low) - 1
             alpha_mask = (1 << block) - 1
             tail = low + block * inner_arity
             by_orders = {}
-            for key, n in self.terms.items():
+            for key, n in self.op._num.items():
                 items = by_orders.get(key >> block)
                 if items is None:
                     items = by_orders[key >> block] = []
@@ -294,7 +364,7 @@ class _Packed:
             if slot == 1:
                 got = terms.items()
             else:
-                block = _BITS * self.dim
+                block = _BITS * self.op.dim
                 low = (1 << block) - 1
                 up = block * slot
                 got = [((k & low) | (k >> block << up), n) for k, n in terms.items()]
@@ -352,10 +422,10 @@ class _Packed:
         """[(multinomial, packed shares)] over the ways to share r out over the
         slots at the coordinate `shift` bits into a block, in lexicographic
         order of (g_1, ..., g_k)."""
-        block = _BITS * self.dim
-        units = [1 << block * s + shift for s in range(1, self.arity + 1)]
+        block = _BITS * self.op.dim
+        units = [1 << block * s + shift for s in range(1, self.op.arity + 1)]
         got = self._spread[r, shift] = [
-            (m, sum(map(mul, gs, units))) for m, gs in _compositions(r, self.arity)
+            (m, sum(map(mul, gs, units))) for m, gs in _compositions(r, self.op.arity)
         ]
         return got
 
@@ -373,17 +443,12 @@ def _compositions(total: int, parts: int):
 
 
 class _OpAcc:
-    """A running sum of operators of one dimension over one common denominator.
-
-    ``terms`` maps packed keys (see the module docstring) to nonzero int
-    numerators and ``den`` is one positive int, so the sum is
-    sum(n x^exps d^orders) / den.  A composition adds one int key sum and one
-    int multiply-add per pair of packed terms; a numerator that cancels is
-    dropped.  An operand whose denominator does not divide ``den`` first
-    rescales every stored numerator once, raising ``den`` to the lcm; ``den``
-    at least doubles each time, so that happens at most log2(final den) times.
-    Coefficients become ``Poly`` objects only in :meth:`op`, or in the
-    handle's ``op()`` after :meth:`handle`.
+    """A running sum of operators of one dimension: nonzero int numerators by
+    packed key over one positive ``den``.  A composition adds one int key sum
+    and one int multiply-add per pair of packed terms, dropping a numerator
+    that cancels.  An operand whose denominator does not divide ``den`` first
+    rescales every numerator once, raising ``den`` to the lcm; ``den`` at least
+    doubles each time, so that happens at most log2(final den) times.
     """
 
     __slots__ = ("dim", "terms", "den")
@@ -406,27 +471,18 @@ class _OpAcc:
 
     def add_op(self, op: _Packed, sign: int = 1) -> None:
         """Add sign * op."""
-        m = self._factor(op.den, sign)
+        m = self._factor(op.op._den, sign)
         terms = self.terms
-        get = terms.get
-        for k, n in op.terms.items():
-            v = get(k)
-            if v is None:
-                terms[k] = n * m
-            else:
-                v += n * m
-                if v:
-                    terms[k] = v
-                else:
-                    del terms[k]
+        for k, n in op.op._num.items():
+            _add_num(terms, k, n * m)
 
     def add_compose(self, outer: _Packed, slot: int, inner: _Packed, sign: int = 1) -> None:
         """Add sign * compose_into_slot(outer, slot, inner) for two handles; the
         operators must already be checked."""
-        m = self._factor(outer.den * inner.den, sign)
+        m = self._factor(outer.op._den * inner.op._den, sign)
         terms = self.terms
         get = terms.get
-        for alpha, row in outer.outer_rows(slot, inner.arity):
+        for alpha, row in outer.outer_rows(slot, inner.op.arity):
             expansion = inner.expansion(alpha, slot)
             for k1, n1 in row:
                 n1 *= m
@@ -443,24 +499,12 @@ class _OpAcc:
                             del terms[k]
 
     def op(self, arity: int) -> PolyDiffOp:
-        """The sum as an operator of `arity` arguments, one normalized ``Poly``
-        per order tuple left nonzero; the accumulator is empty afterwards."""
+        """The sum as an operator of `arity` arguments, its map handed over as it
+        is; BudgetError if a field is above MAX_PACKED.  The accumulator is empty
+        afterwards."""
         terms, den = self.terms, self.den
         self.terms, self.den = {}, 1
-        return _unpacked(self.dim, arity, terms, den)
-
-    def handle(self, arity: int) -> _Packed:
-        """The sum as the handle of an operator of `arity` arguments, with no
-        operator built (``handle.op()`` builds it); the accumulator is empty
-        afterwards.  BudgetError if a field of the sum is above MAX_PACKED."""
-        terms, den = self.terms, self.den
-        self.terms, self.den = {}, 1
-        g = gcd(den, *terms.values())
-        if g != 1:
-            den //= g
-            for k in terms:
-                terms[k] //= g
-        return _Packed(self.dim, arity, terms, den)
+        return _built(self.dim, arity, terms, den)
 
 
 def compose_into_slot(outer: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDiffOp:
@@ -470,25 +514,39 @@ def compose_into_slot(outer: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDi
     Leibniz rule with multinomial coefficients, so the result is again in
     normal form and the identity
     apply(result, args) = apply(outer, ..., apply(inner, middle args), ...)
-    holds for all polynomial arguments.  An exponent or order of either
-    operand above MAX_PACKED raises BudgetError before any work.
+    holds for all polynomial arguments.  A result with an exponent or order
+    above MAX_PACKED raises BudgetError.
     """
     if not 1 <= slot <= outer.arity:
         raise ArityMismatchError(f"slot {slot} out of range 1..{outer.arity}")
     if outer.dim != inner.dim:
         raise DimensionMismatchError("operator dimensions differ")
-    outer_h = _pack(outer)
-    inner_h = outer_h if inner is outer else _pack(inner)
-    acc = _OpAcc(outer.dim)
-    acc.add_compose(outer_h, slot, inner_h)
-    return acc.op(outer.arity + inner.arity - 1)
+    outer_h = _Packed(outer)
+    inner_h = outer_h if inner is outer else _Packed(inner)
+    return _composed_sum(outer.arity + inner.arity - 1, (outer_h, slot, inner_h, 1))
+
+
+def _composed_sum(arity: int, *terms) -> PolyDiffOp:
+    """The sum of sign * compose_into_slot(outer, slot, inner) over
+    (outer, slot, inner, sign) terms of handles."""
+    acc = _OpAcc(terms[0][0].op.dim)
+    for outer, slot, inner, sign in terms:
+        acc.add_compose(outer, slot, inner, sign)
+    return acc.op(arity)
 
 
 def transpose(P: PolyDiffOp) -> PolyDiffOp:
-    """Swap the two argument slots of an arity-2 operator."""
+    """Swap the two argument slots of an arity-2 operator: the two order blocks
+    of every key trade places."""
     if P.arity != 2:
         raise ArityMismatchError("transpose needs arity 2")
-    return PolyDiffOp._make(P.dim, 2, {(b, a): c for (a, b), c in P.terms.items()})
+    block = _BITS * P.dim
+    low = (1 << block) - 1
+    swapped = {
+        (k & low) | ((k >> block & low) << 2 * block) | (k >> 2 * block << block): n
+        for k, n in P._num.items()
+    }
+    return PolyDiffOp._make(P.dim, 2, swapped, P._den)
 
 
 def transpose_parts(P: PolyDiffOp):
@@ -507,12 +565,8 @@ def hochschild_delta(Q: PolyDiffOp) -> PolyDiffOp:
     dQ(f,g) = Q(fg) - Q(f)g - fQ(g), as an exact operator identity."""
     if Q.arity != 1:
         raise ArityMismatchError("hochschild_delta needs arity 1")
-    q, m = _pack(Q), _pack(PolyDiffOp.multiplication(Q.dim))
-    acc = _OpAcc(Q.dim)
-    acc.add_compose(q, 1, m)
-    acc.add_compose(m, 1, q, -1)
-    acc.add_compose(m, 2, q, -1)
-    return acc.op(2)
+    q, m = _Packed(Q), _Packed(PolyDiffOp.multiplication(Q.dim))
+    return _composed_sum(2, (q, 1, m, 1), (m, 1, q, -1), (m, 2, q, -1))
 
 
 def cocycle_defect(P: PolyDiffOp) -> PolyDiffOp:
@@ -520,13 +574,8 @@ def cocycle_defect(P: PolyDiffOp) -> PolyDiffOp:
     (f,g,h) -> f P(g,h) - P(fg,h) + P(f,gh) - P(f,g) h."""
     if P.arity != 2:
         raise ArityMismatchError("cocycle_defect needs arity 2")
-    p, m = _pack(P), _pack(PolyDiffOp.multiplication(P.dim))
-    acc = _OpAcc(P.dim)
-    acc.add_compose(m, 2, p)
-    acc.add_compose(p, 1, m, -1)
-    acc.add_compose(p, 2, m)
-    acc.add_compose(m, 1, p, -1)
-    return acc.op(3)
+    p, m = _Packed(P), _Packed(PolyDiffOp.multiplication(P.dim))
+    return _composed_sum(3, (m, 2, p, 1), (p, 1, m, -1), (p, 2, m, 1), (m, 1, p, -1))
 
 
 def partial_apply(D: PolyDiffOp, slot: int, f: Poly) -> PolyDiffOp:
@@ -537,14 +586,20 @@ def partial_apply(D: PolyDiffOp, slot: int, f: Poly) -> PolyDiffOp:
         raise ArityMismatchError(f"slot {slot} out of range 1..{D.arity}")
     if f.dim != D.dim:
         raise DimensionMismatchError("argument dimension mismatch")
-    j = slot - 1
+    dim = D.dim
+    cut = _BITS * dim * (slot - 1)  # the slot's field block within packed orders
+    low = (1 << _BITS * dim) - 1
     out = {}
-    for orders, coeff in D.terms.items():
-        df = f.partial_multi(orders[j])
-        if df.is_zero():
-            continue
-        _add_term(out, orders[:j] + orders[j + 1 :], coeff * df)
-    return PolyDiffOp._make(D.dim, D.arity - 1, out)
+    for high, sub in D._groups().items():
+        df = f.partial_multi(_fields(high >> cut & low, dim))
+        s = f._den // df._den  # df over f's denominator
+        df = [(_key(e), m * s) for e, m in df._num.items()]
+        # the slot taken out, the later slots moved down
+        rest = ((high & (1 << cut) - 1) | (high >> cut + _BITS * dim << cut)) << _BITS * dim
+        for e, n in sub.items():
+            for e2, m in df:
+                _add_num(out, (e + e2) | rest, n * m)
+    return _built(dim, D.arity - 1, out, D._den * f._den)
 
 
 def find_nonzero_args(D: PolyDiffOp):
@@ -557,5 +612,5 @@ def find_nonzero_args(D: PolyDiffOp):
     """
     if D.is_zero():
         return None
-    alpha = min(D.terms, key=lambda orders: (sum(map(sum, orders)), orders))
+    alpha = min(map(D._orders, D._groups()), key=lambda orders: (sum(map(sum, orders)), orders))
     return tuple(Poly.monomial(D.dim, a) for a in alpha)

@@ -104,11 +104,6 @@ class Poly:
         p._den = den
         return p
 
-    @classmethod
-    def _term(cls, dim: int, exps: tuple, coeff: Fraction) -> "Poly":
-        """The monomial coeff * x^exps from a clean exponent tuple and a nonzero Fraction."""
-        return cls._make(dim, {exps: coeff.numerator}, coeff.denominator)
-
     # ------------------------------------------------------------------
     # constructors
 
@@ -346,7 +341,7 @@ def _add_term(out: dict, key, coeff: Poly) -> None:
     """Add a nonzero Poly coefficient into a term map, dropping the key if it cancels.
 
     The shared normal-form step of every sparse map with Poly values (forms,
-    multivectors, operators).
+    multivectors, frame forms).
     """
     acc = out.get(key)
     if acc is None:
@@ -357,71 +352,6 @@ def _add_term(out: dict, key, coeff: Poly) -> None:
         out[key] = acc
     else:
         del out[key]
-
-
-class _PolyMap:
-    """Base of the sparse maps from keys to nonzero Poly values: operators,
-    multivectors, forms and frame forms.
-
-    A subclass declares
-      - ``__slots__`` holding ``terms`` and the fields its shape names;
-      - ``_shape``: ``(field, error, message)`` triples in check order.  ``+``
-        and ``-`` take two maps of the same type whose fields all agree; the
-        first field that differs raises ``error(message.format(mine, theirs))``.
-        The fields also take part in ``==`` and ``hash``;
-      - ``_with_terms(terms)``: a map of the same type and shape holding the
-        clean term map ``terms``.
-    """
-
-    __slots__ = ()
-    _shape = ()
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def _shape_values(self) -> tuple:
-        return tuple(getattr(self, field) for field, _, _ in self._shape)
-
-    def _check_same(self, other):
-        if type(self) is not type(other):
-            raise TypeError(f"mixed kinds: {type(self).__name__} vs {type(other).__name__}")
-        for field, error, message in self._shape:
-            mine, theirs = getattr(self, field), getattr(other, field)
-            if mine != theirs:
-                raise error(message.format(mine, theirs))
-
-    def __add__(self, other):
-        self._check_same(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_term(out, key, c)
-        return self._with_terms(out)
-
-    def __neg__(self):
-        return self._with_terms({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor):
-        """Multiply every coefficient by a Poly or rational."""
-        if isinstance(factor, (int, Fraction)):
-            factor = Poly.const(self.dim, factor)
-        if factor.is_zero():
-            return self._with_terms({})
-        # Q[x] has no zero divisors, so no product below is zero
-        return self._with_terms({key: c * factor for key, c in self.terms.items()})
-
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        return self._shape_values() == other._shape_values() and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((*self._shape_values(), frozenset(self.terms.items())))
 
 
 class TPoly:

@@ -25,13 +25,14 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import comb, gcd, lcm, log10
 from typing import Optional
 
 from .calculus import Form, MultiVec
-from .diffop import PolyDiffOp
+from .diffop import PolyDiffOp, _fields, _key, _summed
 from .errors import BudgetError, PolyParseError, SchemaError
-from .kernel import Poly, TPoly, _add_term, _reduced
+from .kernel import Poly, TPoly, _reduced, grlex_key
 from .liealgebroid import AlgebroidPresentation
 from .qclimit import QCData
 from .starprod import GaugeOp, StarProduct
@@ -241,13 +242,14 @@ class _ExprParser:
         return num * (Fraction(1) / v)
 
 
-def _read_leaf(text: str, dim: int) -> Optional[Poly]:
-    """The Poly of a leaf in canonical shape, or None for the grammar to read.
+def _read_leaf(text: str, dim: int):
+    """(numerators by exponent tuple, denominator) of a leaf in canonical shape,
+    not reduced, or None for the grammar to read.
 
-    Equal to the grammar's Poly, down to the order of its terms: each term is
-    added in turn and a term that cancels leaves the map, as ``Poly.__add__``
-    does.  None for any text the pattern does not cover in full, a variable
-    above ``dim`` and a zero divisor.
+    _reduced of it is the grammar's Poly, down to the order of its terms: each
+    term is added in turn and a term that cancels leaves the map, as
+    ``Poly.__add__`` does.  None for any text the pattern does not cover in
+    full, a variable above ``dim`` and a zero divisor.
     """
     terms = []
     den = 1
@@ -288,15 +290,15 @@ def _read_leaf(text: str, dim: int) -> Optional[Poly]:
             num[exps] = acc
         else:
             del num[exps]
-    return _reduced(dim, num, den)
+    return num, den
 
 
 def parse_poly(text: str, dim: int) -> Poly:
     """Parse an expression into canonical Poly form."""
     if not isinstance(text, str):
         raise PolyParseError("expected an expression string", 0)
-    p = _read_leaf(text, dim)
-    return _ExprParser(text, dim).parse() if p is None else p
+    read = _read_leaf(text, dim)
+    return _ExprParser(text, dim).parse() if read is None else _reduced(dim, *read)
 
 
 def _over_digit_limit(m: int, what: str = "a coefficient") -> BudgetError:
@@ -310,19 +312,27 @@ def _over_digit_limit(m: int, what: str = "a coefficient") -> BudgetError:
 
 def poly_to_text(p: Poly) -> str:
     """Canonical rendering: descending graded-lex terms, variables x1..xn."""
-    if p.is_zero():
-        return "0"
     den, terms = p.sorted_numerators()
+    return _text(den, ((_mono(exps), num) for exps, num in terms))
+
+
+def _mono(exps) -> str:
+    """The monomial x^exps as text, "" for x^0."""
+    # a product of monomials adds exponents, so one can pass the limit a power is held to
+    if exps and max(exps) >= _INT_TEXT_BOUND:
+        raise _over_digit_limit(max(exps), "an exponent")
+    return "*".join(
+        f"x{i}" + (f"^{e}" if e > 1 else "")
+        for i, e in enumerate(exps, start=1)
+        if e > 0
+    )
+
+
+def _text(den: int, terms) -> str:
+    """poly_to_text of sum(n x^exps) / den over (text of x^exps, int n) terms in
+    descending graded-lex order; den > 0 need not be reduced against them."""
     parts = []
-    for exps, num in terms:
-        # a product of monomials adds exponents, so one can pass the limit a power is held to
-        if max(exps, default=0) >= _INT_TEXT_BOUND:
-            raise _over_digit_limit(max(exps), "an exponent")
-        mono = "*".join(
-            f"x{i}" + (f"^{e}" if e > 1 else "")
-            for i, e in enumerate(exps, start=1)
-            if e > 0
-        )
+    for mono, num in terms:
         # the magnitude |num| / den in lowest terms, as str(Fraction) writes it
         mag = abs(num)
         if mag == den:
@@ -338,7 +348,7 @@ def poly_to_text(p: Poly) -> str:
             parts.append(body if num > 0 else f"-{body}")
         else:
             parts.append(f"+ {body}" if num > 0 else f"- {body}")
-    return " ".join(parts)
+    return " ".join(parts) or "0"
 
 
 # ----------------------------------------------------------------------
@@ -431,53 +441,81 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
     else:
         _expect(isinstance(payload, list), "expected an array of {coeff, orders}", path)
         terms_raw = payload
-    terms = {}
+    parts = []  # (packed orders, {packed exponents: numerator}, denominator) per term
     for idx, entry in enumerate(terms_raw):
         epath = f"{path}[{idx}]" if isinstance(payload, list) else f"{path}.terms[{idx}]"
         _expect(isinstance(entry, dict), "expected an object {coeff, orders}", epath)
-        _expect(set(entry) == {"coeff", "orders"}, "expected keys coeff/orders", epath)
-        key = _orders_key(entry["orders"])
-        _expect(key is not None, "orders must be an array of multi-indices", f"{epath}.orders")
+        _expect(entry.keys() == {"coeff", "orders"}, "expected keys coeff/orders", epath)
+        orders = entry["orders"]
+        flat = _orders_fields(orders)
+        _expect(flat is not None, "orders must be an array of multi-indices", f"{epath}.orders")
         if arity is None:
-            arity = len(key)
-        _expect(len(key) == arity, f"orders must list {arity} multi-indices", f"{epath}.orders")
-        _expect(
-            all(len(o) == dim for o in key), f"multi-index length must equal dim = {dim}", f"{epath}.orders"
-        )
-        coeff = _leaf(entry["coeff"], dim, f"{epath}.coeff")
-        if coeff._num:
-            _add_term(terms, key, coeff)
+            arity = len(orders)
+        if len(orders) != arity:
+            raise SchemaError(f"orders must list {arity} multi-indices", epath + ".orders")
+        if any(len(o) != dim for o in orders):
+            raise SchemaError(f"multi-index length must equal dim = {dim}", epath + ".orders")
+        try:
+            high = _key(flat) << 16 * dim
+        except BudgetError as exc:
+            raise SchemaError(str(exc), epath + ".orders") from None
+        # a canonical leaf by the leaf reader, any other by the grammar; the
+        # exponents that survive the sum go straight into keys
+        coeff = entry["coeff"]
+        read = _read_leaf(coeff, dim) if isinstance(coeff, str) else None
+        if read is None:
+            p = _leaf(coeff, dim, f"{epath}.coeff")
+            read = p._num, p._den
+        num, den = read
+        try:
+            parts.append((high, {_key(e): n for e, n in num.items()}, den))
+        except BudgetError as exc:
+            raise SchemaError(str(exc), epath + ".coeff") from None
     if arity is None:
         raise SchemaError("empty diffop needs an explicit arity", path)
     # a bare array's arity is the length of its first orders, which may be 0
     _expect(arity >= 1, "arity must be >= 1", path)
-    # every key and coefficient above is clean: PolyDiffOp's checks would repeat these
-    return PolyDiffOp._make(dim, arity, terms)
+    return _summed(dim, arity, parts)
 
 
 _INT_TYPES = {int}
 
 
-def _orders_key(orders):
-    """An array of multi-indices (arrays of non-negative JSON integers) as a
-    term key, a tuple of tuples, or None for anything else."""
+def _orders_fields(orders):
+    """The entries of an array of multi-indices (arrays of non-negative JSON
+    integers) in one list, or None for anything else."""
     if not isinstance(orders, list):
         return None
-    key = []
+    flat = []
     for o in orders:
         # the set of types is exactly {int}: no bool, float or string
         if not isinstance(o, list) or (o and ({*map(type, o)} != _INT_TYPES or min(o) < 0)):
             return None
-        key.append(tuple(o))
-    return tuple(key)
+        flat += o
+    return flat
 
 
 def diffop_to_payload(op: PolyDiffOp) -> dict:
+    """The payload of an operator, written from its keys: terms in ascending
+    order of their order tuples, as PolyDiffOp.sorted_terms lists them."""
+
+    @cache
+    def mono(e):  # (graded-lex key, text) of packed exponents, each decoded once
+        exps = _fields(e, op.dim)
+        return grlex_key(exps), _mono(exps)
+
+    terms = []
+    for high, sub in op._groups().items():
+        terms.append((op._orders(high), [(mono(e), n) for e, n in sub.items()]))
+    terms.sort()  # the order tuples are distinct, so only they are compared
     return {
         "arity": op.arity,
         "terms": [
-            {"coeff": poly_to_text(c), "orders": [list(o) for o in orders]}
-            for orders, c in sorted(op.terms.items())
+            {
+                "coeff": _text(op._den, [(m[1], n) for m, n in sorted(row, reverse=True)]),
+                "orders": [list(o) for o in orders],
+            }
+            for orders, row in terms
         ],
     }
 

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, lcm
-from operator import add, attrgetter
-from struct import Struct
+from math import factorial, lcm
+from operator import attrgetter
 
 from .calculus import MultiVec
 from .diffop import (
     MAX_PACKED,
     PolyDiffOp,
     _OpAcc,
-    _pack,
+    _Packed,
+    _built,
+    _fields,
     apply_op,
     compose_into_slot,
     find_nonzero_args,
@@ -36,7 +37,7 @@ from .errors import (
     PreconditionError,
     SolveError,
 )
-from .kernel import Poly, TPoly, _reduced
+from .kernel import Poly, TPoly
 from .poisson import bracket, hamiltonian
 
 
@@ -152,11 +153,11 @@ def vector_field_op(xi: MultiVec) -> PolyDiffOp:
 def derivation_to_vector_field(op: PolyDiffOp) -> MultiVec:
     """Inverse of vector_field_op; requires a first-order operator."""
     terms = {}
-    for (o,), c in op.terms.items():
-        if sum(o) != 1:
+    for high, c in op._coeffs().items():
+        # d/dx_i packs as 1 << 16 (i - 1): one bit, the lowest of a 16-bit field
+        if high & (high - 1) or high.bit_length() % 16 != 1:
             raise DegreeError("operator is not a vector field (has order != 1 terms)")
-        i = o.index(1) + 1
-        terms[(i,)] = c
+        terms[(high.bit_length() // 16 + 1,)] = c
     return MultiVec(op.dim, 1, terms)
 
 
@@ -247,12 +248,12 @@ def moyal(pi: MultiVec, order: int) -> StarProduct:
         entries[(i, j)] = v
         entries[(j, i)] = -v
     # B over the common denominator den, packed with 16 bits per symbol:
-    # xi_i is field i - 1 and eta_j is field n + j - 1
+    # xi_i is field i - 1 and eta_j is field n + j - 1, the fields of
+    # d_i (x) d_j in an operator key once the block of x's exponents is
+    # shifted in below them
     den = lcm(*(v.denominator for v in entries.values()))
     symbol = {(1 << 16 * (i - 1)) + (1 << 16 * (n + j - 1)): v.numerator * (den // v.denominator)
               for (i, j), v in entries.items()}
-    unpack = Struct(f"<{2 * n}H").unpack
-    zero = (0,) * n
     power = {0: 1}  # B^k over den^k
     scale = 1  # 2^k k! den^k
     ops = []
@@ -267,13 +268,7 @@ def moyal(pi: MultiVec, order: int) -> StarProduct:
                 nxt[key] = get(key, 0) + n1 * n2
         power = nxt
         scale *= 2 * k * den
-        terms = {}
-        for key, v in power.items():
-            if v:
-                fields = unpack(key.to_bytes(4 * n, "little"))
-                g = gcd(v, scale)
-                terms[fields[:n], fields[n:]] = Poly._make(n, {zero: v // g}, scale // g)
-        ops.append(PolyDiffOp._make(n, 2, terms))
+        ops.append(_built(n, 2, {key << 16 * n: v for key, v in power.items() if v}, scale))
     return StarProduct(n, order, ops)
 
 
@@ -307,7 +302,7 @@ def _assoc_defects(S: StarProduct):
     slot-1 term P_i o_1 P_{k-i} is added, so terms that cancel leave the sum
     before the next i adds more.
     """
-    ops = [_pack(S.op(i)) for i in range(S.order + 1)]  # shared by both slots and every order
+    ops = [_Packed(S.op(i)) for i in range(S.order + 1)]  # shared by both slots and every order
     for k in range(1, S.order + 1):
         acc = _OpAcc(S.dim)
         for i in range(k + 1):
@@ -347,7 +342,7 @@ def biderivation(c: MultiVec) -> PolyDiffOp:
     for (i, j), cij in c.terms.items():
         terms[(unit[i - 1], unit[j - 1])] = cij
         terms[(unit[j - 1], unit[i - 1])] = -cij
-    return PolyDiffOp._make(n, 2, terms)
+    return PolyDiffOp(n, 2, terms)
 
 
 def assoc_poisson(S: StarProduct) -> MultiVec:
@@ -356,11 +351,15 @@ def assoc_poisson(S: StarProduct) -> MultiVec:
     n = S.dim
     P1 = S.op(1)
     skew2 = P1 - transpose(P1)  # 2 * skew part
-    xs = [Poly.variable(n, i) for i in range(1, n + 1)]
+    # a biderivation's value on (x_i, x_j) is its coefficient of d_i (x) d_j,
+    # packed as fields i - 1 and n + j - 1; any other skew2 fails the check below
+    coeffs = skew2._coeffs()
     terms = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            terms[(i, j)] = apply_op(skew2, xs[i - 1], xs[j - 1])
+            c = coeffs.get((1 << 16 * (i - 1)) | (1 << 16 * (n + j - 1)))
+            if c is not None:
+                terms[(i, j)] = c
     result = MultiVec(n, 2, terms)
     # twice the skew part of P_1 must be the biderivation of these values
     if biderivation(result) != skew2:
@@ -379,7 +378,7 @@ def _convolve(acc: _OpAcc, k: int, outer, slot: int, inner, sign=1, lo=0, hi=Non
     """
     for i in range(lo, k + 1 if hi is None else hi + 1):
         X, Y = outer[i], inner[k - i]
-        if X.terms and Y.terms:
+        if X.op._num and Y.op._num:
             acc.add_compose(X, slot, Y, sign)
 
 
@@ -393,28 +392,28 @@ def gauge_transform(S: StarProduct, R: GaugeOp) -> StarProduct:
     """
     if (S.dim, S.order) != (R.dim, R.order):
         raise OrderMismatchError("gauge operator must match the star product")
-    ops = [_pack(S.op(i)) for i in range(S.order + 1)]
-    rops = [_pack(R.op(j)) for j in range(R.order + 1)]  # shared by both slots and every order
+    ops = [_Packed(S.op(i)) for i in range(S.order + 1)]
+    rops = [_Packed(R.op(j)) for j in range(R.order + 1)]  # shared by both slots and every order
     us = [ops[0]]  # U_0 = P_0 = multiplication
     new_P = [ops[0]]  # P'_0 = multiplication
     for k in range(1, S.order + 1):
         acc = _OpAcc(S.dim)
         acc.add_op(ops[k])  # P_k o_1 R_0 = P_k
         _convolve(acc, k, ops, 1, rops, hi=k - 1)
-        us.append(acc.handle(2))
+        us.append(_Packed(acc.op(2)))
         acc.add_op(us[k])  # U_k o_2 R_0 = U_k
         _convolve(acc, k, us, 2, rops, hi=k - 1)
         _convolve(acc, k, rops, 1, new_P, sign=-1, lo=1)
-        new_P.append(acc.handle(2))
-    return StarProduct(S.dim, S.order, [h.op() for h in new_P[1:]])
+        new_P.append(_Packed(acc.op(2)))
+    return StarProduct(S.dim, S.order, [h.op for h in new_P[1:]])
 
 
 def gauge_compose(R: GaugeOp, Q: GaugeOp) -> GaugeOp:
     """(R o Q)(f) = R(Q(f)); series composition order by order."""
     if (R.dim, R.order) != (Q.dim, Q.order):
         raise OrderMismatchError("gauge operators disagree")
-    rops = [_pack(R.op(i)) for i in range(R.order + 1)]
-    qops = [_pack(Q.op(j)) for j in range(Q.order + 1)]  # shared by every order
+    rops = [_Packed(R.op(i)) for i in range(R.order + 1)]
+    qops = [_Packed(Q.op(j)) for j in range(Q.order + 1)]  # shared by every order
     ops = []
     for k in range(1, R.order + 1):
         acc = _OpAcc(R.dim)
@@ -431,14 +430,14 @@ def invert_gauge(R: GaugeOp) -> GaugeOp:
 
     In the group 1 + tD[[t]] a right inverse is also a left inverse.
     """
-    rops = [_pack(R.op(i)) for i in range(R.order + 1)]
+    rops = [_Packed(R.op(i)) for i in range(R.order + 1)]
     qops = [rops[0]]  # Q_0 = 1, then each Q_k shared by every later order
     for k in range(1, R.order + 1):
         acc = _OpAcc(R.dim)
         acc.add_op(rops[k], -1)  # -R_k o Q_0 = -R_k
         _convolve(acc, k, rops, 1, qops, sign=-1, lo=1, hi=k - 1)
-        qops.append(acc.handle(1))
-    return GaugeOp(R.dim, R.order, [h.op() for h in qops[1:]])
+        qops.append(_Packed(acc.op(1)))
+    return GaugeOp(R.dim, R.order, [h.op for h in qops[1:]])
 
 
 def exp_gauge(Q: PolyDiffOp, order: int) -> GaugeOp:
@@ -446,12 +445,12 @@ def exp_gauge(Q: PolyDiffOp, order: int) -> GaugeOp:
     if Q.arity != 1:
         raise DegreeError("exp_gauge needs an arity-1 generator")
     ops = [Q]
-    q = power = _pack(Q)
+    q = power = _Packed(Q)
     for i in range(2, order + 1):
         acc = _OpAcc(Q.dim)
         acc.add_compose(q, 1, power)
-        power = acc.handle(1)
-        ops.append(power.op().scale(Fraction(1, factorial(i))))
+        power = _Packed(acc.op(1))
+        ops.append(power.op.scale(Fraction(1, factorial(i))))
     return GaugeOp(Q.dim, order, ops)
 
 
@@ -459,24 +458,27 @@ def exp_gauge(Q: PolyDiffOp, order: int) -> GaugeOp:
 # specialization (Hochschild coboundary solve)
 
 
-def _pivot_row(alpha):
-    """The row that fixes the unknown x^e d^alpha of specialize's system:
-    (orders, c) with c x^e (d^orders[0] (x) d^orders[1]) a term of
-    delta(x^e d^alpha) and of no other delta(x^e' d^alpha'), or None for a
-    derivation (|alpha| = 1), whose delta is zero.
+def _pivot(key: int, n: int):
+    """(Q's key of x^e d^alpha, c) when `key`, the packed key of a term
+    x^e (d^beta (x) d^gamma) of an arity-2 operator on R^n, is the row that
+    fixes the unknown x^e d^alpha, alpha = beta + gamma, of specialize's system,
+    and c that term's coefficient in delta(x^e d^alpha); None for any other row.
 
     delta(x^e) = -x^e (f (x) g), and for |alpha| >= 2 the row is beta = e_i,
     with i the last index where alpha_i > 0, in
 
         delta(x^e d^alpha) = x^e sum_{0 < beta < alpha} C(alpha, beta) d^beta (x) d^(alpha - beta).
+
+    A derivation (|alpha| = 1) has no row: its delta is zero.
     """
-    if not any(alpha):
-        return (alpha, alpha), -1
-    if sum(alpha) < 2:
+    block = 16 * n
+    beta, gamma = key >> block & (1 << block) - 1, key >> 2 * block
+    alpha = beta + gamma
+    # e_i packs as the lowest bit of alpha's top field
+    shift = max(alpha.bit_length() - 1, 0) // 16 * 16
+    if alpha and (beta != 1 << shift or not gamma):
         return None
-    i = max(k for k, a in enumerate(alpha) if a)
-    beta = tuple(int(k == i) for k in range(len(alpha)))
-    return (beta, tuple(a - b for a, b in zip(alpha, beta))), alpha[i]
+    return key & (1 << block) - 1 | alpha << block, alpha >> shift or -1
 
 
 def specialize(S: StarProduct, degree_bound: int) -> GaugeOp:
@@ -486,11 +488,12 @@ def specialize(S: StarProduct, degree_bound: int) -> GaugeOp:
     operators x^e d^alpha with polynomial coefficient degree |e| <= degree_bound.
     The system is block-diagonal: the rows of x^e d^alpha are the terms
     ((beta, alpha - beta), e), and beta + (alpha - beta) gives back alpha, so
-    no two unknowns share a row.  Each unknown is read off its _pivot_row: the
-    coefficient of x^e d^alpha in Q is t / c, where t is sym(P_1)'s entry on
-    that row.  One pass over sym(P_1)'s terms finds them, so the work is set
-    by those terms and not by the bound.  Every other row is checked at once:
-    SolveError carries the residual sym(P_1) - delta Q when it is not zero.
+    no two unknowns share a row.  Each unknown is read off its row, named by
+    _pivot: the coefficient of x^e d^alpha in Q is t / c, where t is
+    sym(P_1)'s entry on that row.  One pass over sym(P_1)'s keys finds them,
+    so the work is set by those terms and not by the bound.  Every other row
+    is checked at once: SolveError carries the residual sym(P_1) - delta Q
+    when it is not zero.
     """
     if not is_associative(S):
         raise PreconditionError("specialize requires an associative star product")
@@ -498,18 +501,23 @@ def specialize(S: StarProduct, degree_bound: int) -> GaugeOp:
     n = S.dim
     if sym.is_zero():
         return GaugeOp.identity_gauge(n, S.order)
-    terms = {}
-    for orders, coeff in sym.terms.items():
-        alpha = tuple(map(add, *orders))
-        pivot = _pivot_row(alpha)
-        if pivot is None or pivot[0] != orders:
+    block = 16 * n
+    low = (1 << block) - 1
+    picks = {}  # Q's key of x^e d^alpha -> (t, c)
+    for key, t in sym._num.items():
+        pivot = _pivot(key, n)
+        if pivot is None:
             continue  # no unknown is read off this row; the residual checks it
-        c = pivot[1]
-        num = {e: v if c > 0 else -v for e, v in sorted(coeff._num.items()) if sum(e) <= degree_bound}
-        if num:
-            terms[(alpha,)] = _reduced(n, num, coeff._den * abs(c))
+        if sum(_fields(key & low, n)) <= degree_bound:
+            picks[pivot[0]] = t, pivot[1]
     # alpha and e in sorted order, so Q's storage order does not depend on sym's
-    Q = PolyDiffOp._make(n, 1, dict(sorted(terms.items())))
+    order = sorted(picks, key=lambda k: (_fields(k >> block, n), _fields(k & low, n)))
+    top = lcm(*(c for _, c in picks.values()))  # every c divides it
+    num = {}
+    for k in order:
+        t, c = picks[k]
+        num[k] = t * (top // c)
+    Q = _built(n, 1, num, sym._den * top)
     residual = sym - hochschild_delta(Q)
     if not residual.is_zero():
         raise SolveError("no Hochschild coboundary solution within bounds", residual=residual)
@@ -711,13 +719,11 @@ def nabla_curvature(M: BimoduleModel) -> MultiVec:
                 - compose_into_slot(Dj, 1, Di)
                 - Dij
             )
-            for orders in curv.terms:
-                if orders != (zero_mi,):
-                    raise PreconditionError(
-                        "connection curvature is not a multiplication operator",
-                        witness=curv,
-                    )
-            val = curv.terms.get((zero_mi,))
-            if val is not None:
-                terms[(i, j)] = val
+            # a multiplication operator's keys hold exponents only
+            if any(k >> 16 * n for k in curv._num):
+                raise PreconditionError(
+                    "connection curvature is not a multiplication operator",
+                    witness=curv,
+                )
+            terms[(i, j)] = curv.coeff((zero_mi,))
     return MultiVec(n, 2, terms)

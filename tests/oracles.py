@@ -110,12 +110,33 @@ def coboundary_pattern(alpha):
     return out
 
 
+def pivot_row(alpha):
+    """The row that fixes the unknown x^e d^alpha of specialize's system, the
+    rule starprod._pivot applies to packed keys: (orders, c) with
+    c x^e (d^orders[0] (x) d^orders[1]) a term of delta(x^e d^alpha) and of no
+    other delta(x^e' d^alpha'), or None for a derivation (|alpha| = 1), whose
+    delta is zero.
+
+    delta(x^e) = -x^e (f (x) g), and for |alpha| >= 2 the row is beta = e_i,
+    with i the last index where alpha_i > 0, in
+
+        delta(x^e d^alpha) = x^e sum_{0 < beta < alpha} C(alpha, beta) d^beta (x) d^(alpha - beta).
+    """
+    if not any(alpha):
+        return (alpha, alpha), -1
+    if sum(alpha) < 2:
+        return None
+    i = max(k for k, a in enumerate(alpha) if a)
+    beta = tuple(int(k == i) for k in range(len(alpha)))
+    return (beta, tuple(a - b for a, b in zip(alpha, beta))), alpha[i]
+
+
 def specialize_by_oracle(S, degree_bound):
     """specialize(S, degree_bound) without its precondition, built the unfused way:
     one hochschild_delta per unknown x^e d^alpha, solved by dense_solve."""
     n = S.dim
     sym, _ = transpose_parts(S.op(1))
-    maxord = S.op(1).total_order()
+    maxord = max((sum(map(sum, orders)) for orders in S.op(1).terms), default=0)
     alphas = [a for a in product(range(maxord + 1), repeat=n) if sum(a) <= maxord]
     monos = [e for e in product(range(degree_bound + 1), repeat=n) if sum(e) <= degree_bound]
     basis = []
@@ -422,6 +443,56 @@ def compose_acc_by_poly(out: dict, outer: PolyDiffOp, slot: int, inner: PolyDiff
             o_coeff = -o_coeff
         for orders, c in d_inner.items():
             _add_term(out, o_orders[:j] + orders + o_orders[j + 1 :], o_coeff * c)
+
+
+# The operator algebra on {orders tuple: Poly} term maps: the routes PolyDiffOp
+# took before it stored packed keys.
+
+
+def add_by_terms(A: dict, B: dict) -> dict:
+    out = dict(A)
+    for orders, c in B.items():
+        _add_term(out, orders, c)
+    return out
+
+
+def neg_by_terms(A: dict) -> dict:
+    return {orders: -c for orders, c in A.items()}
+
+
+def scale_by_terms(A: dict, factor: Poly) -> dict:
+    if factor.is_zero():
+        return {}
+    # Q[x] has no zero divisors, so no product below is zero
+    return {orders: c * factor for orders, c in A.items()}
+
+
+def transpose_by_terms(P: dict) -> dict:
+    return {(b, a): c for (a, b), c in P.items()}
+
+
+def partial_apply_by_terms(D: dict, slot: int, f: Poly) -> dict:
+    j = slot - 1
+    out = {}
+    for orders, coeff in D.items():
+        df = f.partial_multi(orders[j])
+        if not df.is_zero():
+            _add_term(out, orders[:j] + orders[j + 1 :], coeff * df)
+    return out
+
+
+def apply_by_terms(D: dict, dim: int, *args: Poly) -> Poly:
+    out = Poly.zero(dim)
+    for orders, coeff in D.items():
+        term = coeff
+        for o, f in zip(orders, args):
+            df = f.partial_multi(o)
+            if df.is_zero():
+                break
+            term = term * df
+        else:
+            out = out + term
+    return out
 
 
 def invert_gauge_by_neumann(R: GaugeOp) -> GaugeOp:

@@ -7,7 +7,14 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from dqkit import cli
+from dqkit.calculus import MultiVec
 from dqkit.cli import dispatch
+from dqkit.diffop import PolyDiffOp
+from dqkit.errors import SolveError
+from dqkit.kernel import Poly
+from dqkit.parser import Document, canonical_json, diffop_to_payload, serialize_document
+from dqkit.starprod import GaugeOp, gauge_transform, moyal, specialize
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -246,3 +253,30 @@ class TestVerify:
         assert code == 0
         assert report["payload"]["warning"]
         assert report["payload"]["checks"] == 0
+
+
+class TestFailureReports:
+    def test_any_other_exception_exits_three_with_a_report(self, monkeypatch):
+        def broken(S):
+            raise RuntimeError("boom")
+
+        entries, flag, _ = cli._ACTIONS["star", "assoc"]
+        monkeypatch.setitem(cli._ACTIONS, ("star", "assoc"), (entries, flag, broken))
+        code, report, out = run(["star", "assoc", "--in", corpus("moyal_plane.json")])
+        assert code == cli.EXIT_INTERNAL == 3
+        assert report["payload"] == {"error": "internal error: RuntimeError: boom"}
+        assert not report["ok"] and report["defects"] == []
+        assert out == canonical_json(report)
+
+    def test_solve_residual_is_in_the_report(self, tmp_path):
+        # the Moyal plane gauged by R_1 = x2 d_x^2: sym(P_1) needs coefficient degree 1
+        S = gauge_transform(moyal(MultiVec(2, 2, {(1, 2): 1}), 1),
+                            GaugeOp(2, 1, [PolyDiffOp(2, 1, {((2, 0),): Poly.variable(2, 2)})]))
+        path = tmp_path / "s.json"
+        path.write_text(serialize_document(Document("star", 2, 1, S)))
+        with pytest.raises(SolveError) as info:
+            specialize(S, 0)
+        code, report, _ = run(["star", "specialize", "--degree", "0", "--in", str(path)])
+        assert code == 1
+        assert report["payload"] == {"error": str(info.value), "residual": diffop_to_payload(info.value.residual)}
+        assert report["payload"]["residual"]["terms"]

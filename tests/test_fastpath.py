@@ -6,8 +6,8 @@ per (order tuple, exponent tuple) with 16-bit fields: each operator is packed
 once per call into a diffop._Packed handle, which expands d^alpha o op by the
 Leibniz rule one coordinate block at a time, and every sum goes into one
 diffop._OpAcc of int numerators over one common denominator, rescaled when an
-operand with a new denominator arrives, with one Poly built per surviving
-order tuple at the end.  These tests check the results by evaluation, against
+operand with a new denominator arrives, whose map becomes the result's own
+once it is normalized.  These tests check the results by evaluation, against
 unfused, uncapped and Poly-per-pair references, at the edge of the 16-bit
 fields, and by walking every output for the invariants the trusted
 constructors no longer check.  Coefficients are drawn with denominators 1, 2,
@@ -16,6 +16,7 @@ constructors no longer check.  Coefficients are drawn with denominators 1, 2,
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,29 +27,43 @@ from dqkit.diffop import (
     MAX_PACKED,
     PolyDiffOp,
     _OpAcc,
-    _pack,
-    _unpacked,
+    _Packed,
+    _built,
     apply_op,
     cocycle_defect,
     compose_into_slot,
     hochschild_delta,
+    partial_apply,
     transpose,
 )
-from dqkit.errors import BudgetError, IndexRangeError
+from dqkit.errors import BudgetError, IndexRangeError, SolveError
 from dqkit.kernel import Poly
 from dqkit.starprod import (
     GaugeOp,
     StarProduct,
     assoc_defect,
+    exp_gauge,
     gauge_compose,
     gauge_transform,
     invert_gauge,
     is_associative,
     moyal,
+    specialize,
 )
 
 from conftest import assert_clean_poly, rand_diffop1, rand_gauge
-from oracles import compose_acc_by_poly, derivative_uncapped, invert_gauge_by_neumann, moyal_by_tuples
+from oracles import (
+    add_by_terms,
+    apply_by_terms,
+    compose_acc_by_poly,
+    derivative_uncapped,
+    invert_gauge_by_neumann,
+    moyal_by_tuples,
+    neg_by_terms,
+    partial_apply_by_terms,
+    scale_by_terms,
+    transpose_by_terms,
+)
 
 DIM = 2
 
@@ -77,7 +92,12 @@ def assert_clean(obj):
     if isinstance(obj, Poly):
         assert_clean_poly(obj, obj.dim)
     elif isinstance(obj, PolyDiffOp):
-        assert obj.arity >= 1 and type(obj.terms) is dict
+        assert obj.arity >= 1 and type(obj._num) is dict and type(obj._den) is int and obj._den > 0
+        assert all(type(k) is int and k >= 0 and type(n) is int and n for k, n in obj._num.items())
+        assert gcd(obj._den, *obj._num.values()) == 1 and (obj._num or obj._den == 1)
+        width = obj.dim * (obj.arity + 1)
+        assert all(k >> 16 * width == 0 and max(field(k, i) for i in range(width)) <= MAX_PACKED
+                   for k in obj._num)
         for orders, c in obj.terms.items():
             assert type(orders) is tuple and len(orders) == obj.arity
             for o in orders:
@@ -96,6 +116,16 @@ def assert_clean(obj):
             assert_clean(item)
     else:
         raise AssertionError(f"unexpected output type {type(obj).__name__}")
+
+
+def field(key, i):
+    return key >> 16 * i & 0xFFFF
+
+
+def as_op(dim, arity, terms, den):
+    """The operator of a packed map over den, built from a copy: a handle's
+    maps stay as they are."""
+    return _built(dim, arity, dict(terms), den)
 
 
 # ----------------------------------------------------------------------
@@ -285,13 +315,13 @@ def test_shared_expansion_matches_fresh_compose(data):
     inner = data.draw(ops())
     outers = data.draw(st.lists(ops(), min_size=1, max_size=4))
     inner_terms = list(inner.terms.items())
-    handle = _pack(inner)  # one handle for `inner`, shared by every outer and slot
-    packed = dict(handle.terms)
+    handle = _Packed(inner)  # one handle for `inner`, shared by every outer and slot
+    packed = dict(handle.op._num)
     for outer in outers:
         for slot in range(1, outer.arity + 1):
             sign = data.draw(st.sampled_from((1, -1)))
             acc = _OpAcc(DIM)
-            acc.add_compose(_pack(outer), slot, handle, sign)
+            acc.add_compose(_Packed(outer), slot, handle, sign)
             got = acc.op(outer.arity + inner.arity - 1)
             assert_clean(got)
             want = compose_into_slot(outer, slot, inner)
@@ -300,10 +330,10 @@ def test_shared_expansion_matches_fresh_compose(data):
             assert got.terms == want.terms
     # the cached expansions were only read: each still equals a fresh one,
     # key order included, and the packed operator is unchanged
-    fresh = _pack(inner)
+    fresh = _Packed(inner)
     for alpha, expansion in handle._exp.items():
         assert list(expansion.items()) == list(fresh._expanded(alpha).items())
-    assert handle.terms == packed and list(handle.terms) == list(packed)
+    assert handle.op._num == packed and list(handle.op._num) == list(packed)
     assert list(inner.terms.items()) == inner_terms
 
 
@@ -315,9 +345,9 @@ def test_accumulated_sum_matches_poly_per_pair_route(data):
     # every later sum
     arity = data.draw(st.integers(1, 3))
     inner = data.draw(ops(arity=data.draw(st.integers(1, arity))))
-    inner_h = _pack(inner)
+    inner_h = _Packed(inner)
     outer_arity = arity - inner.arity + 1
-    outers = [(op, _pack(op)) for op in data.draw(st.lists(ops(arity=outer_arity), min_size=1, max_size=2))]
+    outers = [(op, _Packed(op)) for op in data.draw(st.lists(ops(arity=outer_arity), min_size=1, max_size=2))]
     for _ in range(2):
         acc = _OpAcc(DIM)
         want = {}
@@ -325,7 +355,7 @@ def test_accumulated_sum_matches_poly_per_pair_route(data):
             sign = data.draw(st.sampled_from((1, -1)))
             if data.draw(st.booleans()):
                 op = data.draw(ops(arity=arity))
-                acc.add_op(_pack(op), sign)
+                acc.add_op(_Packed(op), sign)
                 compose_acc_by_poly(want, PolyDiffOp.identity(DIM), 1, op, sign)
             else:
                 outer, outer_h = data.draw(st.sampled_from(outers))
@@ -357,7 +387,7 @@ def test_accumulator_rescales_to_new_denominators():
     want = PolyDiffOp.zero(DIM, 1)
     dens = []
     for step in steps:
-        acc.add_op(_pack(step))
+        acc.add_op(_Packed(step))
         want = want + step
         dens.append(acc.den)
     assert dens == [2, 6, 12]
@@ -374,8 +404,8 @@ def test_accumulator_rescales_to_new_denominators():
 
 @given(ops(), st.tuples(*[st.integers(0, 5)] * DIM))
 def test_block_expansion_matches_uncapped(inner, alpha):
-    handle = _pack(inner)
-    got = _unpacked(DIM, inner.arity, handle._expanded(pack(alpha)), handle.den)
+    handle = _Packed(inner)
+    got = as_op(DIM, inner.arity, handle._expanded(pack(alpha)), handle.op._den)
     assert_clean(got)
     assert got.terms == derivative_uncapped(alpha, inner)
     # the same expansion through the public composition d^alpha o inner
@@ -385,12 +415,12 @@ def test_block_expansion_matches_uncapped(inner, alpha):
 def test_block_expansion_at_the_exponent():
     x1sq = Poly(2, {(2, 0): 3})  # a share of x1 above 2 kills this coefficient
     inner = PolyDiffOp(2, 2, {((1, 0), (0, 0)): x1sq, ((0, 0), (0, 1)): Poly(2, {(1, 0): -1})})
-    handle = _pack(inner)
+    handle = _Packed(inner)
     for alpha in [(1, 0), (2, 0), (3, 0), (0, 1), (0, 3), (2, 2), (4, 1)]:
-        got = _unpacked(2, 2, handle._expanded(pack(alpha)), handle.den)
+        got = as_op(2, 2, handle._expanded(pack(alpha)), handle.op._den)
         assert got.terms == derivative_uncapped(alpha, inner)
     # the share x1^2 of alpha = (2, 0) falls on the coefficient and leaves 6
-    d2 = _unpacked(2, 2, handle._expanded(pack((2, 0))), handle.den)
+    d2 = as_op(2, 2, handle._expanded(pack((2, 0))), handle.op._den)
     assert d2.terms[((1, 0), (0, 0))] == Poly.const(2, 6)
     # alpha' of (2, 2) is (2, 0), and it is kept in the handle
     assert pack((2, 0)) in handle._exp
@@ -400,18 +430,20 @@ def test_multiplication_keeps_only_the_zero_coefficient_share():
     # d^alpha o m: the coefficient of m is 1, so only g_0 = 0 is ever formed
     m = PolyDiffOp.multiplication(3)
     alpha = (2, 1, 3)
-    handle = _pack(m)
+    handle = _Packed(m)
     expansion = handle._expanded(pack(alpha))
     assert all(key & (1 << 48) - 1 == 0 for key in expansion)  # coefficient fields stay 0
     assert len(expansion) == 3 * 2 * 4  # alpha_c + 1 two-slot shares per coordinate
-    got = _unpacked(3, 2, expansion, handle.den)
+    got = as_op(3, 2, expansion, handle.op._den)
     assert list(got.terms.items()) == list(derivative_uncapped(alpha, m).items())
 
 
 def test_fields_at_the_budget_compose_exactly():
     # exponents and orders of exactly MAX_PACKED next to each other: the
     # coefficient fields of a product reach 2 * MAX_PACKED = 2^16 - 2 and an
-    # order field MAX_PACKED + 2, and nothing carries into the next field
+    # order field MAX_PACKED + 2, and nothing carries into the next field.
+    # Such a sum is over the budget, so its operator is refused when it is
+    # built; the accumulator's packed sum is read here directly
     top = MAX_PACKED
     outer = PolyDiffOp(2, 2, {
         ((2, 0), (top, 1)): Poly(2, {(top, 0): Fraction(1, 3), (0, top): 1}),
@@ -422,35 +454,46 @@ def test_fields_at_the_budget_compose_exactly():
     for slot, op in [(1, outer), (2, transpose(outer))]:
         want = {}
         compose_acc_by_poly(want, op, slot, inner, 1)
-        got = compose_into_slot(op, slot, inner)
-        assert_clean(got)
-        assert got.terms == want
-    assert got.terms[((0, top), (top, 1))] == Poly(2, {(top + 1, top + 2): -1, (top + 1, 2 * top): -10})
+        acc = _OpAcc(2)
+        acc.add_compose(_Packed(op), slot, _Packed(inner))
+        got = {k: Fraction(n, acc.den) for k, n in acc.terms.items()}
+        assert got == {pack(e + sum(orders, ())): v for orders, c in want.items() for e, v in c.items()}
+        with pytest.raises(BudgetError) as info:
+            compose_into_slot(op, slot, inner)
+        assert "65534 is above" in str(info.value)
+    # the term ((0, top), (top, 1)) of the last sum
+    assert got[pack((top + 1, top + 2, 0, top, top, 1))] == -1
+    assert got[pack((top + 1, 2 * top, 0, top, top, 1))] == -10
 
 
 def test_packing_above_the_budget_is_refused_before_any_work(monkeypatch):
+    # an operator above the budget is refused when it is built, so no
+    # composition ever takes one as an operand
     def no_work(*args):
         raise AssertionError("composed past the budget")
 
     monkeypatch.setattr(_OpAcc, "add_compose", no_work)
     monkeypatch.setattr(_OpAcc, "add_op", no_work)
-    d1 = PolyDiffOp.partial(2, 1)
     over = MAX_PACKED + 1
-    too_high_exponent = PolyDiffOp(2, 1, {((0, 0),): Poly.monomial(2, (over, 0))})
-    too_high_order = PolyDiffOp(2, 2, {((0, 0), (0, over)): Poly.one(2)})
-    for outer, inner in [(d1, too_high_exponent), (too_high_exponent, d1), (too_high_order, d1)]:
+    x_over = Poly.monomial(2, (over, 0))
+    builds = [
+        lambda: PolyDiffOp(2, 1, {((0, 0),): x_over}),
+        lambda: PolyDiffOp(2, 2, {((0, 0), (0, over)): Poly.one(2)}),
+        lambda: PolyDiffOp.partial(2, 1).scale(x_over),
+        lambda: partial_apply(PolyDiffOp.multiplication(2), 2, x_over),
+    ]
+    for build in builds:
         with pytest.raises(BudgetError) as info:
-            compose_into_slot(outer, 1, inner)
+            build()
         assert f"{over}" in str(info.value) and "MAX_PACKED = 32767" in str(info.value)
-    with pytest.raises(BudgetError):
-        hochschild_delta(too_high_exponent)
-    with pytest.raises(BudgetError):
-        cocycle_defect(too_high_order)
-    S = StarProduct(2, 2, [PolyDiffOp.zero(2, 2), too_high_order])
-    with pytest.raises(BudgetError):
-        is_associative(S)
-    with pytest.raises(BudgetError):
-        gauge_transform(S, GaugeOp.identity_gauge(2, 2))
+    # a product that reaches over the budget is refused when its result is built
+    x_top = PolyDiffOp(1, 1, {((0,),): Poly.monomial(1, (MAX_PACKED,))})
+    monkeypatch.undo()
+    for build in (lambda: compose_into_slot(x_top, 1, PolyDiffOp(1, 1, {((0,),): Poly.variable(1, 1)})),
+                  lambda: x_top.scale(Poly.variable(1, 1))):
+        with pytest.raises(BudgetError) as info:
+            build()
+        assert f"{over}" in str(info.value)
     assert diffop.MAX_PACKED == 2**15 - 1
 
 
@@ -529,3 +572,65 @@ def test_kernel_arithmetic_outputs_are_clean(p, q):
         assert_clean(r)
     assert (p - p).terms == {}
 
+
+
+# ----------------------------------------------------------------------
+# (f) the operator algebra on packed keys against {orders: Poly} term maps
+
+
+@given(st.data())
+def test_key_algebra_matches_term_map_oracles(data):
+    arity = data.draw(st.integers(1, 3))
+    A, B = data.draw(ops(arity=arity)), data.draw(ops(arity=arity))
+    factor, q = data.draw(polys), data.draw(rationals)
+    cases = [
+        (A + B, add_by_terms(A.terms, B.terms)),
+        (A - B, add_by_terms(A.terms, neg_by_terms(B.terms))),
+        (-A, neg_by_terms(A.terms)),
+        (A.scale(factor), scale_by_terms(A.terms, factor)),
+        (A.scale(q), scale_by_terms(A.terms, Poly.const(DIM, q))),
+    ]
+    if arity == 2:
+        cases.append((transpose(A), transpose_by_terms(A.terms)))
+    if arity >= 2:
+        slot, f = data.draw(st.integers(1, arity)), data.draw(polys)
+        cases.append((partial_apply(A, slot, f), partial_apply_by_terms(A.terms, slot, f)))
+    for got, want in cases:
+        assert_clean(got)
+        assert got.terms == want
+    args = data.draw(st.lists(polys, min_size=arity, max_size=arity))
+    assert apply_op(A, *args) == apply_by_terms(A.terms, DIM, *args)
+    # == and hash agree with equality of the term maps, whatever the key order
+    assert (A == B) == (A.terms == B.terms)
+    again = PolyDiffOp(DIM, arity, dict(reversed(A.terms.items())))
+    for same in (again, A + B - B, (A - B) + B):
+        assert same == A and hash(same) == hash(A) and same.terms == A.terms
+
+
+def test_no_star_product_call_decodes_operators(monkeypatch):
+    """The operator calls work on packed keys only: with every decoding view of
+    PolyDiffOp failing, each gives what it gives with the views working."""
+    rng = random.Random(4)
+    S = gauge_transform(std_moyal(2, 2), GaugeOp(2, 2, [PolyDiffOp(2, 1, {((2, 0),): Poly.variable(2, 2)}),
+                                                         rand_diffop1(rng, 2)]))
+    R = rand_gauge(rng, 2, 2)
+    Q = rand_diffop1(rng, 2, max_order=3, unital=False)
+
+    def calls():
+        try:
+            specialize(S, 0)
+        except SolveError as exc:
+            residual = exc.residual
+        return [gauge_transform(S, R), assoc_defect(S), invert_gauge(R), exp_gauge(Q, 3),
+                hochschild_delta(Q), cocycle_defect(S.op(1)), compose_into_slot(S.op(1), 2, Q),
+                specialize(S, 1), residual]
+
+    want = calls()
+
+    def forbidden(*args):
+        raise AssertionError("an operator was decoded")
+
+    for name in ("_coeffs", "sorted_terms", "coeff"):
+        monkeypatch.setattr(PolyDiffOp, name, forbidden)
+    monkeypatch.setattr(PolyDiffOp, "terms", property(forbidden))
+    assert calls() == want

@@ -134,10 +134,16 @@ BUNDLES = {
         inner=_diffop(2, 1, [{"coeff": "x^2", "orders": [[0, 1]]}]),
     ),
     "delta_plane": _diffop(2, 1, [{"coeff": "x*y", "orders": [[2, 1]]}]),
-    # x1^32768 is one above diffop.MAX_PACKED: refused before any composition
+    # x1^32768 is one above diffop.MAX_PACKED: refused when the operator is read
     "compose_over_packed_budget": _bundle(
         outer=_diffop(1, 1, [{"coeff": "1", "orders": [[1]]}]),
         inner=_diffop(1, 1, [{"coeff": "x1^32768", "orders": [[0]]}]),
+    ),
+    # d^3,000,000 is far above diffop.MAX_PACKED: refused when the operator is read,
+    # before the falling factorial 3,000,000! that applying it to x1^3000000 would build
+    "apply_over_packed_budget": _bundle(
+        op=_diffop(1, 1, [{"coeff": "1", "orders": [[3000000]]}]),
+        f1=_poly(1, "x1^3000000"),
     ),
     # algebroid checks that fail: sigma(e_2) = x1 d/dx1 with [e_1, e_2] = 0 breaks the anchor
     # axiom at (1, 2); a zero anchor with [e_1, e_2] = e_3, [e_2, e_3] = e_2 breaks Jacobi
@@ -225,7 +231,8 @@ CASES = (
     + [("algebroid ext-curv", "ext_plane_twist"), ("poisson hamiltonian", "hamiltonian_degree1_const")]
     + [("diffop apply", "apply_plane"), ("diffop compose --slot 2", "compose_plane"),
        ("diffop delta", "delta_plane"), ("diffop cocycle", "cocycle_not_closed"),
-       ("diffop compose", "compose_over_packed_budget"), ("diffop compose", "compose_over_digit_limit")]
+       ("diffop compose", "compose_over_packed_budget"), ("diffop compose", "compose_over_digit_limit"),
+       ("diffop apply", "apply_over_packed_budget")]
     + [("star moyal --order 2", "pi_std.json"), ("star moyal --order 12", "pi_std.json"),
        ("star moyal", "so3.json"), ("star gauge", "gauge_plane"),
        ("star specialize", "star_gauged_halfdx2"), ("star specialize --degree 0", "star_gauged_degree1"),
@@ -364,12 +371,13 @@ GOLDEN = {
     ('parse', 'power_over_budget'): (2, "8ca29c8f70331e00636a011dadf3d6103c6e48e2be45831e402e54c5b20c97e2"),
     ('parse', 'power_under_budget'): (0, "d536719a1fe4991be796b72649851a8c9b16605949c771ae37296e7f4a53a56d"),
     ('parse', 'power_over_bit_budget'): (2, "fa849349b4d607a94dccc62619c65e9c034b1388a0542620dbd1c1931836ed65"),
-    ('diffop compose', 'compose_over_packed_budget'): (2, "7db06df09fb913ad8722d9a961f477af54a580edc20cdeea71dcef39909f6f56"),
+    ('diffop compose', 'compose_over_packed_budget'): (2, "3101cce244746dede9f2ee46da20ae3f990b669addfdcd471bc11284da4fb3ae"),
     ('parse', 'literal_over_digit_limit'): (2, "ff3c3096ba61a90c8db474790a091524271ef966dc7e21ca68293c495a504534"),
     ('diffop compose', 'compose_over_digit_limit'): (2, "5fff50acb7b1f85536b90f66fd4ab589601982877555d294dd73e14d3202f813"),
     ('parse', 'exponent_over_digit_limit'): (2, "a78404bcf84e679d5e543394180f6141d9b7b54b5d687dae69698ec9b368c337"),
     ('parse', 'exponent_product_over_digit_limit'): (2, "19e1fa1e6f36a123d56d485db384d340bb04407919b083560df876bfbeda59fc"),
-    ('star specialize --degree 0', 'star_gauged_degree1'): (1, "cf83aab82f16be5925ead56c1014e317b435da32dd10ae56012923cdf41c682e"),
+    ('star specialize --degree 0', 'star_gauged_degree1'): (1, "f0a0a878fdb82b5a3a5fe4c67499ea577a23fdba57df2411af00a12a07f9f6e9"),
+    ('diffop apply', 'apply_over_packed_budget'): (2, "6c0bcb697ecd76036437903894a7d0b1d78f1097351c2dc158127b21d5c1c01d"),
 }
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dqkit.calculus import MultiVec
 from dqkit.diffop import PolyDiffOp
 from dqkit.errors import BudgetError, PolyParseError, SchemaError
-from dqkit.kernel import Poly, TPoly
+from dqkit.kernel import Poly, TPoly, _reduced
 from dqkit import parser
 from dqkit.parser import (
     MAX_NESTING,
@@ -21,6 +21,15 @@ from dqkit.parser import (
 )
 
 from conftest import assert_clean_poly, rand_poly
+
+
+def read_leaf(text, dim):
+    """The Poly parser._read_leaf reads, or None."""
+    read = parser._read_leaf(text, dim)
+    return None if read is None else _reduced(dim, *read)
+
+
+_OVER = "exponent or derivative order {} is above the packing budget diffop.MAX_PACKED = 32767"
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -268,7 +277,7 @@ class TestCanonicalText:
 def _agrees_with_grammar(text, dim):
     """The leaf reader on text: None, or exactly the grammar's Poly, stored
     terms in the same order.  True when the reader read it."""
-    got = parser._read_leaf(text, dim)
+    got = read_leaf(text, dim)
     if got is None:
         return False
     want = parser._ExprParser(text, dim).parse()
@@ -316,7 +325,7 @@ class TestLeafReader:
     def test_reads_canonical_text(self, p):
         text = poly_to_text(p)
         assert _agrees_with_grammar(text, p.dim)
-        assert parser._read_leaf(text, p.dim) == p
+        assert read_leaf(text, p.dim) == p
 
     @settings(max_examples=500, derandomize=True)
     @given(st.integers(1, 4), st.text(alphabet="x0123456789 +-*/^()yz", max_size=30))
@@ -368,7 +377,7 @@ class TestLeafReader:
         ],
     )
     def test_left_to_the_grammar(self, text, dim):
-        assert parser._read_leaf(text, dim) is None
+        assert read_leaf(text, dim) is None
 
 
 class TestDocuments:
@@ -454,6 +463,19 @@ class TestDocuments:
             ([{"coeff": "1", "orders": []}, {"coeff": "(", "orders": []}],
              "$.payload[1].coeff: leaf parse error: unexpected end of input (at position 1)"),
             ([], "$.payload: empty diffop needs an explicit arity"),
+            # exponents and orders above diffop.MAX_PACKED are refused as each term is read
+            ({"arity": 1, "terms": [{"coeff": "1", "orders": [[0, 32768]]}]},
+             "$.payload.terms[0].orders: " + _OVER.format(32768)),
+            ([{"coeff": "1", "orders": [[70000, 0]]}], "$.payload[0].orders: " + _OVER.format(70000)),
+            ({"arity": 1, "terms": [{"coeff": "1", "orders": [[0, 1]]}, {"coeff": "x2^32768", "orders": [[0, 0]]}]},
+             "$.payload.terms[1].coeff: " + _OVER.format(32768)),
+            ({"arity": 1, "terms": [{"coeff": "x1^20000*x1^20000", "orders": [[0, 0]]}]},
+             "$.payload.terms[0].coeff: " + _OVER.format(40000)),
+            ({"arity": 1, "terms": [{"coeff": "(x1^2)^20000", "orders": [[0, 0]]}]},
+             "$.payload.terms[0].coeff: " + _OVER.format(40000)),
+            # an exponent too long to print is named by its bit length
+            ({"arity": 1, "terms": [{"coeff": "x1^" + "9" * 4300 + "*x1", "orders": [[0, 0]]}]},
+             "$.payload.terms[0].coeff: " + _OVER.format(f"of {(10**4300).bit_length()} bits")),
         ],
     )
     def test_diffop_errors(self, payload, error):
@@ -474,6 +496,15 @@ class TestDocuments:
         half = Poly.const(2, Fraction(1, 2))
         # no zero coefficient is stored, neither a zero leaf nor a sum that cancels
         assert op == PolyDiffOp(2, 1, {((0, 0),): half + y, ((1, 0),): x * x})
+
+    @pytest.mark.parametrize("coeff", ["x2 + x1^40000 - x1^40000", "(x2 + x1^40000 - x1^40000)"])
+    def test_diffop_leaf_whose_terms_over_the_budget_cancel(self, coeff):
+        # the leaf reader and the grammar sum a coefficient before its
+        # exponents are held to diffop.MAX_PACKED, so both accept it
+        assert (parser._read_leaf(coeff, 2) is None) == coeff.startswith("(")
+        terms = [{"coeff": coeff, "orders": [[1, 0]]}]
+        op = parse_document(json.dumps({"kind": "diffop", "dim": 2, "payload": terms})).payload
+        assert op == PolyDiffOp(2, 1, {((1, 0),): y})
 
     def test_tseries_poly(self):
         doc = parse_document('{"kind":"poly","dim":2,"order":2,"payload":["x","y","0"]}')

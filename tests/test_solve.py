@@ -8,24 +8,25 @@ order of their terms.
 
 from fractions import Fraction
 from itertools import product
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqkit.calculus import MultiVec
-from dqkit.diffop import PolyDiffOp, hochschild_delta, transpose_parts
+from dqkit.diffop import PolyDiffOp, _key, hochschild_delta, transpose_parts
 from dqkit.errors import SolveError
 from dqkit.kernel import Poly
 from dqkit.starprod import (
     GaugeOp,
     StarProduct,
-    _pivot_row,
+    _pivot,
     gauge_transform,
     moyal,
     specialize,
 )
 
-from oracles import coboundary_pattern, delta_matrix_rows, specialize_by_oracle
+from oracles import coboundary_pattern, delta_matrix_rows, pivot_row, specialize_by_oracle
 
 VALUES = [Fraction(v) for v in (-3, -2, -1, 1, 2, 3)] + [Fraction(1, 2), Fraction(-2, 3)]
 
@@ -108,7 +109,7 @@ def test_gauge_storage_order_does_not_follow_sym():
     pivots = []
     for orders, c in sym.terms.items():
         alpha = tuple(map(sum, zip(*orders)))
-        if _pivot_row(alpha)[0] == orders:
+        if pivot_row(alpha)[0] == orders:
             pivots.append((alpha, list(c.exponents())))
     assert pivots[0] == ((2, 0), [(1, 0), (0, 2)])
     assert [a for a, _ in pivots] == [(2, 0), (1, 1), (0, 2)]
@@ -140,10 +141,22 @@ def test_work_does_not_depend_on_the_degree_bound():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pivot_row_is_the_first_pattern_row(n):
     """specialize reads each unknown off the row that oracles.dense_solve pivots on:
-    the first term of delta(d^alpha) in hochschild_delta's key order."""
+    the first term of delta(d^alpha) in hochschild_delta's key order.  starprod._pivot
+    names that row on packed keys: every key x^e (d^beta (x) d^gamma) with
+    |beta + gamma| <= 5 is checked against oracles.pivot_row."""
     for alpha in _multi_indices(n, 5):
         pattern = coboundary_pattern(alpha)
-        assert _pivot_row(alpha) == (pattern[0] if pattern else None), alpha
+        assert pivot_row(alpha) == (pattern[0] if pattern else None), alpha
+    e = tuple(range(n))  # any coefficient exponent rides along unchanged
+    for orders in _multi_indices(2 * n, 5):
+        beta, gamma = orders[:n], orders[n:]
+        alpha = tuple(map(add, beta, gamma))
+        want = pivot_row(alpha)
+        if want is not None and want[0] == (beta, gamma):
+            want = (_key(e + alpha), want[1])
+        else:
+            want = None
+        assert _pivot(_key(e + orders), n) == want, orders
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
