@@ -342,14 +342,21 @@ def _render_human(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(report: dict, text: str, args) -> None:
-    if getattr(args, "outfile", None):
-        with open(args.outfile, "w", encoding="utf-8") as fh:
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if getattr(args, "human", False):
-        sys.stdout.write(_render_human(report))
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:  # an input error, like an unreadable --in
+        raise DqkitError(f"cannot write --out {path}: {exc.strerror or exc}") from exc
+
+
+def _failure(exc: Exception):
+    """(ok, payload, defects, exit code) of a run that raised exc: exit 2 for an input
+    error, else exit 3, a fault of the program, with its traceback on stderr."""
+    if isinstance(exc, DqkitError):
+        return False, {"error": str(exc)}, [], EXIT_INPUT
+    sys.excepthook(type(exc), exc, exc.__traceback__)
+    return False, {"error": f"internal error: {type(exc).__name__}: {exc}"}, [], EXIT_INTERNAL
 
 
 class _UsageError(Exception):
@@ -421,7 +428,7 @@ def dispatch(argv) -> int:
     try:
         args = _parse_args(argv)
     except _UsageError as exc:
-        _emit(*_build_report(exc.command, False, {"error": str(exc)}, [], 0.0), None)
+        sys.stdout.write(_build_report(exc.command, False, {"error": str(exc)}, [], 0.0)[1])
         return EXIT_INPUT
     except SystemExit as exc:
         # --help exits 0 after printing; normalize any other code
@@ -438,15 +445,17 @@ def dispatch(argv) -> int:
             if getattr(exc, "residual", None) is not None:
                 # serialized here, so that a refusal to write it is an input error below
                 payload["residual"] = diffop_to_payload(exc.residual)
-    except DqkitError as exc:
-        # schema, expression and argument errors
-        ok, payload, defects = False, {"error": str(exc)}, []
-        code = EXIT_INPUT
-    except Exception as exc:  # a fault of the program, not of the input: its traceback goes to stderr
-        sys.excepthook(type(exc), exc, exc.__traceback__)
-        ok, payload, defects = False, {"error": f"internal error: {type(exc).__name__}: {exc}"}, []
-        code = EXIT_INTERNAL
-    _emit(*_build_report(command, ok, payload, defects, (time.perf_counter() - start) * 1000), args)
+    except Exception as exc:
+        ok, payload, defects, code = _failure(exc)
+    elapsed_ms = (time.perf_counter() - start) * 1000
+    try:
+        report, text = _build_report(command, ok, payload, defects, elapsed_ms)
+        if args.outfile:
+            _write_out(args.outfile, text)
+    except Exception as exc:  # a report of the fault replaces it, on stdout only
+        ok, payload, defects, code = _failure(exc)
+        report, text = _build_report(command, ok, payload, defects, elapsed_ms)
+    sys.stdout.write(_render_human(report) if args.human else text)
     return code
 
 

@@ -26,6 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _encode_str
 from math import comb, gcd, lcm, log10
 from typing import Optional
 
@@ -741,8 +742,38 @@ def document_to_obj(doc: Document) -> dict:
 
 
 def canonical_json(obj) -> str:
-    """Deterministic rendering shared by serializers and reports."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` byte for byte, the text of every
+    document and report, written here since ``indent`` sends ``json.dumps`` to its pure-Python
+    encoder.  Keys must be ``str``; another key, or a value json cannot encode, is a TypeError."""
+    chunks = []
+    _render(obj, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _render(obj, nl: str, emit) -> None:
+    """Emit obj's text in chunks; nl is a newline and the current indent."""
+    if type(obj) is str:
+        return emit(_encode_str(obj))
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)) and set(map(type, obj)) == {int}:
+        emit("[" + inner + ("," + inner).join(map(int.__repr__, obj)) + nl + "]")
+    elif isinstance(obj, (list, tuple)):
+        sep = "[" + inner
+        for item in obj:
+            emit(sep)
+            _render(item, inner, emit)
+            sep = "," + inner
+        emit(nl + "]" if obj else "[]")
+    elif isinstance(obj, dict):
+        sep = "{" + inner
+        for key in sorted(obj):
+            emit(sep + _encode_str(key) + ": ")  # a TypeError for a key that is not a str
+            _render(obj[key], inner, emit)
+            sep = "," + inner
+        emit(nl + "}" if obj else "{}")
+    else:  # json's own text of any other scalar, and its TypeError for a value it cannot encode
+        emit(json.dumps(obj))
 
 
 def serialize_document(doc: Document) -> str:

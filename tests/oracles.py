@@ -1,5 +1,6 @@
 """Test-only reference implementations that the library's fast paths are checked against."""
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb, factorial, perm, prod
@@ -17,6 +18,12 @@ from dqkit.kernel import Poly, _add_term, grlex_key
 from dqkit.liealgebroid import AlgebroidCheck, AlgebroidForm, AlgebroidPresentation
 from dqkit.poisson import koszul_bracket
 from dqkit.starprod import GaugeOp, StarProduct, exp_gauge
+
+
+def canonical_json_reference(obj) -> str:
+    """The canonical text as json's own encoder writes it: what parser.canonical_json
+    must match byte for byte."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 def _as_rat(value) -> Fraction:

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -13,8 +14,9 @@ from dqkit.cli import dispatch
 from dqkit.diffop import PolyDiffOp
 from dqkit.errors import SolveError
 from dqkit.kernel import Poly
-from dqkit.parser import Document, canonical_json, diffop_to_payload, serialize_document
+from dqkit.parser import Document, diffop_to_payload, serialize_document
 from dqkit.starprod import GaugeOp, gauge_transform, moyal, specialize
+from oracles import canonical_json_reference
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -266,7 +268,39 @@ class TestFailureReports:
         assert code == cli.EXIT_INTERNAL == 3
         assert report["payload"] == {"error": "internal error: RuntimeError: boom"}
         assert not report["ok"] and report["defects"] == []
-        assert out == canonical_json(report)
+        assert out == canonical_json_reference(report)
+
+    def test_unwritable_out_exits_two_with_a_report(self, tmp_path):
+        path = str(tmp_path / "missing" / "r.json")
+        code, report, out = run(["poisson", "check", "--in", corpus("so3.json"), "--out", path])
+        assert code == cli.EXIT_INPUT == 2
+        assert report["command"] == "poisson check"
+        assert report["payload"] == {"error": f"cannot write --out {path}: {os.strerror(errno.ENOENT)}"}
+        assert not report["ok"] and report["defects"] == []
+        assert out == canonical_json_reference(report)
+        assert not os.path.exists(path)
+
+    def test_fault_while_rendering_exits_three_with_a_report(self, monkeypatch, capsys, tmp_path):
+        calls = []
+        real = cli.canonical_json
+
+        def fails_once(obj):
+            calls.append(obj)
+            if len(calls) == 1:
+                raise RuntimeError("render failed")
+            return real(obj)
+
+        monkeypatch.setattr(cli, "canonical_json", fails_once)
+        path = tmp_path / "r.json"
+        code, report, out = run(["poisson", "check", "--in", corpus("so3.json"), "--out", str(path)])
+        assert code == cli.EXIT_INTERNAL == 3
+        assert report["payload"] == {"error": "internal error: RuntimeError: render failed"}
+        assert not report["ok"] and report["defects"] == []
+        assert out == canonical_json_reference(report)
+        assert len(calls) == 2 and calls[0]["payload"] == {"poisson": True}
+        # the traceback goes to stderr; the failed report was never written
+        assert "RuntimeError: render failed" in capsys.readouterr().err
+        assert not path.exists()
 
     def test_solve_residual_is_in_the_report(self, tmp_path):
         # the Moyal plane gauged by R_1 = x2 d_x^2: sym(P_1) needs coefficient degree 1

@@ -9,7 +9,8 @@ from contextlib import redirect_stdout
 import pytest
 
 from dqkit.cli import dispatch
-from dqkit.parser import MAX_NESTING, canonical_json
+from dqkit.parser import MAX_NESTING
+from oracles import canonical_json_reference
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -482,7 +483,7 @@ class TestDocumentNesting:
         assert code == 2 and not report["ok"]
         assert needle in report["payload"]["error"]
         body = {k: report[k] for k in ("command", "ok", "payload", "defects")}
-        digest = hashlib.sha256(canonical_json(body).encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(canonical_json_reference(body).encode("utf-8")).hexdigest()
         assert report["canonical_sha256"] == digest
 
     def test_limit_names_the_path(self, tmp_path):

@@ -15,7 +15,7 @@ import pytest
 
 from dqkit.cli import dispatch
 from dqkit.kernel import Poly
-from dqkit.parser import canonical_json
+from oracles import canonical_json_reference
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -393,10 +393,10 @@ def test_report_hash_unchanged(command, name, tmp_path):
 @pytest.mark.parametrize("command,name", CASES, ids=[f"{c}:{n}" for c, n in CASES])
 def test_report_text_is_canonical_json(command, name, tmp_path):
     """The CLI encodes a report's body once and splices canonical_sha256 and
-    timing_ms into that text: it must be canonical_json of the whole report,
+    timing_ms into that text: it must be the canonical text of the whole report,
     byte for byte."""
     _, text = run_case_text(command, name, str(tmp_path))
-    assert text == canonical_json(json.loads(text))
+    assert text == canonical_json_reference(json.loads(text))
 
 
 def test_no_library_path_reads_poly_terms(monkeypatch, tmp_path):

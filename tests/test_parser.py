@@ -1,3 +1,4 @@
+import enum
 import glob
 import json
 import os
@@ -14,6 +15,7 @@ from dqkit.kernel import Poly, TPoly, _reduced
 from dqkit import parser
 from dqkit.parser import (
     MAX_NESTING,
+    canonical_json,
     parse_document,
     parse_poly,
     poly_to_text,
@@ -21,6 +23,7 @@ from dqkit.parser import (
 )
 
 from conftest import assert_clean_poly, rand_poly
+from oracles import canonical_json_reference
 
 
 def read_leaf(text, dim):
@@ -542,3 +545,74 @@ def test_idempotence_over_shipped_corpus():
         assert serialize_document(parse_document(once)) == once, path
         # shipped files are already canonical
         assert once == text, path
+
+
+# ----------------------------------------------------------------------
+# canonical_json against json's own indented encoder
+
+# quotes, backslashes, control characters, non-ASCII, astral and lone surrogates
+_SPECIAL_CHARS = ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9", "\u2028", "\U0001f600", "\ud800", "\udfff"]
+_TEXT = st.text(st.one_of(st.sampled_from(_SPECIAL_CHARS), st.characters(exclude_categories=())), max_size=8)
+_SCALARS = st.one_of(
+    _TEXT,
+    st.integers(),
+    st.integers(-(10**300), 10**300),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.sampled_from([-0.0, float("nan"), float("inf"), float("-inf")]),
+)
+
+
+def _json_values(depth):
+    """Scalars, lists, tuples and dicts with str keys, nested at most depth levels."""
+    if depth == 0:
+        return _SCALARS
+    inner = _json_values(depth - 1)
+    return st.one_of(
+        _SCALARS,
+        st.lists(st.integers(), max_size=6),
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+    )
+
+
+class _Tag(str):
+    pass
+
+
+class _Row(list):
+    pass
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class TestCanonicalJson:
+    @settings(max_examples=500, derandomize=True)
+    @given(_json_values(6))
+    def test_matches_json_dumps(self, obj):
+        assert canonical_json(obj) == canonical_json_reference(obj)
+
+    @pytest.mark.parametrize("obj", [
+        [], {}, [[]], {"a": {}}, [[], {}], {"": []}, [1, 2, 3], [1, True], [1, "1"], [1, None], [1, 2.0],
+        -0.0, float("nan"), [float("inf"), float("-inf")], 10**4000, -(10**4000), True, None, "\ud800",
+        _Tag('a"b'), {_Tag("k"): _Row([1, 2])}, [_Level.LOW, 2], (1, (2, "x")),
+    ], ids=lambda obj: type(obj).__name__)
+    def test_edge_values(self, obj):
+        assert canonical_json(obj) == canonical_json_reference(obj)
+
+    @pytest.mark.parametrize("obj", [{1: "a"}, {"a": 1, 2: "b"}, {None: 1}, {True: 1}, {(1, 2): 1}, set(), {"a": {1}}, [b"x"]])
+    def test_key_that_is_not_a_str_or_a_type_json_cannot_encode_raises(self, obj):
+        with pytest.raises(TypeError):
+            canonical_json(obj)
+
+    @pytest.mark.parametrize("obj", [10**5000, [1, -(10**5000)], {"a": [10**5000, "x"]}], ids=["int", "list", "dict"])
+    def test_int_past_the_int_to_string_limit_raises_as_json_does(self, obj):
+        with pytest.raises(ValueError) as expected:
+            canonical_json_reference(obj)
+        with pytest.raises(ValueError) as got:
+            canonical_json(obj)
+        assert str(got.value) == str(expected.value)
