@@ -27,6 +27,12 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
   its result is normalized once and becomes the operator's map.
 - **Views.**  ``terms``, ``sorted_terms()`` and ``coeff()`` decode keys into
   ``{orders tuple: Poly}`` on each access, as do results that are polynomials.
+- **Who reads keys.**  Only this module shifts, masks or sizes a key.  Other
+  modules use :class:`_OpAcc` and :class:`_Packed` for sums of compositions,
+  ``_built`` for a map they summed from keys of this module's operators,
+  ``_key``, ``_fields``, ``_summed`` and the ``_groups``/``_orders`` decoders
+  to read and write documents, ``solve_coboundary`` for the Hochschild solve,
+  and the ``terms`` and ``coeff()`` views for everything else.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from operator import mul, or_
 from struct import Struct, error as StructError
 from types import MappingProxyType
 
-from .errors import ArityMismatchError, BudgetError, DimensionMismatchError
+from .errors import ArityMismatchError, BudgetError, DimensionMismatchError, SolveError
 from .kernel import Poly, _ratio, _reduced
 
 _BITS = 16  # width of one packed field
@@ -106,12 +112,14 @@ def _built(dim: int, arity: int, num: dict, den: int) -> "PolyDiffOp":
 
 
 def _summed(dim: int, arity: int, parts) -> "PolyDiffOp":
-    """The operator of (packed orders, {packed exponents: numerator}, den)
+    """The operator of (_key(flat orders), {packed exponents: numerator}, den)
     terms, every field already within the budget."""
     den = lcm(*(d for _, num, d in parts if num))
+    block = _BITS * dim
     out = {}
-    for high, num, d in parts:
+    for orders, num, d in parts:
         f = den // d
+        high = orders << block  # the orders sit above the exponent block
         for k, n in num.items():
             _add_num(out, k | high, n * f)
     return _built(dim, arity, out, den)
@@ -149,8 +157,7 @@ class PolyDiffOp:
                 coeff = Poly.const(dim, coeff)
             if coeff.dim != dim:
                 raise DimensionMismatchError("coefficient dimension mismatch")
-            high = _key(sum(orders, ())) << _BITS * dim
-            parts.append((high, {_key(e): n for e, n in coeff._num.items()}, coeff._den))
+            parts.append((_key(sum(orders, ())), {_key(e): n for e, n in coeff._num.items()}, coeff._den))
         op = _summed(dim, arity, parts)
         self.dim = dim
         self.arity = arity
@@ -567,6 +574,68 @@ def hochschild_delta(Q: PolyDiffOp) -> PolyDiffOp:
         raise ArityMismatchError("hochschild_delta needs arity 1")
     q, m = _Packed(Q), _Packed(PolyDiffOp.multiplication(Q.dim))
     return _composed_sum(2, (q, 1, m, 1), (m, 1, q, -1), (m, 2, q, -1))
+
+
+def _pivot(key: int, n: int):
+    """(Q's key of x^e d^alpha, c) when `key`, the packed key of a term
+    x^e (d^beta (x) d^gamma) of an arity-2 operator on R^n, is the row that
+    fixes the unknown x^e d^alpha, alpha = beta + gamma, of solve_coboundary's
+    system, and c that term's coefficient in delta(x^e d^alpha); None for any
+    other row.
+
+    delta(x^e) = -x^e (f (x) g), and for |alpha| >= 2 the row is beta = e_i,
+    with i the last index where alpha_i > 0, in
+
+        delta(x^e d^alpha) = x^e sum_{0 < beta < alpha} C(alpha, beta) d^beta (x) d^(alpha - beta).
+
+    A derivation (|alpha| = 1) has no row: its delta is zero.
+    """
+    block = _BITS * n
+    beta, gamma = key >> block & (1 << block) - 1, key >> 2 * block
+    alpha = beta + gamma
+    # e_i packs as the lowest bit of alpha's top field
+    shift = max(alpha.bit_length() - 1, 0) // _BITS * _BITS
+    if alpha and (beta != 1 << shift or not gamma):
+        return None
+    return key & (1 << block) - 1 | alpha << block, alpha >> shift or -1
+
+
+def solve_coboundary(sym: PolyDiffOp, degree_bound: int) -> PolyDiffOp:
+    """The arity-1 Q with delta Q = sym, over operators x^e d^alpha with
+    polynomial coefficient degree |e| <= degree_bound.
+
+    The system is block-diagonal: the rows of x^e d^alpha are the terms
+    ((beta, alpha - beta), e), and beta + (alpha - beta) gives back alpha, so
+    no two unknowns share a row.  Each unknown is read off its row, named by
+    _pivot: the coefficient of x^e d^alpha in Q is t / c, where t is sym's
+    entry on that row.  One pass over sym's keys finds them, so the work is
+    set by those terms and not by the bound.  Every other row is checked at
+    once: SolveError carries the residual sym - delta Q when it is not zero.
+    """
+    if sym.arity != 2:
+        raise ArityMismatchError("solve_coboundary needs arity 2")
+    n = sym.dim
+    block = _BITS * n
+    low = (1 << block) - 1
+    picks = {}  # Q's key of x^e d^alpha -> (t, c)
+    for key, t in sym._num.items():
+        pivot = _pivot(key, n)
+        if pivot is None:
+            continue  # no unknown is read off this row; the residual checks it
+        if sum(_fields(key & low, n)) <= degree_bound:
+            picks[pivot[0]] = t, pivot[1]
+    # alpha and e in sorted order, so Q's storage order does not depend on sym's
+    order = sorted(picks, key=lambda k: (_fields(k >> block, n), _fields(k & low, n)))
+    top = lcm(*(c for _, c in picks.values()))  # every c divides it
+    num = {}
+    for k in order:
+        t, c = picks[k]
+        num[k] = t * (top // c)
+    Q = _built(n, 1, num, sym._den * top)
+    residual = sym - hochschild_delta(Q)
+    if not residual.is_zero():
+        raise SolveError("no Hochschild coboundary solution within bounds", residual=residual)
+    return Q
 
 
 def cocycle_defect(P: PolyDiffOp) -> PolyDiffOp:

@@ -457,7 +457,7 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
         if any(len(o) != dim for o in orders):
             raise SchemaError(f"multi-index length must equal dim = {dim}", epath + ".orders")
         try:
-            high = _key(flat) << 16 * dim
+            orders_key = _key(flat)
         except BudgetError as exc:
             raise SchemaError(str(exc), epath + ".orders") from None
         # a canonical leaf by the leaf reader, any other by the grammar; the
@@ -469,7 +469,7 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
             read = p._num, p._den
         num, den = read
         try:
-            parts.append((high, {_key(e): n for e, n in num.items()}, den))
+            parts.append((orders_key, {_key(e): n for e, n in num.items()}, den))
         except BudgetError as exc:
             raise SchemaError(str(exc), epath + ".coeff") from None
     if arity is None:

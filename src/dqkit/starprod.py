@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 from operator import attrgetter
 
 from .calculus import MultiVec
@@ -20,12 +20,12 @@ from .diffop import (
     _OpAcc,
     _Packed,
     _built,
-    _fields,
     apply_op,
     compose_into_slot,
     find_nonzero_args,
     hochschild_delta,
     partial_apply,
+    solve_coboundary,
     transpose,
     transpose_parts,
 )
@@ -35,7 +35,6 @@ from .errors import (
     DimensionMismatchError,
     OrderMismatchError,
     PreconditionError,
-    SolveError,
 )
 from .kernel import Poly, TPoly
 from .poisson import bracket, hamiltonian
@@ -150,17 +149,6 @@ def vector_field_op(xi: MultiVec) -> PolyDiffOp:
     return PolyDiffOp(xi.dim, 1, terms)
 
 
-def derivation_to_vector_field(op: PolyDiffOp) -> MultiVec:
-    """Inverse of vector_field_op; requires a first-order operator."""
-    terms = {}
-    for high, c in op._coeffs().items():
-        # d/dx_i packs as 1 << 16 (i - 1): one bit, the lowest of a 16-bit field
-        if high & (high - 1) or high.bit_length() % 16 != 1:
-            raise DegreeError("operator is not a vector field (has order != 1 terms)")
-        terms[(high.bit_length() // 16 + 1,)] = c
-    return MultiVec(op.dim, 1, terms)
-
-
 @dataclass(frozen=True)
 class Section:
     """A standard section phi = R~ restricted to O, inside the star model."""
@@ -239,37 +227,28 @@ def moyal(pi: MultiVec, order: int) -> StarProduct:
         raise DegreeError("moyal needs a bivector")
     if order > MAX_PACKED:
         raise BudgetError(f"order {order} is above the packing budget diffop.MAX_PACKED = {MAX_PACKED}")
-    n = pi.dim
-    entries = {}
     for (i, j), c in pi.terms.items():
         if not c.is_constant():
             raise PreconditionError(f"moyal needs constant coefficients; pi^{(i,j)} = {c!r}")
-        v = c.constant_value()
-        entries[(i, j)] = v
-        entries[(j, i)] = -v
-    # B over the common denominator den, packed with 16 bits per symbol:
-    # xi_i is field i - 1 and eta_j is field n + j - 1, the fields of
-    # d_i (x) d_j in an operator key once the block of x's exponents is
-    # shifted in below them
-    den = lcm(*(v.denominator for v in entries.values()))
-    symbol = {(1 << 16 * (i - 1)) + (1 << 16 * (n + j - 1)): v.numerator * (den // v.denominator)
-              for (i, j), v in entries.items()}
-    power = {0: 1}  # B^k over den^k
-    scale = 1  # 2^k k! den^k
+    # B is the operator of pi's biderivation, with constant coefficients, and
+    # the key of a product of two such terms is the sum of their keys
+    B = biderivation(pi)
+    power = {0: 1}  # B^k over B._den^k
+    scale = 1  # 2^k k! B._den^k
     ops = []
     for k in range(1, order + 1):
         # a sum that cancels keeps its place, so keys first appear in the
-        # same order as over all k-tuples of entries
+        # same order as over all k-tuples of B's terms
         nxt = {}
         get = nxt.get
         for k1, n1 in power.items():
-            for k2, n2 in symbol.items():
+            for k2, n2 in B._num.items():
                 key = k1 + k2
                 nxt[key] = get(key, 0) + n1 * n2
         power = nxt
-        scale *= 2 * k * den
-        ops.append(_built(n, 2, {key << 16 * n: v for key, v in power.items() if v}, scale))
-    return StarProduct(n, order, ops)
+        scale *= 2 * k * B._den
+        ops.append(_built(pi.dim, 2, {key: v for key, v in power.items() if v}, scale))
+    return StarProduct(pi.dim, order, ops)
 
 
 def unitality_defects(S: StarProduct):
@@ -351,13 +330,14 @@ def assoc_poisson(S: StarProduct) -> MultiVec:
     n = S.dim
     P1 = S.op(1)
     skew2 = P1 - transpose(P1)  # 2 * skew part
-    # a biderivation's value on (x_i, x_j) is its coefficient of d_i (x) d_j,
-    # packed as fields i - 1 and n + j - 1; any other skew2 fails the check below
-    coeffs = skew2._coeffs()
+    # a biderivation's value on (x_i, x_j) is its coefficient of d_i (x) d_j;
+    # any other skew2 fails the check below
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    view = skew2.terms
     terms = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            c = coeffs.get((1 << 16 * (i - 1)) | (1 << 16 * (n + j - 1)))
+            c = view.get((unit[i - 1], unit[j - 1]))
             if c is not None:
                 terms[(i, j)] = c
     result = MultiVec(n, 2, terms)
@@ -378,7 +358,7 @@ def _convolve(acc: _OpAcc, k: int, outer, slot: int, inner, sign=1, lo=0, hi=Non
     """
     for i in range(lo, k + 1 if hi is None else hi + 1):
         X, Y = outer[i], inner[k - i]
-        if X.op._num and Y.op._num:
+        if not (X.op.is_zero() or Y.op.is_zero()):
             acc.add_compose(X, slot, Y, sign)
 
 
@@ -406,21 +386,6 @@ def gauge_transform(S: StarProduct, R: GaugeOp) -> StarProduct:
         _convolve(acc, k, rops, 1, new_P, sign=-1, lo=1)
         new_P.append(_Packed(acc.op(2)))
     return StarProduct(S.dim, S.order, [h.op for h in new_P[1:]])
-
-
-def gauge_compose(R: GaugeOp, Q: GaugeOp) -> GaugeOp:
-    """(R o Q)(f) = R(Q(f)); series composition order by order."""
-    if (R.dim, R.order) != (Q.dim, Q.order):
-        raise OrderMismatchError("gauge operators disagree")
-    rops = [_Packed(R.op(i)) for i in range(R.order + 1)]
-    qops = [_Packed(Q.op(j)) for j in range(Q.order + 1)]  # shared by every order
-    ops = []
-    for k in range(1, R.order + 1):
-        acc = _OpAcc(R.dim)
-        acc.add_op(rops[k])  # R_k o Q_0 = R_k
-        _convolve(acc, k, rops, 1, qops, hi=k - 1)
-        ops.append(acc.op(1))
-    return GaugeOp(R.dim, R.order, ops)
 
 
 def invert_gauge(R: GaugeOp) -> GaugeOp:
@@ -458,70 +423,20 @@ def exp_gauge(Q: PolyDiffOp, order: int) -> GaugeOp:
 # specialization (Hochschild coboundary solve)
 
 
-def _pivot(key: int, n: int):
-    """(Q's key of x^e d^alpha, c) when `key`, the packed key of a term
-    x^e (d^beta (x) d^gamma) of an arity-2 operator on R^n, is the row that
-    fixes the unknown x^e d^alpha, alpha = beta + gamma, of specialize's system,
-    and c that term's coefficient in delta(x^e d^alpha); None for any other row.
-
-    delta(x^e) = -x^e (f (x) g), and for |alpha| >= 2 the row is beta = e_i,
-    with i the last index where alpha_i > 0, in
-
-        delta(x^e d^alpha) = x^e sum_{0 < beta < alpha} C(alpha, beta) d^beta (x) d^(alpha - beta).
-
-    A derivation (|alpha| = 1) has no row: its delta is zero.
-    """
-    block = 16 * n
-    beta, gamma = key >> block & (1 << block) - 1, key >> 2 * block
-    alpha = beta + gamma
-    # e_i packs as the lowest bit of alpha's top field
-    shift = max(alpha.bit_length() - 1, 0) // 16 * 16
-    if alpha and (beta != 1 << shift or not gamma):
-        return None
-    return key & (1 << block) - 1 | alpha << block, alpha >> shift or -1
-
-
 def specialize(S: StarProduct, degree_bound: int) -> GaugeOp:
     """A gauge R = exp(tQ) with gauge_transform(S, R) special.
 
     Q solves the Hochschild coboundary equation delta Q = sym(P_1) over
-    operators x^e d^alpha with polynomial coefficient degree |e| <= degree_bound.
-    The system is block-diagonal: the rows of x^e d^alpha are the terms
-    ((beta, alpha - beta), e), and beta + (alpha - beta) gives back alpha, so
-    no two unknowns share a row.  Each unknown is read off its row, named by
-    _pivot: the coefficient of x^e d^alpha in Q is t / c, where t is
-    sym(P_1)'s entry on that row.  One pass over sym(P_1)'s keys finds them,
-    so the work is set by those terms and not by the bound.  Every other row
-    is checked at once: SolveError carries the residual sym(P_1) - delta Q
-    when it is not zero.
+    operators x^e d^alpha with polynomial coefficient degree |e| <= degree_bound,
+    by diffop.solve_coboundary, which reads each unknown off its own row and
+    raises SolveError with the residual sym(P_1) - delta Q when it is not zero.
     """
     if not is_associative(S):
         raise PreconditionError("specialize requires an associative star product")
     sym, _ = transpose_parts(S.op(1))
-    n = S.dim
     if sym.is_zero():
-        return GaugeOp.identity_gauge(n, S.order)
-    block = 16 * n
-    low = (1 << block) - 1
-    picks = {}  # Q's key of x^e d^alpha -> (t, c)
-    for key, t in sym._num.items():
-        pivot = _pivot(key, n)
-        if pivot is None:
-            continue  # no unknown is read off this row; the residual checks it
-        if sum(_fields(key & low, n)) <= degree_bound:
-            picks[pivot[0]] = t, pivot[1]
-    # alpha and e in sorted order, so Q's storage order does not depend on sym's
-    order = sorted(picks, key=lambda k: (_fields(k >> block, n), _fields(k & low, n)))
-    top = lcm(*(c for _, c in picks.values()))  # every c divides it
-    num = {}
-    for k in order:
-        t, c = picks[k]
-        num[k] = t * (top // c)
-    Q = _built(n, 1, num, sym._den * top)
-    residual = sym - hochschild_delta(Q)
-    if not residual.is_zero():
-        raise SolveError("no Hochschild coboundary solution within bounds", residual=residual)
-    return exp_gauge(Q, S.order)
+        return GaugeOp.identity_gauge(S.dim, S.order)
+    return exp_gauge(solve_coboundary(sym, degree_bound), S.order)
 
 
 # ----------------------------------------------------------------------
@@ -530,7 +445,11 @@ def specialize(S: StarProduct, degree_bound: int) -> GaugeOp:
 
 def sigma1_class(S: StarProduct, sec: Section) -> Sigma1:
     """Extract the class of a section special relative to S; it is R_1, which
-    the speciality forces to be a derivation."""
+    the speciality forces to be a derivation.
+
+    delta(x^e d^alpha) with |alpha| != 1 is nonzero on rows that no other term
+    of R_1 shares, so delta R_1 = 0 leaves only terms c d/dx_i.
+    """
     if not is_special(S):
         raise PreconditionError("Sigma1 classes live over a special base")
     if sec.base != S:
@@ -543,7 +462,7 @@ def sigma1_class(S: StarProduct, sec: Section) -> Sigma1:
             "section is not special: R_1 is not a derivation",
             witness=(witness[0], witness[1]),
         )
-    return Sigma1(S, derivation_to_vector_field(R1))
+    return Sigma1(S, MultiVec(S.dim, 1, {(o.index(1) + 1,): c for (o,), c in R1.terms.items()}))
 
 
 def sigma1_act(phi: Sigma1, xi: MultiVec) -> Sigma1:
@@ -559,7 +478,9 @@ def subprincipal(S: StarProduct, sec: Section) -> MultiVec:
     c(phi)(f,g) = [coeff of t^2 in phi(f)*phi(g) - phi(g)*phi(f)]
                 - [coeff of t^1 in phi({f,g})],
 
-    assembled into a bivector from values on coordinate pairs.
+    assembled into a bivector from values on coordinate pairs.  With *' the
+    gauged product, phi(f)*phi(g) = R(f *' g), and P'_1 keeps P_1's skew part,
+    so the R_1{f,g} terms cancel: c(phi)(x_i, x_j) = P'_2(x_i, x_j) - P'_2(x_j, x_i).
     """
     if S.order < 2:
         raise OrderMismatchError("subprincipal curvature needs truncation order >= 2")
@@ -573,17 +494,14 @@ def subprincipal(S: StarProduct, sec: Section) -> MultiVec:
             "section is not special: induced P_1 has a symmetric part",
             witness=witness,
         )
+    assoc_poisson(S)  # refuses a P_1 whose skew part is not a biderivation
     n = S.dim
-    pi = assoc_poisson(S)
-    R1 = sec.R.op(1)
+    P2 = gauged.op(2)
     xs = [Poly.variable(n, i) for i in range(1, n + 1)]
     terms = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            fi = sec.value(xs[i - 1])
-            fj = sec.value(xs[j - 1])
-            comm = star_commutator(S, fi, fj)
-            terms[(i, j)] = comm.coeff(2) - apply_op(R1, bracket(pi, xs[i - 1], xs[j - 1]))
+            terms[(i, j)] = apply_op(P2, xs[i - 1], xs[j - 1]) - apply_op(P2, xs[j - 1], xs[i - 1])
     return MultiVec(n, 2, terms)
 
 
@@ -673,10 +591,7 @@ def contravariant_nabla(M: BimoduleModel, f: Poly, m: Poly) -> Poly:
         raise OrderMismatchError("the bimodule connection needs truncation order >= 2")
     if f.dim != S1.dim or m.dim != S1.dim:
         raise DimensionMismatchError("argument dimension mismatch")
-    mf = TPoly.from_poly(m, S1.order)
-    left = star_mul(S1, M.phi1.section().value(f), mf)
-    right = star_mul(S1, mf, M.G.apply(M.phi0.section().value(f)))
-    return (left - right).coeff(1)
+    return apply_op(nabla_operator(M, f), m)
 
 
 def nabla_operator(M: BimoduleModel, f: Poly) -> PolyDiffOp:
@@ -706,7 +621,7 @@ def nabla_curvature(M: BimoduleModel) -> MultiVec:
     n = S1.dim
     pi = assoc_poisson(S1)
     xs = [Poly.variable(n, i) for i in range(1, n + 1)]
-    zero_mi = (0,) * n
+    order0 = ((0,) * n,)  # the one order tuple of a multiplication operator
     terms = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -719,11 +634,11 @@ def nabla_curvature(M: BimoduleModel) -> MultiVec:
                 - compose_into_slot(Dj, 1, Di)
                 - Dij
             )
-            # a multiplication operator's keys hold exponents only
-            if any(k >> 16 * n for k in curv._num):
+            view = curv.terms
+            if view.keys() - {order0}:
                 raise PreconditionError(
                     "connection curvature is not a multiplication operator",
                     witness=curv,
                 )
-            terms[(i, j)] = curv.coeff((zero_mi,))
+            terms[(i, j)] = view.get(order0, Poly.zero(n))
     return MultiVec(n, 2, terms)

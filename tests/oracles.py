@@ -9,15 +9,16 @@ from operator import add, sub
 from dqkit.calculus import Form, MultiVec, wedge
 from dqkit.diffop import (
     PolyDiffOp,
+    apply_op,
     compose_into_slot,
     hochschild_delta,
     transpose_parts,
 )
 from dqkit.errors import DimensionMismatchError, IndexRangeError, SolveError
-from dqkit.kernel import Poly, _add_term, grlex_key
+from dqkit.kernel import Poly, TPoly, _add_term, grlex_key
 from dqkit.liealgebroid import AlgebroidCheck, AlgebroidForm, AlgebroidPresentation
-from dqkit.poisson import koszul_bracket
-from dqkit.starprod import GaugeOp, StarProduct, exp_gauge
+from dqkit.poisson import bracket, koszul_bracket
+from dqkit.starprod import GaugeOp, StarProduct, assoc_poisson, exp_gauge, star_commutator, star_mul
 
 
 def canonical_json_reference(obj) -> str:
@@ -119,7 +120,7 @@ def coboundary_pattern(alpha):
 
 def pivot_row(alpha):
     """The row that fixes the unknown x^e d^alpha of specialize's system, the
-    rule starprod._pivot applies to packed keys: (orders, c) with
+    rule diffop._pivot applies to packed keys: (orders, c) with
     c x^e (d^orders[0] (x) d^orders[1]) a term of delta(x^e d^alpha) and of no
     other delta(x^e' d^alpha'), or None for a derivation (|alpha| = 1), whose
     delta is zero.
@@ -523,6 +524,44 @@ def invert_gauge_by_neumann(R: GaugeOp) -> GaugeOp:
         power = {k: op for k, op in nxt.items() if not op.is_zero()}
         sign = -sign
     return GaugeOp(dim, N, total)
+
+
+def gauge_compose_reference(R: GaugeOp, Q: GaugeOp) -> GaugeOp:
+    """(R o Q)(f) = R(Q(f)) mod t^{N+1}: (R o Q)_k = sum_{i+j=k} R_i o Q_j, one
+    compose_into_slot per pair."""
+    ops = []
+    for k in range(1, R.order + 1):
+        acc = PolyDiffOp.zero(R.dim, 1)
+        for i in range(k + 1):
+            acc = acc + compose_into_slot(R.op(i), 1, Q.op(k - i))
+        ops.append(acc)
+    return GaugeOp(R.dim, R.order, ops)
+
+
+def subprincipal_by_commutator(S: StarProduct, sec) -> MultiVec:
+    """subprincipal(S, sec) as its definition reads, on t-series of polynomials:
+    c(phi)(x_i, x_j) is the t^2 coefficient of phi(x_i) * phi(x_j) - phi(x_j) * phi(x_i)
+    less the t^1 coefficient R_1{x_i, x_j} of phi({x_i, x_j})."""
+    n = S.dim
+    pi = assoc_poisson(S)
+    R1 = sec.R.op(1)
+    xs = [Poly.variable(n, i) for i in range(1, n + 1)]
+    terms = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            comm = star_commutator(S, sec.value(xs[i - 1]), sec.value(xs[j - 1]))
+            terms[(i, j)] = comm.coeff(2) - apply_op(R1, bracket(pi, xs[i - 1], xs[j - 1]))
+    return MultiVec(n, 2, terms)
+
+
+def contravariant_nabla_by_star_mul(M, f: Poly, m: Poly) -> Poly:
+    """contravariant_nabla(M, f, m) as its definition reads: the t^1 coefficient
+    of phi1(f) *1 m - m *1 Phi(phi0(f)), by star_mul on t-series."""
+    S1 = M.star1
+    mf = TPoly.from_poly(m, S1.order)
+    left = star_mul(S1, M.phi1.section().value(f), mf)
+    right = star_mul(S1, mf, M.G.apply(M.phi0.section().value(f)))
+    return (left - right).coeff(1)
 
 
 def moyal_by_tuples(pi: MultiVec, order: int) -> StarProduct:

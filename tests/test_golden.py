@@ -185,6 +185,15 @@ BUNDLES = {
         f=_poly(2, "x*y"),
         m=_poly(2, "y"),
     ),
+    # the bimodule twisted by G = gauge_xi.json (R_1 = x1 d_x, R_2 = d_x^2 / 2): P'_2 != P_2 and G_1 != 0
+    "nabla_gauge_xi": _bundle(
+        star=_load("moyal_plane.json"),
+        gauge=_load("gauge_xi.json"),
+        xi0=_mv(2, [{"indices": [2], "coeff": "x"}]),
+        xi1=_mv(2, [{"indices": [1], "coeff": "x"}, {"indices": [2], "coeff": "y^2"}]),
+        f=_poly(2, "x*y"),
+        m=_poly(2, "y"),
+    ),
     # error paths
     "bracket_missing_g": _bundle(pi=_load("so3.json"), f=_poly(3, "x")),
     "bracket_g_wrong_kind": _bundle(pi=_load("so3.json"), f=_poly(3, "x"), g=_mv(3, [{"indices": [1], "coeff": "x"}])),
@@ -238,7 +247,9 @@ CASES = (
        ("star specialize", "star_gauged_halfdx2"), ("star specialize --degree 0", "star_gauged_degree1"),
        ("star sigma1", "section_identity"),
        ("star subprincipal", "section_identity"), ("star adexp", "adexp_plane"),
-       ("star nabla", "nabla_plane"), ("star nabla-curv", "nabla_plane")]
+       ("star nabla", "nabla_plane"), ("star nabla-curv", "nabla_plane"),
+       ("star subprincipal", "gauge_plane"), ("star nabla", "nabla_gauge_xi"),
+       ("star nabla-curv", "nabla_gauge_xi")]
     # error paths: a missing entry, a wrong kind, a bare document where a bundle
     # is needed, a non-bundle for verify, the frame form entry, a usage error
     + [("poisson bracket", "bracket_missing_g"), ("poisson bracket", "bracket_g_wrong_kind"),
@@ -378,6 +389,9 @@ GOLDEN = {
     ('parse', 'exponent_product_over_digit_limit'): (2, "19e1fa1e6f36a123d56d485db384d340bb04407919b083560df876bfbeda59fc"),
     ('star specialize --degree 0', 'star_gauged_degree1'): (1, "f0a0a878fdb82b5a3a5fe4c67499ea577a23fdba57df2411af00a12a07f9f6e9"),
     ('diffop apply', 'apply_over_packed_budget'): (2, "6c0bcb697ecd76036437903894a7d0b1d78f1097351c2dc158127b21d5c1c01d"),
+    ('star subprincipal', 'gauge_plane'): (0, "66c178c7bc1cb4a4429cd357a747dfe594566c3370c6e757fbfb68e89d979a99"),
+    ('star nabla', 'nabla_gauge_xi'): (0, "6bb56cf12ef8b00b74014e4e2a0ed3cbabf585743198e5a1348f78b97c95097d"),
+    ('star nabla-curv', 'nabla_gauge_xi'): (0, "21e3d47c6eff44f607f37ee61fda2774e0a525cca40e53d6ed87b577227e64ab"),
 }
 
 

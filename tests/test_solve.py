@@ -14,13 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqkit.calculus import MultiVec
-from dqkit.diffop import PolyDiffOp, _key, hochschild_delta, transpose_parts
+from dqkit.diffop import PolyDiffOp, _key, _pivot, hochschild_delta, transpose_parts
 from dqkit.errors import SolveError
 from dqkit.kernel import Poly
 from dqkit.starprod import (
     GaugeOp,
     StarProduct,
-    _pivot,
     gauge_transform,
     moyal,
     specialize,
@@ -141,7 +140,7 @@ def test_work_does_not_depend_on_the_degree_bound():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_pivot_row_is_the_first_pattern_row(n):
     """specialize reads each unknown off the row that oracles.dense_solve pivots on:
-    the first term of delta(d^alpha) in hochschild_delta's key order.  starprod._pivot
+    the first term of delta(d^alpha) in hochschild_delta's key order.  diffop._pivot
     names that row on packed keys: every key x^e (d^beta (x) d^gamma) with
     |beta + gamma| <= 5 is checked against oracles.pivot_row."""
     for alpha in _multi_indices(n, 5):

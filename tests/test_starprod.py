@@ -1,6 +1,8 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqkit import starprod
 from dqkit.calculus import MultiVec
@@ -19,7 +21,6 @@ from dqkit.starprod import (
     assoc_poisson,
     biderivation,
     contravariant_nabla,
-    gauge_compose,
     gauge_transform,
     invert_gauge,
     is_associative,
@@ -39,7 +40,12 @@ from dqkit.starprod import (
 )
 
 from conftest import rand_gauge, rand_multivec, rand_poly, rand_vector_field
-from oracles import specialize_by_oracle
+from oracles import (
+    contravariant_nabla_by_star_mul,
+    gauge_compose_reference,
+    specialize_by_oracle,
+    subprincipal_by_commutator,
+)
 
 x = Poly.variable(2, 1)
 y = Poly.variable(2, 2)
@@ -200,8 +206,8 @@ class TestInvertGauge:
             R = rand_gauge(rng, 2, 2)
             Sp = gauge_transform(moyal2, R)
             assert gauge_transform(Sp, invert_gauge(R)) == moyal2
-            assert gauge_compose(R, invert_gauge(R)) == GaugeOp.identity_gauge(2, 2)
-            assert gauge_compose(invert_gauge(R), R) == GaugeOp.identity_gauge(2, 2)
+            assert gauge_compose_reference(R, invert_gauge(R)) == GaugeOp.identity_gauge(2, 2)
+            assert gauge_compose_reference(invert_gauge(R), R) == GaugeOp.identity_gauge(2, 2)
 
     def test_round_trip_order_three(self, moyal3, rng):
         for _ in range(5):
@@ -291,7 +297,7 @@ class TestSigma1:
             eta = rand_vector_field(rng, 2)
             Rx = GaugeOp.from_vector_field(xi, 2)
             Re = GaugeOp.from_vector_field(eta, 2)
-            comp = gauge_compose(Rx, Re)
+            comp = gauge_compose_reference(Rx, Re)
             assert comp.op(1) == vector_field_op(xi) + vector_field_op(eta)
             assert comp.op(2) == compose_into_slot(vector_field_op(xi), 1, vector_field_op(eta))
 
@@ -341,7 +347,7 @@ class TestSubprincipal:
             zeta = rand_vector_field(rng, 2)
             xi = rand_vector_field(rng, 2)
             R_phi = GaugeOp.from_vector_field(zeta, 2)
-            R_phixi = gauge_compose(R_phi, GaugeOp.from_vector_field(xi, 2))
+            R_phixi = gauge_compose_reference(R_phi, GaugeOp.from_vector_field(xi, 2))
             c_phi = subprincipal(moyal2, Section(moyal2, R_phi))
             c_phixi = subprincipal(moyal2, Section(moyal2, R_phixi))
             assert c_phixi - c_phi == lichnerowicz_d(pi_std, xi)
@@ -480,7 +486,68 @@ class TestBimodule:
         for _ in range(5):
             f = rand_poly(rng, 2)
             m = rand_poly(rng, 2)
-            assert apply_op(nabla_operator(M, f), m) == contravariant_nabla(M, f, m)
+            assert apply_op(nabla_operator(M, f), m) == contravariant_nabla_by_star_mul(M, f, m)
+
+
+VALUES = [Fraction(v) for v in (-2, -1, 1, 2)] + [Fraction(1, 2), Fraction(-1, 3)]
+
+
+def _monomials(n, top):
+    """Monomials of degree <= top on R^n with coefficients from VALUES."""
+    exps = [e for e in product(range(top + 1), repeat=n) if sum(e) <= top]
+    return st.builds(lambda e, c: Poly.monomial(n, e, c), st.sampled_from(exps), st.sampled_from(VALUES))
+
+
+def _vector_fields(n):
+    return st.dictionaries(st.integers(1, n).map(lambda i: (i,)), _monomials(n, 2), max_size=2).map(
+        lambda terms: MultiVec(n, 1, terms))
+
+
+@st.composite
+def _special_gauges(draw, n, N):
+    """A gauge whose R_1 is a vector field and whose R_2..R_N are any arity-1
+    operators of order <= 2, with monomial coefficients of degree <= 2."""
+    orders = [(a,) for a in product(range(3), repeat=n) if sum(a) <= 2]
+    rest = [PolyDiffOp(n, 1, draw(st.dictionaries(st.sampled_from(orders), _monomials(n, 2), max_size=2)))
+            for _ in range(N - 1)]
+    return GaugeOp(n, N, [vector_field_op(draw(_vector_fields(n))), *rest])
+
+
+@st.composite
+def special_sections(draw):
+    """(S, R): S a Moyal product of a constant bivector on R^n, n = 2-4, at order
+    N = 2-3, gauged by a _special_gauges gauge, so S is special; R another such
+    gauge, whose section is special over S."""
+    n = draw(st.integers(2, 4))
+    N = draw(st.integers(2, 3))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pi = MultiVec(n, 2, draw(st.dictionaries(st.sampled_from(pairs), st.sampled_from(VALUES), min_size=1)))
+    S = gauge_transform(moyal(pi, N), draw(_special_gauges(n, N)))
+    return S, draw(_special_gauges(n, N))
+
+
+class TestOperatorIdentities:
+    """subprincipal and contravariant_nabla read operator identities of the
+    gauged product and of nabla_operator; the definitions on t-series of
+    polynomials, in oracles.py, must give the same values."""
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(special_sections())
+    def test_subprincipal_matches_star_commutator(self, case):
+        S, R = case
+        sec = Section(S, R)
+        assert subprincipal(S, sec) == subprincipal_by_commutator(S, sec)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(special_sections(), st.data())
+    def test_nabla_matches_star_mul(self, case, data):
+        S1, G = case
+        n = S1.dim
+        xi0, xi1 = data.draw(_vector_fields(n)), data.draw(_vector_fields(n))
+        M = BimoduleModel(S1, G, Sigma1(gauge_transform(S1, G), xi0), Sigma1(S1, xi1))
+        polys = st.lists(_monomials(n, 3), max_size=3).map(lambda ms: sum(ms, Poly.zero(n)))
+        f, m = data.draw(polys), data.draw(polys)
+        assert contravariant_nabla(M, f, m) == contravariant_nabla_by_star_mul(M, f, m)
 
 
 SERIES = [
