@@ -7,8 +7,8 @@ coefficients.  Degree 0 uses the empty tuple as its single key.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
 
 from .errors import DegreeError, DimensionMismatchError
 from .kernel import Poly, _add_term
@@ -228,20 +228,53 @@ def wedge(A, B):
 
 
 def exterior_d(omega: Form) -> Form:
-    """De Rham differential; raises the degree by one and squares to zero."""
+    """De Rham differential; raises the degree by one and squares to zero.
+    It is the Cartan differential of the tangent algebroid: identity anchor, no brackets."""
     if not isinstance(omega, Form):
         raise TypeError("exterior_d acts on forms")
+    rows = [(a, [(a, 1)]) for a in range(1, omega.dim + 1)]
+    return Form(omega.dim, omega.degree + 1, _cartan(omega.terms, rows, {}))
+
+
+def _cartan(terms, anchor_rows, brackets) -> dict:
+    """The Cartan differential on a form's term map {K: f}, over the frame:
+
+    (d omega)(b_0..b_p) = sum_i (-1)^i sigma(b_i) omega(.. b_i ..)
+                        + sum_{i<j} (-1)^{i+j} omega([b_i,b_j], .. b_i, b_j ..)
+
+    ``anchor_rows`` lists (a, [(i, sigma(e_a)^i)]) and ``brackets`` maps k to
+    [(a, b, c_{ab}^k)], nonzero entries only.  sigma(e_a) f goes to K + {a}
+    for each a not in K, and c_{ab}^k f to (K - {k}) + {a, b} for each k in K,
+    each with the sign of its positions in the sorted key, so the cost grows
+    with the nonzero terms, not with the frame keys.
+    """
     out = {}
-    for idx, c in omega.terms.items():
-        for i in range(1, omega.dim + 1):
-            p = c.partial(i)
-            if p.is_zero():
+    for key, f in terms.items():
+        partials = {}  # d_i f, taken once per term and only where an anchor entry needs it
+        for a, entries in anchor_rows:
+            if a in key:
                 continue
-            sign, key = sort_indices((i,) + idx)
-            if sign == 0:
-                continue
-            _add_term(out, key, p if sign > 0 else -p)
-    return Form(omega.dim, omega.degree + 1, out)
+            val = None
+            for i, s in entries:
+                df = partials.get(i)
+                if df is None:
+                    df = partials[i] = f.partial(i)
+                if not df.is_zero():
+                    val = s * df if val is None else val + s * df
+            if val is not None and not val.is_zero():
+                pos = bisect_left(key, a)
+                _add_term(out, key[:pos] + (a,) + key[pos:], -val if pos % 2 else val)
+        for pos, k in enumerate(key):
+            rest = key[:pos] + key[pos + 1 :]
+            for a, b, c in brackets.get(k, ()):
+                if a in rest or b in rest:
+                    continue
+                # a lands at position i and b at j + 1 of the sorted key
+                i, j = bisect_left(rest, a), bisect_left(rest, b)
+                term = c * f
+                _add_term(out, rest[:i] + (a,) + rest[i:j] + (b,) + rest[j:],
+                          -term if (i + j + 1 + pos) % 2 else term)
+    return out
 
 
 def interior(X: MultiVec, omega: Form) -> Form:
@@ -414,20 +447,25 @@ def anchor_pullback(pi: MultiVec, omega: Form) -> MultiVec:
     Equivalently, T evaluated on covectors a^1..a^p equals
     (-1)^p omega(pi~ a^1, .., pi~ a^p); for p = 1 this is the anchor itself,
     and for p = 2 the value on (dx_i, dx_j) is omega(pi~ dx_i, pi~ dx_j).
-    The result is reconstructed from its values on coordinate differentials,
-    which is valid because it is a multiderivation.
+    It is summed over omega's nonzero terms w dx_J as
+    w (pi~ dx_{j_1}) ^ .. ^ (pi~ dx_{j_p}).
     """
     if pi.degree != 2:
         raise DegreeError("anchor_pullback needs a bivector")
     if pi.dim != omega.dim:
         raise DimensionMismatchError(f"dimensions differ: {pi.dim} vs {omega.dim}")
-    dim, p = pi.dim, omega.degree
-    if p == 0:
-        return MultiVec.from_poly(omega.as_poly())
-    images = {i: anchor(pi, Form.basis(dim, i)) for i in range(1, dim + 1)}
-    sign = -1 if p % 2 else 1
+    return _raised(omega, [pi] * omega.degree)
+
+
+def _raised(omega: Form, pis) -> MultiVec:
+    """sum over omega's nonzero terms w dx_J of
+    w (pis[0]~ dx_{j_1}) ^ .. ^ (pis[p-1]~ dx_{j_p}): slot s raised through pis[s]."""
+    dim = omega.dim
     terms = {}
-    for key in combinations(range(1, dim + 1), p):
-        val = form_eval(omega, [images[i] for i in key])
-        terms[key] = val if sign == 1 else -val
-    return MultiVec(dim, p, terms)
+    for J, w in omega.terms.items():
+        t = MultiVec.from_poly(w)
+        for pi, j in zip(pis, J):
+            t = wedge(t, anchor(pi, Form.basis(dim, j)))
+        for key, c in t.terms.items():
+            _add_term(terms, key, c)
+    return MultiVec(dim, omega.degree, terms)

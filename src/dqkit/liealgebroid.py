@@ -8,14 +8,13 @@ algebraic and fully exercised on free presentations.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .calculus import Form, MultiVec, _AltTensor, anchor
+from .calculus import Form, MultiVec, _AltTensor, _cartan, anchor
 from .errors import DegreeError, DimensionMismatchError, PreconditionError
-from .kernel import Poly, _add_term
+from .kernel import Poly
 
 
 class AlgebroidForm(_AltTensor):
@@ -171,46 +170,11 @@ def check_algebroid(A: AlgebroidPresentation) -> AlgebroidCheck:
 
 
 def algebroid_d(A: AlgebroidPresentation, omega: AlgebroidForm) -> AlgebroidForm:
-    """The Cartan differential, evaluated on the frame:
-
-    (d omega)(b_0..b_p) = sum_i (-1)^i sigma(b_i) omega(.. b_i ..)
-                        + sum_{i<j} (-1)^{i+j} omega([b_i,b_j], .. b_i, b_j ..)
-
-    The sum runs over omega's nonzero terms f theta^K and the nonzero anchor
-    and structure entries only: sigma(e_a) f goes to K + {a} for each a not
-    in K, and c_{ab}^k f to (K - {k}) + {a, b} for each k in K, each with the
-    sign of its positions in the sorted key.  The cost grows with the number
-    of those terms, not with the C(rank, p+1) frame keys.
-    """
+    """The Cartan differential of the presentation, summed by calculus._cartan
+    over omega's nonzero terms and A's nonzero anchor and structure entries."""
     if omega.rank != A.rank or omega.dim != A.dim:
         raise DimensionMismatchError("form does not match the algebroid presentation")
-    terms = {}
-    for key, f in omega.terms.items():
-        partials = {}  # d_i f, taken once per term and only where an anchor entry needs it
-        for a, entries in A._anchor_rows:
-            if a in key:
-                continue
-            val = None
-            for i, s in entries:
-                df = partials.get(i)
-                if df is None:
-                    df = partials[i] = f.partial(i)
-                if not df.is_zero():
-                    val = s * df if val is None else val + s * df
-            if val is not None and not val.is_zero():
-                pos = bisect_left(key, a)
-                _add_term(terms, key[:pos] + (a,) + key[pos:], -val if pos % 2 else val)
-        for pos, k in enumerate(key):
-            rest = key[:pos] + key[pos + 1 :]
-            for a, b, c in A._brackets.get(k, ()):
-                if a in rest or b in rest:
-                    continue
-                # a lands at position i and b at j + 1 of the sorted key
-                i, j = bisect_left(rest, a), bisect_left(rest, b)
-                term = c * f
-                _add_term(terms, rest[:i] + (a,) + rest[i:j] + (b,) + rest[j:],
-                          -term if (i + j + 1 + pos) % 2 else term)
-    return AlgebroidForm(A.dim, A.rank, omega.degree + 1, terms)
+    return AlgebroidForm(A.dim, A.rank, omega.degree + 1, _cartan(omega.terms, A._anchor_rows, A._brackets))
 
 
 def from_poisson(pi: MultiVec) -> AlgebroidPresentation:

@@ -5,17 +5,18 @@ closed 3-form H subject to [pi_t, pi_t] = pi_t~^3(H); the defect of that
 equation is computed order by order.  The triple contraction is normalized as
 H(pi~ a, pi~ b, pi~ c) with no combinatorial prefactor; any overall constant
 would rescale defects uniformly, and nonzero regression values are pinned to
-this convention.
+this convention.  It is -anchor_pullback(pi_t, H), which is trilinear in pi_t,
+so its order-m part is
+
+    -sum_{i+j+k=m} sum_J H_J (pi_i~ dx_{j_1}) ^ (pi_j~ dx_{j_2}) ^ (pi_k~ dx_{j_3}).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
-from .calculus import Form, MultiVec, anchor, anchor_pullback, exterior_d, form_eval, schouten
+from .calculus import Form, MultiVec, _raised, anchor_pullback, exterior_d, schouten
 from .errors import DegreeError, DimensionMismatchError, OrderMismatchError, PreconditionError
-from .kernel import Poly
 from .poisson import lichnerowicz_d
 
 
@@ -55,30 +56,13 @@ class QCData:
 
 
 def _triple_contraction(Q: QCData, m: int) -> MultiVec:
-    """sum_{i+j+k=m} H(pi_i~ ., pi_j~ ., pi_k~ .), assembled as a 3-vector.
-
-    Individual (i,j,k) summands are not alternating, but the full sum is, so
-    reconstruction from coordinate differentials is valid.
-    """
-    n = Q.dim
-    images = {}
-    for k in range(1, Q.order + 1):
-        images[k] = {
-            i: anchor(Q.pi(k), Form.basis(n, i)) for i in range(1, n + 1)
-        }
-    terms = {}
-    for key in combinations(range(1, n + 1), 3):
-        val = Poly.zero(n)
-        for i in range(1, min(Q.order, m - 2) + 1):
-            for j in range(1, min(Q.order, m - i - 1) + 1):
-                k = m - i - j
-                if not 1 <= k <= Q.order:
-                    continue
-                val = val + form_eval(
-                    Q.H, [images[i][key[0]], images[j][key[1]], images[k][key[2]]]
-                )
-        terms[key] = val
-    return MultiVec(n, 3, terms)
+    """sum_{i+j+k=m} H(pi_i~ ., pi_j~ ., pi_k~ .) as a 3-vector: the order-m part
+    of -anchor_pullback(pi_t, H), raised slot by slot through pi_i, pi_j, pi_k."""
+    out = MultiVec.zero(Q.dim, 3)
+    for i in range(1, m - 1):
+        for j in range(1, m - i):
+            out = out - _raised(Q.H, [Q.pi(i), Q.pi(j), Q.pi(m - i - j)])
+    return out
 
 
 def mc_defect_order(Q: QCData, m: int) -> MultiVec:

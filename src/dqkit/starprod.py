@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import factorial
 from operator import attrgetter
 
@@ -73,6 +74,25 @@ class _OpSeries:
             return self.unit(self.dim)
         return self.ops[k - 1]
 
+    def _act(self, *args: TPoly) -> TPoly:
+        """sum_k t^k sum_{l+|i|=k} X_l(args_i) mod t^{N+1}, with X_0 the unit and
+        args_i the arguments' coefficients at the t-orders i = (i_1, ..)."""
+        out = []
+        for k in range(self.order + 1):
+            acc = Poly.zero(self.dim)
+            for l in range(k + 1):
+                X = self.op(l)
+                if X.is_zero():
+                    continue
+                for i in product(range(k - l + 1), repeat=len(args)):
+                    if sum(i) != k - l:
+                        continue
+                    cs = [a.coeff(j) for a, j in zip(args, i)]
+                    if not any(c.is_zero() for c in cs):
+                        acc = acc + apply_op(X, *cs)
+            out.append(acc)
+        return TPoly(self.order, out)
+
     @classmethod
     def zero(cls, dim: int, order: int):
         """The series of the unit alone: every X_k with k >= 1 is zero."""
@@ -122,15 +142,7 @@ class GaugeOp(_OpSeries):
         """(R f)_k = sum_{i+j=k} R_i(f_j)."""
         if f.order != self.order or f.dim != self.dim:
             raise OrderMismatchError("gauge operator and argument disagree")
-        out = [Poly.zero(self.dim) for _ in range(self.order + 1)]
-        for k in range(self.order + 1):
-            acc = f.coeff(k)  # R_0 = 1
-            for i in range(1, k + 1):
-                Ri = self.op(i)
-                if not Ri.is_zero():
-                    acc = acc + apply_op(Ri, f.coeff(k - i))
-            out[k] = acc
-        return TPoly(self.order, out)
+        return self._act(f)
 
     def apply_poly(self, f: Poly) -> TPoly:
         """The standard section determined by R: f -> sum R_i(f) t^i."""
@@ -191,23 +203,7 @@ def star_mul(S: StarProduct, a: TPoly, b: TPoly) -> TPoly:
         raise OrderMismatchError("operand truncation orders must match the product")
     if a.dim != S.dim or b.dim != S.dim:
         raise DimensionMismatchError("operand dimensions must match the product")
-    out = [Poly.zero(S.dim) for _ in range(S.order + 1)]
-    for k in range(S.order + 1):
-        acc = Poly.zero(S.dim)
-        for l in range(k + 1):
-            Pl = S.op(l)
-            if Pl.is_zero():
-                continue
-            for i in range(k - l + 1):
-                ai = a.coeff(i)
-                if ai.is_zero():
-                    continue
-                bj = b.coeff(k - l - i)
-                if bj.is_zero():
-                    continue
-                acc = acc + apply_op(Pl, ai, bj)
-        out[k] = acc
-    return TPoly(S.order, out)
+    return S._act(a, b)
 
 
 def star_commutator(S: StarProduct, a: TPoly, b: TPoly) -> TPoly:
@@ -495,14 +491,16 @@ def subprincipal(S: StarProduct, sec: Section) -> MultiVec:
             witness=witness,
         )
     assoc_poisson(S)  # refuses a P_1 whose skew part is not a biderivation
-    n = S.dim
     P2 = gauged.op(2)
+    return _on_coordinate_pairs(P2 - transpose(P2))
+
+
+def _on_coordinate_pairs(D: PolyDiffOp) -> MultiVec:
+    """The bivector with c^{ij} = D(x_i, x_j) for i < j."""
+    n = D.dim
     xs = [Poly.variable(n, i) for i in range(1, n + 1)]
-    terms = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            terms[(i, j)] = apply_op(P2, xs[i - 1], xs[j - 1]) - apply_op(P2, xs[j - 1], xs[i - 1])
-    return MultiVec(n, 2, terms)
+    return MultiVec(n, 2, {(i, j): apply_op(D, xs[i - 1], xs[j - 1])
+                           for i in range(1, n + 1) for j in range(i + 1, n + 1)})
 
 
 def ad_exp(S: StarProduct, alpha: TPoly, b: TPoly) -> TPoly:
@@ -576,12 +574,13 @@ class BimoduleModel:
             raise OrderMismatchError("gauge operator must match the star product")
         if self.phi1.base != self.star1:
             raise PreconditionError("phi1 must be a class over star1")
-        if self.phi0.base != self.star0:
+        if self.phi0.base != gauge_transform(self.star1, self.G):
             raise PreconditionError("phi0 must be a class over gauge_transform(star1, G)")
 
     @property
     def star0(self) -> StarProduct:
-        return gauge_transform(self.star1, self.G)
+        """A_0, which the constructor checked to equal gauge_transform(star1, G)."""
+        return self.phi0.base
 
 
 def contravariant_nabla(M: BimoduleModel, f: Poly, m: Poly) -> Poly:
@@ -621,12 +620,12 @@ def nabla_curvature(M: BimoduleModel) -> MultiVec:
     n = S1.dim
     pi = assoc_poisson(S1)
     xs = [Poly.variable(n, i) for i in range(1, n + 1)]
+    Ds = [nabla_operator(M, x) for x in xs]
     order0 = ((0,) * n,)  # the one order tuple of a multiplication operator
     terms = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            Di = nabla_operator(M, xs[i - 1])
-            Dj = nabla_operator(M, xs[j - 1])
+            Di, Dj = Ds[i - 1], Ds[j - 1]
             # [df_i, df_j]_pi = d{f_i, f_j}: the bracket of exact forms is exact
             Dij = nabla_operator(M, bracket(pi, xs[i - 1], xs[j - 1]))
             curv = (

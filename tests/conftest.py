@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from dqkit.calculus import Form, MultiVec
 from dqkit.diffop import PolyDiffOp
@@ -36,6 +37,29 @@ def rand_poly(rng, dim, max_degree=2, terms=2, span=3):
             e[rng.randrange(dim)] += 1
         out[tuple(e)] = out.get(tuple(e), 0) + Fraction(rng.randint(-span, span))
     return Poly(dim, {k: v for k, v in out.items() if v})
+
+
+def polys(n):
+    """Hypothesis strategy: polynomials on R^n with at most two terms of degree
+    <= 2 in each variable and small rational coefficients."""
+    monomials = st.tuples(*[st.integers(0, 2)] * n)
+    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    return st.dictionaries(monomials, coeffs, max_size=2).map(
+        lambda terms: Poly(n, {e: c for e, c in terms.items() if c})
+    )
+
+
+def alt_tensors(cls, n, degree, max_size=3, min_size=0):
+    """Hypothesis strategy: a Form or MultiVec of the given degree on R^n with
+    min_size..max_size nonzero terms, or as many as there are keys; the zero
+    tensor when the degree is above n."""
+    keys = list(combinations(range(1, n + 1), degree))
+    if not keys:
+        return st.just(cls(n, degree))
+    nonzero = polys(n).filter(lambda p: not p.is_zero())
+    return st.dictionaries(st.sampled_from(keys), nonzero, min_size=min(min_size, len(keys)), max_size=max_size).map(
+        lambda terms: cls(n, degree, terms)
+    )
 
 
 def rand_vector_field(rng, dim, max_degree=2):

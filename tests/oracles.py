@@ -6,7 +6,7 @@ from itertools import combinations, product
 from math import comb, factorial, perm, prod
 from operator import add, sub
 
-from dqkit.calculus import Form, MultiVec, wedge
+from dqkit.calculus import Form, MultiVec, anchor, form_eval, sort_indices, wedge
 from dqkit.diffop import (
     PolyDiffOp,
     apply_op,
@@ -591,6 +591,79 @@ def moyal_by_tuples(pi: MultiVec, order: int) -> StarProduct:
             terms[key] = terms.get(key, Fraction(0)) + coeff
         ops.append(PolyDiffOp(n, 2, {k2: v for k2, v in terms.items() if v != 0}))
     return StarProduct(n, order, ops)
+
+
+def exterior_d_by_sorting(omega: Form) -> Form:
+    """exterior_d by sorting dx_i ^ dx_K for every term f dx_K and every i:
+    the sign of d_i f is the parity of the sort, and a repeated index drops it."""
+    out = {}
+    for idx, c in omega.terms.items():
+        for i in range(1, omega.dim + 1):
+            p = c.partial(i)
+            if p.is_zero():
+                continue
+            sign, key = sort_indices((i,) + idx)
+            if sign == 0:
+                continue
+            _add_term(out, key, p if sign > 0 else -p)
+    return Form(omega.dim, omega.degree + 1, out)
+
+
+def anchor_pullback_by_images(pi: MultiVec, omega: Form) -> MultiVec:
+    """anchor_pullback from its values on coordinate differentials: for every
+    key K of C(n, p), (-1)^p omega(pi~ dx_{k_1}, .., pi~ dx_{k_p})."""
+    dim, p = pi.dim, omega.degree
+    if p == 0:
+        return MultiVec.from_poly(omega.as_poly())
+    images = {i: anchor(pi, Form.basis(dim, i)) for i in range(1, dim + 1)}
+    sign = -1 if p % 2 else 1
+    terms = {}
+    for key in combinations(range(1, dim + 1), p):
+        val = form_eval(omega, [images[i] for i in key])
+        terms[key] = val if sign == 1 else -val
+    return MultiVec(dim, p, terms)
+
+
+def triple_contraction_by_images(Q, m: int) -> MultiVec:
+    """qclimit._triple_contraction from its values on coordinate differentials:
+    for every key K of C(n, 3), sum_{i+j+k=m} H(pi_i~ dx_{k_1}, pi_j~ dx_{k_2},
+    pi_k~ dx_{k_3}).  The summands are not alternating one by one; their sum is."""
+    n = Q.dim
+    images = {k: {i: anchor(Q.pi(k), Form.basis(n, i)) for i in range(1, n + 1)}
+              for k in range(1, Q.order + 1)}
+    terms = {}
+    for key in combinations(range(1, n + 1), 3):
+        val = Poly.zero(n)
+        for i in range(1, min(Q.order, m - 2) + 1):
+            for j in range(1, min(Q.order, m - i - 1) + 1):
+                k = m - i - j
+                if 1 <= k <= Q.order:
+                    val = val + form_eval(Q.H, [images[i][key[0]], images[j][key[1]], images[k][key[2]]])
+        terms[key] = val
+    return MultiVec(n, 3, terms)
+
+
+def star_mul_by_convolution(S: StarProduct, a: TPoly, b: TPoly) -> TPoly:
+    """(a * b)_k = sum_{l+i+j=k} P_l(a_i, b_j), P_0 = multiplication."""
+    out = []
+    for k in range(S.order + 1):
+        acc = Poly.zero(S.dim)
+        for l in range(k + 1):
+            for i in range(k - l + 1):
+                acc = acc + apply_op(S.op(l), a.coeff(i), b.coeff(k - l - i))
+        out.append(acc)
+    return TPoly(S.order, out)
+
+
+def gauge_apply_by_convolution(R: GaugeOp, f: TPoly) -> TPoly:
+    """(R f)_k = f_k + sum_{i=1..k} R_i(f_{k-i})."""
+    out = []
+    for k in range(R.order + 1):
+        acc = f.coeff(k)
+        for i in range(1, k + 1):
+            acc = acc + apply_op(R.op(i), f.coeff(k - i))
+        out.append(acc)
+    return TPoly(R.order, out)
 
 
 class RefPoly:

@@ -2,6 +2,7 @@ from fractions import Fraction
 from operator import add, sub
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqkit.calculus import (
     Form,
@@ -19,10 +20,10 @@ from dqkit.calculus import (
 from dqkit.errors import DegreeError, DimensionMismatchError
 from dqkit.kernel import Poly
 from dqkit.liealgebroid import AlgebroidForm
-from dqkit.poisson import bracket
+from dqkit.poisson import bracket, is_poisson
 
-from conftest import rand_form, rand_multivec, rand_poly, rand_vector_field
-from oracles import schouten_by_recursion
+from conftest import alt_tensors, rand_form, rand_multivec, rand_poly, rand_vector_field
+from oracles import anchor_pullback_by_images, exterior_d_by_sorting, schouten_by_recursion
 
 x = Poly.variable(2, 1)
 y = Poly.variable(2, 2)
@@ -77,6 +78,23 @@ class TestExteriorD:
             deg = rng.randint(0, dim)
             w = rand_form(rng, dim, deg)
             assert exterior_d(exterior_d(w)).is_zero()
+
+    def test_matches_sorting_oracle(self):
+        """exterior_d, the Cartan differential of the tangent algebroid, against
+        sorting dx_i ^ dx_K term by term: the same terms in the same order, on
+        R^1..R^5 in every degree 0..n+1, zero forms included."""
+        seen = set()
+
+        @settings(max_examples=150, derandomize=True, deadline=None)
+        @given(st.integers(1, 5).flatmap(lambda n: st.integers(0, n + 1).flatmap(lambda p: alt_tensors(Form, n, p))))
+        def run(w):
+            got, want = exterior_d(w), exterior_d_by_sorting(w)
+            assert got == want and list(got.terms) == list(want.terms)
+            seen.add("degree 0" if w.degree == 0 else "above dim" if w.degree > w.dim else "between")
+            seen.add("zero form" if w.is_zero() else "nonzero d" if not got.is_zero() else "closed nonzero")
+
+        run()
+        assert seen == {"degree 0", "between", "above dim", "zero form", "nonzero d", "closed nonzero"}
 
 
 class TestInterior:
@@ -216,6 +234,31 @@ class TestAnchor:
             lhs = pair(res, a1, a2)
             rhs = form_eval(w, [anchor(pi_so3, a1), anchor(pi_so3, a2)])
             assert lhs == rhs
+
+    def test_pullback_matches_image_oracle(self):
+        """anchor_pullback, summed over omega's terms as wedges of anchor images,
+        against (-1)^p omega(pi~ dx_{k_1}, ..) on every key of C(n, p): R^1..R^5,
+        degrees 0..n+1, zero forms and non-Poisson bivectors included."""
+        seen = set()
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(1, 5))
+            return draw(alt_tensors(MultiVec, n, 2, max_size=4)), draw(alt_tensors(Form, n, draw(st.integers(0, n + 1))))
+
+        @settings(max_examples=150, derandomize=True, deadline=None)
+        @given(cases())
+        def run(case):
+            pi, w = case
+            got = anchor_pullback(pi, w)
+            assert got == anchor_pullback_by_images(pi, w)
+            seen.add("degree 0" if w.degree == 0 else "above dim" if w.degree > w.dim else "between")
+            seen.add("zero form" if w.is_zero() else "nonzero form")
+            if not is_poisson(pi).ok and not got.is_zero():
+                seen.add("non-Poisson")
+
+        run()
+        assert seen == {"degree 0", "between", "above dim", "zero form", "nonzero form", "non-Poisson"}
 
     def test_pullback_degree_one_is_anchor(self, rng, pi_so3):
         for _ in range(8):

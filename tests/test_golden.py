@@ -194,6 +194,19 @@ BUNDLES = {
         f=_poly(2, "x*y"),
         m=_poly(2, "y"),
     ),
+    # a closed H at order 3 on R^4: the order-4 defect mixes pi_1 and pi_2 in the triple contraction
+    "qc_r4_order3": {"kind": "qc", "dim": 4, "order": 3, "payload": {
+        "pis": [[{"indices": [1, 2], "coeff": "1"}, {"indices": [3, 4], "coeff": "1"}],
+                [{"indices": [1, 3], "coeff": "x4"}, {"indices": [2, 4], "coeff": "x1"}],
+                [{"indices": [1, 4], "coeff": "x2*x3"}]],
+        "H": [{"indices": [1, 2, 3], "coeff": "x4"}, {"indices": [2, 3, 4], "coeff": "x1"}]}},
+    # kappa on R^3 at order 2, where B has more than one 2-form key
+    "kappa_r3_order2": _bundle(
+        qc={"kind": "qc", "dim": 3, "order": 2, "payload": {
+            "pis": [[{"indices": [1, 2], "coeff": "1"}], [{"indices": [2, 3], "coeff": "1"}]],
+            "H": {"degree": 3, "terms": []}}},
+        B=_form(3, [{"indices": [1, 2], "coeff": "x3"}, {"indices": [2, 3], "coeff": "-x1"}]),
+    ),
     # error paths
     "bracket_missing_g": _bundle(pi=_load("so3.json"), f=_poly(3, "x")),
     "bracket_g_wrong_kind": _bundle(pi=_load("so3.json"), f=_poly(3, "x"), g=_mv(3, [{"indices": [1], "coeff": "x"}])),
@@ -230,6 +243,7 @@ CASES = (
     + [("star invert", n) for n in GAUGES]
     + [("mc", n) for n in QCS]
     + [("kappa", "kappa_plane.json")]
+    + [("mc", "qc_r4_order3"), ("kappa", "kappa_r3_order2")]
     + [("algebroid d", n) for n in ("d_so3", "d_index_above_rank",
                                               "d_two_indices_above_rank", "d_index_above_dim")]
     + [("algebroid ext-curv", n)
@@ -392,6 +406,8 @@ GOLDEN = {
     ('star subprincipal', 'gauge_plane'): (0, "66c178c7bc1cb4a4429cd357a747dfe594566c3370c6e757fbfb68e89d979a99"),
     ('star nabla', 'nabla_gauge_xi'): (0, "6bb56cf12ef8b00b74014e4e2a0ed3cbabf585743198e5a1348f78b97c95097d"),
     ('star nabla-curv', 'nabla_gauge_xi'): (0, "21e3d47c6eff44f607f37ee61fda2774e0a525cca40e53d6ed87b577227e64ab"),
+    ('mc', 'qc_r4_order3'): (1, "0597a656504e45a1b6207c22e20c013f912f04e92bd3f3c34e9d38b9bb467e76"),
+    ('kappa', 'kappa_r3_order2'): (0, "0609317171e9a5bd5551e3f957a30b8856b180723c3a38df3e84d9f1f615ff6e"),
 }
 
 

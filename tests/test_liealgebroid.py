@@ -20,7 +20,7 @@ from dqkit.liealgebroid import (
 )
 from dqkit.poisson import is_poisson, lichnerowicz_d
 
-from conftest import rand_poly
+from conftest import polys, rand_poly
 from oracles import algebroid_d_by_frame, check_algebroid_by_brackets, frame_bracket, koszul_frame_bracket
 
 x = Poly.variable(2, 1)
@@ -144,23 +144,13 @@ def _scan_d_squared(A):
     return out
 
 
-def _polys(n):
-    """Polynomials on R^n with at most two terms of degree <= 2 in each
-    variable and small rational coefficients."""
-    monomials = st.tuples(*[st.integers(0, 2)] * n)
-    coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-    return st.dictionaries(monomials, coeffs, max_size=2).map(
-        lambda terms: Poly(n, {e: c for e, c in terms.items() if c})
-    )
-
-
 @st.composite
 def _presentations(draw, max_rank=4):
     """Ranks 1..max_rank on R^1..R^3 (so ranks with no pair and with no
     triple are drawn); half the draws have a zero anchor, which passes the
     anchor axiom and leaves Jacobi to decide."""
     n, r = draw(st.integers(1, 3)), draw(st.integers(1, max_rank))
-    entries = st.one_of(st.just(Poly.zero(n)), _polys(n))
+    entries = st.one_of(st.just(Poly.zero(n)), polys(n))
     anchor_entries = st.just(Poly.zero(n)) if draw(st.booleans()) else entries
     rows = [[draw(anchor_entries) for _ in range(n)] for _ in range(r)]
     structure = {
@@ -174,7 +164,7 @@ def _presentations(draw, max_rank=4):
 @st.composite
 def _koszul_algebroids(draw, max_dim=4):
     n = draw(st.integers(1, max_dim))
-    terms = {pair: draw(_polys(n)) for pair in combinations(range(1, n + 1), 2)}
+    terms = {pair: draw(polys(n)) for pair in combinations(range(1, n + 1), 2)}
     return from_poisson(MultiVec(n, 2, terms))
 
 
@@ -214,7 +204,7 @@ class TestAlgebroidD:
             A = draw(st.one_of(_presentations(max_rank=5), _koszul_algebroids(max_dim=3)))
             p = draw(st.integers(0, A.rank + 1))
             keys = list(combinations(range(1, A.rank + 1), p))
-            terms = draw(st.dictionaries(st.sampled_from(keys), _polys(A.dim), max_size=3)) if keys else {}
+            terms = draw(st.dictionaries(st.sampled_from(keys), polys(A.dim), max_size=3)) if keys else {}
             return A, AlgebroidForm(A.dim, A.rank, p, terms)
 
         @settings(max_examples=200, derandomize=True, deadline=None)

@@ -1,12 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqkit.calculus import Form, MultiVec, anchor_pullback, exterior_d
 from dqkit.errors import PreconditionError
 from dqkit.kernel import Poly
 from dqkit.poisson import bracket, is_poisson, lichnerowicz_d
-from dqkit.qclimit import QCData, kappa, mc_defect, mc_defect_order
+from dqkit.qclimit import QCData, _triple_contraction, kappa, mc_defect, mc_defect_order
 
-from conftest import rand_form, rand_multivec, rand_poly, rand_vector_field
+from conftest import alt_tensors, rand_form, rand_multivec, rand_poly, rand_vector_field
+from oracles import triple_contraction_by_images
 
 x = Poly.variable(2, 1)
 
@@ -55,6 +57,39 @@ class TestMCDefect:
         Q = QCData(2, 2, [pi_std, dxi], Form.zero(2, 3))
         defs = mc_defect(Q)
         assert len(defs) == 2  # orders 2 and 3
+
+    def test_triple_contraction_matches_image_oracle(self):
+        """The order-m part of -anchor_pullback(pi_t, H), raised slot by slot,
+        against H(pi_i~ dx_{k_1}, pi_j~ dx_{k_2}, pi_k~ dx_{k_3}) summed on every
+        key of C(n, 3): R^3..R^5, orders N = 1..3, every m = 2..N+2, zero pi_k
+        and H, non-Poisson pi_1 and non-closed H included."""
+        seen = set()
+
+        @st.composite
+        def cases(draw):
+            n, N = draw(st.integers(3, 5)), draw(st.integers(1, 3))
+            # most bivectors of one or two terms raise H to zero, so the nonzero draws have three or more
+            bivectors = st.one_of(alt_tensors(MultiVec, n, 2, max_size=6, min_size=3), st.just(MultiVec.zero(n, 2)))
+            pis = [draw(bivectors) for _ in range(N)]
+            return QCData(n, N, pis, draw(alt_tensors(Form, n, 3))), draw(st.integers(2, N + 2))
+
+        @settings(max_examples=100, derandomize=True, deadline=None)
+        @given(cases())
+        def run(case):
+            Q, m = case
+            got = _triple_contraction(Q, m)
+            assert got == triple_contraction_by_images(Q, m)
+            seen.add("zero H" if Q.H.is_zero() else "closed H" if exterior_d(Q.H).is_zero() else "non-closed H")
+            if any(pi.is_zero() for pi in Q.pis):
+                seen.add("zero pi_k")
+            if not is_poisson(Q.pi(1)).ok:
+                seen.add("non-Poisson pi_1")
+            if not got.is_zero():
+                seen.add("mixed orders" if m > 3 else "nonzero")
+
+        run()
+        assert seen == {"zero H", "closed H", "non-closed H", "zero pi_k", "non-Poisson pi_1",
+                        "nonzero", "mixed orders"}
 
 
 class TestKappa:

@@ -42,8 +42,10 @@ from dqkit.starprod import (
 from conftest import rand_gauge, rand_multivec, rand_poly, rand_vector_field
 from oracles import (
     contravariant_nabla_by_star_mul,
+    gauge_apply_by_convolution,
     gauge_compose_reference,
     specialize_by_oracle,
+    star_mul_by_convolution,
     subprincipal_by_commutator,
 )
 
@@ -478,6 +480,36 @@ class TestBimodule:
             c0 = subprincipal(S0, Sigma1(S0, xi0).section())
             assert nabla_curvature(M) == c1 - c0
 
+    def test_curvature_builds_each_coordinate_operator_once(self, monkeypatch, rng):
+        """On R^4: one nabla_operator per coordinate and one per bracket of a
+        pair, 4 + 6 = 10 calls, and the curvature is still c(phi1) - c(phi0)."""
+        S = moyal(MultiVec(4, 2, {(1, 2): 1, (3, 4): HALF}), 2)
+        G = GaugeOp(4, 2, [vector_field_op(rand_vector_field(rng, 4)), PolyDiffOp.zero(4, 1)])
+        S0 = gauge_transform(S, G)
+        xi0, xi1 = rand_vector_field(rng, 4), rand_vector_field(rng, 4)
+        M = BimoduleModel(S, G, Sigma1(S0, xi0), Sigma1(S, xi1))
+        calls = []
+        real = starprod.nabla_operator
+        monkeypatch.setattr(starprod, "nabla_operator", lambda M, f: calls.append(f) or real(M, f))
+        curvature = nabla_curvature(M)
+        assert len(calls) == 10
+        assert curvature == subprincipal(S, Sigma1(S, xi1).section()) - subprincipal(S0, Sigma1(S0, xi0).section())
+
+    def test_star0_is_the_checked_gauged_product(self, moyal2, monkeypatch, rng):
+        """The constructor runs one gauge transform to check phi0's base, and
+        star0 returns that base without another."""
+        G = GaugeOp(2, 2, [vector_field_op(rand_vector_field(rng, 2)), PolyDiffOp.zero(2, 1)])
+        S0 = gauge_transform(moyal2, G)
+        calls = []
+        real = starprod.gauge_transform
+        monkeypatch.setattr(starprod, "gauge_transform", lambda S, R: calls.append(R) or real(S, R))
+        M = BimoduleModel(moyal2, G, Sigma1(S0, MultiVec.zero(2, 1)), Sigma1(moyal2, MultiVec.zero(2, 1)))
+        assert len(calls) == 1
+        assert M.star0 is M.phi0.base and M.star0 == S0
+        nabla_curvature(M)
+        contravariant_nabla(M, x, y)
+        assert len(calls) == 1
+
     def test_operator_route_matches_direct(self, moyal2, rng):
         eta = rand_vector_field(rng, 2)
         G = GaugeOp(2, 2, [vector_field_op(eta), PolyDiffOp.zero(2, 1)])
@@ -548,6 +580,41 @@ class TestOperatorIdentities:
         polys = st.lists(_monomials(n, 3), max_size=3).map(lambda ms: sum(ms, Poly.zero(n)))
         f, m = data.draw(polys), data.draw(polys)
         assert contravariant_nabla(M, f, m) == contravariant_nabla_by_star_mul(M, f, m)
+
+
+@st.composite
+def _gauged_products_and_series(draw):
+    """(S, R, a, b): S a Moyal product on R^2..R^3 at order N = 1..3, gauged by a
+    _special_gauges gauge; R another such gauge; a and b t-series of order N
+    whose coefficients are monomial sums, zero coefficients included."""
+    n, N = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    pi = MultiVec(n, 2, draw(st.dictionaries(st.sampled_from(pairs), st.sampled_from(VALUES), min_size=1)))
+    S = gauge_transform(moyal(pi, N), draw(_special_gauges(n, N)))
+    polys = st.lists(_monomials(n, 3), max_size=3).map(lambda ms: sum(ms, Poly.zero(n)))
+    a, b = (TPoly(N, draw(st.lists(polys, min_size=N + 1, max_size=N + 1))) for _ in range(2))
+    return S, draw(_special_gauges(n, N)), a, b
+
+
+class TestOperatorSeriesAction:
+    """star_mul and GaugeOp.apply are both _OpSeries._act: against the
+    convolution sums as they read, in oracles.py."""
+
+    def test_matches_convolution(self):
+        seen = set()
+
+        @settings(max_examples=80, derandomize=True, deadline=None)
+        @given(_gauged_products_and_series())
+        def run(case):
+            S, R, a, b = case
+            assert star_mul(S, a, b) == star_mul_by_convolution(S, a, b)
+            assert R.apply(a) == gauge_apply_by_convolution(R, a)
+            for f in (a, b):
+                zero = any(f.coeff(k).is_zero() for k in range(f.order + 1))
+                seen.add("zero t-coefficient" if zero else "no zero t-coefficient")
+
+        run()
+        assert seen == {"zero t-coefficient", "no zero t-coefficient"}
 
 
 SERIES = [
