@@ -52,6 +52,10 @@ _RANK1_ON_PLANE = {"kind": "algebroid", "dim": 2, "payload": {"rank": 1, "anchor
 _RANK2_ON_LINE = {"kind": "algebroid", "dim": 1, "payload": {"rank": 2, "anchor": [["1"], ["0"]]}}
 _GAUGE_ID = {"kind": "gauge", "dim": 2, "order": 3,
              "payload": {"R": [{"arity": 1, "terms": []} for _ in range(3)]}}
+# the zero gauge at order 2, and the zero vector field, on R^2
+_ZERO_GAUGE2 = {"kind": "gauge", "dim": 2, "order": 2,
+                "payload": {"R": [{"arity": 1, "terms": []} for _ in range(2)]}}
+_ZERO_FIELD = {"kind": "multivec", "dim": 2, "payload": {"degree": 1, "terms": []}}
 
 # documents built in the test (the first two are the bundles the CLI action tests use)
 BUNDLES = {
@@ -208,6 +212,17 @@ BUNDLES = {
         B=_form(3, [{"indices": [1, 2], "coeff": "x3"}, {"indices": [2, 3], "coeff": "-x1"}]),
     ),
     # error paths
+    # Sigma1 and bimodule refusals: a gauge whose order is not the star's, a
+    # base that is not special, a Sigma1 class that is not a vector field
+    "sigma1_order_mismatch": _bundle(star=_load("badstar.json"), gauge=_load("gauge_xi.json")),
+    "subprincipal_order_mismatch": _bundle(star=_load("moyal_plane.json"), gauge=_ZERO_GAUGE2),
+    "sigma1_not_special": _bundle(star=_load("badstar.json"), gauge=_ZERO_GAUGE2),
+    "nabla_order_mismatch": _bundle(star=_load("moyal_plane.json"), gauge=_ZERO_GAUGE2,
+                                    xi0=_ZERO_FIELD, xi1=_ZERO_FIELD, f=_poly(2, "x"), m=_poly(2, "y")),
+    "nabla_curv_xi1_bivector": _bundle(star=_load("moyal_plane.json"), gauge=_load("gauge_xi.json"),
+                                       xi0=_ZERO_FIELD, xi1=_mv(2, [{"indices": [1, 2], "coeff": "1"}])),
+    "nabla_not_special": _bundle(star=_load("badstar.json"), gauge=_ZERO_GAUGE2,
+                                 xi0=_ZERO_FIELD, xi1=_ZERO_FIELD, f=_poly(2, "x"), m=_poly(2, "y")),
     "bracket_missing_g": _bundle(pi=_load("so3.json"), f=_poly(3, "x")),
     "bracket_g_wrong_kind": _bundle(pi=_load("so3.json"), f=_poly(3, "x"), g=_mv(3, [{"indices": [1], "coeff": "x"}])),
     "d_missing_omega": _bundle(algebroid=_load("algebroid_so3.json")),
@@ -272,6 +287,9 @@ CASES = (
        ("algebroid d", "d_omega_wrong_kind"), ("star frobnicate", "moyal_plane.json")]
     + [("parse", n) for n in ("bundle_dim_and_order", "bundle_bad_dim_and_order", "bundle_bad_order")]
     + [("star adexp", n) for n in ("adexp_alpha_order", "adexp_b_order")]
+    + [("star sigma1", "sigma1_order_mismatch"), ("star subprincipal", "subprincipal_order_mismatch"),
+       ("star sigma1", "sigma1_not_special"), ("star nabla", "nabla_order_mismatch"),
+       ("star nabla-curv", "nabla_curv_xi1_bivector"), ("star nabla", "nabla_not_special")]
     + [("parse", n) for n in ("power_over_budget", "power_under_budget", "power_over_bit_budget",
                               "literal_over_digit_limit", "exponent_over_digit_limit",
                               "exponent_product_over_digit_limit")]
@@ -408,6 +426,12 @@ GOLDEN = {
     ('star nabla-curv', 'nabla_gauge_xi'): (0, "21e3d47c6eff44f607f37ee61fda2774e0a525cca40e53d6ed87b577227e64ab"),
     ('mc', 'qc_r4_order3'): (1, "0597a656504e45a1b6207c22e20c013f912f04e92bd3f3c34e9d38b9bb467e76"),
     ('kappa', 'kappa_r3_order2'): (0, "0609317171e9a5bd5551e3f957a30b8856b180723c3a38df3e84d9f1f615ff6e"),
+    ('star sigma1', 'sigma1_order_mismatch'): (2, "8c895a8e3b4fd8dee536e10782044f8cf609310a0ee176f2e61d43f9c0c2a687"),
+    ('star subprincipal', 'subprincipal_order_mismatch'): (2, "e79ebb1be69653b511153f74273bf9cbaec04126c062795bb1188c1ff41f30ae"),
+    ('star sigma1', 'sigma1_not_special'): (1, "640f839d35d3e73a6ef5d4930737523b4bdb78041caf6da59ee5dae651635921"),
+    ('star nabla', 'nabla_order_mismatch'): (2, "be5744f64f364379920dd0c29410c3334955cfd14a89a36e02c9ed6dd79ff294"),
+    ('star nabla-curv', 'nabla_curv_xi1_bivector'): (2, "760168ac98a730ef0e800f66f363173e1c8dd04a3fd43dda21a770dfb35aa435"),
+    ('star nabla', 'nabla_not_special'): (1, "2022d526ef1e36f47f6c8331fd83e64df5377598720eed2908884bf86f66a5f8"),
 }
 
 
