@@ -25,7 +25,6 @@ from .diffop import (
 )
 from .poisson import (
     EPSILON,
-    PoissonStructure,
     bracket,
     hamiltonian,
     is_poisson,
@@ -47,7 +46,6 @@ from .liealgebroid import (
 from .starprod import (
     BimoduleModel,
     GaugeOp,
-    Section,
     Sigma1,
     StarProduct,
     ad_exp,
@@ -78,12 +76,12 @@ __all__ = [
     "interior", "lie_derivative", "pair", "schouten", "wedge",
     "PolyDiffOp", "apply_op", "cocycle_defect", "compose_into_slot",
     "hochschild_delta", "transpose_parts",
-    "EPSILON", "PoissonStructure", "bracket", "hamiltonian", "is_poisson",
+    "EPSILON", "bracket", "hamiltonian", "is_poisson",
     "jacobiator", "koszul_bracket", "lichnerowicz_d",
     "AlgebroidForm", "AlgebroidPresentation", "ExtensionData", "algebroid_d",
     "check_algebroid", "extension_curvature", "from_poisson", "line_curvature",
     "unit_shift",
-    "BimoduleModel", "GaugeOp", "Section", "Sigma1", "StarProduct", "ad_exp",
+    "BimoduleModel", "GaugeOp", "Sigma1", "StarProduct", "ad_exp",
     "assoc_defect", "assoc_poisson", "contravariant_nabla", "gauge_transform",
     "invert_gauge", "is_associative", "is_special", "moyal", "nabla_curvature",
     "sigma1_act", "sigma1_class", "sigma1_of_ad", "specialize", "star_mul",

@@ -50,8 +50,6 @@ from .poisson import (
 )
 from .qclimit import kappa as qc_kappa, mc_defect
 from .starprod import (
-    Section,
-    Sigma1,
     BimoduleModel,
     ad_exp,
     assoc_defect,
@@ -202,13 +200,9 @@ def _star_adexp(S, alpha, b):
     return _ok([poly_to_text(c) for c in value.coeffs])
 
 
-def _bimodule(S, G, xi0, xi1) -> BimoduleModel:
-    return BimoduleModel(S, G, Sigma1(gauge_transform(S, G), xi0), Sigma1(S, xi1))
-
-
 def _star_nabla(doc):
     # f and m are read only once the bimodule is built
-    M = _bimodule(*_payloads(doc, _BIMODULE))
+    M = BimoduleModel(*_payloads(doc, _BIMODULE))
     f = _entry(doc, "f", "poly").payload
     m = _entry(doc, "m", "poly").payload
     return _ok(poly_to_text(contravariant_nabla(M, f, m)))
@@ -278,13 +272,13 @@ _ACTIONS = {
     ("star", "specialize"): (_STAR, ("degree", 2, 0),
                              lambda S, degree: _ok(gauge_to_payload(specialize(S, degree)))),
     ("star", "sigma1"): (_STAR_GAUGE, None,
-                         lambda S, R: _ok(tensor_to_payload(sigma1_class(S, Section(S, R)).xi))),
+                         lambda S, R: _ok(tensor_to_payload(sigma1_class(S, R).xi))),
     ("star", "subprincipal"): (_STAR_GAUGE, None,
-                               lambda S, R: _ok(tensor_to_payload(subprincipal(S, Section(S, R))))),
+                               lambda S, R: _ok(tensor_to_payload(subprincipal(S, R)))),
     ("star", "adexp"): (_STAR + (("alpha", "poly"), ("b", "poly")), None, _star_adexp),
     ("star", "nabla"): (None, None, _star_nabla),
     ("star", "nabla-curv"): (_BIMODULE, None,
-                             lambda *parts: _ok(tensor_to_payload(nabla_curvature(_bimodule(*parts))))),
+                             lambda *parts: _ok(tensor_to_payload(nabla_curvature(BimoduleModel(*parts))))),
     ("mc", None): (_QC, None, _mc),
     ("kappa", None): (_QC + (("B", "form"),), None, _kappa),
     ("verify", None): (None, None, lambda doc: verify_bundle(doc)),

@@ -23,29 +23,33 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
   handle reads the operator's keys as they are and owns only the per-call
   caches (Leibniz expansions and moved keys); it is dropped when the call
   returns, so nothing is cached across calls.
-- **Sums.**  :class:`_OpAcc` sums compositions over one common denominator;
-  its result is normalized once and becomes the operator's map.
+- **Sums.**  Operator sums run through ``kernel._Sum`` and are normalized
+  once by ``kernel._lowest`` (in ``_built``); :class:`_OpAcc` is a
+  ``kernel._Sum`` that also adds compositions, and its result becomes the
+  operator's map.
 - **Views.**  ``terms``, ``sorted_terms()`` and ``coeff()`` decode keys into
   ``{orders tuple: Poly}`` on each access, as do results that are polynomials.
-- **Who reads keys.**  Only this module shifts, masks or sizes a key.  Other
-  modules use :class:`_OpAcc` and :class:`_Packed` for sums of compositions,
-  ``_built`` for a map they summed from keys of this module's operators,
-  ``_key``, ``_fields``, ``_summed`` and the ``_groups``/``_orders`` decoders
-  to read and write documents, ``solve_coboundary`` for the Hochschild solve,
-  and the ``terms`` and ``coeff()`` views for everything else.
+- **Who reads keys.**  Only this module shifts, masks or sizes a key
+  (``kernel._Sum`` adds numerators at keys it does not read).  Other
+  modules use :class:`_OpAcc` and :class:`_Packed` for sums of compositions
+  and of operators, ``_built`` for a map they summed from keys of this
+  module's operators, ``_key``, ``_fields``, ``_summed`` and the
+  ``_groups``/``_orders`` decoders to read and write documents,
+  ``solve_coboundary`` for the Hochschild solve, and the ``terms`` and
+  ``coeff()`` views for everything else.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from math import comb, gcd, lcm
+from math import comb, lcm
 from operator import mul, or_
 from struct import Struct, error as StructError
 from types import MappingProxyType
 
 from .errors import ArityMismatchError, BudgetError, DimensionMismatchError, SolveError
-from .kernel import Poly, _ratio, _reduced
+from .kernel import Poly, _Sum, _add_num, _lowest, _ratio, _reduced
 
 _BITS = 16  # width of one packed field
 _FIELD = (1 << _BITS) - 1
@@ -87,13 +91,6 @@ def _fields(key: int, count: int) -> tuple:
     return _struct(count).unpack(key.to_bytes(2 * count, "little"))
 
 
-def _add_num(out: dict, key: int, n: int) -> None:
-    """Add a nonzero int numerator into a packed map, dropping the key if it cancels."""
-    v = out[key] = out.get(key, 0) + n
-    if not v:
-        del out[key]
-
-
 def _built(dim: int, arity: int, num: dict, den: int) -> "PolyDiffOp":
     """The normalized operator of nonzero int numerators over den > 0, owning
     `num`; BudgetError for a field above MAX_PACKED."""
@@ -102,27 +99,18 @@ def _built(dim: int, arity: int, num: dict, den: int) -> "PolyDiffOp":
         top = _packer(width)[1]
         if reduce(or_, num) & top:
             raise _over_budget(max(max(_fields(k, width)) for k in num if k & top))
-    if den != 1:
-        g = gcd(den, *num.values())
-        if g != 1:
-            den //= g
-            for k in num:
-                num[k] //= g
-    return PolyDiffOp._make(dim, arity, num, den)
+    return PolyDiffOp._make(dim, arity, *_lowest(num, den))
 
 
 def _summed(dim: int, arity: int, parts) -> "PolyDiffOp":
     """The operator of (_key(flat orders), {packed exponents: numerator}, den)
     terms, every field already within the budget."""
-    den = lcm(*(d for _, num, d in parts if num))
     block = _BITS * dim
-    out = {}
+    acc = _Sum()
     for orders, num, d in parts:
-        f = den // d
         high = orders << block  # the orders sit above the exponent block
-        for k, n in num.items():
-            _add_num(out, k | high, n * f)
-    return _built(dim, arity, out, den)
+        acc.add(((k | high, n) for k, n in num.items()), d)
+    return _built(dim, arity, acc.terms, acc.den)
 
 
 class PolyDiffOp:
@@ -249,13 +237,10 @@ class PolyDiffOp:
             raise DimensionMismatchError("operator dimensions differ")
         if self.arity != other.arity:
             raise ArityMismatchError("operator arities differ")
-        da, db = self._den, other._den
-        g = gcd(da, db)
-        fa, fb = db // g, da // g
-        out = {k: n * fa for k, n in self._num.items()} if fa != 1 else dict(self._num)
-        for k, n in other._num.items():
-            _add_num(out, k, n * fb)
-        return _built(self.dim, self.arity, out, da * fa)
+        acc = _Sum()
+        acc.add(self._num.items(), self._den)
+        acc.add(other._num.items(), other._den)
+        return _built(self.dim, self.arity, acc.terms, acc.den)
 
     def __neg__(self):
         return PolyDiffOp._make(self.dim, self.arity, {k: -n for k, n in self._num.items()}, self._den)
@@ -449,39 +434,17 @@ def _compositions(total: int, parts: int):
             yield c * m, (first, *rest)
 
 
-class _OpAcc:
-    """A running sum of operators of one dimension: nonzero int numerators by
-    packed key over one positive ``den``.  A composition adds one int key sum
-    and one int multiply-add per pair of packed terms, dropping a numerator
-    that cancels.  An operand whose denominator does not divide ``den`` first
-    rescales every numerator once, raising ``den`` to the lcm; ``den`` at least
-    doubles each time, so that happens at most log2(final den) times.
+class _OpAcc(_Sum):
+    """A running sum of operators of one dimension (kernel._Sum over packed
+    keys).  A composition adds one int key sum and one int multiply-add per
+    pair of packed terms, dropping a numerator that cancels.
     """
 
-    __slots__ = ("dim", "terms", "den")
+    __slots__ = ("dim",)
 
     def __init__(self, dim: int):
+        super().__init__()
         self.dim = dim
-        self.terms = {}
-        self.den = 1
-
-    def _factor(self, d: int, sign: int) -> int:
-        """sign * den / d, after raising ``den`` to a multiple of d."""
-        den = self.den
-        if den % d:
-            f = d // gcd(den, d)
-            terms = self.terms
-            for k in terms:
-                terms[k] *= f
-            den = self.den = den * f
-        return den // d * sign
-
-    def add_op(self, op: _Packed, sign: int = 1) -> None:
-        """Add sign * op."""
-        m = self._factor(op.op._den, sign)
-        terms = self.terms
-        for k, n in op.op._num.items():
-            _add_num(terms, k, n * m)
 
     def add_compose(self, outer: _Packed, slot: int, inner: _Packed, sign: int = 1) -> None:
         """Add sign * compose_into_slot(outer, slot, inner) for two handles; the

@@ -12,12 +12,19 @@ denominator and its numerators, so structural equality and ``hash`` are
 polynomial equality and no ``Fraction`` arithmetic runs inside the kernel.
 ``Fraction`` appears only at the API edge: the public constructor, ``items``,
 ``sorted_terms``, ``constant_value`` and the read-only ``terms`` view.
+
+This module owns that normal form for every stored form of int numerators
+over one denominator, polynomials and ``diffop`` operators alike:
+``_lowest`` is the one gcd step, and ``_Sum`` the one running sum over a
+common denominator, behind the ``Poly`` constructor, the parser's leaf
+reader, operator sums and ``diffop._OpAcc``.  Keys are opaque to both: the
+kernel does no packed-key arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, perm
+from math import gcd, perm
 from operator import add, sub
 from types import MappingProxyType
 
@@ -69,7 +76,7 @@ class Poly:
     def __init__(self, dim: int, terms=None):
         if dim < 0:
             raise ValueError("dim must be non-negative")
-        clean = {}
+        acc = _Sum()
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
@@ -81,19 +88,9 @@ class Poly:
                         raise ValueError(f"exponent {e!r} in {exps} is not an integer")
                     if e < 0:
                         raise ValueError(f"negative exponent in {exps}")
-                coeff = Fraction(*_ratio(coeff))
-                if coeff:
-                    coeff += clean.get(exps, 0)
-                    if coeff:
-                        clean[exps] = coeff
-                    else:
-                        del clean[exps]
-        # over the lcm of reduced denominators the numerators share no factor
-        # with it, so this form is already normalized
-        den = lcm(*(c.denominator for c in clean.values()))
+                acc.add_term(exps, *_ratio(coeff))
         self.dim = dim
-        self._num = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
-        self._den = den
+        self._num, self._den = _lowest(acc.terms, acc.den)
 
     @classmethod
     def _make(cls, dim: int, num: dict, den: int) -> "Poly":
@@ -325,16 +322,67 @@ class Poly:
         return f"Poly({self.dim}, {' + '.join(bits)})"
 
 
-def _reduced(dim: int, num: dict, den: int) -> Poly:
-    """The Poly sum(num[e] x^e) / den for int numerators and den > 0: the one
-    normalization step, dividing out gcd(den, *numerators) (den becomes 1 if
-    `num` is empty)."""
+def _lowest(num: dict, den: int) -> tuple:
+    """(num, den) for int numerators over den > 0, with gcd(den, *numerators)
+    divided out of `num` in place: the one normalization step of every stored
+    form (den becomes 1 if `num` is empty)."""
     if den != 1:
         g = gcd(den, *num.values())
         if g != 1:
             den //= g
-            num = {e: c // g for e, c in num.items()}
-    return Poly._make(dim, num, den)
+            for k in num:
+                num[k] //= g
+    return num, den
+
+
+def _reduced(dim: int, num: dict, den: int) -> Poly:
+    """The normalized Poly sum(num[e] x^e) / den, owning `num`."""
+    return Poly._make(dim, *_lowest(num, den))
+
+
+def _add_num(out: dict, key, n: int) -> None:
+    """Add an int numerator into a numerator map, dropping the key if it cancels."""
+    v = out[key] = out.get(key, 0) + n
+    if not v:
+        del out[key]
+
+
+class _Sum:
+    """A running sum of int numerators by key over one positive common
+    denominator ``den``, before normalization.  An addend whose denominator
+    does not divide ``den`` first rescales every numerator once, raising
+    ``den`` to the lcm; ``den`` at least doubles each time, so that happens at
+    most log2(final den) times.  Keys keep the order of their first addition,
+    and a key whose sum cancels leaves the map.
+    """
+
+    __slots__ = ("terms", "den")
+
+    def __init__(self):
+        self.terms = {}
+        self.den = 1
+
+    def _factor(self, d: int, sign: int = 1) -> int:
+        """sign * den / d, after raising ``den`` to a multiple of d."""
+        den = self.den
+        if den % d:
+            f = d // gcd(den, d)
+            terms = self.terms
+            for k in terms:
+                terms[k] *= f
+            den = self.den = den * f
+        return den // d * sign
+
+    def add_term(self, key, n: int, d: int) -> None:
+        """Add n / d at `key`."""
+        _add_num(self.terms, key, n * self._factor(d))
+
+    def add(self, items, d: int, sign: int = 1) -> None:
+        """Add sign * n / d at each key of the (key, n) pairs `items`."""
+        m = self._factor(d, sign)
+        terms = self.terms
+        for k, n in items:
+            _add_num(terms, k, n * m)
 
 
 def _add_term(out: dict, key, coeff: Poly) -> None:
@@ -428,11 +476,6 @@ class TPoly:
         return TPoly(self.order, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Poly)):
-            other = TPoly.from_poly(
-                other if isinstance(other, Poly) else Poly.const(self.dim, other),
-                self.order,
-            )
         return self + (-other)
 
     def __mul__(self, other):

@@ -27,13 +27,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii as _encode_str
-from math import comb, gcd, lcm, log10
+from math import comb, gcd, log10
 from typing import Optional
 
 from .calculus import Form, MultiVec
 from .diffop import PolyDiffOp, _fields, _key, _summed
 from .errors import BudgetError, PolyParseError, SchemaError
-from .kernel import Poly, TPoly, _reduced, grlex_key
+from .kernel import Poly, TPoly, _Sum, _reduced, grlex_key
 from .liealgebroid import AlgebroidPresentation
 from .qclimit import QCData
 from .starprod import GaugeOp, StarProduct
@@ -248,12 +248,11 @@ def _read_leaf(text: str, dim: int):
     not reduced, or None for the grammar to read.
 
     _reduced of it is the grammar's Poly, down to the order of its terms: each
-    term is added in turn and a term that cancels leaves the map, as
-    ``Poly.__add__`` does.  None for any text the pattern does not cover in
-    full, a variable above ``dim`` and a zero divisor.
+    term is added in turn by kernel._Sum, so a term that cancels leaves the
+    map, as ``Poly.__add__`` does.  None for any text the pattern does not
+    cover in full, a variable above ``dim`` and a zero divisor.
     """
-    terms = []
-    den = 1
+    acc = _Sum()
     negative = False
     pos = 0
     match = _LEAF_TERM_RE.match
@@ -272,26 +271,15 @@ def _read_leaf(text: str, dim: int):
                     return None
                 exps[i - 1] += int(e) if e else 1
         n = int(c) if c else 1
-        if d:
-            d = int(d)
-            if not d:
-                return None
-            den = lcm(den, d)
-        if n:
-            terms.append((tuple(exps), -n if negative != bool(minus) else n, d or 1))
+        d = int(d) if d else 1
+        if not d:
+            return None
+        acc.add_term(tuple(exps), -n if negative != bool(minus) else n, d)
         if sep is None:
             break
         negative = sep == "-"
         pos = m.end()
-    num = {}
-    for exps, n, d in terms:
-        # n is not zero, so a sum of zero has its key in the map
-        acc = num.get(exps, 0) + (n if d == den else n * (den // d))
-        if acc:
-            num[exps] = acc
-        else:
-            del num[exps]
-    return num, den
+    return acc.terms, acc.den
 
 
 def parse_poly(text: str, dim: int) -> Poly:

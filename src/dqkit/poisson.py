@@ -26,7 +26,7 @@ from .calculus import (
     lie_derivative,
     pair,
 )
-from .errors import DegreeError, DimensionMismatchError, PreconditionError
+from .errors import DegreeError, DimensionMismatchError
 from .kernel import Poly
 from .liealgebroid import AlgebroidForm, algebroid_d, from_poisson
 
@@ -44,26 +44,6 @@ class PoissonCheck:
 
     def __bool__(self):
         return self.ok
-
-
-class PoissonStructure:
-    """A bivector together with the result of its Jacobi verification."""
-
-    __slots__ = ("pi", "checked")
-
-    def __init__(self, pi: MultiVec, check: bool = True):
-        if pi.degree != 2:
-            raise DegreeError("a Poisson structure is a bivector")
-        self.pi = pi
-        self.checked = False
-        if check:
-            result = is_poisson(pi)
-            if not result:
-                raise PreconditionError(
-                    f"bivector is not Poisson: jacobiator{result.witness} = {result.defect!r}",
-                    witness=result,
-                )
-            self.checked = True
 
 
 def bracket(pi: MultiVec, f: Poly, g: Poly) -> Poly:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import factorial
 from operator import attrgetter
 
-from .calculus import MultiVec
+from .calculus import MultiVec, sort_indices
 from .diffop import (
     MAX_PACKED,
     PolyDiffOp,
@@ -135,7 +135,7 @@ class GaugeOp(_OpSeries):
     def from_vector_field(cls, xi: MultiVec, order: int) -> "GaugeOp":
         """R_xi = 1 + xi t."""
         ops = [PolyDiffOp.zero(xi.dim, 1) for _ in range(order)]
-        ops[0] = vector_field_op(xi)
+        ops[0] = multiderivation(xi)
         return cls(xi.dim, order, ops)
 
     def apply(self, f: TPoly) -> TPoly:
@@ -149,36 +149,44 @@ class GaugeOp(_OpSeries):
         return self.apply(TPoly.from_poly(f, self.order))
 
 
-def vector_field_op(xi: MultiVec) -> PolyDiffOp:
-    """A degree-1 multivector as an arity-1 differential operator."""
-    if xi.degree != 1:
-        raise DegreeError("need a vector field")
+def multiderivation(T: MultiVec) -> PolyDiffOp:
+    """The p-vector T as an operator of arity p (the Hochschild-Kostant-Rosenberg map):
+
+    (f_1..f_p) -> sum_I T^I sum_s sgn(s) d_{s(I)_1} f_1 ... d_{s(I)_p} f_p,
+
+    over the orderings s of each index tuple I.  A vector field is the
+    derivation f -> xi(f), and a bivector c the biderivation
+    (f,g) -> sum_{i<j} c^{ij} (d_i f d_j g - d_j f d_i g).
+    """
+    n = T.dim
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
     terms = {}
-    for (i,), c in xi.terms.items():
-        o = [0] * xi.dim
-        o[i - 1] = 1
-        terms[(tuple(o),)] = c
-    return PolyDiffOp(xi.dim, 1, terms)
+    for idx, c in T.terms.items():
+        for s in permutations(idx):
+            terms[tuple(unit[i - 1] for i in s)] = c if sort_indices(s)[0] > 0 else -c
+    return PolyDiffOp(n, T.degree, terms)
 
 
-@dataclass(frozen=True)
-class Section:
-    """A standard section phi = R~ restricted to O, inside the star model."""
+def _multivector_of(D: PolyDiffOp):
+    """The p-vector T with multiderivation(T) == D for an operator D of arity
+    p, or None if D is not a multiderivation.
 
-    base: StarProduct
-    R: GaugeOp
-
-    def __post_init__(self):
-        if (self.base.dim, self.base.order) != (self.R.dim, self.R.order):
-            raise OrderMismatchError("section gauge must match its base star product")
-
-    def value(self, f: Poly) -> TPoly:
-        return self.R.apply_poly(f)
+    T^I is read off D's coefficient of d_{i1} (x) ... (x) d_{ip}, i1 < ... < ip.
+    """
+    terms = {}
+    for orders, c in D.terms.items():
+        if all(sum(o) == 1 for o in orders):
+            idx = tuple(o.index(1) + 1 for o in orders)
+            if all(a < b for a, b in zip(idx, idx[1:])):
+                terms[idx] = c
+    T = MultiVec(D.dim, D.arity, terms)
+    return T if multiderivation(T) == D else None
 
 
 @dataclass(frozen=True)
 class Sigma1:
-    """Class of the special standard section 1 + xi t modulo t^2."""
+    """Class of the special standard section 1 + xi t modulo t^2, over its
+    base star product."""
 
     base: StarProduct
     xi: MultiVec
@@ -189,8 +197,9 @@ class Sigma1:
         if self.xi.degree != 1 or self.xi.dim != self.base.dim:
             raise DegreeError("Sigma1 class must be a vector field of matching dimension")
 
-    def section(self) -> Section:
-        return Section(self.base, GaugeOp.from_vector_field(self.xi, self.base.order))
+    def gauge(self) -> GaugeOp:
+        """The standard section's gauge R = 1 + xi t."""
+        return GaugeOp.from_vector_field(self.xi, self.base.order)
 
 
 # ----------------------------------------------------------------------
@@ -228,7 +237,7 @@ def moyal(pi: MultiVec, order: int) -> StarProduct:
             raise PreconditionError(f"moyal needs constant coefficients; pi^{(i,j)} = {c!r}")
     # B is the operator of pi's biderivation, with constant coefficients, and
     # the key of a product of two such terms is the sum of their keys
-    B = biderivation(pi)
+    B = multiderivation(pi)
     power = {0: 1}  # B^k over B._den^k
     scale = 1  # 2^k k! B._den^k
     ops = []
@@ -307,38 +316,14 @@ def is_special(S: StarProduct) -> bool:
     return sym.is_zero()
 
 
-def biderivation(c: MultiVec) -> PolyDiffOp:
-    """The operator (f,g) -> sum_{i<j} c^{ij} (d_i f d_j g - d_j f d_i g) of a bivector."""
-    if c.degree != 2:
-        raise DegreeError("biderivation needs a bivector")
-    n = c.dim
-    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    terms = {}
-    for (i, j), cij in c.terms.items():
-        terms[(unit[i - 1], unit[j - 1])] = cij
-        terms[(unit[j - 1], unit[i - 1])] = -cij
-    return PolyDiffOp(n, 2, terms)
-
-
 def assoc_poisson(S: StarProduct) -> MultiVec:
     """The associated Poisson bivector: value on (dx_i, dx_j) is
     P_1(x_i,x_j) - P_1(x_j,x_i)."""
-    n = S.dim
     P1 = S.op(1)
     skew2 = P1 - transpose(P1)  # 2 * skew part
-    # a biderivation's value on (x_i, x_j) is its coefficient of d_i (x) d_j;
-    # any other skew2 fails the check below
-    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
-    view = skew2.terms
-    terms = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            c = view.get((unit[i - 1], unit[j - 1]))
-            if c is not None:
-                terms[(i, j)] = c
-    result = MultiVec(n, 2, terms)
-    # twice the skew part of P_1 must be the biderivation of these values
-    if biderivation(result) != skew2:
+    # a biderivation's value on (x_i, x_j) is its coefficient of d_i (x) d_j
+    result = _multivector_of(skew2)
+    if result is None:
         raise PreconditionError(
             "skew part of P_1 is not a biderivation", witness=skew2
         )
@@ -374,10 +359,10 @@ def gauge_transform(S: StarProduct, R: GaugeOp) -> StarProduct:
     new_P = [ops[0]]  # P'_0 = multiplication
     for k in range(1, S.order + 1):
         acc = _OpAcc(S.dim)
-        acc.add_op(ops[k])  # P_k o_1 R_0 = P_k
+        acc.add(ops[k].op._num.items(), ops[k].op._den)  # P_k o_1 R_0 = P_k
         _convolve(acc, k, ops, 1, rops, hi=k - 1)
         us.append(_Packed(acc.op(2)))
-        acc.add_op(us[k])  # U_k o_2 R_0 = U_k
+        acc.add(us[k].op._num.items(), us[k].op._den)  # U_k o_2 R_0 = U_k
         _convolve(acc, k, us, 2, rops, hi=k - 1)
         _convolve(acc, k, rops, 1, new_P, sign=-1, lo=1)
         new_P.append(_Packed(acc.op(2)))
@@ -395,7 +380,7 @@ def invert_gauge(R: GaugeOp) -> GaugeOp:
     qops = [rops[0]]  # Q_0 = 1, then each Q_k shared by every later order
     for k in range(1, R.order + 1):
         acc = _OpAcc(R.dim)
-        acc.add_op(rops[k], -1)  # -R_k o Q_0 = -R_k
+        acc.add(rops[k].op._num.items(), rops[k].op._den, -1)  # -R_k o Q_0 = -R_k
         _convolve(acc, k, rops, 1, qops, sign=-1, lo=1, hi=k - 1)
         qops.append(_Packed(acc.op(1)))
     return GaugeOp(R.dim, R.order, [h.op for h in qops[1:]])
@@ -439,26 +424,27 @@ def specialize(S: StarProduct, degree_bound: int) -> GaugeOp:
 # Sigma_1, subprincipal curvature, inner automorphisms
 
 
-def sigma1_class(S: StarProduct, sec: Section) -> Sigma1:
-    """Extract the class of a section special relative to S; it is R_1, which
-    the speciality forces to be a derivation.
+def sigma1_class(S: StarProduct, R: GaugeOp) -> Sigma1:
+    """Extract the class of the section R~ special relative to S; it is R_1,
+    which the speciality forces to be a derivation.
 
     delta(x^e d^alpha) with |alpha| != 1 is nonzero on rows that no other term
-    of R_1 shares, so delta R_1 = 0 leaves only terms c d/dx_i.
+    of R_1 shares, so an R_1 that is not a vector field has delta R_1 != 0,
+    and the witness is read off that defect.
     """
+    if (S.dim, S.order) != (R.dim, R.order):
+        raise OrderMismatchError("section gauge must match its base star product")
     if not is_special(S):
         raise PreconditionError("Sigma1 classes live over a special base")
-    if sec.base != S:
-        raise PreconditionError("section is based on a different star product")
-    R1 = sec.R.op(1)
-    defect = hochschild_delta(R1)
-    if not defect.is_zero():
-        witness = find_nonzero_args(defect)
+    R1 = R.op(1)
+    xi = _multivector_of(R1)
+    if xi is None:
+        witness = find_nonzero_args(hochschild_delta(R1))
         raise PreconditionError(
             "section is not special: R_1 is not a derivation",
             witness=(witness[0], witness[1]),
         )
-    return Sigma1(S, MultiVec(S.dim, 1, {(o.index(1) + 1,): c for (o,), c in R1.terms.items()}))
+    return Sigma1(S, xi)
 
 
 def sigma1_act(phi: Sigma1, xi: MultiVec) -> Sigma1:
@@ -468,8 +454,8 @@ def sigma1_act(phi: Sigma1, xi: MultiVec) -> Sigma1:
     return Sigma1(phi.base, phi.xi + xi)
 
 
-def subprincipal(S: StarProduct, sec: Section) -> MultiVec:
-    """The subprincipal curvature of a special section:
+def subprincipal(S: StarProduct, R: GaugeOp) -> MultiVec:
+    """The subprincipal curvature of the special section phi = R~:
 
     c(phi)(f,g) = [coeff of t^2 in phi(f)*phi(g) - phi(g)*phi(f)]
                 - [coeff of t^1 in phi({f,g})],
@@ -478,11 +464,11 @@ def subprincipal(S: StarProduct, sec: Section) -> MultiVec:
     gauged product, phi(f)*phi(g) = R(f *' g), and P'_1 keeps P_1's skew part,
     so the R_1{f,g} terms cancel: c(phi)(x_i, x_j) = P'_2(x_i, x_j) - P'_2(x_j, x_i).
     """
+    if (S.dim, S.order) != (R.dim, R.order):
+        raise OrderMismatchError("section gauge must match its base star product")
     if S.order < 2:
         raise OrderMismatchError("subprincipal curvature needs truncation order >= 2")
-    if sec.base != S:
-        raise PreconditionError("section is based on a different star product")
-    gauged = gauge_transform(S, sec.R)
+    gauged = gauge_transform(S, R)
     sym, _ = transpose_parts(gauged.op(1))
     if not sym.is_zero():
         witness = find_nonzero_args(sym)
@@ -517,25 +503,24 @@ def ad_exp(S: StarProduct, alpha: TPoly, b: TPoly) -> TPoly:
     return acc
 
 
-def sigma1_of_ad(S: StarProduct, alpha: TPoly, phi: Sigma1) -> Sigma1:
-    """The class of f -> Ad(exp alpha)(phi(f)), checked to equal
-    phi + X_{sigma(alpha)} (the Hamiltonian field of the classical part).
+def sigma1_of_ad(alpha: TPoly, phi: Sigma1) -> Sigma1:
+    """The class of f -> Ad(exp alpha)(phi(f)) over phi's base, checked to
+    equal phi + X_{sigma(alpha)} (the Hamiltonian field of the classical part).
 
     Raises PreconditionError when the class is not a derivation or the check
     fails: either means the sign or ordering conventions broke.
     """
-    if phi.base != S:
-        raise PreconditionError("class is based on a different star product")
+    S = phi.base
     n = S.dim
     pi = assoc_poisson(S)
-    sec = phi.section()
+    R = phi.gauge()
     xs = [Poly.variable(n, i) for i in range(1, n + 1)]
-    vals = [ad_exp(S, alpha, sec.value(x)).coeff(1) for x in xs]
+    vals = [ad_exp(S, alpha, R.apply_poly(x)).coeff(1) for x in xs]
     extracted = MultiVec(n, 1, {(i,): v for i, v in enumerate(vals, start=1)})
     # derivation sanity on quadratic monomials
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            got = ad_exp(S, alpha, sec.value(xs[i - 1] * xs[j - 1])).coeff(1)
+            got = ad_exp(S, alpha, R.apply_poly(xs[i - 1] * xs[j - 1])).coeff(1)
             want = xs[i - 1] * vals[j - 1] + xs[j - 1] * vals[i - 1]
             if got != want:
                 raise PreconditionError(
@@ -555,31 +540,25 @@ def sigma1_of_ad(S: StarProduct, alpha: TPoly, phi: Sigma1) -> Sigma1:
 # bimodules and the contravariant connection
 
 
-@dataclass(frozen=True)
 class BimoduleModel:
     """Free rank-one bimodule twisted by an algebra isomorphism.
 
     star1 is A_1; G encodes Phi: A_0 -> A_1 with A_0 = gauge_transform(star1, G);
-    the bimodule action is a.m.b = a *1 m *1 Phi(b).  phi0 and phi1 are Sigma1
-    classes over A_0 and A_1.
+    the bimodule action is a.m.b = a *1 m *1 Phi(b).  phi0 and phi1 are the
+    Sigma1 classes of the vector fields xi0 over A_0 and xi1 over A_1.
     """
 
-    star1: StarProduct
-    G: GaugeOp
-    phi0: Sigma1
-    phi1: Sigma1
+    __slots__ = ("star1", "G", "phi0", "phi1")
 
-    def __post_init__(self):
-        if (self.star1.dim, self.star1.order) != (self.G.dim, self.G.order):
-            raise OrderMismatchError("gauge operator must match the star product")
-        if self.phi1.base != self.star1:
-            raise PreconditionError("phi1 must be a class over star1")
-        if self.phi0.base != gauge_transform(self.star1, self.G):
-            raise PreconditionError("phi0 must be a class over gauge_transform(star1, G)")
+    def __init__(self, star1: StarProduct, G: GaugeOp, xi0: MultiVec, xi1: MultiVec):
+        self.star1 = star1
+        self.G = G
+        self.phi0 = Sigma1(gauge_transform(star1, G), xi0)
+        self.phi1 = Sigma1(star1, xi1)
 
     @property
     def star0(self) -> StarProduct:
-        """A_0, which the constructor checked to equal gauge_transform(star1, G)."""
+        """A_0 = gauge_transform(star1, G), built once by the constructor."""
         return self.phi0.base
 
 

@@ -17,11 +17,11 @@ from .starprod import (
     _on_coordinate_pairs,
     assoc_defect,
     assoc_poisson,
-    biderivation,
     gauge_transform,
     gauge_unitality_defects,
     invert_gauge,
     is_special,
+    multiderivation,
     unitality_defects,
 )
 
@@ -86,7 +86,7 @@ def _verify_star(name, S, defects):
                     _first_nonzero_term(dc),
                 )
             )
-        bider = biderivation(c)
+        bider = multiderivation(c)
         checks += 1
         if bider != skew2:
             defects.append(

@@ -3,7 +3,7 @@
 import json
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb, factorial, perm, prod
+from math import comb, factorial, lcm, perm, prod
 from operator import add, sub
 
 from dqkit.calculus import Form, MultiVec, anchor, form_eval, sort_indices, wedge
@@ -538,18 +538,80 @@ def gauge_compose_reference(R: GaugeOp, Q: GaugeOp) -> GaugeOp:
     return GaugeOp(R.dim, R.order, ops)
 
 
-def subprincipal_by_commutator(S: StarProduct, sec) -> MultiVec:
-    """subprincipal(S, sec) as its definition reads, on t-series of polynomials:
+def vector_field_op(xi: MultiVec) -> PolyDiffOp:
+    """A vector field as the arity-1 operator sum_i xi^i d_i, written out for
+    degree 1: the builder that starprod.multiderivation replaced."""
+    if xi.degree != 1:
+        raise ValueError("need a vector field")
+    terms = {}
+    for (i,), c in xi.terms.items():
+        o = [0] * xi.dim
+        o[i - 1] = 1
+        terms[(tuple(o),)] = c
+    return PolyDiffOp(xi.dim, 1, terms)
+
+
+def biderivation(c: MultiVec) -> PolyDiffOp:
+    """The operator (f,g) -> sum_{i<j} c^{ij} (d_i f d_j g - d_j f d_i g) of a
+    bivector, written out for degree 2: the builder that
+    starprod.multiderivation replaced."""
+    if c.degree != 2:
+        raise ValueError("biderivation needs a bivector")
+    n = c.dim
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    terms = {}
+    for (i, j), cij in c.terms.items():
+        terms[(unit[i - 1], unit[j - 1])] = cij
+        terms[(unit[j - 1], unit[i - 1])] = -cij
+    return PolyDiffOp(n, 2, terms)
+
+
+def bivector_by_pair_lookup(D: PolyDiffOp):
+    """The bivector c with biderivation(c) == D for an arity-2 D, or None:
+    c^{ij} is looked up at d_i (x) d_j pair by pair, as assoc_poisson read
+    it before starprod._multivector_of."""
+    n = D.dim
+    unit = [tuple(int(k == i) for k in range(n)) for i in range(n)]
+    view = D.terms
+    terms = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            c = view.get((unit[i - 1], unit[j - 1]))
+            if c is not None:
+                terms[(i, j)] = c
+    result = MultiVec(n, 2, terms)
+    return result if biderivation(result) == D else None
+
+
+def poly_by_fraction_sum(dim: int, terms) -> Poly:
+    """Poly(dim, terms) by the former constructor: each coefficient summed as
+    a Fraction at its key, then the numerators put over the lcm of the reduced
+    denominators, which is already the normalized form."""
+    clean = {}
+    for exps, coeff in terms.items():
+        coeff = _as_rat(coeff)
+        if coeff:
+            coeff += clean.get(exps, 0)
+            if coeff:
+                clean[exps] = coeff
+            else:
+                del clean[exps]
+    den = lcm(*(c.denominator for c in clean.values()))
+    return Poly._make(dim, {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
+
+
+def subprincipal_by_commutator(S: StarProduct, R: GaugeOp) -> MultiVec:
+    """subprincipal(S, R) as its definition reads, on t-series of polynomials:
     c(phi)(x_i, x_j) is the t^2 coefficient of phi(x_i) * phi(x_j) - phi(x_j) * phi(x_i)
     less the t^1 coefficient R_1{x_i, x_j} of phi({x_i, x_j})."""
     n = S.dim
     pi = assoc_poisson(S)
-    R1 = sec.R.op(1)
+    R1 = R.op(1)
     xs = [Poly.variable(n, i) for i in range(1, n + 1)]
     terms = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            comm = star_commutator(S, sec.value(xs[i - 1]), sec.value(xs[j - 1]))
+            comm = star_commutator(S, R.apply_poly(xs[i - 1]), R.apply_poly(xs[j - 1]))
             terms[(i, j)] = comm.coeff(2) - apply_op(R1, bracket(pi, xs[i - 1], xs[j - 1]))
     return MultiVec(n, 2, terms)
 
@@ -559,8 +621,8 @@ def contravariant_nabla_by_star_mul(M, f: Poly, m: Poly) -> Poly:
     of phi1(f) *1 m - m *1 Phi(phi0(f)), by star_mul on t-series."""
     S1 = M.star1
     mf = TPoly.from_poly(m, S1.order)
-    left = star_mul(S1, M.phi1.section().value(f), mf)
-    right = star_mul(S1, mf, M.G.apply(M.phi0.section().value(f)))
+    left = star_mul(S1, M.phi1.gauge().apply_poly(f), mf)
+    right = star_mul(S1, mf, M.G.apply(M.phi0.gauge().apply_poly(f)))
     return (left - right).coeff(1)
 
 

@@ -255,6 +255,33 @@ class TestStarActions:
         assert code == 0
         assert report["payload"]["terms"] == [{"coeff": "1", "indices": [1, 2]}]
 
+    @pytest.mark.parametrize("action", ["nabla", "nabla-curv"])
+    def test_bimodule_builds_a0_once(self, tmp_path, monkeypatch, action):
+        """A_0 = gauge_transform(star, gauge) is built once per run, wherever the
+        CLI or the library binds the name."""
+        from dqkit import cli, starprod
+
+        calls = []
+        real = starprod.gauge_transform
+
+        def counted(S, R):
+            calls.append(R)
+            return real(S, R)
+
+        monkeypatch.setattr(starprod, "gauge_transform", counted)
+        monkeypatch.setattr(cli, "gauge_transform", counted)
+        entries = {
+            "star": doc("moyal_plane.json"),
+            "gauge": doc("gauge_xi.json"),
+            "xi0": mv_doc(2, [{"indices": [2], "coeff": "x"}]),
+            "xi1": mv_doc(2, [{"indices": [1], "coeff": "x"}]),
+            "f": poly_doc(2, "x*y"),
+            "m": poly_doc(2, "y"),
+        }
+        code, _ = run(["star", action, "--in", bundle_file(tmp_path, entries)])
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestErrorPaths:
     def test_specialize_rejects_nonassociative(self):

@@ -343,7 +343,7 @@ def test_accumulated_sum_matches_poly_per_pair_route(data):
             sign = data.draw(st.sampled_from((1, -1)))
             if data.draw(st.booleans()):
                 op = data.draw(ops(arity=arity))
-                acc.add_op(_Packed(op), sign)
+                acc.add(op._num.items(), op._den, sign)
                 compose_acc_by_poly(want, PolyDiffOp.identity(DIM), 1, op, sign)
             else:
                 outer, outer_h = data.draw(st.sampled_from(outers))
@@ -375,7 +375,7 @@ def test_accumulator_rescales_to_new_denominators():
     want = PolyDiffOp.zero(DIM, 1)
     dens = []
     for step in steps:
-        acc.add_op(_Packed(step))
+        acc.add(step._num.items(), step._den)
         want = want + step
         dens.append(acc.den)
     assert dens == [2, 6, 12]
@@ -461,7 +461,7 @@ def test_packing_above_the_budget_is_refused_before_any_work(monkeypatch):
         raise AssertionError("composed past the budget")
 
     monkeypatch.setattr(_OpAcc, "add_compose", no_work)
-    monkeypatch.setattr(_OpAcc, "add_op", no_work)
+    monkeypatch.setattr(_OpAcc, "add", no_work)
     over = MAX_PACKED + 1
     x_over = Poly.monomial(2, (over, 0))
     builds = [

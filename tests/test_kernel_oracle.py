@@ -9,14 +9,14 @@ order, with every result in normalized stored form.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqkit.errors import DimensionMismatchError
 from dqkit.kernel import Poly
 
 from conftest import assert_clean_poly
-from oracles import RefPoly
+from oracles import RefPoly, poly_by_fraction_sum
 
 DIM = 2
 
@@ -162,6 +162,29 @@ def test_terms_view_is_read_only():
     with pytest.raises(TypeError):
         view[(0, 0)] = Fraction(7)
     assert dict(view) == {(0, 0): Fraction(1, 2), (1, 0): Fraction(1)}
+
+
+class _Pairs:
+    """A term source whose items() may repeat a key, so that terms cancel."""
+
+    def __init__(self, pairs):
+        self.pairs = pairs
+
+    def items(self):
+        return iter(self.pairs)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(st.tuples(st.tuples(*[st.integers(0, 1)] * DIM), st.one_of(st.booleans(), rats)), max_size=6),
+       st.integers(0, 6))
+def test_constructor_matches_fraction_sum(pairs, cancelled):
+    """Poly(dim, terms) sums over a running common denominator; the former
+    Fraction sum per key gives the same stored form, term order included, with
+    repeated keys, terms that cancel and bool, int and Fraction coefficients."""
+    terms = _Pairs(pairs + [(e, -c) for e, c in pairs[:cancelled]])
+    got, want = Poly(DIM, terms), poly_by_fraction_sum(DIM, terms)
+    assert_clean_poly(got, DIM)
+    assert (got._den, list(got._num.items())) == (want._den, list(want._num.items()))
 
 
 def test_dimension_mismatch_raises():

@@ -1,6 +1,5 @@
 from itertools import combinations
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqkit.calculus import Form, MultiVec, exterior_d, schouten
@@ -8,7 +7,6 @@ from dqkit.kernel import Poly
 from dqkit.poisson import (
     EPSILON,
     PoissonCheck,
-    PoissonStructure,
     bracket,
     hamiltonian,
     is_poisson,
@@ -16,7 +14,6 @@ from dqkit.poisson import (
     koszul_bracket,
     lichnerowicz_d,
 )
-from dqkit.errors import PreconditionError
 
 from conftest import rand_form, rand_multivec, rand_poly, rand_vector_field
 
@@ -80,11 +77,6 @@ class TestIsPoisson:
         run()
         assert {ok for _, ok in seen} == {True, False}
         assert {n for n, ok in seen if ok} == {3, 4, 5, 6}
-
-    def test_structure_constructor_rejects(self, pi_bad):
-        with pytest.raises(PreconditionError):
-            PoissonStructure(pi_bad)
-        assert PoissonStructure(MultiVec(2, 2, {(1, 2): 1})).checked
 
 
 class TestKoszulBracket:

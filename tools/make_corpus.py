@@ -15,7 +15,7 @@ from dqkit.diffop import PolyDiffOp
 from dqkit.kernel import Poly
 from dqkit.parser import Document, serialize_document
 from dqkit.qclimit import QCData
-from dqkit.starprod import GaugeOp, StarProduct, moyal, vector_field_op
+from dqkit.starprod import GaugeOp, StarProduct, moyal, multiderivation
 from dqkit.liealgebroid import from_poisson
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -70,7 +70,7 @@ def main():
     G_q = GaugeOp(2, 3, [halfdx2, PolyDiffOp.zero(2, 1), PolyDiffOp.zero(2, 1)])
     write("gauge_halfdx2.json", Document("gauge", 2, 3, G_q))
     xi = MultiVec(2, 1, {(1,): Poly.variable(2, 1)})
-    G_xi = GaugeOp(2, 3, [vector_field_op(xi), halfdx2, PolyDiffOp.zero(2, 1)])
+    G_xi = GaugeOp(2, 3, [multiderivation(xi), halfdx2, PolyDiffOp.zero(2, 1)])
     write("gauge_xi.json", Document("gauge", 2, 3, G_xi))
 
     # quasi-classical data
