@@ -237,6 +237,21 @@ BUNDLES = {
                                  b=_poly(2, "y^2")),
     "adexp_b_order": _bundle(star=_load("moyal_plane.json"), alpha=_poly(2, "x^2"),
                              b={"kind": "poly", "dim": 2, "order": 2, "payload": ["y^2", "x", "1"]}),
+    # operator documents whose leaf texts repeat: a leaf is read once per operator, and
+    # the result, the refusal and its path are those of reading every entry on its own.
+    # "x1*x2 - 1/2" sits at four entries; at orders ((0, 1), (1, 0)) it and its negative
+    # cancel, and the grammar-only "(x1 + 1)^2" repeats at two orders
+    "diffop_repeated_leaves": _diffop(2, 2, [{"coeff": c, "orders": o} for c, o in [
+        ("x1*x2 - 1/2", [[1, 0], [0, 1]]), ("x1*x2 - 1/2", [[0, 1], [1, 0]]),
+        ("(x1 + 1)^2", [[0, 0], [2, 0]]), ("-x1*x2 + 1/2", [[0, 1], [1, 0]]),
+        ("x1*x2 - 1/2", [[2, 0], [0, 0]]), ("1/3", [[1, 0], [0, 1]]),
+        ("(x1 + 1)^2", [[0, 0], [0, 1]]), ("x1*x2 - 1/2", [[0, 0], [0, 2]])]]),
+    # the same unreadable leaf at entries 1 and 3: refused at the first, terms[1].coeff
+    "diffop_repeated_unreadable_leaf": _diffop(2, 1, [{"coeff": c, "orders": o} for c, o in [
+        ("x1", [[1, 0]]), ("x1 + q", [[0, 1]]), ("x2", [[0, 1]]), ("x1 + q", [[2, 0]])]]),
+    # a canonical leaf above diffop.MAX_PACKED at entries 1 and 2: refused at terms[1].coeff
+    "diffop_repeated_leaf_over_budget": _diffop(2, 1, [{"coeff": c, "orders": o} for c, o in [
+        ("x2", [[1, 0]]), ("x1^40000 + x2", [[0, 1]]), ("x1^40000 + x2", [[1, 0]])]]),
 }
 
 CORPUS_DOCS = sorted(n for n in os.listdir(CORPUS) if n.endswith(".json"))
@@ -293,6 +308,8 @@ CASES = (
     + [("parse", n) for n in ("power_over_budget", "power_under_budget", "power_over_bit_budget",
                               "literal_over_digit_limit", "exponent_over_digit_limit",
                               "exponent_product_over_digit_limit")]
+    + [("parse", n) for n in ("diffop_repeated_leaves", "diffop_repeated_unreadable_leaf",
+                              "diffop_repeated_leaf_over_budget")]
 )
 
 
@@ -432,6 +449,9 @@ GOLDEN = {
     ('star nabla', 'nabla_order_mismatch'): (2, "be5744f64f364379920dd0c29410c3334955cfd14a89a36e02c9ed6dd79ff294"),
     ('star nabla-curv', 'nabla_curv_xi1_bivector'): (2, "760168ac98a730ef0e800f66f363173e1c8dd04a3fd43dda21a770dfb35aa435"),
     ('star nabla', 'nabla_not_special'): (1, "2022d526ef1e36f47f6c8331fd83e64df5377598720eed2908884bf86f66a5f8"),
+    ('parse', 'diffop_repeated_leaves'): (0, "8091a9387ed4e429ddf560f8052d65d6eb0985d8f50b29609af495843116bd7c"),
+    ('parse', 'diffop_repeated_unreadable_leaf'): (2, "fbb093235df9895d0d71274bde0443816886492d07da6ff7289ba7542d725787"),
+    ('parse', 'diffop_repeated_leaf_over_budget'): (2, "67dd824026092fad339990f34d8bab041bd6690b917a226a2c7698c6ee140a71"),
 }
 
 
