@@ -36,7 +36,10 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
   module's operators, ``_key``, ``_fields``, ``_summed`` and the
   ``_groups``/``_orders`` decoders to read and write documents,
   ``solve_coboundary`` for the Hochschild solve, and the ``terms`` and
-  ``coeff()`` views for everything else.
+  ``coeff()`` views for everything else.  ``_summed`` takes one part per
+  term, (``_key`` of its flat orders, [(``_key`` of exponents, numerator)],
+  denominator), and is the one place that moves orders above the exponent
+  block; a reader may share one item list among the parts of equal leaves.
 """
 
 from __future__ import annotations
@@ -103,14 +106,22 @@ def _built(dim: int, arity: int, num: dict, den: int) -> "PolyDiffOp":
 
 
 def _summed(dim: int, arity: int, parts) -> "PolyDiffOp":
-    """The operator of (_key(flat orders), {packed exponents: numerator}, den)
-    terms, every field already within the budget."""
+    """The operator of (_key(flat orders), [(packed exponents, numerator)], den)
+    parts, every field already within the budget: each part's numerators go
+    once into one sum, at keys whose orders sit above the exponent block."""
     block = _BITS * dim
     acc = _Sum()
-    for orders, num, d in parts:
-        high = orders << block  # the orders sit above the exponent block
-        acc.add(((k | high, n) for k, n in num.items()), d)
-    return _built(dim, arity, acc.terms, acc.den)
+    terms = acc.terms
+    get = terms.get
+    for orders, items, d in parts:
+        high = orders << block
+        m = acc._factor(d)
+        for k, n in items:
+            k |= high
+            v = terms[k] = get(k, 0) + n * m
+            if not v:
+                del terms[k]
+    return _built(dim, arity, terms, acc.den)
 
 
 class PolyDiffOp:
@@ -145,7 +156,7 @@ class PolyDiffOp:
                 coeff = Poly.const(dim, coeff)
             if coeff.dim != dim:
                 raise DimensionMismatchError("coefficient dimension mismatch")
-            parts.append((_key(sum(orders, ())), {_key(e): n for e, n in coeff._num.items()}, coeff._den))
+            parts.append((_key(sum(orders, ())), [(_key(e), n) for e, n in coeff._num.items()], coeff._den))
         op = _summed(dim, arity, parts)
         self.dim = dim
         self.arity = arity

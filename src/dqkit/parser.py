@@ -16,7 +16,8 @@ x1..xn and descending graded-lex term order.
 A leaf in the shape that canonical output has (``[-]c[/d][*]x_i[^e]*...``
 terms joined by `` + `` and `` - ``) is read straight into integer
 numerators over one denominator; the grammar reads every other leaf and
-reports every error.
+reports every error.  In a diffop document each distinct leaf text is read
+once per operator.
 """
 
 from __future__ import annotations
@@ -144,7 +145,7 @@ class _ExprParser:
                 rhs = self.expr(_PREC["/"] + 1)
                 lhs = self._divide(lhs, rhs, pos)
             elif op == "*":
-                lhs = lhs * self.expr(_PREC["*"] + 1)
+                lhs = self._multiply(lhs, self.expr(_PREC["*"] + 1), pos)
             elif op == "+":
                 lhs = lhs + self.expr(_PREC["+"] + 1)
             else:
@@ -233,6 +234,28 @@ class _ExprParser:
                 f"power has an exponent of more than parser.MAX_INT_DIGITS = {MAX_INT_DIGITS} digits", pos
             )
         return base ** k
+
+    def _multiply(self, a: Poly, b: Poly, pos: int) -> Poly:
+        """a * b, held to the budgets of a power before it multiplies."""
+        # a * b has at most t_a * t_b terms, each of degree at most deg a + deg b in dim variables
+        bound = a.term_count() * b.term_count()
+        if bound > MAX_POWER_TERMS:
+            bound = min(bound, comb(a.total_degree() + b.total_degree() + self.dim, self.dim))
+            if bound > MAX_POWER_TERMS:
+                raise PolyParseError(
+                    f"product may have up to {bound} terms, above the budget of {MAX_POWER_TERMS} "
+                    "(parser.MAX_POWER_TERMS)", pos
+                )
+        # its numerators are at most s_a * s_b (s the sum of a factor's absolute
+        # numerators) over den_a * den_b, and both are at most 2^bits
+        s = sum(map(abs, a._num.values())) * sum(map(abs, b._num.values()))
+        bits = max(a._den * b._den - 1, s - 1).bit_length()
+        if bits > MAX_POWER_BITS:
+            raise PolyParseError(
+                f"product may have coefficients up to 2^{bits}, above the budget of 2^{MAX_POWER_BITS} "
+                "(parser.MAX_POWER_BITS)", pos
+            )
+        return a * b
 
     def _divide(self, num: Poly, den: Poly, pos: int) -> Poly:
         if not den.is_constant():
@@ -420,51 +443,81 @@ def tensor_to_payload(t) -> dict:
     }
 
 
+_TERM_KEYS = frozenset(("coeff", "orders"))
+
+
 def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
+    """The operator of a diffop payload ({arity?, terms} or a bare array of
+    {coeff, orders} entries), read in one pass.
+
+    A leaf text is read once per operator: its first entry reads it (the leaf
+    reader, or the grammar for a text that reader leaves to it) and packs its
+    exponents, and every later entry with the same text reuses that reading.
+    A leaf sums inside itself before it is packed.  Entries are checked in
+    order, each field in a fixed order, so a bad entry is reported at the
+    first entry that has it.  Nothing is kept once the call returns.
+    """
     if isinstance(payload, dict):
         _expect(set(payload) <= {"arity", "terms"}, "expected keys arity/terms", path)
         arity = payload.get("arity", arity)
         _expect(_is_int(arity) and arity >= 1, "arity must be a positive integer", f"{path}.arity")
         terms_raw = payload.get("terms", [])
         _expect(isinstance(terms_raw, list), "terms must be an array", f"{path}.terms")
+        base = f"{path}.terms"
     else:
         _expect(isinstance(payload, list), "expected an array of {coeff, orders}", path)
         terms_raw = payload
-    parts = []  # (packed orders, {packed exponents: numerator}, denominator) per term
+        base = path
+    leaves = {}  # leaf text -> ([(packed exponents, numerator)], denominator)
+    parts = []  # (packed orders, [(packed exponents, numerator)], denominator) per entry
     for idx, entry in enumerate(terms_raw):
-        epath = f"{path}[{idx}]" if isinstance(payload, list) else f"{path}.terms[{idx}]"
-        _expect(isinstance(entry, dict), "expected an object {coeff, orders}", epath)
-        _expect(entry.keys() == {"coeff", "orders"}, "expected keys coeff/orders", epath)
+        # an entry's paths are built only for a refusal or a text's first reading
+        if not isinstance(entry, dict):
+            raise SchemaError("expected an object {coeff, orders}", f"{base}[{idx}]")
+        if entry.keys() != _TERM_KEYS:
+            raise SchemaError("expected keys coeff/orders", f"{base}[{idx}]")
         orders = entry["orders"]
         flat = _orders_fields(orders)
-        _expect(flat is not None, "orders must be an array of multi-indices", f"{epath}.orders")
+        if flat is None:
+            raise SchemaError("orders must be an array of multi-indices", f"{base}[{idx}].orders")
         if arity is None:
             arity = len(orders)
         if len(orders) != arity:
-            raise SchemaError(f"orders must list {arity} multi-indices", epath + ".orders")
-        if any(len(o) != dim for o in orders):
-            raise SchemaError(f"multi-index length must equal dim = {dim}", epath + ".orders")
+            raise SchemaError(f"orders must list {arity} multi-indices", f"{base}[{idx}].orders")
+        for o in orders:
+            if len(o) != dim:
+                raise SchemaError(f"multi-index length must equal dim = {dim}", f"{base}[{idx}].orders")
         try:
             orders_key = _key(flat)
         except BudgetError as exc:
-            raise SchemaError(str(exc), epath + ".orders") from None
-        # a canonical leaf by the leaf reader, any other by the grammar; the
-        # exponents that survive the sum go straight into keys
+            raise SchemaError(str(exc), f"{base}[{idx}].orders") from None
         coeff = entry["coeff"]
-        read = _read_leaf(coeff, dim) if isinstance(coeff, str) else None
-        if read is None:
-            p = _leaf(coeff, dim, f"{epath}.coeff")
-            read = p._num, p._den
-        num, den = read
-        try:
-            parts.append((orders_key, {_key(e): n for e, n in num.items()}, den))
-        except BudgetError as exc:
-            raise SchemaError(str(exc), epath + ".coeff") from None
+        # a text is a key of `leaves` once read; any other coefficient is refused by _leaf
+        leaf = leaves.get(coeff) if isinstance(coeff, str) else None
+        if leaf is None:
+            leaf = leaves[coeff] = _packed_leaf(coeff, dim, f"{base}[{idx}].coeff")
+        parts.append((orders_key, *leaf))
     if arity is None:
         raise SchemaError("empty diffop needs an explicit arity", path)
     # a bare array's arity is the length of its first orders, which may be 0
     _expect(arity >= 1, "arity must be >= 1", path)
     return _summed(dim, arity, parts)
+
+
+def _packed_leaf(text, dim, path) -> tuple:
+    """([(packed exponents, numerator)], denominator) of one operator leaf: a
+    canonical leaf by the leaf reader, any other by the grammar; SchemaError at
+    `path` for a leaf that does not parse or has an exponent above the
+    packing budget."""
+    read = _read_leaf(text, dim) if isinstance(text, str) else None
+    if read is None:
+        p = _leaf(text, dim, path)
+        read = p._num, p._den
+    num, den = read
+    try:
+        return [(_key(e), n) for e, n in num.items()], den
+    except BudgetError as exc:
+        raise SchemaError(str(exc), path) from None
 
 
 _INT_TYPES = {int}
@@ -477,10 +530,12 @@ def _orders_fields(orders):
         return None
     flat = []
     for o in orders:
-        # the set of types is exactly {int}: no bool, float or string
-        if not isinstance(o, list) or (o and ({*map(type, o)} != _INT_TYPES or min(o) < 0)):
+        if not isinstance(o, list):
             return None
         flat += o
+    # the set of types is exactly {int}: no bool, float or string
+    if flat and ({*map(type, flat)} != _INT_TYPES or min(flat) < 0):
+        return None
     return flat
 
 

@@ -8,15 +8,17 @@ from operator import add, sub
 
 from dqkit.calculus import Form, MultiVec, anchor, form_eval, sort_indices, wedge
 from dqkit.diffop import (
+    MAX_PACKED,
     PolyDiffOp,
     apply_op,
     compose_into_slot,
     hochschild_delta,
     transpose_parts,
 )
-from dqkit.errors import DimensionMismatchError, IndexRangeError, SolveError
+from dqkit.errors import DimensionMismatchError, IndexRangeError, SchemaError, SolveError
 from dqkit.kernel import Poly, TPoly, _add_term, grlex_key
 from dqkit.liealgebroid import AlgebroidCheck, AlgebroidForm, AlgebroidPresentation
+from dqkit.parser import _leaf
 from dqkit.poisson import bracket, koszul_bracket
 from dqkit.starprod import GaugeOp, StarProduct, assoc_poisson, exp_gauge, star_commutator, star_mul
 
@@ -598,6 +600,65 @@ def poly_by_fraction_sum(dim: int, terms) -> Poly:
                 del clean[exps]
     den = lcm(*(c.denominator for c in clean.values()))
     return Poly._make(dim, {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
+
+
+def diffop_from_payload_by_entries(payload, dim, path, arity=None) -> PolyDiffOp:
+    """parser.diffop_from_payload by the former route: every entry checked in
+    turn and its leaf read by parser._leaf on its own, however often its text
+    repeats, and the entries summed in order as operators built by the
+    PolyDiffOp constructor.  Refusals carry the reader's messages and paths."""
+
+    def refuse_above_budget(value, where):
+        if value > MAX_PACKED:
+            shown = value if value.bit_length() < 14000 else f"of {value.bit_length()} bits"
+            raise SchemaError(f"exponent or derivative order {shown} is above the packing budget "
+                              f"diffop.MAX_PACKED = {MAX_PACKED}", where)
+
+    if isinstance(payload, dict):
+        if not set(payload) <= {"arity", "terms"}:
+            raise SchemaError("expected keys arity/terms", path)
+        arity = payload.get("arity", arity)
+        if type(arity) is not int or arity < 1:
+            raise SchemaError("arity must be a positive integer", f"{path}.arity")
+        entries = payload.get("terms", [])
+        if not isinstance(entries, list):
+            raise SchemaError("terms must be an array", f"{path}.terms")
+        base = f"{path}.terms"
+    elif isinstance(payload, list):
+        entries, base = payload, path
+    else:
+        raise SchemaError("expected an array of {coeff, orders}", path)
+    read = []
+    for idx, entry in enumerate(entries):
+        epath = f"{base}[{idx}]"
+        if not isinstance(entry, dict):
+            raise SchemaError("expected an object {coeff, orders}", epath)
+        if set(entry) != {"coeff", "orders"}:
+            raise SchemaError("expected keys coeff/orders", epath)
+        orders = entry["orders"]
+        if not (isinstance(orders, list) and all(
+                isinstance(o, list) and all(type(e) is int and e >= 0 for e in o) for o in orders)):
+            raise SchemaError("orders must be an array of multi-indices", f"{epath}.orders")
+        if arity is None:
+            arity = len(orders)
+        if len(orders) != arity:
+            raise SchemaError(f"orders must list {arity} multi-indices", f"{epath}.orders")
+        if any(len(o) != dim for o in orders):
+            raise SchemaError(f"multi-index length must equal dim = {dim}", f"{epath}.orders")
+        orders = tuple(map(tuple, orders))
+        refuse_above_budget(max(sum(orders, ()), default=0), f"{epath}.orders")
+        coeff = _leaf(entry["coeff"], dim, f"{epath}.coeff")
+        for exps in coeff.terms:  # the first monomial above the budget, in the leaf's term order
+            refuse_above_budget(max(exps, default=0), f"{epath}.coeff")
+        read.append((orders, coeff))
+    if arity is None:
+        raise SchemaError("empty diffop needs an explicit arity", path)
+    if arity < 1:
+        raise SchemaError("arity must be >= 1", path)
+    total = PolyDiffOp.zero(dim, arity)
+    for orders, coeff in read:
+        total = total + PolyDiffOp(dim, arity, {orders: coeff})
+    return total
 
 
 def subprincipal_by_commutator(S: StarProduct, R: GaugeOp) -> MultiVec:

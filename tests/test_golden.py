@@ -95,6 +95,9 @@ BUNDLES = {
     "literal_over_digit_limit": _poly(1, "x1 + " + "7" * 5000),
     # each power is inside the term and bit budgets, but x1^(2^16000) has an exponent of 4,817 digits
     "exponent_over_digit_limit": _poly(1, "(((x1^(2^4000))^(2^4000))^(2^4000))^(2^4000)"),
+    # eight factors of 84 terms each: the third may make C(9 + 6, 6) = 5005 terms, so the
+    # second '*' is refused before it multiplies (this document ran out a 25 s timeout unbounded)
+    "product_over_budget": _poly(6, "*".join(["(x1+x2+x3+x4+x5+x6+1)^3"] * 8)),
     # a product of monomials adds exponents: x1^(10^4300 - 1) * x1 is read, and refused when written
     "exponent_product_over_digit_limit": _poly(1, "x1^" + "9" * 4300 + "*x1"),
     "d_index_above_dim": _bundle(
@@ -309,7 +312,7 @@ CASES = (
                               "literal_over_digit_limit", "exponent_over_digit_limit",
                               "exponent_product_over_digit_limit")]
     + [("parse", n) for n in ("diffop_repeated_leaves", "diffop_repeated_unreadable_leaf",
-                              "diffop_repeated_leaf_over_budget")]
+                              "diffop_repeated_leaf_over_budget", "product_over_budget")]
 )
 
 
@@ -452,6 +455,7 @@ GOLDEN = {
     ('parse', 'diffop_repeated_leaves'): (0, "8091a9387ed4e429ddf560f8052d65d6eb0985d8f50b29609af495843116bd7c"),
     ('parse', 'diffop_repeated_unreadable_leaf'): (2, "fbb093235df9895d0d71274bde0443816886492d07da6ff7289ba7542d725787"),
     ('parse', 'diffop_repeated_leaf_over_budget'): (2, "67dd824026092fad339990f34d8bab041bd6690b917a226a2c7698c6ee140a71"),
+    ('parse', 'product_over_budget'): (2, "cf0e2a4688f4758b91fc2c0f168e4e5afecf33b328c3ded2f7966e397975fdb7"),
 }
 
 

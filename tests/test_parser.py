@@ -23,6 +23,7 @@ from dqkit.parser import (
 )
 
 from conftest import assert_clean_poly, rand_poly
+import oracles
 from oracles import canonical_json_reference
 
 
@@ -170,6 +171,42 @@ class TestGrammar:
         with pytest.raises(PolyParseError) as info:
             parse_poly("(x + y + 1)^1000000000", 2)
         assert f"budget of {parser.MAX_POWER_TERMS}" in str(info.value)
+
+    def test_product_budget_checked_before_multiplying(self):
+        # each factor has 84 terms, and two of them at most C(6 + 6, 6) = 924 monomials; a
+        # third factor may give C(9 + 6, 6) = 5005, so the second '*' is refused before it multiplies
+        factor = "(x1+x2+x3+x4+x5+x6+1)^3"
+        assert parse_poly(f"{factor}*{factor}", 6) == parse_poly(factor[:-1] + "6", 6)
+        with pytest.raises(PolyParseError) as info:
+            parse_poly("*".join([factor] * 8), 6)
+        assert info.value.position == 2 * len(factor) + 1
+        assert info.value.message == (
+            f"product may have up to 5005 terms, above the budget of {parser.MAX_POWER_TERMS} (parser.MAX_POWER_TERMS)"
+        )
+
+    def test_product_budget(self, monkeypatch):
+        monkeypatch.setattr(parser, "MAX_POWER_TERMS", 10)
+        # the bound is the smaller of the term pairs and the monomial count: 6 * 2 = 12 pairs,
+        # but at most C(3 + 2, 2) = 10 monomials of degree <= 3 in 2 variables
+        assert parse_poly("(x + y + 1)^2*(x + 1)", 2) == parse_poly("(x + y + 1)^2", 2) * (x + 1)
+        with pytest.raises(PolyParseError) as info:
+            parse_poly("(x + y + 1)^2*(x^2 + y)", 2)
+        assert info.value.message == "product may have up to 12 terms, above the budget of 10 (parser.MAX_POWER_TERMS)"
+        assert info.value.position == 13
+        # a product of monomials has one term
+        assert parse_poly("*".join(["x*y"] * 50), 2).term_count() == 1
+
+    def test_product_bit_budget_is_the_power_budget(self):
+        # a product is refused exactly where the power of the same size is: 2^4096 is read
+        # both ways, 2^4097 neither; a denominator is held to the same bound
+        assert parse_poly("2^2048*2^2048", 1) == parse_poly("2^4096", 1)
+        assert parse_poly("(x1/2^2048)*(x1/2^2048)", 1) == parse_poly("x1^2/2^4096", 1)
+        for text, what in (("2^2048*2^2049", "product"), ("2^4097", "power"),
+                           ("(x1/2^2048)*(x1/2^2049)", "product"), ("(2^4000)*(2^4000)", "product")):
+            with pytest.raises(PolyParseError) as info:
+                parse_poly(text, 1)
+            assert info.value.message.startswith(f"{what} may have coefficients up to 2^")
+            assert f"above the budget of 2^{parser.MAX_POWER_BITS}" in info.value.message
 
     def test_integer_literal_digit_limit(self):
         limit = parser.MAX_INT_DIGITS
@@ -383,6 +420,26 @@ class TestLeafReader:
         assert read_leaf(text, dim) is None
 
 
+# leaves for operator documents, drawn from a small pool so that texts repeat:
+# (kind, coefficient) pairs, with few refusals among them
+_LEAF_DRAWS = st.sampled_from(
+    [("canonical", c) for c in ("x1", "-x1", "x1*x2 - 1/3", "-x1*x2 + 1/3", "1/2", "0")] * 8
+    + [("grammar", c) for c in ("(x1 + 1)^2", "-(x1 + 1)^2", "x*y", "2*(x1 - x2)/3")] * 4
+    + [("cancels inside", c) for c in ("x2 + x1^40000 - x1^40000", "(x2 + x1^40000 - x1^40000)")] * 2
+    + [("over budget", c) for c in ("x1^40000", "(x1^2)^20000", "x2 + x1^32768*x2")]
+    + [("unreadable", c) for c in ("x1 + q", "(", "")]
+    + [("not a str", c) for c in (5, None, ["x1"])]
+)
+# each leaf of the pool that has its negative there
+_NEGATED = {"x1": "-x1", "-x1": "x1", "x1*x2 - 1/3": "-x1*x2 + 1/3", "-x1*x2 + 1/3": "x1*x2 - 1/3",
+            "(x1 + 1)^2": "-(x1 + 1)^2", "-(x1 + 1)^2": "(x1 + 1)^2"}
+# orders of an arity-1 operator on R^2: three valid ones, so that entries share
+# them, and one of each refusal
+_ORDERS_DRAWS = st.sampled_from(
+    [[[1, 0]], [[0, 1]], [[0, 0]]] * 16 + [[[0, 32768]], [[1]], [[1, 0], [0, 0]], [[True, 0]], "x"]
+)
+
+
 class TestDocuments:
     def test_minimal_bivector(self):
         doc = parse_document(
@@ -508,6 +565,40 @@ class TestDocuments:
         terms = [{"coeff": coeff, "orders": [[1, 0]]}]
         op = parse_document(json.dumps({"kind": "diffop", "dim": 2, "payload": terms})).payload
         assert op == PolyDiffOp(2, 1, {((1, 0),): y})
+
+    def test_diffop_reader_matches_the_entry_by_entry_route(self):
+        """The one-pass reader, which reads each leaf text once per operator,
+        against the former route, which reads every entry on its own: the same
+        operator with its keys in the same order, or the same refusal."""
+        seen = set()
+
+        def outcome(read, payload):
+            try:
+                op = read(payload, 2, "$.payload")
+            except SchemaError as exc:
+                return "refused", type(exc), exc.message, exc.path
+            return "read", op.arity, op._den, list(op._num.items())
+
+        @settings(max_examples=300, derandomize=True)
+        @given(st.booleans(), st.lists(st.tuples(_LEAF_DRAWS, _ORDERS_DRAWS), max_size=8))
+        def run(bare, drawn):
+            entries = [{"coeff": leaf, "orders": orders} for (_, leaf), orders in drawn]
+            payload = entries if bare else {"arity": 1, "terms": entries}
+            want = outcome(oracles.diffop_from_payload_by_entries, payload)
+            assert outcome(parser.diffop_from_payload, payload) == want
+            seen.update(kind for (kind, _), _ in drawn)
+            texts = [json.dumps(leaf) for (_, leaf), _ in drawn]
+            if len(set(texts)) < len(texts):
+                seen.add("repeated")
+            placed = {(json.dumps(orders), json.dumps(leaf)) for (_, leaf), orders in drawn}
+            if want[0] == "read" and any((json.dumps(orders), json.dumps(_NEGATED.get(t))) in placed
+                                         for (_, t), orders in drawn if isinstance(t, str)):
+                seen.add("cancels across entries")
+            seen.add(want[0])
+
+        run()
+        assert seen == {"canonical", "grammar", "cancels inside", "over budget", "unreadable", "not a str",
+                        "repeated", "cancels across entries", "read", "refused"}
 
     def test_tseries_poly(self):
         doc = parse_document('{"kind":"poly","dim":2,"order":2,"payload":["x","y","0"]}')
