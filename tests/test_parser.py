@@ -193,8 +193,9 @@ class TestGrammar:
             parse_poly("(x + y + 1)^2*(x^2 + y)", 2)
         assert info.value.message == "product may have up to 12 terms, above the budget of 10 (parser.MAX_POWER_TERMS)"
         assert info.value.position == 13
-        # a product of monomials has one term
+        # a product of monomials has one term, and a zero factor none
         assert parse_poly("*".join(["x*y"] * 50), 2).term_count() == 1
+        assert parse_poly("0*0", 1) == Poly.zero(1)
 
     def test_product_bit_budget_is_the_power_budget(self):
         # a product is refused exactly where the power of the same size is: 2^4096 is read
