@@ -1,17 +1,15 @@
 """dq-kit: exact symbolic toolkit for truncated star products, Poisson and
 Lie-algebroid calculus, and quasi-classical data checks on polynomial models."""
 
-from .kernel import Poly, Rat, TPoly
+from .kernel import Poly, TPoly
 from .calculus import (
     Form,
     MultiVec,
     anchor,
     anchor_pullback,
     exterior_d,
-    form_eval,
     interior,
     lie_derivative,
-    pair,
     schouten,
     wedge,
 )
@@ -71,9 +69,9 @@ from .parser import Document, parse_document, parse_poly, poly_to_text, serializ
 __version__ = "0.1.0"
 
 __all__ = [
-    "Poly", "Rat", "TPoly",
-    "Form", "MultiVec", "anchor", "anchor_pullback", "exterior_d", "form_eval",
-    "interior", "lie_derivative", "pair", "schouten", "wedge",
+    "Poly", "TPoly",
+    "Form", "MultiVec", "anchor", "anchor_pullback", "exterior_d", "interior",
+    "lie_derivative", "schouten", "wedge",
     "PolyDiffOp", "apply_op", "cocycle_defect", "compose_into_slot",
     "hochschild_delta", "transpose_parts",
     "EPSILON", "bracket", "hamiltonian", "is_poisson",

@@ -52,7 +52,6 @@ class _AltTensor:
         ("index_bound", DimensionMismatchError, "index bounds differ: {} vs {}"),
         ("degree", DegreeError, "degrees differ: {} vs {}"),
     )
-    kind = "tensor"
     index_name = "index"
 
     def __init__(self, dim: int, degree: int, terms=None):
@@ -182,8 +181,6 @@ class _AltTensor:
 class MultiVec(_AltTensor):
     """Polynomial-coefficient p-vector field on R^n."""
 
-    kind = "multivec"
-
     def apply_to(self, f: Poly) -> Poly:
         """Apply a vector field (degree 1) to a function as a derivation."""
         if self.degree != 1:
@@ -196,8 +193,6 @@ class MultiVec(_AltTensor):
 
 class Form(_AltTensor):
     """Polynomial-coefficient differential p-form on R^n."""
-
-    kind = "form"
 
     @classmethod
     def d_of(cls, f: Poly) -> "Form":
@@ -308,60 +303,6 @@ def lie_derivative(X: MultiVec, omega: Form) -> Form:
         # L_X f = X(f); i_X of a 0-form is not defined
         return Form.from_poly(X.apply_to(omega.as_poly()))
     return interior(X, exterior_d(omega)) + exterior_d(interior(X, omega))
-
-
-def pair(A: MultiVec, *alphas: Form) -> Poly:
-    """Full antisymmetric contraction of a p-vector with p one-forms."""
-    if not isinstance(A, MultiVec):
-        raise TypeError("pair contracts a multivector with one-forms")
-    if len(alphas) != A.degree:
-        raise DegreeError(f"need {A.degree} one-forms, got {len(alphas)}")
-    for a in alphas:
-        if not (isinstance(a, Form) and a.degree == 1):
-            raise DegreeError("pair arguments must be 1-forms")
-        if a.dim != A.dim:
-            raise DimensionMismatchError("dimension mismatch in pair")
-    return _contract(A, alphas)
-
-
-def form_eval(omega: Form, vectors) -> Poly:
-    """Evaluate a p-form on p vector fields."""
-    vectors = list(vectors)
-    if len(vectors) != omega.degree:
-        raise DegreeError(f"need {omega.degree} vectors, got {len(vectors)}")
-    for v in vectors:
-        if not (isinstance(v, MultiVec) and v.degree == 1):
-            raise DegreeError("form_eval arguments must be vector fields")
-        if v.dim != omega.dim:
-            raise DimensionMismatchError("dimension mismatch in form_eval")
-    return _contract(omega, vectors)
-
-
-def _contract(T, vs) -> Poly:
-    """Sum over T's terms of c * det(v_col(index_row)): T contracted with p dual 1-tensors."""
-    if T.degree == 0:
-        return T.as_poly()
-    out = Poly.zero(T.dim)
-    for idx, c in T.terms.items():
-        out = out + c * _det([[v.coeff((i,)) for v in vs] for i in idx])
-    return out
-
-
-def _det(rows) -> Poly:
-    """Exact determinant of a small square matrix of Polys (Laplace expansion)."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    out = None
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        if j % 2 == 1:
-            term = -term
-        out = term if out is None else out + term
-    return out
 
 
 def schouten(A: MultiVec, B: MultiVec) -> MultiVec:

@@ -30,10 +30,6 @@ from types import MappingProxyType
 
 from .errors import DimensionMismatchError, IndexRangeError, OrderMismatchError
 
-# Exact rational scalar at the API edge.  Fraction maintains the invariants we
-# need: gcd(|p|, q) = 1, q > 0, and zero is 0/1.
-Rat = Fraction
-
 
 def _ratio(value) -> tuple:
     """(numerator, positive denominator) in lowest terms of an int or Fraction."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .calculus import Form, MultiVec, _AltTensor, _cartan, anchor
+from .calculus import MultiVec, _AltTensor, _cartan
 from .errors import DegreeError, DimensionMismatchError, PreconditionError
 from .kernel import Poly
 
@@ -179,21 +179,22 @@ def algebroid_d(A: AlgebroidPresentation, omega: AlgebroidForm) -> AlgebroidForm
 
 def from_poisson(pi: MultiVec) -> AlgebroidPresentation:
     """The Koszul algebroid of a bivector on the frame e_i = dx_i:
-    anchor row i is pi~(dx_i), structure c_{ij}^k = d_k(pi^{ij})."""
+    anchor row i is pi~(dx_i), structure c_{ij}^k = d_k(pi^{ij}).
+
+    Both are read off pi's nonzero terms c dx_i ^ dx_j (i < j): c is entry
+    (i, j) of the anchor and -c entry (j, i); the terms are taken in key
+    order, so the structure keys come out sorted."""
     if pi.degree != 2:
         raise DegreeError("from_poisson needs a bivector")
     n = pi.dim
-    rows = []
-    for i in range(1, n + 1):
-        v = anchor(pi, Form.basis(n, i))
-        rows.append([v.coeff((j,)) for j in range(1, n + 1)])
+    zero = Poly.zero(n)
+    rows = [[zero] * n for _ in range(n)]
     structure = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            pij = pi.coeff((i, j))
-            cs = [pij.partial(k) for k in range(1, n + 1)]
-            if any(not c.is_zero() for c in cs):
-                structure[(i, j)] = cs
+    for (i, j), c in sorted(pi.terms.items()):
+        rows[i - 1][j - 1], rows[j - 1][i - 1] = c, -c
+        cs = [c.partial(k) for k in range(1, n + 1)]
+        if any(not d.is_zero() for d in cs):
+            structure[(i, j)] = cs
     return AlgebroidPresentation(n, n, rows, structure)
 
 

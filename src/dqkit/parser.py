@@ -33,7 +33,7 @@ from typing import Optional
 
 from .calculus import Form, MultiVec
 from .diffop import PolyDiffOp, _fields, _key, _summed
-from .errors import BudgetError, PolyParseError, SchemaError
+from .errors import BudgetError, DqkitError, PolyParseError, SchemaError
 from .kernel import Poly, TPoly, _Sum, _reduced, grlex_key
 from .liealgebroid import AlgebroidPresentation
 from .qclimit import QCData
@@ -429,7 +429,7 @@ def tensor_from_payload(cls, payload, dim, path):
         degree = 0
     try:
         return cls(dim, degree, terms)
-    except Exception as exc:
+    except DqkitError as exc:
         raise SchemaError(str(exc), path) from exc
 
 
@@ -509,13 +509,9 @@ def _packed_leaf(text, dim, path) -> tuple:
     canonical leaf by the leaf reader, any other by the grammar; SchemaError at
     `path` for a leaf that does not parse or has an exponent above the
     packing budget."""
-    read = _read_leaf(text, dim) if isinstance(text, str) else None
-    if read is None:
-        p = _leaf(text, dim, path)
-        read = p._num, p._den
-    num, den = read
+    p = _leaf(text, dim, path)
     try:
-        return [(_key(e), n) for e, n in num.items()], den
+        return [(_key(e), n) for e, n in p._num.items()], p._den
     except BudgetError as exc:
         raise SchemaError(str(exc), path) from None
 
@@ -610,7 +606,7 @@ def qc_from_payload(payload, dim, order, path) -> QCData:
     _expect(H.degree == 3, "H must be a 3-form", f"{path}.H")
     try:
         return QCData(dim, order, pis, H)
-    except Exception as exc:
+    except DqkitError as exc:
         raise SchemaError(str(exc), path) from exc
 
 
@@ -666,7 +662,7 @@ def algebroid_from_payload(payload, dim, path) -> AlgebroidPresentation:
         structure[tuple(pair_raw)] = coeffs
     try:
         return AlgebroidPresentation(dim, rank, rows, structure)
-    except Exception as exc:
+    except DqkitError as exc:
         raise SchemaError(str(exc), path) from exc
 
 

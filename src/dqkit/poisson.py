@@ -23,8 +23,8 @@ from .calculus import (
     MultiVec,
     anchor,
     exterior_d,
+    interior,
     lie_derivative,
-    pair,
 )
 from .errors import DegreeError, DimensionMismatchError
 from .kernel import Poly
@@ -108,15 +108,17 @@ def hamiltonian(pi: MultiVec, f: Poly) -> MultiVec:
 
 
 def koszul_bracket(pi: MultiVec, alpha: Form, beta: Form) -> Form:
-    """[alpha, beta]_pi = L_{pi~ alpha} beta - L_{pi~ beta} alpha - d pi(alpha, beta)."""
+    """[alpha, beta]_pi = L_{pi~ alpha} beta - L_{pi~ beta} alpha - d pi(alpha, beta),
+    with pi(alpha, beta) = <pi~ alpha, beta> contracted by ``interior``."""
     if not (alpha.degree == 1 and beta.degree == 1):
         raise DegreeError("koszul_bracket acts on 1-forms")
     if pi.dim != alpha.dim or pi.dim != beta.dim:
         raise DimensionMismatchError("dimension mismatch in koszul_bracket")
+    pi_alpha = anchor(pi, alpha)
     return (
-        lie_derivative(anchor(pi, alpha), beta)
+        lie_derivative(pi_alpha, beta)
         - lie_derivative(anchor(pi, beta), alpha)
-        - exterior_d(Form.from_poly(pair(pi, alpha, beta)))
+        - exterior_d(interior(pi_alpha, beta))
     )
 
 

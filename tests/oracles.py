@@ -6,7 +6,7 @@ from itertools import combinations, product
 from math import comb, factorial, lcm, perm, prod
 from operator import add, sub
 
-from dqkit.calculus import Form, MultiVec, anchor, form_eval, sort_indices, wedge
+from dqkit.calculus import Form, MultiVec, anchor, exterior_d, lie_derivative, sort_indices, wedge
 from dqkit.diffop import (
     MAX_PACKED,
     PolyDiffOp,
@@ -15,7 +15,7 @@ from dqkit.diffop import (
     hochschild_delta,
     transpose_parts,
 )
-from dqkit.errors import DimensionMismatchError, IndexRangeError, SchemaError, SolveError
+from dqkit.errors import DegreeError, DimensionMismatchError, IndexRangeError, SchemaError, SolveError
 from dqkit.kernel import Poly, TPoly, _add_term, grlex_key
 from dqkit.liealgebroid import AlgebroidCheck, AlgebroidForm, AlgebroidPresentation
 from dqkit.parser import _leaf
@@ -730,6 +730,88 @@ def exterior_d_by_sorting(omega: Form) -> Form:
                 continue
             _add_term(out, key, p if sign > 0 else -p)
     return Form(omega.dim, omega.degree + 1, out)
+
+
+def pair(A: MultiVec, *alphas: Form) -> Poly:
+    """Full antisymmetric contraction of a p-vector with p one-forms."""
+    if not isinstance(A, MultiVec):
+        raise TypeError("pair contracts a multivector with one-forms")
+    if len(alphas) != A.degree:
+        raise DegreeError(f"need {A.degree} one-forms, got {len(alphas)}")
+    for a in alphas:
+        if not (isinstance(a, Form) and a.degree == 1):
+            raise DegreeError("pair arguments must be 1-forms")
+        if a.dim != A.dim:
+            raise DimensionMismatchError("dimension mismatch in pair")
+    return _contract(A, alphas)
+
+
+def form_eval(omega: Form, vectors) -> Poly:
+    """Evaluate a p-form on p vector fields."""
+    vectors = list(vectors)
+    if len(vectors) != omega.degree:
+        raise DegreeError(f"need {omega.degree} vectors, got {len(vectors)}")
+    for v in vectors:
+        if not (isinstance(v, MultiVec) and v.degree == 1):
+            raise DegreeError("form_eval arguments must be vector fields")
+        if v.dim != omega.dim:
+            raise DimensionMismatchError("dimension mismatch in form_eval")
+    return _contract(omega, vectors)
+
+
+def _contract(T, vs) -> Poly:
+    """Sum over T's terms of c * det(v_col(index_row)): T contracted with p dual 1-tensors."""
+    if T.degree == 0:
+        return T.as_poly()
+    out = Poly.zero(T.dim)
+    for idx, c in T.terms.items():
+        out = out + c * _det([[v.coeff((i,)) for v in vs] for i in idx])
+    return out
+
+
+def _det(rows) -> Poly:
+    """Exact determinant of a small square matrix of Polys (Laplace expansion)."""
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    if n == 2:
+        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
+    out = None
+    for j in range(n):
+        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
+        term = rows[0][j] * _det(minor)
+        if j % 2 == 1:
+            term = -term
+        out = term if out is None else out + term
+    return out
+
+
+def koszul_bracket_by_pair(pi: MultiVec, alpha: Form, beta: Form) -> Form:
+    """koszul_bracket with pi(alpha, beta) taken by the determinant contraction
+    ``pair`` instead of <pi~ alpha, beta>."""
+    return (
+        lie_derivative(anchor(pi, alpha), beta)
+        - lie_derivative(anchor(pi, beta), alpha)
+        - exterior_d(Form.from_poly(pair(pi, alpha, beta)))
+    )
+
+
+def from_poisson_by_anchor(pi: MultiVec) -> AlgebroidPresentation:
+    """from_poisson by the anchor of each basis 1-form and a scan of all n^2
+    entries of pi: row i is pi~(dx_i), structure c_{ij}^k = d_k(pi^{ij})."""
+    n = pi.dim
+    rows = []
+    for i in range(1, n + 1):
+        v = anchor(pi, Form.basis(n, i))
+        rows.append([v.coeff((j,)) for j in range(1, n + 1)])
+    structure = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            pij = pi.coeff((i, j))
+            cs = [pij.partial(k) for k in range(1, n + 1)]
+            if any(not c.is_zero() for c in cs):
+                structure[(i, j)] = cs
+    return AlgebroidPresentation(n, n, rows, structure)
 
 
 def anchor_pullback_by_images(pi: MultiVec, omega: Form) -> MultiVec:

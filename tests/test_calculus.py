@@ -10,10 +10,8 @@ from dqkit.calculus import (
     anchor,
     anchor_pullback,
     exterior_d,
-    form_eval,
     interior,
     lie_derivative,
-    pair,
     schouten,
     wedge,
 )
@@ -23,7 +21,7 @@ from dqkit.liealgebroid import AlgebroidForm
 from dqkit.poisson import bracket, is_poisson
 
 from conftest import alt_tensors, rand_form, rand_multivec, rand_poly, rand_vector_field
-from oracles import anchor_pullback_by_images, exterior_d_by_sorting, schouten_by_recursion
+from oracles import anchor_pullback_by_images, exterior_d_by_sorting, form_eval, pair, schouten_by_recursion
 
 x = Poly.variable(2, 1)
 y = Poly.variable(2, 2)

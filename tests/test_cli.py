@@ -14,7 +14,9 @@ from dqkit.cli import dispatch
 from dqkit.diffop import PolyDiffOp
 from dqkit.errors import SolveError
 from dqkit.kernel import Poly
+from dqkit.liealgebroid import AlgebroidPresentation
 from dqkit.parser import Document, diffop_to_payload, serialize_document
+from dqkit.qclimit import QCData
 from dqkit.starprod import GaugeOp, gauge_transform, moyal, specialize
 from oracles import canonical_json_reference
 
@@ -268,6 +270,28 @@ class TestFailureReports:
         assert code == cli.EXIT_INTERNAL == 3
         assert report["payload"] == {"error": "internal error: RuntimeError: boom"}
         assert not report["ok"] and report["defects"] == []
+        assert out == canonical_json_reference(report)
+
+    @pytest.mark.parametrize(
+        "cls, argv",
+        [
+            (MultiVec, ["poisson", "check", "--in", corpus("so3.json")]),
+            (QCData, ["mc", "--in", corpus("qc_r3.json")]),
+            (AlgebroidPresentation, ["algebroid", "check", "--in", corpus("algebroid_so3.json")]),
+        ],
+        ids=["tensor", "qc", "algebroid"],
+    )
+    def test_fault_in_a_reader_constructor_exits_three(self, monkeypatch, cls, argv):
+        """A document reader reports a library constructor's input error at its
+        path; any other exception is a fault of the program, not an input error."""
+
+        def broken(self, *args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cls, "__init__", broken)
+        code, report, out = run(argv)
+        assert code == cli.EXIT_INTERNAL == 3
+        assert report["payload"] == {"error": "internal error: RuntimeError: boom"}
         assert out == canonical_json_reference(report)
 
     def test_unwritable_out_exits_two_with_a_report(self, tmp_path):

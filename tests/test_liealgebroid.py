@@ -20,8 +20,14 @@ from dqkit.liealgebroid import (
 )
 from dqkit.poisson import is_poisson, lichnerowicz_d
 
-from conftest import polys, rand_poly
-from oracles import algebroid_d_by_frame, check_algebroid_by_brackets, frame_bracket, koszul_frame_bracket
+from conftest import alt_tensors, polys, rand_poly
+from oracles import (
+    algebroid_d_by_frame,
+    check_algebroid_by_brackets,
+    frame_bracket,
+    from_poisson_by_anchor,
+    koszul_frame_bracket,
+)
 
 x = Poly.variable(2, 1)
 y = Poly.variable(2, 2)
@@ -291,6 +297,32 @@ class TestFromPoisson:
                 cs = frame_bracket(P_so3, i, j)
                 for k in range(1, 4):
                     assert kb.coeff((k,)) == cs[k - 1]
+
+    def test_matches_anchor_route(self):
+        """pi's terms read once against the anchor of each dx_i and a scan of all
+        n^2 entries: the same dense anchor, structure in the same key order, and
+        the same sparse anchor rows and brackets, on R^1..R^5 with zero rows,
+        non-constant coefficients and the zero bivector among the draws."""
+        seen = set()
+
+        @settings(derandomize=True)
+        @given(st.integers(1, 5).flatmap(lambda n: alt_tensors(MultiVec, n, 2, max_size=4)))
+        def run(pi):
+            got, want = from_poisson(pi), from_poisson_by_anchor(pi)
+            assert got.anchor == want.anchor
+            assert list(got.structure.items()) == list(want.structure.items())
+            assert got._anchor_rows == want._anchor_rows
+            assert list(got._brackets.items()) == list(want._brackets.items())
+            seen.add(pi.dim)
+            if pi.is_zero():
+                seen.add("zero")
+            elif len(got._anchor_rows) < pi.dim:
+                seen.add("zero row")
+            if got.structure:
+                seen.add("non-constant")
+
+        run()
+        assert seen == {1, 2, 3, 4, 5, "zero", "zero row", "non-constant"}
 
 
 class TestExtensionCurvature:

@@ -15,7 +15,8 @@ from dqkit.poisson import (
     lichnerowicz_d,
 )
 
-from conftest import rand_form, rand_multivec, rand_poly, rand_vector_field
+from conftest import alt_tensors, rand_form, rand_multivec, rand_poly, rand_vector_field
+from oracles import koszul_bracket_by_pair, pair
 
 x = Poly.variable(2, 1)
 y = Poly.variable(2, 2)
@@ -129,6 +130,29 @@ class TestKoszulBracket:
 
         assert not jac_defect(pi_so3, 3, 12)
         assert jac_defect(pi_bad, 3, 40)
+
+    def test_matches_pair_route(self):
+        """pi(alpha, beta) as <pi~ alpha, beta> against the determinant contraction
+        pair(pi, alpha, beta), on drawn bivectors and 1-forms on R^1..R^4."""
+        seen = set()
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(1, 4))
+            pi = draw(alt_tensors(MultiVec, n, 2, max_size=4))
+            return pi, draw(alt_tensors(Form, n, 1)), draw(alt_tensors(Form, n, 1))
+
+        @settings(derandomize=True)
+        @given(cases())
+        def run(case):
+            pi, alpha, beta = case
+            assert koszul_bracket(pi, alpha, beta) == koszul_bracket_by_pair(pi, alpha, beta)
+            seen.add(pi.dim)
+            if not pair(pi, alpha, beta).is_constant():
+                seen.add("d pi(alpha, beta)")
+
+        run()
+        assert seen == {1, 2, 3, 4, "d pi(alpha, beta)"}
 
 
 class TestHamiltonian:

@@ -8,7 +8,7 @@ from dqkit.poisson import bracket, is_poisson, lichnerowicz_d
 from dqkit.qclimit import QCData, _triple_contraction, kappa, mc_defect, mc_defect_order
 
 from conftest import alt_tensors, rand_form, rand_multivec, rand_poly, rand_vector_field
-from oracles import triple_contraction_by_images
+from oracles import pair, triple_contraction_by_images
 
 x = Poly.variable(2, 1)
 
@@ -145,7 +145,7 @@ class TestKappa:
         res = kappa(qc_plane, B)
         n = 2
         xs = [Poly.variable(n, i) for i in range(1, n + 1)]
-        from dqkit.calculus import pair, Form as F
+        from dqkit.calculus import Form as F
 
         def val(c, f, g):
             return pair(c, F.d_of(f), F.d_of(g))
@@ -174,7 +174,7 @@ class TestKappa:
         assert res.certified()
         n = 3
         xs = [Poly.variable(n, i) for i in range(1, n + 1)]
-        from dqkit.calculus import pair, Form as F
+        from dqkit.calculus import Form as F
         from itertools import combinations
 
         def val(c, f, g):
