@@ -25,14 +25,15 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
   returns, so nothing is cached across calls.
 - **Sums.**  Operator sums run through ``kernel._Sum`` and are normalized
   once by ``kernel._lowest`` (in ``_built``); :class:`_OpAcc` is a
-  ``kernel._Sum`` that also adds compositions, and its result becomes the
-  operator's map.
+  ``kernel._Sum`` that also adds compositions and Hochschild coboundaries,
+  and its result becomes the operator's map.
 - **Views.**  ``terms``, ``sorted_terms()`` and ``coeff()`` decode keys into
   ``{orders tuple: Poly}`` on each access, as do results that are polynomials.
 - **Who reads keys.**  Only this module shifts, masks or sizes a key
   (``kernel._Sum`` adds numerators at keys it does not read).  Other
   modules use :class:`_OpAcc` and :class:`_Packed` for sums of compositions
-  and of operators, ``_built`` for a map they summed from keys of this
+  and of operators, ``_OpAcc.add_coboundary`` for a Hochschild coboundary
+  delta(D) in such a sum, ``_built`` for a map they summed from keys of this
   module's operators, ``_key``, ``_fields``, ``_summed`` and the
   ``_groups``/``_orders`` decoders to read and write documents,
   ``solve_coboundary`` for the Hochschild solve, and the ``terms`` and
@@ -445,10 +446,28 @@ def _compositions(total: int, parts: int):
             yield c * m, (first, *rest)
 
 
+def _splits(a: int, dim: int) -> list:
+    """[(weight, a' | a'' << 16 dim)] of the terms that an order a in one slot
+    gives in a Hochschild coboundary, before the sign (-1)^i (see
+    _OpAcc.add_coboundary): C(a, a') over a' <= a with 0 != a' != a and
+    a'' = a - a', in the order of product(range(a_1 + 1), ...); for a = 0, the
+    one term -1 with both slots zero."""
+    if not a:
+        return [(-1, 0)]
+    got = [(1, 0)]
+    for c, ac in enumerate(_fields(a, dim)):
+        if ac:
+            shares = [(comb(ac, g), g << _BITS * c) for g in range(ac + 1)]
+            got = [(w * wg, k + kg) for w, k in got for wg, kg in shares]
+    block = _BITS * dim
+    return [(w, k | a - k << block) for w, k in got[1:-1]]
+
+
 class _OpAcc(_Sum):
     """A running sum of operators of one dimension (kernel._Sum over packed
     keys).  A composition adds one int key sum and one int multiply-add per
-    pair of packed terms, dropping a numerator that cancels.
+    pair of packed terms, and a coboundary one per proper split of each term's
+    slots, dropping a numerator that cancels.
     """
 
     __slots__ = ("dim",)
@@ -479,6 +498,52 @@ class _OpAcc(_Sum):
                         else:
                             del terms[k]
 
+    def add_coboundary(self, D: PolyDiffOp, sign: int = 1) -> None:
+        """Add sign * delta(D), the Hochschild coboundary of an operator of any
+        arity p, in closed form:
+
+            delta(D) = sum_{i=1..p} (-1)^i [ sum_{a_i = a' + a'', a' != 0 != a''}
+                       C(a_i, a') (..., a', a'', ...) - [a_i = 0] (..., 0, 0, ...) ]
+
+        for each term of D with orders (a_1, ..., a_p): slot i's order is split
+        over output slots i and i+1, and the later slots move up.  The improper
+        splits (a' or a'' zero) cancel against the neighbouring terms and the two
+        products with f_0 and f_p, so they are never formed; a zero slot, whose
+        one split is improper, leaves the (..., 0, 0, ...) term.  For each term
+        the splits come in the order of product(range(a_i + 1)) over a'.
+        """
+        dim, block = D.dim, _BITS * D.dim
+        low = (1 << block) - 1
+        m = self._factor(D._den, sign)
+        terms = self.terms
+        get = terms.get
+        splits = {}  # packed a -> _splits(a, dim)
+        for high, sub in D._groups().items():
+            rows = []  # (the other slots' orders, moved, (-1)^i, slot i's bits, its splits) for i = 1..p
+            for i in range(1, D.arity + 1):
+                cut = block * (i - 1)
+                a = high >> cut & low
+                shares = splits.get(a)
+                if shares is None:
+                    shares = splits[a] = _splits(a, dim)
+                rest = (high & (1 << cut) - 1 | high >> cut + block << cut + 2 * block) << block
+                rows.append((rest, -1 if i % 2 else 1, block * i, shares))
+            for e, n in sub.items():
+                n *= m
+                for rest, s, up, shares in rows:
+                    head, ns = e | rest, n * s
+                    for w, add in shares:
+                        k = head | add << up
+                        v = get(k)
+                        if v is None:
+                            terms[k] = ns * w
+                        else:
+                            v += ns * w
+                            if v:
+                                terms[k] = v
+                            else:
+                                del terms[k]
+
     def op(self, arity: int) -> PolyDiffOp:
         """The sum as an operator of `arity` arguments, its map handed over as it
         is; BudgetError if a field is above MAX_PACKED.  The accumulator is empty
@@ -503,17 +568,9 @@ def compose_into_slot(outer: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDi
     if outer.dim != inner.dim:
         raise DimensionMismatchError("operator dimensions differ")
     outer_h = _Packed(outer)
-    inner_h = outer_h if inner is outer else _Packed(inner)
-    return _composed_sum(outer.arity + inner.arity - 1, (outer_h, slot, inner_h, 1))
-
-
-def _composed_sum(arity: int, *terms) -> PolyDiffOp:
-    """The sum of sign * compose_into_slot(outer, slot, inner) over
-    (outer, slot, inner, sign) terms of handles."""
-    acc = _OpAcc(terms[0][0].op.dim)
-    for outer, slot, inner, sign in terms:
-        acc.add_compose(outer, slot, inner, sign)
-    return acc.op(arity)
+    acc = _OpAcc(outer.dim)
+    acc.add_compose(outer_h, slot, outer_h if inner is outer else _Packed(inner))
+    return acc.op(outer.arity + inner.arity - 1)
 
 
 def transpose(P: PolyDiffOp) -> PolyDiffOp:
@@ -542,12 +599,16 @@ def transpose_parts(P: PolyDiffOp):
 
 
 def hochschild_delta(Q: PolyDiffOp) -> PolyDiffOp:
-    """The Hochschild coboundary of an arity-1 operator:
-    dQ(f,g) = Q(fg) - Q(f)g - fQ(g), as an exact operator identity."""
+    """The Hochschild coboundary of an arity-1 operator, with the sign of
+    gauge transforms: dQ(f,g) = Q(fg) - Q(f)g - fQ(g) = -delta(Q), as an exact
+    operator identity.  In closed form (_OpAcc.add_coboundary), each term
+    x^e d^a gives x^e sum_{0 < a' < a} C(a, a') d^a' (x) d^(a - a'), and a term
+    x^e of order 0 gives -x^e (f (x) g)."""
     if Q.arity != 1:
         raise ArityMismatchError("hochschild_delta needs arity 1")
-    q, m = _Packed(Q), _Packed(PolyDiffOp.multiplication(Q.dim))
-    return _composed_sum(2, (q, 1, m, 1), (m, 1, q, -1), (m, 2, q, -1))
+    acc = _OpAcc(Q.dim)
+    acc.add_coboundary(Q, -1)
+    return acc.op(2)
 
 
 def _pivot(key: int, n: int):
@@ -614,11 +675,15 @@ def solve_coboundary(sym: PolyDiffOp, degree_bound: int) -> PolyDiffOp:
 
 def cocycle_defect(P: PolyDiffOp) -> PolyDiffOp:
     """The degree-2 Hochschild cocycle condition of an arity-2 operator:
-    (f,g,h) -> f P(g,h) - P(fg,h) + P(f,gh) - P(f,g) h."""
+    delta(P)(f,g,h) = f P(g,h) - P(fg,h) + P(f,gh) - P(f,g) h.  In closed form
+    (_OpAcc.add_coboundary), a term of orders (a_1, a_2) gives minus the proper
+    splits of a_1 over slots 1, 2 and plus those of a_2 over slots 2, 3; a zero
+    a_1 gives +(0, 0, a_2) and a zero a_2 gives -(a_1, 0, 0)."""
     if P.arity != 2:
         raise ArityMismatchError("cocycle_defect needs arity 2")
-    p, m = _Packed(P), _Packed(PolyDiffOp.multiplication(P.dim))
-    return _composed_sum(3, (m, 2, p, 1), (p, 1, m, -1), (p, 2, m, 1), (m, 1, p, -1))
+    acc = _OpAcc(P.dim)
+    acc.add_coboundary(P)
+    return acc.op(3)
 
 
 def partial_apply(D: PolyDiffOp, slot: int, f: Poly) -> PolyDiffOp:

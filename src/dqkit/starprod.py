@@ -282,14 +282,17 @@ def gauge_unitality_defects(R: GaugeOp):
 def _assoc_defects(S: StarProduct):
     """Yield D_1, D_2, ... (see assoc_defect) one t-order at a time.
 
-    For each i the slot-2 term P_i o_2 P_{k-i} is subtracted right after the
-    slot-1 term P_i o_1 P_{k-i} is added, so terms that cancel leave the sum
-    before the next i adds more.
+    The four terms with P_0 = multiplication (i = 0 and i = k) are -delta(P_k),
+    added in closed form by diffop._OpAcc.add_coboundary, so only 0 < i < k is
+    composed.  For each such i the slot-2 term P_i o_2 P_{k-i} is subtracted
+    right after the slot-1 term P_i o_1 P_{k-i} is added, so terms that cancel
+    leave the sum before the next i adds more.
     """
-    ops = [_Packed(S.op(i)) for i in range(S.order + 1)]  # shared by both slots and every order
+    ops = {i: _Packed(S.op(i)) for i in range(1, S.order)}  # shared by both slots and every order
     for k in range(1, S.order + 1):
         acc = _OpAcc(S.dim)
-        for i in range(k + 1):
+        acc.add_coboundary(S.op(k), -1)
+        for i in range(1, k):
             acc.add_compose(ops[i], 1, ops[k - i])
             acc.add_compose(ops[i], 2, ops[k - i], -1)
         yield acc.op(3)
@@ -298,9 +301,11 @@ def _assoc_defects(S: StarProduct):
 def assoc_defect(S: StarProduct):
     """Order-by-order associativity defects, one arity-3 operator per t-order:
 
-    D_k = sum_{i+j=k} P_i(P_j(f,g), h) - P_i(f, P_j(g,h)),  P_0 = multiplication.
+    D_k = sum_{i+j=k} P_i(P_j(f,g), h) - P_i(f, P_j(g,h)),  P_0 = multiplication,
+        = -delta(P_k) + sum_{0<i<k} P_i(P_{k-i}(f,g), h) - P_i(f, P_{k-i}(g,h)),
 
-    S is associative iff every D_k is structurally zero.
+    with delta the Hochschild coboundary (Gerstenhaber 1964): the terms with P_0
+    are -delta(P_k).  S is associative iff every D_k is structurally zero.
     """
     return list(_assoc_defects(S))
 

@@ -540,6 +540,39 @@ def gauge_compose_reference(R: GaugeOp, Q: GaugeOp) -> GaugeOp:
     return GaugeOp(R.dim, R.order, ops)
 
 
+def coboundary_by_composition(D: PolyDiffOp) -> PolyDiffOp:
+    """The Hochschild coboundary of an operator of arity p, built from public
+    compositions with the multiplication m, the route diffop._OpAcc.add_coboundary
+    replaced:
+
+        delta(D) = m o_2 D + sum_{i=1..p} (-1)^i D o_i m + (-1)^(p+1) m o_1 D,
+
+    that is (f_0, ..., f_p) -> f_0 D(f_1, ..., f_p) + sum_i (-1)^i D(.., f_{i-1} f_i, ..)
+    + (-1)^(p+1) D(f_0, ..., f_{p-1}) f_p.  hochschild_delta(Q) is -delta(Q) and
+    cocycle_defect(P) is delta(P)."""
+    m = PolyDiffOp.multiplication(D.dim)
+    out = compose_into_slot(m, 2, D)
+    for i in range(1, D.arity + 1):
+        merged = compose_into_slot(D, i, m)
+        out = out - merged if i % 2 else out + merged
+    last = compose_into_slot(m, 1, D)
+    return out + last if D.arity % 2 else out - last
+
+
+def assoc_defects_by_composition(S: StarProduct) -> list:
+    """D_k = sum_{i+j=k} P_i o_1 P_j - P_i o_2 P_j for k = 1..N, all k + 1 terms
+    composed, the P_0 = multiplication terms included: the route that
+    starprod._assoc_defects replaced with -delta(P_k) for i = 0 and i = k."""
+    out = []
+    for k in range(1, S.order + 1):
+        D = PolyDiffOp.zero(S.dim, 3)
+        for i in range(k + 1):
+            Pi, Pj = S.op(i), S.op(k - i)
+            D = D + compose_into_slot(Pi, 1, Pj) - compose_into_slot(Pi, 2, Pj)
+        out.append(D)
+    return out
+
+
 def vector_field_op(xi: MultiVec) -> PolyDiffOp:
     """A vector field as the arity-1 operator sum_i xi^i d_i, written out for
     degree 1: the builder that starprod.multiderivation replaced."""

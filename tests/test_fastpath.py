@@ -11,7 +11,9 @@ once it is normalized.  These tests check the results by evaluation, against
 unfused, uncapped and Poly-per-pair references, at the edge of the 16-bit
 fields, and by walking every output for the invariants the trusted
 constructors no longer check.  Coefficients are drawn with denominators 1, 2,
-3, 4 and 6, so the common denominator is rescaled in most examples.
+3, 4 and 6, so the common denominator is rescaled in most examples.  The
+Hochschild coboundary, which the accumulator adds in closed form, is checked
+against its composition route with the multiplication (oracles).
 """
 
 import random
@@ -19,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dqkit.calculus import MultiVec
 from dqkit import diffop
@@ -54,6 +56,8 @@ from conftest import assert_clean_poly, rand_diffop1, rand_gauge
 from oracles import (
     add_by_terms,
     apply_by_terms,
+    assoc_defects_by_composition,
+    coboundary_by_composition,
     compose_acc_by_poly,
     derivative_uncapped,
     gauge_compose_reference,
@@ -151,17 +155,6 @@ def test_compose_matches_evaluation(data):
 # (b) unfused references built from public compose_into_slot and +/-
 
 
-def ref_assoc_defect(S):
-    out = []
-    for k in range(1, S.order + 1):
-        D = PolyDiffOp.zero(S.dim, 3)
-        for i in range(k + 1):
-            Pi, Pj = S.op(i), S.op(k - i)
-            D = D + compose_into_slot(Pi, 1, Pj) - compose_into_slot(Pi, 2, Pj)
-        out.append(D)
-    return out
-
-
 def ref_gauge_transform(S, R):
     new_P = []
     for k in range(1, S.order + 1):
@@ -189,25 +182,6 @@ def ref_invert_gauge(R):
     return GaugeOp(R.dim, R.order, Q)
 
 
-def ref_hochschild_delta(Q):
-    mul = PolyDiffOp.multiplication(Q.dim)
-    return (
-        compose_into_slot(Q, 1, mul)
-        - compose_into_slot(mul, 1, Q)
-        - compose_into_slot(mul, 2, Q)
-    )
-
-
-def ref_cocycle_defect(P):
-    mul = PolyDiffOp.multiplication(P.dim)
-    return (
-        compose_into_slot(mul, 2, P)
-        - compose_into_slot(P, 1, mul)
-        + compose_into_slot(P, 2, mul)
-        - compose_into_slot(mul, 1, P)
-    )
-
-
 def std_moyal(n, order):
     pi = MultiVec(n, 2, {(i, i + 1): Poly.one(n) for i in range(1, n, 2)})
     return moyal(pi, order)
@@ -227,7 +201,7 @@ def test_fused_routines_match_unfused_references():
         assert S2 == ref_gauge_transform(S, R)
         defects = assoc_defect(S2)
         assert_clean(defects)
-        assert defects == ref_assoc_defect(S2)
+        assert defects == assoc_defects_by_composition(S2)
         assert all(D.is_zero() for D in defects)
         assert is_associative(S2)
         Rinv = invert_gauge(R)
@@ -251,7 +225,7 @@ def test_fused_routines_match_references_on_random_stars(data):
     Q = GaugeOp(DIM, N, [data.draw(ops(arity=1)) for _ in range(N)])
     defects = assoc_defect(S)
     assert_clean(defects)
-    assert defects == ref_assoc_defect(S)
+    assert defects == assoc_defects_by_composition(S)
     # is_associative stops at the first nonzero order and must agree
     assert is_associative(S) == all(D.is_zero() for D in defects)
     S2 = gauge_transform(S, R)
@@ -273,12 +247,100 @@ def test_fused_hochschild_matches_unfused():
         Q = rand_diffop1(rng, 3, max_order=3, unital=False)
         delta = hochschild_delta(Q)
         assert_clean(delta)
-        assert delta == ref_hochschild_delta(Q)
+        assert delta == -coboundary_by_composition(Q)
     for _, _, S2 in gauged_moyals():
         for P in S2.P:
             cocycle = cocycle_defect(P)
             assert_clean(cocycle)
-            assert cocycle == ref_cocycle_defect(P)
+            assert cocycle == coboundary_by_composition(P)
+
+
+# ----------------------------------------------------------------------
+# (b') the closed-form Hochschild coboundary against the composition route
+
+
+def slotted_ops(dim, arity):
+    """Operators on R^dim of the given arity whose slots are often of order 0:
+    each slot is zero or a multi-index with fields 0..2, and each coefficient
+    has one or two terms with denominators 1, 2, 3, 4 and 6."""
+    exps = st.tuples(*[st.integers(0, 2)] * dim)
+    coeffs = st.dictionaries(exps, rationals, min_size=1, max_size=2).map(lambda d: Poly(dim, d))
+    slot = st.one_of(st.just((0,) * dim), exps)
+    return st.dictionaries(st.tuples(*[slot] * arity), coeffs, max_size=3).map(
+        lambda terms: PolyDiffOp(dim, arity, terms))
+
+
+def zero_slot_kinds(D):
+    """The kinds of order-0 slot among D's terms."""
+    kinds = set()
+    for orders in D.terms:
+        zero = [not any(o) for o in orders]
+        if all(zero):
+            kinds.add("order 0 throughout")
+        elif any(zero):
+            kinds.add("order-0 slot")
+    return kinds
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_closed_form_coboundary_matches_composition(dim):
+    """_OpAcc.add_coboundary, hochschild_delta and cocycle_defect against
+    f_0 D, the merges with the multiplication and D f_p, composed: arity 1..3,
+    added with either sign to a sum that already holds an operator."""
+    seen = set()
+
+    @settings(max_examples=60, derandomize=True)
+    @given(st.data())
+    def run(data):
+        p = data.draw(st.integers(1, 3))
+        D = data.draw(slotted_ops(dim, p))
+        held = data.draw(slotted_ops(dim, p + 1))
+        sign = data.draw(st.sampled_from((1, -1)))
+        want = coboundary_by_composition(D)
+        acc = _OpAcc(dim)
+        acc.add(held._num.items(), held._den)
+        acc.add_coboundary(D, sign)
+        got = acc.op(p + 1)
+        assert_clean(got)
+        assert got == held + (want if sign > 0 else -want)
+        if p == 1:
+            assert hochschild_delta(D) == -want
+        elif p == 2:
+            assert cocycle_defect(D) == want
+        seen.add(p)
+        seen.update(zero_slot_kinds(D))
+        if D._den != 1:
+            seen.add("denominator")
+
+    run()
+    assert seen == {1, 2, 3, "order-0 slot", "order 0 throughout", "denominator"}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_assoc_defects_match_composition(dim):
+    """assoc_defect, whose P_0 terms are -delta(P_k) in closed form, against all
+    k + 1 composed terms, on random stars of orders 1..3; is_associative agrees."""
+    seen = set()
+
+    @settings(max_examples=30, derandomize=True)
+    @given(st.data())
+    def run(data):
+        N = data.draw(st.integers(1, 3))
+        S = StarProduct(dim, N, [data.draw(slotted_ops(dim, 2)) for _ in range(N)])
+        defects = assoc_defect(S)
+        assert_clean(defects)
+        assert defects == assoc_defects_by_composition(S)
+        assert is_associative(S) == all(D.is_zero() for D in defects)
+        seen.add(N)
+        for P in S.P:
+            seen.update(zero_slot_kinds(P))
+            if P._den != 1:
+                seen.add("denominator")
+        if N == 3 and not defects[1].is_zero() and not defects[2].is_zero():
+            seen.add("D_2 and D_3 nonzero")
+
+    run()
+    assert seen == {1, 2, 3, "order-0 slot", "order 0 throughout", "denominator", "D_2 and D_3 nonzero"}
 
 
 def test_cancellation_leaves_no_zero():

@@ -165,6 +165,14 @@ BUNDLES = {
         inner=_diffop(1, 1, [{"coeff": "x1^3000", "orders": [[0]]}]),
     ),
     "cocycle_not_closed": _diffop(2, 2, [{"coeff": "x", "orders": [[1, 0], [0, 0]]}]),
+    # an order-0 term beside a mixed higher-order term: delta keeps the -(x - 2/3) f g
+    # term of the zero slot and every proper split of d_x d_y^2
+    "delta_order0_mixed": _diffop(2, 1, [{"coeff": "x - 2/3", "orders": [[0, 0]]},
+                                         {"coeff": "x*y/2", "orders": [[1, 2]]}]),
+    # an order-0 slot on each side, and a term of order 0 in both slots
+    "cocycle_order0_slots": _diffop(2, 2, [{"coeff": "y^2", "orders": [[0, 0], [2, 1]]},
+                                           {"coeff": "x - 1/2", "orders": [[1, 1], [0, 0]]},
+                                           {"coeff": "3/4", "orders": [[0, 0], [0, 0]]}]),
     # the Moyal plane gauged by R_1 = d_x^2 / 2, truncated at t^2: not special
     "star_gauged_halfdx2": {"kind": "star", "dim": 2, "order": 2, "payload": {"P": [
         {"arity": 2, "terms": [{"coeff": c, "orders": o} for c, o in [
@@ -176,6 +184,15 @@ BUNDLES = {
     ]}},
     # the Moyal plane gauged by R_1 = x2 d_x^2 + x1 d_x d_y + d_y^2 / 2, truncated at t^1: sym(P_1)
     # needs coefficient degree 1, so at degree 0 only its d_y^2 part is solved and the rest is the residual
+    # the Moyal P_1 with a P_2 and a P_3 that break associativity at orders 2 and 3; P_3
+    # has an order-0 slot
+    "star_nonassoc_order3": {"kind": "star", "dim": 2, "order": 3, "payload": {"P": [
+        {"arity": 2, "terms": [{"coeff": "1/2", "orders": [[1, 0], [0, 1]]},
+                               {"coeff": "-1/2", "orders": [[0, 1], [1, 0]]}]},
+        {"arity": 2, "terms": [{"coeff": "x/3", "orders": [[1, 0], [1, 0]]},
+                               {"coeff": "-1/4", "orders": [[0, 2], [0, 1]]}]},
+        {"arity": 2, "terms": [{"coeff": "y^2 - 1/5", "orders": [[0, 0], [1, 1]]},
+                               {"coeff": "2/7", "orders": [[2, 0], [0, 1]]}]}]}},
     "star_gauged_degree1": {"kind": "star", "dim": 2, "order": 1, "payload": {"P": [
         {"arity": 2, "terms": [{"coeff": c, "orders": o} for c, o in [
             ("-1", [[0, 1], [0, 1]]), ("-x1 - 1/2", [[0, 1], [1, 0]]), ("-x1 + 1/2", [[1, 0], [0, 1]]),
@@ -288,7 +305,9 @@ CASES = (
     + [("diffop apply", "apply_plane"), ("diffop compose --slot 2", "compose_plane"),
        ("diffop delta", "delta_plane"), ("diffop cocycle", "cocycle_not_closed"),
        ("diffop compose", "compose_over_packed_budget"), ("diffop compose", "compose_over_digit_limit"),
-       ("diffop apply", "apply_over_packed_budget")]
+       ("diffop apply", "apply_over_packed_budget"),
+       ("diffop delta", "delta_order0_mixed"), ("diffop cocycle", "cocycle_order0_slots"),
+       ("star assoc", "star_nonassoc_order3")]
     + [("star moyal --order 2", "pi_std.json"), ("star moyal --order 12", "pi_std.json"),
        ("star moyal", "so3.json"), ("star gauge", "gauge_plane"),
        ("star specialize", "star_gauged_halfdx2"), ("star specialize --degree 0", "star_gauged_degree1"),
@@ -456,6 +475,9 @@ GOLDEN = {
     ('parse', 'diffop_repeated_unreadable_leaf'): (2, "fbb093235df9895d0d71274bde0443816886492d07da6ff7289ba7542d725787"),
     ('parse', 'diffop_repeated_leaf_over_budget'): (2, "67dd824026092fad339990f34d8bab041bd6690b917a226a2c7698c6ee140a71"),
     ('parse', 'product_over_budget'): (2, "cf0e2a4688f4758b91fc2c0f168e4e5afecf33b328c3ded2f7966e397975fdb7"),
+    ('diffop delta', 'delta_order0_mixed'): (0, "913fa0ddd4cec836b4f7bb9acf14c62048b81ff16ea8ebd130d21408dab18ece"),
+    ('diffop cocycle', 'cocycle_order0_slots'): (1, "48c6aad1bff4eca019ff6f38f0f71ca00bfecc3a71461f74126870432b883d35"),
+    ('star assoc', 'star_nonassoc_order3'): (1, "9a5a0a0765955a5737091a6fb9f1e0e47a45c8a4d14d9e8c307891831b2055d8"),
 }
 
 
