@@ -335,14 +335,15 @@ def assoc_poisson(S: StarProduct) -> MultiVec:
     return result
 
 
-def _convolve(acc: _OpAcc, k: int, outer, slot: int, inner, sign=1, lo=0, hi=None) -> None:
-    """Add sign * sum_{i=lo..hi} outer[i] o_slot inner[k-i] into the operator
-    sum `acc`: the order-k coefficient of a product of two operator series.
+def _convolve(acc: _OpAcc, k: int, outer, slot: int, inner, sign=1) -> None:
+    """Add sign * sum_{0<i<k} outer[i] o_slot inner[k-i] into the operator sum
+    `acc`: the order-k coefficient of a product of two operator series but for
+    its two terms with a unit X_0, which every caller adds in closed form.
 
     `outer` and `inner` are lists of diffop._Packed handles indexed by t-order
-    (the diffop docstring states who owns them) and `hi` defaults to k.
+    (the diffop docstring states who owns them); index 0 is not read.
     """
-    for i in range(lo, k + 1 if hi is None else hi + 1):
+    for i in range(1, k):
         X, Y = outer[i], inner[k - i]
         if not (X.op.is_zero() or Y.op.is_zero()):
             acc.add_compose(X, slot, Y, sign)
@@ -354,22 +355,31 @@ def gauge_transform(S: StarProduct, R: GaugeOp) -> StarProduct:
     P'_k = sum_{i+j+l=k} P_i(R_j ., R_l .) - sum_{i=1..k} R_i o P'_{k-i}.
 
     Composition is linear in the outer operator, so the triple sum is
-    V_k = sum_{m+l=k} U_m o_2 R_l with U_m = sum_{i+j=m} P_i o_1 R_j.
+    V_k = sum_{m+l=k} U_m o_2 R_l with U_m = sum_{i+j=m} P_i o_1 R_j.  No term
+    with P_0 = multiplication is composed: P_0 o_1 R_k = R_k(f) g is R_k's own
+    map (slot 2 of order 0), which U_k keeps for later orders, and the other
+    two, U_0 o_2 R_k - R_k o_1 P'_0 = f R_k(g) - R_k(fg), are delta(R_k) minus
+    that map, added in closed form by diffop._OpAcc.add_coboundary; so both
+    convolutions run over 0 < i < k only.
     """
     if (S.dim, S.order) != (R.dim, R.order):
         raise OrderMismatchError("gauge operator must match the star product")
-    ops = [_Packed(S.op(i)) for i in range(S.order + 1)]
-    rops = [_Packed(R.op(j)) for j in range(R.order + 1)]  # shared by both slots and every order
-    us = [ops[0]]  # U_0 = P_0 = multiplication
-    new_P = [ops[0]]  # P'_0 = multiplication
+    ops = [None] + [_Packed(P) for P in S.P]  # index 0, P_0, is never composed
+    rops = [None] + [_Packed(Rj) for Rj in R.R]  # shared by both slots and every order
+    us = [None]  # U_0 = P_0
+    new_P = [None]  # P'_0 = P_0
     for k in range(1, S.order + 1):
+        Pk, Rk = ops[k].op, rops[k].op
         acc = _OpAcc(S.dim)
-        acc.add(ops[k].op._num.items(), ops[k].op._den)  # P_k o_1 R_0 = P_k
-        _convolve(acc, k, ops, 1, rops, hi=k - 1)
+        acc.add(Pk._num.items(), Pk._den)  # P_k o_1 R_0 = P_k
+        acc.add(Rk._num.items(), Rk._den)  # P_0 o_1 R_k = R_k(f) g
+        _convolve(acc, k, ops, 1, rops)
         us.append(_Packed(acc.op(2)))
         acc.add(us[k].op._num.items(), us[k].op._den)  # U_k o_2 R_0 = U_k
-        _convolve(acc, k, us, 2, rops, hi=k - 1)
-        _convolve(acc, k, rops, 1, new_P, sign=-1, lo=1)
+        acc.add_coboundary(Rk)  # f R_k(g) - R_k(fg) = delta(R_k) - R_k(f) g
+        acc.add(Rk._num.items(), Rk._den, -1)
+        _convolve(acc, k, us, 2, rops)
+        _convolve(acc, k, rops, 1, new_P, -1)
         new_P.append(_Packed(acc.op(2)))
     return StarProduct(S.dim, S.order, [h.op for h in new_P[1:]])
 
@@ -381,12 +391,12 @@ def invert_gauge(R: GaugeOp) -> GaugeOp:
 
     In the group 1 + tD[[t]] a right inverse is also a left inverse.
     """
-    rops = [_Packed(R.op(i)) for i in range(R.order + 1)]
-    qops = [rops[0]]  # Q_0 = 1, then each Q_k shared by every later order
+    rops = [None] + [_Packed(Ri) for Ri in R.R]  # index 0, R_0 = 1, is never composed
+    qops = [None]  # Q_0 = 1, then each Q_k shared by every later order
     for k in range(1, R.order + 1):
         acc = _OpAcc(R.dim)
         acc.add(rops[k].op._num.items(), rops[k].op._den, -1)  # -R_k o Q_0 = -R_k
-        _convolve(acc, k, rops, 1, qops, sign=-1, lo=1, hi=k - 1)
+        _convolve(acc, k, rops, 1, qops, -1)
         qops.append(_Packed(acc.op(1)))
     return GaugeOp(R.dim, R.order, [h.op for h in qops[1:]])
 

@@ -573,6 +573,24 @@ def assoc_defects_by_composition(S: StarProduct) -> list:
     return out
 
 
+def gauge_transform_by_composition(S: StarProduct, R: GaugeOp) -> StarProduct:
+    """P'_k = sum_{i+j+l=k} P_i(R_j ., R_l .) - sum_{i=1..k} R_i o P'_{k-i}, one
+    compose_into_slot per term, the P_0 = multiplication terms included: the
+    route whose P_0 terms starprod.gauge_transform adds in closed form."""
+    new_P = []
+    for k in range(1, S.order + 1):
+        acc = PolyDiffOp.zero(S.dim, 2)
+        for i in range(k + 1):
+            for j in range(k - i + 1):
+                term = compose_into_slot(S.op(i), 1, R.op(j))
+                acc = acc + compose_into_slot(term, 2, R.op(k - i - j))
+        for i in range(1, k + 1):
+            prev = new_P[k - i - 1] if k - i else PolyDiffOp.multiplication(S.dim)
+            acc = acc - compose_into_slot(R.op(i), 1, prev)
+        new_P.append(acc)
+    return StarProduct(S.dim, S.order, new_P)
+
+
 def vector_field_op(xi: MultiVec) -> PolyDiffOp:
     """A vector field as the arity-1 operator sum_i xi^i d_i, written out for
     degree 1: the builder that starprod.multiderivation replaced."""

@@ -1,10 +1,22 @@
+import random
 from fractions import Fraction
+from itertools import product
+from math import factorial, prod
 from operator import add, sub
 
 import pytest
 
+from dqkit import diffop
 from dqkit.diffop import (
+    TABLE_KEPT_BITS,
+    TABLES_KEPT,
     PolyDiffOp,
+    _compositions,
+    _fields,
+    _key,
+    _OpAcc,
+    _shares,
+    _splits,
     apply_op,
     cocycle_defect,
     compose_into_slot,
@@ -18,6 +30,7 @@ from dqkit.errors import ArityMismatchError, DimensionMismatchError
 from dqkit.kernel import Poly
 
 from conftest import rand_diffop1, rand_poly
+from oracles import coboundary_pattern, compose_acc_by_poly
 
 x = Poly.variable(2, 1)
 y = Poly.variable(2, 2)
@@ -225,3 +238,136 @@ class TestShape:
         assert PolyDiffOp.zero(2, 1) != PolyDiffOp.zero(3, 1)
         assert PolyDiffOp.identity(2) == PolyDiffOp(2, 1, {((0, 0),): 1})
         assert hash(PolyDiffOp.identity(2)) == hash(PolyDiffOp(2, 1, {((0, 0),): 1}))
+
+
+# ----------------------------------------------------------------------
+# the integer tables kept across calls: _splits and _shares
+
+
+def clear_tables():
+    _splits.cache_clear()
+    _shares.cache_clear()
+
+
+def decoded_splits(a, dim):
+    """_splits(a, dim) as [((a', a''), weight)], the layout of coboundary_pattern."""
+    block = 16 * dim
+    return [((_fields(k & (1 << block) - 1, dim), _fields(k >> block, dim)), w) for w, k in _splits(_key(a), dim)]
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_splits_are_the_coboundary_pattern(dim):
+    """Weights, order and the alpha = 0 term, for every |alpha| <= 5."""
+    for alpha in product(range(6), repeat=dim):
+        if sum(alpha) <= 5:
+            assert decoded_splits(alpha, dim) == coboundary_pattern(alpha)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_shares_are_the_multinomials(dim):
+    """Each entry puts g_s in slot s's field at the coordinate, nothing else,
+    with weight r! / (g_1! ... g_k!), in the order of _compositions."""
+    for arity, r, c in product((1, 2, 3), range(6), range(dim)):
+        got = []
+        for m, k in _shares(r, 16 * c, dim, arity):
+            fields = _fields(k, dim * (arity + 1))
+            gs = fields[dim + c :: dim]
+            assert sum(fields) == sum(gs)  # no other field is set
+            assert m == factorial(r) // prod(map(factorial, gs))
+            got.append((m, gs))
+        assert got == list(_compositions(r, arity))
+
+
+def test_kept_tables_are_tuples():
+    for table in (_splits(0, 2), _splits(_key([2, 1]), 2), _splits(_key([1, 0]), 2),
+                  _shares(3, 16, 2, 2), _shares(0, 0, 1, 1)):
+        assert type(table) is tuple and all(type(entry) is tuple for entry in table)
+
+
+def rand_op(rng, dim, arity):
+    """A few terms with slot orders 0..2 in random coordinates and
+    coefficients of degree <= 2."""
+    terms = {}
+    for _ in range(3):
+        orders = []
+        for _ in range(arity):
+            o = [0] * dim
+            for _ in range(rng.randint(0, 2)):
+                o[rng.randrange(dim)] += 1
+            orders.append(tuple(o))
+        c = rand_poly(rng, dim)
+        if not c.is_zero():
+            terms[tuple(orders)] = c.__mul__(Fraction(1, rng.choice((1, 2, 3))))
+    return PolyDiffOp(dim, arity, terms)
+
+
+def coboundary(D):
+    acc = _OpAcc(D.dim)
+    acc.add_coboundary(D)
+    return acc.op(D.arity + 1)
+
+
+def table_jobs():
+    """Compositions and coboundaries over dims 1..4 and inner arities 1..3:
+    equal table arguments but for the dim, the arity or the coordinate recur
+    from one job to the next."""
+    rng = random.Random(25)
+    jobs = []
+    for dim, arity in product((1, 2, 3, 4), (1, 2, 3)):
+        outer, inner = rand_op(rng, dim, 2), rand_op(rng, dim, arity)
+        jobs.append((compose_into_slot, (outer, 2, inner)))
+        jobs.append((coboundary, (inner,)))
+    return jobs
+
+
+def stored(D):
+    return D._den, list(D._num.items())
+
+
+def test_tables_shared_across_dims_and_arities():
+    """Each job run on its own with empty tables (compositions checked against
+    the Poly oracle) gives the same stored maps, in storage order, as all jobs
+    interleaved in one process with the tables warm, and again after
+    cache_clear(), in the reverse order."""
+    jobs = table_jobs()
+    alone = []
+    for f, args in jobs:
+        clear_tables()
+        got = f(*args)
+        if f is compose_into_slot:
+            want = {}
+            compose_acc_by_poly(want, *args, 1)
+            assert got.terms == want
+        alone.append(stored(got))
+    clear_tables()
+    for _ in range(2):  # filling the tables, then with every table warm
+        assert [stored(f(*args)) for f, args in jobs] == alone
+    assert _splits.cache_info().hits and _shares.cache_info().hits
+    clear_tables()
+    assert [stored(f(*args)) for f, args in reversed(jobs)] == alone[::-1]
+
+
+def test_table_bounds():
+    """At most TABLES_KEPT tables of each kind are kept, and one of more than
+    TABLE_KEPT_BITS bits is built in full on every call but never kept."""
+    clear_tables()
+    assert _splits.cache_info().maxsize == _shares.cache_info().maxsize == TABLES_KEPT
+    for n in range(1, TABLES_KEPT + 20):
+        assert _splits(1, n) == ()  # a derivation on R^n: no proper split
+        assert _shares(n, 0, 1, 1) == ((1, n << 16),)
+    assert _splits.cache_info().currsize == _shares.cache_info().currsize == TABLES_KEPT
+    clear_tables()
+    long_split, long_share = _key([200]), (100, 0, 1, 3)
+    for _ in range(2):
+        table = decoded_splits((200,), 1)
+        assert table == coboundary_pattern((200,))
+        assert sum(w.bit_length() for _, w in table) > TABLE_KEPT_BITS
+        assert len(_shares(*long_share)) == 101 * 102 // 2
+    info = _splits.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+    info = _shares.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
+    assert _splits(long_split, 1) is not _splits(long_split, 1)
+    _splits(_key([2]), 1)
+    _splits(_key([2]), 1)
+    assert _splits.cache_info().currsize == 1 and _splits.cache_info().hits == 1

@@ -61,6 +61,7 @@ from oracles import (
     compose_acc_by_poly,
     derivative_uncapped,
     gauge_compose_reference,
+    gauge_transform_by_composition,
     invert_gauge_by_neumann,
     moyal_by_tuples,
     neg_by_terms,
@@ -155,21 +156,6 @@ def test_compose_matches_evaluation(data):
 # (b) unfused references built from public compose_into_slot and +/-
 
 
-def ref_gauge_transform(S, R):
-    new_P = []
-    for k in range(1, S.order + 1):
-        acc = PolyDiffOp.zero(S.dim, 2)
-        for i in range(k + 1):
-            for j in range(k - i + 1):
-                term = compose_into_slot(S.op(i), 1, R.op(j))
-                acc = acc + compose_into_slot(term, 2, R.op(k - i - j))
-        for i in range(1, k + 1):
-            prev = new_P[k - i - 1] if k - i else PolyDiffOp.multiplication(S.dim)
-            acc = acc - compose_into_slot(R.op(i), 1, prev)
-        new_P.append(acc)
-    return StarProduct(S.dim, S.order, new_P)
-
-
 def ref_invert_gauge(R):
     # the inverse is the unique Q with R o Q = 1: Q_k = -sum_{i=1..k} R_i o Q_{k-i}
     Q = []
@@ -198,7 +184,7 @@ def gauged_moyals():
 def test_fused_routines_match_unfused_references():
     for S, R, S2 in gauged_moyals():
         assert_clean(S2)
-        assert S2 == ref_gauge_transform(S, R)
+        assert S2 == gauge_transform_by_composition(S, R)
         defects = assoc_defect(S2)
         assert_clean(defects)
         assert defects == assoc_defects_by_composition(S2)
@@ -230,7 +216,7 @@ def test_fused_routines_match_references_on_random_stars(data):
     assert is_associative(S) == all(D.is_zero() for D in defects)
     S2 = gauge_transform(S, R)
     assert_clean(S2)
-    assert S2 == ref_gauge_transform(S, R)
+    assert S2 == gauge_transform_by_composition(S, R)
     Rinv = invert_gauge(R)
     assert_clean(Rinv)
     assert Rinv == ref_invert_gauge(R)
@@ -341,6 +327,35 @@ def test_assoc_defects_match_composition(dim):
 
     run()
     assert seen == {1, 2, 3, "order-0 slot", "order 0 throughout", "denominator", "D_2 and D_3 nonzero"}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_gauge_transform_matches_composition(dim):
+    """gauge_transform, whose P_0 terms are R_k's own map and delta(R_k) in
+    closed form, against every term composed, on random stars and gauges of
+    orders 1..3 whose R_k are often zero or carry terms of order 0."""
+    seen = set()
+
+    @settings(max_examples=30, derandomize=True)
+    @given(st.data())
+    def run(data):
+        N = data.draw(st.integers(1, 3))
+        S = StarProduct(dim, N, [data.draw(slotted_ops(dim, 2)) for _ in range(N)])
+        R = GaugeOp(dim, N, [data.draw(slotted_ops(dim, 1)) for _ in range(N)])
+        got = gauge_transform(S, R)
+        assert_clean(got)
+        assert got == gauge_transform_by_composition(S, R)
+        seen.add(N)
+        for Rk in R.R:
+            if Rk.is_zero():
+                seen.add("zero R_k")
+            if "order 0 throughout" in zero_slot_kinds(Rk):
+                seen.add("order-0 gauge term")
+            if Rk._den != 1:
+                seen.add("denominator")
+
+    run()
+    assert seen == {1, 2, 3, "zero R_k", "order-0 gauge term", "denominator"}
 
 
 def test_cancellation_leaves_no_zero():

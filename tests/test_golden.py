@@ -199,6 +199,12 @@ BUNDLES = {
             ("-2*x2", [[1, 0], [1, 0]])]]},
     ]}},
     "gauge_plane": _bundle(star=_load("moyal_plane.json"), gauge=_load("gauge_xi.json")),
+    # the Moyal plane gauged by R_1 = x - 1/2 + x y d_x d_y, R_2 = 0 and R_3 = 2/3 + y d_y: gauge
+    # terms of order 0, whose coboundary keeps the (f g) term, and a zero R_k
+    "gauge_order0": _bundle(star=_load("moyal_plane.json"), gauge={"kind": "gauge", "dim": 2, "order": 3, "payload": {
+        "R": [{"arity": 1, "terms": [{"coeff": "x - 1/2", "orders": [[0, 0]]}, {"coeff": "x*y", "orders": [[1, 1]]}]},
+              {"arity": 1, "terms": []},
+              {"arity": 1, "terms": [{"coeff": "2/3", "orders": [[0, 0]]}, {"coeff": "y", "orders": [[0, 1]]}]}]}}),
     "section_identity": _bundle(star=_load("moyal_plane.json"), gauge=_GAUGE_ID),
     "adexp_plane": _bundle(star=_load("moyal_plane.json"), alpha=_poly(2, "x^2"), b=_poly(2, "y^2")),
     "nabla_plane": _bundle(
@@ -307,7 +313,7 @@ CASES = (
        ("diffop compose", "compose_over_packed_budget"), ("diffop compose", "compose_over_digit_limit"),
        ("diffop apply", "apply_over_packed_budget"),
        ("diffop delta", "delta_order0_mixed"), ("diffop cocycle", "cocycle_order0_slots"),
-       ("star assoc", "star_nonassoc_order3")]
+       ("star assoc", "star_nonassoc_order3"), ("star gauge", "gauge_order0")]
     + [("star moyal --order 2", "pi_std.json"), ("star moyal --order 12", "pi_std.json"),
        ("star moyal", "so3.json"), ("star gauge", "gauge_plane"),
        ("star specialize", "star_gauged_halfdx2"), ("star specialize --degree 0", "star_gauged_degree1"),
@@ -478,6 +484,7 @@ GOLDEN = {
     ('diffop delta', 'delta_order0_mixed'): (0, "913fa0ddd4cec836b4f7bb9acf14c62048b81ff16ea8ebd130d21408dab18ece"),
     ('diffop cocycle', 'cocycle_order0_slots'): (1, "48c6aad1bff4eca019ff6f38f0f71ca00bfecc3a71461f74126870432b883d35"),
     ('star assoc', 'star_nonassoc_order3'): (1, "9a5a0a0765955a5737091a6fb9f1e0e47a45c8a4d14d9e8c307891831b2055d8"),
+    ('star gauge', 'gauge_order0'): (0, "fadf82a36321a4cfa82a2f1eaf9922ad4b456ad95a8ff35e4020cd9f2e147c1e"),
 }
 
 
