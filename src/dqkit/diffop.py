@@ -56,8 +56,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, lru_cache, reduce, wraps
+from itertools import chain
 from math import comb, lcm
-from operator import mul, or_
+from operator import or_
 from struct import Struct, error as StructError
 from types import MappingProxyType
 
@@ -434,18 +435,6 @@ class _Packed:
         return out
 
 
-def _compositions(total: int, parts: int):
-    """(total! / (g_1! ... g_parts!), (g_1, ..., g_parts)) over the ordered ways
-    to write `total` as `parts` non-negative ints, in lexicographic order."""
-    if parts == 1:
-        yield 1, (total,)
-        return
-    for first in range(total + 1):
-        c = comb(total, first)
-        for m, rest in _compositions(total - first, parts - 1):
-            yield c * m, (first, *rest)
-
-
 class _Unkept(Exception):
     """Carries a table too long to keep out of its memo: lru_cache keeps no
     call that raises."""
@@ -459,8 +448,7 @@ def _table_memo(build):
     @lru_cache(maxsize=TABLES_KEPT)
     def kept(*args):
         table = build(*args)
-        bits = sum(i.bit_length() for pair in table for i in pair) + sum(i.bit_length() for i in args)
-        if bits > TABLE_KEPT_BITS:
+        if sum(map(int.bit_length, chain(args, *table))) > TABLE_KEPT_BITS:
             raise _Unkept(table)
         return table
 
@@ -477,13 +465,19 @@ def _table_memo(build):
 
 @_table_memo
 def _shares(r: int, shift: int, dim: int, arity: int) -> tuple:
-    """((multinomial, packed shares)) over the ways to share an order r out
-    over the slots of an operator of `arity` arguments on R^dim, at the
-    coordinate `shift` bits into a block, in lexicographic order of
-    (g_1, ..., g_arity): each g_s sits in slot s's field of the output key."""
+    """((r! / (g_1! ... g_arity!), packed shares)) over the ordered ways to
+    write r = g_1 + ... + g_arity as non-negative ints, in lexicographic order
+    of (g_1, ..., g_arity): the ways to share an order r out over the slots of
+    an operator of `arity` arguments on R^dim, with g_s in slot s's field at
+    the coordinate `shift` bits into a block.  The multinomial is built as
+    C(r, g_1) C(r - g_1, g_2) ..., slot by slot."""
     block = _BITS * dim
-    units = [1 << block * s + shift for s in range(1, arity + 1)]
-    return tuple((m, sum(map(mul, gs, units))) for m, gs in _compositions(r, arity))
+    got = [(1, 0, r)]  # (multinomial, shares, what is left to share) so far
+    for s in range(1, arity):
+        unit = 1 << block * s + shift
+        got = [(m * comb(left, g), k + g * unit, left - g) for m, k, left in got for g in range(left + 1)]
+    unit = 1 << block * arity + shift
+    return tuple((m, k + left * unit) for m, k, left in got)
 
 
 @_table_memo

@@ -434,6 +434,20 @@ def derivative_uncapped(alpha, inner: PolyDiffOp) -> dict:
     return out
 
 
+def compositions(total: int, parts: int):
+    """(total! / (g_1! ... g_parts!), (g_1, ..., g_parts)) over the ordered ways
+    to write `total` as `parts` non-negative ints, in lexicographic order, by
+    recursion on the first part: the enumeration that diffop._shares builds
+    slot by slot."""
+    if parts == 1:
+        yield 1, (total,)
+        return
+    for first in range(total + 1):
+        c = comb(total, first)
+        for m, rest in compositions(total - first, parts - 1):
+            yield c * m, (first, *rest)
+
+
 def compose_acc_by_poly(out: dict, outer: PolyDiffOp, slot: int, inner: PolyDiffOp, sign: int,
                         expanded: dict | None = None) -> None:
     """Add sign * compose_into_slot(outer, slot, inner) into the term map `out`

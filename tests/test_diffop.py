@@ -11,7 +11,6 @@ from dqkit.diffop import (
     TABLE_KEPT_BITS,
     TABLES_KEPT,
     PolyDiffOp,
-    _compositions,
     _fields,
     _key,
     _OpAcc,
@@ -30,7 +29,7 @@ from dqkit.errors import ArityMismatchError, DimensionMismatchError
 from dqkit.kernel import Poly
 
 from conftest import rand_diffop1, rand_poly
-from oracles import coboundary_pattern, compose_acc_by_poly
+from oracles import coboundary_pattern, compose_acc_by_poly, compositions
 
 x = Poly.variable(2, 1)
 y = Poly.variable(2, 2)
@@ -266,7 +265,7 @@ def test_splits_are_the_coboundary_pattern(dim):
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_shares_are_the_multinomials(dim):
     """Each entry puts g_s in slot s's field at the coordinate, nothing else,
-    with weight r! / (g_1! ... g_k!), in the order of _compositions."""
+    with weight r! / (g_1! ... g_k!), in the order of oracles.compositions."""
     for arity, r, c in product((1, 2, 3), range(6), range(dim)):
         got = []
         for m, k in _shares(r, 16 * c, dim, arity):
@@ -275,7 +274,7 @@ def test_shares_are_the_multinomials(dim):
             assert sum(fields) == sum(gs)  # no other field is set
             assert m == factorial(r) // prod(map(factorial, gs))
             got.append((m, gs))
-        assert got == list(_compositions(r, arity))
+        assert got == list(compositions(r, arity))
 
 
 def test_kept_tables_are_tuples():
