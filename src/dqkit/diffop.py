@@ -21,17 +21,9 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
 - **Handles.**  A public call wraps each operator it composes once in a
   :class:`_Packed` handle, shared by every composition in that call.  The
   handle reads the operator's keys as they are and owns only the per-call
-  caches (Leibniz expansions, moved keys and outer rows); it is dropped when
-  the call returns, so nothing derived from an operator or a coefficient
-  outlives a call.
-- **Tables.**  What does outlive a call depends on integers only: the splits
-  of one slot order in a coboundary (``_splits``) and the multinomial shares
-  of one coordinate's order over an operator's slots (``_shares``).  Each is
-  built once per process behind a ``functools.lru_cache`` of at most
-  ``TABLES_KEPT`` tables, least recently used out first, and a table of more
-  than ``TABLE_KEPT_BITS`` bits (its ints and its arguments together) is built
-  on every call and never kept, so what the two keep is bounded whatever the
-  input.
+  caches (Leibniz expansions, moved keys, outer rows and the multinomial
+  share tables of ``_shares``); it is dropped when the call returns, so
+  nothing is cached across calls.
 - **Sums.**  Operator sums run through ``kernel._Sum`` and are normalized
   once by ``kernel._lowest`` (in ``_built``); :class:`_OpAcc` is a
   ``kernel._Sum`` that also adds compositions and Hochschild coboundaries,
@@ -55,8 +47,7 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, lru_cache, reduce, wraps
-from itertools import chain
+from functools import cache, reduce
 from math import comb, lcm
 from operator import or_
 from struct import Struct, error as StructError
@@ -68,8 +59,6 @@ from .kernel import Poly, _Sum, _add_num, _lowest, _ratio, _reduced
 _BITS = 16  # width of one packed field
 _FIELD = (1 << _BITS) - 1
 MAX_PACKED = 2**15 - 1  # the largest exponent or derivative order an operator may hold
-TABLES_KEPT = 256  # the most split tables, and the most share tables, kept across calls
-TABLE_KEPT_BITS = 4096  # the largest table kept: bit lengths of its ints and its arguments, summed
 
 _struct = cache(lambda fields: Struct(f"<{fields}H"))
 
@@ -335,19 +324,19 @@ class _Packed:
     The handle keeps, filled on first use, the Leibniz expansions d^alpha o op
     by packed alpha (alpha = 0 is op's own map),
     those expansions with op's slots moved to start at a given output slot,
-    and op's terms with one slot taken out and the later slots moved up; all
-    read-only once built, so any number of compositions in one call share it.
-    The multinomial shares the expansions use are integer tables that every
-    handle of op's dim and arity reads from one memo (``_shares``).
+    op's terms with one slot taken out and the later slots moved up, and the
+    multinomial share tables (``_shares``) the expansions read; all read-only
+    once built, so any number of compositions in one call share it.
     """
 
-    __slots__ = ("op", "_exp", "_moved", "_outer")
+    __slots__ = ("op", "_exp", "_moved", "_outer", "_spread")
 
     def __init__(self, op: PolyDiffOp):
         self.op = op
         self._exp = {0: op._num}
         self._moved = {}
         self._outer = {}
+        self._spread = {}
 
     def outer_rows(self, slot: int, inner_arity: int) -> list:
         """[(packed alpha, [(key, numerator)])], one row per order tuple: alpha
@@ -407,10 +396,15 @@ class _Packed:
         perm(e_c, g_0); a share g_0 > e_c is zero and never formed.  Shares
         come in lexicographic order of (g_0, ..., g_k), and equal keys merge.
         """
-        dim, arity = self.op.dim, self.op.arity
         top = min(a, max((key >> shift & _FIELD for key in base), default=0))
         combs = [comb(a, g) for g in range(top + 1)]
-        tables = [_shares(a - g0, shift, dim, arity) for g0 in range(top + 1)]
+        spread = self._spread
+        tables = []
+        for r in range(a, a - top - 1, -1):  # r = a - g_0
+            shares = spread.get((r, shift))
+            if shares is None:
+                shares = spread[r, shift] = _shares(r, shift, self.op.dim, self.op.arity)
+            tables.append(shares)
         out = {}
         get = out.get
         for key, n in base.items():
@@ -435,37 +429,8 @@ class _Packed:
         return out
 
 
-class _Unkept(Exception):
-    """Carries a table too long to keep out of its memo: lru_cache keeps no
-    call that raises."""
-
-
-def _table_memo(build):
-    """`build`, a function of ints that returns a tuple of (int, int) pairs,
-    behind one lru_cache of at most TABLES_KEPT tables; a table whose ints and
-    arguments have more than TABLE_KEPT_BITS bits in all is returned but not kept."""
-
-    @lru_cache(maxsize=TABLES_KEPT)
-    def kept(*args):
-        table = build(*args)
-        if sum(map(int.bit_length, chain(args, *table))) > TABLE_KEPT_BITS:
-            raise _Unkept(table)
-        return table
-
-    @wraps(build)
-    def table(*args):
-        try:
-            return kept(*args)
-        except _Unkept as long:
-            return long.args[0]
-
-    table.cache_info, table.cache_clear = kept.cache_info, kept.cache_clear
-    return table
-
-
-@_table_memo
-def _shares(r: int, shift: int, dim: int, arity: int) -> tuple:
-    """((r! / (g_1! ... g_arity!), packed shares)) over the ordered ways to
+def _shares(r: int, shift: int, dim: int, arity: int) -> list:
+    """[(r! / (g_1! ... g_arity!), packed shares)] over the ordered ways to
     write r = g_1 + ... + g_arity as non-negative ints, in lexicographic order
     of (g_1, ..., g_arity): the ways to share an order r out over the slots of
     an operator of `arity` arguments on R^dim, with g_s in slot s's field at
@@ -477,25 +442,27 @@ def _shares(r: int, shift: int, dim: int, arity: int) -> tuple:
         unit = 1 << block * s + shift
         got = [(m * comb(left, g), k + g * unit, left - g) for m, k, left in got for g in range(left + 1)]
     unit = 1 << block * arity + shift
-    return tuple((m, k + left * unit) for m, k, left in got)
+    return [(m, k + left * unit) for m, k, left in got]
 
 
-@_table_memo
-def _splits(a: int, dim: int) -> tuple:
-    """((weight, a' | a'' << 16 dim)) of the terms that an order a in one slot
+def _splits(a: int, dim: int) -> list:
+    """[(weight, a' | a'' << 16 dim)] of the terms that an order a in one slot
     gives in a Hochschild coboundary, before the sign (-1)^i (see
     _OpAcc.add_coboundary): C(a, a') over a' <= a with 0 != a' != a and
     a'' = a - a', in the order of product(range(a_1 + 1), ...); for a = 0, the
     one term -1 with both slots zero."""
     if not a:
-        return ((-1, 0),)
+        return [(-1, 0)]
     got = [(1, 0)]
-    for c, ac in enumerate(_fields(a, dim)):
+    rest, unit = a, 1  # the fields of a from coordinate c on, and 1 at c's field
+    while rest:
+        ac = rest & _FIELD
         if ac:
-            shares = [(comb(ac, g), g << _BITS * c) for g in range(ac + 1)]
-            got = [(w * wg, k + kg) for w, k in got for wg, kg in shares]
+            got = [(w * comb(ac, g), k + g * unit) for w, k in got for g in range(ac + 1)]
+        rest >>= _BITS
+        unit <<= _BITS
     block = _BITS * dim
-    return tuple((w, k | a - k << block) for w, k in got[1:-1])
+    return [(w, k | a - k << block) for w, k in got[1:-1]]
 
 
 class _OpAcc(_Sum):
@@ -545,20 +512,24 @@ class _OpAcc(_Sum):
         splits (a' or a'' zero) cancel against the neighbouring terms and the two
         products with f_0 and f_p, so they are never formed; a zero slot, whose
         one split is improper, leaves the (..., 0, 0, ...) term.  For each term
-        the splits come in the order of product(range(a_i + 1)) over a', from
-        the table _splits(a_i, dim) that every call shares.
+        the splits come in the order of product(range(a_i + 1)) over a'.
         """
         dim, block = D.dim, _BITS * D.dim
         low = (1 << block) - 1
         m = self._factor(D._den, sign)
         terms = self.terms
         get = terms.get
+        splits = {}  # packed a -> _splits(a, dim)
         for high, sub in D._groups().items():
             rows = []  # (the other slots' orders, moved, (-1)^i, slot i's bits, its splits) for i = 1..p
             for i in range(1, D.arity + 1):
                 cut = block * (i - 1)
+                a = high >> cut & low
+                shares = splits.get(a)
+                if shares is None:
+                    shares = splits[a] = _splits(a, dim)
                 rest = (high & (1 << cut) - 1 | high >> cut + block << cut + 2 * block) << block
-                rows.append((rest, -1 if i % 2 else 1, block * i, _splits(high >> cut & low, dim)))
+                rows.append((rest, -1 if i % 2 else 1, block * i, shares))
             for e, n in sub.items():
                 n *= m
                 for rest, s, up, shares in rows:

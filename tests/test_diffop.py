@@ -6,10 +6,7 @@ from operator import add, sub
 
 import pytest
 
-from dqkit import diffop
 from dqkit.diffop import (
-    TABLE_KEPT_BITS,
-    TABLES_KEPT,
     PolyDiffOp,
     _fields,
     _key,
@@ -240,12 +237,7 @@ class TestShape:
 
 
 # ----------------------------------------------------------------------
-# the integer tables kept across calls: _splits and _shares
-
-
-def clear_tables():
-    _splits.cache_clear()
-    _shares.cache_clear()
+# the integer tables of the kernel: _splits and _shares
 
 
 def decoded_splits(a, dim):
@@ -275,12 +267,6 @@ def test_shares_are_the_multinomials(dim):
             assert m == factorial(r) // prod(map(factorial, gs))
             got.append((m, gs))
         assert got == list(compositions(r, arity))
-
-
-def test_kept_tables_are_tuples():
-    for table in (_splits(0, 2), _splits(_key([2, 1]), 2), _splits(_key([1, 0]), 2),
-                  _shares(3, 16, 2, 2), _shares(0, 0, 1, 1)):
-        assert type(table) is tuple and all(type(entry) is tuple for entry in table)
 
 
 def rand_op(rng, dim, arity):
@@ -323,50 +309,19 @@ def stored(D):
     return D._den, list(D._num.items())
 
 
-def test_tables_shared_across_dims_and_arities():
-    """Each job run on its own with empty tables (compositions checked against
-    the Poly oracle) gives the same stored maps, in storage order, as all jobs
-    interleaved in one process with the tables warm, and again after
-    cache_clear(), in the reverse order."""
+def test_tables_across_dims_and_arities():
+    """Each job run on its own (compositions checked against the Poly oracle)
+    gives the same stored maps, in storage order, as all jobs interleaved in
+    one process, forwards and in reverse: a handle's share tables are keyed
+    by the order and the coordinate, and its dim and arity are its own."""
     jobs = table_jobs()
     alone = []
     for f, args in jobs:
-        clear_tables()
         got = f(*args)
         if f is compose_into_slot:
             want = {}
             compose_acc_by_poly(want, *args, 1)
             assert got.terms == want
         alone.append(stored(got))
-    clear_tables()
-    for _ in range(2):  # filling the tables, then with every table warm
-        assert [stored(f(*args)) for f, args in jobs] == alone
-    assert _splits.cache_info().hits and _shares.cache_info().hits
-    clear_tables()
+    assert [stored(f(*args)) for f, args in jobs] == alone
     assert [stored(f(*args)) for f, args in reversed(jobs)] == alone[::-1]
-
-
-def test_table_bounds():
-    """At most TABLES_KEPT tables of each kind are kept, and one of more than
-    TABLE_KEPT_BITS bits is built in full on every call but never kept."""
-    clear_tables()
-    assert _splits.cache_info().maxsize == _shares.cache_info().maxsize == TABLES_KEPT
-    for n in range(1, TABLES_KEPT + 20):
-        assert _splits(1, n) == ()  # a derivation on R^n: no proper split
-        assert _shares(n, 0, 1, 1) == ((1, n << 16),)
-    assert _splits.cache_info().currsize == _shares.cache_info().currsize == TABLES_KEPT
-    clear_tables()
-    long_split, long_share = _key([200]), (100, 0, 1, 3)
-    for _ in range(2):
-        table = decoded_splits((200,), 1)
-        assert table == coboundary_pattern((200,))
-        assert sum(w.bit_length() for _, w in table) > TABLE_KEPT_BITS
-        assert len(_shares(*long_share)) == 101 * 102 // 2
-    info = _splits.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
-    info = _shares.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (0, 2, 0)
-    assert _splits(long_split, 1) is not _splits(long_split, 1)
-    _splits(_key([2]), 1)
-    _splits(_key([2]), 1)
-    assert _splits.cache_info().currsize == 1 and _splits.cache_info().hits == 1
