@@ -513,6 +513,8 @@ class _OpAcc(_Sum):
         products with f_0 and f_p, so they are never formed; a zero slot, whose
         one split is improper, leaves the (..., 0, 0, ...) term.  For each term
         the splits come in the order of product(range(a_i + 1)) over a'.
+        starprod adds the P_0 = multiplication terms of associativity defects
+        (-delta(P_k)) and of gauge transforms (delta(R_k)) through it.
         """
         dim, block = D.dim, _BITS * D.dim
         low = (1 << block) - 1

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
@@ -10,7 +9,6 @@ from dqkit.diffop import (
     PolyDiffOp,
     _fields,
     _key,
-    _OpAcc,
     _shares,
     _splits,
     apply_op,
@@ -26,7 +24,7 @@ from dqkit.errors import ArityMismatchError, DimensionMismatchError
 from dqkit.kernel import Poly
 
 from conftest import rand_diffop1, rand_poly
-from oracles import coboundary_pattern, compose_acc_by_poly, compositions
+from oracles import coboundary_pattern, compositions
 
 x = Poly.variable(2, 1)
 y = Poly.variable(2, 2)
@@ -267,61 +265,3 @@ def test_shares_are_the_multinomials(dim):
             assert m == factorial(r) // prod(map(factorial, gs))
             got.append((m, gs))
         assert got == list(compositions(r, arity))
-
-
-def rand_op(rng, dim, arity):
-    """A few terms with slot orders 0..2 in random coordinates and
-    coefficients of degree <= 2."""
-    terms = {}
-    for _ in range(3):
-        orders = []
-        for _ in range(arity):
-            o = [0] * dim
-            for _ in range(rng.randint(0, 2)):
-                o[rng.randrange(dim)] += 1
-            orders.append(tuple(o))
-        c = rand_poly(rng, dim)
-        if not c.is_zero():
-            terms[tuple(orders)] = c.__mul__(Fraction(1, rng.choice((1, 2, 3))))
-    return PolyDiffOp(dim, arity, terms)
-
-
-def coboundary(D):
-    acc = _OpAcc(D.dim)
-    acc.add_coboundary(D)
-    return acc.op(D.arity + 1)
-
-
-def table_jobs():
-    """Compositions and coboundaries over dims 1..4 and inner arities 1..3:
-    equal table arguments but for the dim, the arity or the coordinate recur
-    from one job to the next."""
-    rng = random.Random(25)
-    jobs = []
-    for dim, arity in product((1, 2, 3, 4), (1, 2, 3)):
-        outer, inner = rand_op(rng, dim, 2), rand_op(rng, dim, arity)
-        jobs.append((compose_into_slot, (outer, 2, inner)))
-        jobs.append((coboundary, (inner,)))
-    return jobs
-
-
-def stored(D):
-    return D._den, list(D._num.items())
-
-
-def test_tables_across_dims_and_arities():
-    """Each job run on its own (compositions checked against the Poly oracle)
-    gives the same stored maps, in storage order, as all jobs interleaved in
-    one process, forwards and in reverse: a handle's share tables are keyed
-    by the order and the coordinate, and its dim and arity are its own."""
-    jobs = table_jobs()
-    alone = []
-    for f, args in jobs:
-        got = f(*args)
-        if f is compose_into_slot:
-            want = {}
-            compose_acc_by_poly(want, *args, 1)
-            assert got.terms == want
-        alone.append(stored(got))
-    assert [stored(f(*args)) for f, args in jobs] == alone
-    assert [stored(f(*args)) for f, args in reversed(jobs)] == alone[::-1]
