@@ -9,15 +9,17 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
 
 - **Key layout.**  A term c x^e d^beta_1 ... d^beta_k of an operator on R^n
   is one int per monomial of its coefficient, with 16-bit fields: e_1..e_n
-  first, then slot 1's orders beta_1, then slot 2's, and so on (field i at
-  bit 16 i).  The operator owns ``{key: int numerator}`` over one positive
-  denominator, normalized as ``Poly`` is (the gcd of the denominator and all
-  numerators is 1), so equal operators have equal maps.
+  first (the monomial's ``Poly`` key), then slot 1's orders beta_1, then slot
+  2's, and so on (field i at bit 16 i).  The operator owns ``{key: int
+  numerator}`` over one positive denominator, normalized as ``Poly`` is (the
+  gcd of the denominator and all numerators is 1), so equal operators have
+  equal maps.
 - **Budget.**  Every exponent and derivative order of an operator is at most
-  ``MAX_PACKED`` = 2^15 - 1, so every field of a sum of two keys is below
-  2^16 and never carries into the next.  An operator above the budget raises
-  ``BudgetError`` when it is built: by the constructor, the document reader,
-  or the composition or product whose result it would be.
+  ``MAX_PACKED`` = 2^15 - 1, the ``kernel`` budget, so every field of a sum
+  of two keys is below 2^16 and never carries into the next.  An operator
+  above the budget raises ``BudgetError`` when it is built: by the
+  constructor, the document reader, or the composition or product whose
+  result it would be.
 - **Handles.**  A public call wraps each operator it composes once in a
   :class:`_Packed` handle, shared by every composition in that call.  The
   handle reads the operator's keys as they are and owns only the per-call
@@ -28,18 +30,19 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
   once by ``kernel._lowest`` (in ``_built``); :class:`_OpAcc` is a
   ``kernel._Sum`` that also adds compositions and Hochschild coboundaries,
   and its result becomes the operator's map.
-- **Views.**  ``terms``, ``sorted_terms()`` and ``coeff()`` decode keys into
-  ``{orders tuple: Poly}`` on each access, as do results that are polynomials.
-- **Who reads keys.**  Only this module shifts, masks or sizes a key
-  (``kernel._Sum`` adds numerators at keys it does not read).  Other
-  modules use :class:`_OpAcc` and :class:`_Packed` for sums of compositions
-  and of operators, ``_OpAcc.add_coboundary`` for a Hochschild coboundary
-  delta(D) in such a sum, ``_built`` for a map they summed from keys of this
-  module's operators, ``_key``, ``_fields``, ``_summed`` and the
+- **Views.**  ``terms``, ``sorted_terms()`` and ``coeff()`` split keys into
+  ``{orders tuple: Poly}`` on each access; a coefficient keeps its low blocks.
+- **Who reads keys.**  Only ``kernel``, which packs, decodes and checks
+  keys and adds and subtracts a ``Poly``'s, and this module, which moves the
+  order blocks, shift, mask or size a key.  Other modules use
+  :class:`_OpAcc` and :class:`_Packed` for sums of compositions and of
+  operators, ``_OpAcc.add_coboundary`` for a Hochschild coboundary delta(D)
+  in such a sum, ``_built`` for a map they summed from keys of this module's
+  operators, ``kernel._key``, ``kernel._fields``, ``_summed`` and the
   ``_groups``/``_orders`` decoders to read and write documents,
   ``solve_coboundary`` for the Hochschild solve, and the ``terms`` and
   ``coeff()`` views for everything else.  ``_summed`` takes one part per
-  term, (``_key`` of its flat orders, [(``_key`` of exponents, numerator)],
+  term, (``_key`` of its flat orders, a ``Poly``'s (key, numerator) items,
   denominator), and is the one place that moves orders above the exponent
   block; a reader may share one item list among the parts of equal leaves.
 """
@@ -47,63 +50,18 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, reduce
 from math import comb, lcm
-from operator import or_
-from struct import Struct, error as StructError
 from types import MappingProxyType
 
-from .errors import ArityMismatchError, BudgetError, DimensionMismatchError, SolveError
-from .kernel import Poly, _Sum, _add_num, _lowest, _ratio, _reduced
-
-_BITS = 16  # width of one packed field
-_FIELD = (1 << _BITS) - 1
-MAX_PACKED = 2**15 - 1  # the largest exponent or derivative order an operator may hold
-
-_struct = cache(lambda fields: Struct(f"<{fields}H"))
-
-
-@cache
-def _packer(fields: int) -> tuple:
-    """(pack, top bits) for keys of `fields` fields: a key within the budget,
-    or the sum of two, has a top bit set exactly where a field is above MAX_PACKED."""
-    return _struct(fields).pack, int.from_bytes(b"\x00\x80" * fields, "little")
-
-
-def _over_budget(top: int) -> BudgetError:
-    # an int too long to print is named by its bit length
-    shown = top if top.bit_length() < 14000 else f"of {top.bit_length()} bits"
-    return BudgetError(
-        f"exponent or derivative order {shown} is above the packing budget diffop.MAX_PACKED = {MAX_PACKED}"
-    )
-
-
-def _key(fields) -> int:
-    """The packed int of a sequence of non-negative ints, field i at bit 16 i;
-    BudgetError if one is above MAX_PACKED."""
-    pack, top = _packer(len(fields))
-    try:
-        key = int.from_bytes(pack(*fields), "little")
-    except StructError:  # a field of 2^16 or more
-        key = top
-    if key & top:
-        raise _over_budget(max(fields))
-    return key
-
-
-def _fields(key: int, count: int) -> tuple:
-    """The first `count` fields of a packed int (the inverse of _key)."""
-    return _struct(count).unpack(key.to_bytes(2 * count, "little"))
+from .errors import ArityMismatchError, DimensionMismatchError, SolveError
+from .kernel import MAX_PACKED, _struct  # noqa: F401 (diffop.MAX_PACKED stays importable)
+from .kernel import Poly, _BITS, _FIELD, _Sum, _add_num, _check_budget, _fields, _key, _lowest, _ratio, _reduced
 
 
 def _built(dim: int, arity: int, num: dict, den: int) -> "PolyDiffOp":
     """The normalized operator of nonzero int numerators over den > 0, owning
     `num`; BudgetError for a field above MAX_PACKED."""
-    if num:
-        width = dim * (arity + 1)
-        top = _packer(width)[1]
-        if reduce(or_, num) & top:
-            raise _over_budget(max(max(_fields(k, width)) for k in num if k & top))
+    _check_budget(num, dim * (arity + 1))
     return PolyDiffOp._make(dim, arity, *_lowest(num, den))
 
 
@@ -158,7 +116,7 @@ class PolyDiffOp:
                 coeff = Poly.const(dim, coeff)
             if coeff.dim != dim:
                 raise DimensionMismatchError("coefficient dimension mismatch")
-            parts.append((_key(sum(orders, ())), [(_key(e), n) for e, n in coeff._num.items()], coeff._den))
+            parts.append((_key(sum(orders, ())), coeff._num.items(), coeff._den))
         op = _summed(dim, arity, parts)
         self.dim = dim
         self.arity = arity
@@ -218,9 +176,7 @@ class PolyDiffOp:
 
     def _coeffs(self) -> dict:
         """{packed orders: Poly}, one normalized Poly per order tuple, as :meth:`_groups` orders them."""
-        dim = self.dim
-        return {high: _reduced(dim, {_fields(e, dim): n for e, n in sub.items()}, self._den)
-                for high, sub in self._groups().items()}
+        return {high: _reduced(self.dim, sub, self._den) for high, sub in self._groups().items()}
 
     def _orders(self, high: int) -> tuple:
         """The order tuple of packed orders: one multi-index per 2 * dim bytes."""
@@ -269,10 +225,9 @@ class PolyDiffOp:
             return _built(self.dim, self.arity, num, self._den * d)
         if factor.dim != self.dim:
             raise DimensionMismatchError(f"polynomial dimensions differ: {self.dim} vs {factor.dim}")
-        keys = [(_key(e), m) for e, m in factor._num.items()]
         out = {}
         for k, n in self._num.items():
-            for e, m in keys:
+            for e, m in factor._num.items():
                 _add_num(out, k + e, n * m)
         return _built(self.dim, self.arity, out, self._den * factor._den)
 
@@ -705,7 +660,7 @@ def partial_apply(D: PolyDiffOp, slot: int, f: Poly) -> PolyDiffOp:
     for high, sub in D._groups().items():
         df = f.partial_multi(_fields(high >> cut & low, dim))
         s = f._den // df._den  # df over f's denominator
-        df = [(_key(e), m * s) for e, m in df._num.items()]
+        df = [(e, m * s) for e, m in df._num.items()]
         # the slot taken out, the later slots moved down
         rest = ((high & (1 << cut) - 1) | (high >> cut + _BITS * dim << cut)) << _BITS * dim
         for e, n in sub.items():

@@ -5,7 +5,7 @@ its coefficients as :class:`Poly`.  All values are immutable by convention and
 all operations are pure, so concurrent use needs no coordination.
 
 A ``Poly`` is stored as integer numerators over one common denominator:
-``{exponent tuple: nonzero int}`` and a positive ``int``, normalized so that
+``{packed exponents: nonzero int}`` and a positive ``int``, normalized so that
 the gcd of the denominator and all numerators is 1 (the zero polynomial has
 denominator 1).  Each result is reduced once, by one ``math.gcd`` over the
 denominator and its numerators, so structural equality and ``hash`` are
@@ -13,22 +13,80 @@ polynomial equality and no ``Fraction`` arithmetic runs inside the kernel.
 ``Fraction`` appears only at the API edge: the public constructor, ``items``,
 ``sorted_terms``, ``constant_value`` and the read-only ``terms`` view.
 
+Exponents are packed as in Monagan and Pearce (CASC 2007): x^e on R^n is one
+int, e_i in the 16-bit field at bit 16 (i - 1), so a product adds keys and a
+derivative subtracts them.  Every exponent is at most ``MAX_PACKED`` = 2^15 - 1:
+no field of a sum of two keys carries, and its top bit is set exactly above
+the budget, where the constructor and products raise ``BudgetError``.  Keys
+are decoded only at the API edge; ``diffop`` puts order blocks above them.
+
 This module owns that normal form for every stored form of int numerators
 over one denominator, polynomials and ``diffop`` operators alike:
 ``_lowest`` is the one gcd step, and ``_Sum`` the one running sum over a
-common denominator, behind the ``Poly`` constructor, the parser's leaf
-reader, operator sums and ``diffop._OpAcc``.  Keys are opaque to both: the
-kernel does no packed-key arithmetic.
+common denominator, behind the ``Poly`` constructor and sum, the parser's
+leaf reader, operator sums and ``diffop._OpAcc``.  ``_key``, ``_fields`` and
+``_check_budget`` pack, decode and check keys of any number of fields for
+both.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache, reduce
 from math import gcd, perm
-from operator import add, sub
+from operator import or_
+from struct import Struct, error as StructError
 from types import MappingProxyType
 
-from .errors import DimensionMismatchError, IndexRangeError, OrderMismatchError
+from .errors import BudgetError, DimensionMismatchError, IndexRangeError, OrderMismatchError
+
+_BITS = 16  # width of one packed field
+_FIELD = (1 << _BITS) - 1
+MAX_PACKED = 2**15 - 1  # the largest exponent or derivative order a key may hold
+
+_struct = cache(lambda fields: Struct(f"<{fields}H"))
+
+
+@cache
+def _packer(fields: int) -> tuple:
+    """(pack, top bits) for keys of `fields` fields: a key within the budget,
+    or the sum of two, has a top bit set exactly where a field is above MAX_PACKED."""
+    return _struct(fields).pack, int.from_bytes(b"\x00\x80" * fields, "little")
+
+
+def _over_budget(top: int) -> BudgetError:
+    # an int too long to print is named by its bit length
+    shown = top if top.bit_length() < 14000 else f"of {top.bit_length()} bits"
+    return BudgetError(
+        f"exponent or derivative order {shown} is above the packing budget diffop.MAX_PACKED = {MAX_PACKED}"
+    )
+
+
+def _key(fields) -> int:
+    """The packed int of a sequence of non-negative ints, field i at bit 16 i;
+    BudgetError if one is above MAX_PACKED."""
+    pack, top = _packer(len(fields))
+    try:
+        key = int.from_bytes(pack(*fields), "little")
+    except StructError:  # a field of 2^16 or more
+        key = top
+    if key & top:
+        raise _over_budget(max(fields))
+    return key
+
+
+def _fields(key: int, count: int) -> tuple:
+    """The first `count` fields of a packed int (the inverse of _key)."""
+    return _struct(count).unpack(key.to_bytes(2 * count, "little"))
+
+
+def _check_budget(num: dict, width: int) -> None:
+    """BudgetError if a key of `num`, each a key of `width` fields within the
+    budget or the sum of two, has a field above MAX_PACKED."""
+    if num:
+        top = _packer(width)[1]
+        if reduce(or_, num) & top:
+            raise _over_budget(max(max(_fields(k, width)) for k in num if k & top))
 
 
 def _ratio(value) -> tuple:
@@ -48,9 +106,9 @@ def grlex_key(exponents):
 class Poly:
     """Sparse multivariate polynomial over the rationals.
 
-    Stored form: ``_num`` maps exponent tuples of length ``dim`` to nonzero
-    ``int`` numerators and ``_den`` is one positive ``int`` denominator, so the
-    polynomial is ``sum(n * x^e) / _den``.  Normalization invariant:
+    Stored form: ``_num`` maps packed exponents (``_key`` of a length-``dim``
+    tuple) to nonzero ``int`` numerators and ``_den`` is one positive ``int``
+    denominator, so the polynomial is ``sum(n * x^e) / _den``.  Normalization invariant:
     ``gcd(_den, *_num.values()) == 1``, and ``_den == 1`` when ``_num`` is
     empty.  Zero numerators are never stored, so structural equality of
     ``(dim, _den, _num)`` is polynomial equality, and ``hash`` agrees with it.
@@ -60,11 +118,11 @@ class Poly:
     ``terms`` is a computed, read-only ``{exps: Fraction}`` view built on each
     access; it is kept for tests and outside tools, and no library path reads it.
 
-    The public constructor checks its input and converts it once.  Internal
-    code that builds a stored form which is already clean (tuple keys of length
-    ``dim``, non-negative ``int`` exponents, nonzero ``int`` numerators, the
-    invariant above) wraps it with :meth:`_make`, which skips those checks and
-    takes ownership of the dict.
+    The public constructor checks its input and packs it once (BudgetError
+    above ``MAX_PACKED``).  Internal code that builds a stored form which is
+    already clean (keys of ``dim`` fields within the budget, nonzero ``int``
+    numerators, the invariant above) wraps it with :meth:`_make`, which skips
+    those checks and takes ownership of the dict.
     """
 
     __slots__ = ("dim", "_num", "_den")
@@ -84,7 +142,7 @@ class Poly:
                         raise ValueError(f"exponent {e!r} in {exps} is not an integer")
                     if e < 0:
                         raise ValueError(f"negative exponent in {exps}")
-                acc.add_term(exps, *_ratio(coeff))
+                acc.add_term(_key(exps), *_ratio(coeff))
         self.dim = dim
         self._num, self._den = _lowest(acc.terms, acc.den)
 
@@ -107,20 +165,18 @@ class Poly:
     @classmethod
     def const(cls, dim: int, value) -> "Poly":
         p, d = _ratio(value)
-        return cls._make(dim, {(0,) * dim: p} if p else {}, d)
+        return cls._make(dim, {0: p} if p else {}, d)
 
     @classmethod
     def one(cls, dim: int) -> "Poly":
-        return cls._make(dim, {(0,) * dim: 1}, 1)
+        return cls._make(dim, {0: 1}, 1)
 
     @classmethod
     def variable(cls, dim: int, index: int) -> "Poly":
         """Coordinate x_index, 1-based."""
         if type(index) is not int or not 1 <= index <= dim:
             raise ValueError(f"coordinate index {index!r} out of range 1..{dim}")
-        exps = [0] * dim
-        exps[index - 1] = 1
-        return cls._make(dim, {tuple(exps): 1}, 1)
+        return cls._make(dim, {1 << _BITS * (index - 1): 1}, 1)
 
     @classmethod
     def monomial(cls, dim: int, exps, coeff=1) -> "Poly":
@@ -133,31 +189,30 @@ class Poly:
         return not self._num
 
     def is_constant(self) -> bool:
-        return not any(any(e) for e in self._num)
+        return not any(self._num)  # x^0 is the key 0
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (zero for the zero poly)."""
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return Fraction(self._num.get((0,) * self.dim, 0), self._den)
+        return Fraction(self._num.get(0, 0), self._den)
 
     def total_degree(self) -> int:
         """Max total degree; -1 for the zero polynomial."""
         if not self._num:
             return -1
-        return max(sum(e) for e in self._num)
+        return max(map(sum, self.exponents()))
 
     def term_count(self) -> int:
         return len(self._num)
 
     def exponents(self):
         """Iterator over the exponent tuples of the nonzero terms, in storage order."""
-        return iter(self._num)
+        return (_fields(k, self.dim) for k in self._num)
 
     def items(self):
         """Iterator over (exponent tuple, Fraction coefficient), in storage order."""
-        den = self._den
-        return ((e, Fraction(n, den)) for e, n in self._num.items())
+        return ((_fields(k, self.dim), Fraction(n, self._den)) for k, n in self._num.items())
 
     def sorted_terms(self):
         """Terms in descending graded-lex order (canonical emission order)."""
@@ -166,7 +221,8 @@ class Poly:
     def sorted_numerators(self):
         """(den, [(exps, numerator)] in descending graded-lex order); the
         polynomial is sum(numerator * x^exps) / den."""
-        return self._den, sorted(self._num.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        terms = ((_fields(k, self.dim), n) for k, n in self._num.items())
+        return self._den, sorted(terms, key=lambda kv: grlex_key(kv[0]), reverse=True)
 
     @property
     def terms(self) -> MappingProxyType:
@@ -185,23 +241,10 @@ class Poly:
             other = Poly.const(self.dim, other)
         if self.dim != other.dim:
             raise self._dim_error(other)
-        da, db = self._den, other._den
-        g = gcd(da, db)
-        fa, fb = db // g, da // g
-        out = {e: c * fa for e, c in self._num.items()} if fa != 1 else dict(self._num)
-        for exps, coeff in other._num.items():
-            if fb != 1:
-                coeff *= fb
-            acc = out.get(exps)
-            if acc is None:
-                out[exps] = coeff
-                continue
-            acc += coeff
-            if acc:
-                out[exps] = acc
-            else:
-                del out[exps]
-        return _reduced(self.dim, out, da * fa)
+        acc = _Sum()
+        acc.add(self._num.items(), self._den)
+        acc.add(other._num.items(), other._den)
+        return _reduced(self.dim, acc.terms, acc.den)
 
     __radd__ = __add__
 
@@ -224,17 +267,9 @@ class Poly:
         out = {}
         for e1, c1 in self._num.items():
             for e2, c2 in other._num.items():
-                exps = tuple(map(add, e1, e2))
-                c = c1 * c2
-                acc = out.get(exps)
-                if acc is None:
-                    out[exps] = c
-                    continue
-                acc += c
-                if acc:
-                    out[exps] = acc
-                else:
-                    del out[exps]
+                _add_num(out, e1 + e2, c1 * c2)
+        # the top exponent in each variable never cancels, so one check of the result suffices
+        _check_budget(out, self.dim)
         return _reduced(self.dim, out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -265,13 +300,14 @@ class Poly:
         """Formal partial derivative with respect to x_index (1-based)."""
         if not 1 <= index <= self.dim:
             raise IndexRangeError(f"coordinate index {index} out of range 1..{self.dim}")
-        i = index - 1
+        shift = _BITS * (index - 1)
+        unit = 1 << shift
         out = {}
-        for exps, coeff in self._num.items():
-            k = exps[i]
+        for key, coeff in self._num.items():
+            k = key >> shift & _FIELD
             if k:
                 # lowering one exponent is injective, so no two terms collide
-                out[exps[:i] + (k - 1,) + exps[i + 1 :]] = coeff * k
+                out[key - unit] = coeff * k
         return _reduced(self.dim, out, self._den)
 
     def partial_multi(self, orders) -> "Poly":
@@ -280,16 +316,18 @@ class Poly:
             raise IndexRangeError(f"multi-index {tuple(orders)} has length != dim={self.dim}")
         if not any(orders):
             return self
+        lowered = [(_BITS * i, k) for i, k in enumerate(orders) if k]
+        down = sum(k << shift for shift, k in lowered)
         out = {}
-        for exps, coeff in self._num.items():
-            mult = 1
-            for e, k in zip(exps, orders):
+        for key, coeff in self._num.items():
+            for shift, k in lowered:
+                e = key >> shift & _FIELD
                 if e < k:
                     break
-                mult *= perm(e, k)
+                coeff *= perm(e, k)
             else:
-                # exps -> exps - orders is injective, so no two terms collide
-                out[tuple(map(sub, exps, orders))] = coeff * mult
+                # key -> key - orders is injective, so no two terms collide
+                out[key - down] = coeff
         return _reduced(self.dim, out, self._den)
 
     # ------------------------------------------------------------------

@@ -15,9 +15,10 @@ x1..xn and descending graded-lex term order.
 
 A leaf in the shape that canonical output has (``[-]c[/d][*]x_i[^e]*...``
 terms joined by `` + `` and `` - ``) is read straight into integer
-numerators over one denominator; the grammar reads every other leaf and
-reports every error.  In a diffop document each distinct leaf text is read
-once per operator.
+numerators over one denominator at packed ``Poly`` keys; the grammar reads
+every other leaf, one with an exponent above ``kernel.MAX_PACKED`` among
+them, and reports every error.  In a diffop document each distinct leaf text
+is read once per operator.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from math import comb, gcd, log10
 from typing import Optional
 
 from .calculus import Form, MultiVec
-from .diffop import PolyDiffOp, _fields, _key, _summed
+from .diffop import PolyDiffOp, _summed
 from .errors import BudgetError, DqkitError, PolyParseError, SchemaError
-from .kernel import Poly, TPoly, _Sum, _reduced, grlex_key
+from .kernel import MAX_PACKED, Poly, TPoly, _Sum, _fields, _key, _over_budget, _reduced, grlex_key
 from .liealgebroid import AlgebroidPresentation
 from .qclimit import QCData
 from .starprod import GaugeOp, StarProduct
@@ -228,11 +229,10 @@ class _ExprParser:
             raise PolyParseError(
                 f"power may have coefficients up to 2^{bits}, above the budget of 2^{MAX_POWER_BITS}", pos
             )
-        # an exponent of base^k is at most k times the base's largest, and must stay writable
-        if k * max((e for exps in base.exponents() for e in exps), default=0) >= _INT_TEXT_BOUND:
-            raise PolyParseError(
-                f"power has an exponent of more than parser.MAX_INT_DIGITS = {MAX_INT_DIGITS} digits", pos
-            )
+        # the largest exponent of base^k is k times the base's largest, and must be packable
+        top = k * max((e for exps in base.exponents() for e in exps), default=0)
+        if top > MAX_PACKED:
+            raise _over_budget(top)
         return base ** k
 
     def _multiply(self, a: Poly, b: Poly, pos: int) -> Poly:
@@ -267,13 +267,14 @@ class _ExprParser:
 
 
 def _read_leaf(text: str, dim: int):
-    """(numerators by exponent tuple, denominator) of a leaf in canonical shape,
-    not reduced, or None for the grammar to read.
+    """(numerators by packed exponents, denominator) of a leaf in canonical
+    shape, not reduced, or None for the grammar to read.
 
     _reduced of it is the grammar's Poly, down to the order of its terms: each
     term is added in turn by kernel._Sum, so a term that cancels leaves the
     map, as ``Poly.__add__`` does.  None for any text the pattern does not
-    cover in full, a variable above ``dim`` and a zero divisor.
+    cover in full, a variable above ``dim``, an exponent above ``MAX_PACKED``
+    and a zero divisor.
     """
     acc = _Sum()
     negative = False
@@ -285,19 +286,23 @@ def _read_leaf(text: str, dim: int):
             return None
         minus, c, d, mono, bare, sep = m.groups()
         mono = mono or bare
-        exps = [0] * dim
+        key = 0
         if mono:
+            exps = [0] * dim
             for factor in mono.split("*"):
                 var, _, e = factor.partition("^")
                 i = int(var[1:])
                 if i > dim:
                     return None
                 exps[i - 1] += int(e) if e else 1
+            if max(exps) > MAX_PACKED:
+                return None
+            key = _key(exps)
         n = int(c) if c else 1
         d = int(d) if d else 1
         if not d:
             return None
-        acc.add_term(tuple(exps), -n if negative != bool(minus) else n, d)
+        acc.add_term(key, -n if negative != bool(minus) else n, d)
         if sep is None:
             break
         negative = sep == "-"
@@ -313,13 +318,13 @@ def parse_poly(text: str, dim: int) -> Poly:
     return _ExprParser(text, dim).parse() if read is None else _reduced(dim, *read)
 
 
-def _over_digit_limit(m: int, what: str = "a coefficient") -> BudgetError:
-    """The refusal of an integer m above MAX_INT_DIGITS, with its digit count."""
+def _over_digit_limit(m: int) -> BudgetError:
+    """The refusal of a coefficient m above MAX_INT_DIGITS, with its digit count."""
     # log10 of an int is off by less than one, so one power of ten settles the count
     t = int(log10(m))
     p = 10**t
     digits = t + (m >= p) + (m >= 10 * p)
-    return BudgetError(f"{what} of {digits} digits is above parser.MAX_INT_DIGITS = {MAX_INT_DIGITS}")
+    return BudgetError(f"a coefficient of {digits} digits is above parser.MAX_INT_DIGITS = {MAX_INT_DIGITS}")
 
 
 def poly_to_text(p: Poly) -> str:
@@ -330,9 +335,6 @@ def poly_to_text(p: Poly) -> str:
 
 def _mono(exps) -> str:
     """The monomial x^exps as text, "" for x^0."""
-    # a product of monomials adds exponents, so one can pass the limit a power is held to
-    if exps and max(exps) >= _INT_TEXT_BOUND:
-        raise _over_digit_limit(max(exps), "an exponent")
     return "*".join(
         f"x{i}" + (f"^{e}" if e > 1 else "")
         for i, e in enumerate(exps, start=1)
@@ -387,11 +389,15 @@ def _is_int(value) -> bool:
 
 
 def _leaf(text, dim, path) -> Poly:
+    """The Poly of a leaf text; SchemaError at `path` for a leaf that does not
+    parse or has an exponent above the packing budget."""
     _expect(isinstance(text, str), "expected an expression string", path)
     try:
         return parse_poly(text, dim)
     except PolyParseError as exc:
         raise SchemaError(f"leaf parse error: {exc}", path) from exc
+    except BudgetError as exc:
+        raise SchemaError(str(exc), path) from None
 
 
 def tensor_from_payload(cls, payload, dim, path):
@@ -451,9 +457,9 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
     {coeff, orders} entries), read in one pass.
 
     A leaf text is read once per operator: its first entry reads it (the leaf
-    reader, or the grammar for a text that reader leaves to it) and packs its
-    exponents, and every later entry with the same text reuses that reading.
-    A leaf sums inside itself before it is packed.  Entries are checked in
+    reader, or the grammar for a text that reader leaves to it) into a Poly,
+    whose packed keys the operator takes as they are, and every later entry
+    with the same text reuses that reading.  Entries are checked in
     order, each field in a fixed order, so a bad entry is reported at the
     first entry that has it.  Nothing is kept once the call returns.
     """
@@ -468,8 +474,8 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
         _expect(isinstance(payload, list), "expected an array of {coeff, orders}", path)
         terms_raw = payload
         base = path
-    leaves = {}  # leaf text -> ([(packed exponents, numerator)], denominator)
-    parts = []  # (packed orders, [(packed exponents, numerator)], denominator) per entry
+    leaves = {}  # leaf text -> ((packed exponents, numerator) items, denominator)
+    parts = []  # (packed orders, (packed exponents, numerator) items, denominator) per entry
     for idx, entry in enumerate(terms_raw):
         # an entry's paths are built only for a refusal or a text's first reading
         if not isinstance(entry, dict):
@@ -495,25 +501,14 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
         # a text is a key of `leaves` once read; any other coefficient is refused by _leaf
         leaf = leaves.get(coeff) if isinstance(coeff, str) else None
         if leaf is None:
-            leaf = leaves[coeff] = _packed_leaf(coeff, dim, f"{base}[{idx}].coeff")
+            p = _leaf(coeff, dim, f"{base}[{idx}].coeff")
+            leaf = leaves[coeff] = p._num.items(), p._den
         parts.append((orders_key, *leaf))
     if arity is None:
         raise SchemaError("empty diffop needs an explicit arity", path)
     # a bare array's arity is the length of its first orders, which may be 0
     _expect(arity >= 1, "arity must be >= 1", path)
     return _summed(dim, arity, parts)
-
-
-def _packed_leaf(text, dim, path) -> tuple:
-    """([(packed exponents, numerator)], denominator) of one operator leaf: a
-    canonical leaf by the leaf reader, any other by the grammar; SchemaError at
-    `path` for a leaf that does not parse or has an exponent above the
-    packing budget."""
-    p = _leaf(text, dim, path)
-    try:
-        return [(_key(e), n) for e, n in p._num.items()], p._den
-    except BudgetError as exc:
-        raise SchemaError(str(exc), path) from None
 
 
 _INT_TYPES = {int}

@@ -8,7 +8,7 @@ from hypothesis import settings, strategies as st
 
 from dqkit.calculus import Form, MultiVec
 from dqkit.diffop import PolyDiffOp
-from dqkit.kernel import Poly
+from dqkit.kernel import MAX_PACKED, Poly
 from dqkit.starprod import GaugeOp, moyal
 
 settings.register_profile("dqkit", max_examples=40, deadline=None)
@@ -17,12 +17,13 @@ settings.load_profile("dqkit")
 
 def assert_clean_poly(p, dim):
     """The stored form of a Poly: int numerators over one positive int
-    denominator, normalized, with clean exponent tuples."""
+    denominator, normalized, at packed exponent keys: ints of dim 16-bit
+    fields, each at most MAX_PACKED, with no bit above the dim fields."""
     assert type(p) is Poly and p.dim == dim
     assert type(p._num) is dict and type(p._den) is int
-    for exps, c in p._num.items():
-        assert type(exps) is tuple and len(exps) == dim
-        assert all(type(e) is int and e >= 0 for e in exps)
+    for key, c in p._num.items():
+        assert type(key) is int and key >= 0 and key >> 16 * dim == 0
+        assert all(key >> 16 * i & 0xFFFF <= MAX_PACKED for i in range(dim))
         assert type(c) is int and c != 0
     assert p._den > 0
     assert gcd(p._den, *p._num.values()) == 1

@@ -16,7 +16,7 @@ from dqkit.diffop import (
     transpose_parts,
 )
 from dqkit.errors import DegreeError, DimensionMismatchError, IndexRangeError, SchemaError, SolveError
-from dqkit.kernel import Poly, TPoly, _add_term, grlex_key
+from dqkit.kernel import Poly, TPoly, _add_term, _key, grlex_key
 from dqkit.liealgebroid import AlgebroidCheck, AlgebroidForm, AlgebroidPresentation
 from dqkit.parser import _leaf
 from dqkit.poisson import bracket, koszul_bracket
@@ -664,7 +664,7 @@ def poly_by_fraction_sum(dim: int, terms) -> Poly:
             else:
                 del clean[exps]
     den = lcm(*(c.denominator for c in clean.values()))
-    return Poly._make(dim, {e: c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
+    return Poly._make(dim, {_key(e): c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
 
 
 def diffop_from_payload_by_entries(payload, dim, path, arity=None) -> PolyDiffOp:
@@ -712,9 +712,8 @@ def diffop_from_payload_by_entries(payload, dim, path, arity=None) -> PolyDiffOp
             raise SchemaError(f"multi-index length must equal dim = {dim}", f"{epath}.orders")
         orders = tuple(map(tuple, orders))
         refuse_above_budget(max(sum(orders, ()), default=0), f"{epath}.orders")
+        # a leaf with an exponent above the budget is refused by _leaf itself
         coeff = _leaf(entry["coeff"], dim, f"{epath}.coeff")
-        for exps in coeff.terms:  # the first monomial above the budget, in the leaf's term order
-            refuse_above_budget(max(exps, default=0), f"{epath}.coeff")
         read.append((orders, coeff))
     if arity is None:
         raise SchemaError("empty diffop needs an explicit arity", path)

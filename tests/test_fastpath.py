@@ -54,6 +54,7 @@ from dqkit.starprod import (
 
 from conftest import assert_clean_poly, rand_diffop1, rand_gauge
 from oracles import (
+    RefPoly,
     add_by_terms,
     apply_by_terms,
     assoc_defects_by_composition,
@@ -110,6 +111,9 @@ def assert_clean(obj):
                 assert all(type(e) is int and e >= 0 for e in o)
             assert_clean_poly(c, obj.dim)
             assert not c.is_zero()
+        # a coefficient's keys are the low blocks of the operator's keys, as they are
+        low = (1 << 16 * obj.dim) - 1
+        assert sorted(k for c in obj.terms.values() for k in c._num) == sorted(k & low for k in obj._num)
     elif isinstance(obj, StarProduct):
         for op in obj.P:
             assert_clean(op)
@@ -508,7 +512,8 @@ def test_fields_at_the_budget_compose_exactly():
     # coefficient fields of a product reach 2 * MAX_PACKED = 2^16 - 2 and an
     # order field MAX_PACKED + 2, and nothing carries into the next field.
     # Such a sum is over the budget, so its operator is refused when it is
-    # built; the accumulator's packed sum is read here directly
+    # built, and so is a Poly product past it; the accumulator's packed sum is
+    # read here directly, against coefficient products of the tuple-keyed RefPoly
     top = MAX_PACKED
     outer = PolyDiffOp(2, 2, {
         ((2, 0), (top, 1)): Poly(2, {(top, 0): Fraction(1, 3), (0, top): 1}),
@@ -518,11 +523,15 @@ def test_fields_at_the_budget_compose_exactly():
     # the slot that is composed has the small orders; the other keeps its own
     for slot, op in [(1, outer), (2, transpose(outer))]:
         want = {}
-        compose_acc_by_poly(want, op, slot, inner, 1)
+        j = slot - 1
+        for o_orders, o_coeff in op.terms.items():
+            for orders, c in derivative_uncapped(o_orders[j], inner).items():
+                key = o_orders[:j] + orders + o_orders[j + 1:]
+                want[key] = want.get(key, 0) + RefPoly(2, o_coeff.terms) * RefPoly(2, c.terms)
         acc = _OpAcc(2)
         acc.add_compose(_Packed(op), slot, _Packed(inner))
         got = {k: Fraction(n, acc.den) for k, n in acc.terms.items()}
-        assert got == {pack(e + sum(orders, ())): v for orders, c in want.items() for e, v in c.items()}
+        assert got == {pack(e + sum(orders, ())): v for orders, c in want.items() for e, v in c.terms.items()}
         with pytest.raises(BudgetError) as info:
             compose_into_slot(op, slot, inner)
         assert "65534 is above" in str(info.value)
@@ -540,12 +549,16 @@ def test_packing_above_the_budget_is_refused_before_any_work(monkeypatch):
     monkeypatch.setattr(_OpAcc, "add_compose", no_work)
     monkeypatch.setattr(_OpAcc, "add", no_work)
     over = MAX_PACKED + 1
-    x_over = Poly.monomial(2, (over, 0))
+
+    def x_over():  # no Poly holds an exponent above the budget, so the coefficient is refused first
+        return Poly.monomial(2, (over, 0))
+
     builds = [
-        lambda: PolyDiffOp(2, 1, {((0, 0),): x_over}),
+        x_over,
+        lambda: PolyDiffOp(2, 1, {((0, 0),): x_over()}),
         lambda: PolyDiffOp(2, 2, {((0, 0), (0, over)): Poly.one(2)}),
-        lambda: PolyDiffOp.partial(2, 1).scale(x_over),
-        lambda: partial_apply(PolyDiffOp.multiplication(2), 2, x_over),
+        lambda: PolyDiffOp.partial(2, 1).scale(x_over()),
+        lambda: partial_apply(PolyDiffOp.multiplication(2), 2, x_over()),
     ]
     for build in builds:
         with pytest.raises(BudgetError) as info:
@@ -553,9 +566,11 @@ def test_packing_above_the_budget_is_refused_before_any_work(monkeypatch):
         assert f"{over}" in str(info.value) and "MAX_PACKED = 32767" in str(info.value)
     # a product that reaches over the budget is refused when its result is built
     x_top = PolyDiffOp(1, 1, {((0,),): Poly.monomial(1, (MAX_PACKED,))})
+    x_top2 = PolyDiffOp(1, 2, {((0,), (0,)): Poly.monomial(1, (MAX_PACKED,))})
     monkeypatch.undo()
     for build in (lambda: compose_into_slot(x_top, 1, PolyDiffOp(1, 1, {((0,),): Poly.variable(1, 1)})),
-                  lambda: x_top.scale(Poly.variable(1, 1))):
+                  lambda: x_top.scale(Poly.variable(1, 1)),
+                  lambda: partial_apply(x_top2, 2, Poly.variable(1, 1))):
         with pytest.raises(BudgetError) as info:
             build()
         assert f"{over}" in str(info.value)

@@ -93,13 +93,18 @@ BUNDLES = {
     "power_over_bit_budget": _poly(2, "(2*x1)^100000000"),
     # an integer literal of 5,000 digits, above parser.MAX_INT_DIGITS = 4300
     "literal_over_digit_limit": _poly(1, "x1 + " + "7" * 5000),
-    # each power is inside the term and bit budgets, but x1^(2^16000) has an exponent of 4,817 digits
+    # each power is inside the term and bit budgets, but the first, x1^(2^4000), is already far
+    # above kernel.MAX_PACKED = 32767 and refused before it multiplies
     "exponent_over_digit_limit": _poly(1, "(((x1^(2^4000))^(2^4000))^(2^4000))^(2^4000)"),
     # eight factors of 84 terms each: the third may make C(9 + 6, 6) = 5005 terms, so the
     # second '*' is refused before it multiplies (this document ran out a 25 s timeout unbounded)
     "product_over_budget": _poly(6, "*".join(["(x1+x2+x3+x4+x5+x6+1)^3"] * 8)),
-    # a product of monomials adds exponents: x1^(10^4300 - 1) * x1 is read, and refused when written
+    # x1^(10^4300 - 1) * x1: the leaf reader leaves it to the grammar, which refuses the power
+    # x1^(10^4300 - 1) above kernel.MAX_PACKED, named by its bit length
     "exponent_product_over_digit_limit": _poly(1, "x1^" + "9" * 4300 + "*x1"),
+    # the largest exponent a polynomial may hold, and one far above it
+    "exponent_at_packed_budget": _poly(1, "x1^32767"),
+    "exponent_over_packed_budget": _poly(1, "x1^1000000000"),
     "d_index_above_dim": _bundle(
         algebroid=_RANK2_ON_LINE,
         omega=_form(1, [{"indices": [2], "coeff": "1"}]),
@@ -146,8 +151,8 @@ BUNDLES = {
         outer=_diffop(1, 1, [{"coeff": "1", "orders": [[1]]}]),
         inner=_diffop(1, 1, [{"coeff": "x1^32768", "orders": [[0]]}]),
     ),
-    # d^3,000,000 is far above diffop.MAX_PACKED: refused when the operator is read,
-    # before the falling factorial 3,000,000! that applying it to x1^3000000 would build
+    # x1^3000000 and d^3,000,000 are far above diffop.MAX_PACKED: f1, read first, is refused,
+    # before the falling factorial 3,000,000! that applying d^3,000,000 to it would build
     "apply_over_packed_budget": _bundle(
         op=_diffop(1, 1, [{"coeff": "1", "orders": [[3000000]]}]),
         f1=_poly(1, "x1^3000000"),
@@ -335,7 +340,8 @@ CASES = (
        ("star nabla-curv", "nabla_curv_xi1_bivector"), ("star nabla", "nabla_not_special")]
     + [("parse", n) for n in ("power_over_budget", "power_under_budget", "power_over_bit_budget",
                               "literal_over_digit_limit", "exponent_over_digit_limit",
-                              "exponent_product_over_digit_limit")]
+                              "exponent_product_over_digit_limit", "exponent_at_packed_budget",
+                              "exponent_over_packed_budget")]
     + [("parse", n) for n in ("diffop_repeated_leaves", "diffop_repeated_unreadable_leaf",
                               "diffop_repeated_leaf_over_budget", "product_over_budget")]
 )
@@ -462,10 +468,14 @@ GOLDEN = {
     ('diffop compose', 'compose_over_packed_budget'): (2, "3101cce244746dede9f2ee46da20ae3f990b669addfdcd471bc11284da4fb3ae"),
     ('parse', 'literal_over_digit_limit'): (2, "ff3c3096ba61a90c8db474790a091524271ef966dc7e21ca68293c495a504534"),
     ('diffop compose', 'compose_over_digit_limit'): (2, "5fff50acb7b1f85536b90f66fd4ab589601982877555d294dd73e14d3202f813"),
-    ('parse', 'exponent_over_digit_limit'): (2, "a78404bcf84e679d5e543394180f6141d9b7b54b5d687dae69698ec9b368c337"),
-    ('parse', 'exponent_product_over_digit_limit'): (2, "19e1fa1e6f36a123d56d485db384d340bb04407919b083560df876bfbeda59fc"),
+    # these two and apply_over_packed_budget changed when Poly exponents were held to MAX_PACKED
+    ('parse', 'exponent_over_digit_limit'): (2, "7b40861b43440fe0102f7f08cf42d0386de8d5a3e3d0d09c6cd696d5507b876d"),
+    ('parse', 'exponent_product_over_digit_limit'): (2, "b3bcf6d889ba2179a545bb92f3bcbf1acae3b22a30996351c015d3fc56ba9599"),
+    # the first as before that change; the second exited 0 before it
+    ('parse', 'exponent_at_packed_budget'): (0, "747e25137ae425dc78da2a4bff38f9d7a57381127506b030b5e48372a9ea28f4"),
+    ('parse', 'exponent_over_packed_budget'): (2, "ca3cde301b7b8129a820ea68dd73df486786070ef8e44e61288592ad31c0e1c2"),
     ('star specialize --degree 0', 'star_gauged_degree1'): (1, "f0a0a878fdb82b5a3a5fe4c67499ea577a23fdba57df2411af00a12a07f9f6e9"),
-    ('diffop apply', 'apply_over_packed_budget'): (2, "6c0bcb697ecd76036437903894a7d0b1d78f1097351c2dc158127b21d5c1c01d"),
+    ('diffop apply', 'apply_over_packed_budget'): (2, "1363a4ab84c35a30869b5e8bf4144af6a38f558131395c3ca2f3a67cb4d957dd"),
     ('star subprincipal', 'gauge_plane'): (0, "66c178c7bc1cb4a4429cd357a747dfe594566c3370c6e757fbfb68e89d979a99"),
     ('star nabla', 'nabla_gauge_xi'): (0, "6bb56cf12ef8b00b74014e4e2a0ed3cbabf585743198e5a1348f78b97c95097d"),
     ('star nabla-curv', 'nabla_gauge_xi'): (0, "21e3d47c6eff44f607f37ee61fda2774e0a525cca40e53d6ed87b577227e64ab"),

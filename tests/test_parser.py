@@ -35,6 +35,12 @@ def read_leaf(text, dim):
 
 _OVER = "exponent or derivative order {} is above the packing budget diffop.MAX_PACKED = 32767"
 
+
+def _over(n):
+    """The refusal of an exponent n above the budget; an int too long to print is named by its bit length."""
+    return _OVER.format(n if n.bit_length() < 14000 else f"of {n.bit_length()} bits")
+
+
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
 x = Poly.variable(2, 1)
@@ -218,23 +224,22 @@ class TestGrammar:
         assert info.value.message == f"integer literal of {limit + 1} digits is above parser.MAX_INT_DIGITS = {limit}"
 
     def test_power_exponent_digit_limit(self):
-        # 2^16000 has 4,817 digits: every power is inside the term and bit budgets
+        # every power is inside the term and bit budgets, and the first, x1^(2^4000), is far
+        # above kernel.MAX_PACKED, long before any exponent nears parser.MAX_INT_DIGITS
         text = "(((x1^(2^4000))^(2^4000))^(2^4000))^(2^4000)"
-        with pytest.raises(PolyParseError) as info:
+        with pytest.raises(BudgetError) as info:
             parse_poly(text, 1)
-        assert info.value.position == 36
-        assert info.value.message == (
-            f"power has an exponent of more than parser.MAX_INT_DIGITS = {parser.MAX_INT_DIGITS} digits"
-        )
-        # k times the base's largest exponent is checked: 10^MAX_INT_DIGITS is refused,
-        # one power below it is written
+        assert str(info.value) == _over(2**4000)
+        # k times the base's largest exponent is checked: 32767 = 7 * 4681 is read, one step above
+        # it is refused, and so is an exponent of more digits than may be written
+        assert poly_to_text(parse_poly("(x1^7)^4681", 2)) == "x1^32767"
+        assert poly_to_text(parse_poly("(x1*x2^2)^16383", 2)) == "x1^16383*x2^32766"
         limit = parser.MAX_INT_DIGITS
-        k = 10 ** (limit - 1)
-        for text in (f"(x1^10)^{k}", f"(x1*x2^2)^{5 * k}"):
-            with pytest.raises(PolyParseError, match="power has an exponent"):
+        for text, top in (("(x1^7)^4682", 32774), ("(x1*x2^2)^16384", 32768), ("x1^32768", 32768),
+                          (f"(x1^10)^{10 ** (limit - 1)}", 10**limit)):
+            with pytest.raises(BudgetError) as info:
                 parse_poly(text, 2)
-        below = parse_poly(f"(x1^10)^{k - 1}", 2)
-        assert poly_to_text(below) == f"x1^{10 * k - 10}"
+            assert str(info.value) == _over(top)
         # constants have no exponent to grow
         assert parse_poly(f"1^{'9' * limit}", 1) == Poly.one(1)
 
@@ -283,24 +288,18 @@ class TestCanonicalText:
                 poly_to_text(Poly.const(1, value))
 
     def test_exponent_digit_limit(self):
-        """A product of monomials adds exponents past what any one power may
-        make: x1^(10^4300 - 1) * x1 is read and then refused when it is written."""
-        limit = parser.MAX_INT_DIGITS
-        top = "9" * limit
-        assert poly_to_text(parse_poly(f"x1^{top}", 1)) == f"x1^{top}"
-        for text, dim in ((f"x1^{top}*x1", 1), (f"x2 + 3*x1*x2^{top}*x2", 2)):
+        """A product of monomials adds exponents, but no Poly holds one above
+        kernel.MAX_PACKED, far below parser.MAX_INT_DIGITS: the product is
+        refused when it is read, by the leaf reader and the grammar alike, and
+        every exponent a Poly holds can be written."""
+        assert poly_to_text(parse_poly("x1^32766*x1", 1)) == "x1^32767"
+        assert parse_poly("x1^32767*x1^0", 1) == parse_poly("(x1^32767)", 1) == Poly.monomial(1, (32767,))
+        top = "9" * parser.MAX_INT_DIGITS
+        for text, dim, over in (("x1^32767*x1", 1, 32768), ("(x1^32767)*x1", 1, 32768),
+                                ("x2 + 3*x1*x2^32767*x2", 2, 32768), (f"x1^{top}*x1", 1, 10**len(top) - 1)):
             with pytest.raises(BudgetError) as info:
-                poly_to_text(parse_poly(text, dim))
-            assert str(info.value) == f"an exponent of {limit + 1} digits is above parser.MAX_INT_DIGITS = {limit}"
-        # refused whatever the interpreter's own int-to-string limit
-        if hasattr(sys, "set_int_max_str_digits"):
-            saved = sys.get_int_max_str_digits()
-            sys.set_int_max_str_digits(0)
-            try:
-                with pytest.raises(BudgetError, match="an exponent of"):
-                    poly_to_text(parse_poly(f"x1^{top}*x1", 1))
-            finally:
-                sys.set_int_max_str_digits(saved)
+                parse_poly(text, dim)
+            assert str(info.value) == _over(over)
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string limit")
     def test_digit_limit_does_not_follow_the_interpreter(self):
@@ -402,7 +401,7 @@ class TestLeafReader:
             ("x2*x1*x2^2", 2),
             ("3/6*x1 - 1/4 + 1/12*x1", 1),
             ("-" + "9" * parser.MAX_INT_DIGITS + "/" + "7" * parser.MAX_INT_DIGITS, 1),
-            ("x1^" + "9" * parser.MAX_INT_DIGITS, 1),
+            ("x1^32767*x2^32767 - x1^32767", 2),
         ],
     )
     def test_read(self, text, dim):
@@ -415,6 +414,8 @@ class TestLeafReader:
             ("x3", 2), ("x", 2), ("1/0", 1), ("3x1", 1), ("x1^2^2", 1), ("2*3", 1), ("x1/2", 1),
             ("1" * (parser.MAX_INT_DIGITS + 1), 1), ("x1^1" + "0" * parser.MAX_INT_DIGITS, 1),
             ("1/1" + "0" * parser.MAX_INT_DIGITS, 1),
+            # exponents above kernel.MAX_PACKED, in one factor or summed over several
+            ("x1^" + "9" * parser.MAX_INT_DIGITS, 1), ("x1^32768", 1), ("x2 + x1^16384*x1^16384", 2),
         ],
     )
     def test_left_to_the_grammar(self, text, dim):
@@ -426,8 +427,9 @@ class TestLeafReader:
 _LEAF_DRAWS = st.sampled_from(
     [("canonical", c) for c in ("x1", "-x1", "x1*x2 - 1/3", "-x1*x2 + 1/3", "1/2", "0")] * 8
     + [("grammar", c) for c in ("(x1 + 1)^2", "-(x1 + 1)^2", "x*y", "2*(x1 - x2)/3")] * 4
-    + [("cancels inside", c) for c in ("x2 + x1^40000 - x1^40000", "(x2 + x1^40000 - x1^40000)")] * 2
     + [("over budget", c) for c in ("x1^40000", "(x1^2)^20000", "x2 + x1^32768*x2")]
+    # terms above the budget are refused as they are read, even where they would cancel
+    + [("over budget", c) for c in ("x2 + x1^40000 - x1^40000", "(x2 + x1^40000 - x1^40000)")] * 2
     + [("unreadable", c) for c in ("x1 + q", "(", "")]
     + [("not a str", c) for c in (5, None, ["x1"])]
 )
@@ -560,12 +562,16 @@ class TestDocuments:
 
     @pytest.mark.parametrize("coeff", ["x2 + x1^40000 - x1^40000", "(x2 + x1^40000 - x1^40000)"])
     def test_diffop_leaf_whose_terms_over_the_budget_cancel(self, coeff):
-        # the leaf reader and the grammar sum a coefficient before its
-        # exponents are held to diffop.MAX_PACKED, so both accept it
-        assert (parser._read_leaf(coeff, 2) is None) == coeff.startswith("(")
+        # no Poly holds x1^40000, even for a moment: the leaf reader leaves the
+        # text to the grammar, which refuses the power before the terms are summed
+        assert parser._read_leaf(coeff, 2) is None
+        with pytest.raises(BudgetError) as info:
+            parse_poly(coeff, 2)
+        assert str(info.value) == _OVER.format(40000)
         terms = [{"coeff": coeff, "orders": [[1, 0]]}]
-        op = parse_document(json.dumps({"kind": "diffop", "dim": 2, "payload": terms})).payload
-        assert op == PolyDiffOp(2, 1, {((1, 0),): y})
+        with pytest.raises(SchemaError) as info:
+            parse_document(json.dumps({"kind": "diffop", "dim": 2, "payload": terms}))
+        assert str(info.value) == "$.payload[0].coeff: " + _OVER.format(40000)
 
     def test_diffop_reader_matches_the_entry_by_entry_route(self):
         """The one-pass reader, which reads each leaf text once per operator,
@@ -598,7 +604,7 @@ class TestDocuments:
             seen.add(want[0])
 
         run()
-        assert seen == {"canonical", "grammar", "cancels inside", "over budget", "unreadable", "not a str",
+        assert seen == {"canonical", "grammar", "over budget", "unreadable", "not a str",
                         "repeated", "cancels across entries", "read", "refused"}
 
     def test_tseries_poly(self):
