@@ -10,41 +10,47 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
 - **Key layout.**  A term c x^e d^beta_1 ... d^beta_k of an operator on R^n
   is one int per monomial of its coefficient, with 16-bit fields: e_1..e_n
   first (the monomial's ``Poly`` key), then slot 1's orders beta_1, then slot
-  2's, and so on (field i at bit 16 i).  The operator owns ``{key: int
-  numerator}`` over one positive denominator, normalized as ``Poly`` is (the
-  gcd of the denominator and all numerators is 1), so equal operators have
-  equal maps.
+  2's, and so on (field i at bit 16 i).  ``PolyDiffOp`` is a
+  ``kernel._Stored`` of arity k: ``{key: int numerator}`` over one positive
+  denominator in normal form, so equal operators have equal maps.
 - **Budget.**  Every exponent and derivative order of an operator is at most
   ``MAX_PACKED`` = 2^15 - 1, the ``kernel`` budget, so every field of a sum
   of two keys is below 2^16 and never carries into the next.  An operator
   above the budget raises ``BudgetError`` when it is built: by the
-  constructor, the document reader, or the composition or product whose
-  result it would be.
+  constructor, the document reader, or the composition, product or slot
+  fill whose result it would be.  Only those add fields to form a key, so
+  only they check; sums, negation, scaling and ``transpose`` copy keys.
 - **Handles.**  A public call wraps each operator it composes once in a
   :class:`_Packed` handle, shared by every composition in that call.  The
   handle reads the operator's keys as they are and owns only the per-call
   caches (Leibniz expansions, moved keys, outer rows and the multinomial
   share tables of ``_shares``); it is dropped when the call returns, so
   nothing is cached across calls.
-- **Sums.**  Operator sums run through ``kernel._Sum`` and are normalized
-  once by ``kernel._lowest`` (in ``_built``); :class:`_OpAcc` is a
+- **Sums.**  ``kernel._Stored``, the one owner of the stored form, holds
+  sums, negation, scaling and products by a ``Poly``, the same code as a
+  ``Poly``'s, each normalized by its one gcd step; :class:`_OpAcc` is a
   ``kernel._Sum`` that also adds compositions and Hochschild coboundaries,
   and its result becomes the operator's map.
 - **Views.**  ``terms``, ``sorted_terms()`` and ``coeff()`` split keys into
   ``{orders tuple: Poly}`` on each access; a coefficient keeps its low blocks.
-- **Who reads keys.**  Only ``kernel``, which packs, decodes and checks
-  keys and adds and subtracts a ``Poly``'s, and this module, which moves the
-  order blocks, shift, mask or size a key.  Other modules use
-  :class:`_OpAcc` and :class:`_Packed` for sums of compositions and of
-  operators, ``_OpAcc.add_coboundary`` for a Hochschild coboundary delta(D)
-  in such a sum, ``_built`` for a map they summed from keys of this module's
-  operators, ``kernel._key``, ``kernel._fields``, ``_summed`` and the
-  ``_groups``/``_orders`` decoders to read and write documents,
-  ``solve_coboundary`` for the Hochschild solve, and the ``terms`` and
-  ``coeff()`` views for everything else.  ``_summed`` takes one part per
-  term, (``_key`` of its flat orders, a ``Poly``'s (key, numerator) items,
-  denominator), and is the one place that moves orders above the exponent
-  block; a reader may share one item list among the parts of equal leaves.
+  Evaluation builds no such view: its one route is ``_fill``, which puts a
+  polynomial into one slot with one packed loop per order group, behind
+  ``partial_apply`` and ``apply_op`` (slot 1 once per argument, the last
+  fill's arity-0 result being the ``Poly``).
+- **Who reads keys.**  Only ``kernel``, whose ``_Stored`` owns the stored
+  form and which packs, decodes, checks and adds keys, and this module,
+  which moves the order blocks, shift, mask or size a key.  Other modules use :class:`_OpAcc` and
+  :class:`_Packed` for sums of compositions and of operators,
+  ``_OpAcc.add_coboundary`` for a Hochschild coboundary delta(D) in such a
+  sum, ``kernel._check_budget`` and ``_Stored._normal`` for a map they
+  formed from keys of this module's operators, ``kernel._key``,
+  ``kernel._fields``, ``_summed`` and the ``_groups``/``_orders`` decoders to
+  read and write documents, ``solve_coboundary`` for the Hochschild solve,
+  and the ``terms`` and ``coeff()`` views for everything else.  ``_summed``
+  takes one part per term, (``_key`` of its flat orders, a ``Poly``'s (key,
+  numerator) items, denominator), and is the one place that moves orders
+  above the exponent block; a reader may share one item list among the parts
+  of equal leaves.
 """
 
 from __future__ import annotations
@@ -54,21 +60,14 @@ from math import comb, lcm
 from types import MappingProxyType
 
 from .errors import ArityMismatchError, DimensionMismatchError, SolveError
-from .kernel import MAX_PACKED, _struct  # noqa: F401 (diffop.MAX_PACKED stays importable)
-from .kernel import Poly, _BITS, _FIELD, _Sum, _add_num, _check_budget, _fields, _key, _lowest, _ratio, _reduced
+from .kernel import Poly, _BITS, _FIELD, _Stored, _Sum, _check_budget, _fields, _key, _ratio, _struct
 
 
-def _built(dim: int, arity: int, num: dict, den: int) -> "PolyDiffOp":
-    """The normalized operator of nonzero int numerators over den > 0, owning
-    `num`; BudgetError for a field above MAX_PACKED."""
-    _check_budget(num, dim * (arity + 1))
-    return PolyDiffOp._make(dim, arity, *_lowest(num, den))
-
-
-def _summed(dim: int, arity: int, parts) -> "PolyDiffOp":
-    """The operator of (_key(flat orders), [(packed exponents, numerator)], den)
-    parts, every field already within the budget: each part's numerators go
-    once into one sum, at keys whose orders sit above the exponent block."""
+def _summed(dim: int, parts) -> tuple:
+    """(numerators by key, denominator), not normalized, of the operator of
+    (_key(flat orders), [(packed exponents, numerator)], den) parts, every
+    field already within the budget: each part's numerators go once into one
+    sum, at keys whose orders sit above the exponent block."""
     block = _BITS * dim
     acc = _Sum()
     terms = acc.terms
@@ -81,25 +80,20 @@ def _summed(dim: int, arity: int, parts) -> "PolyDiffOp":
             v = terms[k] = get(k, 0) + n * m
             if not v:
                 del terms[k]
-    return _built(dim, arity, terms, acc.den)
+    return terms, acc.den
 
 
-class PolyDiffOp:
+class PolyDiffOp(_Stored):
     """Operator in k arguments: (f_1..f_k) -> sum coeff * d^{a_1}f_1 ... d^{a_k}f_k.
 
-    Stored form: ``_num`` maps packed keys (see the module docstring) to
-    nonzero int numerators over one positive int ``_den``, with gcd(_den,
-    *_num.values()) == 1, _den == 1 when _num is empty and no field above
-    MAX_PACKED; so structural equality of (dim, arity, _den, _num), and hash,
-    is operator equality.  The public constructor checks and packs
-    ``{orders: coefficient}`` (orders a k-tuple of length-dim multi-indices,
-    coefficients Poly, int or Fraction).  Internal code wraps a stored form
-    that is clean by construction with :meth:`_make`, which takes ownership of
-    the dict.  ``terms``, ``sorted_terms()`` and ``coeff()`` are read-only
-    ``{orders: Poly}`` views computed on each access.
+    Stored form: the ``kernel._Stored`` of arity k, keyed as the module
+    docstring says.  The public constructor checks and packs ``{orders:
+    coefficient}`` (orders a k-tuple of length-dim multi-indices, coefficients
+    Poly, int or Fraction).  ``terms``, ``sorted_terms()`` and ``coeff()`` are
+    read-only ``{orders: Poly}`` views computed on each access.
     """
 
-    __slots__ = ("dim", "arity", "_num", "_den")
+    __slots__ = ()
 
     def __init__(self, dim: int, arity: int, terms=None):
         if arity < 1:
@@ -117,21 +111,7 @@ class PolyDiffOp:
             if coeff.dim != dim:
                 raise DimensionMismatchError("coefficient dimension mismatch")
             parts.append((_key(sum(orders, ())), coeff._num.items(), coeff._den))
-        op = _summed(dim, arity, parts)
-        self.dim = dim
-        self.arity = arity
-        self._num = op._num
-        self._den = op._den
-
-    @classmethod
-    def _make(cls, dim: int, arity: int, num: dict, den: int) -> "PolyDiffOp":
-        """Wrap a stored form that is clean by construction (see the class docstring)."""
-        op = object.__new__(cls)
-        op.dim = dim
-        op.arity = arity
-        op._num = num
-        op._den = den
-        return op
+        super().__init__(dim, arity, *_summed(dim, parts))
 
     # ------------------------------------------------------------------
 
@@ -156,9 +136,6 @@ class PolyDiffOp:
         o[index - 1] = 1
         return cls(dim, 1, {(tuple(o),): 1})
 
-    def is_zero(self) -> bool:
-        return not self._num
-
     # ------------------------------------------------------------------
     # views
 
@@ -176,7 +153,7 @@ class PolyDiffOp:
 
     def _coeffs(self) -> dict:
         """{packed orders: Poly}, one normalized Poly per order tuple, as :meth:`_groups` orders them."""
-        return {high: _reduced(self.dim, sub, self._den) for high, sub in self._groups().items()}
+        return {high: Poly._normal(self.dim, 0, sub, self._den) for high, sub in self._groups().items()}
 
     def _orders(self, high: int) -> tuple:
         """The order tuple of packed orders: one multi-index per 2 * dim bytes."""
@@ -206,43 +183,15 @@ class PolyDiffOp:
             raise DimensionMismatchError("operator dimensions differ")
         if self.arity != other.arity:
             raise ArityMismatchError("operator arities differ")
-        acc = _Sum()
-        acc.add(self._num.items(), self._den)
-        acc.add(other._num.items(), other._den)
-        return _built(self.dim, self.arity, acc.terms, acc.den)
-
-    def __neg__(self):
-        return PolyDiffOp._make(self.dim, self.arity, {k: -n for k, n in self._num.items()}, self._den)
-
-    def __sub__(self, other):
-        return self + (-other)
+        return self._sum(other)
 
     def scale(self, factor):
         """Multiply every coefficient by a Poly or rational."""
         if not isinstance(factor, Poly):
-            p, d = _ratio(factor)
-            num = {k: n * p for k, n in self._num.items()} if p else {}
-            return _built(self.dim, self.arity, num, self._den * d)
+            return self._scaled(*_ratio(factor))
         if factor.dim != self.dim:
             raise DimensionMismatchError(f"polynomial dimensions differ: {self.dim} vs {factor.dim}")
-        out = {}
-        for k, n in self._num.items():
-            for e, m in factor._num.items():
-                _add_num(out, k + e, n * m)
-        return _built(self.dim, self.arity, out, self._den * factor._den)
-
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.arity == other.arity
-            and self._den == other._den
-            and self._num == other._num
-        )
-
-    def __hash__(self):
-        return hash((self.dim, self.arity, self._den, frozenset(self._num.items())))
+        return self._times(factor)
 
     def __repr__(self):
         block = _BITS * self.dim
@@ -253,23 +202,16 @@ class PolyDiffOp:
 
 
 def apply_op(D: PolyDiffOp, *args: Poly) -> Poly:
-    """Exact evaluation on polynomial arguments."""
+    """Exact evaluation on polynomial arguments: each fills slot 1 in turn
+    (_fill), and the last fill's arity-0 result is the Poly."""
     if len(args) != D.arity:
         raise ArityMismatchError(f"operator arity {D.arity}, got {len(args)} arguments")
     for f in args:
         if f.dim != D.dim:
             raise DimensionMismatchError("argument dimension mismatch")
-    out = Poly.zero(D.dim)
-    for high, coeff in D._coeffs().items():
-        term = coeff
-        for o, f in zip(D._orders(high), args):
-            df = f.partial_multi(o)
-            if df.is_zero():
-                break
-            term = term * df
-        else:
-            out = out + term
-    return out
+    for f in args:
+        D = _fill(D, 1, f)
+    return D
 
 
 class _Packed:
@@ -509,7 +451,8 @@ class _OpAcc(_Sum):
         afterwards."""
         terms, den = self.terms, self.den
         self.terms, self.den = {}, 1
-        return _built(self.dim, arity, terms, den)
+        _check_budget(terms, self.dim * (arity + 1))
+        return PolyDiffOp._normal(self.dim, arity, terms, den)
 
 
 def compose_into_slot(outer: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDiffOp:
@@ -625,7 +568,9 @@ def solve_coboundary(sym: PolyDiffOp, degree_bound: int) -> PolyDiffOp:
     for k in order:
         t, c = picks[k]
         num[k] = t * (top // c)
-    Q = _built(n, 1, num, sym._den * top)
+    # alpha = beta + gamma adds two order fields, which may pass the budget
+    _check_budget(num, 2 * n)
+    Q = PolyDiffOp._normal(n, 1, num, sym._den * top)
     residual = sym - hochschild_delta(Q)
     if not residual.is_zero():
         raise SolveError("no Hochschild coboundary solution within bounds", residual=residual)
@@ -653,20 +598,33 @@ def partial_apply(D: PolyDiffOp, slot: int, f: Poly) -> PolyDiffOp:
         raise ArityMismatchError(f"slot {slot} out of range 1..{D.arity}")
     if f.dim != D.dim:
         raise DimensionMismatchError("argument dimension mismatch")
+    return _fill(D, slot, f)
+
+
+def _fill(D: PolyDiffOp, slot: int, f: Poly):
+    """D with argument `slot` filled by f, both checked: per order group, each
+    coefficient key adds each key of d^(slot's orders) f and the later slots
+    move down.  An arity-1 D gives the Poly."""
     dim = D.dim
-    cut = _BITS * dim * (slot - 1)  # the slot's field block within packed orders
-    low = (1 << _BITS * dim) - 1
+    block = _BITS * dim
+    cut = block * (slot - 1)  # the slot's field block within packed orders
+    low = (1 << block) - 1
     out = {}
+    get = out.get
     for high, sub in D._groups().items():
         df = f.partial_multi(_fields(high >> cut & low, dim))
         s = f._den // df._den  # df over f's denominator
         df = [(e, m * s) for e, m in df._num.items()]
         # the slot taken out, the later slots moved down
-        rest = ((high & (1 << cut) - 1) | (high >> cut + _BITS * dim << cut)) << _BITS * dim
+        rest = ((high & (1 << cut) - 1) | (high >> cut + block << cut)) << block
         for e, n in sub.items():
             for e2, m in df:
-                _add_num(out, (e + e2) | rest, n * m)
-    return _built(dim, D.arity - 1, out, D._den * f._den)
+                k = (e + e2) | rest
+                v = out[k] = get(k, 0) + n * m
+                if not v:
+                    del out[k]
+    _check_budget(out, dim * D.arity)
+    return (PolyDiffOp if D.arity > 1 else Poly)._normal(dim, D.arity - 1, out, D._den * f._den)
 
 
 def find_nonzero_args(D: PolyDiffOp):

@@ -4,29 +4,26 @@ Everything downstream (forms, multivectors, operators, star products) stores
 its coefficients as :class:`Poly`.  All values are immutable by convention and
 all operations are pure, so concurrent use needs no coordination.
 
-A ``Poly`` is stored as integer numerators over one common denominator:
-``{packed exponents: nonzero int}`` and a positive ``int``, normalized so that
-the gcd of the denominator and all numerators is 1 (the zero polynomial has
-denominator 1).  Each result is reduced once, by one ``math.gcd`` over the
-denominator and its numerators, so structural equality and ``hash`` are
-polynomial equality and no ``Fraction`` arithmetic runs inside the kernel.
-``Fraction`` appears only at the API edge: the public constructor, ``items``,
-``sorted_terms``, ``constant_value`` and the read-only ``terms`` view.
+The stored form of polynomials and ``diffop`` operators alike has one owner,
+:class:`_Stored`: int numerators at packed keys over one positive
+denominator, normalized by one ``math.gcd`` (a ``Poly`` is its arity-0
+case), so structural equality and ``hash`` are equality of values and no
+``Fraction`` arithmetic runs inside the kernel.  ``Fraction`` appears only at
+the API edge: the public constructor, ``items``, ``sorted_terms``,
+``constant_value`` and the read-only ``terms`` view.  ``_Sum`` is the one
+running sum over a common denominator, behind the constructors, the parser's
+leaf reader and ``diffop._OpAcc``.
 
 Exponents are packed as in Monagan and Pearce (CASC 2007): x^e on R^n is one
 int, e_i in the 16-bit field at bit 16 (i - 1), so a product adds keys and a
 derivative subtracts them.  Every exponent is at most ``MAX_PACKED`` = 2^15 - 1:
 no field of a sum of two keys carries, and its top bit is set exactly above
-the budget, where the constructor and products raise ``BudgetError``.  Keys
-are decoded only at the API edge; ``diffop`` puts order blocks above them.
-
-This module owns that normal form for every stored form of int numerators
-over one denominator, polynomials and ``diffop`` operators alike:
-``_lowest`` is the one gcd step, and ``_Sum`` the one running sum over a
-common denominator, behind the ``Poly`` constructor and sum, the parser's
-leaf reader, operator sums and ``diffop._OpAcc``.  ``_key``, ``_fields`` and
-``_check_budget`` pack, decode and check keys of any number of fields for
-both.
+the budget.  ``_key``, ``_fields`` and ``_check_budget`` pack, decode and
+check keys of any number of fields; the budget is checked (``BudgetError``)
+by the constructors and wherever fields are added to form a key, never where
+keys are only copied.  Keys are decoded only at the API edge; ``diffop`` puts
+order blocks above them, and its ``_fill`` is the one evaluation route: it
+fills an operator's slots one at a time, and the last fill gives the ``Poly``.
 """
 
 from __future__ import annotations
@@ -55,10 +52,10 @@ def _packer(fields: int) -> tuple:
 
 
 def _over_budget(top: int) -> BudgetError:
-    # an int too long to print is named by its bit length
-    shown = top if top.bit_length() < 14000 else f"of {top.bit_length()} bits"
+    # a value of more than about 20 digits is named by its bit length
+    shown = top if top.bit_length() <= 64 else f"of {top.bit_length()} bits"
     return BudgetError(
-        f"exponent or derivative order {shown} is above the packing budget diffop.MAX_PACKED = {MAX_PACKED}"
+        f"exponent or derivative order {shown} is above the packing budget kernel.MAX_PACKED = {MAX_PACKED}"
     )
 
 
@@ -103,15 +100,111 @@ def grlex_key(exponents):
     return (sum(exponents), exponents)
 
 
-class Poly:
-    """Sparse multivariate polynomial over the rationals.
+class _Stored:
+    """Int numerators at packed keys over one positive denominator: a ``Poly``
+    (arity 0, keys of ``dim`` fields) or a ``diffop.PolyDiffOp`` of ``arity``
+    arguments (keys of ``dim * (arity + 1)`` fields, the exponents lowest).
 
-    Stored form: ``_num`` maps packed exponents (``_key`` of a length-``dim``
-    tuple) to nonzero ``int`` numerators and ``_den`` is one positive ``int``
-    denominator, so the polynomial is ``sum(n * x^e) / _den``.  Normalization invariant:
-    ``gcd(_den, *_num.values()) == 1``, and ``_den == 1`` when ``_num`` is
-    empty.  Zero numerators are never stored, so structural equality of
-    ``(dim, _den, _num)`` is polynomial equality, and ``hash`` agrees with it.
+    ``_num`` maps keys to nonzero ``int`` numerators over ``_den``, with
+    ``gcd(_den, *_num.values()) == 1``, ``_den == 1`` when ``_num`` is empty
+    and no field above ``MAX_PACKED``; so equality of ``(dim, arity, _den,
+    _num)``, and ``hash``, is equality of values.  ``__init__`` is the one
+    normalizing step and owns the map it is given; ``_normal`` runs it past
+    the subclasses' argument checks, and ``_make`` wraps a form already normal.
+    """
+
+    __slots__ = ("dim", "arity", "_num", "_den")
+
+    def __init__(self, dim: int, arity: int, num: dict, den: int):
+        if den != 1:
+            g = gcd(den, *num.values())
+            if g != 1:
+                den //= g
+                for k in num:
+                    num[k] //= g
+        self.dim = dim
+        self.arity = arity
+        self._num = num
+        self._den = den
+
+    @classmethod
+    def _normal(cls, dim: int, arity: int, num: dict, den: int):
+        """The normalized value of nonzero int numerators over den > 0, owning `num`."""
+        s = object.__new__(cls)
+        _Stored.__init__(s, dim, arity, num, den)
+        return s
+
+    @classmethod
+    def _make(cls, dim: int, arity: int, num: dict, den: int):
+        """Wrap a stored form that is already normal, owning `num`."""
+        s = object.__new__(cls)
+        s.dim = dim
+        s.arity = arity
+        s._num = num
+        s._den = den
+        return s
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def __neg__(self):
+        return self._make(self.dim, self.arity, {k: -n for k, n in self._num.items()}, self._den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def _sum(self, other):
+        """self + other, of one kind, dim and arity already checked, over the
+        lcm of the denominators: self's keys in order, then other's new keys,
+        a key whose sum cancels dropped (as ``_Sum`` orders them)."""
+        d1, d2 = self._den, other._den
+        g = gcd(d1, d2)
+        m1, m2 = d2 // g, d1 // g
+        out = {k: n * m1 for k, n in self._num.items()} if m1 != 1 else self._num.copy()
+        get = out.get
+        for k, n in other._num.items():
+            v = out[k] = get(k, 0) + n * m2
+            if not v:
+                del out[k]
+        return self._normal(self.dim, self.arity, out, d1 * m1)
+
+    def _scaled(self, p: int, d: int):
+        """self * (p / d) for a rational p / d in lowest terms, d > 0."""
+        num = {k: n * p for k, n in self._num.items()} if p else {}
+        return self._normal(self.dim, self.arity, num, self._den * d)
+
+    def _times(self, f: "Poly"):
+        """self * f for a Poly f of the same dim: each key adds f's exponents to
+        its own; BudgetError if a field of the result is above MAX_PACKED."""
+        out = {}
+        get = out.get
+        for k1, n1 in self._num.items():
+            for k2, n2 in f._num.items():
+                k = k1 + k2
+                v = out[k] = get(k, 0) + n1 * n2
+                if not v:
+                    del out[k]
+        # the top exponent in each variable never cancels, so one check of the result suffices
+        _check_budget(out, self.dim * (self.arity + 1))
+        return self._normal(self.dim, self.arity, out, self._den * f._den)
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return (self.dim == other.dim and self.arity == other.arity
+                    and self._den == other._den and self._num == other._num)
+        if self.arity or not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        p, d = _ratio(other)  # a polynomial equals a constant
+        return self._den == d and self._num == ({0: p} if p else {})
+
+    def __hash__(self):
+        return hash((self.dim, self.arity, self._den, frozenset(self._num.items())))
+
+
+class Poly(_Stored):
+    """Sparse multivariate polynomial over the rationals: the arity-0
+    :class:`_Stored`, ``_num`` keyed by ``_key`` of length-``dim`` exponent
+    tuples, so the polynomial is ``sum(n * x^e) / _den``.
 
     Callers read a polynomial through ``items()``, ``exponents()``,
     ``sorted_terms()``, ``sorted_numerators()`` and the queries below.
@@ -119,13 +212,10 @@ class Poly:
     access; it is kept for tests and outside tools, and no library path reads it.
 
     The public constructor checks its input and packs it once (BudgetError
-    above ``MAX_PACKED``).  Internal code that builds a stored form which is
-    already clean (keys of ``dim`` fields within the budget, nonzero ``int``
-    numerators, the invariant above) wraps it with :meth:`_make`, which skips
-    those checks and takes ownership of the dict.
+    above ``MAX_PACKED``).
     """
 
-    __slots__ = ("dim", "_num", "_den")
+    __slots__ = ()
 
     def __init__(self, dim: int, terms=None):
         if dim < 0:
@@ -143,40 +233,30 @@ class Poly:
                     if e < 0:
                         raise ValueError(f"negative exponent in {exps}")
                 acc.add_term(_key(exps), *_ratio(coeff))
-        self.dim = dim
-        self._num, self._den = _lowest(acc.terms, acc.den)
-
-    @classmethod
-    def _make(cls, dim: int, num: dict, den: int) -> "Poly":
-        """Wrap a stored form that is clean by construction (see the class docstring)."""
-        p = object.__new__(cls)
-        p.dim = dim
-        p._num = num
-        p._den = den
-        return p
+        super().__init__(dim, 0, acc.terms, acc.den)
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zero(cls, dim: int) -> "Poly":
-        return cls._make(dim, {}, 1)
+        return cls._make(dim, 0, {}, 1)
 
     @classmethod
     def const(cls, dim: int, value) -> "Poly":
         p, d = _ratio(value)
-        return cls._make(dim, {0: p} if p else {}, d)
+        return cls._make(dim, 0, {0: p} if p else {}, d)
 
     @classmethod
     def one(cls, dim: int) -> "Poly":
-        return cls._make(dim, {0: 1}, 1)
+        return cls._make(dim, 0, {0: 1}, 1)
 
     @classmethod
     def variable(cls, dim: int, index: int) -> "Poly":
         """Coordinate x_index, 1-based."""
         if type(index) is not int or not 1 <= index <= dim:
             raise ValueError(f"coordinate index {index!r} out of range 1..{dim}")
-        return cls._make(dim, {1 << _BITS * (index - 1): 1}, 1)
+        return cls._make(dim, 0, {1 << _BITS * (index - 1): 1}, 1)
 
     @classmethod
     def monomial(cls, dim: int, exps, coeff=1) -> "Poly":
@@ -184,9 +264,6 @@ class Poly:
 
     # ------------------------------------------------------------------
     # queries
-
-    def is_zero(self) -> bool:
-        return not self._num
 
     def is_constant(self) -> bool:
         return not any(self._num)  # x^0 is the key 0
@@ -241,20 +318,9 @@ class Poly:
             other = Poly.const(self.dim, other)
         if self.dim != other.dim:
             raise self._dim_error(other)
-        acc = _Sum()
-        acc.add(self._num.items(), self._den)
-        acc.add(other._num.items(), other._den)
-        return _reduced(self.dim, acc.terms, acc.den)
+        return self._sum(other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return Poly._make(self.dim, {e: -c for e, c in self._num.items()}, self._den)
-
-    def __sub__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(self.dim, other)
-        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -264,28 +330,20 @@ class Poly:
             return self._scaled(*_ratio(other))
         if self.dim != other.dim:
             raise self._dim_error(other)
-        out = {}
-        for e1, c1 in self._num.items():
-            for e2, c2 in other._num.items():
-                _add_num(out, e1 + e2, c1 * c2)
-        # the top exponent in each variable never cancels, so one check of the result suffices
-        _check_budget(out, self.dim)
-        return _reduced(self.dim, out, self._den * other._den)
+        return self._times(other)
 
     __rmul__ = __mul__
-
-    def _scaled(self, p: int, d: int) -> "Poly":
-        """self * (p / d) for a rational p / d in lowest terms, d > 0."""
-        if not p:
-            return Poly._make(self.dim, {}, 1)
-        return _reduced(self.dim, {e: c * p for e, c in self._num.items()}, self._den * d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
         if not n:
             return Poly.one(self.dim)
-        # square-and-multiply with no product by one and no square past the top bit
+        # the top exponent of a power is n times the base's and never cancels
+        top = n * max((e for exps in self.exponents() for e in exps), default=0)
+        if top > MAX_PACKED:
+            raise _over_budget(top)
+        # square-and-multiply with no product by one
         result = None
         base = self
         while True:
@@ -308,7 +366,7 @@ class Poly:
             if k:
                 # lowering one exponent is injective, so no two terms collide
                 out[key - unit] = coeff * k
-        return _reduced(self.dim, out, self._den)
+        return Poly._normal(self.dim, 0, out, self._den)
 
     def partial_multi(self, orders) -> "Poly":
         """Iterated partial derivative along a multi-index (length dim)."""
@@ -328,19 +386,9 @@ class Poly:
             else:
                 # key -> key - orders is injective, so no two terms collide
                 out[key - down] = coeff
-        return _reduced(self.dim, out, self._den)
+        return Poly._normal(self.dim, 0, out, self._den)
 
     # ------------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly.const(self.dim, other)
-        return self.dim == other.dim and self._den == other._den and self._num == other._num
-
-    def __hash__(self):
-        return hash((self.dim, self._den, frozenset(self._num.items())))
 
     def __repr__(self):
         if not self._num:
@@ -354,24 +402,6 @@ class Poly:
             )
             bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
         return f"Poly({self.dim}, {' + '.join(bits)})"
-
-
-def _lowest(num: dict, den: int) -> tuple:
-    """(num, den) for int numerators over den > 0, with gcd(den, *numerators)
-    divided out of `num` in place: the one normalization step of every stored
-    form (den becomes 1 if `num` is empty)."""
-    if den != 1:
-        g = gcd(den, *num.values())
-        if g != 1:
-            den //= g
-            for k in num:
-                num[k] //= g
-    return num, den
-
-
-def _reduced(dim: int, num: dict, den: int) -> Poly:
-    """The normalized Poly sum(num[e] x^e) / den, owning `num`."""
-    return Poly._make(dim, *_lowest(num, den))
 
 
 def _add_num(out: dict, key, n: int) -> None:
@@ -514,9 +544,7 @@ class TPoly:
 
     def __mul__(self, other):
         """Cauchy product; t-degrees above the truncation order are dropped."""
-        if isinstance(other, (int, Fraction)):
-            return TPoly(self.order, [c * other for c in self.coeffs])
-        if isinstance(other, Poly):
+        if isinstance(other, (int, Fraction, Poly)):
             return TPoly(self.order, [c * other for c in self.coeffs])
         self._check_compat(other)
         out = [Poly.zero(self.dim) for _ in range(self.order + 1)]

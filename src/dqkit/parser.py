@@ -35,7 +35,7 @@ from typing import Optional
 from .calculus import Form, MultiVec
 from .diffop import PolyDiffOp, _summed
 from .errors import BudgetError, DqkitError, PolyParseError, SchemaError
-from .kernel import MAX_PACKED, Poly, TPoly, _Sum, _fields, _key, _over_budget, _reduced, grlex_key
+from .kernel import MAX_PACKED, Poly, TPoly, _Sum, _fields, _key, grlex_key
 from .liealgebroid import AlgebroidPresentation
 from .qclimit import QCData
 from .starprod import GaugeOp, StarProduct
@@ -229,11 +229,10 @@ class _ExprParser:
             raise PolyParseError(
                 f"power may have coefficients up to 2^{bits}, above the budget of 2^{MAX_POWER_BITS}", pos
             )
-        # the largest exponent of base^k is k times the base's largest, and must be packable
-        top = k * max((e for exps in base.exponents() for e in exps), default=0)
-        if top > MAX_PACKED:
-            raise _over_budget(top)
-        return base ** k
+        try:
+            return base ** k
+        except BudgetError as exc:  # an exponent above kernel.MAX_PACKED, refused before any product
+            raise PolyParseError(str(exc), pos) from None
 
     def _multiply(self, a: Poly, b: Poly, pos: int) -> Poly:
         """a * b, held to the budgets of a power before it multiplies."""
@@ -255,7 +254,10 @@ class _ExprParser:
                 f"product may have coefficients up to 2^{bits}, above the budget of 2^{MAX_POWER_BITS} "
                 "(parser.MAX_POWER_BITS)", pos
             )
-        return a * b
+        try:
+            return a * b
+        except BudgetError as exc:  # an exponent above kernel.MAX_PACKED
+            raise PolyParseError(str(exc), pos) from None
 
     def _divide(self, num: Poly, den: Poly, pos: int) -> Poly:
         if not den.is_constant():
@@ -270,9 +272,9 @@ def _read_leaf(text: str, dim: int):
     """(numerators by packed exponents, denominator) of a leaf in canonical
     shape, not reduced, or None for the grammar to read.
 
-    _reduced of it is the grammar's Poly, down to the order of its terms: each
-    term is added in turn by kernel._Sum, so a term that cancels leaves the
-    map, as ``Poly.__add__`` does.  None for any text the pattern does not
+    ``Poly._normal`` of it is the grammar's Poly, down to the order of its
+    terms: each term is added in turn by kernel._Sum, so a term that cancels
+    leaves the map, as ``Poly.__add__`` does.  None for any text the pattern does not
     cover in full, a variable above ``dim``, an exponent above ``MAX_PACKED``
     and a zero divisor.
     """
@@ -315,7 +317,7 @@ def parse_poly(text: str, dim: int) -> Poly:
     if not isinstance(text, str):
         raise PolyParseError("expected an expression string", 0)
     read = _read_leaf(text, dim)
-    return _ExprParser(text, dim).parse() if read is None else _reduced(dim, *read)
+    return _ExprParser(text, dim).parse() if read is None else Poly._normal(dim, 0, *read)
 
 
 def _over_digit_limit(m: int) -> BudgetError:
@@ -390,14 +392,12 @@ def _is_int(value) -> bool:
 
 def _leaf(text, dim, path) -> Poly:
     """The Poly of a leaf text; SchemaError at `path` for a leaf that does not
-    parse or has an exponent above the packing budget."""
+    parse, one with an exponent above the packing budget among them."""
     _expect(isinstance(text, str), "expected an expression string", path)
     try:
         return parse_poly(text, dim)
     except PolyParseError as exc:
         raise SchemaError(f"leaf parse error: {exc}", path) from exc
-    except BudgetError as exc:
-        raise SchemaError(str(exc), path) from None
 
 
 def tensor_from_payload(cls, payload, dim, path):
@@ -508,7 +508,7 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
         raise SchemaError("empty diffop needs an explicit arity", path)
     # a bare array's arity is the length of its first orders, which may be 0
     _expect(arity >= 1, "arity must be >= 1", path)
-    return _summed(dim, arity, parts)
+    return PolyDiffOp._normal(dim, arity, *_summed(dim, parts))
 
 
 _INT_TYPES = {int}

@@ -16,11 +16,9 @@ from operator import attrgetter
 
 from .calculus import MultiVec, sort_indices
 from .diffop import (
-    MAX_PACKED,
     PolyDiffOp,
     _OpAcc,
     _Packed,
-    _built,
     apply_op,
     compose_into_slot,
     find_nonzero_args,
@@ -31,13 +29,12 @@ from .diffop import (
     transpose_parts,
 )
 from .errors import (
-    BudgetError,
     DegreeError,
     DimensionMismatchError,
     OrderMismatchError,
     PreconditionError,
 )
-from .kernel import Poly, TPoly
+from .kernel import MAX_PACKED, Poly, TPoly, _check_budget, _over_budget
 from .poisson import bracket, hamiltonian
 
 
@@ -231,7 +228,7 @@ def moyal(pi: MultiVec, order: int) -> StarProduct:
     if pi.degree != 2:
         raise DegreeError("moyal needs a bivector")
     if order > MAX_PACKED:
-        raise BudgetError(f"order {order} is above the packing budget diffop.MAX_PACKED = {MAX_PACKED}")
+        raise _over_budget(order)
     for (i, j), c in pi.terms.items():
         if not c.is_constant():
             raise PreconditionError(f"moyal needs constant coefficients; pi^{(i,j)} = {c!r}")
@@ -252,7 +249,9 @@ def moyal(pi: MultiVec, order: int) -> StarProduct:
                 nxt[key] = get(key, 0) + n1 * n2
         power = nxt
         scale *= 2 * k * B._den
-        ops.append(_built(pi.dim, 2, {key: v for key, v in power.items() if v}, scale))
+        num = {key: v for key, v in power.items() if v}
+        _check_budget(num, 3 * pi.dim)
+        ops.append(PolyDiffOp._normal(pi.dim, 2, num, scale))
     return StarProduct(pi.dim, order, ops)
 
 

@@ -8,7 +8,6 @@ from operator import add, sub
 
 from dqkit.calculus import Form, MultiVec, anchor, exterior_d, lie_derivative, sort_indices, wedge
 from dqkit.diffop import (
-    MAX_PACKED,
     PolyDiffOp,
     apply_op,
     compose_into_slot,
@@ -16,7 +15,7 @@ from dqkit.diffop import (
     transpose_parts,
 )
 from dqkit.errors import DegreeError, DimensionMismatchError, IndexRangeError, SchemaError, SolveError
-from dqkit.kernel import Poly, TPoly, _add_term, _key, grlex_key
+from dqkit.kernel import MAX_PACKED, Poly, TPoly, _add_term, _key, _over_budget, grlex_key
 from dqkit.liealgebroid import AlgebroidCheck, AlgebroidForm, AlgebroidPresentation
 from dqkit.parser import _leaf
 from dqkit.poisson import bracket, koszul_bracket
@@ -664,7 +663,7 @@ def poly_by_fraction_sum(dim: int, terms) -> Poly:
             else:
                 del clean[exps]
     den = lcm(*(c.denominator for c in clean.values()))
-    return Poly._make(dim, {_key(e): c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
+    return Poly._make(dim, 0, {_key(e): c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
 
 
 def diffop_from_payload_by_entries(payload, dim, path, arity=None) -> PolyDiffOp:
@@ -675,9 +674,7 @@ def diffop_from_payload_by_entries(payload, dim, path, arity=None) -> PolyDiffOp
 
     def refuse_above_budget(value, where):
         if value > MAX_PACKED:
-            shown = value if value.bit_length() < 14000 else f"of {value.bit_length()} bits"
-            raise SchemaError(f"exponent or derivative order {shown} is above the packing budget "
-                              f"diffop.MAX_PACKED = {MAX_PACKED}", where)
+            raise SchemaError(str(_over_budget(value)), where)
 
     if isinstance(payload, dict):
         if not set(payload) <= {"arity", "terms"}:

@@ -24,13 +24,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqkit.calculus import MultiVec
-from dqkit import diffop
+from dqkit import diffop, kernel
 from dqkit.diffop import (
-    MAX_PACKED,
     PolyDiffOp,
     _OpAcc,
     _Packed,
-    _built,
     apply_op,
     cocycle_defect,
     compose_into_slot,
@@ -39,7 +37,7 @@ from dqkit.diffop import (
     transpose,
 )
 from dqkit.errors import BudgetError, IndexRangeError, SolveError
-from dqkit.kernel import Poly
+from dqkit.kernel import MAX_PACKED, Poly, _check_budget
 from dqkit.starprod import (
     GaugeOp,
     StarProduct,
@@ -134,7 +132,9 @@ def field(key, i):
 def as_op(dim, arity, terms, den):
     """The operator of a packed map over den, built from a copy: a handle's
     maps stay as they are."""
-    return _built(dim, arity, dict(terms), den)
+    terms = dict(terms)
+    _check_budget(terms, dim * (arity + 1))
+    return PolyDiffOp._normal(dim, arity, terms, den)
 
 
 # ----------------------------------------------------------------------
@@ -574,7 +574,8 @@ def test_packing_above_the_budget_is_refused_before_any_work(monkeypatch):
         with pytest.raises(BudgetError) as info:
             build()
         assert f"{over}" in str(info.value)
-    assert diffop.MAX_PACKED == 2**15 - 1
+    # the budget has one name, kernel.MAX_PACKED
+    assert kernel.MAX_PACKED == 2**15 - 1 and not hasattr(diffop, "MAX_PACKED")
 
 
 # ----------------------------------------------------------------------

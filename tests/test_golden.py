@@ -146,12 +146,12 @@ BUNDLES = {
         inner=_diffop(2, 1, [{"coeff": "x^2", "orders": [[0, 1]]}]),
     ),
     "delta_plane": _diffop(2, 1, [{"coeff": "x*y", "orders": [[2, 1]]}]),
-    # x1^32768 is one above diffop.MAX_PACKED: refused when the operator is read
+    # x1^32768 is one above kernel.MAX_PACKED: refused when the operator is read
     "compose_over_packed_budget": _bundle(
         outer=_diffop(1, 1, [{"coeff": "1", "orders": [[1]]}]),
         inner=_diffop(1, 1, [{"coeff": "x1^32768", "orders": [[0]]}]),
     ),
-    # x1^3000000 and d^3,000,000 are far above diffop.MAX_PACKED: f1, read first, is refused,
+    # x1^3000000 and d^3,000,000 are far above kernel.MAX_PACKED: f1, read first, is refused,
     # before the falling factorial 3,000,000! that applying d^3,000,000 to it would build
     "apply_over_packed_budget": _bundle(
         op=_diffop(1, 1, [{"coeff": "1", "orders": [[3000000]]}]),
@@ -280,7 +280,25 @@ BUNDLES = {
     # the same unreadable leaf at entries 1 and 3: refused at the first, terms[1].coeff
     "diffop_repeated_unreadable_leaf": _diffop(2, 1, [{"coeff": c, "orders": o} for c, o in [
         ("x1", [[1, 0]]), ("x1 + q", [[0, 1]]), ("x2", [[0, 1]]), ("x1 + q", [[2, 0]])]]),
-    # a canonical leaf above diffop.MAX_PACKED at entries 1 and 2: refused at terms[1].coeff
+    # verify's defect reports, one damaged entry each: a bivector that is not Poisson
+    # (its Jacobiator is -x1), a star whose P_1 is that bivector's biderivation, a gauge with
+    # R_1 = x1 that moves 1, an anchor that breaks the anchor axiom, and the order-2 Moyal
+    # plane with d1^2 (x) d2 - d2 (x) d1^2, skew but no biderivation, added to P_2
+    "verify_not_poisson": _bundle(pi=_mv(3, [{"indices": [1, 2], "coeff": "x2"},
+                                              {"indices": [2, 3], "coeff": "x1"}])),
+    "verify_star_pi_not_poisson": _bundle(star={"kind": "star", "dim": 3, "order": 1, "payload": {"P": [
+        {"arity": 2, "terms": [{"coeff": c, "orders": o} for c, o in [
+            ("x2", [[1, 0, 0], [0, 1, 0]]), ("-x2", [[0, 1, 0], [1, 0, 0]]),
+            ("x1", [[0, 1, 0], [0, 0, 1]]), ("-x1", [[0, 0, 1], [0, 1, 0]])]]}]}}),
+    "verify_gauge_not_unital": _bundle(gauge={"kind": "gauge", "dim": 2, "order": 1, "payload": {
+        "R": [{"arity": 1, "terms": [{"coeff": "x1", "orders": [[0, 0]]}]}]}}),
+    "verify_algebroid_fails": _bundle(algebroid={"kind": "algebroid", "dim": 1, "payload": {
+        "rank": 2, "anchor": [["1"], ["x1"]]}}),
+    "verify_p2_not_biderivation": _bundle(star={"kind": "star", "dim": 2, "order": 2, "payload": {"P": [
+        _load("moyal_plane.json")["payload"]["P"][0],
+        {"arity": 2, "terms": _load("moyal_plane.json")["payload"]["P"][1]["terms"] + [
+            {"coeff": "1", "orders": [[2, 0], [0, 1]]}, {"coeff": "-1", "orders": [[0, 1], [2, 0]]}]}]}}),
+    # a canonical leaf above kernel.MAX_PACKED at entries 1 and 2: refused at terms[1].coeff
     "diffop_repeated_leaf_over_budget": _diffop(2, 1, [{"coeff": c, "orders": o} for c, o in [
         ("x2", [[1, 0]]), ("x1^40000 + x2", [[0, 1]]), ("x1^40000 + x2", [[1, 0]])]]),
 }
@@ -296,6 +314,8 @@ QCS = ["qc_bad.json", "qc_plane.json", "qc_r3.json"]
 CASES = (
     [("parse", n) for n in CORPUS_DOCS]
     + [("verify", n) for n in BUNDLE_DOCS]
+    + [("verify", n) for n in ("verify_not_poisson", "verify_star_pi_not_poisson", "verify_gauge_not_unital",
+                               "verify_algebroid_fails", "verify_p2_not_biderivation")]
     + [("poisson check", n) for n in MULTIVECS]
     + [("algebroid from-poisson", n) for n in MULTIVECS]
     + [("algebroid check", n) for n in ("algebroid_so3.json", "check_anchor_fails", "check_jacobi_fails")]
@@ -465,17 +485,20 @@ GOLDEN = {
     ('parse', 'power_over_budget'): (2, "8ca29c8f70331e00636a011dadf3d6103c6e48e2be45831e402e54c5b20c97e2"),
     ('parse', 'power_under_budget'): (0, "d536719a1fe4991be796b72649851a8c9b16605949c771ae37296e7f4a53a56d"),
     ('parse', 'power_over_bit_budget'): (2, "fa849349b4d607a94dccc62619c65e9c034b1388a0542620dbd1c1931836ed65"),
-    ('diffop compose', 'compose_over_packed_budget'): (2, "3101cce244746dede9f2ee46da20ae3f990b669addfdcd471bc11284da4fb3ae"),
+    ('diffop compose', 'compose_over_packed_budget'): (2, "3df917bea43936aef3d93ef181d10718994fa62d90005104c611b3be362b2998"),
     ('parse', 'literal_over_digit_limit'): (2, "ff3c3096ba61a90c8db474790a091524271ef966dc7e21ca68293c495a504534"),
     ('diffop compose', 'compose_over_digit_limit'): (2, "5fff50acb7b1f85536b90f66fd4ab589601982877555d294dd73e14d3202f813"),
-    # these two and apply_over_packed_budget changed when Poly exponents were held to MAX_PACKED
-    ('parse', 'exponent_over_digit_limit'): (2, "7b40861b43440fe0102f7f08cf42d0386de8d5a3e3d0d09c6cd696d5507b876d"),
-    ('parse', 'exponent_product_over_digit_limit'): (2, "b3bcf6d889ba2179a545bb92f3bcbf1acae3b22a30996351c015d3fc56ba9599"),
+    # these two and apply_over_packed_budget changed when Poly exponents were held to MAX_PACKED;
+    # they, compose_over_packed_budget, exponent_over_packed_budget and
+    # diffop_repeated_leaf_over_budget changed again when the refusal came to name
+    # kernel.MAX_PACKED as a leaf parse error at the power's position
+    ('parse', 'exponent_over_digit_limit'): (2, "64955c0fb1fc9d154217428cc0bbfb405ba6bc73c03d1f03ef000173f6ef99b9"),
+    ('parse', 'exponent_product_over_digit_limit'): (2, "24a3a0c923e31a1d504ec3d55bd6f81396d035cb6bd7440f4e794903a218237f"),
     # the first as before that change; the second exited 0 before it
     ('parse', 'exponent_at_packed_budget'): (0, "747e25137ae425dc78da2a4bff38f9d7a57381127506b030b5e48372a9ea28f4"),
-    ('parse', 'exponent_over_packed_budget'): (2, "ca3cde301b7b8129a820ea68dd73df486786070ef8e44e61288592ad31c0e1c2"),
+    ('parse', 'exponent_over_packed_budget'): (2, "44efbfecbf2ee8dc7595eb275a333896ef7535a97f2dcb7eac291494d631224a"),
     ('star specialize --degree 0', 'star_gauged_degree1'): (1, "f0a0a878fdb82b5a3a5fe4c67499ea577a23fdba57df2411af00a12a07f9f6e9"),
-    ('diffop apply', 'apply_over_packed_budget'): (2, "1363a4ab84c35a30869b5e8bf4144af6a38f558131395c3ca2f3a67cb4d957dd"),
+    ('diffop apply', 'apply_over_packed_budget'): (2, "602aa3f74442540aa6b0d8f0b98870d64f930dc3edefd2812488df77f769e854"),
     ('star subprincipal', 'gauge_plane'): (0, "66c178c7bc1cb4a4429cd357a747dfe594566c3370c6e757fbfb68e89d979a99"),
     ('star nabla', 'nabla_gauge_xi'): (0, "6bb56cf12ef8b00b74014e4e2a0ed3cbabf585743198e5a1348f78b97c95097d"),
     ('star nabla-curv', 'nabla_gauge_xi'): (0, "21e3d47c6eff44f607f37ee61fda2774e0a525cca40e53d6ed87b577227e64ab"),
@@ -489,12 +512,18 @@ GOLDEN = {
     ('star nabla', 'nabla_not_special'): (1, "2022d526ef1e36f47f6c8331fd83e64df5377598720eed2908884bf86f66a5f8"),
     ('parse', 'diffop_repeated_leaves'): (0, "8091a9387ed4e429ddf560f8052d65d6eb0985d8f50b29609af495843116bd7c"),
     ('parse', 'diffop_repeated_unreadable_leaf'): (2, "fbb093235df9895d0d71274bde0443816886492d07da6ff7289ba7542d725787"),
-    ('parse', 'diffop_repeated_leaf_over_budget'): (2, "67dd824026092fad339990f34d8bab041bd6690b917a226a2c7698c6ee140a71"),
+    ('parse', 'diffop_repeated_leaf_over_budget'): (2, "8ac0e5c44d9b4ddfbdd5c3e7a6b91ad84b31108fa8713cd030eb5147b0dd7e3b"),
     ('parse', 'product_over_budget'): (2, "cf0e2a4688f4758b91fc2c0f168e4e5afecf33b328c3ded2f7966e397975fdb7"),
     ('diffop delta', 'delta_order0_mixed'): (0, "913fa0ddd4cec836b4f7bb9acf14c62048b81ff16ea8ebd130d21408dab18ece"),
     ('diffop cocycle', 'cocycle_order0_slots'): (1, "48c6aad1bff4eca019ff6f38f0f71ca00bfecc3a71461f74126870432b883d35"),
     ('star assoc', 'star_nonassoc_order3'): (1, "9a5a0a0765955a5737091a6fb9f1e0e47a45c8a4d14d9e8c307891831b2055d8"),
     ('star gauge', 'gauge_order0'): (0, "fadf82a36321a4cfa82a2f1eaf9922ad4b456ad95a8ff35e4020cd9f2e147c1e"),
+    # one defect report each
+    ('verify', 'verify_not_poisson'): (1, "afbec814a417696e5731b26b3ff73881a812bd0fc3c0efa4d49144fef408e96b"),
+    ('verify', 'verify_star_pi_not_poisson'): (1, "b238e8158033d4b0ba7dbf41e2e3f98acb57559a16904ed04b7aea1b7b32bc8f"),
+    ('verify', 'verify_gauge_not_unital'): (1, "dc31c6c55539f9dc5c398d49a467e65d2abb24fbe6d90c8d2e156fcf3c9d115f"),
+    ('verify', 'verify_algebroid_fails'): (1, "506240aa1c281e6988c1015b85dc70c1fdbfdf4ee6d5a8c33f0a01807d1bf224"),
+    ('verify', 'verify_p2_not_biderivation'): (1, "0f20a6b16d4e9f8b4715dc65f48a0d7b3957c09b202f75b19e27feb17f073f80"),
 }
 
 

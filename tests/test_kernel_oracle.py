@@ -49,7 +49,7 @@ def cases(draw, count, top=MAX_PACKED):
 
 
 def _over(n):
-    return f"exponent or derivative order {n} is above the packing budget diffop.MAX_PACKED = {MAX_PACKED}"
+    return f"exponent or derivative order {n} is above the packing budget kernel.MAX_PACKED = {MAX_PACKED}"
 
 
 def assert_same(p, r):
@@ -130,9 +130,10 @@ def test_power_matches_reference(case, n):
     if max((max(e) for e in want.terms), default=0) <= MAX_PACKED:
         assert_same(p**n, want)
     else:
-        # square-and-multiply is refused at its first product past the budget
-        with pytest.raises(BudgetError, match="is above the packing budget"):
+        # refused before any product, naming the power's top exponent: n times the base's
+        with pytest.raises(BudgetError) as info:
             p**n
+        assert str(info.value) == _over(max(max(e) for e in want.terms))
 
 
 @given(cases(1).flatmap(lambda case: st.tuples(
@@ -180,6 +181,23 @@ def test_budget_is_max_packed(dim):
             with pytest.raises(BudgetError) as info:
                 build()
             assert str(info.value) == _over(MAX_PACKED + 1)
+
+
+def test_power_past_the_budget_names_its_top_exponent():
+    """** is refused before it multiplies, naming n times the base's largest
+    exponent (not the first square past the budget); a value of more than 64
+    bits is named by its bit length."""
+    with pytest.raises(BudgetError) as info:
+        Poly.monomial(1, (9000,)) ** 5
+    assert str(info.value) == _over(45000)
+    x = Poly.variable(2, 2) + 1
+    for n, shown in ((2**64 - 1, "18446744073709551615"), (2**64, "of 65 bits"), (2**4000, "of 4001 bits")):
+        with pytest.raises(BudgetError) as info:
+            x**n
+        assert str(info.value) == f"exponent or derivative order {shown} is above the packing budget " \
+                                  f"kernel.MAX_PACKED = {MAX_PACKED}"
+    # a constant has no exponent to grow
+    assert Poly.const(0, 2) ** 10 == 1024
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

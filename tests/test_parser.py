@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from dqkit.calculus import MultiVec
 from dqkit.diffop import PolyDiffOp
 from dqkit.errors import BudgetError, PolyParseError, SchemaError
-from dqkit.kernel import Poly, TPoly, _reduced
+from dqkit.kernel import Poly, TPoly
 from dqkit import parser
 from dqkit.parser import (
     MAX_NESTING,
@@ -30,15 +30,20 @@ from oracles import canonical_json_reference
 def read_leaf(text, dim):
     """The Poly parser._read_leaf reads, or None."""
     read = parser._read_leaf(text, dim)
-    return None if read is None else _reduced(dim, *read)
+    return None if read is None else Poly._normal(dim, 0, *read)
 
 
-_OVER = "exponent or derivative order {} is above the packing budget diffop.MAX_PACKED = 32767"
+_OVER = "exponent or derivative order {} is above the packing budget kernel.MAX_PACKED = 32767"
 
 
 def _over(n):
-    """The refusal of an exponent n above the budget; an int too long to print is named by its bit length."""
-    return _OVER.format(n if n.bit_length() < 14000 else f"of {n.bit_length()} bits")
+    """The refusal of an exponent n above the budget; a value of more than 64 bits is named by its bit length."""
+    return _OVER.format(n if n.bit_length() <= 64 else f"of {n.bit_length()} bits")
+
+
+def _leaf_over(n, pos):
+    """The refusal of a leaf whose power or product at `pos` has an exponent n above the budget."""
+    return f"leaf parse error: {_over(n)} (at position {pos})"
 
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -225,21 +230,24 @@ class TestGrammar:
 
     def test_power_exponent_digit_limit(self):
         # every power is inside the term and bit budgets, and the first, x1^(2^4000), is far
-        # above kernel.MAX_PACKED, long before any exponent nears parser.MAX_INT_DIGITS
+        # above kernel.MAX_PACKED, long before any exponent nears parser.MAX_INT_DIGITS:
+        # Poly.__pow__ refuses it before it multiplies, and the grammar reports that refusal
+        # at the exponent, as it reports the term and bit budgets; 2^4000 is named by its bit length
         text = "(((x1^(2^4000))^(2^4000))^(2^4000))^(2^4000)"
-        with pytest.raises(BudgetError) as info:
+        with pytest.raises(PolyParseError) as info:
             parse_poly(text, 1)
-        assert str(info.value) == _over(2**4000)
+        assert (info.value.message, info.value.position) == (_over(2**4000), 6)
+        assert info.value.message.endswith("order of 4001 bits is above the packing budget kernel.MAX_PACKED = 32767")
         # k times the base's largest exponent is checked: 32767 = 7 * 4681 is read, one step above
         # it is refused, and so is an exponent of more digits than may be written
         assert poly_to_text(parse_poly("(x1^7)^4681", 2)) == "x1^32767"
         assert poly_to_text(parse_poly("(x1*x2^2)^16383", 2)) == "x1^16383*x2^32766"
         limit = parser.MAX_INT_DIGITS
-        for text, top in (("(x1^7)^4682", 32774), ("(x1*x2^2)^16384", 32768), ("x1^32768", 32768),
-                          (f"(x1^10)^{10 ** (limit - 1)}", 10**limit)):
-            with pytest.raises(BudgetError) as info:
+        for text, top, pos in (("(x1^7)^4682", 32774, 7), ("(x1*x2^2)^16384", 32768, 10), ("x1^32768", 32768, 3),
+                               (f"(x1^10)^{10 ** (limit - 1)}", 10**limit, 8)):
+            with pytest.raises(PolyParseError) as info:
                 parse_poly(text, 2)
-            assert str(info.value) == _over(top)
+            assert (info.value.message, info.value.position) == (_over(top), pos)
         # constants have no exponent to grow
         assert parse_poly(f"1^{'9' * limit}", 1) == Poly.one(1)
 
@@ -295,11 +303,13 @@ class TestCanonicalText:
         assert poly_to_text(parse_poly("x1^32766*x1", 1)) == "x1^32767"
         assert parse_poly("x1^32767*x1^0", 1) == parse_poly("(x1^32767)", 1) == Poly.monomial(1, (32767,))
         top = "9" * parser.MAX_INT_DIGITS
-        for text, dim, over in (("x1^32767*x1", 1, 32768), ("(x1^32767)*x1", 1, 32768),
-                                ("x2 + 3*x1*x2^32767*x2", 2, 32768), (f"x1^{top}*x1", 1, 10**len(top) - 1)):
-            with pytest.raises(BudgetError) as info:
+        # refused at the '*' that would make it, or at the exponent of a power past the budget
+        for text, dim, over, pos in (("x1^32767*x1", 1, 32768, 8), ("(x1^32767)*x1", 1, 32768, 10),
+                                     ("x2 + 3*x1*x2^32767*x2", 2, 32768, 18),
+                                     (f"x1^{top}*x1", 1, 10**len(top) - 1, 3)):
+            with pytest.raises(PolyParseError) as info:
                 parse_poly(text, dim)
-            assert str(info.value) == _over(over)
+            assert (info.value.message, info.value.position) == (_over(over), pos)
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no int-to-string limit")
     def test_digit_limit_does_not_follow_the_interpreter(self):
@@ -526,19 +536,19 @@ class TestDocuments:
             ([{"coeff": "1", "orders": []}, {"coeff": "(", "orders": []}],
              "$.payload[1].coeff: leaf parse error: unexpected end of input (at position 1)"),
             ([], "$.payload: empty diffop needs an explicit arity"),
-            # exponents and orders above diffop.MAX_PACKED are refused as each term is read
+            # exponents and orders above kernel.MAX_PACKED are refused as each term is read
             ({"arity": 1, "terms": [{"coeff": "1", "orders": [[0, 32768]]}]},
              "$.payload.terms[0].orders: " + _OVER.format(32768)),
             ([{"coeff": "1", "orders": [[70000, 0]]}], "$.payload[0].orders: " + _OVER.format(70000)),
             ({"arity": 1, "terms": [{"coeff": "1", "orders": [[0, 1]]}, {"coeff": "x2^32768", "orders": [[0, 0]]}]},
-             "$.payload.terms[1].coeff: " + _OVER.format(32768)),
+             "$.payload.terms[1].coeff: " + _leaf_over(32768, 3)),
             ({"arity": 1, "terms": [{"coeff": "x1^20000*x1^20000", "orders": [[0, 0]]}]},
-             "$.payload.terms[0].coeff: " + _OVER.format(40000)),
+             "$.payload.terms[0].coeff: " + _leaf_over(40000, 8)),
             ({"arity": 1, "terms": [{"coeff": "(x1^2)^20000", "orders": [[0, 0]]}]},
-             "$.payload.terms[0].coeff: " + _OVER.format(40000)),
-            # an exponent too long to print is named by its bit length
+             "$.payload.terms[0].coeff: " + _leaf_over(40000, 7)),
+            # an exponent of more than 64 bits is named by its bit length
             ({"arity": 1, "terms": [{"coeff": "x1^" + "9" * 4300 + "*x1", "orders": [[0, 0]]}]},
-             "$.payload.terms[0].coeff: " + _OVER.format(f"of {(10**4300).bit_length()} bits")),
+             "$.payload.terms[0].coeff: " + _leaf_over(10**4300 - 1, 3)),
         ],
     )
     def test_diffop_errors(self, payload, error):
@@ -565,13 +575,14 @@ class TestDocuments:
         # no Poly holds x1^40000, even for a moment: the leaf reader leaves the
         # text to the grammar, which refuses the power before the terms are summed
         assert parser._read_leaf(coeff, 2) is None
-        with pytest.raises(BudgetError) as info:
+        pos = coeff.index("40000")
+        with pytest.raises(PolyParseError) as info:
             parse_poly(coeff, 2)
-        assert str(info.value) == _OVER.format(40000)
+        assert (info.value.message, info.value.position) == (_over(40000), pos)
         terms = [{"coeff": coeff, "orders": [[1, 0]]}]
         with pytest.raises(SchemaError) as info:
             parse_document(json.dumps({"kind": "diffop", "dim": 2, "payload": terms}))
-        assert str(info.value) == "$.payload[0].coeff: " + _OVER.format(40000)
+        assert str(info.value) == "$.payload[0].coeff: " + _leaf_over(40000, pos)
 
     def test_diffop_reader_matches_the_entry_by_entry_route(self):
         """The one-pass reader, which reads each leaf text once per operator,
