@@ -33,7 +33,6 @@ from .parser import (
     Document,
     algebroid_to_payload,
     canonical_json,
-    diffop_to_payload,
     document_to_obj,
     gauge_to_payload,
     parse_document,
@@ -180,17 +179,16 @@ def _diffop_apply(doc):
 
 def _diffop_cocycle(op):
     defect = cocycle_defect(op)
-    payload = diffop_to_payload(defect)
     if defect.is_zero():
-        return True, payload, []
-    return False, payload, [_defect("cocycle", payload)]
+        return True, defect, []
+    return False, defect, [_defect("cocycle", defect)]
 
 
 def _star_assoc(S):
     defects = []
     for k, D in enumerate(assoc_defect(S), start=1):
         if not D.is_zero():
-            defects.append(_defect(f"order {k}", diffop_to_payload(D)))
+            defects.append(_defect(f"order {k}", D))
     defects.extend(_unitality(S))
     return not defects, {"associative": not defects}, defects
 
@@ -244,7 +242,7 @@ _BIMODULE = _STAR_GAUGE + (("xi0", "multivec"), ("xi1", "multivec"))
 # calls and serializers up when they run, never when the table is built, so
 # that wrappers bound in their place (bench/tracing.py) see every call.
 _ACTIONS = {
-    ("parse", None): (None, None, lambda doc: _ok(document_to_obj(doc))),
+    ("parse", None): (None, None, lambda doc: _ok(document_to_obj(doc, None))),
     ("poisson", "check"): (_PI, None, _poisson_check),
     ("poisson", "bracket"): (_PI + (("f", "poly"), ("g", "poly")), None,
                              lambda pi, f, g: _ok(poly_to_text(bracket(pi, f, g)))),
@@ -261,8 +259,8 @@ _ACTIONS = {
     ("algebroid", "ext-curv"): (_ALGEBROID + (("twist", "form"), ("lam", "form")), None, _ext_curv),
     ("diffop", "apply"): (None, None, _diffop_apply),
     ("diffop", "compose"): ((("outer", "diffop"), ("inner", "diffop")), ("slot", 1, 1),
-                            lambda a, b, slot: _ok(diffop_to_payload(compose_into_slot(a, slot, b)))),
-    ("diffop", "delta"): (_OP, None, lambda op: _ok(diffop_to_payload(hochschild_delta(op)))),
+                            lambda a, b, slot: _ok(compose_into_slot(a, slot, b))),
+    ("diffop", "delta"): (_OP, None, lambda op: _ok(hochschild_delta(op))),
     ("diffop", "cocycle"): (_OP, None, _diffop_cocycle),
     ("star", "moyal"): (_PI, ("order", 3, 1), lambda pi, n: _ok(star_to_payload(moyal(pi, n)))),
     ("star", "assoc"): (_STAR, None, _star_assoc),
@@ -437,13 +435,16 @@ def dispatch(argv) -> int:
             ok, payload, defects = False, {"error": str(exc)}, [_defect("precondition", str(exc))]
             code = EXIT_DEFECT
             if getattr(exc, "residual", None) is not None:
-                # serialized here, so that a refusal to write it is an input error below
-                payload["residual"] = diffop_to_payload(exc.residual)
+                payload["residual"] = exc.residual
     except Exception as exc:
         ok, payload, defects, code = _failure(exc)
     elapsed_ms = (time.perf_counter() - start) * 1000
     try:
-        report, text = _build_report(command, ok, payload, defects, elapsed_ms)
+        try:
+            report, text = _build_report(command, ok, payload, defects, elapsed_ms)
+        except DqkitError as exc:  # an operator refused as it is written: an input error, as from the action
+            ok, payload, defects, code = _failure(exc)
+            report, text = _build_report(command, ok, payload, defects, elapsed_ms)
         if args.outfile:
             _write_out(args.outfile, text)
     except Exception as exc:  # a report of the fault replaces it, on stdout only

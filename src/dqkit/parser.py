@@ -17,8 +17,17 @@ A leaf in the shape that canonical output has (``[-]c[/d][*]x_i[^e]*...``
 terms joined by `` + `` and `` - ``) is read straight into integer
 numerators over one denominator at packed ``Poly`` keys; the grammar reads
 every other leaf, one with an exponent above ``kernel.MAX_PACKED`` among
-them, and reports every error.  In a diffop document each distinct leaf text
-is read once per operator.
+them, and reports every error.  In a diffop document each distinct leaf text,
+and each distinct monomial text, is read once per operator.
+
+Output is ``canonical_json``: JSON data in which a ``PolyDiffOp`` may stand
+for a value, the operator written as ``json.dumps(..., sort_keys=True,
+indent=2)`` writes its payload, straight from its packed map, one term at a
+time.  ``_op_terms`` is the one route from an operator's keys to its payload's
+values; ``diffop_to_payload`` (JSON data) and the renderer are its two sinks.
+Documents and CLI reports keep their operators in place
+(``document_to_obj(doc, None)``); ``document_to_obj(doc)`` gives the same
+document as JSON data.
 """
 
 from __future__ import annotations
@@ -268,7 +277,7 @@ class _ExprParser:
         return num * (Fraction(1) / v)
 
 
-def _read_leaf(text: str, dim: int):
+def _read_leaf(text: str, dim: int, monos=None):
     """(numerators by packed exponents, denominator) of a leaf in canonical
     shape, not reduced, or None for the grammar to read.
 
@@ -276,8 +285,11 @@ def _read_leaf(text: str, dim: int):
     terms: each term is added in turn by kernel._Sum, so a term that cancels
     leaves the map, as ``Poly.__add__`` does.  None for any text the pattern does not
     cover in full, a variable above ``dim``, an exponent above ``MAX_PACKED``
-    and a zero divisor.
+    and a zero divisor.  ``monos`` maps each monomial text packed so far to its
+    key; the caller that passes one dict to many leaves drops it when it returns.
     """
+    if monos is None:
+        monos = {}
     acc = _Sum()
     negative = False
     pos = 0
@@ -290,16 +302,18 @@ def _read_leaf(text: str, dim: int):
         mono = mono or bare
         key = 0
         if mono:
-            exps = [0] * dim
-            for factor in mono.split("*"):
-                var, _, e = factor.partition("^")
-                i = int(var[1:])
-                if i > dim:
+            key = monos.get(mono)
+            if key is None:
+                exps = [0] * dim
+                for factor in mono.split("*"):
+                    var, _, e = factor.partition("^")
+                    i = int(var[1:])
+                    if i > dim:
+                        return None
+                    exps[i - 1] += int(e) if e else 1
+                if max(exps) > MAX_PACKED:
                     return None
-                exps[i - 1] += int(e) if e else 1
-            if max(exps) > MAX_PACKED:
-                return None
-            key = _key(exps)
+                key = monos[mono] = _key(exps)
         n = int(c) if c else 1
         d = int(d) if d else 1
         if not d:
@@ -390,12 +404,14 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _leaf(text, dim, path) -> Poly:
-    """The Poly of a leaf text; SchemaError at `path` for a leaf that does not
-    parse, one with an exponent above the packing budget among them."""
+def _leaf(text, dim, path, monos=None) -> Poly:
+    """The Poly of a leaf text, as parse_poly reads it with ``monos`` (see
+    _read_leaf); SchemaError at `path` for a leaf that does not parse, one with
+    an exponent above the packing budget among them."""
     _expect(isinstance(text, str), "expected an expression string", path)
+    read = _read_leaf(text, dim, monos)
     try:
-        return parse_poly(text, dim)
+        return _ExprParser(text, dim).parse() if read is None else Poly._normal(dim, 0, *read)
     except PolyParseError as exc:
         raise SchemaError(f"leaf parse error: {exc}", path) from exc
 
@@ -459,7 +475,8 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
     A leaf text is read once per operator: its first entry reads it (the leaf
     reader, or the grammar for a text that reader leaves to it) into a Poly,
     whose packed keys the operator takes as they are, and every later entry
-    with the same text reuses that reading.  Entries are checked in
+    with the same text reuses that reading.  The leaf reader packs each
+    monomial text once per operator too.  Entries are checked in
     order, each field in a fixed order, so a bad entry is reported at the
     first entry that has it.  Nothing is kept once the call returns.
     """
@@ -475,6 +492,7 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
         terms_raw = payload
         base = path
     leaves = {}  # leaf text -> ((packed exponents, numerator) items, denominator)
+    monos = {}  # monomial text -> packed exponents, for the leaf reader
     parts = []  # (packed orders, (packed exponents, numerator) items, denominator) per entry
     for idx, entry in enumerate(terms_raw):
         # an entry's paths are built only for a refusal or a text's first reading
@@ -501,7 +519,7 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
         # a text is a key of `leaves` once read; any other coefficient is refused by _leaf
         leaf = leaves.get(coeff) if isinstance(coeff, str) else None
         if leaf is None:
-            p = _leaf(coeff, dim, f"{base}[{idx}].coeff")
+            p = _leaf(coeff, dim, f"{base}[{idx}].coeff", monos)
             leaf = leaves[coeff] = p._num.items(), p._den
         parts.append((orders_key, *leaf))
     if arity is None:
@@ -530,29 +548,48 @@ def _orders_fields(orders):
     return flat
 
 
-def diffop_to_payload(op: PolyDiffOp) -> dict:
-    """The payload of an operator, written from its keys: terms in ascending
-    order of their order tuples, as PolyDiffOp.sorted_terms lists them."""
+def _op_terms(op: PolyDiffOp):
+    """(orders tuple, coefficient text) of each term of op, in payload order:
+    ascending order tuples, as PolyDiffOp.sorted_terms lists them.  The one
+    route from an operator's keys to its payload's values."""
 
     @cache
     def mono(e):  # (graded-lex key, text) of packed exponents, each decoded once
         exps = _fields(e, op.dim)
         return grlex_key(exps), _mono(exps)
 
-    terms = []
-    for high, sub in op._groups().items():
-        terms.append((op._orders(high), [(mono(e), n) for e, n in sub.items()]))
-    terms.sort()  # the order tuples are distinct, so only they are compared
+    den = op._den
+    # the order tuples are distinct, so only they are compared
+    for orders, sub in sorted((op._orders(high), sub) for high, sub in op._groups().items()):
+        yield orders, _text(den, [(mono(e)[1], sub[e]) for e in sorted(sub, key=mono, reverse=True)])
+
+
+def diffop_to_payload(op: PolyDiffOp) -> dict:
+    """The payload of an operator as JSON data."""
     return {
         "arity": op.arity,
-        "terms": [
-            {
-                "coeff": _text(op._den, [(m[1], n) for m, n in sorted(row, reverse=True)]),
-                "orders": [list(o) for o in orders],
-            }
-            for orders, row in terms
-        ],
+        "terms": [{"coeff": coeff, "orders": [list(o) for o in orders]} for orders, coeff in _op_terms(op)],
     }
+
+
+def _render_op(op: PolyDiffOp, nl: str, emit) -> None:
+    """Emit the text of diffop_to_payload(op) at indent nl, one term at a time."""
+    i1 = nl + "  "
+    i2, i3, i4, i5 = i1 + "  ", i1 + "    ", i1 + "      ", i1 + "        "
+    head, mid, slot_sep, tail = "{" + i3 + '"coeff": ', "," + i3 + '"orders": [' + i4, "," + i4, i3 + "]" + i2 + "}"
+    emit("{" + i1 + '"arity": ' + repr(op.arity) + "," + i1 + '"terms": ')
+    multi = {}  # multi-index -> its text at this indent
+    sep = "[" + i2
+    for orders, coeff in _op_terms(op):
+        slots = []
+        for o in orders:
+            text = multi.get(o)
+            if text is None:
+                text = multi[o] = "[" + i5 + ("," + i5).join(map(int.__repr__, o)) + i4 + "]"
+            slots.append(text)
+        emit(f"{sep}{head}{_encode_str(coeff)}{mid}{slot_sep.join(slots)}{tail}")
+        sep = "," + i2
+    emit(("[]" if sep[0] == "[" else i1 + "]") + nl + "}")
 
 
 def op_series_from_payload(cls, payload, dim, order, path):
@@ -573,12 +610,14 @@ def op_series_from_payload(cls, payload, dim, order, path):
     return cls(dim, order, ops)
 
 
-def star_to_payload(S: StarProduct) -> dict:
-    return {"P": [diffop_to_payload(op) for op in S.P]}
+def star_to_payload(S: StarProduct, op=None) -> dict:
+    """{"P": [P_1, ..., P_N]}, each operator in place or, given `op`, as op(P_k)."""
+    return {"P": [op(P) for P in S.P] if op else list(S.P)}
 
 
-def gauge_to_payload(R: GaugeOp) -> dict:
-    return {"R": [diffop_to_payload(op) for op in R.R]}
+def gauge_to_payload(R: GaugeOp, op=None) -> dict:
+    """{"R": [R_1, ..., R_N]}, each operator in place or, given `op`, as op(R_k)."""
+    return {"R": [op(Rk) for Rk in R.R] if op else list(R.R)}
 
 
 def qc_from_payload(payload, dim, order, path) -> QCData:
@@ -748,26 +787,25 @@ def parse_document(text: str) -> Document:
     return document_from_obj(obj)
 
 
-# kind -> writer of its payload, looked up when it runs (see cli._ACTIONS)
+# kind -> writer of its payload, each operator in it passed through `op` (None
+# keeps it in place); the writers are looked up when they run (see cli._ACTIONS)
 _WRITERS = {
-    "poly": lambda p: [poly_to_text(c) for c in p.coeffs] if isinstance(p, TPoly) else poly_to_text(p),
-    "multivec": lambda p: tensor_to_payload(p),
-    "form": lambda p: tensor_to_payload(p),
-    "diffop": lambda p: diffop_to_payload(p),
-    "star": lambda p: star_to_payload(p),
-    "gauge": lambda p: gauge_to_payload(p),
-    "qc": lambda p: qc_to_payload(p),
-    "algebroid": lambda p: algebroid_to_payload(p),
-    "bundle": lambda p: {name: document_to_obj(sub) for name, sub in p.items()},
+    "poly": lambda p, op: [poly_to_text(c) for c in p.coeffs] if isinstance(p, TPoly) else poly_to_text(p),
+    "multivec": lambda p, op: tensor_to_payload(p),
+    "form": lambda p, op: tensor_to_payload(p),
+    "diffop": lambda p, op: op(p) if op else p,
+    "star": lambda p, op: star_to_payload(p, op),
+    "gauge": lambda p, op: gauge_to_payload(p, op),
+    "qc": lambda p, op: qc_to_payload(p),
+    "algebroid": lambda p, op: algebroid_to_payload(p),
+    "bundle": lambda p, op: {name: document_to_obj(sub, op) for name, sub in p.items()},
 }
 
 
-def payload_to_obj(doc: Document):
-    return _WRITERS[doc.kind](doc.payload)
-
-
-def document_to_obj(doc: Document) -> dict:
-    out = {"kind": doc.kind, "payload": payload_to_obj(doc)}
+def document_to_obj(doc: Document, op=diffop_to_payload) -> dict:
+    """The document as JSON data, each operator as op(operator): its payload by
+    default, or left in place with op=None, for canonical_json to write."""
+    out = {"kind": doc.kind, "payload": _WRITERS[doc.kind](doc.payload, op)}
     if doc.kind != "bundle":
         out["dim"] = doc.dim
     if doc.order is not None:
@@ -776,9 +814,12 @@ def document_to_obj(doc: Document) -> dict:
 
 
 def canonical_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` byte for byte, the text of every
-    document and report, written here since ``indent`` sends ``json.dumps`` to its pure-Python
-    encoder.  Keys must be ``str``; another key, or a value json cannot encode, is a TypeError."""
+    """The text of every document and report: JSON data in which a ``PolyDiffOp`` may stand
+    for a value, written as its payload would be.  Byte for byte it is ``json.dumps(obj,
+    sort_keys=True, indent=2) + "\\n"`` of obj with each operator replaced by its
+    diffop_to_payload, written here since ``indent`` sends ``json.dumps`` to its pure-Python
+    encoder.  Keys must be ``str``; another key, or a value json cannot encode, is a
+    TypeError; a coefficient over MAX_INT_DIGITS is the BudgetError of diffop_to_payload."""
     chunks = []
     _render(obj, "\n", chunks.append)
     chunks.append("\n")
@@ -806,9 +847,11 @@ def _render(obj, nl: str, emit) -> None:
             _render(obj[key], inner, emit)
             sep = "," + inner
         emit(nl + "}" if obj else "{}")
+    elif isinstance(obj, PolyDiffOp):
+        _render_op(obj, nl, emit)
     else:  # json's own text of any other scalar, and its TypeError for a value it cannot encode
         emit(json.dumps(obj))
 
 
 def serialize_document(doc: Document) -> str:
-    return canonical_json(document_to_obj(doc))
+    return canonical_json(document_to_obj(doc, None))

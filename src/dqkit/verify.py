@@ -2,7 +2,8 @@
 
 ``verify_bundle`` runs every applicable exact check against a bundle's entries
 and returns ``(ok, payload, defects)``, the shape of every CLI action: a
-defect is a dict ``{"location", "detail"}`` with canonical JSON content.
+defect is a dict ``{"location", "detail"}`` whose detail is what
+``parser.canonical_json`` writes: JSON data, operators left in place.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from .diffop import cocycle_defect, transpose
 from .errors import PreconditionError, SchemaError
 from .liealgebroid import check_algebroid, from_poisson
-from .parser import Document, diffop_to_payload, parse_document, poly_to_text, serialize_document
+from .parser import Document, parse_document, poly_to_text, serialize_document
 from .poisson import is_poisson, lichnerowicz_d
 from .qclimit import mc_defect
 from .starprod import (
@@ -38,7 +39,7 @@ def _jacobiator(chk) -> dict:
 def _unitality(S, prefix=""):
     """A defect at "{prefix}unitality order k" for each order k where S is not unital."""
     return [
-        _defect(f"{prefix}unitality order {k}", {"left": diffop_to_payload(left), "right": diffop_to_payload(right)})
+        _defect(f"{prefix}unitality order {k}", {"left": left, "right": right})
         for k, left, right in unitality_defects(S)
     ]
 
@@ -55,11 +56,11 @@ def _verify_star(name, S, defects):
     checks += 1
     for k, D in enumerate(assoc_defect(S), start=1):
         if not D.is_zero():
-            defects.append(_defect(f"{name}: associativity order {k}", diffop_to_payload(D)))
+            defects.append(_defect(f"{name}: associativity order {k}", D))
     checks += 1
     c1 = cocycle_defect(S.op(1))
     if not c1.is_zero():
-        defects.append(_defect(f"{name}: P_1 cocycle", diffop_to_payload(c1)))
+        defects.append(_defect(f"{name}: P_1 cocycle", c1))
     checks += 1
     try:
         pi = assoc_poisson(S)
@@ -92,7 +93,7 @@ def _verify_star(name, S, defects):
             defects.append(
                 _defect(
                     f"{name}: subprincipal curvature is not a biderivation",
-                    diffop_to_payload(skew2 - bider),
+                    skew2 - bider,
                 )
             )
     return checks

@@ -8,11 +8,11 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from dqkit import cli
+from dqkit import cli, parser
 from dqkit.calculus import MultiVec
 from dqkit.cli import dispatch
-from dqkit.diffop import PolyDiffOp
-from dqkit.errors import SolveError
+from dqkit.diffop import PolyDiffOp, compose_into_slot
+from dqkit.errors import BudgetError, SolveError
 from dqkit.kernel import Poly
 from dqkit.liealgebroid import AlgebroidPresentation
 from dqkit.parser import Document, diffop_to_payload, serialize_document
@@ -325,6 +325,24 @@ class TestFailureReports:
         # the traceback goes to stderr; the failed report was never written
         assert "RuntimeError: render failed" in capsys.readouterr().err
         assert not path.exists()
+
+    def test_refusal_while_an_operator_is_written_exits_two(self, monkeypatch, tmp_path):
+        """Operators are written as the report is rendered, after the action has
+        returned; a coefficient over the digit limit is still an input error, with
+        the refusal that diffop_to_payload raises, on stdout and in --out."""
+        monkeypatch.setattr(parser, "_INT_TEXT_BOUND", 100)  # so that 5! = 120 is over it
+        outer, inner = PolyDiffOp(1, 1, {((5,),): 1}), PolyDiffOp(1, 1, {((0,),): Poly.monomial(1, (5,))})
+        with pytest.raises(BudgetError) as refusal:
+            diffop_to_payload(compose_into_slot(outer, 1, inner))
+        path, out_path = tmp_path / "compose.json", tmp_path / "r.json"
+        path.write_text(serialize_document(Document("bundle", 0, None, {
+            "outer": Document("diffop", 1, None, outer), "inner": Document("diffop", 1, None, inner)})))
+        code, report, out = run(["diffop", "compose", "--in", str(path), "--out", str(out_path)])
+        assert code == cli.EXIT_INPUT == 2
+        assert report["payload"] == {"error": str(refusal.value)}
+        assert str(refusal.value) == f"a coefficient of 3 digits is above parser.MAX_INT_DIGITS = {parser.MAX_INT_DIGITS}"
+        assert not report["ok"] and report["defects"] == []
+        assert out == canonical_json_reference(report) == out_path.read_text()
 
     def test_solve_residual_is_in_the_report(self, tmp_path):
         # the Moyal plane gauged by R_1 = x2 d_x^2: sym(P_1) needs coefficient degree 1

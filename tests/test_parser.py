@@ -1,7 +1,9 @@
 import enum
 import glob
+import hashlib
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -12,17 +14,20 @@ from dqkit.calculus import MultiVec
 from dqkit.diffop import PolyDiffOp
 from dqkit.errors import BudgetError, PolyParseError, SchemaError
 from dqkit.kernel import Poly, TPoly
-from dqkit import parser
+from dqkit import cli, parser
 from dqkit.parser import (
     MAX_NESTING,
+    Document,
     canonical_json,
+    diffop_to_payload,
+    document_to_obj,
     parse_document,
     parse_poly,
     poly_to_text,
     serialize_document,
 )
 
-from conftest import assert_clean_poly, rand_poly
+from conftest import assert_clean_poly, polys, rand_poly
 import oracles
 from oracles import canonical_json_reference
 
@@ -453,6 +458,30 @@ _ORDERS_DRAWS = st.sampled_from(
 )
 
 
+# The ids of test_diffop_errors, written out so that a changed refusal message
+# does not rename a case; they are the ids pytest made from the messages when
+# these cases were written, kept so that each case keeps its name.
+_DIFFOP_ERROR_IDS = [
+    'payload0-$.payload.terms[0].orders: orders must be an array of multi-indices',
+    'payload1-$.payload.terms[0].orders: orders must be an array of multi-indices',
+    'payload2-$.payload.terms[0].orders: orders must be an array of multi-indices',
+    'payload3-$.payload.terms[0].orders: orders must be an array of multi-indices',
+    'payload4-$.payload.terms[0].orders: orders must be an array of multi-indices',
+    'payload5-$.payload.terms[0].orders: orders must list 2 multi-indices',
+    'payload6-$.payload.terms[0].orders: multi-index length must equal dim = 2',
+    "payload7-$.payload.terms[1].coeff: leaf parse error: unknown variable 'q' (dim = 2) (at position 0)",
+    'payload8-$.payload: arity must be >= 1',
+    'payload9-$.payload[1].coeff: leaf parse error: unexpected end of input (at position 1)',
+    'payload10-$.payload: empty diffop needs an explicit arity',
+    'payload11-$.payload.terms[0].orders: exponent or derivative order 32768 is above the packing budget kernel.MAX_PACKED = 32767',
+    'payload12-$.payload[0].orders: exponent or derivative order 70000 is above the packing budget kernel.MAX_PACKED = 32767',
+    'payload13-$.payload.terms[1].coeff: leaf parse error: exponent or derivative order 32768 is above the packing budget kernel.MAX_PACKED = 32767 (at position 3)',
+    'payload14-$.payload.terms[0].coeff: leaf parse error: exponent or derivative order 40000 is above the packing budget kernel.MAX_PACKED = 32767 (at position 8)',
+    'payload15-$.payload.terms[0].coeff: leaf parse error: exponent or derivative order 40000 is above the packing budget kernel.MAX_PACKED = 32767 (at position 7)',
+    'payload16-$.payload.terms[0].coeff: leaf parse error: exponent or derivative order of 14285 bits is above the packing budget kernel.MAX_PACKED = 32767 (at position 3)',
+]
+
+
 class TestDocuments:
     def test_minimal_bivector(self):
         doc = parse_document(
@@ -550,6 +579,7 @@ class TestDocuments:
             ({"arity": 1, "terms": [{"coeff": "x1^" + "9" * 4300 + "*x1", "orders": [[0, 0]]}]},
              "$.payload.terms[0].coeff: " + _leaf_over(10**4300 - 1, 3)),
         ],
+        ids=_DIFFOP_ERROR_IDS,
     )
     def test_diffop_errors(self, payload, error):
         with pytest.raises(SchemaError) as info:
@@ -617,6 +647,51 @@ class TestDocuments:
         run()
         assert seen == {"canonical", "grammar", "over budget", "unreadable", "not a str",
                         "repeated", "cancels across entries", "read", "refused"}
+
+    def test_diffop_reader_shares_monomials_between_distinct_leaves(self):
+        """The reader packs each monomial text once per operator, whichever leaf
+        has it first: distinct leaves built from one pool of monomials read as the
+        entry-by-entry route reads them.  A monomial over the budget or above dim
+        in a later leaf is still left to the grammar, which refuses it there."""
+        seen = set()
+
+        def outcome(read, payload):
+            try:
+                op = read(payload, 2, "$.payload")
+            except SchemaError as exc:
+                return "refused", exc.message, exc.path
+            return "read", op._den, list(op._num.items())
+
+        monomial = st.sampled_from(["x1", "x2", "x1*x2", "x1^2*x2^3", "x2^32767"] * 4 + ["x1^40000", "x3"])
+        term = st.tuples(st.sampled_from(["+", "-"]), st.sampled_from(["", "2*", "1/3*", "5/2*"]), monomial)
+
+        def leaf(terms):  # "a - b + c", as a canonical leaf joins its terms
+            text = " ".join(f"{sign} {scale}{m}" for sign, scale, m in terms)
+            return text[2:] if text[0] == "+" else "-" + text[2:]
+
+        @settings(max_examples=200, derandomize=True)
+        @given(st.lists(st.tuples(st.lists(term, min_size=1, max_size=3), st.sampled_from([[1, 0], [0, 1], [0, 0]])),
+                        min_size=1, max_size=6))
+        def run(drawn):
+            leaves = [leaf(terms) for terms, _ in drawn]
+            payload = {"arity": 1, "terms": [{"coeff": t, "orders": [o]} for t, (_, o) in zip(leaves, drawn)]}
+            want = outcome(oracles.diffop_from_payload_by_entries, payload)
+            assert outcome(parser.diffop_from_payload, payload) == want
+            monos = [{m for _, _, m in terms} for terms, _ in drawn]
+            if any(monos[i] & monos[j] and leaves[i] != leaves[j] for j in range(len(drawn)) for i in range(j)):
+                seen.add("shared by distinct leaves")
+            if want[0] == "refused":
+                at = int(re.fullmatch(r"\$\.payload\.terms\[(\d+)\]\.coeff", want[2]).group(1))
+                if at:
+                    seen.add("over budget later" if "x1^40000" in monos[at] else "above dim later")
+            seen.add(want[0])
+
+        run()
+        assert seen == {"shared by distinct leaves", "over budget later", "above dim later", "read", "refused"}
+        # nothing is kept from one call to the next: x3, read on R^3, is still above dim on R^2
+        parser.diffop_from_payload([{"coeff": "x3", "orders": [[0, 0, 0]]}], 3, "$.payload")
+        with pytest.raises(SchemaError, match="unknown variable 'x3'"):
+            parser.diffop_from_payload([{"coeff": "x3", "orders": [[0, 0]]}], 2, "$.payload")
 
     def test_tseries_poly(self):
         doc = parse_document('{"kind":"poly","dim":2,"order":2,"payload":["x","y","0"]}')
@@ -725,3 +800,40 @@ class TestCanonicalJson:
         with pytest.raises(ValueError) as got:
             canonical_json(obj)
         assert str(got.value) == str(expected.value)
+
+
+@st.composite
+def _operators(draw):
+    """Operators of arity 1-3 on R^1..R^4 with up to four terms, each coefficient a
+    sum of up to two terms with rational coefficients of either sign: the zero
+    operator, and slots of order 0, among them."""
+    dim, arity = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    orders = st.tuples(*[st.tuples(*[st.integers(0, 2)] * dim)] * arity)
+    return PolyDiffOp(dim, arity, draw(st.dictionaries(orders, polys(dim), max_size=4)))
+
+
+class TestOperatorWriter:
+    """canonical_json writes an operator where it stands as json.dumps writes its payload."""
+
+    @settings(derandomize=True)
+    @given(_operators())
+    def test_written_as_its_payload_at_every_depth(self, op):
+        payload = diffop_to_payload(op)
+        # top level and inside a list
+        assert canonical_json(op) == canonical_json_reference(payload)
+        assert canonical_json([1, op, [op]]) == canonical_json_reference([1, payload, [payload]])
+        # inside a bundle entry: serialize_document keeps the operator in place, and
+        # document_to_obj gives plain JSON data
+        bundle = Document("bundle", 0, None, {
+            "f": Document("poly", op.dim, None, Poly.variable(op.dim, 1)),
+            "op": Document("diffop", op.dim, None, op),
+        })
+        data = document_to_obj(bundle)
+        assert data["payload"]["op"]["payload"] == payload
+        assert serialize_document(bundle) == canonical_json_reference(data)
+        # inside a report's defects
+        body = {"command": "star assoc", "ok": False, "payload": {"associative": False}, "defects": []}
+        _, text = cli._build_report(**dict(body, defects=[{"location": "order 1", "detail": op}]), elapsed_ms=0.0)
+        want = dict(body, defects=[{"location": "order 1", "detail": payload}])
+        digest = hashlib.sha256(canonical_json_reference(want).encode("utf-8")).hexdigest()
+        assert text == canonical_json_reference(dict(want, canonical_sha256=digest, timing_ms=0.0))
