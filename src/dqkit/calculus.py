@@ -8,10 +8,9 @@ coefficients.  Degree 0 uses the empty tuple as its single key.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 
 from .errors import DegreeError, DimensionMismatchError
-from .kernel import Poly, _add_term
+from .kernel import Poly, _add_term, _as_poly
 
 
 def sort_indices(indices):
@@ -73,8 +72,7 @@ class _AltTensor:
                     raise DegreeError(f"{self.index_name} out of range 1..{bound} in {idx}")
                 if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
                     raise DegreeError(f"index tuple {idx} not strictly increasing")
-                if isinstance(coeff, (int, Fraction)):
-                    coeff = Poly.const(dim, coeff)
+                coeff = _as_poly(dim, coeff)
                 if coeff.dim != dim:
                     raise DimensionMismatchError(
                         f"coefficient dim {coeff.dim} != ambient dim {dim}"
@@ -123,8 +121,7 @@ class _AltTensor:
 
     def scale(self, factor):
         """Multiply every coefficient by a Poly or rational."""
-        if isinstance(factor, (int, Fraction)):
-            factor = Poly.const(self.dim, factor)
+        factor = _as_poly(self.dim, factor)
         if factor.is_zero():
             return self._like(self.degree, {})
         # Q[x] has no zero divisors, so no product below is zero
@@ -327,9 +324,8 @@ def schouten(A: MultiVec, B: MultiVec) -> MultiVec:
         return MultiVec.zero(dim, 0)
     out = {}
 
+    # coefficients are products of nonzero polynomials, so never zero
     def add(seq, coeff):
-        if coeff.is_zero():
-            return
         sign, key = sort_indices(seq)
         if sign == 0:
             return
@@ -338,9 +334,6 @@ def schouten(A: MultiVec, B: MultiVec) -> MultiVec:
     for I, c in A.terms.items():
         a = len(I)
         for J, e in B.terms.items():
-            b = len(J)
-            if a == 0 and b == 0:
-                continue
             # first half: A differentiates B's coefficient
             for r0, i in enumerate(I):
                 d_e = e.partial(i)

@@ -299,38 +299,28 @@ def _run(args):
 # report assembly and dispatch
 
 
-def _build_report(command: str, ok: bool, payload, defects, elapsed_ms: float):
-    """The report as a dict and as its canonical_json text.
+def _build_report(command: str, ok: bool, payload, defects, elapsed_ms: float) -> str:
+    """The report's canonical_json text.
 
     The body is encoded once and its text hashed.  Its keys sort between
     "canonical_sha256" and "timing_ms", so the report's text is the body's
     with one line spliced in after the opening brace and one before the
     closing one.
     """
-    body = {
-        "command": command,
-        "ok": bool(ok),
-        "payload": payload,
-        "defects": defects,
-    }
-    text = canonical_json(body)
+    text = canonical_json({"command": command, "ok": bool(ok), "payload": payload, "defects": defects})
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    timing = round(elapsed_ms, 3)
-    report = dict(body, canonical_sha256=digest, timing_ms=timing)
     # text is '{\n' + the body's key lines + '\n}\n'; keep only the lines,
     # so no more than two copies of the text are alive at once
     lines = text[2:-3]
     del text
-    full = f'{{\n  "canonical_sha256": "{digest}",\n{lines},\n  "timing_ms": {timing!r}\n}}\n'
-    return report, full
+    return f'{{\n  "canonical_sha256": "{digest}",\n{lines},\n  "timing_ms": {round(elapsed_ms, 3)!r}\n}}\n'
 
 
-def _render_human(report: dict) -> str:
-    lines = [f"{report['command']}: {'ok' if report['ok'] else 'FAILED'}"]
-    for d in report["defects"]:
-        lines.append(f"  defect at {d['location']}")
-    if report["ok"] and isinstance(report["payload"], str):
-        lines.append(f"  {report['payload']}")
+def _render_human(command: str, ok: bool, payload, defects) -> str:
+    lines = [f"{command}: {'ok' if ok else 'FAILED'}"]
+    lines += (f"  defect at {d['location']}" for d in defects)
+    if ok and isinstance(payload, str):
+        lines.append(f"  {payload}")
     return "\n".join(lines) + "\n"
 
 
@@ -420,7 +410,7 @@ def dispatch(argv) -> int:
     try:
         args = _parse_args(argv)
     except _UsageError as exc:
-        sys.stdout.write(_build_report(exc.command, False, {"error": str(exc)}, [], 0.0)[1])
+        sys.stdout.write(_build_report(exc.command, False, {"error": str(exc)}, [], 0.0))
         return EXIT_INPUT
     except SystemExit as exc:
         # --help exits 0 after printing; normalize any other code
@@ -441,16 +431,16 @@ def dispatch(argv) -> int:
     elapsed_ms = (time.perf_counter() - start) * 1000
     try:
         try:
-            report, text = _build_report(command, ok, payload, defects, elapsed_ms)
+            text = _build_report(command, ok, payload, defects, elapsed_ms)
         except DqkitError as exc:  # an operator refused as it is written: an input error, as from the action
             ok, payload, defects, code = _failure(exc)
-            report, text = _build_report(command, ok, payload, defects, elapsed_ms)
+            text = _build_report(command, ok, payload, defects, elapsed_ms)
         if args.outfile:
             _write_out(args.outfile, text)
     except Exception as exc:  # a report of the fault replaces it, on stdout only
         ok, payload, defects, code = _failure(exc)
-        report, text = _build_report(command, ok, payload, defects, elapsed_ms)
-    sys.stdout.write(_render_human(report) if args.human else text)
+        text = _build_report(command, ok, payload, defects, elapsed_ms)
+    sys.stdout.write(_render_human(command, ok, payload, defects) if args.human else text)
     return code
 
 

@@ -60,7 +60,7 @@ from math import comb, lcm
 from types import MappingProxyType
 
 from .errors import ArityMismatchError, DimensionMismatchError, SolveError
-from .kernel import Poly, _BITS, _FIELD, _Stored, _Sum, _check_budget, _fields, _key, _ratio, _struct
+from .kernel import Poly, _BITS, _FIELD, _Stored, _Sum, _as_poly, _check_budget, _fields, _key, _ratio, _struct
 
 
 def _summed(dim: int, parts) -> tuple:
@@ -106,8 +106,7 @@ class PolyDiffOp(_Stored):
             for o in orders:
                 if len(o) != dim or not all(type(e) is int and e >= 0 for e in o):
                     raise DimensionMismatchError(f"bad multi-index {o} for dim {dim}")
-            if isinstance(coeff, (int, Fraction)):
-                coeff = Poly.const(dim, coeff)
+            coeff = _as_poly(dim, coeff)
             if coeff.dim != dim:
                 raise DimensionMismatchError("coefficient dimension mismatch")
             parts.append((_key(sum(orders, ())), coeff._num.items(), coeff._den))

@@ -12,7 +12,10 @@ case), so structural equality and ``hash`` are equality of values and no
 the API edge: the public constructor, ``items``, ``sorted_terms``,
 ``constant_value`` and the read-only ``terms`` view.  ``_Sum`` is the one
 running sum over a common denominator, behind the constructors, the parser's
-leaf reader and ``diffop._OpAcc``.
+leaf reader and ``diffop._OpAcc``.  The kernel also owns two small facts
+every module shares: ``_as_poly``, the one coercion of an int or ``Fraction``
+to a constant ``Poly``, and ``_mono``, the one text of a monomial (``repr``
+and the parser's canonical output both write it).
 
 Exponents are packed as in Monagan and Pearce (CASC 2007): x^e on R^n is one
 int, e_i in the 16-bit field at bit 16 (i - 1), so a product adds keys and a
@@ -98,6 +101,15 @@ def _ratio(value) -> tuple:
 def grlex_key(exponents):
     """Sort key for graded-lexicographic term order (ascending)."""
     return (sum(exponents), exponents)
+
+
+def _mono(exps) -> str:
+    """The monomial x^exps as text, "" for x^0."""
+    return "*".join(
+        f"x{i}" + (f"^{e}" if e > 1 else "")
+        for i, e in enumerate(exps, start=1)
+        if e > 0
+    )
 
 
 class _Stored:
@@ -314,8 +326,7 @@ class Poly(_Stored):
         return DimensionMismatchError(f"polynomial dimensions differ: {self.dim} vs {other.dim}")
 
     def __add__(self, other):
-        if not isinstance(other, Poly):
-            other = Poly.const(self.dim, other)
+        other = _as_poly(self.dim, other)
         if self.dim != other.dim:
             raise self._dim_error(other)
         return self._sum(other)
@@ -391,17 +402,13 @@ class Poly(_Stored):
     # ------------------------------------------------------------------
 
     def __repr__(self):
-        if not self._num:
-            return f"Poly({self.dim}, 0)"
-        bits = []
-        for exps, coeff in self.sorted_terms():
-            mono = "*".join(
-                f"x{i+1}" + (f"^{e}" if e > 1 else "")
-                for i, e in enumerate(exps)
-                if e > 0
-            )
-            bits.append(f"{coeff}" + (f"*{mono}" if mono else ""))
-        return f"Poly({self.dim}, {' + '.join(bits)})"
+        terms = " + ".join(f"{c}*{m}" if (m := _mono(e)) else str(c) for e, c in self.sorted_terms())
+        return f"Poly({self.dim}, {terms or 0})"
+
+
+def _as_poly(dim: int, value) -> Poly:
+    """value if it is a Poly, else the constant Poly of an int or Fraction on R^dim."""
+    return value if isinstance(value, Poly) else Poly.const(dim, value)
 
 
 def _add_num(out: dict, key, n: int) -> None:
@@ -527,10 +534,7 @@ class TPoly:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
-            other = TPoly.from_poly(
-                other if isinstance(other, Poly) else Poly.const(self.dim, other),
-                self.order,
-            )
+            other = TPoly.from_poly(_as_poly(self.dim, other), self.order)
         self._check_compat(other)
         return TPoly(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 

@@ -9,12 +9,11 @@ algebraic and fully exercised on free presentations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .calculus import MultiVec, _AltTensor, _cartan
 from .errors import DegreeError, DimensionMismatchError, PreconditionError
-from .kernel import Poly
+from .kernel import Poly, _as_poly
 
 
 class AlgebroidForm(_AltTensor):
@@ -77,9 +76,7 @@ class AlgebroidPresentation:
             row = list(row)
             if len(row) != dim:
                 raise DimensionMismatchError("anchor row length != dim")
-            row = [
-                Poly.const(dim, p) if isinstance(p, (int, Fraction)) else p for p in row
-            ]
+            row = [_as_poly(dim, p) for p in row]
             for p in row:
                 if p.dim != dim:
                     raise DimensionMismatchError("anchor entry dimension mismatch")
@@ -96,10 +93,7 @@ class AlgebroidPresentation:
             for (a, b), cs in structure.items():
                 if not (1 <= a < b <= rank):
                     raise DegreeError(f"structure key ({a},{b}) must satisfy a < b <= rank")
-                cs = [
-                    Poly.const(dim, p) if isinstance(p, (int, Fraction)) else p
-                    for p in cs
-                ]
+                cs = [_as_poly(dim, p) for p in cs]
                 if len(cs) != rank:
                     raise DimensionMismatchError("structure vector length != rank")
                 if any(p.dim != dim for p in cs):

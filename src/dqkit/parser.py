@@ -11,7 +11,8 @@ Grammar (scalar leaves only; everything structured is JSON):
 Variables are x1..x<dim>; for dim <= 3 the aliases x, y, z are accepted.
 Rational literals p/q come out of '/' binding at '*' precedence with the
 divisor restricted to a nonzero constant.  Canonical output always uses
-x1..xn and descending graded-lex term order.
+x1..xn and descending graded-lex term order; each monomial is written by
+``kernel._mono``, the text ``Poly.__repr__`` uses too.
 
 A leaf in the shape that canonical output has (``[-]c[/d][*]x_i[^e]*...``
 terms joined by `` + `` and `` - ``) is read straight into integer
@@ -44,7 +45,7 @@ from typing import Optional
 from .calculus import Form, MultiVec
 from .diffop import PolyDiffOp, _summed
 from .errors import BudgetError, DqkitError, PolyParseError, SchemaError
-from .kernel import MAX_PACKED, Poly, TPoly, _Sum, _fields, _key, grlex_key
+from .kernel import MAX_PACKED, Poly, TPoly, _Sum, _fields, _key, _mono, grlex_key
 from .liealgebroid import AlgebroidPresentation
 from .qclimit import QCData
 from .starprod import GaugeOp, StarProduct
@@ -231,9 +232,8 @@ class _ExprParser:
         # base^k is a sum of numerators of absolute value at most s^k (s the
         # sum of the base's absolute numerators) over den^k, and both are at
         # most 2^bits
-        den, terms = base.sorted_numerators()
-        s = sum(abs(n) for _, n in terms)
-        bits = k * max(den - 1, s - 1).bit_length()
+        s = sum(map(abs, base._num.values()))
+        bits = k * max(base._den - 1, s - 1).bit_length()
         if bits > MAX_POWER_BITS:
             raise PolyParseError(
                 f"power may have coefficients up to 2^{bits}, above the budget of 2^{MAX_POWER_BITS}", pos
@@ -347,15 +347,6 @@ def poly_to_text(p: Poly) -> str:
     """Canonical rendering: descending graded-lex terms, variables x1..xn."""
     den, terms = p.sorted_numerators()
     return _text(den, ((_mono(exps), num) for exps, num in terms))
-
-
-def _mono(exps) -> str:
-    """The monomial x^exps as text, "" for x^0."""
-    return "*".join(
-        f"x{i}" + (f"^{e}" if e > 1 else "")
-        for i, e in enumerate(exps, start=1)
-        if e > 0
-    )
 
 
 def _text(den: int, terms) -> str:
@@ -693,7 +684,9 @@ def algebroid_from_payload(payload, dim, path) -> AlgebroidPresentation:
             f"{epath}.coeffs",
         )
         coeffs = [_leaf(e, dim, f"{epath}.coeffs[{i}]") for i, e in enumerate(coeffs_raw)]
-        structure[tuple(pair_raw)] = coeffs
+        pair = tuple(pair_raw)
+        # a repeated pair adds entrywise, as repeated tensor indices and operator orders do
+        structure[pair] = [a + b for a, b in zip(structure[pair], coeffs)] if pair in structure else coeffs
     try:
         return AlgebroidPresentation(dim, rank, rows, structure)
     except DqkitError as exc:

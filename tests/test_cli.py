@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import json
@@ -8,16 +9,16 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from dqkit import cli, parser
+from dqkit import cli, parser, qclimit, verify
 from dqkit.calculus import MultiVec
 from dqkit.cli import dispatch
 from dqkit.diffop import PolyDiffOp, compose_into_slot
 from dqkit.errors import BudgetError, SolveError
 from dqkit.kernel import Poly
-from dqkit.liealgebroid import AlgebroidPresentation
+from dqkit.liealgebroid import AlgebroidPresentation, from_poisson
 from dqkit.parser import Document, diffop_to_payload, serialize_document
 from dqkit.qclimit import QCData
-from dqkit.starprod import GaugeOp, gauge_transform, moyal, specialize
+from dqkit.starprod import GaugeOp, assoc_poisson, gauge_transform, moyal, specialize
 from oracles import canonical_json_reference
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -257,6 +258,53 @@ class TestVerify:
         assert code == 0
         assert report["payload"]["warning"]
         assert report["payload"]["checks"] == 0
+
+
+class TestCrossCheckControls:
+    """Defect reports that only a library fault reaches, each reached by
+    breaking the route under it: the report's location, and exit 1."""
+
+    @staticmethod
+    def locations(argv):
+        code, report, _ = run(argv)
+        assert code == 1
+        return [d["location"] for d in report["defects"]]
+
+    def test_serialization_not_idempotent(self, monkeypatch):
+        # a reader that drops the order field: a star read back is written without it
+        monkeypatch.setattr(verify, "parse_document",
+                            lambda text: dataclasses.replace(parser.parse_document(text), order=None))
+        assert "moyal_plane: serialization not idempotent" in self.locations(
+            ["verify", "--in", corpus("bundle.json")])
+
+    def test_koszul_algebroid_disagrees_with_is_poisson(self, monkeypatch):
+        # structure functions doubled: the so3 Koszul algebroid breaks the anchor axiom
+        def doubled(pi):
+            A = from_poisson(pi)
+            return AlgebroidPresentation(A.dim, A.rank, A.anchor,
+                                         {pair: [2 * c for c in cs] for pair, cs in A.structure.items()})
+
+        monkeypatch.setattr(verify, "from_poisson", doubled)
+        assert "pi_so3: is_poisson and Koszul algebroid check disagree" in self.locations(
+            ["verify", "--in", corpus("bundle.json")])
+
+    def test_gauge_round_trip_differs(self, monkeypatch):
+        # the gauge taken for its own inverse
+        monkeypatch.setattr(verify, "invert_gauge", lambda R: R)
+        assert "moyal_plane+gauge_xi: gauge round trip differs" in self.locations(
+            ["verify", "--in", corpus("bundle.json")])
+
+    def test_associated_poisson_not_gauge_invariant(self, monkeypatch):
+        # the associated bivector doubled for every star but the shipped Moyal plane
+        plane = parser.document_from_obj(load("moyal_plane.json")).payload
+        monkeypatch.setattr(verify, "assoc_poisson", lambda S: assoc_poisson(S).scale(1 if S == plane else 2))
+        assert "moyal_plane+gauge_xi: associated Poisson not gauge invariant" in self.locations(
+            ["verify", "--in", corpus("bundle.json")])
+
+    def test_kappa_not_closed(self, monkeypatch):
+        # a certificate that is kappa itself, not d_Pi(kappa)
+        monkeypatch.setattr(qclimit, "lichnerowicz_d", lambda pi, k: k)
+        assert self.locations(["kappa", "--in", corpus("kappa_plane.json")]) == ["closedness"]
 
 
 class TestFailureReports:

@@ -301,6 +301,32 @@ BUNDLES = {
     # a canonical leaf above kernel.MAX_PACKED at entries 1 and 2: refused at terms[1].coeff
     "diffop_repeated_leaf_over_budget": _diffop(2, 1, [{"coeff": c, "orders": o} for c, o in [
         ("x2", [[1, 0]]), ("x1^40000 + x2", [[0, 1]]), ("x1^40000 + x2", [[1, 0]])]]),
+    # a repeated structure pair adds entrywise: parse echoes one entry with coeffs ["1", "x1"]
+    "algebroid_repeated_pair": {"kind": "algebroid", "dim": 1, "payload": {
+        "rank": 2, "anchor": [["1"], ["x1"]],
+        "structure": [{"pair": [1, 2], "coeffs": ["1", "0"]}, {"pair": [1, 2], "coeffs": ["0", "x1"]}]}},
+    # verify branches no other row reaches: a qc entry whose H = x1 dx2^dx3^dx4 is not closed;
+    # a gauge whose R_1 = x1 moves 1, so the star beside it (same dim and order) gets no
+    # cross-check; and a star whose skew P_1 = d1^2 (x) d2 - d2 (x) d1^2 is no biderivation,
+    # so the cross-check with the unital gauge R_1 = x2 d1 has no associated Poisson to compare
+    "verify_qc_h_not_closed": _bundle(qc={"kind": "qc", "dim": 4, "order": 1, "payload": {
+        "pis": [[{"indices": [1, 2], "coeff": "1"}]], "H": [{"indices": [2, 3, 4], "coeff": "x1"}]}}),
+    "verify_star_beside_gauge_not_unital": _bundle(
+        star=_load("moyal_plane.json"),
+        gauge={"kind": "gauge", "dim": 2, "order": 3, "payload": {"R": [
+            {"arity": 1, "terms": [{"coeff": "x1", "orders": [[0, 0]]}]},
+            {"arity": 1, "terms": []}, {"arity": 1, "terms": []}]}}),
+    "verify_p1_not_biderivation_beside_gauge": _bundle(
+        star={"kind": "star", "dim": 2, "order": 1, "payload": {"P": [{"arity": 2, "terms": [
+            {"coeff": "1", "orders": [[2, 0], [0, 1]]}, {"coeff": "-1", "orders": [[0, 1], [2, 0]]}]}]}},
+        gauge={"kind": "gauge", "dim": 2, "order": 1, "payload": {"R": [
+            {"arity": 1, "terms": [{"coeff": "x2", "orders": [[1, 0]]}]}]}}),
+    # a t-series alpha of the star's order, taken as it is
+    "adexp_alpha_series": _bundle(star=_load("moyal_plane.json"),
+                                  alpha={"kind": "poly", "dim": 2, "order": 3, "payload": ["x^2", "y", "0", "x*y"]},
+                                  b=_poly(2, "y^2")),
+    # canonical text but for two trailing spaces: the grammar reads it and skips them
+    "leaf_trailing_spaces": _poly(2, "x1 + 2*x2  "),
 }
 
 CORPUS_DOCS = sorted(n for n in os.listdir(CORPUS) if n.endswith(".json"))
@@ -364,6 +390,10 @@ CASES = (
                               "exponent_over_packed_budget")]
     + [("parse", n) for n in ("diffop_repeated_leaves", "diffop_repeated_unreadable_leaf",
                               "diffop_repeated_leaf_over_budget", "product_over_budget")]
+    + [("parse", "algebroid_repeated_pair")]
+    + [("verify", n) for n in ("verify_qc_h_not_closed", "verify_star_beside_gauge_not_unital",
+                               "verify_p1_not_biderivation_beside_gauge")]
+    + [("star adexp", "adexp_alpha_series"), ("parse", "leaf_trailing_spaces")]
 )
 
 
@@ -524,6 +554,27 @@ GOLDEN = {
     ('verify', 'verify_gauge_not_unital'): (1, "dc31c6c55539f9dc5c398d49a467e65d2abb24fbe6d90c8d2e156fcf3c9d115f"),
     ('verify', 'verify_algebroid_fails'): (1, "506240aa1c281e6988c1015b85dc70c1fdbfdf4ee6d5a8c33f0a01807d1bf224"),
     ('verify', 'verify_p2_not_biderivation'): (1, "0f20a6b16d4e9f8b4715dc65f48a0d7b3957c09b202f75b19e27feb17f073f80"),
+    # recorded after repeated structure pairs came to add up; before, this report echoed
+    # only the second entry (90d48fec4213e86de2687b0f92e504ee2aaff79480e1d231592095def6c927fd)
+    ('parse', 'algebroid_repeated_pair'): (0, "f7aefaf778a4aeb8d70e72ddf7e549a11f6eb637f9dd9d1832bcf3c49538f124"),
+    # branches no earlier row reached, recorded before the change that added them
+    ('verify', 'verify_qc_h_not_closed'): (1, "1b98d2209c5cadb1e5f5930949c5a4d1f4cd22ae9f4da62c2e444196591501c2"),
+    ('verify', 'verify_star_beside_gauge_not_unital'): (1, "a30cdba6bfc43968ec1efec6b411bcf7571a682781606752ac13cc3c467d48cd"),
+    ('verify', 'verify_p1_not_biderivation_beside_gauge'): (1, "08ba600a571bfb98280be394c6d473f2344417abcb7baec9d3c3a28c24cf1152"),
+    ('star adexp', 'adexp_alpha_series'): (0, "8b5e1b3976c9bbfc1fdfeedb19e000983d43372aa57b41840fce9e8610342e3c"),
+    ('parse', 'leaf_trailing_spaces'): (0, "e3ad018f6e49cf0597947b77033b8b950f63f495ffb0a0fca53103d3b916e7dd"),
+}
+
+# --human runs, whose text is not JSON and so has no hash: the exact text of a run with
+# defects (one line per defect location) and of a run whose payload is a text
+HUMAN = {
+    ('verify --human', 'verify_p1_not_biderivation_beside_gauge'): (1, (
+        "verify: FAILED\n"
+        "  defect at star: associativity order 1\n"
+        "  defect at star: P_1 cocycle\n"
+        "  defect at star: associated bivector\n"
+        "  defect at star+gauge: skew part of P_1 is not a biderivation\n")),
+    ('poisson bracket --human', 'bracket_so3'): (0, "poisson bracket: ok\n  2*x1^2*x3 - 2*x2^2*x3 - x1*x3\n"),
 }
 
 
@@ -543,6 +594,11 @@ def test_report_text_is_canonical_json(command, name, tmp_path):
     byte for byte."""
     _, text = run_case_text(command, name, str(tmp_path))
     assert text == canonical_json_reference(json.loads(text))
+
+
+@pytest.mark.parametrize("command,name", HUMAN, ids=[f"{c}:{n}" for c, n in HUMAN])
+def test_human_text_unchanged(command, name, tmp_path):
+    assert run_case_text(command, name, str(tmp_path)) == HUMAN[command, name]
 
 
 def test_no_library_path_reads_poly_terms(monkeypatch, tmp_path):

@@ -600,6 +600,18 @@ class TestDocuments:
         # no zero coefficient is stored, neither a zero leaf nor a sum that cancels
         assert op == PolyDiffOp(2, 1, {((0, 0),): half + y, ((1, 0),): x * x})
 
+    def test_algebroid_structure_pairs_summed(self):
+        def structure(*coeffs):
+            payload = {"rank": 2, "anchor": [["1"], ["x1"]],
+                       "structure": [{"pair": [1, 2], "coeffs": c} for c in coeffs]}
+            return parse_document(json.dumps({"kind": "algebroid", "dim": 1, "payload": payload})).payload.structure
+
+        # a repeated pair adds entrywise, as repeated diffop orders do; a sum that cancels leaves no entry
+        x1 = Poly.variable(1, 1)
+        assert structure(["1", "0"], ["0", "x1"]) == structure(["1", "x1"]) == {(1, 2): (Poly.one(1), x1)}
+        assert structure(["1", "x1"], ["x1", "0"], ["-1", "-x1"]) == {(1, 2): (x1, Poly.zero(1))}
+        assert structure(["1", "x1"], ["-1", "-x1"]) == {}
+
     @pytest.mark.parametrize("coeff", ["x2 + x1^40000 - x1^40000", "(x2 + x1^40000 - x1^40000)"])
     def test_diffop_leaf_whose_terms_over_the_budget_cancel(self, coeff):
         # no Poly holds x1^40000, even for a moment: the leaf reader leaves the
@@ -833,7 +845,7 @@ class TestOperatorWriter:
         assert serialize_document(bundle) == canonical_json_reference(data)
         # inside a report's defects
         body = {"command": "star assoc", "ok": False, "payload": {"associative": False}, "defects": []}
-        _, text = cli._build_report(**dict(body, defects=[{"location": "order 1", "detail": op}]), elapsed_ms=0.0)
+        text = cli._build_report(**dict(body, defects=[{"location": "order 1", "detail": op}]), elapsed_ms=0.0)
         want = dict(body, defects=[{"location": "order 1", "detail": payload}])
         digest = hashlib.sha256(canonical_json_reference(want).encode("utf-8")).hexdigest()
         assert text == canonical_json_reference(dict(want, canonical_sha256=digest, timing_ms=0.0))
