@@ -317,10 +317,14 @@ def _build_report(command: str, ok: bool, payload, defects, elapsed_ms: float) -
 
 
 def _render_human(command: str, ok: bool, payload, defects) -> str:
+    """The --human text: the verdict, one line per defect location, then a text
+    payload of an ok run or the error text of a failed one."""
     lines = [f"{command}: {'ok' if ok else 'FAILED'}"]
     lines += (f"  defect at {d['location']}" for d in defects)
     if ok and isinstance(payload, str):
         lines.append(f"  {payload}")
+    elif not ok and isinstance(payload, dict) and "error" in payload:
+        lines.append(f"  error: {payload['error']}")
     return "\n".join(lines) + "\n"
 
 

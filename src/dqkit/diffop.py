@@ -23,14 +23,22 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
 - **Handles.**  A public call wraps each operator it composes once in a
   :class:`_Packed` handle, shared by every composition in that call.  The
   handle reads the operator's keys as they are and owns only the per-call
-  caches (Leibniz expansions, moved keys, outer rows and the multinomial
-  share tables of ``_shares``); it is dropped when the call returns, so
-  nothing is cached across calls.
+  caches of that operator (Leibniz expansions, moved keys and outer rows).
+  The integer tables, which depend on orders and exponents and not on the
+  operator, belong to one :class:`_Tables` per call, shared by all its
+  handles and sums: the Leibniz tables of (key offset, weight) per order,
+  exponent, coordinate and arity, and the Hochschild split tables per order
+  and slot.  Each is built at most once in the call, and handles and tables
+  are dropped when the call returns, so nothing is cached across calls.
 - **Sums.**  ``kernel._Stored``, the one owner of the stored form, holds
   sums, negation, scaling and products by a ``Poly``, the same code as a
   ``Poly``'s, each normalized by its one gcd step; :class:`_OpAcc` is a
   ``kernel._Sum`` that also adds compositions and Hochschild coboundaries,
-  and its result becomes the operator's map.
+  and its result becomes the operator's map.  All three kernels, the pair
+  loop of a composition, the Leibniz block and the coboundary, add two
+  packed keys and multiply two ints per write: a term picks its table by the
+  one field that fixes its fan-out (its exponent at the coordinate, or its
+  order in the slot) and runs that table's (key offset, weight) entries.
 - **Views.**  ``terms``, ``sorted_terms()`` and ``coeff()`` split keys into
   ``{orders tuple: Poly}`` on each access; a coefficient keeps its low blocks.
   Evaluation builds no such view: its one route is ``_fill``, which puts a
@@ -39,8 +47,8 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
   fill's arity-0 result being the ``Poly``).
 - **Who reads keys.**  Only ``kernel``, whose ``_Stored`` owns the stored
   form and which packs, decodes, checks and adds keys, and this module,
-  which moves the order blocks, shift, mask or size a key.  Other modules use :class:`_OpAcc` and
-  :class:`_Packed` for sums of compositions and of operators,
+  which moves the order blocks, shift, mask or size a key.  Other modules use :class:`_OpAcc`,
+  :class:`_Packed` and one :class:`_Tables` per call for sums of compositions and of operators,
   ``_OpAcc.add_coboundary`` for a Hochschild coboundary delta(D) in such a
   sum, ``kernel._check_budget`` and ``_Stored._normal`` for a map they
   formed from keys of this module's operators, ``kernel._key``,
@@ -213,26 +221,79 @@ def apply_op(D: PolyDiffOp, *args: Poly) -> Poly:
     return D
 
 
+class _Tables:
+    """The integer tables that one public call on R^dim reads, each built on
+    first use: the Leibniz tables of :meth:`leibniz`, the multinomial shares
+    (``_shares``) they are made from, the coboundary splits (``_splits``) and
+    their placed tables of :meth:`splits`.  One table set is shared by every :class:`_Packed` handle
+    and :class:`_OpAcc` of the call and dropped with it, so no table outlives
+    the call and none is built twice in it."""
+
+    __slots__ = ("dim", "_leibniz", "_shares", "_splits", "_placed")
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self._leibniz = {}
+        self._shares = {}
+        self._splits = {}
+        self._placed = {}
+
+    def leibniz(self, a: int, e: int, shift: int, arity: int) -> list:
+        """[(key offset, weight)] of d_c^a on a term of an operator of `arity`
+        arguments whose exponent at c, the coordinate `shift` bits into a
+        block, is e: one entry per share (g_0, g_1, ..., g_arity) of a with
+        g_0 <= min(a, e), the offset adding g_s to slot s's field and taking g_0
+        from the coefficient's, the weight C(a, g_0) perm(e, g_0) times the
+        multinomial of the slot shares.  Entries come in lexicographic order of
+        (g_0, ..., g_arity)."""
+        got = self._leibniz.get((a, e, shift, arity))
+        if got is None:
+            got = self._leibniz[a, e, shift, arity] = []
+            perm = 1
+            for g0 in range(min(a, e) + 1):
+                if g0:
+                    perm *= e - g0 + 1
+                w, head = comb(a, g0) * perm, g0 << shift
+                shares = self._shares.get((a - g0, shift, arity))
+                if shares is None:
+                    shares = self._shares[a - g0, shift, arity] = _shares(a - g0, shift, self.dim, arity)
+                got += [(add - head, w * mult) for mult, add in shares]
+        return got
+
+    def splits(self, a: int, slot: int) -> list:
+        """[(key offset, weight)] of the coboundary terms of an order a in
+        `slot` (_OpAcc.add_coboundary): _splits(a, dim) placed at output slots
+        `slot` and `slot` + 1, each weight times (-1)^slot."""
+        got = self._placed.get((a, slot))
+        if got is None:
+            splits = self._splits.get(a)
+            if splits is None:
+                splits = self._splits[a] = _splits(a, self.dim)
+            up, s = _BITS * self.dim * slot, -1 if slot % 2 else 1
+            got = self._placed[a, slot] = [(add << up, s * w) for w, add in splits]
+        return got
+
+
 class _Packed:
     """One operator as one call composes it (see the module docstring).
 
-    ``op`` is the operator, whose packed map and denominator are only read.
-    The handle keeps, filled on first use, the Leibniz expansions d^alpha o op
-    by packed alpha (alpha = 0 is op's own map),
-    those expansions with op's slots moved to start at a given output slot,
-    op's terms with one slot taken out and the later slots moved up, and the
-    multinomial share tables (``_shares``) the expansions read; all read-only
-    once built, so any number of compositions in one call share it.
+    ``op`` is the operator, whose packed map and denominator are only read,
+    and ``tables`` the call's :class:`_Tables`.  The handle keeps, filled on
+    first use, the Leibniz expansions d^alpha o op by packed alpha (alpha = 0
+    is op's own map), those expansions with op's slots moved to start at a
+    given output slot, and op's terms with one slot taken out and the later
+    slots moved up; all read-only once built, so any number of compositions
+    in one call share it.
     """
 
-    __slots__ = ("op", "_exp", "_moved", "_outer", "_spread")
+    __slots__ = ("op", "tables", "_exp", "_moved", "_outer")
 
-    def __init__(self, op: PolyDiffOp):
+    def __init__(self, op: PolyDiffOp, tables: _Tables = None):
         self.op = op
+        self.tables = _Tables(op.dim) if tables is None else tables
         self._exp = {0: op._num}
         self._moved = {}
         self._outer = {}
-        self._spread = {}
 
     def outer_rows(self, slot: int, inner_arity: int) -> list:
         """[(packed alpha, [(key, numerator)])], one row per order tuple: alpha
@@ -289,39 +350,32 @@ class _Packed:
 
         d_c^a (x^e d^beta_1 f_1 ... d^beta_k f_k) shares a out as g_0 on the
         coefficient and g_s on slot s, with weight a! / (g_0! ... g_k!) times
-        perm(e_c, g_0); a share g_0 > e_c is zero and never formed.  Shares
-        come in lexicographic order of (g_0, ..., g_k), and equal keys merge.
+        perm(e_c, g_0); a share g_0 > e_c is zero and never formed.  So the
+        terms of one exponent e_c share one table of (key offset, weight)
+        (_Tables.leibniz), and each term adds one key and multiplies one
+        numerator per entry.  Terms come in the order of `base`, each term's
+        shares in the table's order, and equal keys merge.
         """
-        top = min(a, max((key >> shift & _FIELD for key in base), default=0))
-        combs = [comb(a, g) for g in range(top + 1)]
-        spread = self._spread
-        tables = []
-        for r in range(a, a - top - 1, -1):  # r = a - g_0
-            shares = spread.get((r, shift))
-            if shares is None:
-                shares = spread[r, shift] = _shares(r, shift, self.op.dim, self.op.arity)
-            tables.append(shares)
+        tables, arity = self.tables, self.op.arity
+        by_e = {}  # e_c -> its table, looked up once per exponent in this block
         out = {}
         get = out.get
         for key, n in base.items():
             e = key >> shift & _FIELD
-            w = n
-            for g0 in range(min(a, e) + 1):
-                if g0:
-                    w *= e - g0 + 1  # n * perm(e, g0)
-                head = key - (g0 << shift)
-                wc = w * combs[g0]
-                for mult, add in tables[g0]:
-                    k = head + add
-                    v = get(k)
-                    if v is None:
-                        out[k] = wc * mult
+            table = by_e.get(e)
+            if table is None:
+                table = by_e[e] = tables.leibniz(a, e, shift, arity)
+            for add, w in table:
+                k = key + add
+                v = get(k)
+                if v is None:
+                    out[k] = n * w
+                else:
+                    v += n * w
+                    if v:
+                        out[k] = v
                     else:
-                        v += wc * mult
-                        if v:
-                            out[k] = v
-                        else:
-                            del out[k]
+                        del out[k]
         return out
 
 
@@ -331,7 +385,8 @@ def _shares(r: int, shift: int, dim: int, arity: int) -> list:
     of (g_1, ..., g_arity): the ways to share an order r out over the slots of
     an operator of `arity` arguments on R^dim, with g_s in slot s's field at
     the coordinate `shift` bits into a block.  The multinomial is built as
-    C(r, g_1) C(r - g_1, g_2) ..., slot by slot."""
+    C(r, g_1) C(r - g_1, g_2) ..., slot by slot.  Only _Tables.leibniz reads
+    it, once per (r, shift, arity) in a call."""
     block = _BITS * dim
     got = [(1, 0, r)]  # (multinomial, shares, what is left to share) so far
     for s in range(1, arity):
@@ -346,7 +401,8 @@ def _splits(a: int, dim: int) -> list:
     gives in a Hochschild coboundary, before the sign (-1)^i (see
     _OpAcc.add_coboundary): C(a, a') over a' <= a with 0 != a' != a and
     a'' = a - a', in the order of product(range(a_1 + 1), ...); for a = 0, the
-    one term -1 with both slots zero."""
+    one term -1 with both slots zero.  Only _Tables.splits reads it, once
+    per a in a call, and places it at each slot."""
     if not a:
         return [(-1, 0)]
     got = [(1, 0)]
@@ -365,14 +421,16 @@ class _OpAcc(_Sum):
     """A running sum of operators of one dimension (kernel._Sum over packed
     keys).  A composition adds one int key sum and one int multiply-add per
     pair of packed terms, and a coboundary one per proper split of each term's
-    slots, dropping a numerator that cancels.
+    slots, dropping a numerator that cancels.  ``tables`` is the call's
+    :class:`_Tables`, which the coboundary reads.
     """
 
-    __slots__ = ("dim",)
+    __slots__ = ("dim", "tables")
 
-    def __init__(self, dim: int):
+    def __init__(self, dim: int, tables: _Tables = None):
         super().__init__()
         self.dim = dim
+        self.tables = _Tables(dim) if tables is None else tables
 
     def add_compose(self, outer: _Packed, slot: int, inner: _Packed, sign: int = 1) -> None:
         """Add sign * compose_into_slot(outer, slot, inner) for two handles; the
@@ -407,42 +465,42 @@ class _OpAcc(_Sum):
         over output slots i and i+1, and the later slots move up.  The improper
         splits (a' or a'' zero) cancel against the neighbouring terms and the two
         products with f_0 and f_p, so they are never formed; a zero slot, whose
-        one split is improper, leaves the (..., 0, 0, ...) term.  For each term
-        the splits come in the order of product(range(a_i + 1)) over a'.
-        starprod adds the P_0 = multiplication terms of associativity defects
-        (-delta(P_k)) and of gauge transforms (delta(R_k)) through it.
+        one split is improper, leaves the (..., 0, 0, ...) term.  Slot by slot,
+        the terms of one order a_i share one table of (key offset, weight)
+        (_Tables.splits), and each term, its slot i taken out and the later
+        slots moved up, adds one key and multiplies one numerator per entry;
+        sums come slot by slot, in the order of D's terms, each in its table's
+        order.  starprod adds the P_0 = multiplication terms of associativity
+        defects (-delta(P_k)) and of gauge transforms (delta(R_k)) through it.
         """
-        dim, block = D.dim, _BITS * D.dim
+        block = _BITS * D.dim
         low = (1 << block) - 1
         m = self._factor(D._den, sign)
+        items = [(k, n * m) for k, n in D._num.items()]
+        tables = self.tables
         terms = self.terms
         get = terms.get
-        splits = {}  # packed a -> _splits(a, dim)
-        for high, sub in D._groups().items():
-            rows = []  # (the other slots' orders, moved, (-1)^i, slot i's bits, its splits) for i = 1..p
-            for i in range(1, D.arity + 1):
-                cut = block * (i - 1)
-                a = high >> cut & low
-                shares = splits.get(a)
-                if shares is None:
-                    shares = splits[a] = _splits(a, dim)
-                rest = (high & (1 << cut) - 1 | high >> cut + block << cut + 2 * block) << block
-                rows.append((rest, -1 if i % 2 else 1, block * i, shares))
-            for e, n in sub.items():
-                n *= m
-                for rest, s, up, shares in rows:
-                    head, ns = e | rest, n * s
-                    for w, add in shares:
-                        k = head | add << up
-                        v = get(k)
-                        if v is None:
-                            terms[k] = ns * w
+        for i in range(1, D.arity + 1):
+            cut = block * i  # slot i's field block within a key
+            head = (1 << cut) - 1
+            by_a = {}  # a_i -> its table, looked up once per order in this slot
+            for key, n in items:
+                a = key >> cut & low
+                table = by_a.get(a)
+                if table is None:
+                    table = by_a[a] = tables.splits(a, i)
+                moved = key & head | key >> cut + block << cut + 2 * block
+                for add, w in table:
+                    k = moved + add
+                    v = get(k)
+                    if v is None:
+                        terms[k] = n * w
+                    else:
+                        v += n * w
+                        if v:
+                            terms[k] = v
                         else:
-                            v += ns * w
-                            if v:
-                                terms[k] = v
-                            else:
-                                del terms[k]
+                            del terms[k]
 
     def op(self, arity: int) -> PolyDiffOp:
         """The sum as an operator of `arity` arguments, its map handed over as it
@@ -469,8 +527,8 @@ def compose_into_slot(outer: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDi
     if outer.dim != inner.dim:
         raise DimensionMismatchError("operator dimensions differ")
     outer_h = _Packed(outer)
-    acc = _OpAcc(outer.dim)
-    acc.add_compose(outer_h, slot, outer_h if inner is outer else _Packed(inner))
+    acc = _OpAcc(outer.dim, outer_h.tables)
+    acc.add_compose(outer_h, slot, outer_h if inner is outer else _Packed(inner, outer_h.tables))
     return acc.op(outer.arity + inner.arity - 1)
 
 

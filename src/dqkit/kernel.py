@@ -452,8 +452,11 @@ class _Sum:
         """Add sign * n / d at each key of the (key, n) pairs `items`."""
         m = self._factor(d, sign)
         terms = self.terms
+        get = terms.get
         for k, n in items:
-            _add_num(terms, k, n * m)
+            v = terms[k] = get(k, 0) + n * m
+            if not v:
+                del terms[k]
 
 
 def _add_term(out: dict, key, coeff: Poly) -> None:

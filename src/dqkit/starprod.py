@@ -19,6 +19,7 @@ from .diffop import (
     PolyDiffOp,
     _OpAcc,
     _Packed,
+    _Tables,
     apply_op,
     compose_into_slot,
     find_nonzero_args,
@@ -287,9 +288,10 @@ def _assoc_defects(S: StarProduct):
     right after the slot-1 term P_i o_1 P_{k-i} is added, so terms that cancel
     leave the sum before the next i adds more.
     """
-    ops = {i: _Packed(S.op(i)) for i in range(1, S.order)}  # shared by both slots and every order
+    tables = _Tables(S.dim)  # one table set for every handle and sum of the call
+    ops = {i: _Packed(S.op(i), tables) for i in range(1, S.order)}  # shared by both slots and every order
     for k in range(1, S.order + 1):
-        acc = _OpAcc(S.dim)
+        acc = _OpAcc(S.dim, tables)
         acc.add_coboundary(S.op(k), -1)
         for i in range(1, k):
             acc.add_compose(ops[i], 1, ops[k - i])
@@ -363,23 +365,24 @@ def gauge_transform(S: StarProduct, R: GaugeOp) -> StarProduct:
     """
     if (S.dim, S.order) != (R.dim, R.order):
         raise OrderMismatchError("gauge operator must match the star product")
-    ops = [None] + [_Packed(P) for P in S.P]  # index 0, P_0, is never composed
-    rops = [None] + [_Packed(Rj) for Rj in R.R]  # shared by both slots and every order
+    tables = _Tables(S.dim)  # one table set for every handle and sum of the call
+    ops = [None] + [_Packed(P, tables) for P in S.P]  # index 0, P_0, is never composed
+    rops = [None] + [_Packed(Rj, tables) for Rj in R.R]  # shared by both slots and every order
     us = [None]  # U_0 = P_0
     new_P = [None]  # P'_0 = P_0
     for k in range(1, S.order + 1):
         Pk, Rk = ops[k].op, rops[k].op
-        acc = _OpAcc(S.dim)
+        acc = _OpAcc(S.dim, tables)
         acc.add(Pk._num.items(), Pk._den)  # P_k o_1 R_0 = P_k
         acc.add(Rk._num.items(), Rk._den)  # P_0 o_1 R_k = R_k(f) g
         _convolve(acc, k, ops, 1, rops)
-        us.append(_Packed(acc.op(2)))
+        us.append(_Packed(acc.op(2), tables))
         acc.add(us[k].op._num.items(), us[k].op._den)  # U_k o_2 R_0 = U_k
         acc.add_coboundary(Rk)  # f R_k(g) - R_k(fg) = delta(R_k) - R_k(f) g
         acc.add(Rk._num.items(), Rk._den, -1)
         _convolve(acc, k, us, 2, rops)
         _convolve(acc, k, rops, 1, new_P, -1)
-        new_P.append(_Packed(acc.op(2)))
+        new_P.append(_Packed(acc.op(2), tables))
     return StarProduct(S.dim, S.order, [h.op for h in new_P[1:]])
 
 
@@ -390,13 +393,14 @@ def invert_gauge(R: GaugeOp) -> GaugeOp:
 
     In the group 1 + tD[[t]] a right inverse is also a left inverse.
     """
-    rops = [None] + [_Packed(Ri) for Ri in R.R]  # index 0, R_0 = 1, is never composed
+    tables = _Tables(R.dim)  # one table set for every handle and sum of the call
+    rops = [None] + [_Packed(Ri, tables) for Ri in R.R]  # index 0, R_0 = 1, is never composed
     qops = [None]  # Q_0 = 1, then each Q_k shared by every later order
     for k in range(1, R.order + 1):
-        acc = _OpAcc(R.dim)
+        acc = _OpAcc(R.dim, tables)
         acc.add(rops[k].op._num.items(), rops[k].op._den, -1)  # -R_k o Q_0 = -R_k
         _convolve(acc, k, rops, 1, qops, -1)
-        qops.append(_Packed(acc.op(1)))
+        qops.append(_Packed(acc.op(1), tables))
     return GaugeOp(R.dim, R.order, [h.op for h in qops[1:]])
 
 
@@ -405,11 +409,11 @@ def exp_gauge(Q: PolyDiffOp, order: int) -> GaugeOp:
     if Q.arity != 1:
         raise DegreeError("exp_gauge needs an arity-1 generator")
     ops = [Q]
-    q = power = _Packed(Q)
+    q = power = _Packed(Q)  # its table set serves every power
     for i in range(2, order + 1):
-        acc = _OpAcc(Q.dim)
+        acc = _OpAcc(Q.dim, q.tables)
         acc.add_compose(q, 1, power)
-        power = _Packed(acc.op(1))
+        power = _Packed(acc.op(1), q.tables)
         ops.append(power.op.scale(Fraction(1, factorial(i))))
     return GaugeOp(Q.dim, order, ops)
 

@@ -128,9 +128,11 @@ def _verify_bundle_entries(entries, defects, prefix=""):
             stars[qual] = sub.payload
             checks += _verify_star(qual, sub.payload, defects)
         elif sub.kind == "gauge":
-            gauges[qual] = sub.payload
             checks += 1
-            for k, val in gauge_unitality_defects(sub.payload):
+            unitality = gauge_unitality_defects(sub.payload)
+            if not unitality:  # only a unital gauge enters the cross checks
+                gauges[qual] = sub.payload
+            for k, val in unitality:
                 defects.append(
                     _defect(f"{qual}: gauge unitality order {k}", poly_to_text(val))
                 )
@@ -154,12 +156,10 @@ def _verify_bundle_entries(entries, defects, prefix=""):
                         {"axiom": alg.kind, "witness": list(alg.witness)},
                     )
                 )
-    # cross checks: gauge round trip and Poisson invariance on matching pairs
+    # cross checks: gauge round trip and Poisson invariance on matching pairs of a star and a unital gauge
     for sname, S in stars.items():
         for gname, R in gauges.items():
             if (S.dim, S.order) != (R.dim, R.order):
-                continue
-            if gauge_unitality_defects(R):
                 continue
             checks += 2
             Sp = gauge_transform(S, R)

@@ -18,7 +18,7 @@ from dqkit.kernel import Poly
 from dqkit.liealgebroid import AlgebroidPresentation, from_poisson
 from dqkit.parser import Document, diffop_to_payload, serialize_document
 from dqkit.qclimit import QCData
-from dqkit.starprod import GaugeOp, assoc_poisson, gauge_transform, moyal, specialize
+from dqkit.starprod import GaugeOp, assoc_poisson, gauge_transform, gauge_unitality_defects, moyal, specialize
 from oracles import canonical_json_reference
 
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
@@ -305,6 +305,23 @@ class TestCrossCheckControls:
         # a certificate that is kappa itself, not d_Pi(kappa)
         monkeypatch.setattr(qclimit, "lichnerowicz_d", lambda pi, k: k)
         assert self.locations(["kappa", "--in", corpus("kappa_plane.json")]) == ["closedness"]
+
+
+def test_verify_checks_each_gauge_unitality_once(monkeypatch):
+    """The star x gauge cross checks reuse the gauge's own unitality check: one
+    call per gauge entry, and the report is the one without the reuse."""
+    base = run(["verify", "--in", corpus("bundle.json")])
+    calls = []
+
+    def counted(R):
+        calls.append(R)
+        return gauge_unitality_defects(R)
+
+    monkeypatch.setattr(verify, "gauge_unitality_defects", counted)
+    code, report, _ = run(["verify", "--in", corpus("bundle.json")])
+    assert code == base[0] == 0 and report["canonical_sha256"] == base[1]["canonical_sha256"]
+    gauges = [sub.payload for sub in parser.document_from_obj(load("bundle.json")).payload.values() if sub.kind == "gauge"]
+    assert len(gauges) == 2 and calls == gauges
 
 
 class TestFailureReports:

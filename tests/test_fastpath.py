@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dqkit.calculus import MultiVec
-from dqkit import diffop, kernel
+from dqkit import diffop, kernel, starprod
 from dqkit.diffop import (
     PolyDiffOp,
     _OpAcc,
@@ -37,7 +37,7 @@ from dqkit.diffop import (
     transpose,
 )
 from dqkit.errors import BudgetError, IndexRangeError, SolveError
-from dqkit.kernel import MAX_PACKED, Poly, _check_budget
+from dqkit.kernel import MAX_PACKED, Poly, _check_budget, _fields
 from dqkit.starprod import (
     GaugeOp,
     StarProduct,
@@ -306,6 +306,45 @@ def test_closed_form_coboundary_matches_composition(dim):
     assert seen == {1, 2, 3, "order-0 slot", "order 0 throughout", "denominator"}
 
 
+@settings(max_examples=30, derandomize=True)
+@given(st.data())
+def test_coboundary_tables_for_mixed_slot_orders(data):
+    """Coboundaries of arity 1-3 whose three terms put order 0, a first order
+    and a higher order in turn into each slot, so every slot reads all three
+    kinds of split table in one call and every term of arity 2 or 3 mixes
+    them: against the composition route, added with either sign."""
+    dim = data.draw(st.integers(1, 3))
+    p = data.draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 2)] * dim)
+    higher = exps.filter(lambda o: sum(o) >= 2)
+
+    def order(kind):
+        if kind == 0:
+            return (0,) * dim
+        if kind == 1:
+            j = data.draw(st.integers(0, dim - 1))
+            return tuple(int(i == j) for i in range(dim))
+        return data.draw(higher)
+
+    coeffs = st.dictionaries(exps, rationals.filter(bool), min_size=1, max_size=2)
+    D = PolyDiffOp(dim, p, {tuple(order((t + i) % 3) for i in range(p)): Poly(dim, data.draw(coeffs))
+                            for t in range(3)})
+    sign = data.draw(st.sampled_from((1, -1)))
+    want = coboundary_by_composition(D)
+    acc = _OpAcc(dim)
+    acc.add_coboundary(D, sign)
+    # every slot read the tables of an order 0, a first order and a higher one
+    for i in range(1, p + 1):
+        assert {min(sum(_fields(a, dim)), 2) for a, slot in acc.tables._placed if slot == i} == {0, 1, 2}
+    got = acc.op(p + 1)
+    assert_clean(got)
+    assert got == (want if sign > 0 else -want)
+    if p == 1:
+        assert hochschild_delta(D) == -want
+    elif p == 2:
+        assert cocycle_defect(D) == want
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_assoc_defects_match_composition(dim):
     """assoc_defect, whose P_0 terms are -delta(P_k) in closed form, against all
@@ -507,6 +546,37 @@ def test_multiplication_keeps_only_the_zero_coefficient_share():
     assert list(got.terms.items()) == list(derivative_uncapped(alpha, m).items())
 
 
+@settings(max_examples=30, derandomize=True)
+@given(st.data())
+def test_leibniz_tables_at_each_side_of_the_exponent(data):
+    """d^alpha o op for an op of arity 1-3 whose terms have exponent e_c below,
+    equal to and above alpha_c at one coordinate c, so the block at c reads
+    three tables in one base (other coordinates of alpha add blocks before and
+    after it): against the uncapped expansion, and through compose_into_slot."""
+    dim = data.draw(st.integers(1, 3))
+    arity = data.draw(st.integers(1, 3))
+    c = data.draw(st.integers(0, dim - 1))
+    a = data.draw(st.integers(1, 3))
+    small = st.integers(0, 2)
+    terms = {}
+    edges = {data.draw(st.integers(0, a - 1)), a, data.draw(st.integers(a + 1, a + 2))}
+    for e_c in edges:
+        e = [data.draw(small) for _ in range(dim)]
+        e[c] = e_c
+        orders = tuple(tuple(data.draw(small) for _ in range(dim)) for _ in range(arity))
+        # monomials with different e_c never cancel, so all three stay
+        terms[orders] = terms.get(orders, Poly.zero(dim)) + Poly(dim, {tuple(e): data.draw(rationals.filter(bool))})
+    op = PolyDiffOp(dim, arity, terms)
+    alpha = tuple(a if j == c else data.draw(st.integers(0, 1)) for j in range(dim))
+    handle = _Packed(op)
+    got = as_op(dim, arity, handle._expanded(pack(alpha)), handle.op._den)
+    # the block at c read one table for each of the three exponents
+    assert {e for g, e, shift, _ in handle.tables._leibniz if (g, shift) == (a, 16 * c)} == edges
+    assert_clean(got)
+    assert got.terms == derivative_uncapped(alpha, op)
+    assert compose_into_slot(PolyDiffOp(dim, 1, {(alpha,): 1}), 1, op).terms == got.terms
+
+
 def test_fields_at_the_budget_compose_exactly():
     # exponents and orders of exactly MAX_PACKED next to each other: the
     # coefficient fields of a product reach 2 * MAX_PACKED = 2^16 - 2 and an
@@ -576,6 +646,57 @@ def test_packing_above_the_budget_is_refused_before_any_work(monkeypatch):
         assert f"{over}" in str(info.value)
     # the budget has one name, kernel.MAX_PACKED
     assert kernel.MAX_PACKED == 2**15 - 1 and not hasattr(diffop, "MAX_PACKED")
+
+
+def module_state():
+    """The size of every dict, list and set and of every functools cache held
+    at module level in kernel, diffop and starprod."""
+    state = {}
+    for mod in (kernel, diffop, starprod):
+        for name, value in vars(mod).items():
+            if isinstance(value, (dict, list, set)):
+                state[mod.__name__, name] = len(value)
+            elif hasattr(value, "cache_info"):
+                state[mod.__name__, name] = value.cache_info().currsize
+    return state
+
+
+def test_one_table_set_per_call_and_nothing_kept(monkeypatch):
+    """Every handle and sum of one gauge_transform, assoc_defect,
+    invert_gauge, exp_gauge or compose_into_slot call reads one table set,
+    each _splits and _shares table is built at most once in that call, every
+    call starts a fresh set, and no module-level state grows across calls."""
+    rng = random.Random(30)
+    S, R = std_moyal(2, 3), rand_gauge(rng, 2, 3)
+    S2 = gauge_transform(S, R)
+    Q = rand_diffop1(rng, 2, max_order=3, unital=False)
+    readers = []  # the table set of every handle and sum, as each is made
+    for cls in (_Packed, _OpAcc):
+        def recording(self, *args, _init=cls.__init__):
+            _init(self, *args)
+            readers.append(self.tables)
+
+        monkeypatch.setattr(cls, "__init__", recording)
+    built = []  # (table, arguments) of every table built
+    for name in ("_splits", "_shares"):
+        def counted(*args, _build=getattr(diffop, name), _name=name):
+            built.append((_name, args))
+            return _build(*args)
+
+        monkeypatch.setattr(diffop, name, counted)
+    before = module_state()
+    sets = []
+    calls = (lambda: gauge_transform(S, R), lambda: assoc_defect(S2), lambda: invert_gauge(R),
+             lambda: exp_gauge(Q, 3), lambda: compose_into_slot(S2.op(2), 2, Q))
+    for call in calls * 2:
+        readers.clear()
+        built.clear()
+        call()
+        assert len(readers) > 1 and all(t is readers[0] for t in readers)
+        assert built and len(set(built)) == len(built)
+        sets.append(readers[0])
+    assert len({id(t) for t in sets}) == len(sets)  # no set outlives its call
+    assert module_state() == before
 
 
 # ----------------------------------------------------------------------

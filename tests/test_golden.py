@@ -566,7 +566,9 @@ GOLDEN = {
 }
 
 # --human runs, whose text is not JSON and so has no hash: the exact text of a run with
-# defects (one line per defect location) and of a run whose payload is a text
+# defects (one line per defect location), of a run whose payload is a text, and of two
+# failed runs that end in the error text (a precondition, exit 1; an unreadable input,
+# exit 2, named by its absolute path, which os.path.join keeps as it is)
 HUMAN = {
     ('verify --human', 'verify_p1_not_biderivation_beside_gauge'): (1, (
         "verify: FAILED\n"
@@ -575,6 +577,13 @@ HUMAN = {
         "  defect at star: associated bivector\n"
         "  defect at star+gauge: skew part of P_1 is not a biderivation\n")),
     ('poisson bracket --human', 'bracket_so3'): (0, "poisson bracket: ok\n  2*x1^2*x3 - 2*x2^2*x3 - x1*x3\n"),
+    ('star specialize --human', 'badstar.json'): (1, (
+        "star specialize: FAILED\n"
+        "  defect at precondition\n"
+        "  error: specialize requires an associative star product\n")),
+    ('poisson check --human', '/nonexistent.json'): (2, (
+        "poisson check: FAILED\n"
+        "  error: $: cannot read input: [Errno 2] No such file or directory: '/nonexistent.json'\n")),
 }
 
 
