@@ -1,139 +1,101 @@
 """Exterior and multivector calculus with polynomial coefficients.
 
-Multivectors and forms are stored in antisymmetry normal form: a finite map
-from strictly increasing index tuples to nonzero :class:`~dqkit.kernel.Poly`
-coefficients.  Degree 0 uses the empty tuple as its single key.
+A multivector or form lives in Q[x] (x) Lambda(xi_1 .. xi_r), xi_i standing
+for d/dx_i, dx_i or a frame element, and is the third kind of
+:class:`~dqkit.kernel._Stored`: each term's index set is a mask above its
+exponent block and ``arity`` is the shape (degree, index bound), so sums,
+scaling, ``==`` and ``hash`` are the kernel's.  ``terms`` is a read-only
+``{index tuple: Poly}`` view in ascending index order.  Every operation is a
+chain of the kernel's ``_alt_flip`` (xi_i times, or d/dxi_i): ``wedge``,
+``interior`` (sum_i X^i d/dxi_i), ``anchor`` (sum_i alpha_i dpi/dxi_i),
+``schouten`` (the odd Poisson bracket) and ``_cartan``, the homological
+vector field sum_a xi_a sigma(e_a) - sum_{a<b} c_{ab}^k xi_a xi_b d/dxi_k
+behind ``exterior_d``, ``algebroid_d`` and ``lichnerowicz_d`` (Vaintrob,
+Russian Math. Surveys 52, 1997).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from itertools import combinations
+from types import MappingProxyType
 
 from .errors import DegreeError, DimensionMismatchError
-from .kernel import Poly, _add_term, _as_poly
+from .kernel import Poly, _Stored, _Sum, _alt_flip, _as_poly, _indices, _mask, _summed
 
 
-def sort_indices(indices):
-    """Sort an index sequence, returning (sign, tuple) or (0, None) on repeats.
-
-    The sign is the parity of the sorting permutation.
-    """
-    idx = list(indices)
-    if len(set(idx)) != len(idx):
-        return 0, None
-    sign = 1
-    # insertion sort; counts transpositions exactly
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    return sign, tuple(idx)
+def _perm_sign(seq) -> int:
+    """(-1)^(number of inversions of seq), or 0 if an entry repeats."""
+    if len(set(seq)) != len(seq):
+        return 0
+    return -1 if sum(a > b for a, b in combinations(seq, 2)) % 2 else 1
 
 
-class _AltTensor:
-    """Shared storage for alternating tensors (multivectors and forms).
+class _AltTensor(_Stored):
+    """An alternating tensor with Poly coefficients (see the module docstring).
 
     Indices run over 1..index_bound.  That is ``dim`` for tensors on R^n; a
     subclass whose indices name something else (frame elements of a Lie
-    algebroid) overrides ``index_bound``, ``index_name`` and ``_like``.
-
-    ``_shape`` holds ``(field, error, message)`` triples in check order.  ``+``
-    and ``-`` take two tensors of the same type whose fields all agree; the
-    first field that differs raises ``error(message.format(mine, theirs))``.
-    The fields also take part in ``==`` and ``hash``.
+    algebroid) passes its own bound to ``_read`` and names its indices by
+    ``index_name``.  ``+`` and ``-`` take two tensors of the same type, dim,
+    index bound and degree, checked in that order.
     """
 
-    __slots__ = ("dim", "degree", "terms")
-    _shape = (
-        ("dim", DimensionMismatchError, "dimensions differ: {} vs {}"),
-        ("index_bound", DimensionMismatchError, "index bounds differ: {} vs {}"),
-        ("degree", DegreeError, "degrees differ: {} vs {}"),
-    )
+    __slots__ = ()
     index_name = "index"
 
     def __init__(self, dim: int, degree: int, terms=None):
-        # degrees above the index bound are allowed: their term space is
-        # empty, so such tensors are identically zero (needed e.g. for a zero
-        # 3-form on R^2)
+        self._read(dim, dim, degree, terms)
+
+    def _read(self, dim: int, bound: int, degree: int, terms) -> None:
+        """Check and pack ``{index tuple: coefficient}`` (coefficients Poly, int
+        or Fraction); a tuple repeated after conversion adds up.  A degree above
+        the index bound is allowed: its term space is empty, so such a tensor
+        is zero (a zero 3-form on R^2, say)."""
         if degree < 0:
             raise DegreeError(f"degree {degree} is negative")
-        self.dim = dim
-        self.degree = degree
-        bound = self.index_bound
-        clean = {}
-        if terms:
-            for idx, coeff in terms.items():
-                idx = tuple(idx)
-                if len(idx) != degree:
-                    raise DegreeError(f"index tuple {idx} has length != degree={degree}")
-                if not all(type(i) is int and 1 <= i <= bound for i in idx):
-                    raise DegreeError(f"{self.index_name} out of range 1..{bound} in {idx}")
-                if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
-                    raise DegreeError(f"index tuple {idx} not strictly increasing")
-                coeff = _as_poly(dim, coeff)
-                if coeff.dim != dim:
-                    raise DimensionMismatchError(
-                        f"coefficient dim {coeff.dim} != ambient dim {dim}"
-                    )
-                if not coeff.is_zero():
-                    _add_term(clean, idx, coeff)
-        self.terms = clean
+        parts = []
+        for idx, coeff in (terms or {}).items():
+            idx = tuple(idx)
+            if len(idx) != degree:
+                raise DegreeError(f"index tuple {idx} has length != degree={degree}")
+            if not all(type(i) is int and 1 <= i <= bound for i in idx):
+                raise DegreeError(f"{self.index_name} out of range 1..{bound} in {idx}")
+            if any(idx[k] >= idx[k + 1] for k in range(len(idx) - 1)):
+                raise DegreeError(f"index tuple {idx} not strictly increasing")
+            coeff = _as_poly(dim, coeff)
+            if coeff.dim != dim:
+                raise DimensionMismatchError(f"coefficient dim {coeff.dim} != ambient dim {dim}")
+            parts.append((_mask(idx), coeff._num.items(), coeff._den))
+        _Stored.__init__(self, dim, (degree, bound), *_summed(dim, parts))
+
+    @property
+    def degree(self) -> int:
+        return self.arity[0]
 
     @property
     def index_bound(self) -> int:
-        return self.dim
+        return self.arity[1]
 
-    def _like(self, degree: int, terms) -> "_AltTensor":
-        """A tensor of the same kind and index bound, of the given degree."""
-        return type(self)(self.dim, degree, terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    @property
+    def terms(self):
+        """A read-only {index tuple: Poly} view of the nonzero terms, in
+        ascending order of the index tuples, computed on each access."""
+        return MappingProxyType(dict(sorted((_indices(h), c) for h, c in self._coeffs().items())))
 
     def sorted_terms(self):
-        return sorted(self.terms.items())
-
-    def _shape_values(self) -> tuple:
-        return tuple(getattr(self, field) for field, _, _ in self._shape)
-
-    def _check_same(self, other):
-        if type(self) is not type(other):
-            raise TypeError(f"mixed kinds: {type(self).__name__} vs {type(other).__name__}")
-        for field, error, message in self._shape:
-            mine, theirs = getattr(self, field), getattr(other, field)
-            if mine != theirs:
-                raise error(message.format(mine, theirs))
+        return list(self.terms.items())
 
     def __add__(self, other):
-        self._check_same(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            _add_term(out, key, c)
-        return self._like(self.degree, out)
-
-    def __neg__(self):
-        return self._like(self.degree, {key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, factor):
-        """Multiply every coefficient by a Poly or rational."""
-        factor = _as_poly(self.dim, factor)
-        if factor.is_zero():
-            return self._like(self.degree, {})
-        # Q[x] has no zero divisors, so no product below is zero
-        return self._like(self.degree, {key: c * factor for key, c in self.terms.items()})
-
-    def __eq__(self, other):
         if type(self) is not type(other):
-            return NotImplemented
-        return self._shape_values() == other._shape_values() and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((*self._shape_values(), frozenset(self.terms.items())))
+            raise TypeError(f"mixed kinds: {type(self).__name__} vs {type(other).__name__}")
+        if self.dim != other.dim:
+            raise DimensionMismatchError(f"dimensions differ: {self.dim} vs {other.dim}")
+        (p, r), (q, s) = self.arity, other.arity
+        if r != s:
+            raise DimensionMismatchError(f"index bounds differ: {r} vs {s}")
+        if p != q:
+            raise DegreeError(f"degrees differ: {p} vs {q}")
+        return self._sum(other)
 
     # ------------------------------------------------------------------
 
@@ -154,13 +116,13 @@ class _AltTensor:
     def as_poly(self) -> Poly:
         if self.degree != 0:
             raise DegreeError("only degree-0 tensors reduce to a polynomial")
-        return self.terms.get((), Poly.zero(self.dim))
+        return self._coeffs().get(0, Poly.zero(self.dim))
 
     def coeff(self, idx) -> Poly:
-        sign, key = sort_indices(idx)
-        if sign == 0:
-            return Poly.zero(self.dim)
-        c = self.terms.get(key)
+        """The coefficient at an index sequence in any order: zero on a repeat,
+        negated for an odd permutation of a stored index tuple."""
+        sign = _perm_sign(idx)
+        c = self.terms.get(tuple(sorted(idx))) if sign else None
         if c is None:
             return Poly.zero(self.dim)
         return c if sign == 1 else -c
@@ -169,10 +131,19 @@ class _AltTensor:
 
     def __repr__(self):
         name = type(self).__name__
-        if not self.terms:
+        if self.is_zero():
             return f"{name}({self.dim}, deg={self.degree}, 0)"
         body = ", ".join(f"{idx}: {c!r}" for idx, c in self.sorted_terms())
         return f"{name}({self.dim}, deg={self.degree}, {{{body}}})"
+
+
+def _total(like: _AltTensor, degree: int, pieces) -> _AltTensor:
+    """The sum of the tensors `pieces` of like's kind and index bound, in the
+    given degree, each added once into one running sum."""
+    acc = _Sum()
+    for t in pieces:
+        acc.add(t._num.items(), t._den)
+    return like._normal(like.dim, (degree, like.index_bound), acc.terms, acc.den)
 
 
 class MultiVec(_AltTensor):
@@ -182,10 +153,7 @@ class MultiVec(_AltTensor):
         """Apply a vector field (degree 1) to a function as a derivation."""
         if self.degree != 1:
             raise DegreeError("only degree-1 multivectors act on functions")
-        out = Poly.zero(self.dim)
-        for (i,), c in self.terms.items():
-            out = out + c * f.partial(i)
-        return out
+        return sum((c * f.partial(i) for (i,), c in self.terms.items()), Poly.zero(self.dim))
 
 
 class Form(_AltTensor):
@@ -201,22 +169,24 @@ class Form(_AltTensor):
 # operations
 
 
+def _flips(t, flips):
+    """t after each flip (i, into) of `flips` in turn."""
+    for i, into in flips:
+        t = _alt_flip(t, i, into)
+    return t
+
+
 def wedge(A, B):
-    """Graded-commutative wedge product of two tensors of the same kind."""
+    """Graded-commutative wedge product of two tensors of the same kind:
+    for each term f xi_I of A, f xi_{i_1} (.. (xi_{i_p} B))."""
     if type(A) is not type(B):
         raise TypeError("wedge requires two multivectors or two forms")
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dimensions differ: {A.dim} vs {B.dim}")
-    degree = A.degree + B.degree
-    out = {}
-    for i1, c1 in A.terms.items():
-        for i2, c2 in B.terms.items():
-            sign, key = sort_indices(i1 + i2)
-            if sign == 0:
-                continue
-            c = c1 * c2
-            _add_term(out, key, c if sign > 0 else -c)
-    return A._like(degree, out)
+    if A.index_bound != B.index_bound:
+        raise DimensionMismatchError(f"index bounds differ: {A.index_bound} vs {B.index_bound}")
+    return _total(A, A.degree + B.degree, (_flips(B, [(i, True) for i in reversed(_indices(mask))])._times(f)
+                                           for mask, f in A._coeffs().items()))
 
 
 def exterior_d(omega: Form) -> Form:
@@ -224,27 +194,27 @@ def exterior_d(omega: Form) -> Form:
     It is the Cartan differential of the tangent algebroid: identity anchor, no brackets."""
     if not isinstance(omega, Form):
         raise TypeError("exterior_d acts on forms")
-    rows = [(a, [(a, 1)]) for a in range(1, omega.dim + 1)]
-    return Form(omega.dim, omega.degree + 1, _cartan(omega.terms, rows, {}))
+    return _cartan(omega, [(a, [(a, 1)]) for a in range(1, omega.dim + 1)], {})
 
 
-def _cartan(terms, anchor_rows, brackets) -> dict:
-    """The Cartan differential on a form's term map {K: f}, over the frame:
+def _cartan(omega: _AltTensor, anchor_rows, brackets) -> _AltTensor:
+    """The Cartan differential of a form over a frame, the homological vector field
 
-    (d omega)(b_0..b_p) = sum_i (-1)^i sigma(b_i) omega(.. b_i ..)
-                        + sum_{i<j} (-1)^{i+j} omega([b_i,b_j], .. b_i, b_j ..)
+        d = sum_a xi_a sigma(e_a) - sum_{a<b} c_{ab}^k xi_a xi_b d/dxi_k,
 
-    ``anchor_rows`` lists (a, [(i, sigma(e_a)^i)]) and ``brackets`` maps k to
-    [(a, b, c_{ab}^k)], nonzero entries only.  sigma(e_a) f goes to K + {a}
-    for each a not in K, and c_{ab}^k f to (K - {k}) + {a, b} for each k in K,
-    each with the sign of its positions in the sorted key, so the cost grows
-    with the nonzero terms, not with the frame keys.
+    sigma(e_a) = sum_i sigma_a^i d/dx_i acting on coefficients, from the
+    nonzero entries (a, [(i, sigma_a^i)]) of ``anchor_rows`` and k -> [(a, b,
+    c_{ab}^k)] of ``brackets``.  One pass over omega's terms f xi_K sums, per
+    frame element a not in K, sum_i sigma_a^i d_i f, and per k in K and (a, b)
+    repeating no index of K - {k}, -c_{ab}^k f; each sum then takes its flips
+    once (xi_a; or d/dxi_k, xi_b, xi_a), so the cost grows with the nonzero terms.
     """
-    out = {}
-    for key, f in terms.items():
+    chains = {}  # flips -> (mask, items, den) parts of the tensor they act on
+    for mask, f in omega._coeffs().items():
+        held = set(_indices(mask))
         partials = {}  # d_i f, taken once per term and only where an anchor entry needs it
         for a, entries in anchor_rows:
-            if a in key:
+            if a in held or f.is_constant():
                 continue
             val = None
             for i, s in entries:
@@ -254,23 +224,19 @@ def _cartan(terms, anchor_rows, brackets) -> dict:
                 if not df.is_zero():
                     val = s * df if val is None else val + s * df
             if val is not None and not val.is_zero():
-                pos = bisect_left(key, a)
-                _add_term(out, key[:pos] + (a,) + key[pos:], -val if pos % 2 else val)
-        for pos, k in enumerate(key):
-            rest = key[:pos] + key[pos + 1 :]
+                chains.setdefault(((a, True),), []).append((mask, val._num.items(), val._den))
+        for k in held:
             for a, b, c in brackets.get(k, ()):
-                if a in rest or b in rest:
+                if (a in held and a != k) or (b in held and b != k):
                     continue
-                # a lands at position i and b at j + 1 of the sorted key
-                i, j = bisect_left(rest, a), bisect_left(rest, b)
-                term = c * f
-                _add_term(out, rest[:i] + (a,) + rest[i:j] + (b,) + rest[j:],
-                          -term if (i + j + 1 + pos) % 2 else term)
-    return out
+                val = -(c * f)
+                chains.setdefault(((k, False), (b, True), (a, True)), []).append((mask, val._num.items(), val._den))
+    return _total(omega, omega.degree + 1, (_flips(omega._normal(omega.dim, omega.arity, *_summed(omega.dim, parts)), flips)
+                                            for flips, parts in chains.items()))
 
 
 def interior(X: MultiVec, omega: Form) -> Form:
-    """Contraction of a vector field into the first slot of a form."""
+    """Contraction of a vector field into the first slot of a form: sum_i X^i d omega / d xi_i."""
     if not (isinstance(X, MultiVec) and X.degree == 1):
         raise DegreeError("interior product needs a degree-1 multivector")
     if not isinstance(omega, Form):
@@ -279,15 +245,12 @@ def interior(X: MultiVec, omega: Form) -> Form:
         raise DimensionMismatchError(f"dimensions differ: {X.dim} vs {omega.dim}")
     if omega.degree == 0:
         raise DegreeError("cannot contract into a degree-0 form")
-    out = {}
-    for idx, c in omega.terms.items():
-        for pos, i in enumerate(idx):
-            xc = X.terms.get((i,))
-            if xc is None:
-                continue
-            coeff = xc * c
-            _add_term(out, idx[:pos] + idx[pos + 1 :], -coeff if pos % 2 else coeff)
-    return Form(omega.dim, omega.degree - 1, out)
+    return _contracted(omega, X)
+
+
+def _contracted(t, v):
+    """sum_i v^i dt/dxi_i for a degree-1 tensor v."""
+    return _total(t, t.degree - 1, (_alt_flip(t, i, False)._times(c) for (i,), c in v.terms.items()))
 
 
 def lie_derivative(X: MultiVec, omega: Form) -> Form:
@@ -303,74 +266,39 @@ def lie_derivative(X: MultiVec, omega: Form) -> Form:
 
 
 def schouten(A: MultiVec, B: MultiVec) -> MultiVec:
-    """Schouten-Nijenhuis bracket of multivector fields.
+    """Schouten-Nijenhuis bracket of multivector fields, the odd Poisson bracket
 
-    Sign convention (validated against the Leibniz/antisymmetry recursion in
-    the test suite):  with each stored term c*d_I decomposed as
-    (c d_{i1}) ^ d_{i2} ^ ... the bracket of decomposables is
+        [A, B] = sum_i (-1)^(a+1) dA/dxi_i ^ d_i B - d_i A ^ dB/dxi_i      (a = deg A),
 
-        [c d_I, e d_J] = sum_r (-1)^(a+r) c (d_{i_r} e) d_{I\\i_r} ^ d_J
-                       + sum_s (-1)^s     e (d_{j_s} c) d_I ^ d_{J\\j_s}
-
-    where a = |I| and r, s count from 1.
+    so that [X, Y] is the Lie bracket of vector fields (sign convention
+    validated against the Leibniz/antisymmetry recursion in the test suite).
     """
     if not (isinstance(A, MultiVec) and isinstance(B, MultiVec)):
         raise TypeError("schouten bracket acts on multivectors")
     if A.dim != B.dim:
         raise DimensionMismatchError(f"dimensions differ: {A.dim} vs {B.dim}")
-    dim = A.dim
     degree = A.degree + B.degree - 1
     if degree < 0:  # [f, g] = 0 lives in degree -1; report as scalar zero
-        return MultiVec.zero(dim, 0)
-    out = {}
-
-    # coefficients are products of nonzero polynomials, so never zero
-    def add(seq, coeff):
-        sign, key = sort_indices(seq)
-        if sign == 0:
-            return
-        _add_term(out, key, coeff if sign > 0 else -coeff)
-
-    for I, c in A.terms.items():
-        a = len(I)
-        for J, e in B.terms.items():
-            # first half: A differentiates B's coefficient
-            for r0, i in enumerate(I):
-                d_e = e.partial(i)
-                if d_e.is_zero():
-                    continue
-                coeff = c * d_e
-                if (a + r0 + 1) % 2 == 1:
-                    coeff = -coeff
-                add(I[:r0] + I[r0 + 1 :] + J, coeff)
-            # second half: B differentiates A's coefficient
-            for s0, j in enumerate(J):
-                d_c = c.partial(j)
-                if d_c.is_zero():
-                    continue
-                coeff = e * d_c
-                if (s0 + 1) % 2 == 1:
-                    coeff = -coeff
-                add(I + J[:s0] + J[s0 + 1 :], coeff)
-    return MultiVec(dim, degree, out)
+        return MultiVec.zero(A.dim, 0)
+    sign = -1 if A.degree % 2 == 0 else 1
+    pieces = []
+    for i in range(1, A.dim + 1):
+        for left, right, s in ((_alt_flip(A, i, False), B.partial(i), sign), (A.partial(i), _alt_flip(B, i, False), -1)):
+            if not (left.is_zero() or right.is_zero()):
+                pieces.append(wedge(left, right).scale(s))
+    return _total(A, degree, pieces)
 
 
 def anchor(pi: MultiVec, alpha: Form) -> MultiVec:
-    """The anchor map: pi~(alpha)^j = sum_i alpha_i pi^{ij}, a vector field."""
+    """The anchor map: pi~(alpha)^j = sum_i alpha_i pi^{ij}, the vector field
+    sum_i alpha_i dpi/dxi_i."""
     if not (isinstance(alpha, Form) and alpha.degree == 1):
         raise DegreeError("anchor applies to 1-forms")
     if pi.dim != alpha.dim:
         raise DimensionMismatchError("dimension mismatch in anchor")
     if pi.degree != 2:
         raise DegreeError("pi must be a bivector")
-    terms = {}
-    for (i,), ai in alpha.terms.items():
-        for j in range(1, pi.dim + 1):
-            pij = pi.coeff((i, j))
-            if pij.is_zero():
-                continue
-            _add_term(terms, (j,), ai * pij)
-    return MultiVec(pi.dim, 1, terms)
+    return _contracted(pi, alpha)
 
 
 def anchor_pullback(pi: MultiVec, omega: Form) -> MultiVec:
@@ -393,13 +321,12 @@ def anchor_pullback(pi: MultiVec, omega: Form) -> MultiVec:
 
 def _raised(omega: Form, pis) -> MultiVec:
     """sum over omega's nonzero terms w dx_J of
-    w (pis[0]~ dx_{j_1}) ^ .. ^ (pis[p-1]~ dx_{j_p}): slot s raised through pis[s]."""
-    dim = omega.dim
-    terms = {}
+    w (pis[0]~ dx_{j_1}) ^ .. ^ (pis[p-1]~ dx_{j_p}): slot s raised through
+    pis[s], whose image of dx_j is dpis[s]/dxi_j."""
+    pieces = []
     for J, w in omega.terms.items():
         t = MultiVec.from_poly(w)
         for pi, j in zip(pis, J):
-            t = wedge(t, anchor(pi, Form.basis(dim, j)))
-        for key, c in t.terms.items():
-            _add_term(terms, key, c)
-    return MultiVec(dim, omega.degree, terms)
+            t = wedge(t, _alt_flip(pi, j, False))
+        pieces.append(t)
+    return _total(MultiVec.zero(omega.dim, 0), omega.degree, pieces)

@@ -414,7 +414,9 @@ def dispatch(argv) -> int:
     try:
         args = _parse_args(argv)
     except _UsageError as exc:
-        sys.stdout.write(_build_report(exc.command, False, {"error": str(exc)}, [], 0.0))
+        # no flags were parsed, so --human is looked for among the arguments
+        report = (exc.command, False, {"error": str(exc)}, [])
+        sys.stdout.write(_render_human(*report) if "--human" in argv else _build_report(*report, 0.0))
         return EXIT_INPUT
     except SystemExit as exc:
         # --help exits 0 after printing; normalize any other code

@@ -30,35 +30,34 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
   exponent, coordinate and arity, and the Hochschild split tables per order
   and slot.  Each is built at most once in the call, and handles and tables
   are dropped when the call returns, so nothing is cached across calls.
-- **Sums.**  ``kernel._Stored``, the one owner of the stored form, holds
-  sums, negation, scaling and products by a ``Poly``, the same code as a
-  ``Poly``'s, each normalized by its one gcd step; :class:`_OpAcc` is a
-  ``kernel._Sum`` that also adds compositions and Hochschild coboundaries,
-  and its result becomes the operator's map.  All three kernels, the pair
-  loop of a composition, the Leibniz block and the coboundary, add two
-  packed keys and multiply two ints per write: a term picks its table by the
-  one field that fixes its fan-out (its exponent at the coordinate, or its
-  order in the slot) and runs that table's (key offset, weight) entries.
+- **Sums.**  ``kernel._Stored`` owns the stored form of polynomials,
+  operators and alternating tensors alike: sums, negation, scaling and
+  products by a ``Poly``, each normalized by its one gcd step.
+  :class:`_OpAcc` is a ``kernel._Sum`` that also adds compositions and
+  Hochschild coboundaries.  All three kernels, the pair loop of a
+  composition, the Leibniz block and the coboundary, add two packed keys and
+  multiply two ints per write: a term picks its table by the one field that
+  fixes its fan-out (its exponent at the coordinate, or its order in the
+  slot) and runs that table's (key offset, weight) entries.
 - **Views.**  ``terms``, ``sorted_terms()`` and ``coeff()`` split keys into
   ``{orders tuple: Poly}`` on each access; a coefficient keeps its low blocks.
   Evaluation builds no such view: its one route is ``_fill``, which puts a
   polynomial into one slot with one packed loop per order group, behind
   ``partial_apply`` and ``apply_op`` (slot 1 once per argument, the last
   fill's arity-0 result being the ``Poly``).
-- **Who reads keys.**  Only ``kernel``, whose ``_Stored`` owns the stored
-  form and which packs, decodes, checks and adds keys, and this module,
-  which moves the order blocks, shift, mask or size a key.  Other modules use :class:`_OpAcc`,
-  :class:`_Packed` and one :class:`_Tables` per call for sums of compositions and of operators,
-  ``_OpAcc.add_coboundary`` for a Hochschild coboundary delta(D) in such a
-  sum, ``kernel._check_budget`` and ``_Stored._normal`` for a map they
-  formed from keys of this module's operators, ``kernel._key``,
-  ``kernel._fields``, ``_summed`` and the ``_groups``/``_orders`` decoders to
-  read and write documents, ``solve_coboundary`` for the Hochschild solve,
-  and the ``terms`` and ``coeff()`` views for everything else.  ``_summed``
-  takes one part per term, (``_key`` of its flat orders, a ``Poly``'s (key,
-  numerator) items, denominator), and is the one place that moves orders
-  above the exponent block; a reader may share one item list among the parts
-  of equal leaves.
+- **Who reads keys.**  Only ``kernel``, which packs, decodes, checks and adds
+  keys, splits them at the exponent block (``_summed`` puts orders above it,
+  ``_groups`` and ``_coeffs`` take them apart) and keeps the index masks of
+  alternating tensors, and this module, which moves the order blocks.  Other
+  modules use :class:`_OpAcc`, :class:`_Packed` and one :class:`_Tables` per
+  call for sums of compositions and of operators, ``_OpAcc.add_coboundary``
+  for a Hochschild coboundary in such a sum, ``kernel._check_budget`` and
+  ``_Stored._normal`` for a map formed from this module's keys,
+  ``kernel._key``, ``kernel._fields``, ``kernel._summed`` (one part per
+  term: ``_key`` of its flat orders and a ``Poly``'s items and denominator)
+  and the ``_orders`` decoder to read and write documents,
+  ``solve_coboundary`` for the Hochschild solve, and the ``terms`` and
+  ``coeff()`` views for everything else.
 """
 
 from __future__ import annotations
@@ -68,27 +67,7 @@ from math import comb, lcm
 from types import MappingProxyType
 
 from .errors import ArityMismatchError, DimensionMismatchError, SolveError
-from .kernel import Poly, _BITS, _FIELD, _Stored, _Sum, _as_poly, _check_budget, _fields, _key, _ratio, _struct
-
-
-def _summed(dim: int, parts) -> tuple:
-    """(numerators by key, denominator), not normalized, of the operator of
-    (_key(flat orders), [(packed exponents, numerator)], den) parts, every
-    field already within the budget: each part's numerators go once into one
-    sum, at keys whose orders sit above the exponent block."""
-    block = _BITS * dim
-    acc = _Sum()
-    terms = acc.terms
-    get = terms.get
-    for orders, items, d in parts:
-        high = orders << block
-        m = acc._factor(d)
-        for k, n in items:
-            k |= high
-            v = terms[k] = get(k, 0) + n * m
-            if not v:
-                del terms[k]
-    return terms, acc.den
+from .kernel import Poly, _BITS, _FIELD, _Stored, _Sum, _as_poly, _check_budget, _fields, _key, _struct, _summed
 
 
 class PolyDiffOp(_Stored):
@@ -146,22 +125,6 @@ class PolyDiffOp(_Stored):
     # ------------------------------------------------------------------
     # views
 
-    def _groups(self) -> dict:
-        """{packed orders: {packed exponents: numerator}}, in order of first appearance."""
-        block = _BITS * self.dim
-        low = (1 << block) - 1
-        groups = {}
-        for k, n in self._num.items():
-            sub = groups.get(k >> block)
-            if sub is None:
-                sub = groups[k >> block] = {}
-            sub[k & low] = n
-        return groups
-
-    def _coeffs(self) -> dict:
-        """{packed orders: Poly}, one normalized Poly per order tuple, as :meth:`_groups` orders them."""
-        return {high: Poly._normal(self.dim, 0, sub, self._den) for high, sub in self._groups().items()}
-
     def _orders(self, high: int) -> tuple:
         """The order tuple of packed orders: one multi-index per 2 * dim bytes."""
         return tuple(_struct(self.dim).iter_unpack(high.to_bytes(2 * self.dim * self.arity, "little")))
@@ -191,14 +154,6 @@ class PolyDiffOp(_Stored):
         if self.arity != other.arity:
             raise ArityMismatchError("operator arities differ")
         return self._sum(other)
-
-    def scale(self, factor):
-        """Multiply every coefficient by a Poly or rational."""
-        if not isinstance(factor, Poly):
-            return self._scaled(*_ratio(factor))
-        if factor.dim != self.dim:
-            raise DimensionMismatchError(f"polynomial dimensions differ: {self.dim} vs {factor.dim}")
-        return self._times(factor)
 
     def __repr__(self):
         block = _BITS * self.dim

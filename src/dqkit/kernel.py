@@ -4,18 +4,20 @@ Everything downstream (forms, multivectors, operators, star products) stores
 its coefficients as :class:`Poly`.  All values are immutable by convention and
 all operations are pure, so concurrent use needs no coordination.
 
-The stored form of polynomials and ``diffop`` operators alike has one owner,
-:class:`_Stored`: int numerators at packed keys over one positive
-denominator, normalized by one ``math.gcd`` (a ``Poly`` is its arity-0
-case), so structural equality and ``hash`` are equality of values and no
-``Fraction`` arithmetic runs inside the kernel.  ``Fraction`` appears only at
-the API edge: the public constructor, ``items``, ``sorted_terms``,
-``constant_value`` and the read-only ``terms`` view.  ``_Sum`` is the one
-running sum over a common denominator, behind the constructors, the parser's
-leaf reader and ``diffop._OpAcc``.  The kernel also owns two small facts
-every module shares: ``_as_poly``, the one coercion of an int or ``Fraction``
-to a constant ``Poly``, and ``_mono``, the one text of a monomial (``repr``
-and the parser's canonical output both write it).
+The stored form has one owner, :class:`_Stored`, and three kinds: a
+``Poly`` (arity 0), a ``diffop`` operator (order blocks above the exponent
+block of each key) and a ``calculus`` multivector or form (the index mask of
+each term above it).  It is int numerators at packed keys over one positive
+denominator, normalized by one ``math.gcd``, so structural equality and
+``hash`` are equality of values and no ``Fraction`` arithmetic runs inside
+the kernel.  ``Fraction`` appears only at the API edge: the public
+constructor, ``items``, ``sorted_terms``, ``constant_value`` and the
+read-only ``terms`` view.  ``_Sum`` is the one running sum over a common
+denominator, behind the constructors, ``_summed``, the parser's leaf reader
+and ``diffop._OpAcc``.  The kernel also owns two small facts every module
+shares: ``_as_poly``, the one coercion of an int or ``Fraction`` to a
+constant ``Poly``, and ``_mono``, the one text of a monomial (``repr`` and
+the parser's canonical output both write it).
 
 Exponents are packed as in Monagan and Pearce (CASC 2007): x^e on R^n is one
 int, e_i in the 16-bit field at bit 16 (i - 1), so a product adds keys and a
@@ -27,6 +29,9 @@ by the constructors and wherever fields are added to form a key, never where
 keys are only copied.  Keys are decoded only at the API edge; ``diffop`` puts
 order blocks above them, and its ``_fill`` is the one evaluation route: it
 fills an operator's slots one at a time, and the last fill gives the ``Poly``.
+The index masks of alternating tensors are read and written here only:
+``_mask`` and ``_indices`` convert them, and ``_alt_flip``, multiplication
+by one odd generator or the derivative by it, is the one operation on them.
 """
 
 from __future__ import annotations
@@ -81,12 +86,14 @@ def _fields(key: int, count: int) -> tuple:
 
 
 def _check_budget(num: dict, width: int) -> None:
-    """BudgetError if a key of `num`, each a key of `width` fields within the
-    budget or the sum of two, has a field above MAX_PACKED."""
+    """BudgetError if the low `width` fields of a key of `num`, each within the
+    budget or the sum of two, have a field above MAX_PACKED; fields above them
+    are not read."""
     if num:
         top = _packer(width)[1]
         if reduce(or_, num) & top:
-            raise _over_budget(max(max(_fields(k, width)) for k in num if k & top))
+            low = (1 << _BITS * width) - 1
+            raise _over_budget(max(max(_fields(k & low, width)) for k in num if k & top))
 
 
 def _ratio(value) -> tuple:
@@ -113,9 +120,12 @@ def _mono(exps) -> str:
 
 
 class _Stored:
-    """Int numerators at packed keys over one positive denominator: a ``Poly``
-    (arity 0, keys of ``dim`` fields) or a ``diffop.PolyDiffOp`` of ``arity``
-    arguments (keys of ``dim * (arity + 1)`` fields, the exponents lowest).
+    """Int numerators at packed keys over one positive denominator, in three
+    kinds: a ``Poly`` (arity 0, keys of ``dim`` fields), a ``diffop.PolyDiffOp``
+    of ``arity`` arguments (keys of ``dim * (arity + 1)`` fields, the exponents
+    lowest) and a ``calculus`` alternating tensor, whose ``arity`` is its shape
+    (degree, index bound) and whose keys hold each term's index set as a mask
+    above the exponent block, bit i - 1 for index i.
 
     ``_num`` maps keys to nonzero ``int`` numerators over ``_den``, with
     ``gcd(_den, *_num.values()) == 1``, ``_den == 1`` when ``_num`` is empty
@@ -123,11 +133,13 @@ class _Stored:
     _num)``, and ``hash``, is equality of values.  ``__init__`` is the one
     normalizing step and owns the map it is given; ``_normal`` runs it past
     the subclasses' argument checks, and ``_make`` wraps a form already normal.
+    The keys above the exponent block group the terms: ``_groups`` and
+    ``_coeffs`` give each group's exponents and ``Poly``.
     """
 
     __slots__ = ("dim", "arity", "_num", "_den")
 
-    def __init__(self, dim: int, arity: int, num: dict, den: int):
+    def __init__(self, dim: int, arity, num: dict, den: int):
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
@@ -140,14 +152,14 @@ class _Stored:
         self._den = den
 
     @classmethod
-    def _normal(cls, dim: int, arity: int, num: dict, den: int):
+    def _normal(cls, dim: int, arity, num: dict, den: int):
         """The normalized value of nonzero int numerators over den > 0, owning `num`."""
         s = object.__new__(cls)
         _Stored.__init__(s, dim, arity, num, den)
         return s
 
     @classmethod
-    def _make(cls, dim: int, arity: int, num: dict, den: int):
+    def _make(cls, dim: int, arity, num: dict, den: int):
         """Wrap a stored form that is already normal, owning `num`."""
         s = object.__new__(cls)
         s.dim = dim
@@ -187,7 +199,7 @@ class _Stored:
 
     def _times(self, f: "Poly"):
         """self * f for a Poly f of the same dim: each key adds f's exponents to
-        its own; BudgetError if a field of the result is above MAX_PACKED."""
+        its own; BudgetError if an exponent of the result is above MAX_PACKED."""
         out = {}
         get = out.get
         for k1, n1 in self._num.items():
@@ -196,9 +208,48 @@ class _Stored:
                 v = out[k] = get(k, 0) + n1 * n2
                 if not v:
                     del out[k]
-        # the top exponent in each variable never cancels, so one check of the result suffices
-        _check_budget(out, self.dim * (self.arity + 1))
+        # only the exponent block grows, and its top exponent in each variable
+        # never cancels, so one check of that block of the result suffices
+        _check_budget(out, self.dim)
         return self._normal(self.dim, self.arity, out, self._den * f._den)
+
+    def scale(self, factor):
+        """Multiply every coefficient by a Poly of the same dim or a rational."""
+        if not isinstance(factor, Poly):
+            return self._scaled(*_ratio(factor))
+        if factor.dim != self.dim:
+            raise DimensionMismatchError(f"polynomial dimensions differ: {self.dim} vs {factor.dim}")
+        return self._times(factor)
+
+    def partial(self, index: int):
+        """Formal partial derivative of every coefficient with respect to x_index (1-based)."""
+        if not 1 <= index <= self.dim:
+            raise IndexRangeError(f"coordinate index {index} out of range 1..{self.dim}")
+        shift = _BITS * (index - 1)
+        unit = 1 << shift
+        out = {}
+        for key, coeff in self._num.items():
+            k = key >> shift & _FIELD
+            if k:
+                # lowering one exponent is injective, so no two terms collide
+                out[key - unit] = coeff * k
+        return self._normal(self.dim, self.arity, out, self._den)
+
+    def _groups(self) -> dict:
+        """{key above the exponent block: {packed exponents: numerator}}, in order of first appearance."""
+        block = _BITS * self.dim
+        low = (1 << block) - 1
+        groups = {}
+        for k, n in self._num.items():
+            sub = groups.get(k >> block)
+            if sub is None:
+                sub = groups[k >> block] = {}
+            sub[k & low] = n
+        return groups
+
+    def _coeffs(self) -> dict:
+        """{key above the exponent block: Poly}, one normalized Poly per group, as :meth:`_groups` orders them."""
+        return {high: Poly._normal(self.dim, 0, sub, self._den) for high, sub in self._groups().items()}
 
     def __eq__(self, other):
         if type(other) is type(self):
@@ -365,20 +416,6 @@ class Poly(_Stored):
                 return result
             base = base * base
 
-    def partial(self, index: int) -> "Poly":
-        """Formal partial derivative with respect to x_index (1-based)."""
-        if not 1 <= index <= self.dim:
-            raise IndexRangeError(f"coordinate index {index} out of range 1..{self.dim}")
-        shift = _BITS * (index - 1)
-        unit = 1 << shift
-        out = {}
-        for key, coeff in self._num.items():
-            k = key >> shift & _FIELD
-            if k:
-                # lowering one exponent is injective, so no two terms collide
-                out[key - unit] = coeff * k
-        return Poly._normal(self.dim, 0, out, self._den)
-
     def partial_multi(self, orders) -> "Poly":
         """Iterated partial derivative along a multi-index (length dim)."""
         if len(orders) != self.dim:
@@ -411,13 +448,6 @@ def _as_poly(dim: int, value) -> Poly:
     return value if isinstance(value, Poly) else Poly.const(dim, value)
 
 
-def _add_num(out: dict, key, n: int) -> None:
-    """Add an int numerator into a numerator map, dropping the key if it cancels."""
-    v = out[key] = out.get(key, 0) + n
-    if not v:
-        del out[key]
-
-
 class _Sum:
     """A running sum of int numerators by key over one positive common
     denominator ``den``, before normalization.  An addend whose denominator
@@ -446,7 +476,10 @@ class _Sum:
 
     def add_term(self, key, n: int, d: int) -> None:
         """Add n / d at `key`."""
-        _add_num(self.terms, key, n * self._factor(d))
+        n *= self._factor(d)  # first, as it may rescale the terms
+        v = self.terms[key] = self.terms.get(key, 0) + n
+        if not v:
+            del self.terms[key]
 
     def add(self, items, d: int, sign: int = 1) -> None:
         """Add sign * n / d at each key of the (key, n) pairs `items`."""
@@ -459,21 +492,59 @@ class _Sum:
                 del terms[k]
 
 
-def _add_term(out: dict, key, coeff: Poly) -> None:
-    """Add a nonzero Poly coefficient into a term map, dropping the key if it cancels.
+def _summed(dim: int, parts) -> tuple:
+    """(numerators by key, denominator), not normalized, of (high, [(packed
+    exponents, numerator)], den) parts, every field already within the budget:
+    each part's numerators go once into one sum, at keys whose high part (an
+    operator's packed flat orders, a tensor term's index mask) sits above the
+    exponent block.  A reader may share one item list among parts."""
+    block = _BITS * dim
+    acc = _Sum()
+    terms = acc.terms
+    get = terms.get
+    for high, items, d in parts:
+        high <<= block
+        m = acc._factor(d)
+        for k, n in items:
+            k |= high
+            v = terms[k] = get(k, 0) + n * m
+            if not v:
+                del terms[k]
+    return terms, acc.den
 
-    The shared normal-form step of every sparse map with Poly values (forms,
-    multivectors, frame forms).
-    """
-    acc = out.get(key)
-    if acc is None:
-        out[key] = coeff
-        return
-    acc = acc + coeff
-    if acc._num:
-        out[key] = acc
-    else:
-        del out[key]
+
+def _mask(indices) -> int:
+    """The index mask of a set of indices: bit i - 1 for each index i."""
+    return sum(map((1).__lshift__, indices)) >> 1
+
+
+def _indices(mask: int) -> tuple:
+    """The indices of an index mask, ascending (the inverse of _mask)."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length())
+        mask ^= low
+    return tuple(out)
+
+
+def _alt_flip(t, i: int, into: bool):
+    """xi_i t (into) or d t / d xi_i (not into) for an alternating tensor t in
+    Q[x] (x) Lambda(xi_1 .. xi_r): each term whose index set lacks i (into) or
+    holds it (not into) has bit i flipped, with sign (-1)^(number of its
+    indices below i); every other term drops.  The degree moves by one, and
+    flipping a bit is injective, so no two terms collide."""
+    block = _BITS * t.dim
+    bit = 1 << block + i - 1
+    below = bit - (1 << block)  # the index bits of 1 .. i - 1
+    want = 0 if into else bit
+    out = {}
+    for k, n in t._num.items():
+        if k & bit == want:
+            out[k ^ bit] = -n if (k & below).bit_count() & 1 else n
+    degree, bound = t.arity
+    # a part of a normal map over den 1 is normal
+    return (t._make if t._den == 1 else t._normal)(t.dim, (degree + 1 if into else degree - 1, bound), out, t._den)
 
 
 class TPoly:

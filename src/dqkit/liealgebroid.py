@@ -19,23 +19,19 @@ from .kernel import Poly, _as_poly
 class AlgebroidForm(_AltTensor):
     """Alternating p-form on the frame of an algebroid, with Poly coefficients.
 
-    Same normal form as :class:`~dqkit.calculus.Form`, but indices refer to
-    frame elements (1..rank), not coordinates.
+    Same stored form as :class:`~dqkit.calculus.Form`, but indices refer to
+    frame elements (1..rank), not coordinates: the rank is the index bound.
     """
 
-    __slots__ = ("rank",)
+    __slots__ = ()
     index_name = "frame index"
 
     def __init__(self, dim: int, rank: int, degree: int, terms=None):
-        self.rank = rank
-        super().__init__(dim, degree, terms)
+        self._read(dim, rank, degree, terms)
 
     @property
-    def index_bound(self) -> int:
-        return self.rank
-
-    def _like(self, degree: int, terms) -> "AlgebroidForm":
-        return AlgebroidForm(self.dim, self.rank, degree, terms)
+    def rank(self) -> int:
+        return self.index_bound
 
     @classmethod
     def zero(cls, dim, rank, degree):
@@ -49,10 +45,7 @@ class AlgebroidForm(_AltTensor):
     value = _AltTensor.coeff
 
     def __repr__(self):
-        return (
-            f"AlgebroidForm(dim={self.dim}, rank={self.rank}, deg={self.degree}, "
-            f"{dict(sorted(self.terms.items()))!r})"
-        )
+        return f"AlgebroidForm(dim={self.dim}, rank={self.rank}, deg={self.degree}, {dict(self.terms)!r})"
 
 
 class AlgebroidPresentation:
@@ -144,18 +137,19 @@ def check_algebroid(A: AlgebroidPresentation) -> AlgebroidCheck:
     failure in combinations order.
     """
     n, r = A.dim, A.rank
-
-    def d_squared(form):
-        return algebroid_d(A, algebroid_d(A, form))
-
+    # d x_i = sum_a sigma_a^i theta^a and d theta^k = -sum_{a<b} c_{ab}^k theta^a theta^b, read off A
     anchor_defects = [
-        d_squared(AlgebroidForm.from_poly(r, Poly.variable(n, i))) for i in range(1, n + 1)
+        algebroid_d(A, AlgebroidForm(n, r, 1, {(a,): s for a, row in A._anchor_rows for j, s in row if j == i}))
+        for i in range(1, n + 1)
     ]
     failures = [(pair, i) for i, form in enumerate(anchor_defects, start=1) for pair in form.terms]
     if failures:
         pair, i = min(failures)
         return AlgebroidCheck(False, "anchor", pair, (i, anchor_defects[i - 1].terms[pair]))
-    jacobi_defects = [d_squared(AlgebroidForm(n, r, 1, {(k,): 1})) for k in range(1, r + 1)]
+    jacobi_defects = [
+        algebroid_d(A, AlgebroidForm(n, r, 2, {(a, b): -c for a, b, c in A._brackets.get(k, ())}))
+        for k in range(1, r + 1)
+    ]
     triples = [triple for form in jacobi_defects for triple in form.terms]
     if triples:
         triple = min(triples)
@@ -168,7 +162,7 @@ def algebroid_d(A: AlgebroidPresentation, omega: AlgebroidForm) -> AlgebroidForm
     over omega's nonzero terms and A's nonzero anchor and structure entries."""
     if omega.rank != A.rank or omega.dim != A.dim:
         raise DimensionMismatchError("form does not match the algebroid presentation")
-    return AlgebroidForm(A.dim, A.rank, omega.degree + 1, _cartan(omega.terms, A._anchor_rows, A._brackets))
+    return _cartan(omega, A._anchor_rows, A._brackets)
 
 
 def from_poisson(pi: MultiVec) -> AlgebroidPresentation:

@@ -43,9 +43,9 @@ from math import comb, gcd, log10
 from typing import Optional
 
 from .calculus import Form, MultiVec
-from .diffop import PolyDiffOp, _summed
+from .diffop import PolyDiffOp
 from .errors import BudgetError, DqkitError, PolyParseError, SchemaError
-from .kernel import MAX_PACKED, Poly, TPoly, _Sum, _fields, _key, _mono, grlex_key
+from .kernel import MAX_PACKED, Poly, TPoly, _Sum, _fields, _key, _mono, _summed, grlex_key
 from .liealgebroid import AlgebroidPresentation
 from .qclimit import QCData
 from .starprod import GaugeOp, StarProduct

@@ -15,7 +15,6 @@ with the realized table EPSILON = {0: -1, 1: +1, 2: +1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .calculus import (
@@ -25,9 +24,10 @@ from .calculus import (
     exterior_d,
     interior,
     lie_derivative,
+    wedge,
 )
 from .errors import DegreeError, DimensionMismatchError
-from .kernel import Poly
+from .kernel import Poly, _alt_flip
 from .liealgebroid import AlgebroidForm, algebroid_d, from_poisson
 
 #: Realized sign table relating schouten(pi, .) to lichnerowicz_d(pi, .) per degree.
@@ -47,15 +47,12 @@ class PoissonCheck:
 
 
 def bracket(pi: MultiVec, f: Poly, g: Poly) -> Poly:
-    """{f,g} = pi(df, dg) = sum pi^{ij} d_i f d_j g."""
+    """{f,g} = pi(df, dg) = sum pi^{ij} d_i f d_j g, the Hamiltonian field X_f applied to g."""
     if pi.degree != 2:
         raise DegreeError("bracket needs a bivector")
     if pi.dim != f.dim or pi.dim != g.dim:
         raise DimensionMismatchError("dimension mismatch in bracket")
-    out = Poly.zero(pi.dim)
-    for (i, j), c in pi.terms.items():
-        out = out + c * (f.partial(i) * g.partial(j) - f.partial(j) * g.partial(i))
-    return out
+    return hamiltonian(pi, f).apply_to(g)
 
 
 def jacobiator(pi: MultiVec, f: Poly, g: Poly, h: Poly) -> Poly:
@@ -70,29 +67,17 @@ def jacobiator(pi: MultiVec, f: Poly, g: Poly, h: Poly) -> Poly:
 def is_poisson(pi: MultiVec) -> PoissonCheck:
     """Jacobi on all coordinate triples (sufficient: brackets are derivations).
 
-    jacobiator(pi, x_i, x_j, x_k) = sum over the cyclic shifts (a, b, c) of
-    (i, j, k) of sum_l pi^{al} d_l pi^{bc}, read off the skew matrix pi^{ab}
-    and its partials, each built once.
-    """
+    The two halves of the odd bracket [pi, pi] (calculus.schouten) agree, so the
+    3-vector of the jacobiator(pi, x_i, x_j, x_k) = [pi, pi]^{ijk} / 2 is
+    -sum_i dpi/dxi_i ^ d_i pi, over pi's nonzero terms only; its first term in
+    key order is the first failing triple in combinations order."""
     if pi.degree != 2:
         raise DegreeError("is_poisson needs a bivector")
     n = pi.dim
-    rows = [{} for _ in range(n + 1)]  # rows[a] = {l: pi^{al}}, nonzero entries only
-    grads = {}  # grads[a, b] = {l: d_l pi^{ab}}, nonzero partials only
-    for (a, b), c in pi.terms.items():
-        rows[a][b], rows[b][a] = c, -c
-        grad = {l: d for l in range(1, n + 1) if not (d := c.partial(l)).is_zero()}
-        grads[a, b], grads[b, a] = grad, {l: -d for l, d in grad.items()}
-    for i, j, k in combinations(range(1, n + 1), 3):
-        defect = Poly.zero(n)
-        for a, pair in ((i, (j, k)), (j, (k, i)), (k, (i, j))):
-            grad = grads.get(pair)
-            if grad:
-                for l, c in rows[a].items():
-                    if l in grad:
-                        defect = defect + c * grad[l]
-        if not defect.is_zero():
-            return PoissonCheck(False, (i, j, k), defect)
+    total = sum((wedge(_alt_flip(pi, i, False), d) for i in range(1, n + 1) if not (d := pi.partial(i)).is_zero()),
+                MultiVec.zero(n, 3))
+    for triple, c in total.terms.items():
+        return PoissonCheck(False, triple, -c)
     return PoissonCheck(True)
 
 
@@ -145,5 +130,6 @@ def lichnerowicz_d(pi: MultiVec, A: MultiVec) -> MultiVec:
     p = A.degree
     if p == 0:
         return hamiltonian(pi, A.as_poly())
-    dA = algebroid_d(from_poisson(pi), AlgebroidForm(n, n, p, A.terms))
-    return MultiVec(n, p + 1, dA.terms)
+    # a p-vector on R^n and a p-form on a rank-n frame have one stored form
+    dA = algebroid_d(from_poisson(pi), AlgebroidForm._make(n, A.arity, A._num, A._den))
+    return MultiVec._make(n, dA.arity, dA._num, dA._den)

@@ -14,7 +14,7 @@ from itertools import permutations, product
 from math import factorial
 from operator import attrgetter
 
-from .calculus import MultiVec, sort_indices
+from .calculus import MultiVec, _perm_sign
 from .diffop import (
     PolyDiffOp,
     _OpAcc,
@@ -161,7 +161,7 @@ def multiderivation(T: MultiVec) -> PolyDiffOp:
     terms = {}
     for idx, c in T.terms.items():
         for s in permutations(idx):
-            terms[tuple(unit[i - 1] for i in s)] = c if sort_indices(s)[0] > 0 else -c
+            terms[tuple(unit[i - 1] for i in s)] = c if _perm_sign(s) > 0 else -c
     return PolyDiffOp(n, T.degree, terms)
 
 

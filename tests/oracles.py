@@ -6,7 +6,7 @@ from itertools import combinations, product
 from math import comb, factorial, lcm, perm, prod
 from operator import add, sub
 
-from dqkit.calculus import Form, MultiVec, anchor, exterior_d, lie_derivative, sort_indices, wedge
+from dqkit.calculus import Form, MultiVec, anchor, exterior_d, lie_derivative, wedge
 from dqkit.diffop import (
     PolyDiffOp,
     apply_op,
@@ -15,7 +15,7 @@ from dqkit.diffop import (
     transpose_parts,
 )
 from dqkit.errors import DegreeError, DimensionMismatchError, IndexRangeError, SchemaError, SolveError
-from dqkit.kernel import MAX_PACKED, Poly, TPoly, _add_term, _key, _over_budget, grlex_key
+from dqkit.kernel import MAX_PACKED, Poly, TPoly, _key, _over_budget, grlex_key
 from dqkit.liealgebroid import AlgebroidCheck, AlgebroidForm, AlgebroidPresentation
 from dqkit.parser import _leaf
 from dqkit.poisson import bracket, koszul_bracket
@@ -175,6 +175,73 @@ def specialize_by_oracle(S, degree_bound):
             residual=sym - hochschild_delta(Q),
         )
     return exp_gauge(Q, S.order)
+
+
+def sort_indices(indices):
+    """Sort an index sequence, returning (sign, tuple) or (0, None) on repeats.
+
+    The sign is the parity of the sorting permutation.
+    """
+    idx = list(indices)
+    if len(set(idx)) != len(idx):
+        return 0, None
+    sign = 1
+    # insertion sort; counts transpositions exactly
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+    return sign, tuple(idx)
+
+
+def _add_term(out: dict, key, coeff: Poly) -> None:
+    """Add a nonzero Poly coefficient into a term map, dropping the key if it cancels."""
+    acc = out.get(key)
+    if acc is None:
+        out[key] = coeff
+        return
+    acc = acc + coeff
+    if acc.is_zero():
+        del out[key]
+    else:
+        out[key] = acc
+
+
+def _tensor_like(t, degree: int, terms):
+    """A tensor of t's kind and index bound, of the given degree."""
+    if isinstance(t, AlgebroidForm):
+        return AlgebroidForm(t.dim, t.rank, degree, terms)
+    return type(t)(t.dim, degree, terms)
+
+
+def wedge_by_sorting(A, B):
+    """wedge by sorting the concatenated index tuples of every pair of terms:
+    the sign is the parity of the sort, and a repeated index drops the pair."""
+    out = {}
+    for i1, c1 in A.terms.items():
+        for i2, c2 in B.terms.items():
+            sign, key = sort_indices(i1 + i2)
+            if sign == 0:
+                continue
+            c = c1 * c2
+            _add_term(out, key, c if sign > 0 else -c)
+    return _tensor_like(A, A.degree + B.degree, out)
+
+
+def interior_by_sorting(X: MultiVec, omega: Form) -> Form:
+    """interior by removing each index i of each term of omega, with the sign
+    of its position, times X's coefficient of d/dx_i."""
+    out = {}
+    for idx, c in omega.terms.items():
+        for pos, i in enumerate(idx):
+            xc = X.terms.get((i,))
+            if xc is None:
+                continue
+            coeff = xc * c
+            _add_term(out, idx[:pos] + idx[pos + 1 :], -coeff if pos % 2 else coeff)
+    return Form(omega.dim, omega.degree - 1, out)
 
 
 def schouten_by_recursion(A: MultiVec, B: MultiVec) -> MultiVec:

@@ -20,8 +20,17 @@ from dqkit.kernel import Poly
 from dqkit.liealgebroid import AlgebroidForm
 from dqkit.poisson import bracket, is_poisson
 
-from conftest import alt_tensors, rand_form, rand_multivec, rand_poly, rand_vector_field
-from oracles import anchor_pullback_by_images, exterior_d_by_sorting, form_eval, pair, schouten_by_recursion
+from conftest import alt_tensors, polys, rand_form, rand_multivec, rand_poly, rand_vector_field
+from oracles import (
+    add_by_terms,
+    anchor_pullback_by_images,
+    exterior_d_by_sorting,
+    form_eval,
+    interior_by_sorting,
+    pair,
+    schouten_by_recursion,
+    wedge_by_sorting,
+)
 
 x = Poly.variable(2, 1)
 y = Poly.variable(2, 2)
@@ -59,6 +68,11 @@ class TestWedge:
         with pytest.raises(DimensionMismatchError):
             wedge(dx, Form.basis(3, 1))
 
+    def test_index_bound_mismatch(self):
+        # frame forms of two ranks: before this check the product took the left rank
+        with pytest.raises(DimensionMismatchError, match="^index bounds differ: 2 vs 3$"):
+            wedge(AlgebroidForm(2, 2, 1, {(1,): x}), AlgebroidForm(2, 3, 1, {(3,): y}))
+
 
 class TestExteriorD:
     def test_d_of_function(self):
@@ -93,6 +107,105 @@ class TestExteriorD:
 
         run()
         assert seen == {"degree 0", "between", "above dim", "zero form", "nonzero d", "closed nonzero"}
+
+
+@st.composite
+def frame_forms(draw, n, r, p, max_size=3):
+    """An AlgebroidForm on R^n of rank r and degree p with up to max_size
+    nonzero terms; the zero form when p is above r."""
+    if p > r:
+        return AlgebroidForm(n, r, p)
+    keys = st.sets(st.integers(1, r), min_size=p, max_size=p).map(lambda idx: tuple(sorted(idx)))
+    nonzero = polys(n).filter(lambda q: not q.is_zero())
+    return AlgebroidForm(n, r, p, draw(st.dictionaries(keys, nonzero, max_size=max_size)))
+
+
+class TestSortingOracles:
+    """wedge and interior, chains of generator flips on the stored index masks,
+    against sorting index tuples term by term: the same terms in the same order."""
+
+    def test_wedge_matches_sorting_oracle(self):
+        """R^1..R^5, both kinds, every pair of degrees 0..n+1, zero tensors
+        included, and graded commutativity a ^ b = (-1)^(pq) b ^ a."""
+        seen = set()
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(1, 5))
+            kind = draw(st.sampled_from([Form, MultiVec]))
+            p, q = draw(st.integers(0, n + 1)), draw(st.integers(0, n + 1))
+            return draw(alt_tensors(kind, n, p)), draw(alt_tensors(kind, n, q))
+
+        @settings(max_examples=200, derandomize=True, deadline=None)
+        @given(cases())
+        def run(case):
+            a, b = case
+            got, want = wedge(a, b), wedge_by_sorting(a, b)
+            assert got == want and list(got.terms) == list(want.terms)
+            assert got == wedge(b, a).scale((-1) ** (a.degree * b.degree))
+            if a.is_zero() or b.is_zero():
+                seen.add("zero factor")
+            else:
+                seen.add("nonzero" if not got.is_zero() else "cancels")
+            seen.add("odd x odd" if a.degree % 2 and b.degree % 2 else "even factor")
+            if a.degree + b.degree > a.dim:
+                seen.add("above dim")
+
+        run()
+        assert seen == {"zero factor", "nonzero", "cancels", "odd x odd", "even factor", "above dim"}
+
+    def test_interior_matches_sorting_oracle(self):
+        """R^1..R^5, every degree 1..n+1, zero fields and forms included."""
+        seen = set()
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(1, 5))
+            return draw(alt_tensors(MultiVec, n, 1)), draw(alt_tensors(Form, n, draw(st.integers(1, n + 1))))
+
+        @settings(max_examples=150, derandomize=True, deadline=None)
+        @given(cases())
+        def run(case):
+            X, w = case
+            got, want = interior(X, w), interior_by_sorting(X, w)
+            assert got == want and list(got.terms) == list(want.terms)
+            seen.add("zero" if X.is_zero() or w.is_zero() else "nonzero" if not got.is_zero() else "cancels")
+            seen.add("top" if w.degree == w.dim else "above dim" if w.degree > w.dim else "between")
+
+        run()
+        assert seen == {"zero", "nonzero", "cancels", "top", "above dim", "between"}
+
+    def test_frame_forms_with_rank_other_than_dim(self):
+        """AlgebroidForm wedges and sums on R^1..R^3 at ranks 1..5, 17 and 20,
+        each unlike dim: wedge against sorting, graded commutativity, and + and
+        - against termwise sums; the rank and degree carry over."""
+        seen = set()
+
+        @st.composite
+        def cases(draw):
+            n = draw(st.integers(1, 3))
+            r = draw(st.sampled_from([1, 2, 3, 4, 5, 17, 20]).filter(lambda r: r != n))
+            p, q = draw(st.integers(0, min(r + 1, 6))), draw(st.integers(0, min(r + 1, 6)))
+            return draw(frame_forms(n, r, p)), draw(frame_forms(n, r, q)), draw(frame_forms(n, r, p))
+
+        @settings(max_examples=150, derandomize=True, deadline=None)
+        @given(cases())
+        def run(case):
+            a, b, c = case
+            got, want = wedge(a, b), wedge_by_sorting(a, b)
+            assert got == want and list(got.terms) == list(want.terms)
+            assert (got.rank, got.degree) == (a.rank, a.degree + b.degree)
+            assert got == wedge(b, a).scale((-1) ** (a.degree * b.degree))
+            for total, terms in ((a + c, add_by_terms(a.terms, c.terms)),
+                                 (a - c, add_by_terms(a.terms, {k: -v for k, v in c.terms.items()}))):
+                assert total == AlgebroidForm(a.dim, a.rank, a.degree, terms)
+                assert type(total) is AlgebroidForm and (total.rank, total.degree) == (a.rank, a.degree)
+            seen.add("rank >= 17" if a.rank >= 17 else "rank < dim" if a.rank < a.dim else "dim < rank < 17")
+            if not got.is_zero() and max(max(k) for k in got.terms) > 16:
+                seen.add("index above 16")
+
+        run()
+        assert seen == {"rank >= 17", "rank < dim", "dim < rank < 17", "index above 16"}
 
 
 class TestInterior:
@@ -319,6 +432,20 @@ class TestShape:
         out = tensor.scale(factor)
         assert type(out) is type(tensor) and out.is_zero()
         assert (out.dim, out.index_bound, out.degree) == (tensor.dim, tensor.index_bound, tensor.degree)
+
+    @pytest.mark.parametrize("factor", [Poly.zero(3), Poly.one(3)], ids=["zero-factor", "nonzero-factor"])
+    @pytest.mark.parametrize(
+        "tensor",
+        [
+            MultiVec(2, 2), MultiVec(2, 2, {(1, 2): x}),
+            Form(2, 1), Form(2, 1, {(1,): x, (2,): 3}),
+            AlgebroidForm(2, 3, 2), AlgebroidForm(2, 3, 2, {(1, 3): y}),
+        ],
+        ids=["zero-multivec", "multivec", "zero-form", "form", "zero-frame-form", "frame-form"],
+    )
+    def test_scale_refuses_another_dimension(self, tensor, factor):
+        with pytest.raises(DimensionMismatchError, match="^polynomial dimensions differ: 2 vs 3$"):
+            tensor.scale(factor)
 
     def test_kinds_never_equal(self):
         assert MultiVec(2, 1, {(1,): x}) != Form(2, 1, {(1,): x})
