@@ -65,7 +65,7 @@ class _AltTensor(_Stored):
             coeff = _as_poly(dim, coeff)
             if coeff.dim != dim:
                 raise DimensionMismatchError(f"coefficient dim {coeff.dim} != ambient dim {dim}")
-            parts.append((_mask(idx), coeff._num.items(), coeff._den))
+            parts.append((_mask(idx), coeff))
         _Stored.__init__(self, dim, (degree, bound), *_summed(dim, parts))
 
     @property
@@ -142,7 +142,7 @@ def _total(like: _AltTensor, degree: int, pieces) -> _AltTensor:
     given degree, each added once into one running sum."""
     acc = _Sum()
     for t in pieces:
-        acc.add(t._num.items(), t._den)
+        acc.add(t)
     return like._normal(like.dim, (degree, like.index_bound), acc.terms, acc.den)
 
 
@@ -209,7 +209,7 @@ def _cartan(omega: _AltTensor, anchor_rows, brackets) -> _AltTensor:
     repeating no index of K - {k}, -c_{ab}^k f; each sum then takes its flips
     once (xi_a; or d/dxi_k, xi_b, xi_a), so the cost grows with the nonzero terms.
     """
-    chains = {}  # flips -> (mask, items, den) parts of the tensor they act on
+    chains = {}  # flips -> (mask, Poly) parts of the tensor they act on
     for mask, f in omega._coeffs().items():
         held = set(_indices(mask))
         partials = {}  # d_i f, taken once per term and only where an anchor entry needs it
@@ -224,13 +224,12 @@ def _cartan(omega: _AltTensor, anchor_rows, brackets) -> _AltTensor:
                 if not df.is_zero():
                     val = s * df if val is None else val + s * df
             if val is not None and not val.is_zero():
-                chains.setdefault(((a, True),), []).append((mask, val._num.items(), val._den))
+                chains.setdefault(((a, True),), []).append((mask, val))
         for k in held:
             for a, b, c in brackets.get(k, ()):
                 if (a in held and a != k) or (b in held and b != k):
                     continue
-                val = -(c * f)
-                chains.setdefault(((k, False), (b, True), (a, True)), []).append((mask, val._num.items(), val._den))
+                chains.setdefault(((k, False), (b, True), (a, True)), []).append((mask, -(c * f)))
     return _total(omega, omega.degree + 1, (_flips(omega._normal(omega.dim, omega.arity, *_summed(omega.dim, parts)), flips)
                                             for flips, parts in chains.items()))
 

@@ -395,15 +395,12 @@ def _build_argparser() -> argparse.ArgumentParser:
     return top
 
 
-def _parse_args(argv):
-    """argparse's parse, then a usage error for a flag the action does not read."""
-    parser = _build_argparser()
-    args = parser.parse_args(argv)
+def _check_flags(parser, args) -> None:
+    """A usage error for a flag that the parsed action does not read."""
     flag = _ACTIONS[args.command, args.action][1]
     for name in ("order", "degree", "slot"):
         if getattr(args, name) is not None and (flag is None or flag[0] != name):
             parser.error(f"argument --{name}: not read by {_command(args)!r}")
-    return args
 
 
 def _command(args) -> str:
@@ -411,12 +408,17 @@ def _command(args) -> str:
 
 
 def dispatch(argv) -> int:
+    parser, args = _build_argparser(), None
     try:
-        args = _parse_args(argv)
+        args = parser.parse_args(argv)
+        _check_flags(parser, args)
     except _UsageError as exc:
-        # no flags were parsed, so --human is looked for among the arguments
+        # a parse that failed read no flags: argparse takes any prefix of --human
+        # longer than --h (which --help shares) before a bare --
+        options = argv[:argv.index("--")] if "--" in argv else argv
+        human = args.human if args else any(len(a) > 3 and "--human".startswith(a) for a in options)
         report = (exc.command, False, {"error": str(exc)}, [])
-        sys.stdout.write(_render_human(*report) if "--human" in argv else _build_report(*report, 0.0))
+        sys.stdout.write(_render_human(*report) if human else _build_report(*report, 0.0))
         return EXIT_INPUT
     except SystemExit as exc:
         # --help exits 0 after printing; normalize any other code

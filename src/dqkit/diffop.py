@@ -20,44 +20,43 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
   constructor, the document reader, or the composition, product or slot
   fill whose result it would be.  Only those add fields to form a key, so
   only they check; sums, negation, scaling and ``transpose`` copy keys.
-- **Handles.**  A public call wraps each operator it composes once in a
-  :class:`_Packed` handle, shared by every composition in that call.  The
-  handle reads the operator's keys as they are and owns only the per-call
-  caches of that operator (Leibniz expansions, moved keys and outer rows).
-  The integer tables, which depend on orders and exponents and not on the
-  operator, belong to one :class:`_Tables` per call, shared by all its
-  handles and sums: the Leibniz tables of (key offset, weight) per order,
-  exponent, coordinate and arity, and the Hochschild split tables per order
-  and slot.  Each is built at most once in the call, and handles and tables
-  are dropped when the call returns, so nothing is cached across calls.
+- **Handles.**  A public call makes one :class:`_OpAcc` and passes it
+  operators.  The sum wraps each once in a :class:`_Packed` handle, shared
+  by every composition in the call, that reads the operator's keys as they
+  are and owns only its per-call caches (Leibniz expansions, moved keys and
+  outer rows).  The integer tables, which depend on orders and exponents
+  and not on the operator, belong to the sum's one :class:`_Tables`: the
+  Leibniz tables of (key offset, weight) per order, exponent, coordinate
+  and arity, and the Hochschild split tables per order and slot.  Each is
+  built at most once in the call and dropped with the sum when the call
+  returns, so nothing is cached across calls.
 - **Sums.**  ``kernel._Stored`` owns the stored form of polynomials,
   operators and alternating tensors alike: sums, negation, scaling and
   products by a ``Poly``, each normalized by its one gcd step.
   :class:`_OpAcc` is a ``kernel._Sum`` that also adds compositions and
-  Hochschild coboundaries.  All three kernels, the pair loop of a
-  composition, the Leibniz block and the coboundary, add two packed keys and
-  multiply two ints per write: a term picks its table by the one field that
-  fixes its fan-out (its exponent at the coordinate, or its order in the
+  Hochschild coboundaries of operators.  All three kernels, the pair loop of
+  a composition, the Leibniz block and the coboundary, add two packed keys
+  and multiply two ints per write: a term picks its table by the one field
+  that fixes its fan-out (its exponent at the coordinate, or its order in the
   slot) and runs that table's (key offset, weight) entries.
-- **Views.**  ``terms``, ``sorted_terms()`` and ``coeff()`` split keys into
-  ``{orders tuple: Poly}`` on each access; a coefficient keeps its low blocks.
-  Evaluation builds no such view: its one route is ``_fill``, which puts a
-  polynomial into one slot with one packed loop per order group, behind
-  ``partial_apply`` and ``apply_op`` (slot 1 once per argument, the last
-  fill's arity-0 result being the ``Poly``).
+- **Views.**  ``terms`` splits keys into ``{orders tuple: Poly}`` on each
+  access; a coefficient keeps its low blocks.  Evaluation builds no such
+  view: its one route is ``_fill``, which puts a polynomial into one slot
+  with one packed loop per order group, behind ``partial_apply`` and
+  ``apply_op`` (slot 1 once per argument, the last fill's arity-0 result
+  being the ``Poly``).
 - **Who reads keys.**  Only ``kernel``, which packs, decodes, checks and adds
   keys, splits them at the exponent block (``_summed`` puts orders above it,
   ``_groups`` and ``_coeffs`` take them apart) and keeps the index masks of
   alternating tensors, and this module, which moves the order blocks.  Other
-  modules use :class:`_OpAcc`, :class:`_Packed` and one :class:`_Tables` per
-  call for sums of compositions and of operators, ``_OpAcc.add_coboundary``
-  for a Hochschild coboundary in such a sum, ``kernel._check_budget`` and
+  modules pass operators to one :class:`_OpAcc` per call, which sums
+  operators (``add``), compositions (``add_compose``) and Hochschild
+  coboundaries (``add_coboundary``); they use ``kernel._check_budget`` and
   ``_Stored._normal`` for a map formed from this module's keys,
   ``kernel._key``, ``kernel._fields``, ``kernel._summed`` (one part per
-  term: ``_key`` of its flat orders and a ``Poly``'s items and denominator)
-  and the ``_orders`` decoder to read and write documents,
-  ``solve_coboundary`` for the Hochschild solve, and the ``terms`` and
-  ``coeff()`` views for everything else.
+  term: ``_key`` of its flat orders and a ``Poly``) and the ``_orders``
+  decoder to read and write documents, ``solve_coboundary`` for the
+  Hochschild solve, and the ``terms`` view for everything else.
 """
 
 from __future__ import annotations
@@ -76,8 +75,8 @@ class PolyDiffOp(_Stored):
     Stored form: the ``kernel._Stored`` of arity k, keyed as the module
     docstring says.  The public constructor checks and packs ``{orders:
     coefficient}`` (orders a k-tuple of length-dim multi-indices, coefficients
-    Poly, int or Fraction).  ``terms``, ``sorted_terms()`` and ``coeff()`` are
-    read-only ``{orders: Poly}`` views computed on each access.
+    Poly, int or Fraction).  ``terms`` is a read-only ``{orders: Poly}`` view
+    computed on each access.
     """
 
     __slots__ = ()
@@ -96,7 +95,7 @@ class PolyDiffOp(_Stored):
             coeff = _as_poly(dim, coeff)
             if coeff.dim != dim:
                 raise DimensionMismatchError("coefficient dimension mismatch")
-            parts.append((_key(sum(orders, ())), coeff._num.items(), coeff._den))
+            parts.append((_key(sum(orders, ())), coeff))
         super().__init__(dim, arity, *_summed(dim, parts))
 
     # ------------------------------------------------------------------
@@ -135,14 +134,6 @@ class PolyDiffOp(_Stored):
         order the order tuples first appear, computed on each access."""
         return MappingProxyType({self._orders(h): c for h, c in self._coeffs().items()})
 
-    def sorted_terms(self):
-        """(orders tuple, Poly) pairs in ascending order of the order tuples."""
-        return sorted(self.terms.items())
-
-    def coeff(self, orders) -> Poly:
-        """The coefficient of d^orders, an arity-tuple of multi-indices (zero if absent)."""
-        return self._coeffs().get(_key([e for o in orders for e in o]), Poly.zero(self.dim))
-
     # ------------------------------------------------------------------
     # the vector space of operators
 
@@ -180,9 +171,9 @@ class _Tables:
     """The integer tables that one public call on R^dim reads, each built on
     first use: the Leibniz tables of :meth:`leibniz`, the multinomial shares
     (``_shares``) they are made from, the coboundary splits (``_splits``) and
-    their placed tables of :meth:`splits`.  One table set is shared by every :class:`_Packed` handle
-    and :class:`_OpAcc` of the call and dropped with it, so no table outlives
-    the call and none is built twice in it."""
+    their placed tables of :meth:`splits`.  The call's one :class:`_OpAcc`
+    owns it, shares it with its handles and drops it with them, so no table
+    outlives the call and none is built twice in it."""
 
     __slots__ = ("dim", "_leibniz", "_shares", "_splits", "_placed")
 
@@ -233,19 +224,19 @@ class _Packed:
     """One operator as one call composes it (see the module docstring).
 
     ``op`` is the operator, whose packed map and denominator are only read,
-    and ``tables`` the call's :class:`_Tables`.  The handle keeps, filled on
-    first use, the Leibniz expansions d^alpha o op by packed alpha (alpha = 0
-    is op's own map), those expansions with op's slots moved to start at a
-    given output slot, and op's terms with one slot taken out and the later
-    slots moved up; all read-only once built, so any number of compositions
-    in one call share it.
+    and ``tables`` the table set of the :class:`_OpAcc` that made the handle.
+    The handle keeps, filled on first use, the Leibniz expansions d^alpha o op
+    by packed alpha (alpha = 0 is op's own map), those expansions with op's
+    slots moved to start at a given output slot, and op's terms with one slot
+    taken out and the later slots moved up; all read-only once built, so any
+    number of compositions in one call share it.
     """
 
     __slots__ = ("op", "tables", "_exp", "_moved", "_outer")
 
-    def __init__(self, op: PolyDiffOp, tables: _Tables = None):
+    def __init__(self, op: PolyDiffOp, tables: _Tables):
         self.op = op
-        self.tables = _Tables(op.dim) if tables is None else tables
+        self.tables = tables
         self._exp = {0: op._num}
         self._moved = {}
         self._outer = {}
@@ -373,23 +364,34 @@ def _splits(a: int, dim: int) -> list:
 
 
 class _OpAcc(_Sum):
-    """A running sum of operators of one dimension (kernel._Sum over packed
-    keys).  A composition adds one int key sum and one int multiply-add per
-    pair of packed terms, and a coboundary one per proper split of each term's
-    slots, dropping a numerator that cancels.  ``tables`` is the call's
-    :class:`_Tables`, which the coboundary reads.
+    """The one composition sum of a public call (kernel._Sum over packed
+    keys), owning the call's :class:`_Tables` and a :class:`_Packed` handle
+    per operator; both outlive :meth:`op`, so one sum serves every order.  A
+    composition adds one int key sum and one int multiply-add per pair of
+    packed terms, and a coboundary one per proper split of each term's slots,
+    dropping a numerator that cancels.
     """
 
-    __slots__ = ("dim", "tables")
+    __slots__ = ("dim", "tables", "_handles")
 
-    def __init__(self, dim: int, tables: _Tables = None):
+    def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
-        self.tables = _Tables(dim) if tables is None else tables
+        self.tables = _Tables(dim)
+        self._handles = {}
 
-    def add_compose(self, outer: _Packed, slot: int, inner: _Packed, sign: int = 1) -> None:
-        """Add sign * compose_into_slot(outer, slot, inner) for two handles; the
-        operators must already be checked."""
+    def packed(self, op: PolyDiffOp) -> _Packed:
+        """op's handle, made on its first use in this sum.  It is keyed by
+        ``id(op)``, which no other operator takes while the handle holds op."""
+        got = self._handles.get(id(op))
+        if got is None:
+            got = self._handles[id(op)] = _Packed(op, self.tables)
+        return got
+
+    def add_compose(self, outer: PolyDiffOp, slot: int, inner: PolyDiffOp, sign: int = 1) -> None:
+        """Add sign * compose_into_slot(outer, slot, inner); the operators must
+        already be checked."""
+        outer, inner = self.packed(outer), self.packed(inner)
         m = self._factor(outer.op._den * inner.op._den, sign)
         terms = self.terms
         get = terms.get
@@ -459,8 +461,8 @@ class _OpAcc(_Sum):
 
     def op(self, arity: int) -> PolyDiffOp:
         """The sum as an operator of `arity` arguments, its map handed over as it
-        is; BudgetError if a field is above MAX_PACKED.  The accumulator is empty
-        afterwards."""
+        is; BudgetError if a field is above MAX_PACKED.  The sum is empty
+        afterwards and keeps its tables and handles for the call's next order."""
         terms, den = self.terms, self.den
         self.terms, self.den = {}, 1
         _check_budget(terms, self.dim * (arity + 1))
@@ -481,9 +483,8 @@ def compose_into_slot(outer: PolyDiffOp, slot: int, inner: PolyDiffOp) -> PolyDi
         raise ArityMismatchError(f"slot {slot} out of range 1..{outer.arity}")
     if outer.dim != inner.dim:
         raise DimensionMismatchError("operator dimensions differ")
-    outer_h = _Packed(outer)
-    acc = _OpAcc(outer.dim, outer_h.tables)
-    acc.add_compose(outer_h, slot, outer_h if inner is outer else _Packed(inner, outer_h.tables))
+    acc = _OpAcc(outer.dim)
+    acc.add_compose(outer, slot, inner)
     return acc.op(outer.arity + inner.arity - 1)
 
 

@@ -13,8 +13,10 @@ denominator, normalized by one ``math.gcd``, so structural equality and
 the kernel.  ``Fraction`` appears only at the API edge: the public
 constructor, ``items``, ``sorted_terms``, ``constant_value`` and the
 read-only ``terms`` view.  ``_Sum`` is the one running sum over a common
-denominator, behind the constructors, ``_summed``, the parser's leaf reader
-and ``diffop._OpAcc``.  The kernel also owns two small facts every module
+denominator, of stored values (``add``) or of (high, ``Poly``) parts
+(``_summed``), behind the constructors, the readers and ``diffop._OpAcc``,
+the one composition sum of a call, which owns its tables and handles and
+takes operators.  The kernel also owns two small facts every module
 shares: ``_as_poly``, the one coercion of an int or ``Fraction`` to a
 constant ``Poly``, and ``_mono``, the one text of a monomial (``repr`` and
 the parser's canonical output both write it).
@@ -481,31 +483,31 @@ class _Sum:
         if not v:
             del self.terms[key]
 
-    def add(self, items, d: int, sign: int = 1) -> None:
-        """Add sign * n / d at each key of the (key, n) pairs `items`."""
-        m = self._factor(d, sign)
+    def add(self, value: "_Stored", sign: int = 1) -> None:
+        """Add sign * value for a stored value whose keys are those of the sum."""
+        m = self._factor(value._den, sign)
         terms = self.terms
         get = terms.get
-        for k, n in items:
+        for k, n in value._num.items():
             v = terms[k] = get(k, 0) + n * m
             if not v:
                 del terms[k]
 
 
 def _summed(dim: int, parts) -> tuple:
-    """(numerators by key, denominator), not normalized, of (high, [(packed
-    exponents, numerator)], den) parts, every field already within the budget:
-    each part's numerators go once into one sum, at keys whose high part (an
-    operator's packed flat orders, a tensor term's index mask) sits above the
-    exponent block.  A reader may share one item list among parts."""
+    """(numerators by key, denominator), not normalized, of (high, Poly)
+    parts, every field already within the budget: each part's numerators go
+    once into one sum, at keys whose high part (an operator's packed flat
+    orders, a tensor term's index mask) sits above the exponent block.  A
+    reader may share one Poly among parts."""
     block = _BITS * dim
     acc = _Sum()
     terms = acc.terms
     get = terms.get
-    for high, items, d in parts:
+    for high, p in parts:
         high <<= block
-        m = acc._factor(d)
-        for k, n in items:
+        m = acc._factor(p._den)
+        for k, n in p._num.items():
             k |= high
             v = terms[k] = get(k, 0) + n * m
             if not v:

@@ -24,8 +24,9 @@ and each distinct monomial text, is read once per operator.
 Output is ``canonical_json``: JSON data in which a ``PolyDiffOp`` may stand
 for a value, the operator written as ``json.dumps(..., sort_keys=True,
 indent=2)`` writes its payload, straight from its packed map, one term at a
-time.  ``_op_terms`` is the one route from an operator's keys to its payload's
-values; ``diffop_to_payload`` (JSON data) and the renderer are its two sinks.
+time.  ``_op_terms`` is the one route from stored keys to a payload's values;
+``diffop_to_payload`` (JSON data), the renderer and ``tensor_to_payload``,
+which writes multivectors and forms from their index masks, are its sinks.
 Documents and CLI reports keep their operators in place
 (``document_to_obj(doc, None)``); ``document_to_obj(doc)`` gives the same
 document as JSON data.
@@ -45,7 +46,7 @@ from typing import Optional
 from .calculus import Form, MultiVec
 from .diffop import PolyDiffOp
 from .errors import BudgetError, DqkitError, PolyParseError, SchemaError
-from .kernel import MAX_PACKED, Poly, TPoly, _Sum, _fields, _key, _mono, _summed, grlex_key
+from .kernel import MAX_PACKED, Poly, TPoly, _Sum, _fields, _indices, _key, _mono, _summed, grlex_key
 from .liealgebroid import AlgebroidPresentation
 from .qclimit import QCData
 from .starprod import GaugeOp, StarProduct
@@ -447,12 +448,10 @@ def tensor_from_payload(cls, payload, dim, path):
 
 
 def tensor_to_payload(t) -> dict:
+    """The payload of a multivector or form as JSON data, written from its index masks."""
     return {
         "degree": t.degree,
-        "terms": [
-            {"indices": list(idx), "coeff": poly_to_text(c)}
-            for idx, c in sorted(t.terms.items())
-        ],
+        "terms": [{"indices": list(idx), "coeff": coeff} for idx, coeff in _op_terms(t, _indices)],
     }
 
 
@@ -482,9 +481,9 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
         _expect(isinstance(payload, list), "expected an array of {coeff, orders}", path)
         terms_raw = payload
         base = path
-    leaves = {}  # leaf text -> ((packed exponents, numerator) items, denominator)
+    leaves = {}  # leaf text -> its Poly
     monos = {}  # monomial text -> packed exponents, for the leaf reader
-    parts = []  # (packed orders, (packed exponents, numerator) items, denominator) per entry
+    parts = []  # (packed orders, Poly) per entry
     for idx, entry in enumerate(terms_raw):
         # an entry's paths are built only for a refusal or a text's first reading
         if not isinstance(entry, dict):
@@ -510,9 +509,8 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
         # a text is a key of `leaves` once read; any other coefficient is refused by _leaf
         leaf = leaves.get(coeff) if isinstance(coeff, str) else None
         if leaf is None:
-            p = _leaf(coeff, dim, f"{base}[{idx}].coeff", monos)
-            leaf = leaves[coeff] = p._num.items(), p._den
-        parts.append((orders_key, *leaf))
+            leaf = leaves[coeff] = _leaf(coeff, dim, f"{base}[{idx}].coeff", monos)
+        parts.append((orders_key, leaf))
     if arity is None:
         raise SchemaError("empty diffop needs an explicit arity", path)
     # a bare array's arity is the length of its first orders, which may be 0
@@ -539,27 +537,29 @@ def _orders_fields(orders):
     return flat
 
 
-def _op_terms(op: PolyDiffOp):
-    """(orders tuple, coefficient text) of each term of op, in payload order:
-    ascending order tuples, as PolyDiffOp.sorted_terms lists them.  The one
-    route from an operator's keys to its payload's values."""
+def _op_terms(t, decode):
+    """(decode(high), coefficient text) of each term group of an operator or
+    alternating tensor t, in payload order: ascending decoded keys, high the
+    key part above the exponent block (``op._orders`` or ``kernel._indices``
+    decodes it).  The one route from stored keys to a payload's values."""
 
     @cache
     def mono(e):  # (graded-lex key, text) of packed exponents, each decoded once
-        exps = _fields(e, op.dim)
+        exps = _fields(e, t.dim)
         return grlex_key(exps), _mono(exps)
 
-    den = op._den
-    # the order tuples are distinct, so only they are compared
-    for orders, sub in sorted((op._orders(high), sub) for high, sub in op._groups().items()):
-        yield orders, _text(den, [(mono(e)[1], sub[e]) for e in sorted(sub, key=mono, reverse=True)])
+    den = t._den
+    # the decoded keys are distinct, so only they are compared
+    for key, sub in sorted((decode(high), sub) for high, sub in t._groups().items()):
+        yield key, _text(den, [(mono(e)[1], sub[e]) for e in sorted(sub, key=mono, reverse=True)])
 
 
 def diffop_to_payload(op: PolyDiffOp) -> dict:
     """The payload of an operator as JSON data."""
     return {
         "arity": op.arity,
-        "terms": [{"coeff": coeff, "orders": [list(o) for o in orders]} for orders, coeff in _op_terms(op)],
+        "terms": [{"coeff": coeff, "orders": [list(o) for o in orders]}
+                  for orders, coeff in _op_terms(op, op._orders)],
     }
 
 
@@ -571,7 +571,7 @@ def _render_op(op: PolyDiffOp, nl: str, emit) -> None:
     emit("{" + i1 + '"arity": ' + repr(op.arity) + "," + i1 + '"terms": ')
     multi = {}  # multi-index -> its text at this indent
     sep = "[" + i2
-    for orders, coeff in _op_terms(op):
+    for orders, coeff in _op_terms(op, op._orders):
         slots = []
         for o in orders:
             text = multi.get(o)

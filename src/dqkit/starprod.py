@@ -18,8 +18,6 @@ from .calculus import MultiVec, _perm_sign
 from .diffop import (
     PolyDiffOp,
     _OpAcc,
-    _Packed,
-    _Tables,
     apply_op,
     compose_into_slot,
     find_nonzero_args,
@@ -288,14 +286,13 @@ def _assoc_defects(S: StarProduct):
     right after the slot-1 term P_i o_1 P_{k-i} is added, so terms that cancel
     leave the sum before the next i adds more.
     """
-    tables = _Tables(S.dim)  # one table set for every handle and sum of the call
-    ops = {i: _Packed(S.op(i), tables) for i in range(1, S.order)}  # shared by both slots and every order
+    P = (None, *S.P)  # P_0 = multiplication is never composed
+    acc = _OpAcc(S.dim)  # one handle per P_i, shared by both slots and every order
     for k in range(1, S.order + 1):
-        acc = _OpAcc(S.dim, tables)
-        acc.add_coboundary(S.op(k), -1)
+        acc.add_coboundary(P[k], -1)
         for i in range(1, k):
-            acc.add_compose(ops[i], 1, ops[k - i])
-            acc.add_compose(ops[i], 2, ops[k - i], -1)
+            acc.add_compose(P[i], 1, P[k - i])
+            acc.add_compose(P[i], 2, P[k - i], -1)
         yield acc.op(3)
 
 
@@ -337,16 +334,15 @@ def assoc_poisson(S: StarProduct) -> MultiVec:
 
 
 def _convolve(acc: _OpAcc, k: int, outer, slot: int, inner, sign=1) -> None:
-    """Add sign * sum_{0<i<k} outer[i] o_slot inner[k-i] into the operator sum
-    `acc`: the order-k coefficient of a product of two operator series but for
-    its two terms with a unit X_0, which every caller adds in closed form.
-
-    `outer` and `inner` are lists of diffop._Packed handles indexed by t-order
-    (the diffop docstring states who owns them); index 0 is not read.
+    """Add sign * sum_{0<i<k} outer[i] o_slot inner[k-i] into the call's one
+    composition sum `acc`: the order-k coefficient of a product of two
+    operator series but for its two terms with a unit X_0, which every caller
+    adds in closed form.  `outer` and `inner` are operators indexed by
+    t-order; index 0 is not read.
     """
     for i in range(1, k):
         X, Y = outer[i], inner[k - i]
-        if not (X.op.is_zero() or Y.op.is_zero()):
+        if not (X.is_zero() or Y.is_zero()):
             acc.add_compose(X, slot, Y, sign)
 
 
@@ -365,25 +361,22 @@ def gauge_transform(S: StarProduct, R: GaugeOp) -> StarProduct:
     """
     if (S.dim, S.order) != (R.dim, R.order):
         raise OrderMismatchError("gauge operator must match the star product")
-    tables = _Tables(S.dim)  # one table set for every handle and sum of the call
-    ops = [None] + [_Packed(P, tables) for P in S.P]  # index 0, P_0, is never composed
-    rops = [None] + [_Packed(Rj, tables) for Rj in R.R]  # shared by both slots and every order
-    us = [None]  # U_0 = P_0
+    P, Rs = (None, *S.P), (None, *R.R)  # index 0, the unit, is never composed
+    U = [None]  # U_0 = P_0
     new_P = [None]  # P'_0 = P_0
+    acc = _OpAcc(S.dim)
     for k in range(1, S.order + 1):
-        Pk, Rk = ops[k].op, rops[k].op
-        acc = _OpAcc(S.dim, tables)
-        acc.add(Pk._num.items(), Pk._den)  # P_k o_1 R_0 = P_k
-        acc.add(Rk._num.items(), Rk._den)  # P_0 o_1 R_k = R_k(f) g
-        _convolve(acc, k, ops, 1, rops)
-        us.append(_Packed(acc.op(2), tables))
-        acc.add(us[k].op._num.items(), us[k].op._den)  # U_k o_2 R_0 = U_k
-        acc.add_coboundary(Rk)  # f R_k(g) - R_k(fg) = delta(R_k) - R_k(f) g
-        acc.add(Rk._num.items(), Rk._den, -1)
-        _convolve(acc, k, us, 2, rops)
-        _convolve(acc, k, rops, 1, new_P, -1)
-        new_P.append(_Packed(acc.op(2), tables))
-    return StarProduct(S.dim, S.order, [h.op for h in new_P[1:]])
+        acc.add(P[k])  # P_k o_1 R_0 = P_k
+        acc.add(Rs[k])  # P_0 o_1 R_k = R_k(f) g
+        _convolve(acc, k, P, 1, Rs)
+        U.append(acc.op(2))
+        acc.add(U[k])  # U_k o_2 R_0 = U_k
+        acc.add_coboundary(Rs[k])  # f R_k(g) - R_k(fg) = delta(R_k) - R_k(f) g
+        acc.add(Rs[k], -1)
+        _convolve(acc, k, U, 2, Rs)
+        _convolve(acc, k, Rs, 1, new_P, -1)
+        new_P.append(acc.op(2))
+    return StarProduct(S.dim, S.order, new_P[1:])
 
 
 def invert_gauge(R: GaugeOp) -> GaugeOp:
@@ -393,15 +386,14 @@ def invert_gauge(R: GaugeOp) -> GaugeOp:
 
     In the group 1 + tD[[t]] a right inverse is also a left inverse.
     """
-    tables = _Tables(R.dim)  # one table set for every handle and sum of the call
-    rops = [None] + [_Packed(Ri, tables) for Ri in R.R]  # index 0, R_0 = 1, is never composed
-    qops = [None]  # Q_0 = 1, then each Q_k shared by every later order
+    Rs = (None, *R.R)  # index 0, R_0 = 1, is never composed
+    Q = [None]  # Q_0 = 1, then each Q_k, composed at every later order
+    acc = _OpAcc(R.dim)
     for k in range(1, R.order + 1):
-        acc = _OpAcc(R.dim, tables)
-        acc.add(rops[k].op._num.items(), rops[k].op._den, -1)  # -R_k o Q_0 = -R_k
-        _convolve(acc, k, rops, 1, qops, -1)
-        qops.append(_Packed(acc.op(1), tables))
-    return GaugeOp(R.dim, R.order, [h.op for h in qops[1:]])
+        acc.add(Rs[k], -1)  # -R_k o Q_0 = -R_k
+        _convolve(acc, k, Rs, 1, Q, -1)
+        Q.append(acc.op(1))
+    return GaugeOp(R.dim, R.order, Q[1:])
 
 
 def exp_gauge(Q: PolyDiffOp, order: int) -> GaugeOp:
@@ -409,12 +401,12 @@ def exp_gauge(Q: PolyDiffOp, order: int) -> GaugeOp:
     if Q.arity != 1:
         raise DegreeError("exp_gauge needs an arity-1 generator")
     ops = [Q]
-    q = power = _Packed(Q)  # its table set serves every power
+    power = Q
+    acc = _OpAcc(Q.dim)  # Q's one handle serves every power
     for i in range(2, order + 1):
-        acc = _OpAcc(Q.dim, q.tables)
-        acc.add_compose(q, 1, power)
-        power = _Packed(acc.op(1), q.tables)
-        ops.append(power.op.scale(Fraction(1, factorial(i))))
+        acc.add_compose(Q, 1, power)
+        power = acc.op(1)
+        ops.append(power.scale(Fraction(1, factorial(i))))
     return GaugeOp(Q.dim, order, ops)
 
 

@@ -17,7 +17,7 @@ from dqkit.diffop import (
 from dqkit.errors import DegreeError, DimensionMismatchError, IndexRangeError, SchemaError, SolveError
 from dqkit.kernel import MAX_PACKED, Poly, TPoly, _key, _over_budget, grlex_key
 from dqkit.liealgebroid import AlgebroidCheck, AlgebroidForm, AlgebroidPresentation
-from dqkit.parser import _leaf
+from dqkit.parser import _leaf, poly_to_text
 from dqkit.poisson import bracket, koszul_bracket
 from dqkit.starprod import GaugeOp, StarProduct, assoc_poisson, exp_gauge, star_commutator, star_mul
 
@@ -26,6 +26,18 @@ def canonical_json_reference(obj) -> str:
     """The canonical text as json's own encoder writes it: what parser.canonical_json
     must match byte for byte."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def tensor_to_payload_by_views(t) -> dict:
+    """The payload of a multivector or form written from its terms view, one
+    poly_to_text per term: the route parser.tensor_to_payload replaced."""
+    return {
+        "degree": t.degree,
+        "terms": [
+            {"indices": list(idx), "coeff": poly_to_text(c)}
+            for idx, c in sorted(t.terms.items())
+        ],
+    }
 
 
 def _as_rat(value) -> Fraction:

@@ -2,18 +2,19 @@
 
 The kernel and the operator layer wrap term maps they build themselves
 without re-validating them.  Every composition works on packed keys, one int
-per (order tuple, exponent tuple) with 16-bit fields: each operator is packed
-once per call into a diffop._Packed handle, which expands d^alpha o op by the
-Leibniz rule one coordinate block at a time, and every sum goes into one
-diffop._OpAcc of int numerators over one common denominator, rescaled when an
-operand with a new denominator arrives, whose map becomes the result's own
-once it is normalized.  These tests check the results by evaluation, against
-unfused, uncapped and Poly-per-pair references, at the edge of the 16-bit
-fields, and by walking every output for the invariants the trusted
-constructors no longer check.  Coefficients are drawn with denominators 1, 2,
-3, 4 and 6, so the common denominator is rescaled in most examples.  The
-Hochschild coboundary, which the accumulator adds in closed form, is checked
-against its composition route with the multiplication (oracles).
+per (order tuple, exponent tuple) with 16-bit fields.  Each call makes one
+diffop._OpAcc, a sum of int numerators over one common denominator, rescaled
+when an operand with a new denominator arrives, whose map becomes the
+result's own once it is normalized.  It packs each operator it composes once
+into a diffop._Packed handle, which expands d^alpha o op by the Leibniz rule
+one coordinate block at a time.  These tests check the results by
+evaluation, against unfused, uncapped and Poly-per-pair references, at the
+edge of the 16-bit fields, and by walking every output for the invariants
+the trusted constructors no longer check.  Coefficients are drawn with
+denominators 1, 2, 3, 4 and 6, so the common denominator is rescaled in most
+examples.  The Hochschild coboundary, which the accumulator adds in closed
+form, is checked against its composition route with the multiplication
+(oracles).
 """
 
 import random
@@ -288,7 +289,7 @@ def test_closed_form_coboundary_matches_composition(dim):
         sign = data.draw(st.sampled_from((1, -1)))
         want = coboundary_by_composition(D)
         acc = _OpAcc(dim)
-        acc.add(held._num.items(), held._den)
+        acc.add(held)
         acc.add_coboundary(D, sign)
         got = acc.op(p + 1)
         assert_clean(got)
@@ -423,13 +424,13 @@ def test_shared_expansion_matches_fresh_compose(data):
     inner = data.draw(ops())
     outers = data.draw(st.lists(ops(), min_size=1, max_size=4))
     inner_terms = list(inner.terms.items())
-    handle = _Packed(inner)  # one handle for `inner`, shared by every outer and slot
+    acc = _OpAcc(DIM)
+    handle = acc.packed(inner)  # one handle for `inner`, shared by every outer and slot
     packed = dict(handle.op._num)
     for outer in outers:
         for slot in range(1, outer.arity + 1):
             sign = data.draw(st.sampled_from((1, -1)))
-            acc = _OpAcc(DIM)
-            acc.add_compose(_Packed(outer), slot, handle, sign)
+            acc.add_compose(outer, slot, inner, sign)
             got = acc.op(outer.arity + inner.arity - 1)
             assert_clean(got)
             want = compose_into_slot(outer, slot, inner)
@@ -438,7 +439,8 @@ def test_shared_expansion_matches_fresh_compose(data):
             assert got.terms == want.terms
     # the cached expansions were only read: each still equals a fresh one,
     # key order included, and the packed operator is unchanged
-    fresh = _Packed(inner)
+    assert acc.packed(inner) is handle
+    fresh = _OpAcc(DIM).packed(inner)
     for alpha, expansion in handle._exp.items():
         assert list(expansion.items()) == list(fresh._expanded(alpha).items())
     assert handle.op._num == packed and list(handle.op._num) == list(packed)
@@ -453,22 +455,21 @@ def test_accumulated_sum_matches_poly_per_pair_route(data):
     # every later sum
     arity = data.draw(st.integers(1, 3))
     inner = data.draw(ops(arity=data.draw(st.integers(1, arity))))
-    inner_h = _Packed(inner)
     outer_arity = arity - inner.arity + 1
-    outers = [(op, _Packed(op)) for op in data.draw(st.lists(ops(arity=outer_arity), min_size=1, max_size=2))]
+    outers = data.draw(st.lists(ops(arity=outer_arity), min_size=1, max_size=2))
+    acc = _OpAcc(DIM)
     for _ in range(2):
-        acc = _OpAcc(DIM)
         want = {}
         for _ in range(data.draw(st.integers(1, 4))):
             sign = data.draw(st.sampled_from((1, -1)))
             if data.draw(st.booleans()):
                 op = data.draw(ops(arity=arity))
-                acc.add(op._num.items(), op._den, sign)
+                acc.add(op, sign)
                 compose_acc_by_poly(want, PolyDiffOp.identity(DIM), 1, op, sign)
             else:
-                outer, outer_h = data.draw(st.sampled_from(outers))
+                outer = data.draw(st.sampled_from(outers))
                 for slot in range(1, outer_arity + 1):
-                    acc.add_compose(outer_h, slot, inner_h, sign)
+                    acc.add_compose(outer, slot, inner, sign)
                     compose_acc_by_poly(want, outer, slot, inner, sign)
         got = acc.op(arity)
         assert_clean(got)
@@ -495,7 +496,7 @@ def test_accumulator_rescales_to_new_denominators():
     want = PolyDiffOp.zero(DIM, 1)
     dens = []
     for step in steps:
-        acc.add(step._num.items(), step._den)
+        acc.add(step)
         want = want + step
         dens.append(acc.den)
     assert dens == [2, 6, 12]
@@ -512,7 +513,7 @@ def test_accumulator_rescales_to_new_denominators():
 
 @given(ops(), st.tuples(*[st.integers(0, 5)] * DIM))
 def test_block_expansion_matches_uncapped(inner, alpha):
-    handle = _Packed(inner)
+    handle = _OpAcc(DIM).packed(inner)
     got = as_op(DIM, inner.arity, handle._expanded(pack(alpha)), handle.op._den)
     assert_clean(got)
     assert got.terms == derivative_uncapped(alpha, inner)
@@ -523,7 +524,7 @@ def test_block_expansion_matches_uncapped(inner, alpha):
 def test_block_expansion_at_the_exponent():
     x1sq = Poly(2, {(2, 0): 3})  # a share of x1 above 2 kills this coefficient
     inner = PolyDiffOp(2, 2, {((1, 0), (0, 0)): x1sq, ((0, 0), (0, 1)): Poly(2, {(1, 0): -1})})
-    handle = _Packed(inner)
+    handle = _OpAcc(2).packed(inner)
     for alpha in [(1, 0), (2, 0), (3, 0), (0, 1), (0, 3), (2, 2), (4, 1)]:
         got = as_op(2, 2, handle._expanded(pack(alpha)), handle.op._den)
         assert got.terms == derivative_uncapped(alpha, inner)
@@ -538,7 +539,7 @@ def test_multiplication_keeps_only_the_zero_coefficient_share():
     # d^alpha o m: the coefficient of m is 1, so only g_0 = 0 is ever formed
     m = PolyDiffOp.multiplication(3)
     alpha = (2, 1, 3)
-    handle = _Packed(m)
+    handle = _OpAcc(3).packed(m)
     expansion = handle._expanded(pack(alpha))
     assert all(key & (1 << 48) - 1 == 0 for key in expansion)  # coefficient fields stay 0
     assert len(expansion) == 3 * 2 * 4  # alpha_c + 1 two-slot shares per coordinate
@@ -568,7 +569,7 @@ def test_leibniz_tables_at_each_side_of_the_exponent(data):
         terms[orders] = terms.get(orders, Poly.zero(dim)) + Poly(dim, {tuple(e): data.draw(rationals.filter(bool))})
     op = PolyDiffOp(dim, arity, terms)
     alpha = tuple(a if j == c else data.draw(st.integers(0, 1)) for j in range(dim))
-    handle = _Packed(op)
+    handle = _OpAcc(dim).packed(op)
     got = as_op(dim, arity, handle._expanded(pack(alpha)), handle.op._den)
     # the block at c read one table for each of the three exponents
     assert {e for g, e, shift, _ in handle.tables._leibniz if (g, shift) == (a, 16 * c)} == edges
@@ -599,7 +600,7 @@ def test_fields_at_the_budget_compose_exactly():
                 key = o_orders[:j] + orders + o_orders[j + 1:]
                 want[key] = want.get(key, 0) + RefPoly(2, o_coeff.terms) * RefPoly(2, c.terms)
         acc = _OpAcc(2)
-        acc.add_compose(_Packed(op), slot, _Packed(inner))
+        acc.add_compose(op, slot, inner)
         got = {k: Fraction(n, acc.den) for k, n in acc.terms.items()}
         assert got == {pack(e + sum(orders, ())): v for orders, c in want.items() for e, v in c.terms.items()}
         with pytest.raises(BudgetError) as info:
@@ -662,19 +663,23 @@ def module_state():
 
 
 def test_one_table_set_per_call_and_nothing_kept(monkeypatch):
-    """Every handle and sum of one gauge_transform, assoc_defect,
-    invert_gauge, exp_gauge or compose_into_slot call reads one table set,
-    each _splits and _shares table is built at most once in that call, every
-    call starts a fresh set, and no module-level state grows across calls."""
+    """Each of gauge_transform, assoc_defect, invert_gauge, exp_gauge and
+    compose_into_slot makes exactly one _OpAcc, every handle and sum of one
+    call reads one table set, each _splits and _shares table is built at most
+    once in that call, every call starts a fresh set, and no module-level
+    state grows across calls."""
     rng = random.Random(30)
     S, R = std_moyal(2, 3), rand_gauge(rng, 2, 3)
     S2 = gauge_transform(S, R)
     Q = rand_diffop1(rng, 2, max_order=3, unital=False)
     readers = []  # the table set of every handle and sum, as each is made
+    sums = []  # every _OpAcc, as each is made
     for cls in (_Packed, _OpAcc):
         def recording(self, *args, _init=cls.__init__):
             _init(self, *args)
             readers.append(self.tables)
+            if isinstance(self, _OpAcc):
+                sums.append(self)
 
         monkeypatch.setattr(cls, "__init__", recording)
     built = []  # (table, arguments) of every table built
@@ -690,8 +695,10 @@ def test_one_table_set_per_call_and_nothing_kept(monkeypatch):
              lambda: exp_gauge(Q, 3), lambda: compose_into_slot(S2.op(2), 2, Q))
     for call in calls * 2:
         readers.clear()
+        sums.clear()
         built.clear()
         call()
+        assert len(sums) == 1
         assert len(readers) > 1 and all(t is readers[0] for t in readers)
         assert built and len(set(built)) == len(built)
         sets.append(readers[0])
@@ -832,7 +839,6 @@ def test_no_star_product_call_decodes_operators(monkeypatch):
     def forbidden(*args):
         raise AssertionError("an operator was decoded")
 
-    for name in ("_coeffs", "sorted_terms", "coeff"):
-        monkeypatch.setattr(PolyDiffOp, name, forbidden)
+    monkeypatch.setattr(PolyDiffOp, "_coeffs", forbidden)
     monkeypatch.setattr(PolyDiffOp, "terms", property(forbidden))
     assert calls() == want

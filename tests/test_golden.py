@@ -327,6 +327,12 @@ BUNDLES = {
                                   b=_poly(2, "y^2")),
     # canonical text but for two trailing spaces: the grammar reads it and skips them
     "leaf_trailing_spaces": _poly(2, "x1 + 2*x2  "),
+    # reader branches: a multivec payload that is a text, diffop entries that are not an object
+    # or lack the orders key, and an empty multivec array, which is the zero of degree 0
+    "multivec_payload_text": _mv(2, "x1"),
+    "diffop_entry_not_object": {"kind": "diffop", "dim": 2, "payload": [1]},
+    "diffop_entry_keys": {"kind": "diffop", "dim": 2, "payload": [{"coeff": "1"}]},
+    "multivec_empty": _mv(2, []),
 }
 
 CORPUS_DOCS = sorted(n for n in os.listdir(CORPUS) if n.endswith(".json"))
@@ -394,6 +400,8 @@ CASES = (
     + [("verify", n) for n in ("verify_qc_h_not_closed", "verify_star_beside_gauge_not_unital",
                                "verify_p1_not_biderivation_beside_gauge")]
     + [("star adexp", "adexp_alpha_series"), ("parse", "leaf_trailing_spaces")]
+    + [("parse", n) for n in ("multivec_payload_text", "diffop_entry_not_object", "diffop_entry_keys",
+                              "multivec_empty")]
 )
 
 
@@ -565,6 +573,10 @@ GOLDEN = {
     ('verify', 'verify_p1_not_biderivation_beside_gauge'): (1, "4d1a86259aadb34574358e2ace895344233522dc741d1acf98b5d259439179fb"),
     ('star adexp', 'adexp_alpha_series'): (0, "8b5e1b3976c9bbfc1fdfeedb19e000983d43372aa57b41840fce9e8610342e3c"),
     ('parse', 'leaf_trailing_spaces'): (0, "e3ad018f6e49cf0597947b77033b8b950f63f495ffb0a0fca53103d3b916e7dd"),
+    ('parse', 'multivec_payload_text'): (2, "d4092e003cc2fb554172dd377fd3b4934b3efcf7f54e34a17fd8e9ae6e266a87"),
+    ('parse', 'diffop_entry_not_object'): (2, "52914d4250553c1247e9e4e756130ad930864417bb981ff4efa86fd971ce4cdd"),
+    ('parse', 'diffop_entry_keys'): (2, "18fccf7d43cca6bc4a43dee1ccf3aab6f2737c5b44b6012bd488636b418066f4"),
+    ('parse', 'multivec_empty'): (0, "3da3340a0a41961a27bc445c1cd6f008c4be1766be848f6eb09448a6d746247d"),
 }
 
 # --human runs, whose text is not JSON and so has no hash: the exact text of a run with
@@ -587,6 +599,10 @@ HUMAN = {
         "  error: $: cannot read input: [Errno 2] No such file or directory: '/nonexistent.json'\n")),
     # a usage error, found before any flag is parsed, is rendered as text too
     ('poisson check --order 2 --human', 'so3.json'): (2, (
+        "dqkit: FAILED\n"
+        "  error: argument --order: not read by 'poisson check'\n")),
+    # argparse reads --hum as --human, so the usage error is rendered as text as well
+    ('poisson check --hum --order 2', 'so3.json'): (2, (
         "dqkit: FAILED\n"
         "  error: argument --order: not read by 'poisson check'\n")),
 }

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dqkit.calculus import MultiVec
+from dqkit.calculus import Form, MultiVec, _AltTensor
 from dqkit.diffop import PolyDiffOp
 from dqkit.errors import BudgetError, PolyParseError, SchemaError
 from dqkit.kernel import Poly, TPoly
@@ -25,7 +25,9 @@ from dqkit.parser import (
     parse_poly,
     poly_to_text,
     serialize_document,
+    tensor_to_payload,
 )
+from dqkit.liealgebroid import AlgebroidForm
 
 from conftest import assert_clean_poly, polys, rand_poly
 import oracles
@@ -719,6 +721,50 @@ class TestDocuments:
             '{"kind":"form","dim":2,"payload":{"degree":3,"terms":[]}}'
         )
         assert doc.payload.degree == 3 and doc.payload.is_zero()
+
+    def test_tensor_payload_matches_view_writer(self):
+        """tensor_to_payload, written from the index masks, against the writer
+        over the terms view: MultiVec, Form and AlgebroidForm (index bounds
+        up to 18, so an index above 16 is reached), zero tensors included."""
+        seen = set()
+
+        @settings(max_examples=120, derandomize=True)
+        @given(st.data())
+        def run(data):
+            n = data.draw(st.integers(1, 3))
+            cls = data.draw(st.sampled_from((MultiVec, Form, AlgebroidForm)))
+            bound = data.draw(st.integers(1, 18)) if cls is AlgebroidForm else n
+            degree = data.draw(st.integers(0, min(bound, 3) + 1))
+            terms = {}
+            if degree <= bound:
+                idx = st.lists(st.integers(1, bound), min_size=degree, max_size=degree, unique=True)
+                terms = data.draw(st.dictionaries(idx.map(lambda i: tuple(sorted(i))), polys(n), max_size=3))
+            t = AlgebroidForm(n, bound, degree, terms) if cls is AlgebroidForm else cls(n, degree, terms)
+            assert tensor_to_payload(t) == oracles.tensor_to_payload_by_views(t)
+            seen.add("zero" if t.is_zero() else cls.__name__)
+            if not t.is_zero() and max(max(i, default=0) for i in t.terms) > 16:
+                seen.add("index above 16")
+
+        run()
+        assert seen == {"zero", "MultiVec", "Form", "AlgebroidForm", "index above 16"}
+
+    def test_tensor_payload_reads_no_terms_view(self, monkeypatch):
+        """tensor_to_payload writes from the masks: with every read of the
+        terms view failing, each tensor gives the payload the view writer gave."""
+        x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
+        tensors = [
+            MultiVec(2, 2, {(1, 2): x1 * x2 - Fraction(1, 3)}),
+            Form(2, 1, {(1,): Fraction(1, 2) * x2, (2,): x1 ** 2 + 2}),
+            AlgebroidForm(2, 17, 2, {(3, 17): x1, (1, 2): Fraction(-5, 6)}),
+            Form(2, 3),
+        ]
+        want = [oracles.tensor_to_payload_by_views(t) for t in tensors]
+
+        def forbidden(self):
+            raise AssertionError("tensor terms view read")
+
+        monkeypatch.setattr(_AltTensor, "terms", property(forbidden))
+        assert [tensor_to_payload(t) for t in tensors] == want
 
     def test_idempotent_serialization(self):
         text = (
