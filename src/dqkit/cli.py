@@ -159,11 +159,15 @@ def _frame_form(A, name: str, f) -> AlgebroidForm:
     min(dim, rank): a frame index above dim is rejected by the bundle parse
     even when it is within the rank.
     """
+    path = f"$.payload.{name}.payload"
     try:
         # sorted, so an index above the rank is reported for the least such term
-        return AlgebroidForm(A.dim, A.rank, f.degree, dict(f.sorted_terms()))
+        form = AlgebroidForm(A.dim, A.rank, f.degree, dict(f.sorted_terms()))
     except DqkitError as exc:
-        raise SchemaError(str(exc), f"$.payload.{name}.payload") from exc
+        raise SchemaError(str(exc), path) from exc
+    if f.dim != A.dim:  # a zero form has no coefficient for the constructor to refuse
+        raise SchemaError(f"coefficient dim {f.dim} != ambient dim {A.dim}", path)
+    return form
 
 
 def _ext_curv(A, twist, lam):

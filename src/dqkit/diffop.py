@@ -24,21 +24,21 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
   operators.  The sum wraps each once in a :class:`_Packed` handle, shared
   by every composition in the call, that reads the operator's keys as they
   are and owns only its per-call caches (Leibniz expansions, moved keys and
-  outer rows).  The integer tables, which depend on orders and exponents
-  and not on the operator, belong to the sum's one :class:`_Tables`: the
-  Leibniz tables of (key offset, weight) per order, exponent, coordinate
-  and arity, and the Hochschild split tables per order and slot.  Each is
-  built at most once in the call and dropped with the sum when the call
-  returns, so nothing is cached across calls.
+  outer rows).  The integer tables, which depend on orders and not on the
+  operator, belong to the sum's one :class:`_Tables`: the multinomial
+  shares per order, coordinate and arity, and the Hochschild split tables
+  per order and slot.  Each is built at most once in the call and dropped
+  with the sum when the call returns, so nothing is cached across calls.
 - **Sums.**  ``kernel._Stored`` owns the stored form of polynomials,
   operators and alternating tensors alike: sums, negation, scaling and
   products by a ``Poly``, each normalized by its one gcd step.
   :class:`_OpAcc` is a ``kernel._Sum`` that also adds compositions and
-  Hochschild coboundaries of operators.  All three kernels, the pair loop of
-  a composition, the Leibniz block and the coboundary, add two packed keys
-  and multiply two ints per write: a term picks its table by the one field
-  that fixes its fan-out (its exponent at the coordinate, or its order in the
-  slot) and runs that table's (key offset, weight) entries.
+  Hochschild coboundaries of operators.  Two kernel loops write every sum
+  and product and drop the keys that cancel: ``_Sum.add`` and
+  ``_add_products``, which the composition (one call per outer row), the
+  Leibniz rule (one per coefficient share) and ``_fill`` (one per order
+  group) run.  Only ``add_coboundary`` writes the map itself here: each of
+  its terms runs the split table of its own order in the slot.
 - **Views.**  ``terms`` splits keys into ``{orders tuple: Poly}`` on each
   access; a coefficient keeps its low blocks.  Evaluation builds no such
   view: its one route is ``_fill``, which puts a polynomial into one slot
@@ -66,7 +66,9 @@ from math import comb, lcm
 from types import MappingProxyType
 
 from .errors import ArityMismatchError, DimensionMismatchError, SolveError
-from .kernel import Poly, _BITS, _FIELD, _Stored, _Sum, _as_poly, _check_budget, _fields, _key, _struct, _summed
+from .kernel import (
+    Poly, _BITS, _FIELD, _Stored, _Sum, _add_products, _as_poly, _check_budget, _fields, _key, _struct, _summed,
+)
 
 
 class PolyDiffOp(_Stored):
@@ -169,41 +171,27 @@ def apply_op(D: PolyDiffOp, *args: Poly) -> Poly:
 
 class _Tables:
     """The integer tables that one public call on R^dim reads, each built on
-    first use: the Leibniz tables of :meth:`leibniz`, the multinomial shares
-    (``_shares``) they are made from, the coboundary splits (``_splits``) and
-    their placed tables of :meth:`splits`.  The call's one :class:`_OpAcc`
-    owns it, shares it with its handles and drops it with them, so no table
-    outlives the call and none is built twice in it."""
+    first use: the multinomial shares of :meth:`shares`, which the Leibniz
+    rule reads, the coboundary splits (``_splits``) and their placed tables of
+    :meth:`splits`.  The call's one :class:`_OpAcc` owns it, shares it with
+    its handles and drops it with them, so no table outlives the call and
+    none is built twice in it."""
 
-    __slots__ = ("dim", "_leibniz", "_shares", "_splits", "_placed")
+    __slots__ = ("dim", "_shares", "_splits", "_placed")
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._leibniz = {}
         self._shares = {}
         self._splits = {}
         self._placed = {}
 
-    def leibniz(self, a: int, e: int, shift: int, arity: int) -> list:
-        """[(key offset, weight)] of d_c^a on a term of an operator of `arity`
-        arguments whose exponent at c, the coordinate `shift` bits into a
-        block, is e: one entry per share (g_0, g_1, ..., g_arity) of a with
-        g_0 <= min(a, e), the offset adding g_s to slot s's field and taking g_0
-        from the coefficient's, the weight C(a, g_0) perm(e, g_0) times the
-        multinomial of the slot shares.  Entries come in lexicographic order of
-        (g_0, ..., g_arity)."""
-        got = self._leibniz.get((a, e, shift, arity))
+    def shares(self, r: int, shift: int, arity: int) -> list:
+        """[(packed shares, multinomial)] of _shares(r, shift, dim, arity), the
+        right side of the Leibniz rule's _add_products, built once per (r,
+        shift, arity)."""
+        got = self._shares.get((r, shift, arity))
         if got is None:
-            got = self._leibniz[a, e, shift, arity] = []
-            perm = 1
-            for g0 in range(min(a, e) + 1):
-                if g0:
-                    perm *= e - g0 + 1
-                w, head = comb(a, g0) * perm, g0 << shift
-                shares = self._shares.get((a - g0, shift, arity))
-                if shares is None:
-                    shares = self._shares[a - g0, shift, arity] = _shares(a - g0, shift, self.dim, arity)
-                got += [(add - head, w * mult) for mult, add in shares]
+            got = self._shares[r, shift, arity] = [(k, m) for m, k in _shares(r, shift, self.dim, arity)]
         return got
 
     def splits(self, a: int, slot: int) -> list:
@@ -292,36 +280,24 @@ class _Packed:
 
     def _leibniz_block(self, base: dict, shift: int, a: int) -> dict:
         """d_c^a o base, for a packed term map `base` and the coordinate c whose
-        field sits `shift` bits into each block.
+        field sits `shift` bits into each block, by the Leibniz rule
 
-        d_c^a (x^e d^beta_1 f_1 ... d^beta_k f_k) shares a out as g_0 on the
-        coefficient and g_s on slot s, with weight a! / (g_0! ... g_k!) times
-        perm(e_c, g_0); a share g_0 > e_c is zero and never formed.  So the
-        terms of one exponent e_c share one table of (key offset, weight)
-        (_Tables.leibniz), and each term adds one key and multiplies one
-        numerator per entry.  Terms come in the order of `base`, each term's
-        shares in the table's order, and equal keys merge.
-        """
-        tables, arity = self.tables, self.op.arity
-        by_e = {}  # e_c -> its table, looked up once per exponent in this block
+            d_c^a (u d^beta_1 f_1 ... d^beta_k f_k)
+                = sum_{g_0 <= a} C(a, g_0) (d_c^{g_0} u) (shares of a - g_0 over the slots):
+
+        per g_0, the coefficient part differentiated g_0 times (a term whose
+        exponent at c is below g_0 is zero and drops) against the table of
+        shares of a - g_0 (_Tables.shares), in one _add_products call."""
+        shares, arity = self.tables.shares, self.op.arity
+        unit = 1 << shift
         out = {}
-        get = out.get
-        for key, n in base.items():
-            e = key >> shift & _FIELD
-            table = by_e.get(e)
-            if table is None:
-                table = by_e[e] = tables.leibniz(a, e, shift, arity)
-            for add, w in table:
-                k = key + add
-                v = get(k)
-                if v is None:
-                    out[k] = n * w
-                else:
-                    v += n * w
-                    if v:
-                        out[k] = v
-                    else:
-                        del out[k]
+        rows = base.items()
+        for g0 in range(a + 1):
+            if g0:
+                rows = [(k - unit, n * e) for k, n in rows if (e := k >> shift & _FIELD)]
+                if not rows:
+                    break
+            _add_products(out, rows, shares(a - g0, shift, arity), comb(a, g0))
         return out
 
 
@@ -331,7 +307,7 @@ def _shares(r: int, shift: int, dim: int, arity: int) -> list:
     of (g_1, ..., g_arity): the ways to share an order r out over the slots of
     an operator of `arity` arguments on R^dim, with g_s in slot s's field at
     the coordinate `shift` bits into a block.  The multinomial is built as
-    C(r, g_1) C(r - g_1, g_2) ..., slot by slot.  Only _Tables.leibniz reads
+    C(r, g_1) C(r - g_1, g_2) ..., slot by slot.  Only _Tables.shares reads
     it, once per (r, shift, arity) in a call."""
     block = _BITS * dim
     got = [(1, 0, r)]  # (multinomial, shares, what is left to share) so far
@@ -367,9 +343,9 @@ class _OpAcc(_Sum):
     """The one composition sum of a public call (kernel._Sum over packed
     keys), owning the call's :class:`_Tables` and a :class:`_Packed` handle
     per operator; both outlive :meth:`op`, so one sum serves every order.  A
-    composition adds one int key sum and one int multiply-add per pair of
-    packed terms, and a coboundary one per proper split of each term's slots,
-    dropping a numerator that cancels.
+    composition runs kernel._add_products once per row of the outer
+    operator; a coboundary adds one key sum and one multiply-add per proper
+    split of each term's slots, dropping a numerator that cancels.
     """
 
     __slots__ = ("dim", "tables", "_handles")
@@ -393,23 +369,8 @@ class _OpAcc(_Sum):
         already be checked."""
         outer, inner = self.packed(outer), self.packed(inner)
         m = self._factor(outer.op._den * inner.op._den, sign)
-        terms = self.terms
-        get = terms.get
         for alpha, row in outer.outer_rows(slot, inner.op.arity):
-            expansion = inner.expansion(alpha, slot)
-            for k1, n1 in row:
-                n1 *= m
-                for k2, n2 in expansion:
-                    k = k1 + k2
-                    v = get(k)
-                    if v is None:
-                        terms[k] = n1 * n2
-                    else:
-                        v += n1 * n2
-                        if v:
-                            terms[k] = v
-                        else:
-                            del terms[k]
+            _add_products(self.terms, row, inner.expansion(alpha, slot), m)
 
     def add_coboundary(self, D: PolyDiffOp, sign: int = 1) -> None:
         """Add sign * delta(D), the Hochschild coboundary of an operator of any
@@ -447,6 +408,9 @@ class _OpAcc(_Sum):
                 if table is None:
                     table = by_a[a] = tables.splits(a, i)
                 moved = key & head | key >> cut + block << cut + 2 * block
+                # each term runs the table of its own order, so this loop writes
+                # the map itself: grouping the terms by order to share
+                # kernel._add_products costs more than it saves
                 for add, w in table:
                     k = moved + add
                     v = get(k)
@@ -623,19 +587,12 @@ def _fill(D: PolyDiffOp, slot: int, f: Poly):
     cut = block * (slot - 1)  # the slot's field block within packed orders
     low = (1 << block) - 1
     out = {}
-    get = out.get
     for high, sub in D._groups().items():
         df = f.partial_multi(_fields(high >> cut & low, dim))
         s = f._den // df._den  # df over f's denominator
-        df = [(e, m * s) for e, m in df._num.items()]
-        # the slot taken out, the later slots moved down
+        # the slot taken out and the later slots moved down, folded into df's keys
         rest = ((high & (1 << cut) - 1) | (high >> cut + block << cut)) << block
-        for e, n in sub.items():
-            for e2, m in df:
-                k = (e + e2) | rest
-                v = out[k] = get(k, 0) + n * m
-                if not v:
-                    del out[k]
+        _add_products(out, sub.items(), [(e | rest, m * s) for e, m in df._num.items()])
     _check_budget(out, dim * D.arity)
     return (PolyDiffOp if D.arity > 1 else Poly)._normal(dim, D.arity - 1, out, D._den * f._den)
 

@@ -12,14 +12,20 @@ denominator, normalized by one ``math.gcd``, so structural equality and
 ``hash`` are equality of values and no ``Fraction`` arithmetic runs inside
 the kernel.  ``Fraction`` appears only at the API edge: the public
 constructor, ``items``, ``sorted_terms``, ``constant_value`` and the
-read-only ``terms`` view.  ``_Sum`` is the one running sum over a common
-denominator, of stored values (``add``) or of (high, ``Poly``) parts
-(``_summed``), behind the constructors, the readers and ``diffop._OpAcc``,
-the one composition sum of a call, which owns its tables and handles and
-takes operators.  The kernel also owns two small facts every module
-shares: ``_as_poly``, the one coercion of an int or ``Fraction`` to a
-constant ``Poly``, and ``_mono``, the one text of a monomial (``repr`` and
-the parser's canonical output both write it).
+read-only ``terms`` view.  Two loops write every sparse sum and product,
+each dropping a key whose sum cancels: ``_Sum.add``, the one scaled sum of
+a stored value over a running common denominator, its keys moved up by a
+high part (``_Stored._sum`` and ``_summed``'s (high, ``Poly``) parts run
+it, behind the constructors, the readers and ``diffop._OpAcc``), and
+``_add_products``, the one multiply-add over two lists of (key, numerator),
+behind ``_times`` and ``diffop``'s composition, Leibniz rule and slot fill.
+Three loops write a map themselves, each saying why: ``_Sum.add_term``
+adds one term, ``diffop._OpAcc.add_coboundary`` runs each term's own split
+table, and ``starprod.moyal`` keeps a cancelled key's place.  The kernel
+also owns two small facts every module shares: ``_as_poly``, the one
+coercion of an int or ``Fraction`` to a constant ``Poly``, and ``_mono``,
+the one text of a monomial (``repr`` and the parser's canonical output
+both write it).
 
 Exponents are packed as in Monagan and Pearce (CASC 2007): x^e on R^n is one
 int, e_i in the 16-bit field at bit 16 (i - 1), so a product adds keys and a
@@ -182,17 +188,10 @@ class _Stored:
     def _sum(self, other):
         """self + other, of one kind, dim and arity already checked, over the
         lcm of the denominators: self's keys in order, then other's new keys,
-        a key whose sum cancels dropped (as ``_Sum`` orders them)."""
-        d1, d2 = self._den, other._den
-        g = gcd(d1, d2)
-        m1, m2 = d2 // g, d1 // g
-        out = {k: n * m1 for k, n in self._num.items()} if m1 != 1 else self._num.copy()
-        get = out.get
-        for k, n in other._num.items():
-            v = out[k] = get(k, 0) + n * m2
-            if not v:
-                del out[k]
-        return self._normal(self.dim, self.arity, out, d1 * m1)
+        a key whose sum cancels dropped (``_Sum.add`` from a copy of self)."""
+        acc = _Sum(self._num.copy(), self._den)
+        acc.add(other)
+        return self._normal(self.dim, self.arity, acc.terms, acc.den)
 
     def _scaled(self, p: int, d: int):
         """self * (p / d) for a rational p / d in lowest terms, d > 0."""
@@ -203,13 +202,7 @@ class _Stored:
         """self * f for a Poly f of the same dim: each key adds f's exponents to
         its own; BudgetError if an exponent of the result is above MAX_PACKED."""
         out = {}
-        get = out.get
-        for k1, n1 in self._num.items():
-            for k2, n2 in f._num.items():
-                k = k1 + k2
-                v = out[k] = get(k, 0) + n1 * n2
-                if not v:
-                    del out[k]
+        _add_products(out, self._num.items(), f._num.items())
         # only the exponent block grows, and its top exponent in each variable
         # never cancels, so one check of that block of the result suffices
         _check_budget(out, self.dim)
@@ -461,9 +454,9 @@ class _Sum:
 
     __slots__ = ("terms", "den")
 
-    def __init__(self):
-        self.terms = {}
-        self.den = 1
+    def __init__(self, terms=None, den: int = 1):
+        self.terms = {} if terms is None else terms
+        self.den = den
 
     def _factor(self, d: int, sign: int = 1) -> int:
         """sign * den / d, after raising ``den`` to a multiple of d."""
@@ -477,21 +470,52 @@ class _Sum:
         return den // d * sign
 
     def add_term(self, key, n: int, d: int) -> None:
-        """Add n / d at `key`."""
+        """Add n / d at `key`: one term, so it writes the map itself."""
         n *= self._factor(d)  # first, as it may rescale the terms
         v = self.terms[key] = self.terms.get(key, 0) + n
         if not v:
             del self.terms[key]
 
-    def add(self, value: "_Stored", sign: int = 1) -> None:
-        """Add sign * value for a stored value whose keys are those of the sum."""
+    def add(self, value: "_Stored", sign: int = 1, high: int = 0) -> None:
+        """Add sign * value, each key of value plus `high`: the one scaled sum.
+        A `high` above the exponent block puts an operator's packed orders or a
+        tensor term's index mask over a coefficient's keys."""
         m = self._factor(value._den, sign)
         terms = self.terms
         get = terms.get
         for k, n in value._num.items():
-            v = terms[k] = get(k, 0) + n * m
-            if not v:
-                del terms[k]
+            k += high
+            v = get(k)
+            if v is None:
+                terms[k] = n * m
+            else:
+                v += n * m
+                if v:
+                    terms[k] = v
+                else:
+                    del terms[k]
+
+
+def _add_products(terms: dict, left, right, m: int = 1) -> None:
+    """Add m * n1 * n2 at key k1 + k2 of `terms` for each (k1, n1) of `left`
+    and (k2, n2) of `right`, nonzero ints all, dropping a key whose sum
+    cancels: the one multiply-add over two lists of (key, numerator), behind
+    products, compositions, the Leibniz rule and slot fills.  Sums come in the
+    order of `left`, each row in the order of `right`."""
+    get = terms.get
+    for k1, n1 in left:
+        n1 *= m
+        for k2, n2 in right:
+            k = k1 + k2
+            v = get(k)
+            if v is None:
+                terms[k] = n1 * n2
+            else:
+                v += n1 * n2
+                if v:
+                    terms[k] = v
+                else:
+                    del terms[k]
 
 
 def _summed(dim: int, parts) -> tuple:
@@ -502,17 +526,9 @@ def _summed(dim: int, parts) -> tuple:
     reader may share one Poly among parts."""
     block = _BITS * dim
     acc = _Sum()
-    terms = acc.terms
-    get = terms.get
     for high, p in parts:
-        high <<= block
-        m = acc._factor(p._den)
-        for k, n in p._num.items():
-            k |= high
-            v = terms[k] = get(k, 0) + n * m
-            if not v:
-                del terms[k]
-    return terms, acc.den
+        acc.add(p, 1, high << block)
+    return acc.terms, acc.den
 
 
 def _mask(indices) -> int:

@@ -664,8 +664,10 @@ def algebroid_from_payload(payload, dim, path) -> AlgebroidPresentation:
             f"{path}.anchor[{a}]",
         )
         rows.append([_leaf(e, dim, f"{path}.anchor[{a}][{i}]") for i, e in enumerate(row)])
+    structure_raw = payload.get("structure", [])
+    _expect(isinstance(structure_raw, list), "structure must be an array", f"{path}.structure")
     structure = {}
-    for s, entry in enumerate(payload.get("structure", [])):
+    for s, entry in enumerate(structure_raw):
         epath = f"{path}.structure[{s}]"
         _expect(isinstance(entry, dict) and set(entry) == {"pair", "coeffs"}, "expected {pair, coeffs}", epath)
         pair_raw = entry["pair"]

@@ -239,7 +239,8 @@ def moyal(pi: MultiVec, order: int) -> StarProduct:
     ops = []
     for k in range(1, order + 1):
         # a sum that cancels keeps its place, so keys first appear in the
-        # same order as over all k-tuples of B's terms
+        # same order as over all k-tuples of B's terms; kernel._add_products
+        # drops such a key, so this loop writes the map itself
         nxt = {}
         get = nxt.get
         for k1, n1 in power.items():

@@ -745,6 +745,22 @@ def poly_by_fraction_sum(dim: int, terms) -> Poly:
     return Poly._make(dim, 0, {_key(e): c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
 
 
+def fraction_sum(pairs) -> dict:
+    """{key: Fraction} of (key, nonzero rational) pairs summed in turn: keys in
+    the order of their first addition, a key whose sum cancels dropped and, if
+    it comes back, added again at the end.  kernel._Sum.add and
+    kernel._add_products, which sum int numerators over one denominator, are
+    checked against it."""
+    out = {}
+    for k, v in pairs:
+        v = out.get(k, 0) + Fraction(v)
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return out
+
+
 def diffop_from_payload_by_entries(payload, dim, path, arity=None) -> PolyDiffOp:
     """parser.diffop_from_payload by the former route: every entry checked in
     turn and its leaf read by parser._leaf on its own, however often its text

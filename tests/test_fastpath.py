@@ -551,9 +551,10 @@ def test_multiplication_keeps_only_the_zero_coefficient_share():
 @given(st.data())
 def test_leibniz_tables_at_each_side_of_the_exponent(data):
     """d^alpha o op for an op of arity 1-3 whose terms have exponent e_c below,
-    equal to and above alpha_c at one coordinate c, so the block at c reads
-    three tables in one base (other coordinates of alpha add blocks before and
-    after it): against the uncapped expansion, and through compose_into_slot."""
+    equal to and above alpha_c at one coordinate c, so the block at c caps the
+    coefficient share g_0 at three exponents in one base (other coordinates of
+    alpha add blocks before and after it): against the uncapped expansion, and
+    through compose_into_slot."""
     dim = data.draw(st.integers(1, 3))
     arity = data.draw(st.integers(1, 3))
     c = data.draw(st.integers(0, dim - 1))
@@ -570,9 +571,23 @@ def test_leibniz_tables_at_each_side_of_the_exponent(data):
     op = PolyDiffOp(dim, arity, terms)
     alpha = tuple(a if j == c else data.draw(st.integers(0, 1)) for j in range(dim))
     handle = _OpAcc(dim).packed(op)
-    got = as_op(dim, arity, handle._expanded(pack(alpha)), handle.op._den)
-    # the block at c read one table for each of the three exponents
-    assert {e for g, e, shift, _ in handle.tables._leibniz if (g, shift) == (a, 16 * c)} == edges
+    calls = []  # (right side, left numerators) of every _add_products call
+
+    def recording(terms, left, right, m=1):
+        left = list(left)
+        calls.append((right, [n for _, n in left]))
+        kernel._add_products(terms, left, right, m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(diffop, "_add_products", recording)
+        got = as_op(dim, arity, handle._expanded(pack(alpha)), handle.op._den)
+    # the block at c formed each share g_0 <= min(a, e_c) of a base term once,
+    # and none above e_c, whose weight perm(e_c, g_0) is zero
+    at_c = [t for (_, shift, _), t in handle.tables._shares.items() if shift == 16 * c]
+    base = handle._exp[pack(alpha) & (1 << 16 * c) - 1]
+    rows = sum(len(ns) for right, ns in calls if any(right is t for t in at_c))
+    assert rows == sum(min(a, key >> 16 * c & 0xFFFF) + 1 for key in base)
+    assert all(all(ns) for _, ns in calls)
     assert_clean(got)
     assert got.terms == derivative_uncapped(alpha, op)
     assert compose_into_slot(PolyDiffOp(dim, 1, {(alpha,): 1}), 1, op).terms == got.terms

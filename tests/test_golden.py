@@ -333,6 +333,17 @@ BUNDLES = {
     "diffop_entry_not_object": {"kind": "diffop", "dim": 2, "payload": [1]},
     "diffop_entry_keys": {"kind": "diffop", "dim": 2, "payload": [{"coeff": "1"}]},
     "multivec_empty": _mv(2, []),
+    # an algebroid structure that is not an array: a number, null and an object are refused
+    # at $.payload.structure, as is the same document inside a bundle
+    "algebroid_structure_number": dict(_RANK2_ON_LINE, payload=dict(_RANK2_ON_LINE["payload"], structure=5)),
+    "algebroid_structure_null": dict(_RANK2_ON_LINE, payload=dict(_RANK2_ON_LINE["payload"], structure=None)),
+    "algebroid_structure_object": dict(_RANK2_ON_LINE, payload=dict(_RANK2_ON_LINE["payload"], structure={})),
+    "verify_algebroid_structure_number": _bundle(
+        algebroid=dict(_RANK2_ON_LINE, payload=dict(_RANK2_ON_LINE["payload"], structure=5))),
+    # zero frame forms on R^3 beside an algebroid on R^1: refused as a nonzero one is
+    "ext_zero_forms_other_dim": _bundle(algebroid=_RANK2_ON_LINE, twist=_form(3, [], degree=2),
+                                        lam=_form(3, [], degree=1)),
+    "d_zero_omega_other_dim": _bundle(algebroid=_RANK2_ON_LINE, omega=_form(3, [], degree=1)),
 }
 
 CORPUS_DOCS = sorted(n for n in os.listdir(CORPUS) if n.endswith(".json"))
@@ -402,6 +413,10 @@ CASES = (
     + [("star adexp", "adexp_alpha_series"), ("parse", "leaf_trailing_spaces")]
     + [("parse", n) for n in ("multivec_payload_text", "diffop_entry_not_object", "diffop_entry_keys",
                               "multivec_empty")]
+    + [("parse", n) for n in ("algebroid_structure_number", "algebroid_structure_null",
+                              "algebroid_structure_object")]
+    + [("verify", "verify_algebroid_structure_number"), ("algebroid ext-curv", "ext_zero_forms_other_dim"),
+       ("algebroid d", "d_zero_omega_other_dim")]
 )
 
 
@@ -577,6 +592,15 @@ GOLDEN = {
     ('parse', 'diffop_entry_not_object'): (2, "52914d4250553c1247e9e4e756130ad930864417bb981ff4efa86fd971ce4cdd"),
     ('parse', 'diffop_entry_keys'): (2, "18fccf7d43cca6bc4a43dee1ccf3aab6f2737c5b44b6012bd488636b418066f4"),
     ('parse', 'multivec_empty'): (0, "3da3340a0a41961a27bc445c1cd6f008c4be1766be848f6eb09448a6d746247d"),
+    # recorded when a structure that is not an array came to be refused (before, a number or
+    # null ended in an internal error, exit 3, and an object was read as no structure), and
+    # a zero frame form of another dimension came to be refused as a nonzero one is (exit 0 before)
+    ('parse', 'algebroid_structure_number'): (2, "e3e24a05c1f3d4f54128b7e50b230262d9264140f6a5eb208da1c20bbd7bc0d9"),
+    ('parse', 'algebroid_structure_null'): (2, "e3e24a05c1f3d4f54128b7e50b230262d9264140f6a5eb208da1c20bbd7bc0d9"),
+    ('parse', 'algebroid_structure_object'): (2, "e3e24a05c1f3d4f54128b7e50b230262d9264140f6a5eb208da1c20bbd7bc0d9"),
+    ('verify', 'verify_algebroid_structure_number'): (2, "c0a5468cab9a7001e94ab25283643be822198871c6666dbe51dbe9e834ddf88a"),
+    ('algebroid ext-curv', 'ext_zero_forms_other_dim'): (2, "7e8d4ecdc2a6c6949f32b231e015f86e9ef22f295e7b75c37d511fe50bacb524"),
+    ('algebroid d', 'd_zero_omega_other_dim'): (2, "3103dea969ae87ce363ac2cf901c3029b361299670536913de8c5eb990977aa8"),
 }
 
 # --human runs, whose text is not JSON and so has no hash: the exact text of a run with

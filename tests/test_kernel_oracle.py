@@ -12,14 +12,16 @@ refuse it with ``BudgetError``.
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from math import lcm
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqkit.errors import BudgetError, DimensionMismatchError
-from dqkit.kernel import MAX_PACKED, Poly, _fields, _key
+from dqkit.kernel import MAX_PACKED, Poly, _Sum, _add_products, _fields, _key
 
 from conftest import assert_clean_poly
-from oracles import RefPoly, poly_by_fraction_sum
+from oracles import RefPoly, fraction_sum, poly_by_fraction_sum
 
 DIM = 2
 
@@ -280,6 +282,53 @@ def test_constructor_matches_fraction_sum(pairs, cancelled):
     got, want = Poly(DIM, terms), poly_by_fraction_sum(DIM, terms)
     assert_clean_poly(got, DIM)
     assert (got._den, list(got._num.items())) == (want._den, list(want._num.items()))
+
+
+# the two write loops of the kernel against one Fraction sum per key: keys on R^1
+# below 4, some with a high part 1 or 2 above the exponent field, so that sums meet
+_HIGH = 1 << 16
+low_keys = st.integers(0, 3)
+any_keys = st.builds(lambda e, h: e + h * _HIGH, low_keys, st.integers(0, 2))
+numerators = st.integers(-3, 3).filter(bool)
+rows = st.lists(st.tuples(low_keys, numerators), max_size=4)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.dictionaries(any_keys, numerators, max_size=4), rows,
+       st.lists(st.tuples(any_keys, numerators), max_size=4), st.sampled_from((1, -1, 2, -3)))
+@example({}, [(0, 1), (0, -1), (0, 1)], [(_HIGH, 2)], 1)  # key HIGH cancels, then comes back
+@example({1: 6}, [(0, 2), (1, 1)], [(1, 3)], -1)  # the start's key cancels, another is new
+@example({1: 6}, [], [(1, 3)], 2)  # an empty side adds nothing
+@example({1: 6}, [(1, 3)], [], 2)
+def test_add_products_matches_fraction_sum(start, left, right, m):
+    """_add_products adds m * n1 * n2 at k1 + k2 in the order of left, each
+    row in the order of right, and drops a key whose sum cancels."""
+    terms = dict(start)
+    _add_products(terms, left, right, m)
+    assert all(terms.values())
+    want = fraction_sum([*start.items(), *((k1 + k2, m * n1 * n2) for k1, n1 in left for k2, n2 in right)])
+    assert list(terms.items()) == list(want.items())
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(st.tuples(any_keys, rats.filter(bool)), max_size=5),
+       st.dictionaries(st.tuples(low_keys), rats, max_size=4),
+       st.sampled_from((1, -1)), st.integers(0, 2))
+@example([(_HIGH + 1, Fraction(1, 2))], {(1,): Fraction(1, 3)}, 1, 1)  # den 2 rescaled to 6
+@example([(_HIGH + 1, Fraction(1, 2))], {(1,): Fraction(1, 2)}, -1, 1)  # cancels at the high key
+def test_sum_add_matches_fraction_sum(seed, value, sign, high):
+    """_Sum.add of sign * value, its keys moved up by `high`, into a sum seeded
+    term by term: one Fraction sum per key, over the lcm of every
+    denominator, rescaling the seeded numerators when value's does not divide it."""
+    acc = _Sum()
+    for k, c in seed:
+        acc.add_term(k, c.numerator, c.denominator)
+    p = Poly(1, value)
+    acc.add(p, sign, high * _HIGH)
+    assert all(acc.terms.values())
+    assert acc.den == lcm(*(c.denominator for _, c in seed), p._den)
+    want = fraction_sum([*seed, *((k + high * _HIGH, sign * Fraction(n, p._den)) for k, n in p._num.items())])
+    assert [(k, Fraction(n, acc.den)) for k, n in acc.terms.items()] == list(want.items())
 
 
 def test_dimension_mismatch_raises():
