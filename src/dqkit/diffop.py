@@ -46,17 +46,19 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
   ``apply_op`` (slot 1 once per argument, the last fill's arity-0 result
   being the ``Poly``).
 - **Who reads keys.**  Only ``kernel``, which packs, decodes, checks and adds
-  keys, splits them at the exponent block (``_summed`` puts orders above it,
-  ``_groups`` and ``_coeffs`` take them apart) and keeps the index masks of
-  alternating tensors, and this module, which moves the order blocks.  Other
-  modules pass operators to one :class:`_OpAcc` per call, which sums
-  operators (``add``), compositions (``add_compose``) and Hochschild
-  coboundaries (``add_coboundary``); they use ``kernel._check_budget`` and
-  ``_Stored._normal`` for a map formed from this module's keys,
-  ``kernel._key``, ``kernel._fields``, ``kernel._summed`` (one part per
-  term: ``_key`` of its flat orders and a ``Poly``) and the ``_orders``
-  decoder to read and write documents, ``solve_coboundary`` for the
-  Hochschild solve, and the ``terms`` view for everything else.
+  keys, splits them at the exponent block (``_summed`` and ``_placed`` put
+  orders above it, ``_groups`` and ``_coeffs`` take them apart) and keeps
+  the index masks of alternating tensors, and this module, which moves the
+  order blocks.  Other modules pass operators to one :class:`_OpAcc` per
+  call, which sums operators (``add``), compositions (``add_compose``) and
+  Hochschild coboundaries (``add_coboundary``); they use
+  ``kernel._check_budget`` and ``_Stored._normal`` for a map formed from
+  this module's keys, ``kernel._key`` and ``kernel._keys`` (the flat orders
+  of one entry, or of all at once), ``kernel._placed`` (an operator's map
+  from those keys and its leaves), ``kernel._fields`` and the ``_orders``
+  decoder (all of an operator's order keys in one batch) to read and write
+  documents, ``solve_coboundary`` for the Hochschild solve, and the
+  ``terms`` view for everything else.
 """
 
 from __future__ import annotations
@@ -126,15 +128,19 @@ class PolyDiffOp(_Stored):
     # ------------------------------------------------------------------
     # views
 
-    def _orders(self, high: int) -> tuple:
-        """The order tuple of packed orders: one multi-index per 2 * dim bytes."""
-        return tuple(_struct(self.dim).iter_unpack(high.to_bytes(2 * self.dim * self.arity, "little")))
+    def _orders(self, highs):
+        """The order tuple of each of the packed orders `highs`, all decoded
+        in one pass over their bytes: one multi-index per 2 * dim bytes."""
+        width = 2 * self.dim * self.arity
+        slots = _struct(self.dim).iter_unpack(b"".join([h.to_bytes(width, "little") for h in highs]))
+        return zip(*[slots] * self.arity)
 
     @property
     def terms(self) -> MappingProxyType:
         """A read-only {orders tuple: Poly} view of the nonzero terms, in the
         order the order tuples first appear, computed on each access."""
-        return MappingProxyType({self._orders(h): c for h, c in self._coeffs().items()})
+        coeffs = self._coeffs()
+        return MappingProxyType(dict(zip(self._orders(coeffs), coeffs.values())))
 
     # ------------------------------------------------------------------
     # the vector space of operators
@@ -607,5 +613,5 @@ def find_nonzero_args(D: PolyDiffOp):
     """
     if D.is_zero():
         return None
-    alpha = min(map(D._orders, D._groups()), key=lambda orders: (sum(map(sum, orders)), orders))
+    alpha = min(D._orders(D._groups()), key=lambda orders: (sum(map(sum, orders)), orders))
     return tuple(Poly.monomial(D.dim, a) for a in alpha)

@@ -21,7 +21,9 @@ it, behind the constructors, the readers and ``diffop._OpAcc``), and
 behind ``_times`` and ``diffop``'s composition, Leibniz rule and slot fill.
 Three loops write a map themselves, each saying why: ``_Sum.add_term``
 adds one term, ``diffop._OpAcc.add_coboundary`` runs each term's own split
-table, and ``starprod.moyal`` keeps a cancelled key's place.  The kernel
+table, and ``starprod.moyal`` keeps a cancelled key's place; ``_placed``,
+the map of an operator payload, places the terms of distinct orders, which
+share no key, and sums repeated orders through ``_Sum.add_term``.  The kernel
 also owns two small facts every module shares: ``_as_poly``, the one
 coercion of an int or ``Fraction`` to a constant ``Poly``, and ``_mono``,
 the one text of a monomial (``repr`` and the parser's canonical output
@@ -46,8 +48,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from math import gcd, perm
-from operator import or_
+from itertools import chain, repeat
+from math import gcd, lcm, perm
+from operator import itemgetter, or_
 from struct import Struct, error as StructError
 from types import MappingProxyType
 
@@ -58,6 +61,7 @@ _FIELD = (1 << _BITS) - 1
 MAX_PACKED = 2**15 - 1  # the largest exponent or derivative order a key may hold
 
 _struct = cache(lambda fields: Struct(f"<{fields}H"))
+_second = itemgetter(1)
 
 
 @cache
@@ -529,6 +533,49 @@ def _summed(dim: int, parts) -> tuple:
     for high, p in parts:
         acc.add(p, 1, high << block)
     return acc.terms, acc.den
+
+
+def _keys(orders: list, arity: int, dim: int):
+    """The ``_key`` of each entry's flat multi-indices, all entries at once,
+    or None unless every entry of ``orders`` is a list of `arity` lists of
+    `dim` ints (exactly ``int``: no ``bool``), each within 0..MAX_PACKED.
+    Each check is one pass over all entries."""
+    slots = chain.from_iterable
+    if (not all(map(isinstance, orders, repeat(list))) or {*map(len, orders)} != {arity}
+            or not all(map(isinstance, slots(orders), repeat(list))) or {*map(len, slots(orders))} != {dim}
+            or {*map(type, slots(slots(orders)))} != {int}):
+        return None
+    pack, top = _packer(arity * dim)
+    from_bytes = int.from_bytes
+    try:
+        keys = [from_bytes(pack(*sum(o, [])), "little") for o in orders]
+    except StructError:  # an entry below 0 or of 2^16 or more
+        return None
+    return None if reduce(or_, keys) & top else keys
+
+
+def _placed(dim: int, keys: list, coeffs: list, leaves: dict) -> tuple:
+    """(numerators by key, denominator), not normalized, of an operator read
+    from a payload.  Entry i has the packed flat orders ``keys[i]`` and the
+    coefficient ``leaves[coeffs[i]]``, (numerators by packed exponents,
+    denominator), which the entries of one text share.  The map is the one a
+    sum of the entries in turn (``_Sum``) gives: distinct orders share no
+    key, so their terms are placed as they are, scaled to the lcm of the
+    denominators, and only a payload that repeats an orders key is summed
+    term by term."""
+    if not keys:
+        return {}, 1
+    block = _BITS * dim
+    den = lcm(*map(_second, leaves.values()))
+    if len(set(keys)) == len(keys):
+        return {(key << block) + k: n * (den // d)
+                for key, (num, d) in zip(keys, map(leaves.__getitem__, coeffs)) for k, n in num.items()}, den
+    acc = _Sum({}, den)
+    for key, c in zip(keys, coeffs):
+        num, d = leaves[c]
+        for k, n in num.items():
+            acc.add_term((key << block) + k, n, d)
+    return acc.terms, den
 
 
 def _mask(indices) -> int:

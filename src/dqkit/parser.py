@@ -18,8 +18,17 @@ A leaf in the shape that canonical output has (``[-]c[/d][*]x_i[^e]*...``
 terms joined by `` + `` and `` - ``) is read straight into integer
 numerators over one denominator at packed ``Poly`` keys; the grammar reads
 every other leaf, one with an exponent above ``kernel.MAX_PACKED`` among
-them, and reports every error.  In a diffop document each distinct leaf text,
-and each distinct monomial text, is read once per operator.
+them, and reports every error.
+
+A diffop terms array of ``_WHOLE_ARRAY_MIN`` entries or more is checked
+whole, each check one pass over the array: the entries' types and key sets,
+the coefficients' types, and the orders' types, lengths, entry types
+(exactly int) and values, which ``kernel._keys`` packs all at once.  A
+smaller array, and one that fails a check, is read entry by entry, and only
+that scan names a refusal, at the first entry that has one.  Either way
+each distinct leaf text is read once per operator into its numerators and
+denominator, each distinct monomial text is packed once per operator, and
+``kernel._placed`` writes the operator's map in one call.
 
 Output is ``canonical_json``: JSON data in which a ``PolyDiffOp`` may stand
 for a value, the operator written as ``json.dumps(..., sort_keys=True,
@@ -27,6 +36,8 @@ indent=2)`` writes its payload, straight from its packed map, one term at a
 time.  ``_op_terms`` is the one route from stored keys to a payload's values;
 ``diffop_to_payload`` (JSON data), the renderer and ``tensor_to_payload``,
 which writes multivectors and forms from their index masks, are its sinks.
+It decodes the order keys of all of an operator's terms in one batch
+(``PolyDiffOp._orders``) and sorts only coefficients of several monomials.
 Documents and CLI reports keep their operators in place
 (``document_to_obj(doc, None)``); ``document_to_obj(doc)`` gives the same
 document as JSON data.
@@ -38,15 +49,17 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
+from itertools import repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from math import comb, gcd, log10
+from operator import itemgetter
 from typing import Optional
 
 from .calculus import Form, MultiVec
 from .diffop import PolyDiffOp
 from .errors import BudgetError, DqkitError, PolyParseError, SchemaError
-from .kernel import MAX_PACKED, Poly, TPoly, _Sum, _fields, _indices, _key, _mono, _summed, grlex_key
+from .kernel import MAX_PACKED, Poly, TPoly, _Sum, _fields, _indices, _key, _keys, _mono, _placed, grlex_key
 from .liealgebroid import AlgebroidPresentation
 from .qclimit import QCData
 from .starprod import GaugeOp, StarProduct
@@ -77,6 +90,14 @@ MAX_NESTING = 100
 # refusal does not depend on the interpreter's setting.
 MAX_INT_DIGITS = 4300
 _INT_TEXT_BOUND = 10**MAX_INT_DIGITS
+
+# Largest dim a document may declare, checked before its payload is read.  No
+# document here comes near it: the largest dim in the tests, corpus, bench and
+# CI is 45.  Work and memory grow with dim past any payload: a leaf packs dim
+# exponents, a writer decodes them, and `algebroid from-poisson` writes a dim x
+# dim anchor, which at 1000 takes 1.7 s of CPU and 186 MB on a 2-core x86 VM;
+# a one-leaf poly document of dim 3,000,000 took 0.44 s and 78 MB just to read.
+MAX_DIM = 1000
 
 # One term of a canonical leaf and the separator after it (or the end of the
 # text).  Digit runs stop at MAX_INT_DIGITS, so the reader never converts a
@@ -291,7 +312,7 @@ def _read_leaf(text: str, dim: int, monos=None):
     """
     if monos is None:
         monos = {}
-    acc = _Sum()
+    acc = None  # the running sum, from the second term on
     negative = False
     pos = 0
     match = _LEAF_TERM_RE.match
@@ -319,12 +340,17 @@ def _read_leaf(text: str, dim: int, monos=None):
         d = int(d) if d else 1
         if not d:
             return None
-        acc.add_term(key, -n if negative != bool(minus) else n, d)
+        if negative != bool(minus):
+            n = -n
+        if acc is None:
+            if sep is None:  # one term, as a sum of it would hold it
+                return ({key: n} if n else {}), d
+            acc = _Sum()
+        acc.add_term(key, n, d)
         if sep is None:
-            break
+            return acc.terms, acc.den
         negative = sep == "-"
         pos = m.end()
-    return acc.terms, acc.den
 
 
 def parse_poly(text: str, dim: int) -> Poly:
@@ -400,12 +426,22 @@ def _leaf(text, dim, path, monos=None) -> Poly:
     """The Poly of a leaf text, as parse_poly reads it with ``monos`` (see
     _read_leaf); SchemaError at `path` for a leaf that does not parse, one with
     an exponent above the packing budget among them."""
+    return Poly._normal(dim, 0, *_leaf_terms(text, dim, path, monos))
+
+
+def _leaf_terms(text, dim, path, monos=None):
+    """(numerators by packed exponents, denominator), not reduced, of a leaf
+    text: the leaf reader's, or the grammar's for a text it leaves to the
+    grammar; SchemaError at `path` as for _leaf."""
     _expect(isinstance(text, str), "expected an expression string", path)
     read = _read_leaf(text, dim, monos)
-    try:
-        return _ExprParser(text, dim).parse() if read is None else Poly._normal(dim, 0, *read)
-    except PolyParseError as exc:
-        raise SchemaError(f"leaf parse error: {exc}", path) from exc
+    if read is None:
+        try:
+            p = _ExprParser(text, dim).parse()
+        except PolyParseError as exc:
+            raise SchemaError(f"leaf parse error: {exc}", path) from exc
+        read = p._num, p._den
+    return read
 
 
 def tensor_from_payload(cls, payload, dim, path):
@@ -451,25 +487,25 @@ def tensor_to_payload(t) -> dict:
     """The payload of a multivector or form as JSON data, written from its index masks."""
     return {
         "degree": t.degree,
-        "terms": [{"indices": list(idx), "coeff": coeff} for idx, coeff in _op_terms(t, _indices)],
+        "terms": [{"indices": list(idx), "coeff": coeff} for idx, coeff in _op_terms(t, partial(map, _indices))],
     }
 
 
 _TERM_KEYS = frozenset(("coeff", "orders"))
+_ORDERS, _COEFF = itemgetter("orders"), itemgetter("coeff")
+
+# Fewest entries of a terms array checked whole.  The whole-array passes cost
+# a fixed few microseconds: on a 2-core x86 VM arrays of one to three entries
+# read 1.5-3 us faster entry by entry, four about as fast either way, and five
+# or more faster whole.
+_WHOLE_ARRAY_MIN = 4
 
 
 def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
     """The operator of a diffop payload ({arity?, terms} or a bare array of
-    {coeff, orders} entries), read in one pass.
-
-    A leaf text is read once per operator: its first entry reads it (the leaf
-    reader, or the grammar for a text that reader leaves to it) into a Poly,
-    whose packed keys the operator takes as they are, and every later entry
-    with the same text reuses that reading.  The leaf reader packs each
-    monomial text once per operator too.  Entries are checked in
-    order, each field in a fixed order, so a bad entry is reported at the
-    first entry that has it.  Nothing is kept once the call returns.
-    """
+    {coeff, orders} entries), its terms array read whole (``_read_whole``)
+    or, when it is small or fails a check, entry by entry (``_read_entries``),
+    as the module docstring says.  Nothing is kept once the call returns."""
     if isinstance(payload, dict):
         _expect(set(payload) <= {"arity", "terms"}, "expected keys arity/terms", path)
         arity = payload.get("arity", arity)
@@ -481,9 +517,52 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
         _expect(isinstance(payload, list), "expected an array of {coeff, orders}", path)
         terms_raw = payload
         base = path
-    leaves = {}  # leaf text -> its Poly
+    read = _read_whole(terms_raw, dim, arity) if len(terms_raw) >= _WHOLE_ARRAY_MIN else None
+    if read is None:
+        read = _read_entries(terms_raw, dim, arity, base, path)
+    arity, keys, coeffs, leaves = read
+    return PolyDiffOp._normal(dim, arity, *_placed(dim, keys, coeffs, leaves))
+
+
+def _read_whole(terms, dim, arity):
+    """(arity, packed flat orders, leaf texts, {text: _leaf_terms}) of a terms
+    array read whole, or None where _read_entries must read it.
+
+    Each check is one pass over the array: the entries' types and key sets,
+    the coefficients' types, and the orders (``kernel._keys`` checks and
+    packs them all at once); then each distinct leaf text is read once.
+    """
+    if not all(map(isinstance, terms, repeat(dict))) or {*map(len, terms)} != {2}:
+        return None
+    try:
+        orders, coeffs = [*map(_ORDERS, terms)], [*map(_COEFF, terms)]
+    except KeyError:  # a key other than coeff and orders
+        return None
+    if arity is None:  # a bare array's: the length of its first orders
+        arity = len(orders[0]) if isinstance(orders[0], list) else 0
+    # an arity of 0 is refused only after every leaf is read, entry by entry
+    if not arity or not all(map(isinstance, coeffs, repeat(str))):
+        return None
+    keys = _keys(orders, arity, dim)  # None for orders of another shape or over the budget
+    if keys is None:
+        return None
+    leaves = {}
     monos = {}  # monomial text -> packed exponents, for the leaf reader
-    parts = []  # (packed orders, Poly) per entry
+    try:
+        for text in dict.fromkeys(coeffs):
+            leaves[text] = _leaf_terms(text, dim, None, monos)
+    except SchemaError:  # named, with its entry, by _read_entries
+        return None
+    return arity, keys, coeffs, leaves
+
+
+def _read_entries(terms_raw, dim, arity, base, path):
+    """_read_whole's result, read entry by entry: each entry's fields are
+    checked in a fixed order and a leaf text is read at the first entry that
+    has it, so a bad entry is reported at the first entry that has it."""
+    keys, coeffs = [], []
+    leaves = {}
+    monos = {}
     for idx, entry in enumerate(terms_raw):
         # an entry's paths are built only for a refusal or a text's first reading
         if not isinstance(entry, dict):
@@ -502,20 +581,18 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
             if len(o) != dim:
                 raise SchemaError(f"multi-index length must equal dim = {dim}", f"{base}[{idx}].orders")
         try:
-            orders_key = _key(flat)
+            keys.append(_key(flat))
         except BudgetError as exc:
             raise SchemaError(str(exc), f"{base}[{idx}].orders") from None
         coeff = entry["coeff"]
-        # a text is a key of `leaves` once read; any other coefficient is refused by _leaf
-        leaf = leaves.get(coeff) if isinstance(coeff, str) else None
-        if leaf is None:
-            leaf = leaves[coeff] = _leaf(coeff, dim, f"{base}[{idx}].coeff", monos)
-        parts.append((orders_key, leaf))
+        if not (isinstance(coeff, str) and coeff in leaves):
+            leaves[coeff] = _leaf_terms(coeff, dim, f"{base}[{idx}].coeff", monos)
+        coeffs.append(coeff)
     if arity is None:
         raise SchemaError("empty diffop needs an explicit arity", path)
     # a bare array's arity is the length of its first orders, which may be 0
     _expect(arity >= 1, "arity must be >= 1", path)
-    return PolyDiffOp._normal(dim, arity, *_summed(dim, parts))
+    return arity, keys, coeffs, leaves
 
 
 _INT_TYPES = {int}
@@ -538,10 +615,11 @@ def _orders_fields(orders):
 
 
 def _op_terms(t, decode):
-    """(decode(high), coefficient text) of each term group of an operator or
-    alternating tensor t, in payload order: ascending decoded keys, high the
-    key part above the exponent block (``op._orders`` or ``kernel._indices``
-    decodes it).  The one route from stored keys to a payload's values."""
+    """(key, coefficient text) of each term group of an operator or
+    alternating tensor t, in payload order: ascending keys, which
+    decode(highs) gives for all the groups' key parts above the exponent
+    block in one call (``op._orders``, or ``kernel._indices`` mapped over
+    them).  The one route from stored keys to a payload's values."""
 
     @cache
     def mono(e):  # (graded-lex key, text) of packed exponents, each decoded once
@@ -549,9 +627,15 @@ def _op_terms(t, decode):
         return grlex_key(exps), _mono(exps)
 
     den = t._den
-    # the decoded keys are distinct, so only they are compared
-    for key, sub in sorted((decode(high), sub) for high, sub in t._groups().items()):
-        yield key, _text(den, [(mono(e)[1], sub[e]) for e in sorted(sub, key=mono, reverse=True)])
+    groups = t._groups()
+    if not groups:  # nothing to decode
+        return
+    # the decoded keys are distinct, so only they are compared; the map of
+    # groups is dropped before any text is written
+    groups = sorted(zip(decode(groups), groups.values()))
+    for key, sub in groups:
+        order = sorted(sub, key=mono, reverse=True) if len(sub) > 1 else sub
+        yield key, _text(den, [(mono(e)[1], sub[e]) for e in order])
 
 
 def diffop_to_payload(op: PolyDiffOp) -> dict:
@@ -751,6 +835,8 @@ def _document_from_obj(obj, path, depth) -> Document:
     dim = obj.get("dim")
     if kind != "bundle" or dim is not None:  # a bundle's dim is optional
         _expect(_is_int(dim) and dim >= 1, "dim must be a positive integer", f"{path}.dim")
+        if dim > MAX_DIM:
+            raise SchemaError(f"dim must be at most parser.MAX_DIM = {MAX_DIM}", f"{path}.dim")
     order = obj.get("order")
     if order is not None:
         _expect(_is_int(order) and order >= 1, "order must be a positive integer", f"{path}.order")

@@ -40,6 +40,17 @@ def tensor_to_payload_by_views(t) -> dict:
     }
 
 
+def diffop_to_payload_by_terms(op: PolyDiffOp) -> dict:
+    """The payload of an operator written from its terms view: the order tuples
+    sorted, each coefficient's text by poly_to_text.  parser.diffop_to_payload,
+    which writes from the packed map, is checked against it."""
+    return {
+        "arity": op.arity,
+        "terms": [{"coeff": poly_to_text(c), "orders": [list(o) for o in orders]}
+                  for orders, c in sorted(op.terms.items(), key=lambda term: term[0])],
+    }
+
+
 def _as_rat(value) -> Fraction:
     if isinstance(value, Fraction):
         return value

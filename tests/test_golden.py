@@ -268,6 +268,11 @@ BUNDLES = {
                                  b=_poly(2, "y^2")),
     "adexp_b_order": _bundle(star=_load("moyal_plane.json"), alpha=_poly(2, "x^2"),
                              b={"kind": "poly", "dim": 2, "order": 2, "payload": ["y^2", "x", "1"]}),
+    # a dim of 2^70, far above parser.MAX_DIM, is refused before the payload is read; it
+    # used to end in an OverflowError (exit 3), and a dim of 30,000,000 in seconds of work
+    "dim_over_budget_poly": _poly(2**70, "x1"),
+    "dim_over_budget_multivec": _mv(2**70, [{"indices": [1], "coeff": "x1"}]),
+    "dim_over_budget_diffop": _diffop(2**70, 1, [{"coeff": "x1", "orders": [[0]]}]),
     # operator documents whose leaf texts repeat: a leaf is read once per operator, and
     # the result, the refusal and its path are those of reading every entry on its own.
     # "x1*x2 - 1/2" sits at four entries; at orders ((0, 1), (1, 0)) it and its negative
@@ -408,6 +413,7 @@ CASES = (
     + [("parse", n) for n in ("diffop_repeated_leaves", "diffop_repeated_unreadable_leaf",
                               "diffop_repeated_leaf_over_budget", "product_over_budget")]
     + [("parse", "algebroid_repeated_pair")]
+    + [("parse", f"dim_over_budget_{kind}") for kind in ("poly", "multivec", "diffop")]
     + [("verify", n) for n in ("verify_qc_h_not_closed", "verify_star_beside_gauge_not_unital",
                                "verify_p1_not_biderivation_beside_gauge")]
     + [("star adexp", "adexp_alpha_series"), ("parse", "leaf_trailing_spaces")]
@@ -580,6 +586,9 @@ GOLDEN = {
     # recorded after repeated structure pairs came to add up; before, this report echoed
     # only the second entry (90d48fec4213e86de2687b0f92e504ee2aaff79480e1d231592095def6c927fd)
     ('parse', 'algebroid_repeated_pair'): (0, "f7aefaf778a4aeb8d70e72ddf7e549a11f6eb637f9dd9d1832bcf3c49538f124"),
+    ('parse', 'dim_over_budget_poly'): (2, "1edbfc8f4c4dd9ff03d2adf5564ac01a0f25db2964448bf79761a7bda47846e1"),
+    ('parse', 'dim_over_budget_multivec'): (2, "1edbfc8f4c4dd9ff03d2adf5564ac01a0f25db2964448bf79761a7bda47846e1"),
+    ('parse', 'dim_over_budget_diffop'): (2, "1edbfc8f4c4dd9ff03d2adf5564ac01a0f25db2964448bf79761a7bda47846e1"),
     # branches no earlier row reached, recorded before the change that added them
     ('verify', 'verify_qc_h_not_closed'): (1, "1b98d2209c5cadb1e5f5930949c5a4d1f4cd22ae9f4da62c2e444196591501c2"),
     ('verify', 'verify_star_beside_gauge_not_unital'): (1, "a30cdba6bfc43968ec1efec6b411bcf7571a682781606752ac13cc3c467d48cd"),

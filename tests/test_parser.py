@@ -440,24 +440,92 @@ class TestLeafReader:
 
 
 # leaves for operator documents, drawn from a small pool so that texts repeat:
-# (kind, coefficient) pairs, with few refusals among them
+# (kind, coefficient) pairs that read, and the refused ones a damaged entry takes
 _LEAF_DRAWS = st.sampled_from(
-    [("canonical", c) for c in ("x1", "-x1", "x1*x2 - 1/3", "-x1*x2 + 1/3", "1/2", "0")] * 8
-    + [("grammar", c) for c in ("(x1 + 1)^2", "-(x1 + 1)^2", "x*y", "2*(x1 - x2)/3")] * 4
-    + [("over budget", c) for c in ("x1^40000", "(x1^2)^20000", "x2 + x1^32768*x2")]
+    [("canonical", c) for c in ("x1", "-x1", "x1*x2 - 1/3", "-x1*x2 + 1/3", "1/2", "0")] * 2
+    + [("grammar", c) for c in ("(x1 + 1)^2", "-(x1 + 1)^2", "x*y", "2*(x1 - x2)/3")]
+)
+_BAD_LEAF_DRAWS = st.sampled_from(
+    [("over budget", c) for c in ("x1^40000", "(x1^2)^20000", "x2 + x1^32768*x2")]
     # terms above the budget are refused as they are read, even where they would cancel
-    + [("over budget", c) for c in ("x2 + x1^40000 - x1^40000", "(x2 + x1^40000 - x1^40000)")] * 2
+    + [("over budget", c) for c in ("x2 + x1^40000 - x1^40000", "(x2 + x1^40000 - x1^40000)")]
     + [("unreadable", c) for c in ("x1 + q", "(", "")]
     + [("not a str", c) for c in (5, None, ["x1"])]
 )
 # each leaf of the pool that has its negative there
 _NEGATED = {"x1": "-x1", "-x1": "x1", "x1*x2 - 1/3": "-x1*x2 + 1/3", "-x1*x2 + 1/3": "x1*x2 - 1/3",
             "(x1 + 1)^2": "-(x1 + 1)^2", "-(x1 + 1)^2": "(x1 + 1)^2"}
-# orders of an arity-1 operator on R^2: three valid ones, so that entries share
-# them, and one of each refusal
-_ORDERS_DRAWS = st.sampled_from(
-    [[[1, 0]], [[0, 1]], [[0, 0]]] * 16 + [[[0, 32768]], [[1]], [[1, 0], [0, 0]], [[True, 0]], "x"]
-)
+
+
+def _damaged_orders(kind, orders):
+    """A copy of an entry's orders with one refusal: a value in the last slot
+    that is not a JSON integer or is over the budget, a negative one, a short
+    multi-index, a missing slot or no array at all."""
+    orders = [list(o) for o in orders]
+    if kind == "true in a later slot":
+        orders[-1][-1] = True
+    elif kind == "32768 in a later slot":
+        orders[-1][-1] = 32768
+    elif kind == "negative order":
+        orders[0][0] = -1
+    elif kind == "short multi-index":
+        orders[-1] = orders[-1][:1]
+    elif kind == "missing slot":
+        orders = orders[:-1]
+    else:
+        orders = "x"
+    return orders
+
+
+def _damage(entries, at, field, kind):
+    """Damage entries[at]: its coefficient becomes `kind` (field "coeff"), its
+    orders get the refusal `kind` (field "orders"), or it gets a third key or
+    stops being an object (field "entry")."""
+    entry = entries[at] = dict(entries[at])
+    if field == "coeff":
+        entry["coeff"] = kind
+    elif field == "orders":
+        entry["orders"] = _damaged_orders(kind, entry["orders"])
+    elif kind == "third key":
+        entry["x"] = 1
+    else:
+        entries[at] = ["coeff", "orders"]
+
+
+_ORDERS_DAMAGE = ["true in a later slot", "32768 in a later slot", "negative order", "short multi-index",
+                  "missing slot", "orders not an array"]
+_ENTRY_DAMAGE = ["third key", "not an object"]
+
+
+@st.composite
+def _diffop_payloads(draw):
+    """(payload, arity, entries, leaf kinds, damages) of a diffop payload on R^2
+    of arity 1-3 with up to 40 entries, their orders drawn from the
+    multi-indices of order at most 1 so that they repeat, and up to two damaged
+    entries, each damaged in another field (its leaf, its orders, or the entry
+    itself): damages is the (position, field, kind) of each."""
+    arity = draw(st.integers(1, 3))
+    slot = st.lists(st.integers(0, 1), min_size=2, max_size=2)
+    drawn = draw(st.lists(st.tuples(_LEAF_DRAWS, st.lists(slot, min_size=arity, max_size=arity)), max_size=40))
+    entries = [{"coeff": leaf, "orders": orders} for (_, leaf), orders in drawn]
+    damage = st.one_of(
+        st.tuples(st.just("coeff"), _BAD_LEAF_DRAWS),
+        st.tuples(st.just("orders"), st.sampled_from(_ORDERS_DAMAGE)),
+        st.tuples(st.just("entry"), st.sampled_from(_ENTRY_DAMAGE)),
+    )
+    damages = []
+    if entries:
+        for at, (field, kind) in draw(st.lists(st.tuples(st.integers(0, len(entries) - 1), damage),
+                                               max_size=2, unique_by=(lambda d: d[0], lambda d: d[1][0]))):
+            if field == "coeff":
+                kind, text = kind
+                _damage(entries, at, field, text)
+            else:
+                _damage(entries, at, field, kind)
+            damages.append((at, field, kind))
+    bare = draw(st.booleans())
+    payload = entries if bare else {"arity": arity, "terms": entries}
+    return payload, arity, entries, {kind for (kind, _), _ in drawn}, damages
 
 
 # The ids of test_diffop_errors, written out so that a changed refusal message
@@ -512,6 +580,20 @@ class TestDocuments:
         doc = parse_document(text)
         assert doc.order == doc.payload.order == order
         assert f'"order": {order}' in serialize_document(doc)
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("poly", "x1"), ("multivec", [{"indices": [1], "coeff": "x1"}]),
+        ("diffop", [{"coeff": "x1", "orders": [[0] * parser.MAX_DIM]}]),
+    ])
+    def test_dim_budget(self, kind, payload):
+        # the largest dim is read, and the next one and a 71-bit one are refused
+        # before the payload is read
+        doc = parse_document(json.dumps({"kind": kind, "dim": parser.MAX_DIM, "payload": payload}))
+        assert doc.dim == parser.MAX_DIM
+        for dim in (parser.MAX_DIM + 1, 2**70):
+            with pytest.raises(SchemaError) as info:
+                parse_document(json.dumps({"kind": "bundle", "payload": {"d": {"kind": kind, "dim": dim, "payload": payload}}}))
+            assert str(info.value) == f"$.payload.d.dim: dim must be at most parser.MAX_DIM = {parser.MAX_DIM}"
 
     def test_kind_payload_mismatch(self):
         with pytest.raises(SchemaError):
@@ -629,9 +711,12 @@ class TestDocuments:
         assert str(info.value) == "$.payload[0].coeff: " + _leaf_over(40000, pos)
 
     def test_diffop_reader_matches_the_entry_by_entry_route(self):
-        """The one-pass reader, which reads each leaf text once per operator,
-        against the former route, which reads every entry on its own: the same
-        operator with its keys in the same order, or the same refusal."""
+        """The reader, which checks an array of parser._WHOLE_ARRAY_MIN entries
+        or more whole and reads each leaf text once per operator, against the
+        former route, which reads every entry on its own: the same operator with
+        its keys in the same order, or the same refusal at the same path, both
+        where the whole-array checks pass and where the entry-by-entry scan
+        names the first damaged entry."""
         seen = set()
 
         def outcome(read, payload):
@@ -641,26 +726,71 @@ class TestDocuments:
                 return "refused", type(exc), exc.message, exc.path
             return "read", op.arity, op._den, list(op._num.items())
 
-        @settings(max_examples=300, derandomize=True)
-        @given(st.booleans(), st.lists(st.tuples(_LEAF_DRAWS, _ORDERS_DRAWS), max_size=8))
-        def run(bare, drawn):
-            entries = [{"coeff": leaf, "orders": orders} for (_, leaf), orders in drawn]
-            payload = entries if bare else {"arity": 1, "terms": entries}
+        @settings(max_examples=400, derandomize=True)
+        @given(_diffop_payloads())
+        def run(drawn):
+            payload, arity, entries, leaf_kinds, damages = drawn
             want = outcome(oracles.diffop_from_payload_by_entries, payload)
             assert outcome(parser.diffop_from_payload, payload) == want
-            seen.update(kind for (kind, _), _ in drawn)
-            texts = [json.dumps(leaf) for (_, leaf), _ in drawn]
+            seen.add(want[0])
+            seen.add(f"arity {arity}")
+            texts = [json.dumps(e["coeff"]) for e in entries if isinstance(e, dict) and "coeff" in e]
+            seen.update(leaf_kinds)
             if len(set(texts)) < len(texts):
                 seen.add("repeated")
-            placed = {(json.dumps(orders), json.dumps(leaf)) for (_, leaf), orders in drawn}
-            if want[0] == "read" and any((json.dumps(orders), json.dumps(_NEGATED.get(t))) in placed
-                                         for (_, t), orders in drawn if isinstance(t, str)):
-                seen.add("cancels across entries")
-            seen.add(want[0])
+            if len(entries) > 20:
+                seen.add("more than 20 entries")
+            if want[0] == "refused" and len(entries) >= parser._WHOLE_ARRAY_MIN:
+                seen.add("refused after the whole-array checks")
+            if want[0] == "read":
+                placed = {(json.dumps(e["orders"]), e["coeff"]) for e in entries}
+                if any((json.dumps(e["orders"]), _NEGATED.get(e["coeff"])) in placed for e in entries):
+                    seen.add("cancels across entries")
+                if len(entries) >= parser._WHOLE_ARRAY_MIN:
+                    orders = [json.dumps(e["orders"]) for e in entries]
+                    seen.add("whole, repeated orders" if len(set(orders)) < len(orders) else "whole, distinct orders")
+            for at, field, kind in damages:
+                seen.add(kind)
+                if kind in ("true in a later slot", "32768 in a later slot") and arity > 1:
+                    seen.add(f"{kind}, arity > 1")
+            if len(damages) == 2:
+                (first, f1, k1), (second, f2, k2) = sorted(damages)
+                # the scan names the first damaged entry, whichever field is damaged, unless
+                # a slot missing at a bare array's first entry sets a smaller arity
+                if isinstance(payload, dict) or (first, k1) != (0, "missing slot"):
+                    assert want[0] == "refused" and re.fullmatch(rf"\$\.payload(\.terms)?\[{first}\].*", want[3])
+                seen.add(f"{f1} before {f2}")
+                if k2 == "third key":
+                    seen.add("third key on a later entry")
 
         run()
-        assert seen == {"canonical", "grammar", "over budget", "unreadable", "not a str",
-                        "repeated", "cancels across entries", "read", "refused"}
+        assert seen == {
+            "read", "refused", "refused after the whole-array checks", "arity 1", "arity 2", "arity 3",
+            "canonical", "grammar", "repeated",
+            "more than 20 entries", "cancels across entries", "whole, repeated orders", "whole, distinct orders",
+            "over budget", "unreadable", "not a str", *_ORDERS_DAMAGE, *_ENTRY_DAMAGE,
+            "true in a later slot, arity > 1", "32768 in a later slot, arity > 1",
+            "coeff before orders", "orders before coeff", "coeff before entry", "entry before coeff",
+            "orders before entry", "entry before orders", "third key on a later entry",
+        }
+
+    @pytest.mark.parametrize("field, kind", [("coeff", c) for c in ("x1^40000", "x1 + q", 5)]
+                             + [("orders", k) for k in _ORDERS_DAMAGE] + [("entry", k) for k in _ENTRY_DAMAGE])
+    @pytest.mark.parametrize("arity", [1, 2, 3])
+    def test_diffop_reader_names_one_damaged_entry_of_a_large_array(self, field, kind, arity):
+        """Each whole-array check catches one damaged entry among a dozen: the
+        refusal and its path are the entry-by-entry route's, at that entry."""
+        entries = [{"coeff": c, "orders": [[i % 2, i // 2 % 2]] * arity}
+                   for i, c in enumerate(["x1", "1/2", "x*y", "-x1"] * 3)]
+        assert len(entries) >= parser._WHOLE_ARRAY_MIN
+        _damage(entries, 9, field, kind)
+        payload = {"arity": arity, "terms": entries}
+        with pytest.raises(SchemaError) as want:
+            oracles.diffop_from_payload_by_entries(payload, 2, "$.payload")
+        with pytest.raises(SchemaError) as got:
+            parser.diffop_from_payload(payload, 2, "$.payload")
+        assert (got.value.message, got.value.path) == (want.value.message, want.value.path)
+        assert got.value.path.startswith("$.payload.terms[9]")
 
     def test_diffop_reader_shares_monomials_between_distinct_leaves(self):
         """The reader packs each monomial text once per operator, whichever leaf
@@ -872,6 +1002,22 @@ def _operators(draw):
 
 class TestOperatorWriter:
     """canonical_json writes an operator where it stands as json.dumps writes its payload."""
+
+    def test_payload_is_the_terms_view_written_in_order(self):
+        """diffop_to_payload against a writer of the terms view: the same term
+        order and coefficient texts, for groups of one monomial and of several."""
+        seen = set()
+
+        @settings(max_examples=200, derandomize=True)
+        @given(_operators())
+        def run(op):
+            assert diffop_to_payload(op) == oracles.diffop_to_payload_by_terms(op)
+            seen.update("one monomial" if c.term_count() == 1 else "several monomials" for c in op.terms.values())
+            if len(op.terms) > 1:
+                seen.add("several groups")
+
+        run()
+        assert seen == {"one monomial", "several monomials", "several groups"}
 
     @settings(derandomize=True)
     @given(_operators())
