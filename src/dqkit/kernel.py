@@ -23,7 +23,8 @@ Three loops write a map themselves, each saying why: ``_Sum.add_term``
 adds one term, ``diffop._OpAcc.add_coboundary`` runs each term's own split
 table, and ``starprod.moyal`` keeps a cancelled key's place; ``_placed``,
 the map of an operator payload, places the terms of distinct orders, which
-share no key, and sums repeated orders through ``_Sum.add_term``.  The kernel
+share no key, in one comprehension, and sums repeated orders through
+``_summed``.  The kernel
 also owns two small facts every module shares: ``_as_poly``, the one
 coercion of an int or ``Fraction`` to a constant ``Poly``, and ``_mono``,
 the one text of a monomial (``repr`` and the parser's canonical output
@@ -561,21 +562,17 @@ def _placed(dim: int, keys: list, coeffs: list, leaves: dict) -> tuple:
     denominator), which the entries of one text share.  The map is the one a
     sum of the entries in turn (``_Sum``) gives: distinct orders share no
     key, so their terms are placed as they are, scaled to the lcm of the
-    denominators, and only a payload that repeats an orders key is summed
-    term by term."""
+    denominators, and only a payload that repeats an orders key is summed,
+    one ``Poly`` per leaf text, by ``_summed``."""
+    if len(set(keys)) < len(keys):
+        polys = {text: Poly._normal(dim, 0, *leaf) for text, leaf in leaves.items()}
+        return _summed(dim, zip(keys, map(polys.__getitem__, coeffs)))
     if not keys:
         return {}, 1
     block = _BITS * dim
     den = lcm(*map(_second, leaves.values()))
-    if len(set(keys)) == len(keys):
-        return {(key << block) + k: n * (den // d)
-                for key, (num, d) in zip(keys, map(leaves.__getitem__, coeffs)) for k, n in num.items()}, den
-    acc = _Sum({}, den)
-    for key, c in zip(keys, coeffs):
-        num, d = leaves[c]
-        for k, n in num.items():
-            acc.add_term((key << block) + k, n, d)
-    return acc.terms, den
+    return {(key << block) + k: n * (den // d)
+            for key, (num, d) in zip(keys, map(leaves.__getitem__, coeffs)) for k, n in num.items()}, den
 
 
 def _mask(indices) -> int:

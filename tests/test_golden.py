@@ -586,9 +586,9 @@ GOLDEN = {
     # recorded after repeated structure pairs came to add up; before, this report echoed
     # only the second entry (90d48fec4213e86de2687b0f92e504ee2aaff79480e1d231592095def6c927fd)
     ('parse', 'algebroid_repeated_pair'): (0, "f7aefaf778a4aeb8d70e72ddf7e549a11f6eb637f9dd9d1832bcf3c49538f124"),
-    ('parse', 'dim_over_budget_poly'): (2, "1edbfc8f4c4dd9ff03d2adf5564ac01a0f25db2964448bf79761a7bda47846e1"),
-    ('parse', 'dim_over_budget_multivec'): (2, "1edbfc8f4c4dd9ff03d2adf5564ac01a0f25db2964448bf79761a7bda47846e1"),
-    ('parse', 'dim_over_budget_diffop'): (2, "1edbfc8f4c4dd9ff03d2adf5564ac01a0f25db2964448bf79761a7bda47846e1"),
+    ('parse', 'dim_over_budget_poly'): (2, "152a2d552fe670556c4fd49e17f0936c01045d53fcb2cd2e984b2b2a398b298e"),
+    ('parse', 'dim_over_budget_multivec'): (2, "152a2d552fe670556c4fd49e17f0936c01045d53fcb2cd2e984b2b2a398b298e"),
+    ('parse', 'dim_over_budget_diffop'): (2, "152a2d552fe670556c4fd49e17f0936c01045d53fcb2cd2e984b2b2a398b298e"),
     # branches no earlier row reached, recorded before the change that added them
     ('verify', 'verify_qc_h_not_closed'): (1, "1b98d2209c5cadb1e5f5930949c5a4d1f4cd22ae9f4da62c2e444196591501c2"),
     ('verify', 'verify_star_beside_gauge_not_unital'): (1, "a30cdba6bfc43968ec1efec6b411bcf7571a682781606752ac13cc3c467d48cd"),

@@ -460,7 +460,7 @@ _NEGATED = {"x1": "-x1", "-x1": "x1", "x1*x2 - 1/3": "-x1*x2 + 1/3", "-x1*x2 + 1
 def _damaged_orders(kind, orders):
     """A copy of an entry's orders with one refusal: a value in the last slot
     that is not a JSON integer or is over the budget, a negative one, a short
-    multi-index, a missing slot or no array at all."""
+    multi-index, a missing or an extra slot, or no array at all."""
     orders = [list(o) for o in orders]
     if kind == "true in a later slot":
         orders[-1][-1] = True
@@ -472,6 +472,8 @@ def _damaged_orders(kind, orders):
         orders[-1] = orders[-1][:1]
     elif kind == "missing slot":
         orders = orders[:-1]
+    elif kind == "extra slot":
+        orders = orders + [orders[-1]]
     else:
         orders = "x"
     return orders
@@ -493,7 +495,7 @@ def _damage(entries, at, field, kind):
 
 
 _ORDERS_DAMAGE = ["true in a later slot", "32768 in a later slot", "negative order", "short multi-index",
-                  "missing slot", "orders not an array"]
+                  "missing slot", "extra slot", "orders not an array"]
 _ENTRY_DAMAGE = ["third key", "not an object"]
 
 
@@ -501,9 +503,9 @@ _ENTRY_DAMAGE = ["third key", "not an object"]
 def _diffop_payloads(draw):
     """(payload, arity, entries, leaf kinds, damages) of a diffop payload on R^2
     of arity 1-3 with up to 40 entries, their orders drawn from the
-    multi-indices of order at most 1 so that they repeat, and up to two damaged
-    entries, each damaged in another field (its leaf, its orders, or the entry
-    itself): damages is the (position, field, kind) of each."""
+    multi-indices of order at most 1 so that they repeat, and up to two
+    damages, each to another field (a leaf, an orders, or an entry itself), at
+    two entries or at one: damages is the (position, field, kind) of each."""
     arity = draw(st.integers(1, 3))
     slot = st.lists(st.integers(0, 1), min_size=2, max_size=2)
     drawn = draw(st.lists(st.tuples(_LEAF_DRAWS, st.lists(slot, min_size=arity, max_size=arity)), max_size=40))
@@ -515,8 +517,12 @@ def _diffop_payloads(draw):
     )
     damages = []
     if entries:
-        for at, (field, kind) in draw(st.lists(st.tuples(st.integers(0, len(entries) - 1), damage),
-                                               max_size=2, unique_by=(lambda d: d[0], lambda d: d[1][0]))):
+        picks = draw(st.lists(st.tuples(st.integers(0, len(entries) - 1), damage),
+                              max_size=2, unique_by=lambda d: d[1][0]))
+        if len(picks) == 2 and draw(st.booleans()):  # both fields of one entry
+            picks[1] = picks[0][0], picks[1][1]
+        # an entry that stops being an object takes no further damage, so that one goes last
+        for at, (field, kind) in sorted(picks, key=lambda d: d[1][0] == "entry"):
             if field == "coeff":
                 kind, text = kind
                 _damage(entries, at, field, text)
@@ -726,7 +732,7 @@ class TestDocuments:
                 return "refused", type(exc), exc.message, exc.path
             return "read", op.arity, op._den, list(op._num.items())
 
-        @settings(max_examples=400, derandomize=True)
+        @settings(max_examples=600, derandomize=True)
         @given(_diffop_payloads())
         def run(drawn):
             payload, arity, entries, leaf_kinds, damages = drawn
@@ -755,13 +761,25 @@ class TestDocuments:
                     seen.add(f"{kind}, arity > 1")
             if len(damages) == 2:
                 (first, f1, k1), (second, f2, k2) = sorted(damages)
-                # the scan names the first damaged entry, whichever field is damaged, unless
-                # a slot missing at a bare array's first entry sets a smaller arity
-                if isinstance(payload, dict) or (first, k1) != (0, "missing slot"):
-                    assert want[0] == "refused" and re.fullmatch(rf"\$\.payload(\.terms)?\[{first}\].*", want[3])
-                seen.add(f"{f1} before {f2}")
-                if k2 == "third key":
-                    seen.add("third key on a later entry")
+                # a slot missing or extra at a bare array's first entry sets the arity
+                sets_arity = not isinstance(payload, dict) and any(
+                    at == 0 and kind in ("missing slot", "extra slot") for at, _, kind in damages)
+                if first == second:
+                    # an entry's type and key set are checked first, then its orders, then its leaf
+                    tail = "" if "entry" in (f1, f2) else r"\.orders"
+                    if not sets_arity:
+                        assert want[0] == "refused" and re.fullmatch(rf"\$\.payload(\.terms)?\[{first}\]{tail}",
+                                                                     want[3])
+                    if len(entries) >= parser._WHOLE_ARRAY_MIN:
+                        seen.add(f"one entry of a large array: {f1} and {f2}")
+                else:
+                    # the scan names the first damaged entry, whichever field is damaged
+                    if not sets_arity:
+                        assert want[0] == "refused" and re.fullmatch(rf"\$\.payload(\.terms)?\[{first}\].*",
+                                                                     want[3])
+                    seen.add(f"{f1} before {f2}")
+                    if k2 == "third key":
+                        seen.add("third key on a later entry")
 
         run()
         assert seen == {
@@ -772,6 +790,8 @@ class TestDocuments:
             "true in a later slot, arity > 1", "32768 in a later slot, arity > 1",
             "coeff before orders", "orders before coeff", "coeff before entry", "entry before coeff",
             "orders before entry", "entry before orders", "third key on a later entry",
+            "one entry of a large array: coeff and orders", "one entry of a large array: coeff and entry",
+            "one entry of a large array: entry and orders",
         }
 
     @pytest.mark.parametrize("field, kind", [("coeff", c) for c in ("x1^40000", "x1 + q", 5)]
