@@ -80,16 +80,21 @@ def _load_document(path: str) -> Document:
 
 
 def _entry(doc: Document, name: str, kind: str) -> Document:
+    """The bundle entry `name` of `kind`: a "poly" entry is a polynomial, and a
+    "series" entry a poly entry that may be a t-series too."""
     if doc.kind != "bundle":
         raise SchemaError(f"this command needs a bundle document with an entry {name!r}")
     if name not in doc.payload:
         raise SchemaError(f"bundle is missing the entry {name!r}", f"$.payload.{name}")
     sub = doc.payload[name]
-    if sub.kind != kind:
+    want = "poly" if kind == "series" else kind
+    if sub.kind != want:
         raise SchemaError(
-            f"entry {name!r} must have kind in {(kind,)}, got {sub.kind!r}",
+            f"entry {name!r} must have kind in {(want,)}, got {sub.kind!r}",
             f"$.payload.{name}.kind",
         )
+    if kind == "poly" and isinstance(sub.payload, TPoly):
+        raise SchemaError(f"entry {name!r} must be a polynomial, not a t-series", f"$.payload.{name}.order")
     return sub
 
 
@@ -277,7 +282,7 @@ _ACTIONS = {
                          lambda S, R: _ok(tensor_to_payload(sigma1_class(S, R).xi))),
     ("star", "subprincipal"): (_STAR_GAUGE, None,
                                lambda S, R: _ok(tensor_to_payload(subprincipal(S, R)))),
-    ("star", "adexp"): (_STAR + (("alpha", "poly"), ("b", "poly")), None, _star_adexp),
+    ("star", "adexp"): (_STAR + (("alpha", "series"), ("b", "series")), None, _star_adexp),
     ("star", "nabla"): (None, None, _star_nabla),
     ("star", "nabla-curv"): (_BIMODULE, None,
                              lambda *parts: _ok(tensor_to_payload(nabla_curvature(BimoduleModel(*parts))))),

@@ -469,7 +469,7 @@ def transpose(P: PolyDiffOp) -> PolyDiffOp:
         (k & low) | ((k >> block & low) << 2 * block) | (k >> 2 * block << block): n
         for k, n in P._num.items()
     }
-    return PolyDiffOp._make(P.dim, 2, swapped, P._den)
+    return PolyDiffOp._normal(P.dim, 2, swapped, P._den)
 
 
 def transpose_parts(P: PolyDiffOp):

@@ -4,10 +4,11 @@ Everything downstream (forms, multivectors, operators, star products) stores
 its coefficients as :class:`Poly`.  All values are immutable by convention and
 all operations are pure, so concurrent use needs no coordination.
 
-The stored form has one owner, :class:`_Stored`, and three kinds: a
+The stored form has one owner, :class:`_Stored`, and four kinds: a
 ``Poly`` (arity 0), a ``diffop`` operator (order blocks above the exponent
-block of each key) and a ``calculus`` multivector or form (the index mask of
-each term above it).  It is int numerators at packed keys over one positive
+block of each key), a ``calculus`` multivector or form (the index mask of
+each term above it) and a truncated t-series ``TPoly`` (the t-degree above
+it).  It is int numerators at packed keys over one positive
 denominator, normalized by one ``math.gcd``, so structural equality and
 ``hash`` are equality of values and no ``Fraction`` arithmetic runs inside
 the kernel.  ``Fraction`` appears only at the API edge: the public
@@ -18,7 +19,8 @@ a stored value over a running common denominator, its keys moved up by a
 high part (``_Stored._sum`` and ``_summed``'s (high, ``Poly``) parts run
 it, behind the constructors, the readers and ``diffop._OpAcc``), and
 ``_add_products``, the one multiply-add over two lists of (key, numerator),
-behind ``_times`` and ``diffop``'s composition, Leibniz rule and slot fill.
+behind ``_times``, ``TPoly``'s Cauchy product and ``diffop``'s composition,
+Leibniz rule and slot fill.
 Three loops write a map themselves, each saying why: ``_Sum.add_term``
 adds one term, ``diffop._OpAcc.add_coboundary`` runs each term's own split
 table, and ``starprod.moyal`` keeps a cancelled key's place; ``_placed``,
@@ -133,19 +135,21 @@ def _mono(exps) -> str:
 
 
 class _Stored:
-    """Int numerators at packed keys over one positive denominator, in three
+    """Int numerators at packed keys over one positive denominator, in four
     kinds: a ``Poly`` (arity 0, keys of ``dim`` fields), a ``diffop.PolyDiffOp``
     of ``arity`` arguments (keys of ``dim * (arity + 1)`` fields, the exponents
-    lowest) and a ``calculus`` alternating tensor, whose ``arity`` is its shape
+    lowest), a ``calculus`` alternating tensor, whose ``arity`` is its shape
     (degree, index bound) and whose keys hold each term's index set as a mask
-    above the exponent block, bit i - 1 for index i.
+    above the exponent block, bit i - 1 for index i, and a ``TPoly``, whose
+    ``arity`` is its truncation order and whose keys hold each term's t-degree
+    above the exponent block.
 
     ``_num`` maps keys to nonzero ``int`` numerators over ``_den``, with
     ``gcd(_den, *_num.values()) == 1``, ``_den == 1`` when ``_num`` is empty
     and no field above ``MAX_PACKED``; so equality of ``(dim, arity, _den,
     _num)``, and ``hash``, is equality of values.  ``__init__`` is the one
-    normalizing step and owns the map it is given; ``_normal`` runs it past
-    the subclasses' argument checks, and ``_make`` wraps a form already normal.
+    normalizing step and owns the map it is given; ``_normal``, the one way
+    to wrap a map, runs it past the subclasses' argument checks.
     The keys above the exponent block group the terms: ``_groups`` and
     ``_coeffs`` give each group's exponents and ``Poly``.
     """
@@ -153,6 +157,8 @@ class _Stored:
     __slots__ = ("dim", "arity", "_num", "_den")
 
     def __init__(self, dim: int, arity, num: dict, den: int):
+        # over den 1 a map is already normal; gcd(den, *values) would also
+        # build a tuple of every numerator, raising a run's peak memory
         if den != 1:
             g = gcd(den, *num.values())
             if g != 1:
@@ -171,21 +177,11 @@ class _Stored:
         _Stored.__init__(s, dim, arity, num, den)
         return s
 
-    @classmethod
-    def _make(cls, dim: int, arity, num: dict, den: int):
-        """Wrap a stored form that is already normal, owning `num`."""
-        s = object.__new__(cls)
-        s.dim = dim
-        s.arity = arity
-        s._num = num
-        s._den = den
-        return s
-
     def is_zero(self) -> bool:
         return not self._num
 
     def __neg__(self):
-        return self._make(self.dim, self.arity, {k: -n for k, n in self._num.items()}, self._den)
+        return self._normal(self.dim, self.arity, {k: -n for k, n in self._num.items()}, self._den)
 
     def __sub__(self, other):
         return self + (-other)
@@ -303,23 +299,23 @@ class Poly(_Stored):
 
     @classmethod
     def zero(cls, dim: int) -> "Poly":
-        return cls._make(dim, 0, {}, 1)
+        return cls._normal(dim, 0, {}, 1)
 
     @classmethod
     def const(cls, dim: int, value) -> "Poly":
         p, d = _ratio(value)
-        return cls._make(dim, 0, {0: p} if p else {}, d)
+        return cls._normal(dim, 0, {0: p} if p else {}, d)
 
     @classmethod
     def one(cls, dim: int) -> "Poly":
-        return cls._make(dim, 0, {0: 1}, 1)
+        return cls._normal(dim, 0, {0: 1}, 1)
 
     @classmethod
     def variable(cls, dim: int, index: int) -> "Poly":
         """Coordinate x_index, 1-based."""
         if type(index) is not int or not 1 <= index <= dim:
             raise ValueError(f"coordinate index {index!r} out of range 1..{dim}")
-        return cls._make(dim, 0, {1 << _BITS * (index - 1): 1}, 1)
+        return cls._normal(dim, 0, {1 << _BITS * (index - 1): 1}, 1)
 
     @classmethod
     def monomial(cls, dim: int, exps, coeff=1) -> "Poly":
@@ -567,8 +563,6 @@ def _placed(dim: int, keys: list, coeffs: list, leaves: dict) -> tuple:
     if len(set(keys)) < len(keys):
         polys = {text: Poly._normal(dim, 0, *leaf) for text, leaf in leaves.items()}
         return _summed(dim, zip(keys, map(polys.__getitem__, coeffs)))
-    if not keys:
-        return {}, 1
     block = _BITS * dim
     den = lcm(*map(_second, leaves.values()))
     return {(key << block) + k: n * (den // d)
@@ -605,19 +599,21 @@ def _alt_flip(t, i: int, into: bool):
         if k & bit == want:
             out[k ^ bit] = -n if (k & below).bit_count() & 1 else n
     degree, bound = t.arity
-    # a part of a normal map over den 1 is normal
-    return (t._make if t._den == 1 else t._normal)(t.dim, (degree + 1 if into else degree - 1, bound), out, t._den)
+    return t._normal(t.dim, (degree + 1 if into else degree - 1, bound), out, t._den)
 
 
-class TPoly:
-    """Truncated series in the deformation parameter t with Poly coefficients.
+class TPoly(_Stored):
+    """Truncated series in the deformation parameter t with Poly coefficients:
+    the :class:`_Stored` whose ``arity`` is the truncation order N and whose
+    keys hold each term's t-degree above the exponent block.
 
-    ``coeffs[k]`` is the coefficient of t^k, for 0 <= k <= order.  Products
-    discard every t-degree above the truncation order.  The t^0 coefficient is
-    the classical reduction ``sigma``.
+    ``coeffs[k]`` is the coefficient of t^k, for 0 <= k <= order; it, ``coeff``,
+    ``sigma`` and ``order`` are read-only views.  Products discard every
+    t-degree above the truncation order.  The t^0 coefficient is the classical
+    reduction ``sigma``.
     """
 
-    __slots__ = ("dim", "order", "coeffs")
+    __slots__ = ()
 
     def __init__(self, order: int, coeffs):
         if order < 1:
@@ -628,35 +624,37 @@ class TPoly:
         dims = {p.dim for p in coeffs}
         if len(dims) != 1:
             raise DimensionMismatchError(f"mixed coefficient dimensions: {sorted(dims)}")
-        self.dim = dims.pop()
-        self.order = order
-        self.coeffs = coeffs
+        dim = dims.pop()
+        super().__init__(dim, order, *_summed(dim, enumerate(coeffs)))
 
     @classmethod
     def zero(cls, dim: int, order: int) -> "TPoly":
-        return cls(order, [Poly.zero(dim) for _ in range(order + 1)])
+        return cls(order, [Poly.zero(dim)] * (order + 1))
 
     @classmethod
     def from_poly(cls, p: Poly, order: int) -> "TPoly":
-        coeffs = [Poly.zero(p.dim) for _ in range(order + 1)]
-        coeffs[0] = p
-        return cls(order, coeffs)
+        return cls(order, [p] + [Poly.zero(p.dim)] * order)
+
+    @property
+    def order(self) -> int:
+        return self.arity
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients of t^0 .. t^order, computed on each access."""
+        coeffs = self._coeffs()
+        return tuple(coeffs.get(k) or Poly.zero(self.dim) for k in range(self.order + 1))
 
     @property
     def sigma(self) -> Poly:
         """Classical reduction: the t^0 coefficient."""
-        return self.coeffs[0]
+        return self.coeff(0)
 
     def coeff(self, k: int) -> Poly:
         """Coefficient of t^k (zero beyond the truncation order)."""
         if k < 0:
             raise ValueError("negative t-degree")
-        if k > self.order:
-            return Poly.zero(self.dim)
-        return self.coeffs[k]
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return self._coeffs().get(k) or Poly.zero(self.dim)
 
     def _check_compat(self, other: "TPoly"):
         if self.order != other.order:
@@ -672,32 +670,21 @@ class TPoly:
         if isinstance(other, (int, Fraction, Poly)):
             other = TPoly.from_poly(_as_poly(self.dim, other), self.order)
         self._check_compat(other)
-        return TPoly(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self._sum(other)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return TPoly(self.order, [-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         """Cauchy product; t-degrees above the truncation order are dropped."""
         if isinstance(other, (int, Fraction, Poly)):
-            return TPoly(self.order, [c * other for c in self.coeffs])
+            return self.scale(other)
         self._check_compat(other)
-        out = [Poly.zero(self.dim) for _ in range(self.order + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > self.order:
-                    break
-                if b.is_zero():
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return TPoly(self.order, out)
+        out = {}
+        _add_products(out, self._num.items(), other._num.items())
+        top = self.order + 1 << _BITS * self.dim
+        out = {k: n for k, n in out.items() if k < top}
+        _check_budget(out, self.dim)
+        return self._normal(self.dim, self.order, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -705,23 +692,10 @@ class TPoly:
         """Multiply by t^k (coefficients past the truncation order drop)."""
         if k < 0:
             raise ValueError("negative t-shift")
-        out = [Poly.zero(self.dim) for _ in range(self.order + 1)]
-        for i, c in enumerate(self.coeffs):
-            if i + k <= self.order:
-                out[i + k] = c
-        return TPoly(self.order, out)
-
-    def __eq__(self, other):
-        if not isinstance(other, TPoly):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.dim == other.dim
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.order, tuple(self.coeffs)))
+        block = _BITS * self.dim
+        top = self.order + 1 - k << block
+        out = {key + (k << block): n for key, n in self._num.items() if key < top}
+        return self._normal(self.dim, self.order, out, self._den)
 
     def __repr__(self):
-        return f"TPoly(order={self.order}, {self.coeffs!r})"
+        return f"TPoly(order={self.order}, {list(self.coeffs)!r})"

@@ -631,8 +631,6 @@ def _op_terms(t, decode):
 
     den = t._den
     groups = t._groups()
-    if not groups:  # nothing to decode
-        return
     # the decoded keys are distinct, so only they are compared; the map of
     # groups is dropped before any text is written
     groups = sorted(zip(decode(groups), groups.values()))
@@ -716,10 +714,7 @@ def qc_from_payload(payload, dim, order, path) -> QCData:
         _expect(p.degree == 2, "pi_k must be bivectors", f"{path}.pis[{i}]")
     H = tensor_from_payload(Form, payload["H"], dim, f"{path}.H")
     _expect(H.degree == 3, "H must be a 3-form", f"{path}.H")
-    try:
-        return QCData(dim, order, pis, H)
-    except DqkitError as exc:
-        raise SchemaError(str(exc), path) from exc
+    return QCData(dim, order, pis, H)
 
 
 def qc_to_payload(Q: QCData) -> dict:
@@ -776,10 +771,7 @@ def algebroid_from_payload(payload, dim, path) -> AlgebroidPresentation:
         pair = tuple(pair_raw)
         # a repeated pair adds entrywise, as repeated tensor indices and operator orders do
         structure[pair] = [a + b for a, b in zip(structure[pair], coeffs)] if pair in structure else coeffs
-    try:
-        return AlgebroidPresentation(dim, rank, rows, structure)
-    except DqkitError as exc:
-        raise SchemaError(str(exc), path) from exc
+    return AlgebroidPresentation(dim, rank, rows, structure)
 
 
 def algebroid_to_payload(A: AlgebroidPresentation) -> dict:

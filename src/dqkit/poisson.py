@@ -131,5 +131,5 @@ def lichnerowicz_d(pi: MultiVec, A: MultiVec) -> MultiVec:
     if p == 0:
         return hamiltonian(pi, A.as_poly())
     # a p-vector on R^n and a p-form on a rank-n frame have one stored form
-    dA = algebroid_d(from_poisson(pi), AlgebroidForm._make(n, A.arity, A._num, A._den))
-    return MultiVec._make(n, dA.arity, dA._num, dA._den)
+    dA = algebroid_d(from_poisson(pi), AlgebroidForm._normal(n, A.arity, A._num, A._den))
+    return MultiVec._normal(n, dA.arity, dA._num, dA._den)

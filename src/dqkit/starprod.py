@@ -33,7 +33,7 @@ from .errors import (
     OrderMismatchError,
     PreconditionError,
 )
-from .kernel import MAX_PACKED, Poly, TPoly, _check_budget, _over_budget
+from .kernel import MAX_PACKED, Poly, TPoly, _check_budget, _over_budget, _summed
 from .poisson import bracket, hamiltonian
 
 
@@ -73,9 +73,9 @@ class _OpSeries:
     def _act(self, *args: TPoly) -> TPoly:
         """sum_k t^k sum_{l+|i|=k} X_l(args_i) mod t^{N+1}, with X_0 the unit and
         args_i the arguments' coefficients at the t-orders i = (i_1, ..)."""
-        out = []
+        coeffs = [a.coeffs for a in args]
+        parts = []  # (t-degree, Poly), summed once
         for k in range(self.order + 1):
-            acc = Poly.zero(self.dim)
             for l in range(k + 1):
                 X = self.op(l)
                 if X.is_zero():
@@ -83,11 +83,10 @@ class _OpSeries:
                 for i in product(range(k - l + 1), repeat=len(args)):
                     if sum(i) != k - l:
                         continue
-                    cs = [a.coeff(j) for a, j in zip(args, i)]
+                    cs = [c[j] for c, j in zip(coeffs, i)]
                     if not any(c.is_zero() for c in cs):
-                        acc = acc + apply_op(X, *cs)
-            out.append(acc)
-        return TPoly(self.order, out)
+                        parts.append((k, apply_op(X, *cs)))
+        return TPoly._normal(self.dim, self.order, *_summed(self.dim, parts))
 
     @classmethod
     def zero(cls, dim: int, order: int):

@@ -14,7 +14,9 @@ from dqkit.diffop import (
     hochschild_delta,
     transpose_parts,
 )
-from dqkit.errors import DegreeError, DimensionMismatchError, IndexRangeError, SchemaError, SolveError
+from dqkit.errors import (
+    DegreeError, DimensionMismatchError, IndexRangeError, OrderMismatchError, SchemaError, SolveError,
+)
 from dqkit.kernel import MAX_PACKED, Poly, TPoly, _key, _over_budget, grlex_key
 from dqkit.liealgebroid import AlgebroidCheck, AlgebroidForm, AlgebroidPresentation
 from dqkit.parser import _leaf, poly_to_text
@@ -753,7 +755,7 @@ def poly_by_fraction_sum(dim: int, terms) -> Poly:
             else:
                 del clean[exps]
     den = lcm(*(c.denominator for c in clean.values()))
-    return Poly._make(dim, 0, {_key(e): c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
+    return Poly._normal(dim, 0, {_key(e): c.numerator * (den // c.denominator) for e, c in clean.items()}, den)
 
 
 def fraction_sum(pairs) -> dict:
@@ -1036,6 +1038,63 @@ def gauge_apply_by_convolution(R: GaugeOp, f: TPoly) -> TPoly:
             acc = acc + apply_op(R.op(i), f.coeff(k - i))
         out.append(acc)
     return TPoly(R.order, out)
+
+
+# ----------------------------------------------------------------------
+# truncated t-series as lists of coefficients: the arithmetic of the former
+# list-backed TPoly, written as plain functions.  A series of order N is the
+# list of its N + 1 Poly coefficients; a scalar operand is an int, a Fraction
+# or a Poly.
+
+
+def _series_compat(a: list, b: list) -> None:
+    if len(a) != len(b):
+        raise OrderMismatchError(f"truncation orders differ: {len(a) - 1} vs {len(b) - 1}")
+    if a[0].dim != b[0].dim:
+        raise DimensionMismatchError(f"dimensions differ: {a[0].dim} vs {b[0].dim}")
+
+
+def series_add(a: list, b) -> list:
+    if not isinstance(b, list):  # a scalar is its series at t^0
+        p = b if isinstance(b, Poly) else Poly.const(a[0].dim, b)
+        b = [p] + [Poly.zero(p.dim)] * (len(a) - 1)
+    _series_compat(a, b)
+    return [x + y for x, y in zip(a, b)]
+
+
+def series_neg(a: list) -> list:
+    return [-c for c in a]
+
+
+def series_sub(a: list, b) -> list:
+    return series_add(a, series_neg(b) if isinstance(b, list) else -b)
+
+
+def series_mul(a: list, b) -> list:
+    """The Cauchy product, every t-degree above the order dropped, or the
+    product of each coefficient by a scalar."""
+    if not isinstance(b, list):
+        return [c * b for c in a]
+    _series_compat(a, b)
+    order = len(a) - 1
+    out = [Poly.zero(a[0].dim) for _ in a]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b[:order + 1 - i]):
+            out[i + j] = out[i + j] + x * y
+    return out
+
+
+def series_shift(a: list, k: int) -> list:
+    """t^k a: coefficients past the order drop."""
+    if k < 0:
+        raise ValueError("negative t-shift")
+    return ([Poly.zero(a[0].dim)] * k + a)[:len(a)]
+
+
+def series_coeff(a: list, k: int) -> Poly:
+    if k < 0:
+        raise ValueError("negative t-degree")
+    return a[k] if k < len(a) else Poly.zero(a[0].dim)
 
 
 class RefPoly:

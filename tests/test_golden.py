@@ -56,6 +56,8 @@ _GAUGE_ID = {"kind": "gauge", "dim": 2, "order": 3,
 _ZERO_GAUGE2 = {"kind": "gauge", "dim": 2, "order": 2,
                 "payload": {"R": [{"arity": 1, "terms": []} for _ in range(2)]}}
 _ZERO_FIELD = {"kind": "multivec", "dim": 2, "payload": {"degree": 1, "terms": []}}
+# x + y t, a t-series of order 1 on R^2
+_SERIES = {"kind": "poly", "dim": 2, "order": 1, "payload": ["x", "y"]}
 
 # documents built in the test (the first two are the bundles the CLI action tests use)
 BUNDLES = {
@@ -349,6 +351,14 @@ BUNDLES = {
     "ext_zero_forms_other_dim": _bundle(algebroid=_RANK2_ON_LINE, twist=_form(3, [], degree=2),
                                         lam=_form(3, [], degree=1)),
     "d_zero_omega_other_dim": _bundle(algebroid=_RANK2_ON_LINE, omega=_form(3, [], degree=1)),
+    # a t-series poly entry where a polynomial is needed is refused at its order; star adexp
+    # alone takes t-series
+    "bracket_g_series": _bundle(pi=_load("pi_std.json"), f=_poly(2, "x*y"), g=_SERIES),
+    "hamiltonian_f_series": _bundle(pi=_load("pi_std.json"), f=_SERIES),
+    "apply_f2_series": _bundle(op=_diffop(2, 2, [{"coeff": "x", "orders": [[1, 0], [0, 1]]}]),
+                               f1=_poly(2, "x^2*y^3"), f2=_SERIES),
+    "nabla_m_series": _bundle(star=_load("moyal_plane.json"), gauge=_GAUGE_ID, xi0=_ZERO_FIELD,
+                              xi1=_mv(2, [{"indices": [1], "coeff": "x"}]), f=_poly(2, "x*y"), m=_SERIES),
 }
 
 CORPUS_DOCS = sorted(n for n in os.listdir(CORPUS) if n.endswith(".json"))
@@ -423,6 +433,8 @@ CASES = (
                               "algebroid_structure_object")]
     + [("verify", "verify_algebroid_structure_number"), ("algebroid ext-curv", "ext_zero_forms_other_dim"),
        ("algebroid d", "d_zero_omega_other_dim")]
+    + [("poisson bracket", "bracket_g_series"), ("poisson hamiltonian", "hamiltonian_f_series"),
+       ("diffop apply", "apply_f2_series"), ("star nabla", "nabla_m_series")]
 )
 
 
@@ -610,6 +622,12 @@ GOLDEN = {
     ('verify', 'verify_algebroid_structure_number'): (2, "c0a5468cab9a7001e94ab25283643be822198871c6666dbe51dbe9e834ddf88a"),
     ('algebroid ext-curv', 'ext_zero_forms_other_dim'): (2, "7e8d4ecdc2a6c6949f32b231e015f86e9ef22f295e7b75c37d511fe50bacb524"),
     ('algebroid d', 'd_zero_omega_other_dim'): (2, "3103dea969ae87ce363ac2cf901c3029b361299670536913de8c5eb990977aa8"),
+    # recorded when a t-series poly entry where a polynomial is needed came to be refused
+    # (before, each ended in an internal error, exit 3)
+    ('poisson bracket', 'bracket_g_series'): (2, "1113359de68182707375f188b7f078d5a87bf90c4259c6fc7aa77be5db44899b"),
+    ('poisson hamiltonian', 'hamiltonian_f_series'): (2, "922aa1d17daf50be9b8b102303d280137609769b371f490c123f84a3cbdb04e5"),
+    ('diffop apply', 'apply_f2_series'): (2, "9080e4b9b39857dddb13112f71b8b35a3033d1a13e1d48b91ebf5b7ddd90639c"),
+    ('star nabla', 'nabla_m_series'): (2, "2cff0d9c1a82a6284090dd5e0721cef02e66d9d5e736735b5efa726fac6f58d7"),
 }
 
 # --human runs, whose text is not JSON and so has no hash: the exact text of a run with

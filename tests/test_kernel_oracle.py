@@ -7,21 +7,28 @@ exponents up to ``MAX_PACKED``, and the results must agree term by term, in
 the same order, with every result in normalized stored form; or, where the
 reference's result has an exponent above ``MAX_PACKED``, the kernel must
 refuse it with ``BudgetError``.
+
+``TPoly``, a truncated t-series on the same stored form, is checked against
+the former list-of-coefficients arithmetic (``oracles.series_*``).
 """
 
+import operator
 from fractions import Fraction
 
 import pytest
-from math import lcm
+from math import gcd, lcm
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dqkit.errors import BudgetError, DimensionMismatchError
-from dqkit.kernel import MAX_PACKED, Poly, _Sum, _add_products, _fields, _key
+from dqkit.errors import BudgetError, DimensionMismatchError, DqkitError
+from dqkit.kernel import MAX_PACKED, Poly, TPoly, _Sum, _add_products, _fields, _key
 
 from conftest import assert_clean_poly
-from oracles import RefPoly, fraction_sum, poly_by_fraction_sum
+from oracles import (
+    RefPoly, fraction_sum, poly_by_fraction_sum, series_add, series_coeff, series_mul, series_neg, series_shift,
+    series_sub,
+)
 
 DIM = 2
 
@@ -336,3 +343,83 @@ def test_dimension_mismatch_raises():
         Poly.one(2) + Poly.one(3)
     with pytest.raises(DimensionMismatchError):
         Poly.one(2) * Poly.one(3)
+
+
+# ----------------------------------------------------------------------
+# truncated t-series
+
+
+@st.composite
+def series_cases(draw):
+    """(order, a, b, c) on R^1 or R^2 at orders 1..3: two coefficient lists
+    of small polynomials, so that sums cancel and products reach past the
+    order, and a scalar c, an int, a Fraction or a Poly."""
+    dim = draw(st.integers(1, 2))
+    order = draw(st.integers(1, 3))
+    poly = st.dictionaries(st.tuples(*[st.integers(0, 2)] * dim), rats, max_size=3).map(lambda t: Poly(dim, t))
+    a, b = (draw(st.lists(poly, min_size=order + 1, max_size=order + 1)) for _ in range(2))
+    return order, a, b, draw(st.one_of(rats, poly))
+
+
+def assert_series(t, ref):
+    """t (kernel) and ref (reference coefficient list) are the same series, in
+    normalized stored form: the t-degree above each key's exponent block."""
+    assert type(t) is TPoly and (t.dim, t.order) == (ref[0].dim, len(ref) - 1)
+    assert list(t.coeffs) == ref and t.sigma == ref[0]
+    for c in t.coeffs:
+        assert_clean_poly(c, t.dim)
+    assert all(type(n) is int and n and k >> 16 * t.dim <= t.order for k, n in t._num.items())
+    assert gcd(t._den, *t._num.values()) == 1 and (t._num or t._den == 1)
+    assert t.is_zero() == all(c.is_zero() for c in ref)
+    assert t == TPoly(t.order, ref) and hash(t) == hash(TPoly(t.order, ref))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(series_cases())
+def test_tpoly_matches_coefficient_lists(case):
+    order, a, b, c = case
+    A, B = TPoly(order, a), TPoly(order, b)
+    assert_series(A, a)
+    assert_series(A + B, series_add(a, b))
+    assert_series(A - B, series_sub(a, b))
+    assert_series(-A, series_neg(a))
+    assert_series(A * B, series_mul(a, b))
+    assert_series(A + c, series_add(a, c))
+    assert_series(A - c, series_sub(a, c))
+    assert_series(A * c, series_mul(a, c))
+    if not isinstance(c, Poly):  # a Poly on the left takes no series
+        assert_series(c + A, series_add(a, c))
+        assert_series(c * A, series_mul(a, c))
+    for k in range(order + 3):  # 0, within the order and past it
+        assert_series(A.t_shift(k), series_shift(a, k))
+        assert A.coeff(k) == series_coeff(a, k)
+    assert (A == B) == (a == b)
+    assert (A + B) - B == A and hash((A + B) - B) == hash(A)
+
+
+def _refusal(fn, *args):
+    with pytest.raises(DqkitError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_tpoly_refusals_match_coefficient_lists():
+    """Series of mixed orders or dims, and scalars of another dim, are refused
+    with the former texts: orders first, then dims."""
+    line, plane = Poly.variable(1, 1), Poly.variable(2, 1)
+    a, longer, flat = [line, line], [line] * 3, [plane, plane]
+    for ops in ((operator.add, series_add), (operator.sub, series_sub), (operator.mul, series_mul)):
+        for b in (longer, flat, [plane] * 3):
+            want = _refusal(ops[1], a, b)
+            assert _refusal(ops[0], TPoly(1, a), TPoly(len(b) - 1, b)) == want
+        assert _refusal(ops[0], TPoly(1, a), plane) == _refusal(ops[1], a, plane)
+    assert _refusal(TPoly, 1, [line, plane]) == (DimensionMismatchError, "mixed coefficient dimensions: [1, 2]")
+    # a product over the budget within the order is refused; past the order it is never formed
+    top, zero = Poly.monomial(1, (MAX_PACKED,)), Poly.zero(1)
+    assert _refusal(operator.mul, TPoly(1, [line, top]), TPoly(1, a)) == (BudgetError, _over(MAX_PACKED + 1))
+    assert _refusal(series_mul, [line, top], a) == (BudgetError, _over(MAX_PACKED + 1))
+    assert_series(TPoly(1, [zero, top]) * TPoly(1, [zero, top]), series_mul([zero, top], [zero, top]))
+    with pytest.raises(ValueError, match="negative t-shift"):
+        TPoly(1, a).t_shift(-1)
+    with pytest.raises(ValueError, match="negative t-degree"):
+        TPoly(1, a).coeff(-1)

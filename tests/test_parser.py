@@ -481,8 +481,8 @@ def _damaged_orders(kind, orders):
 
 def _damage(entries, at, field, kind):
     """Damage entries[at]: its coefficient becomes `kind` (field "coeff"), its
-    orders get the refusal `kind` (field "orders"), or it gets a third key or
-    stops being an object (field "entry")."""
+    orders get the refusal `kind` (field "orders"), or it gets a third key, has
+    its coeff key misnamed coef or stops being an object (field "entry")."""
     entry = entries[at] = dict(entries[at])
     if field == "coeff":
         entry["coeff"] = kind
@@ -490,13 +490,15 @@ def _damage(entries, at, field, kind):
         entry["orders"] = _damaged_orders(kind, entry["orders"])
     elif kind == "third key":
         entry["x"] = 1
+    elif kind == "misnamed key":
+        entry["coef"] = entry.pop("coeff")
     else:
         entries[at] = ["coeff", "orders"]
 
 
 _ORDERS_DAMAGE = ["true in a later slot", "32768 in a later slot", "negative order", "short multi-index",
                   "missing slot", "extra slot", "orders not an array"]
-_ENTRY_DAMAGE = ["third key", "not an object"]
+_ENTRY_DAMAGE = ["third key", "misnamed key", "not an object"]
 
 
 @st.composite
@@ -508,7 +510,9 @@ def _diffop_payloads(draw):
     two entries or at one: damages is the (position, field, kind) of each."""
     arity = draw(st.integers(1, 3))
     slot = st.lists(st.integers(0, 1), min_size=2, max_size=2)
-    drawn = draw(st.lists(st.tuples(_LEAF_DRAWS, st.lists(slot, min_size=arity, max_size=arity)), max_size=40))
+    size = draw(st.integers(0, 40))  # uniform, where a list's own size leans to short arrays
+    drawn = draw(st.lists(st.tuples(_LEAF_DRAWS, st.lists(slot, min_size=arity, max_size=arity)),
+                          min_size=size, max_size=size))
     entries = [{"coeff": leaf, "orders": orders} for (_, leaf), orders in drawn]
     damage = st.one_of(
         st.tuples(st.just("coeff"), _BAD_LEAF_DRAWS),
@@ -732,7 +736,7 @@ class TestDocuments:
                 return "refused", type(exc), exc.message, exc.path
             return "read", op.arity, op._den, list(op._num.items())
 
-        @settings(max_examples=600, derandomize=True)
+        @settings(max_examples=800, derandomize=True)
         @given(_diffop_payloads())
         def run(drawn):
             payload, arity, entries, leaf_kinds, damages = drawn
