@@ -25,10 +25,10 @@ Pearce (CASC 2007), and every operation on operators works on its keys:
   by every composition in the call, that reads the operator's keys as they
   are and owns only its per-call caches (Leibniz expansions, moved keys and
   outer rows).  The integer tables, which depend on orders and not on the
-  operator, belong to the sum's one :class:`_Tables`: the multinomial
-  shares per order, coordinate and arity, and the Hochschild split tables
-  per order and slot.  Each is built at most once in the call and dropped
-  with the sum when the call returns, so nothing is cached across calls.
+  operator, belong to the sum: the multinomial shares per order, coordinate
+  and arity, which its handles fill, and the Hochschild split tables per
+  order and slot.  Each is built at most once in the call and dropped with
+  the sum when the call returns, so nothing is cached across calls.
 - **Sums.**  ``kernel._Stored`` owns the stored form of polynomials,
   operators and alternating tensors alike: sums, negation, scaling and
   products by a ``Poly``, each normalized by its one gcd step.
@@ -175,62 +175,25 @@ def apply_op(D: PolyDiffOp, *args: Poly) -> Poly:
     return D
 
 
-class _Tables:
-    """The integer tables that one public call on R^dim reads, each built on
-    first use: the multinomial shares of :meth:`shares`, which the Leibniz
-    rule reads, the coboundary splits (``_splits``) and their placed tables of
-    :meth:`splits`.  The call's one :class:`_OpAcc` owns it, shares it with
-    its handles and drops it with them, so no table outlives the call and
-    none is built twice in it."""
-
-    __slots__ = ("dim", "_shares", "_splits", "_placed")
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._shares = {}
-        self._splits = {}
-        self._placed = {}
-
-    def shares(self, r: int, shift: int, arity: int) -> list:
-        """[(packed shares, multinomial)] of _shares(r, shift, dim, arity), the
-        right side of the Leibniz rule's _add_products, built once per (r,
-        shift, arity)."""
-        got = self._shares.get((r, shift, arity))
-        if got is None:
-            got = self._shares[r, shift, arity] = [(k, m) for m, k in _shares(r, shift, self.dim, arity)]
-        return got
-
-    def splits(self, a: int, slot: int) -> list:
-        """[(key offset, weight)] of the coboundary terms of an order a in
-        `slot` (_OpAcc.add_coboundary): _splits(a, dim) placed at output slots
-        `slot` and `slot` + 1, each weight times (-1)^slot."""
-        got = self._placed.get((a, slot))
-        if got is None:
-            splits = self._splits.get(a)
-            if splits is None:
-                splits = self._splits[a] = _splits(a, self.dim)
-            up, s = _BITS * self.dim * slot, -1 if slot % 2 else 1
-            got = self._placed[a, slot] = [(add << up, s * w) for w, add in splits]
-        return got
-
-
 class _Packed:
     """One operator as one call composes it (see the module docstring).
 
     ``op`` is the operator, whose packed map and denominator are only read,
-    and ``tables`` the table set of the :class:`_OpAcc` that made the handle.
-    The handle keeps, filled on first use, the Leibniz expansions d^alpha o op
-    by packed alpha (alpha = 0 is op's own map), those expansions with op's
-    slots moved to start at a given output slot, and op's terms with one slot
-    taken out and the later slots moved up; all read-only once built, so any
-    number of compositions in one call share it.
+    and ``shares`` the share tables of the :class:`_OpAcc` that made the
+    handle, which :meth:`_leibniz_block` fills: the sum's dict, not the sum,
+    so no handle refers back to it.  The handle keeps, filled on first use,
+    the Leibniz expansions d^alpha o op by packed alpha (alpha = 0 is op's
+    own map), those expansions with op's slots moved to start at a given
+    output slot, and op's terms with one slot taken out and the later slots
+    moved up; all read-only once built, so any number of compositions in one
+    call share it.
     """
 
-    __slots__ = ("op", "tables", "_exp", "_moved", "_outer")
+    __slots__ = ("op", "shares", "_exp", "_moved", "_outer")
 
-    def __init__(self, op: PolyDiffOp, tables: _Tables):
+    def __init__(self, op: PolyDiffOp, shares: dict):
         self.op = op
-        self.tables = tables
+        self.shares = shares
         self._exp = {0: op._num}
         self._moved = {}
         self._outer = {}
@@ -293,8 +256,9 @@ class _Packed:
 
         per g_0, the coefficient part differentiated g_0 times (a term whose
         exponent at c is below g_0 is zero and drops) against the table of
-        shares of a - g_0 (_Tables.shares), in one _add_products call."""
-        shares, arity = self.tables.shares, self.op.arity
+        shares of r = a - g_0 ([(packed shares, multinomial)] of _shares, kept
+        in ``shares`` by (r, shift, arity)), in one _add_products call."""
+        shares, dim, arity = self.shares, self.op.dim, self.op.arity
         unit = 1 << shift
         out = {}
         rows = base.items()
@@ -303,7 +267,11 @@ class _Packed:
                 rows = [(k - unit, n * e) for k, n in rows if (e := k >> shift & _FIELD)]
                 if not rows:
                     break
-            _add_products(out, rows, shares(a - g0, shift, arity), comb(a, g0))
+            r = a - g0
+            table = shares.get((r, shift, arity))
+            if table is None:
+                table = shares[r, shift, arity] = [(k, m) for m, k in _shares(r, shift, dim, arity)]
+            _add_products(out, rows, table, comb(a, g0))
         return out
 
 
@@ -313,8 +281,8 @@ def _shares(r: int, shift: int, dim: int, arity: int) -> list:
     of (g_1, ..., g_arity): the ways to share an order r out over the slots of
     an operator of `arity` arguments on R^dim, with g_s in slot s's field at
     the coordinate `shift` bits into a block.  The multinomial is built as
-    C(r, g_1) C(r - g_1, g_2) ..., slot by slot.  Only _Tables.shares reads
-    it, once per (r, shift, arity) in a call."""
+    C(r, g_1) C(r - g_1, g_2) ..., slot by slot.  Only _Packed._leibniz_block
+    reads it, once per (r, shift, arity) in a call."""
     block = _BITS * dim
     got = [(1, 0, r)]  # (multinomial, shares, what is left to share) so far
     for s in range(1, arity):
@@ -329,8 +297,8 @@ def _splits(a: int, dim: int) -> list:
     gives in a Hochschild coboundary, before the sign (-1)^i (see
     _OpAcc.add_coboundary): C(a, a') over a' <= a with 0 != a' != a and
     a'' = a - a', in the order of product(range(a_1 + 1), ...); for a = 0, the
-    one term -1 with both slots zero.  Only _Tables.splits reads it, once
-    per a in a call, and places it at each slot."""
+    one term -1 with both slots zero.  Only _OpAcc.splits reads it, once per
+    a in a call, and places it at each slot."""
     if not a:
         return [(-1, 0)]
     got = [(1, 0)]
@@ -347,27 +315,46 @@ def _splits(a: int, dim: int) -> list:
 
 class _OpAcc(_Sum):
     """The one composition sum of a public call (kernel._Sum over packed
-    keys), owning the call's :class:`_Tables` and a :class:`_Packed` handle
-    per operator; both outlive :meth:`op`, so one sum serves every order.  A
+    keys), owning the call's integer tables and a :class:`_Packed` handle per
+    operator; they outlive :meth:`op`, so one sum serves every order.  A
     composition runs kernel._add_products once per row of the outer
     operator; a coboundary adds one key sum and one multiply-add per proper
-    split of each term's slots, dropping a numerator that cancels.
+    split of each term's slots, dropping a numerator that cancels.  The
+    tables are built on first use: the shares by the handles, the splits by
+    :meth:`splits`.
     """
 
-    __slots__ = ("dim", "tables", "_handles")
+    __slots__ = ("dim", "_handles", "_shares", "_splits", "_placed")
 
     def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
-        self.tables = _Tables(dim)
         self._handles = {}
+        self._shares = {}
+        self._splits = {}
+        self._placed = {}
 
     def packed(self, op: PolyDiffOp) -> _Packed:
         """op's handle, made on its first use in this sum.  It is keyed by
         ``id(op)``, which no other operator takes while the handle holds op."""
         got = self._handles.get(id(op))
         if got is None:
-            got = self._handles[id(op)] = _Packed(op, self.tables)
+            got = self._handles[id(op)] = _Packed(op, self._shares)
+        return got
+
+    def splits(self, a: int, slot: int) -> list:
+        """[(key offset, weight)] of the coboundary terms of an order a in
+        `slot` (add_coboundary): _splits(a, dim) placed at output slots `slot`
+        and `slot` + 1, each weight times (-1)^slot."""
+        got = self._placed.get((a, slot))
+        if got is None:
+            # kept by a too: one order is placed in several slots, and without
+            # this level the gauge workload ran 2-3.5% slower
+            splits = self._splits.get(a)
+            if splits is None:
+                splits = self._splits[a] = _splits(a, self.dim)
+            up, s = _BITS * self.dim * slot, -1 if slot % 2 else 1
+            got = self._placed[a, slot] = [(add << up, s * w) for w, add in splits]
         return got
 
     def add_compose(self, outer: PolyDiffOp, slot: int, inner: PolyDiffOp, sign: int = 1) -> None:
@@ -391,7 +378,7 @@ class _OpAcc(_Sum):
         products with f_0 and f_p, so they are never formed; a zero slot, whose
         one split is improper, leaves the (..., 0, 0, ...) term.  Slot by slot,
         the terms of one order a_i share one table of (key offset, weight)
-        (_Tables.splits), and each term, its slot i taken out and the later
+        (:meth:`splits`), and each term, its slot i taken out and the later
         slots moved up, adds one key and multiplies one numerator per entry;
         sums come slot by slot, in the order of D's terms, each in its table's
         order.  starprod adds the P_0 = multiplication terms of associativity
@@ -401,7 +388,6 @@ class _OpAcc(_Sum):
         low = (1 << block) - 1
         m = self._factor(D._den, sign)
         items = [(k, n * m) for k, n in D._num.items()]
-        tables = self.tables
         terms = self.terms
         get = terms.get
         for i in range(1, D.arity + 1):
@@ -412,7 +398,7 @@ class _OpAcc(_Sum):
                 a = key >> cut & low
                 table = by_a.get(a)
                 if table is None:
-                    table = by_a[a] = tables.splits(a, i)
+                    table = by_a[a] = self.splits(a, i)
                 moved = key & head | key >> cut + block << cut + 2 * block
                 # each term runs the table of its own order, so this loop writes
                 # the map itself: grouping the terms by order to share

@@ -186,6 +186,9 @@ class _Stored:
     def __sub__(self, other):
         return self + (-other)
 
+    def __rsub__(self, other):
+        return (-self) + other
+
     def _sum(self, other):
         """self + other, of one kind, dim and arity already checked, over the
         lcm of the denominators: self's keys in order, then other's new keys,
@@ -373,18 +376,20 @@ class Poly(_Stored):
         return DimensionMismatchError(f"polynomial dimensions differ: {self.dim} vs {other.dim}")
 
     def __add__(self, other):
-        other = _as_poly(self.dim, other)
+        if not isinstance(other, Poly):
+            if isinstance(other, TPoly):  # the series adds a Poly in its own __radd__
+                return NotImplemented
+            other = Poly.const(self.dim, other)
         if self.dim != other.dim:
             raise self._dim_error(other)
         return self._sum(other)
 
     __radd__ = __add__
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
+            if isinstance(other, TPoly):  # and multiplies by one in its own __rmul__
+                return NotImplemented
             return self._scaled(*_ratio(other))
         if self.dim != other.dim:
             raise self._dim_error(other)

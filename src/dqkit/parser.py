@@ -20,15 +20,14 @@ numerators over one denominator at packed ``Poly`` keys; the grammar reads
 every other leaf, one with an exponent above ``kernel.MAX_PACKED`` among
 them, and reports every error.
 
-A diffop terms array of ``_WHOLE_ARRAY_MIN`` entries or more is checked
-whole, each check one pass over the array: the entries' types and key sets,
-the coefficients' types, and the orders' types, lengths, entry types
-(exactly int) and values, which ``kernel._keys`` packs all at once.  A
-smaller array, and one that fails a check, is read entry by entry, and only
-that scan names a refusal, at the first entry that has one.  Either way
-each distinct leaf text is read once per operator into its numerators and
-denominator, each distinct monomial text is packed once per operator, and
-``kernel._placed`` writes the operator's map in one call.
+A diffop terms array is checked whole, each check one pass over the array:
+the entries' types and key sets, the coefficients' types, and the orders'
+types, lengths, entry types (exactly int) and values, which ``kernel._keys``
+packs all at once.  The empty array, and one that fails a check, is read
+entry by entry, and only that scan names a refusal, at the first entry that
+has one.  Either way each distinct leaf text is read once per operator into
+its numerators and denominator, each distinct monomial text is packed once
+per operator, and ``kernel._placed`` writes the operator's map in one call.
 
 Output is ``canonical_json``: JSON data in which a ``PolyDiffOp`` may stand
 for a value, the operator written as ``json.dumps(..., sort_keys=True,
@@ -423,11 +422,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _leaf(text, dim, path, monos=None) -> Poly:
-    """The Poly of a leaf text, as parse_poly reads it with ``monos`` (see
-    _read_leaf); SchemaError at `path` for a leaf that does not parse, one with
-    an exponent above the packing budget among them."""
-    return Poly._normal(dim, 0, *_leaf_terms(text, dim, path, monos))
+def _leaf(text, dim, path) -> Poly:
+    """The Poly of a leaf text, as parse_poly reads it; SchemaError at `path`
+    for a leaf that does not parse, one with an exponent above the packing
+    budget among them."""
+    return Poly._normal(dim, 0, *_leaf_terms(text, dim, path))
 
 
 def _leaf_terms(text, dim, path, monos=None):
@@ -495,17 +494,11 @@ def tensor_to_payload(t) -> dict:
 _TERM_KEYS = frozenset(("coeff", "orders"))
 _ORDERS, _COEFF = itemgetter("orders"), itemgetter("coeff")
 
-# Fewest entries of a terms array checked whole.  The whole-array passes cost
-# a fixed few microseconds: on a 2-core x86 VM arrays of one to three entries
-# read 1.5-3 us faster entry by entry, four about as fast either way, and five
-# or more faster whole.
-_WHOLE_ARRAY_MIN = 4
-
 
 def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
     """The operator of a diffop payload ({arity?, terms} or a bare array of
     {coeff, orders} entries), its terms array read whole (``_read_whole``)
-    or, when it is small or fails a check, entry by entry (``_read_entries``),
+    or, when it is empty or fails a check, entry by entry (``_read_entries``),
     as the module docstring says.  Nothing is kept once the call returns."""
     if isinstance(payload, dict):
         _expect(set(payload) <= {"arity", "terms"}, "expected keys arity/terms", path)
@@ -518,7 +511,7 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
         _expect(isinstance(payload, list), "expected an array of {coeff, orders}", path)
         terms_raw = payload
         base = path
-    read = _read_whole(terms_raw, dim, arity) if len(terms_raw) >= _WHOLE_ARRAY_MIN else None
+    read = _read_whole(terms_raw, dim, arity)
     if read is None:
         read = _read_entries(terms_raw, dim, arity, base, path)
     arity, keys, coeffs, leaves = read
@@ -527,7 +520,8 @@ def diffop_from_payload(payload, dim, path, arity=None) -> PolyDiffOp:
 
 def _read_whole(terms, dim, arity):
     """(arity, packed flat orders, leaf texts, {text: _leaf_terms}) of a terms
-    array read whole, or None where _read_entries must read it.
+    array read whole, or None where _read_entries must read it: the empty
+    array and any that fails a check.
 
     Each check is one pass over the array: the entries' types and key sets,
     the coefficients' types, and the orders (``kernel._keys`` checks and
@@ -562,7 +556,9 @@ def _read_whole(terms, dim, arity):
 def _read_entries(terms_raw, dim, arity, base, path):
     """_read_whole's result, read entry by entry: each entry's fields are
     checked in a fixed order and a leaf text is read at the first entry that
-    has it, so a bad entry is reported at the first entry that has it."""
+    has it, so a bad entry is reported at the first entry that has it.  It
+    reads any array on its own, the empty one included, and names every
+    refusal."""
     keys, coeffs = [], []
     leaves = {}
     monos = {}

@@ -13,7 +13,7 @@ from dqkit import cli, parser, qclimit, verify
 from dqkit.calculus import MultiVec
 from dqkit.cli import dispatch
 from dqkit.diffop import PolyDiffOp, compose_into_slot
-from dqkit.errors import BudgetError, SolveError
+from dqkit.errors import BudgetError, PreconditionError, SolveError
 from dqkit.kernel import Poly
 from dqkit.liealgebroid import AlgebroidPresentation, from_poisson
 from dqkit.parser import Document, diffop_to_payload, serialize_document
@@ -299,6 +299,19 @@ class TestCrossCheckControls:
         plane = parser.document_from_obj(load("moyal_plane.json")).payload
         monkeypatch.setattr(verify, "assoc_poisson", lambda S: assoc_poisson(S).scale(1 if S == plane else 2))
         assert "moyal_plane+gauge_xi: associated Poisson not gauge invariant" in self.locations(
+            ["verify", "--in", corpus("bundle.json")])
+
+    def test_associated_poisson_of_the_gauged_star_refused(self, monkeypatch):
+        # a precondition refused for every star but the shipped Moyal plane, whose own check passes
+        plane = parser.document_from_obj(load("moyal_plane.json")).payload
+
+        def refusing(S):
+            if S == plane:
+                return assoc_poisson(S)
+            raise PreconditionError("P_1 is not a biderivation")
+
+        monkeypatch.setattr(verify, "assoc_poisson", refusing)
+        assert "moyal_plane+gauge_xi: P_1 is not a biderivation" in self.locations(
             ["verify", "--in", corpus("bundle.json")])
 
     def test_kappa_not_closed(self, monkeypatch):

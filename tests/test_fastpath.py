@@ -29,7 +29,6 @@ from dqkit import diffop, kernel, starprod
 from dqkit.diffop import (
     PolyDiffOp,
     _OpAcc,
-    _Packed,
     apply_op,
     cocycle_defect,
     compose_into_slot,
@@ -38,7 +37,7 @@ from dqkit.diffop import (
     transpose,
 )
 from dqkit.errors import BudgetError, IndexRangeError, SolveError
-from dqkit.kernel import MAX_PACKED, Poly, _check_budget, _fields
+from dqkit.kernel import MAX_PACKED, Poly, _check_budget
 from dqkit.starprod import (
     GaugeOp,
     StarProduct,
@@ -330,13 +329,13 @@ def test_coboundary_tables_for_mixed_slot_orders(data):
     coeffs = st.dictionaries(exps, rationals.filter(bool), min_size=1, max_size=2)
     D = PolyDiffOp(dim, p, {tuple(order((t + i) % 3) for i in range(p)): Poly(dim, data.draw(coeffs))
                             for t in range(3)})
+    # every slot has an order 0, a first order and a higher one, so it reads all three kinds of table
+    for i in range(p):
+        assert {min(sum(orders[i]), 2) for orders in D.terms} == {0, 1, 2}
     sign = data.draw(st.sampled_from((1, -1)))
     want = coboundary_by_composition(D)
     acc = _OpAcc(dim)
     acc.add_coboundary(D, sign)
-    # every slot read the tables of an order 0, a first order and a higher one
-    for i in range(1, p + 1):
-        assert {min(sum(_fields(a, dim)), 2) for a, slot in acc.tables._placed if slot == i} == {0, 1, 2}
     got = acc.op(p + 1)
     assert_clean(got)
     assert got == (want if sign > 0 else -want)
@@ -583,7 +582,7 @@ def test_leibniz_tables_at_each_side_of_the_exponent(data):
         got = as_op(dim, arity, handle._expanded(pack(alpha)), handle.op._den)
     # the block at c formed each share g_0 <= min(a, e_c) of a base term once,
     # and none above e_c, whose weight perm(e_c, g_0) is zero
-    at_c = [t for (_, shift, _), t in handle.tables._shares.items() if shift == 16 * c]
+    at_c = [t for (_, shift, _), t in handle.shares.items() if shift == 16 * c]
     base = handle._exp[pack(alpha) & (1 << 16 * c) - 1]
     rows = sum(len(ns) for right, ns in calls if any(right is t for t in at_c))
     assert rows == sum(min(a, key >> 16 * c & 0xFFFF) + 1 for key in base)
@@ -679,24 +678,21 @@ def module_state():
 
 def test_one_table_set_per_call_and_nothing_kept(monkeypatch):
     """Each of gauge_transform, assoc_defect, invert_gauge, exp_gauge and
-    compose_into_slot makes exactly one _OpAcc, every handle and sum of one
-    call reads one table set, each _splits and _shares table is built at most
-    once in that call, every call starts a fresh set, and no module-level
-    state grows across calls."""
+    compose_into_slot makes exactly one _OpAcc, builds each _splits and _shares
+    table at most once, and builds the same tables again when it is called
+    again, so no table outlives its call; no module-level state grows across
+    calls."""
     rng = random.Random(30)
     S, R = std_moyal(2, 3), rand_gauge(rng, 2, 3)
     S2 = gauge_transform(S, R)
     Q = rand_diffop1(rng, 2, max_order=3, unital=False)
-    readers = []  # the table set of every handle and sum, as each is made
     sums = []  # every _OpAcc, as each is made
-    for cls in (_Packed, _OpAcc):
-        def recording(self, *args, _init=cls.__init__):
-            _init(self, *args)
-            readers.append(self.tables)
-            if isinstance(self, _OpAcc):
-                sums.append(self)
 
-        monkeypatch.setattr(cls, "__init__", recording)
+    def recording(self, *args, _init=_OpAcc.__init__):
+        _init(self, *args)
+        sums.append(self)
+
+    monkeypatch.setattr(_OpAcc, "__init__", recording)
     built = []  # (table, arguments) of every table built
     for name in ("_splits", "_shares"):
         def counted(*args, _build=getattr(diffop, name), _name=name):
@@ -705,19 +701,17 @@ def test_one_table_set_per_call_and_nothing_kept(monkeypatch):
 
         monkeypatch.setattr(diffop, name, counted)
     before = module_state()
-    sets = []
+    rounds = []
     calls = (lambda: gauge_transform(S, R), lambda: assoc_defect(S2), lambda: invert_gauge(R),
              lambda: exp_gauge(Q, 3), lambda: compose_into_slot(S2.op(2), 2, Q))
     for call in calls * 2:
-        readers.clear()
         sums.clear()
         built.clear()
         call()
         assert len(sums) == 1
-        assert len(readers) > 1 and all(t is readers[0] for t in readers)
         assert built and len(set(built)) == len(built)
-        sets.append(readers[0])
-    assert len({id(t) for t in sets}) == len(sets)  # no set outlives its call
+        rounds.append(sorted(built))
+    assert rounds[:len(calls)] == rounds[len(calls):]  # a second call builds every table again
     assert module_state() == before
 
 

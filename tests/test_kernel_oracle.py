@@ -387,9 +387,10 @@ def test_tpoly_matches_coefficient_lists(case):
     assert_series(A + c, series_add(a, c))
     assert_series(A - c, series_sub(a, c))
     assert_series(A * c, series_mul(a, c))
-    if not isinstance(c, Poly):  # a Poly on the left takes no series
-        assert_series(c + A, series_add(a, c))
-        assert_series(c * A, series_mul(a, c))
+    # a scalar on the left, a Poly included: the series answers through its reflected methods
+    assert_series(c + A, series_add(a, c))
+    assert_series(c - A, series_neg(series_sub(a, c)))
+    assert_series(c * A, series_mul(a, c))
     for k in range(order + 3):  # 0, within the order and past it
         assert_series(A.t_shift(k), series_shift(a, k))
         assert A.coeff(k) == series_coeff(a, k)
@@ -404,15 +405,17 @@ def _refusal(fn, *args):
 
 
 def test_tpoly_refusals_match_coefficient_lists():
-    """Series of mixed orders or dims, and scalars of another dim, are refused
-    with the former texts: orders first, then dims."""
+    """Series of mixed orders or dims, and scalars of another dim on either
+    side, are refused with the former texts: orders first, then dims."""
     line, plane = Poly.variable(1, 1), Poly.variable(2, 1)
     a, longer, flat = [line, line], [line] * 3, [plane, plane]
     for ops in ((operator.add, series_add), (operator.sub, series_sub), (operator.mul, series_mul)):
         for b in (longer, flat, [plane] * 3):
             want = _refusal(ops[1], a, b)
             assert _refusal(ops[0], TPoly(1, a), TPoly(len(b) - 1, b)) == want
-        assert _refusal(ops[0], TPoly(1, a), plane) == _refusal(ops[1], a, plane)
+        # a Poly of another dim, on either side
+        want = _refusal(ops[1], a, plane)
+        assert _refusal(ops[0], TPoly(1, a), plane) == _refusal(ops[0], plane, TPoly(1, a)) == want
     assert _refusal(TPoly, 1, [line, plane]) == (DimensionMismatchError, "mixed coefficient dimensions: [1, 2]")
     # a product over the budget within the order is refused; past the order it is never formed
     top, zero = Poly.monomial(1, (MAX_PACKED,)), Poly.zero(1)

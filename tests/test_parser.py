@@ -439,13 +439,12 @@ class TestLeafReader:
         assert read_leaf(text, dim) is None
 
 
-# leaves for operator documents, drawn from a small pool so that texts repeat:
-# (kind, coefficient) pairs that read, and the refused ones a damaged entry takes
+# leaves for operator documents, drawn from a small pool so that texts repeat: canonical
+# and grammar-only ones that read, and (kind, coefficient) pairs a damaged entry takes
 _LEAF_DRAWS = st.sampled_from(
-    [("canonical", c) for c in ("x1", "-x1", "x1*x2 - 1/3", "-x1*x2 + 1/3", "1/2", "0")] * 2
-    + [("grammar", c) for c in ("(x1 + 1)^2", "-(x1 + 1)^2", "x*y", "2*(x1 - x2)/3")]
+    ["x1", "-x1", "x1*x2 - 1/3", "-x1*x2 + 1/3", "1/2", "0"] * 2 + ["(x1 + 1)^2", "-(x1 + 1)^2", "x*y", "2*(x1 - x2)/3"]
 )
-_BAD_LEAF_DRAWS = st.sampled_from(
+_BAD_LEAVES = (
     [("over budget", c) for c in ("x1^40000", "(x1^2)^20000", "x2 + x1^32768*x2")]
     # terms above the budget are refused as they are read, even where they would cancel
     + [("over budget", c) for c in ("x2 + x1^40000 - x1^40000", "(x2 + x1^40000 - x1^40000)")]
@@ -503,19 +502,19 @@ _ENTRY_DAMAGE = ["third key", "misnamed key", "not an object"]
 
 @st.composite
 def _diffop_payloads(draw):
-    """(payload, arity, entries, leaf kinds, damages) of a diffop payload on R^2
-    of arity 1-3 with up to 40 entries, their orders drawn from the
-    multi-indices of order at most 1 so that they repeat, and up to two
-    damages, each to another field (a leaf, an orders, or an entry itself), at
-    two entries or at one: damages is the (position, field, kind) of each."""
+    """(payload, arity, entries, damages) of a diffop payload on R^2 of arity
+    1-3 with up to 24 entries, their orders drawn from the multi-indices of
+    order at most 1 so that they repeat, and up to two damages, each to
+    another field (a leaf, an orders, or an entry itself), at two entries or
+    at one: damages is the (position, field, kind) of each."""
     arity = draw(st.integers(1, 3))
     slot = st.lists(st.integers(0, 1), min_size=2, max_size=2)
-    size = draw(st.integers(0, 40))  # uniform, where a list's own size leans to short arrays
+    size = draw(st.integers(0, 24))  # uniform, where a list's own size leans to short arrays
     drawn = draw(st.lists(st.tuples(_LEAF_DRAWS, st.lists(slot, min_size=arity, max_size=arity)),
                           min_size=size, max_size=size))
-    entries = [{"coeff": leaf, "orders": orders} for (_, leaf), orders in drawn]
+    entries = [{"coeff": leaf, "orders": orders} for leaf, orders in drawn]
     damage = st.one_of(
-        st.tuples(st.just("coeff"), _BAD_LEAF_DRAWS),
+        st.tuples(st.just("coeff"), st.sampled_from(_BAD_LEAVES)),
         st.tuples(st.just("orders"), st.sampled_from(_ORDERS_DAMAGE)),
         st.tuples(st.just("entry"), st.sampled_from(_ENTRY_DAMAGE)),
     )
@@ -535,7 +534,165 @@ def _diffop_payloads(draw):
             damages.append((at, field, kind))
     bare = draw(st.booleans())
     payload = entries if bare else {"arity": arity, "terms": entries}
-    return payload, arity, entries, {kind for (kind, _), _ in drawn}, damages
+    return payload, arity, entries, damages
+
+
+def _reader_case(leaves, arity=1, damages=(), bare=False):
+    """(payload, arity, entries, damages) as _diffop_payloads gives them, of the
+    payload on R^2 whose entry i has the coefficient leaves[i] and in slot s
+    the multi-index of bits 2s and 2s + 1 of i, with each (position, field,
+    kind) of `damages` made; a damaged coefficient's kind is its text."""
+    entries = [{"coeff": c, "orders": [[i >> 2 * s & 1, i >> 2 * s + 1 & 1] for s in range(arity)]}
+               for i, c in enumerate(leaves)]
+    made = []
+    for at, field, kind in sorted(damages, key=lambda d: d[1] == "entry"):
+        _damage(entries, at, field, kind)
+        if field == "coeff":
+            kind = next(k for k, text in _BAD_LEAVES if text == kind)
+        made.append((at, field, kind))
+    return (entries if bare else {"arity": arity, "terms": entries}), arity, entries, made
+
+
+def _read_outcome(read, payload):
+    try:
+        op = read(payload, 2, "$.payload")
+    except SchemaError as exc:
+        return "refused", type(exc), exc.message, exc.path
+    return "read", op.arity, op._den, list(op._num.items())
+
+
+def _reader_kinds(payload, arity, entries, damages):
+    """The reader against the former route, which reads every entry on its own
+    (oracles.diffop_from_payload_by_entries), on one payload: the same operator
+    with its keys in the same order, or the same refusal at the same path, the
+    first damaged entry's.  Every array is offered whole first
+    (parser._read_whole), and read that way exactly when it is nonempty and
+    reads.  Returns the kinds of case the payload is."""
+    want = _read_outcome(oracles.diffop_from_payload_by_entries, payload)
+    offered = []  # what each whole-array read gave
+
+    def whole(*args, _read=parser._read_whole):
+        offered.append(_read(*args))
+        return offered[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(parser, "_read_whole", whole)
+        assert _read_outcome(parser.diffop_from_payload, payload) == want
+    assert len(offered) == 1
+    read_whole = offered[0] is not None
+    assert read_whole == (want[0] == "read" and bool(entries))
+    kinds = {want[0]}
+    texts = [json.dumps(e["coeff"]) for e in entries if isinstance(e, dict) and "coeff" in e]
+    if len(set(texts)) < len(texts):
+        kinds.add("repeated")
+    if len(entries) > 20:
+        kinds.add("more than 20 entries")
+    if want[0] == "refused" and entries:
+        kinds.add("refused after the whole-array checks")
+    if want[0] == "read":
+        kinds.add(f"arity {want[1]}")
+        kinds.update("grammar" if parser._read_leaf(e["coeff"], 2) is None else "canonical" for e in entries)
+        placed = {(json.dumps(e["orders"]), e["coeff"]) for e in entries}
+        if any((json.dumps(e["orders"]), _NEGATED.get(e["coeff"])) in placed for e in entries):
+            kinds.add("cancels across entries")
+        if read_whole:
+            orders = [json.dumps(e["orders"]) for e in entries]
+            kinds.add("whole, repeated orders" if len(set(orders)) < len(orders) else "whole, distinct orders")
+    for at, field, kind in damages:
+        kinds.add(kind)
+        if kind in ("true in a later slot", "32768 in a later slot") and arity > 1:
+            kinds.add(f"{kind}, arity > 1")
+    if len(damages) == 2:
+        (first, f1, k1), (second, f2, k2) = sorted(damages)
+        # a slot missing or extra at a bare array's first entry sets the arity
+        sets_arity = not isinstance(payload, dict) and any(
+            at == 0 and kind in ("missing slot", "extra slot") for at, _, kind in damages)
+        if first == second:
+            # an entry's type and key set are checked first, then its orders, then its leaf
+            tail = "" if "entry" in (f1, f2) else r"\.orders"
+            if not sets_arity:
+                assert want[0] == "refused" and re.fullmatch(rf"\$\.payload(\.terms)?\[{first}\]{tail}", want[3])
+            kinds.add(f"two fields of one entry: {f1} and {f2}")
+        else:
+            # the scan names the first damaged entry, whichever field is damaged
+            if not sets_arity:
+                assert want[0] == "refused" and re.fullmatch(rf"\$\.payload(\.terms)?\[{first}\].*", want[3])
+            kinds.add(f"{f1} before {f2}")
+            if k2 == "third key":
+                kinds.add("third key on a later entry")
+    return kinds
+
+
+# (sign, scale, monomial) terms of leaves drawn from one pool of monomials, so that distinct leaves share them
+_MONOMIAL_TERMS = st.tuples(st.sampled_from(["+", "-"]), st.sampled_from(["", "2*", "1/3*", "5/2*"]),
+                            st.sampled_from(["x1", "x2", "x1*x2", "x1^2*x2^3", "x2^32767"] * 4 + ["x1^40000", "x3"]))
+
+
+def _monomial_kinds(drawn):
+    """The reader against the entry-by-entry route on an arity-1 payload on R^2
+    whose entry i has the leaf of drawn[i][0]'s (sign, scale, monomial) terms,
+    joined as a canonical leaf joins them, and the orders drawn[i][1]: the
+    same operator, or the same refusal at the same path.  Returns the kinds of
+    case the payload is."""
+    leaves = []
+    for terms, _ in drawn:  # "a - b + c"
+        text = " ".join(f"{sign} {scale}{m}" for sign, scale, m in terms)
+        leaves.append(text[2:] if text[0] == "+" else "-" + text[2:])
+    payload = {"arity": 1, "terms": [{"coeff": t, "orders": [o]} for t, (_, o) in zip(leaves, drawn)]}
+    want = _read_outcome(oracles.diffop_from_payload_by_entries, payload)
+    assert _read_outcome(parser.diffop_from_payload, payload) == want
+    kinds = {want[0]}
+    monos = [{m for _, _, m in terms} for terms, _ in drawn]
+    if any(monos[i] & monos[j] and leaves[i] != leaves[j] for j in range(len(drawn)) for i in range(j)):
+        kinds.add("shared by distinct leaves")
+    if want[0] == "refused":
+        at = int(re.fullmatch(r"\$\.payload\.terms\[(\d+)\]\.coeff", want[3]).group(1))
+        if at:
+            kinds.add("over budget later" if "x1^40000" in monos[at] else "above dim later")
+    return kinds
+
+
+_SHARED = [([("+", "", "x1"), ("-", "2*", "x1*x2")], [1, 0]), ([("+", "1/3*", "x1*x2")], [0, 1])]
+_MONOMIAL_CASES = [
+    ("read", _SHARED),
+    ("shared by distinct leaves", _SHARED),
+    ("refused", _SHARED + [([("+", "", "x1"), ("-", "", "x1^40000")], [0, 0])]),
+    ("over budget later", _SHARED + [([("+", "", "x1"), ("-", "", "x1^40000")], [0, 0])]),
+    ("above dim later", _SHARED + [([("-", "5/2*", "x3")], [1, 0])]),
+]
+
+# entries that read, and one damage of each field, for the cases built to hit one kind each
+_READS = ["x1", "1/2", "x*y", "-x1*x2 + 1/3"]
+_FIELD_DAMAGE = {"coeff": "x1 + q", "orders": "negative order", "entry": "misnamed key"}
+_READER_CASES = [
+    ("read", _reader_case(["x1", "1/2"])),
+    ("refused", _reader_case(["x1", "1/2"], damages=[(1, "coeff", "x1 + q")])),
+    ("refused after the whole-array checks", _reader_case(_READS, damages=[(2, "orders", "negative order")])),
+    ("arity 1", _reader_case(_READS)),
+    ("arity 2", _reader_case(_READS, 2)),
+    ("arity 3", _reader_case(_READS, 3, bare=True)),
+    ("canonical", _reader_case(["x1*x2 - 1/3"])),
+    ("grammar", _reader_case(["(x1 + 1)^2"], bare=True)),
+    ("repeated", _reader_case(["x1", "1/2", "x1"])),
+    ("more than 20 entries", _reader_case(_READS * 6, 2)),
+    # entries 0 and 4 have the same orders
+    ("cancels across entries", _reader_case(["x1", "1/2", "x*y", "0", "-x1"])),
+    ("whole, repeated orders", _reader_case(["x1", "1/2", "x*y", "0", "2*(x1 - x2)/3"], bare=True)),
+    ("whole, distinct orders", _reader_case(["x1"])),
+    ("over budget", _reader_case(_READS, damages=[(1, "coeff", "x2 + x1^40000 - x1^40000")])),
+    ("unreadable", _reader_case(_READS, damages=[(1, "coeff", "(")])),
+    ("not a str", _reader_case(_READS, bare=True, damages=[(1, "coeff", None)])),
+    *[(kind, _reader_case(_READS, 2, damages=[(1, "orders", kind)])) for kind in _ORDERS_DAMAGE],
+    *[(kind, _reader_case(_READS, damages=[(1, "entry", kind)])) for kind in _ENTRY_DAMAGE],
+    *[(f"{kind}, arity > 1", _reader_case(_READS, 3, damages=[(2, "orders", kind)]))
+      for kind in ("true in a later slot", "32768 in a later slot")],
+    *[(f"{f1} before {f2}", _reader_case(_READS, 2, damages=[(1, f1, _FIELD_DAMAGE[f1]), (3, f2, _FIELD_DAMAGE[f2])]))
+      for f1 in _FIELD_DAMAGE for f2 in _FIELD_DAMAGE if f1 != f2],
+    ("third key on a later entry", _reader_case(_READS, damages=[(1, "coeff", "("), (3, "entry", "third key")])),
+    *[(f"two fields of one entry: {f1} and {f2}",
+       _reader_case(_READS * 3, damages=[(9, f1, _FIELD_DAMAGE[f1]), (9, f2, _FIELD_DAMAGE[f2])]))
+      for f1, f2 in (("coeff", "orders"), ("coeff", "entry"), ("entry", "orders"))],
+]
 
 
 # The ids of test_diffop_errors, written out so that a changed refusal message
@@ -720,142 +877,58 @@ class TestDocuments:
             parse_document(json.dumps({"kind": "diffop", "dim": 2, "payload": terms}))
         assert str(info.value) == "$.payload[0].coeff: " + _leaf_over(40000, pos)
 
-    def test_diffop_reader_matches_the_entry_by_entry_route(self):
-        """The reader, which checks an array of parser._WHOLE_ARRAY_MIN entries
-        or more whole and reads each leaf text once per operator, against the
-        former route, which reads every entry on its own: the same operator with
-        its keys in the same order, or the same refusal at the same path, both
-        where the whole-array checks pass and where the entry-by-entry scan
-        names the first damaged entry."""
-        seen = set()
+    @settings(max_examples=200, derandomize=True)
+    @given(_diffop_payloads())
+    def test_diffop_reader_matches_the_entry_by_entry_route(self, drawn):
+        """The reader, which checks a terms array whole and reads each leaf text
+        once per operator, against the former route, which reads every entry on
+        its own (_reader_kinds), on drawn payloads: damaged or not, of any
+        length up to 40."""
+        _reader_kinds(*drawn)
 
-        def outcome(read, payload):
-            try:
-                op = read(payload, 2, "$.payload")
-            except SchemaError as exc:
-                return "refused", type(exc), exc.message, exc.path
-            return "read", op.arity, op._den, list(op._num.items())
-
-        @settings(max_examples=800, derandomize=True)
-        @given(_diffop_payloads())
-        def run(drawn):
-            payload, arity, entries, leaf_kinds, damages = drawn
-            want = outcome(oracles.diffop_from_payload_by_entries, payload)
-            assert outcome(parser.diffop_from_payload, payload) == want
-            seen.add(want[0])
-            seen.add(f"arity {arity}")
-            texts = [json.dumps(e["coeff"]) for e in entries if isinstance(e, dict) and "coeff" in e]
-            seen.update(leaf_kinds)
-            if len(set(texts)) < len(texts):
-                seen.add("repeated")
-            if len(entries) > 20:
-                seen.add("more than 20 entries")
-            if want[0] == "refused" and len(entries) >= parser._WHOLE_ARRAY_MIN:
-                seen.add("refused after the whole-array checks")
-            if want[0] == "read":
-                placed = {(json.dumps(e["orders"]), e["coeff"]) for e in entries}
-                if any((json.dumps(e["orders"]), _NEGATED.get(e["coeff"])) in placed for e in entries):
-                    seen.add("cancels across entries")
-                if len(entries) >= parser._WHOLE_ARRAY_MIN:
-                    orders = [json.dumps(e["orders"]) for e in entries]
-                    seen.add("whole, repeated orders" if len(set(orders)) < len(orders) else "whole, distinct orders")
-            for at, field, kind in damages:
-                seen.add(kind)
-                if kind in ("true in a later slot", "32768 in a later slot") and arity > 1:
-                    seen.add(f"{kind}, arity > 1")
-            if len(damages) == 2:
-                (first, f1, k1), (second, f2, k2) = sorted(damages)
-                # a slot missing or extra at a bare array's first entry sets the arity
-                sets_arity = not isinstance(payload, dict) and any(
-                    at == 0 and kind in ("missing slot", "extra slot") for at, _, kind in damages)
-                if first == second:
-                    # an entry's type and key set are checked first, then its orders, then its leaf
-                    tail = "" if "entry" in (f1, f2) else r"\.orders"
-                    if not sets_arity:
-                        assert want[0] == "refused" and re.fullmatch(rf"\$\.payload(\.terms)?\[{first}\]{tail}",
-                                                                     want[3])
-                    if len(entries) >= parser._WHOLE_ARRAY_MIN:
-                        seen.add(f"one entry of a large array: {f1} and {f2}")
-                else:
-                    # the scan names the first damaged entry, whichever field is damaged
-                    if not sets_arity:
-                        assert want[0] == "refused" and re.fullmatch(rf"\$\.payload(\.terms)?\[{first}\].*",
-                                                                     want[3])
-                    seen.add(f"{f1} before {f2}")
-                    if k2 == "third key":
-                        seen.add("third key on a later entry")
-
-        run()
-        assert seen == {
-            "read", "refused", "refused after the whole-array checks", "arity 1", "arity 2", "arity 3",
-            "canonical", "grammar", "repeated",
-            "more than 20 entries", "cancels across entries", "whole, repeated orders", "whole, distinct orders",
-            "over budget", "unreadable", "not a str", *_ORDERS_DAMAGE, *_ENTRY_DAMAGE,
-            "true in a later slot, arity > 1", "32768 in a later slot, arity > 1",
-            "coeff before orders", "orders before coeff", "coeff before entry", "entry before coeff",
-            "orders before entry", "entry before orders", "third key on a later entry",
-            "one entry of a large array: coeff and orders", "one entry of a large array: coeff and entry",
-            "one entry of a large array: entry and orders",
-        }
+    @pytest.mark.parametrize("kind, case", _READER_CASES, ids=[kind for kind, _ in _READER_CASES])
+    def test_diffop_reader_case(self, kind, case):
+        """One payload built to be a case of `kind`, against the former route
+        (_reader_kinds)."""
+        assert kind in _reader_kinds(*case)
 
     @pytest.mark.parametrize("field, kind", [("coeff", c) for c in ("x1^40000", "x1 + q", 5)]
                              + [("orders", k) for k in _ORDERS_DAMAGE] + [("entry", k) for k in _ENTRY_DAMAGE])
     @pytest.mark.parametrize("arity", [1, 2, 3])
-    def test_diffop_reader_names_one_damaged_entry_of_a_large_array(self, field, kind, arity):
-        """Each whole-array check catches one damaged entry among a dozen: the
-        refusal and its path are the entry-by-entry route's, at that entry."""
+    @pytest.mark.parametrize("length", [1, 4, 12])
+    def test_diffop_reader_names_one_damaged_entry(self, field, kind, arity, length):
+        """Each whole-array check catches one damaged entry of an array of any
+        length: the refusal and its path are the entry-by-entry route's, at
+        that entry."""
         entries = [{"coeff": c, "orders": [[i % 2, i // 2 % 2]] * arity}
-                   for i, c in enumerate(["x1", "1/2", "x*y", "-x1"] * 3)]
-        assert len(entries) >= parser._WHOLE_ARRAY_MIN
-        _damage(entries, 9, field, kind)
+                   for i, c in enumerate(["x1", "1/2", "x*y", "-x1"] * 3)][:length]
+        at = length * 3 // 4
+        _damage(entries, at, field, kind)
         payload = {"arity": arity, "terms": entries}
         with pytest.raises(SchemaError) as want:
             oracles.diffop_from_payload_by_entries(payload, 2, "$.payload")
         with pytest.raises(SchemaError) as got:
             parser.diffop_from_payload(payload, 2, "$.payload")
         assert (got.value.message, got.value.path) == (want.value.message, want.value.path)
-        assert got.value.path.startswith("$.payload.terms[9]")
+        assert got.value.path.startswith(f"$.payload.terms[{at}]")
 
-    def test_diffop_reader_shares_monomials_between_distinct_leaves(self):
+    @settings(max_examples=200, derandomize=True)
+    @given(st.lists(st.tuples(st.lists(_MONOMIAL_TERMS, min_size=1, max_size=3),
+                              st.sampled_from([[1, 0], [0, 1], [0, 0]])), min_size=1, max_size=6))
+    def test_diffop_reader_shares_monomials_between_distinct_leaves(self, drawn):
         """The reader packs each monomial text once per operator, whichever leaf
-        has it first: distinct leaves built from one pool of monomials read as the
-        entry-by-entry route reads them.  A monomial over the budget or above dim
-        in a later leaf is still left to the grammar, which refuses it there."""
-        seen = set()
+        has it first: distinct leaves built from one pool of monomials read as
+        the entry-by-entry route reads them (_monomial_kinds)."""
+        _monomial_kinds(drawn)
 
-        def outcome(read, payload):
-            try:
-                op = read(payload, 2, "$.payload")
-            except SchemaError as exc:
-                return "refused", exc.message, exc.path
-            return "read", op._den, list(op._num.items())
+    @pytest.mark.parametrize("kind, drawn", _MONOMIAL_CASES, ids=[kind for kind, _ in _MONOMIAL_CASES])
+    def test_diffop_reader_monomial_case(self, kind, drawn):
+        """Leaves built to be a case of `kind`: a monomial shared by distinct
+        leaves, and one over the budget or above dim in a later leaf, which is
+        still left to the grammar and refused there."""
+        assert kind in _monomial_kinds(drawn)
 
-        monomial = st.sampled_from(["x1", "x2", "x1*x2", "x1^2*x2^3", "x2^32767"] * 4 + ["x1^40000", "x3"])
-        term = st.tuples(st.sampled_from(["+", "-"]), st.sampled_from(["", "2*", "1/3*", "5/2*"]), monomial)
-
-        def leaf(terms):  # "a - b + c", as a canonical leaf joins its terms
-            text = " ".join(f"{sign} {scale}{m}" for sign, scale, m in terms)
-            return text[2:] if text[0] == "+" else "-" + text[2:]
-
-        @settings(max_examples=200, derandomize=True)
-        @given(st.lists(st.tuples(st.lists(term, min_size=1, max_size=3), st.sampled_from([[1, 0], [0, 1], [0, 0]])),
-                        min_size=1, max_size=6))
-        def run(drawn):
-            leaves = [leaf(terms) for terms, _ in drawn]
-            payload = {"arity": 1, "terms": [{"coeff": t, "orders": [o]} for t, (_, o) in zip(leaves, drawn)]}
-            want = outcome(oracles.diffop_from_payload_by_entries, payload)
-            assert outcome(parser.diffop_from_payload, payload) == want
-            monos = [{m for _, _, m in terms} for terms, _ in drawn]
-            if any(monos[i] & monos[j] and leaves[i] != leaves[j] for j in range(len(drawn)) for i in range(j)):
-                seen.add("shared by distinct leaves")
-            if want[0] == "refused":
-                at = int(re.fullmatch(r"\$\.payload\.terms\[(\d+)\]\.coeff", want[2]).group(1))
-                if at:
-                    seen.add("over budget later" if "x1^40000" in monos[at] else "above dim later")
-            seen.add(want[0])
-
-        run()
-        assert seen == {"shared by distinct leaves", "over budget later", "above dim later", "read", "refused"}
+    def test_diffop_reader_keeps_no_monomials(self):
         # nothing is kept from one call to the next: x3, read on R^3, is still above dim on R^2
         parser.diffop_from_payload([{"coeff": "x3", "orders": [[0, 0, 0]]}], 3, "$.payload")
         with pytest.raises(SchemaError, match="unknown variable 'x3'"):
