@@ -521,8 +521,7 @@ def solve_coboundary(sym: PolyDiffOp, degree_bound: int) -> PolyDiffOp:
     if sym.arity != 2:
         raise ArityMismatchError("solve_coboundary needs arity 2")
     n = sym.dim
-    block = _BITS * n
-    low = (1 << block) - 1
+    low = (1 << _BITS * n) - 1
     picks = {}  # Q's key of x^e d^alpha -> (t, c)
     for key, t in sym._num.items():
         pivot = _pivot(key, n)
@@ -530,13 +529,8 @@ def solve_coboundary(sym: PolyDiffOp, degree_bound: int) -> PolyDiffOp:
             continue  # no unknown is read off this row; the residual checks it
         if sum(_fields(key & low, n)) <= degree_bound:
             picks[pivot[0]] = t, pivot[1]
-    # alpha and e in sorted order, so Q's storage order does not depend on sym's
-    order = sorted(picks, key=lambda k: (_fields(k >> block, n), _fields(k & low, n)))
     top = lcm(*(c for _, c in picks.values()))  # every c divides it
-    num = {}
-    for k in order:
-        t, c = picks[k]
-        num[k] = t * (top // c)
+    num = {k: t * (top // c) for k, (t, c) in picks.items()}
     # alpha = beta + gamma adds two order fields, which may pass the budget
     _check_budget(num, 2 * n)
     Q = PolyDiffOp._normal(n, 1, num, sym._den * top)

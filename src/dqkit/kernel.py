@@ -19,14 +19,13 @@ a stored value over a running common denominator, its keys moved up by a
 high part (``_Stored._sum`` and ``_summed``'s (high, ``Poly``) parts run
 it, behind the constructors, the readers and ``diffop._OpAcc``), and
 ``_add_products``, the one multiply-add over two lists of (key, numerator),
-behind ``_times``, ``TPoly``'s Cauchy product and ``diffop``'s composition,
-Leibniz rule and slot fill.
-Three loops write a map themselves, each saying why: ``_Sum.add_term``
-adds one term, ``diffop._OpAcc.add_coboundary`` runs each term's own split
-table, and ``starprod.moyal`` keeps a cancelled key's place; ``_placed``,
-the map of an operator payload, places the terms of distinct orders, which
-share no key, in one comprehension, and sums repeated orders through
-``_summed``.  The kernel
+behind ``_times``, ``TPoly``'s Cauchy product, ``starprod.moyal`` and
+``diffop``'s composition, Leibniz rule and slot fill.
+Two loops write a map themselves, each saying why: ``_Sum.add_term`` adds
+one term, and ``diffop._OpAcc.add_coboundary`` runs each term's own split
+table; ``_placed``, the map of an operator payload, places the terms of
+distinct orders, which share no key, in one comprehension, and sums
+repeated orders through ``_summed``.  The kernel
 also owns two small facts every module shares: ``_as_poly``, the one
 coercion of an int or ``Fraction`` to a constant ``Poly``, and ``_mono``,
 the one text of a monomial (``repr`` and the parser's canonical output

@@ -178,7 +178,7 @@ def from_poisson(pi: MultiVec) -> AlgebroidPresentation:
     zero = Poly.zero(n)
     rows = [[zero] * n for _ in range(n)]
     structure = {}
-    for (i, j), c in sorted(pi.terms.items()):
+    for (i, j), c in pi.terms.items():
         rows[i - 1][j - 1], rows[j - 1][i - 1] = c, -c
         cs = [c.partial(k) for k in range(1, n + 1)]
         if any(not d.is_zero() for d in cs):

@@ -33,7 +33,7 @@ from .errors import (
     OrderMismatchError,
     PreconditionError,
 )
-from .kernel import MAX_PACKED, Poly, TPoly, _check_budget, _over_budget, _summed
+from .kernel import MAX_PACKED, Poly, TPoly, _add_products, _check_budget, _over_budget, _summed
 from .poisson import bracket, hamiltonian
 
 
@@ -233,24 +233,15 @@ def moyal(pi: MultiVec, order: int) -> StarProduct:
     # B is the operator of pi's biderivation, with constant coefficients, and
     # the key of a product of two such terms is the sum of their keys
     B = multiderivation(pi)
-    power = {0: 1}  # B^k over B._den^k
-    scale = 1  # 2^k k! B._den^k
+    num, den = {0: 1}, 1  # P_0, multiplication
     ops = []
     for k in range(1, order + 1):
-        # a sum that cancels keeps its place, so keys first appear in the
-        # same order as over all k-tuples of B's terms; kernel._add_products
-        # drops such a key, so this loop writes the map itself
-        nxt = {}
-        get = nxt.get
-        for k1, n1 in power.items():
-            for k2, n2 in B._num.items():
-                key = k1 + k2
-                nxt[key] = get(key, 0) + n1 * n2
-        power = nxt
-        scale *= 2 * k * B._den
-        num = {key: v for key, v in power.items() if v}
-        _check_budget(num, 3 * pi.dim)
-        ops.append(PolyDiffOp._normal(pi.dim, 2, num, scale))
+        terms = {}
+        _add_products(terms, num.items(), B._num.items())
+        _check_budget(terms, 3 * pi.dim)
+        P = PolyDiffOp._normal(pi.dim, 2, terms, den * 2 * k * B._den)
+        ops.append(P)
+        num, den = P._num, P._den
     return StarProduct(pi.dim, order, ops)
 
 

@@ -45,9 +45,9 @@ def _unitality(S, prefix=""):
 
 
 def _first_nonzero_term(t):
-    for idx, c in sorted(t.terms.items()):
-        return {"indices": list(idx), "value": poly_to_text(c)}
-    return None
+    """The term of lowest indices of a nonzero tensor t ("terms" is ascending)."""
+    idx, c = next(iter(t.terms.items()))
+    return {"indices": list(idx), "value": poly_to_text(c)}
 
 
 def _verify_star(name, S, defects):

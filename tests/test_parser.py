@@ -565,9 +565,9 @@ def _reader_kinds(payload, arity, entries, damages):
     """The reader against the former route, which reads every entry on its own
     (oracles.diffop_from_payload_by_entries), on one payload: the same operator
     with its keys in the same order, or the same refusal at the same path, the
-    first damaged entry's.  Every array is offered whole first
-    (parser._read_whole), and read that way exactly when it is nonempty and
-    reads.  Returns the kinds of case the payload is."""
+    first damaged entry's.  Every nonempty array is offered whole
+    (parser._read_whole), the empty one never, and read that way exactly
+    when it reads.  Returns the kinds of case the payload is."""
     want = _read_outcome(oracles.diffop_from_payload_by_entries, payload)
     offered = []  # what each whole-array read gave
 
@@ -578,8 +578,8 @@ def _reader_kinds(payload, arity, entries, damages):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(parser, "_read_whole", whole)
         assert _read_outcome(parser.diffop_from_payload, payload) == want
-    assert len(offered) == 1
-    read_whole = offered[0] is not None
+    assert len(offered) == bool(entries)
+    read_whole = bool(offered) and offered[0] is not None
     assert read_whole == (want[0] == "read" and bool(entries))
     kinds = {want[0]}
     texts = [json.dumps(e["coeff"]) for e in entries if isinstance(e, dict) and "coeff" in e]

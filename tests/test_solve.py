@@ -83,21 +83,20 @@ def test_specialize_matches_oracle_route():
         except SolveError as exc:
             with pytest.raises(SolveError) as info:
                 specialize(S, degree)
-            assert _term_list(info.value.residual) == _term_list(exc.residual)
+            assert info.value.residual == exc.residual
             seen.add("residual")
         else:
             got = specialize(S, degree)
             assert got == want
-            assert [_term_list(op) for op in got.R] == [_term_list(op) for op in want.R]
             seen.add("identity" if got == GaugeOp.identity_gauge(S.dim, S.order) else "solved")
 
     run()
     assert seen == {"identity", "solved", "residual"}
 
 
-def test_gauge_storage_order_does_not_follow_sym():
-    """Q is stored by alpha, and each coefficient by e, however sym(P_1) is
-    stored: here its pivot rows and their coefficients come in reverse order."""
+def test_gauge_from_a_reverse_stored_sym():
+    """The gauge is the oracle's however sym(P_1) is stored: here its pivot
+    rows and their coefficients come in reverse order."""
     x1, x2 = Poly.variable(2, 1), Poly.variable(2, 2)
     R1 = PolyDiffOp(2, 1, {((2, 0),): x1 + x2 * x2, ((1, 1),): x1 * x2 + 1, ((0, 2),): x2})
     S = gauge_transform(StarProduct.commutative(2, 1), GaugeOp(2, 1, [R1]))
@@ -112,9 +111,7 @@ def test_gauge_storage_order_does_not_follow_sym():
             pivots.append((alpha, list(c.exponents())))
     assert pivots[0] == ((2, 0), [(1, 0), (0, 2)])
     assert [a for a, _ in pivots] == [(2, 0), (1, 1), (0, 2)]
-    got, want = specialize(S, 2), specialize_by_oracle(S, 2)
-    assert [_term_list(op) for op in got.R] == [_term_list(op) for op in want.R]
-    assert [a for (a,) in got.R[0].terms] == [(0, 2), (1, 1), (2, 0)]
+    assert specialize(S, 2) == specialize_by_oracle(S, 2)
 
 
 def test_work_does_not_depend_on_the_degree_bound():
